@@ -16,7 +16,6 @@ import numpy as np
 from .comparison import (
     blowup_horizon,
     eigenvalue_bound,
-    forward_diff_check,
     logistic_envelope,
 )
 from .errors import HorizonError

@@ -21,8 +21,6 @@ from numpy.polynomial import hermite_e
 
 from .errors import AssemblyError, ConfigurationError
 
-TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
-
 
 def apply_along(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
     """Apply a square matrix along one dimension of a multi-axis field."""
@@ -88,6 +86,11 @@ def _fourier_ops(n: int) -> dict[str, np.ndarray]:
     return ops
 
 
+def circle_nodes(n: int) -> np.ndarray:
+    """The n uniform nodes 2 pi j / n of a periodic grid."""
+    return 2.0 * math.pi * np.arange(n) / n
+
+
 def lowpass(values: np.ndarray, max_mode: int) -> np.ndarray:
     """Zero every Fourier mode above ``max_mode`` of a 1-d sample vector."""
     coef = np.fft.rfft(values)
@@ -101,26 +104,19 @@ def mode_amplitudes(values: np.ndarray) -> np.ndarray:
 
 
 class CircleAxis:
-    """One periodic factor, sampled at ``n`` uniform nodes.
+    """One periodic factor, sampled at uniform nodes.
 
     Parameters
     ----------
-    a : array or float
+    a : array
         Metric coefficient samples (length squared), strictly positive.
-    f : array or float
+    f : array
         Weight samples on this factor.
-    n : int, optional
-        Node count when ``a`` and ``f`` are scalars.
     """
 
     kind = "circle"
 
-    def __init__(self, a, f, n=None):
-        if np.isscalar(a) and np.isscalar(f):
-            if n is None:
-                raise ConfigurationError("scalar circle data requires an explicit node count")
-            a = np.full(n, float(a))
-            f = np.full(n, float(f))
+    def __init__(self, a, f):
         a = np.asarray(a, dtype=float)
         f = np.asarray(f, dtype=float)
         if a.ndim != 1 or a.shape != f.shape:
@@ -132,7 +128,7 @@ class CircleAxis:
                 f"circle metric coefficient non-positive at node {int(np.argmin(a))}"
             )
         self.size = a.size
-        self.nodes = 2.0 * math.pi * np.arange(self.size) / self.size
+        self.nodes = circle_nodes(self.size)
         self.a = a
         self.f = f
         self.weights = np.full(self.size, 2.0 * math.pi / self.size)
@@ -193,7 +189,10 @@ def _hermite_ops(order: int) -> dict[str, np.ndarray]:
 
     The basis is p_k(x) = He_k(x / sqrt(2)), the eigenfunctions of
     u'' - (x/2) u' with eigenvalue -k/2; quadrature is Gauss-Hermite for the
-    weight e^{-x^2/4}, exact through polynomial degree 2*order - 1.
+    weight e^{-x^2/4}, exact through polynomial degree 2*order - 1.  The
+    basis is evaluated orthonormalized, by its three-term recurrence, so that
+    quadrature exactness gives the inverse of the Vandermonde matrix as its
+    weighted transpose; no ill-conditioned monomial solve is needed.
     """
     ops = _HERMITE_CACHE.get(order)
     if ops is not None:
@@ -201,22 +200,18 @@ def _hermite_ops(order: int) -> dict[str, np.ndarray]:
     y, wy = hermite_e.hermegauss(order)
     nodes = math.sqrt(2.0) * y
     wdens = math.sqrt(2.0) * wy  # integrates q(x) e^{-x^2/4} dx exactly
-    vand = hermite_e.hermevander(y, order - 1)  # vand[i,k] = p_k(nodes[i])
-    vinv = np.linalg.inv(vand)
-    # d/dx p_k = (k / sqrt(2)) p_{k-1}
-    shift = np.zeros((order, order))
-    for k in range(1, order):
-        shift[k - 1, k] = k / math.sqrt(2.0)
+    # vand[i, k] = q_k(y_i) with q_k = He_k / sqrt(sqrt(2 pi) k!), orthonormal
+    # for e^{-y^2/2} dy, so vand.T @ diag(wy) @ vand = I under the quadrature.
+    vand = np.empty((order, order))
+    vand[:, 0] = (2.0 * math.pi) ** -0.25
+    vand[:, 1] = y * vand[:, 0]
+    for k in range(1, order - 1):
+        vand[:, k + 1] = (y * vand[:, k] - math.sqrt(k) * vand[:, k - 1]) / math.sqrt(k + 1)
+    vinv = (vand * wy[:, None]).T
+    # d/dx q_k = sqrt(k / 2) q_{k-1}
+    shift = np.diag(np.sqrt(np.arange(1, order) / 2.0), k=1)
     d1 = vand @ shift @ vinv
-    norms_sq = np.array([TWO_SQRT_PI * math.factorial(k) for k in range(order)])
-    ops = {
-        "nodes": nodes,
-        "wdens": wdens,
-        "vand": vand,
-        "vinv": vinv,
-        "d1": d1,
-        "norms_sq": norms_sq,
-    }
+    ops = {"nodes": nodes, "wdens": wdens, "vand": vand, "d1": d1, "d2": d1 @ d1}
     _HERMITE_CACHE[order] = ops
     return ops
 
@@ -249,20 +244,20 @@ class HermiteLineAxis:
         self.fprime = self.nodes / 2.0
         self.christoffel = 0.0
         self._d1 = ops["d1"]
+        self._d2 = ops["d2"]
         self._vand = ops["vand"]
-        self._norms_sq = ops["norms_sq"]
 
     def d1(self, field: np.ndarray, axis: int) -> np.ndarray:
         return apply_deriv(self._d1, field, axis)
 
     def d2(self, field: np.ndarray, axis: int) -> np.ndarray:
-        return apply_deriv(self._d1 @ self._d1, field, axis)
+        return apply_deriv(self._d2, field, axis)
 
     def d1_vec(self, values: np.ndarray) -> np.ndarray:
         return self._d1 @ (values - values[0])
 
     def d2_vec(self, values: np.ndarray) -> np.ndarray:
-        return self._d1 @ (self._d1 @ (values - values[0]))
+        return self._d2 @ (values - values[0])
 
     def mass_diag(self) -> np.ndarray:
         return self.wdens

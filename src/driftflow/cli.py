@@ -249,6 +249,8 @@ def main(argv=None) -> int:
     except DriftflowError as exc:  # safety net for anything not handled locally
         kind, code = _classify(exc)
         return _fail(kind, str(exc), code)
+    except Exception as exc:  # anything else still gets one line, not a traceback
+        return _fail("unexpected", f"{type(exc).__name__}: {' '.join(str(exc).split())}", EXIT_UNEXPECTED)
 
 
 if __name__ == "__main__":

@@ -18,11 +18,11 @@ the same RK4 stages as the geometry (one-way coupling).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .axes import CircleAxis, HermiteLineAxis, lowpass, mode_amplitudes
+from .axes import CircleAxis, HermiteLineAxis, _fourier_ops, _hermite_ops, circle_nodes, lowpass, mode_amplitudes
 from .comparison import eigenvalue_bound
 from .errors import (
     ConfigurationError,
@@ -86,118 +86,149 @@ class FlowState:
 
 
 # --------------------------------------------------------------------------
-# Geometry state plumbing
+# Flat integrator state
 # --------------------------------------------------------------------------
 
 
-def _geo_from_manifold(dm: DiscreteWeightedManifold):
-    geo = []
-    for ax in dm.axes:
-        if ax.kind == "circle":
-            geo.append(["circle", ax.a.copy(), ax.f.copy()])
+@dataclass(frozen=True)
+class _Layout:
+    """Where each axis of a manifold lives in the flat geometry vector.
+
+    ``axes`` holds (kind, offset, size) per axis: a circle of ``size`` nodes
+    stores its samples of a and then of f from ``offset``, a Gaussian line of
+    Hermite order ``size`` its metric multiplier.  The integrator state is
+    this vector followed by the raveled (count, *shape) batch of scalars.
+    """
+
+    axes: tuple
+    width: int
+    shape: tuple
+    f_constant: float
+
+    @classmethod
+    def of(cls, dm: DiscreteWeightedManifold) -> "_Layout":
+        axes, offset = [], 0
+        for ax in dm.axes:
+            axes.append((ax.kind, offset, ax.size))
+            offset += 2 * ax.size if ax.kind == "circle" else 1
+        return cls(tuple(axes), offset, dm.shape, dm.f_constant)
+
+    def pack(self, dm: DiscreteWeightedManifold) -> np.ndarray:
+        return np.concatenate([[ax.scale] if ax.kind == "hermite" else np.concatenate([ax.a, ax.f]) for ax in dm.axes])
+
+    def pack_state(self, state) -> np.ndarray:
+        """Geometry vector of a closed-form state, sampled as ``discretize`` does."""
+        parts = []
+        for (kind, _, n), fac in zip(self.axes, state.factors):
+            if kind == "circle":
+                theta = circle_nodes(n)
+                parts += [fac.a_at(theta), fac.f_at(theta)]
+            else:
+                parts.append([fac.scale])
+        return np.concatenate(parts)
+
+    def manifold(self, z: np.ndarray, t: float) -> DiscreteWeightedManifold:
+        axes = []
+        for kind, off, n in self.axes:
+            if kind == "circle":
+                axes.append(CircleAxis(_positive(z[off : off + n]).copy(), z[off + n : off + 2 * n].copy()))
+            else:
+                axes.append(HermiteLineAxis(n, float(_positive(z[off : off + 1])[0])))
+        return DiscreteWeightedManifold(axes, f_constant=self.f_constant, t=t)
+
+
+def _positive(a: np.ndarray) -> np.ndarray:
+    if a.min() <= 0.0:
+        raise FlowBreakdownError(int(np.argmin(a)))
+    return a
+
+
+def _axis_fields(layout: _Layout, z: np.ndarray) -> list:
+    """Per axis at one stage: metric samples a, the drift Gamma + f', and on
+    circles Hess f.  Raises FlowBreakdownError once some a <= 0."""
+    fields = []
+    for kind, off, n in layout.axes:
+        if kind == "circle":
+            a, f = _positive(z[off : off + n]), z[off + n : off + 2 * n]
+            ops = _fourier_ops(n)
+            fprime = ops["d1"] @ (f - f[0])
+            gamma = ops["d1"] @ (a - a[0]) / (2.0 * a)
+            hess_f = ops["d2"] @ (f - f[0]) - gamma * fprime
+            fields.append((a, gamma + fprime, hess_f))
         else:
-            geo.append(["hermite", ax.scale, ax.size])
-    return geo
+            fields.append((_positive(z[off : off + 1]), _hermite_ops(n)["nodes"] / 2.0, None))
+    return fields
 
 
-def _manifold_from_geo(geo, f_constant: float, t: float) -> DiscreteWeightedManifold:
-    axes = []
-    for entry in geo:
-        if entry[0] == "circle":
-            a = entry[1]
-            if np.min(a) <= 0.0:
-                raise FlowBreakdownError(int(np.argmin(a)))
-            axes.append(CircleAxis(a, entry[2]))
-        else:
-            if entry[1] <= 0.0:
-                raise FlowBreakdownError(0)
-            axes.append(HermiteLineAxis(entry[2], entry[1]))
-    return DiscreteWeightedManifold(axes, f_constant=f_constant, t=t)
+def _scalar_rhs(layout: _Layout, fields: list, flat: np.ndarray) -> np.ndarray:
+    """u_t = L u + u/2 for a raveled (count, *shape) batch, one pass per axis.
+
+    As in ``apply_deriv``, the first slice along the axis is subtracted before
+    differentiating, so constant fields get derivatives that are exactly zero.
+    """
+    batch = flat.reshape((-1, *layout.shape))
+    out = 0.5 * batch
+    for axis, ((kind, _, n), (a, drift, _)) in enumerate(zip(layout.axes, fields)):
+        ops = _fourier_ops(n) if kind == "circle" else _hermite_ops(n)
+        moved = np.moveaxis(batch, axis + 1, 0)
+        diff = moved - moved[:1]
+        d1u = ops["d1"] @ diff.reshape(n, -1)
+        d2u = ops["d2"] @ diff.reshape(n, -1)
+        term = (d2u - drift[:, None] * d1u) / a[:, None]
+        out += np.moveaxis(term.reshape(diff.shape), 0, axis + 1)
+    return out.ravel()
 
 
-def _geo_rhs(dm: DiscreteWeightedManifold, modes: int):
-    rhs = []
-    for ax in dm.axes:
-        if ax.kind == "circle":
-            hess_f = ax.d2_vec(ax.f) - ax.christoffel * ax.fprime
-            a_t = ax.a - 2.0 * hess_f
-            f_t = 0.5 - hess_f / ax.a
-            rhs.append(["circle", lowpass(a_t, modes), lowpass(f_t, modes)])
-        else:
-            rhs.append(["hermite", ax.scale - 1.0, ax.size])
+def _flow_rhs(layout: _Layout, modes: int):
+    """Galerkin right-hand side of the geometry vector and the scalars."""
+
+    def rhs(t, z):
+        fields = _axis_fields(layout, z)
+        dz = np.empty_like(z)
+        for (kind, off, n), (a, _, hess_f) in zip(layout.axes, fields):
+            if kind == "circle":
+                dz[off : off + n] = lowpass(a - 2.0 * hess_f, modes)
+                dz[off + n : off + 2 * n] = lowpass(0.5 - hess_f / a, modes)
+            else:
+                dz[off] = a[0] - 1.0
+        if z.size > layout.width:
+            dz[layout.width :] = _scalar_rhs(layout, fields, z[layout.width :])
+        return dz
+
     return rhs
 
 
-def _geo_add(geo, rhs, c: float):
-    out = []
-    for g, r in zip(geo, rhs):
-        if g[0] == "circle":
-            out.append(["circle", g[1] + c * r[1], g[2] + c * r[2]])
-        else:
-            out.append(["hermite", g[1] + c * r[1], g[2]])
-    return out
+def _rk4(rhs, t: float, z: np.ndarray, dt: float, k1=None) -> np.ndarray:
+    """One classical RK4 step of z' = rhs(t, z); ``k1`` may be passed in."""
+    if k1 is None:
+        k1 = rhs(t, z)
+    k2 = rhs(t + dt / 2, z + (dt / 2) * k1)
+    k3 = rhs(t + dt / 2, z + (dt / 2) * k2)
+    k4 = rhs(t + dt, z + dt * k3)
+    for k, w in ((k1, 1.0), (k2, 2.0), (k3, 2.0), (k4, 1.0)):
+        z = z + (w * dt / 6.0) * k
+    return z
 
 
-def _geo_diff(g1, g2) -> float:
-    worst = 0.0
-    for a, b in zip(g1, g2):
-        if a[0] == "circle":
-            worst = max(worst, float(np.max(np.abs(a[1] - b[1]))), float(np.max(np.abs(a[2] - b[2]))))
-        else:
-            worst = max(worst, abs(a[1] - b[1]))
-    return worst
-
-
-def _clamp_noise(geo, modes: int, floor: float):
-    for entry in geo:
-        if entry[0] != "circle":
-            continue
-        for slot in (1, 2):
-            coef = np.fft.rfft(entry[slot])
+def _settle(layout: _Layout, z: np.ndarray, modes: int, floor: float, threshold: float) -> np.ndarray:
+    """Zero the circle modes above ``modes`` or below the relative noise
+    floor, then raise StabilityError if a mode still exceeds ``threshold``."""
+    z = z.copy()
+    for kind, off, n in layout.axes:
+        for sl in (slice(off, off + n), slice(off + n, off + 2 * n)) if kind == "circle" else ():
+            coef = np.fft.rfft(z[sl])
             scale = max(1.0, abs(coef[0]) / coef.size)
             small = np.abs(coef[1:]) < floor * scale * coef.size
             coef[1:][small] = 0.0
             coef[modes + 1 :] = 0.0
-            entry[slot] = np.fft.irfft(coef, n=entry[slot].size)
-    return geo
-
-
-def _check_stability(geo, threshold: float):
-    for entry in geo:
-        if entry[0] != "circle":
-            continue
-        for slot in (1, 2):
-            amps = mode_amplitudes(entry[slot])
+            z[sl] = np.fft.irfft(coef, n=n)
+            amps = mode_amplitudes(z[sl])
             if amps[1:].size and float(np.max(amps[1:])) > threshold:
                 raise StabilityError(
                     f"circle mode energy {np.max(amps[1:]):.3e} exceeds threshold {threshold:.3e}; "
                     "use a shorter horizon or a lower mode cutoff"
                 )
-
-
-def _rk4(geo, scalars, f_constant, t, dt, modes):
-    """One joint RK4 step of geometry and tracked scalars."""
-
-    def stage(g, s, tt):
-        dm = _manifold_from_geo(g, f_constant, tt)
-        gr = _geo_rhs(dm, modes)
-        sr = None
-        if s is not None:
-            sr = np.stack([drift_laplacian(dm, u) + 0.5 * u for u in s])
-        return gr, sr
-
-    k1g, k1s = stage(geo, scalars, t)
-    k2g, k2s = stage(_geo_add(geo, k1g, dt / 2), None if scalars is None else scalars + (dt / 2) * k1s, t + dt / 2)
-    k3g, k3s = stage(_geo_add(geo, k2g, dt / 2), None if scalars is None else scalars + (dt / 2) * k2s, t + dt / 2)
-    k4g, k4s = stage(_geo_add(geo, k3g, dt), None if scalars is None else scalars + dt * k3s, t + dt)
-
-    new_geo = geo
-    for kg, w in ((k1g, 1.0), (k2g, 2.0), (k3g, 2.0), (k4g, 1.0)):
-        new_geo = _geo_add(new_geo, kg, w * dt / 6.0)
-    new_scal = None
-    if scalars is not None:
-        new_scal = scalars + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-    return new_geo, new_scal
+    return z
 
 
 def step_modified_flow(
@@ -218,23 +249,12 @@ def step_modified_flow(
     if dt <= 0.0 or dt > max_dt:
         raise ConfigurationError(f"step size {dt} outside (0, {max_dt}]")
     dm = state.manifold
-    geo = _geo_from_manifold(dm)
+    layout = _Layout.of(dm)
+    z = layout.pack(dm)
     if stability_threshold is None:
-        stability_threshold = 1e6 * (1.0 + _geo_scale(geo))
-    new_geo, _ = _rk4(geo, None, dm.f_constant, dm.t, dt, modes)
-    new_geo = _clamp_noise(new_geo, modes, noise_floor)
-    _check_stability(new_geo, stability_threshold)
-    return FlowState.from_manifold(_manifold_from_geo(new_geo, dm.f_constant, dm.t + dt))
-
-
-def _geo_scale(geo) -> float:
-    scale = 0.0
-    for entry in geo:
-        if entry[0] == "circle":
-            scale = max(scale, float(np.max(np.abs(entry[1]))), float(np.max(np.abs(entry[2]))))
-        else:
-            scale = max(scale, abs(entry[1]))
-    return scale
+        stability_threshold = 1e6 * (1.0 + float(np.max(np.abs(z))))
+    z = _settle(layout, _rk4(_flow_rhs(layout, modes), dm.t, z, dt), modes, noise_floor, stability_threshold)
+    return FlowState.from_manifold(layout.manifold(z, dm.t + dt))
 
 
 # --------------------------------------------------------------------------
@@ -303,20 +323,20 @@ class FlowTrajectory:
         return idx
 
 
-def _advance(geo, scalars, f_constant, t, dt, modes, adaptive_tol, depth=0):
-    """Plain RK4 step, recursively halved when step doubling flags the error."""
-    full_geo, full_scal = _rk4(geo, scalars, f_constant, t, dt, modes)
-    half_geo, half_scal = _rk4(geo, scalars, f_constant, t, dt / 2, modes)
-    half_geo, half_scal = _rk4(half_geo, half_scal, f_constant, t + dt / 2, dt / 2, modes)
-    err = _geo_diff(full_geo, half_geo) / 15.0
-    if full_scal is not None:
-        err = max(err, float(np.max(np.abs(full_scal - half_scal))) / 15.0)
+def _advance(rhs, t, z, dt, adaptive_tol, depth=0, k1=None):
+    """Plain RK4 step, recursively halved when step doubling flags the error;
+    the full step and the first half step share their first stage."""
+    if k1 is None:
+        k1 = rhs(t, z)
+    full = _rk4(rhs, t, z, dt, k1)
+    half = _rk4(rhs, t + dt / 2, _rk4(rhs, t, z, dt / 2, k1), dt / 2)
+    err = float(np.max(np.abs(full - half))) / 15.0
     if err <= adaptive_tol or depth >= 12:
         if err > adaptive_tol:
             raise StabilityError(f"step error {err:.3e} persists after 12 halvings")
-        return full_geo, full_scal
-    g, s = _advance(geo, scalars, f_constant, t, dt / 2, modes, adaptive_tol, depth + 1)
-    return _advance(g, s, f_constant, t + dt / 2, dt / 2, modes, adaptive_tol, depth + 1)
+        return full
+    z = _advance(rhs, t, z, dt / 2, adaptive_tol, depth + 1, k1)
+    return _advance(rhs, t + dt / 2, z, dt / 2, adaptive_tol, depth + 1)
 
 
 def _scalar_pairings(dm, scalars):
@@ -332,21 +352,28 @@ def _scalar_pairings(dm, scalars):
     return J, D, hess
 
 
-def _run_loop(request: RunRequest, scalars0):
+def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     """Shared deterministic integration loop for runs and scalar replays."""
     family = request.family
     t0 = family.t0
-    state0 = discretize(
-        evaluate_family(family, t0),
-        resolution=request.resolution,
-        hermite_order=request.hermite_order,
-    )
     nsteps = int(round(request.horizon / request.dt)) if request.horizon > 0 else 0
     dt = request.horizon / nsteps if nsteps else request.dt
 
-    geo = _geo_from_manifold(state0)
-    threshold = request.stability_factor * (1.0 + _geo_scale(geo))
-    scalars = None if scalars0 is None else np.array(scalars0, dtype=float)
+    layout = _Layout.of(state0)
+    geometry = layout.pack(state0)
+    threshold = request.stability_factor * (1.0 + float(np.max(np.abs(geometry))))
+    scalars = np.empty((0, *layout.shape)) if scalars0 is None else np.asarray(scalars0, dtype=float)
+    analytic = request.backend == "analytic"
+    if analytic:
+        # The geometry follows its closed form; only the scalars are integrated.
+        width, z = 0, scalars.ravel()
+
+        def rhs(t, s):
+            return _scalar_rhs(layout, _axis_fields(layout, layout.pack_state(evaluate_family(family, t))), s)
+
+    else:
+        width, z = layout.width, np.concatenate([geometry, scalars.ravel()])
+        rhs = _flow_rhs(layout, request.modes)
 
     out_steps = sorted({0, nsteps, *range(0, nsteps + 1, request.cadence)})
     outputs = []
@@ -354,42 +381,16 @@ def _run_loop(request: RunRequest, scalars0):
     for step_target in out_steps:
         while step < step_target:
             t = t0 + step * dt
-            if request.backend == "analytic":
-                # Geometry advances by the exact closed form; scalars still
-                # take RK4 stages against exact stage geometries.
-                if scalars is not None:
-
-                    def stage_rhs(s, tt):
-                        dm_s = discretize(
-                            evaluate_family(family, tt),
-                            resolution=request.resolution,
-                            hermite_order=request.hermite_order,
-                        )
-                        return np.stack([drift_laplacian(dm_s, u) + 0.5 * u for u in s])
-
-                    k1 = stage_rhs(scalars, t)
-                    k2 = stage_rhs(scalars + (dt / 2) * k1, t + dt / 2)
-                    k3 = stage_rhs(scalars + (dt / 2) * k2, t + dt / 2)
-                    k4 = stage_rhs(scalars + dt * k3, t + dt)
-                    scalars = scalars + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            else:
-                geo, scalars = _advance(
-                    geo, scalars, state0.f_constant, t, dt, request.modes, request.adaptive_tol
-                )
-                geo = _clamp_noise(geo, request.modes, request.noise_floor)
-                _check_stability(geo, threshold)
+            if not analytic:
+                z = _advance(rhs, t, z, dt, request.adaptive_tol)
+                z = _settle(layout, z, request.modes, request.noise_floor, threshold)
+            elif z.size:
+                z = _rk4(rhs, t, z, dt)
             step += 1
         t_now = t0 + step * dt
-        if request.backend == "analytic":
-            dm = discretize(
-                evaluate_family(family, t_now),
-                resolution=request.resolution,
-                hermite_order=request.hermite_order,
-            )
-        else:
-            dm = _manifold_from_geo(geo, state0.f_constant, t_now)
-        outputs.append((t_now, dm, None if scalars is None else scalars.copy()))
-    return state0, outputs
+        dm = layout.manifold(layout.pack_state(evaluate_family(family, t_now)) if analytic else z, t_now)
+        outputs.append((t_now, dm, None if scalars0 is None else z[width:].reshape(scalars.shape).copy()))
+    return outputs
 
 
 def run_flow(request: RunRequest) -> FlowTrajectory:
@@ -406,13 +407,9 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
         hermite_order=request.hermite_order,
     )
     spectrum0 = lowest_eigenpairs(assemble_forms(state0), request.k, request.eig_tol)
-    scalars0 = (
-        np.stack([spectrum0.eigenfunctions[i] for i in range(1, request.k + 1)])
-        if request.track_scalars
-        else None
-    )
+    scalars0 = np.stack(spectrum0.eigenfunctions[1 : request.k + 1]) if request.track_scalars else None
 
-    _, outputs = _run_loop(request, scalars0)
+    outputs = _run_loop(request, state0, scalars0)
 
     times = np.array([t for t, _, _ in outputs])
     states = [FlowState.from_manifold(dm) for _, dm, _ in outputs]
@@ -493,7 +490,7 @@ def evolve_scalar(u0, traj: FlowTrajectory) -> ScalarTrajectory:
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != traj.states[0].manifold.shape:
         raise UsageError(f"scalar shape {u0.shape} does not match grid {traj.states[0].manifold.shape}")
-    _, outputs = _run_loop(traj.request, np.stack([u0]))
+    outputs = _run_loop(traj.request, traj.states[0].manifold, np.stack([u0]))
     times = np.array([t for t, _, _ in outputs])
     values = np.stack([s[0] for _, _, s in outputs])
     means = np.array([dm.integrate(s[0]) for _, dm, s in outputs])

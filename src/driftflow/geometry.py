@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .axes import CircleAxis, HermiteLineAxis
+from .axes import CircleAxis, HermiteLineAxis, circle_nodes
 from .errors import ConfigurationError, DomainError, ExtinctionError, UsageError
 
 __all__ = [
@@ -246,13 +246,6 @@ class DiscreteWeightedManifold:
         self.dimension = len(axes)
         self._wdens_vectors = [ax.wdens for ax in axes]
 
-    # -- curvature fields (flat factors only) --
-    def ricci(self):
-        return [np.zeros(self.shape) for _ in self.axes]
-
-    def scalar_curvature(self):
-        return np.zeros(self.shape)
-
     def axis_profile(self, idx: int, values) -> np.ndarray:
         """Broadcast a per-axis sample vector (or scalar) over the full grid."""
         if np.isscalar(values):
@@ -315,7 +308,7 @@ def discretize(state: ContinuumState, resolution: int = 64, hermite_order: int =
     axes = []
     for fac in state.factors:
         if isinstance(fac, CircleModel):
-            theta = 2.0 * math.pi * np.arange(resolution) / resolution
+            theta = circle_nodes(resolution)
             axes.append(CircleAxis(fac.a_at(theta), fac.f_at(theta)))
         elif isinstance(fac, GaussianLineModel):
             axes.append(HermiteLineAxis(hermite_order, fac.scale))

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .comparison import eigenvalue_bound
 from .config import ScenarioConfig
+from .errors import HorizonError
 from .flow import FlowTrajectory, functional_residuals, run_flow
 from .oracles import OracleReport, integrate_equality_ode
 from .spectral import bochner_sides
@@ -161,10 +162,8 @@ def execute(config: ScenarioConfig, out_root: str | None = None) -> RunResult:
     """Run one scenario and write its artifacts under out_root/name."""
     out_root = out_root or config.out_dir or os.environ.get("DRIFTFLOW_OUT", "runs")
     out_dir = os.path.join(out_root, config.name)
+    traj = run_flow(config.to_request())
     os.makedirs(out_dir, exist_ok=True)
-
-    request = config.to_request()
-    traj = run_flow(request)
 
     files = []
 
@@ -231,7 +230,10 @@ def execute(config: ScenarioConfig, out_root: str | None = None) -> RunResult:
         try:
             target = eigenvalue_bound(lam, s_final)
             reference = integrate_equality_ode(lam, s_final, dt=min(1e-4, s_final / 10 or 1e-4))
-        except Exception:
+        except HorizonError as exc:
+            oracle_reports.append(
+                {"oracle": "integrate_equality_ode", "inputs": {"lambda0": lam, "s": s_final}, "skipped": str(exc)}
+            )
             continue
         oracle_reports.append(
             OracleReport.compare(

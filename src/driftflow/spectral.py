@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, UndefinedQuotientError, UsageError
+from .errors import ConfigurationError, SolverError, UndefinedQuotientError, UsageError
 from .geometry import DiscreteWeightedManifold
 
 __all__ = [
@@ -35,6 +35,9 @@ __all__ = [
     "drift_laplacian",
     "soliton_defect_profiles",
 ]
+
+# Largest dense stiffness matrix assemble_forms will allocate.
+MAX_DENSE_BYTES = 1 << 30
 
 
 def _check_field(dm: DiscreteWeightedManifold, u) -> np.ndarray:
@@ -223,9 +226,16 @@ def assemble_forms(dm: DiscreteWeightedManifold) -> QuadraticForms:
     form of the drift Laplacian on a dtheta^2); Gaussian axes contribute their
     exact Hermite blocks.  The mass is the diagonal quadrature weight.
     """
+    size = dm.size
+    nbytes = 8 * size * size
+    if nbytes > MAX_DENSE_BYTES:
+        raise ConfigurationError(
+            f"a grid of {size} points needs a dense stiffness matrix of {nbytes} bytes "
+            f"({nbytes / 2**30:.1f} GiB), above the limit of {MAX_DENSE_BYTES} bytes; "
+            "lower hermite_order, resolution or n"
+        )
     scale = math.exp(-dm.f_constant)
     mass = dm.flatten_weight()
-    size = dm.size
     stiff = np.zeros((size, size))
     for i, ax in enumerate(dm.axes):
         block = ax.stiffness_matrix()
@@ -276,6 +286,9 @@ def _axis_eigens(ax, count):
             M=np.diag(ax.mass_diag()),
             sigma=0.0,
             which="LM",
+            # A fixed start vector makes reruns bitwise reproducible.  Not the
+            # constant: that is the lambda_0 eigenvector itself.
+            v0=np.random.default_rng(0).standard_normal(ax.size),
         )
     except ArpackNoConvergence as exc:  # pragma: no cover - defensive
         raise SolverError("circle eigensolve did not converge", best_residual=None) from exc

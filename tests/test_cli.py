@@ -125,6 +125,42 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert "error: stability:" in capsys.readouterr().err
 
+    def test_dense_forms_too_large_exit_code(self, tmp_path, capsys):
+        # 16^4 = 65536 grid points would need a 32 GiB dense stiffness matrix
+        cfg = _write_config(tmp_path / "huge.json", name="huge", u0=1.0, n=4, hermite_order=16)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: a grid of 65536 points") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unexpected_error_is_one_line(self, tmp_path, monkeypatch, capsys):
+        import driftflow.runner
+
+        def broken(config, out_root=None):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(driftflow.runner, "execute", broken)
+        assert main(["run", "--config", str(_write_config(tmp_path / "x.json"))]) == 1
+        assert capsys.readouterr().err == "error: unexpected: RuntimeError: boom second line\n"
+
+    def test_oracle_skip_is_recorded(self, tmp_path):
+        # lambda_1 = 4 reaches its blow-up horizon log(8/7) before the end
+        cfg = _write_config(tmp_path / "fast.json", name="fast", family="round_circle", a0=0.25, horizon=0.2, cadence=50)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        reports = json.loads((out / "fast" / "manifest.json").read_text())["oracle_reports"]
+        assert [r["inputs"]["lambda0"] for r in reports if "skipped" in r] == [pytest.approx(4.0)]
+
+    def test_large_circle_rerun_is_byte_identical(self, tmp_path):
+        # 512 nodes takes the iterative eigensolver path
+        cfg = _write_config(tmp_path / "c512.json", name="c512", family="round_circle", resolution=512, horizon=0.05, k=2)
+        spectra = []
+        for run in ("o1", "o2"):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / run)]) == 0
+            spectra.append((tmp_path / run / "c512" / "spectra.json").read_bytes())
+        assert spectra[0] == spectra[1]
+
     def test_splitting_scenario(self, tmp_path):
         cfg = tmp_path / "split.json"
         cfg.write_text(

@@ -5,7 +5,8 @@ import pytest
 
 import driftflow as df
 from driftflow.errors import ConfigurationError, DegeneracyError, StabilityError, UsageError
-from driftflow.flow import FlowState, RunRequest
+from driftflow.flow import FlowState, RunRequest, _flow_rhs, _Layout
+from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
 from driftflow.oracles import finite_diff_time_derivative
 
 LOG2 = math.log(2.0)
@@ -245,3 +246,41 @@ class TestScalarOrthogonalityAlongFlow:
         for m in range(J.shape[0]):
             np.fill_diagonal(offdiag[m], 0.0)
         assert float(np.max(np.abs(offdiag))) < 1e-8
+
+
+class TestFlatState:
+    def test_batched_scalar_rhs_matches_drift_laplacian(self):
+        state = ContinuumState(
+            t=0.0,
+            factors=(
+                CircleModel(a=lambda th: 1.0 + 0.3 * np.cos(th), f=lambda th: 0.2 * np.sin(2 * th)),
+                GaussianLineModel(1.7),
+            ),
+        )
+        dm = df.discretize(state, resolution=32, hermite_order=8)
+        theta = dm.axis_profile(0, dm.axes[0].nodes)
+        x = dm.axis_profile(1, dm.axes[1].nodes)
+        fields = np.stack([np.cos(theta) * x, np.sin(2 * theta) + x**3, np.cos(3 * theta) * (x * x - 2.0)])
+        layout = _Layout.of(dm)
+        rhs = _flow_rhs(layout, modes=8)
+
+        def scalar_part(batch):
+            z = np.concatenate([layout.pack(dm), batch.ravel()])
+            return rhs(0.0, z)[layout.width :].reshape(batch.shape)
+
+        for got, u in zip(scalar_part(fields), fields):
+            want = df.drift_laplacian(dm, u) + 0.5 * u
+            assert float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(np.abs(want)))
+        constants = np.stack([np.full(dm.shape, 1.0), np.full(dm.shape, -2.5)])
+        assert np.array_equal(scalar_part(constants), 0.5 * constants)
+
+    def test_single_step_matches_one_step_run(self):
+        fam = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)])
+        req = RunRequest(family=fam, horizon=0.01, dt=0.01, cadence=1, k=1, track_scalars=False)
+        traj = df.run_flow(req)
+        stepped = df.step_modified_flow(traj.states[0], 0.01).manifold
+        ran = traj.states[-1].manifold
+        assert stepped.t == ran.t
+        assert stepped.axes[0].scale == ran.axes[0].scale
+        assert np.array_equal(stepped.axes[1].a, ran.axes[1].a)
+        assert np.array_equal(stepped.axes[1].f, ran.axes[1].f)

@@ -63,6 +63,11 @@ class TestLowestEigenpairs:
         res = df.lowest_eigenpairs(df.assemble_forms(gauss), 3)
         np.testing.assert_allclose(res.eigenvalues, [0.0, 0.5, 1.0, 1.5], atol=1e-14)
 
+    @pytest.mark.parametrize("order", [24, 32, 48, 64])
+    def test_high_hermite_orders_meet_eig_tol(self, order):
+        res = df.lowest_eigenpairs(df.assemble_forms(df.gaussian_line(1.0, order=order)), 3, tol=1e-10)
+        np.testing.assert_allclose(res.eigenvalues, [0.0, 0.5, 1.0, 1.5], atol=1e-13)
+
     def test_gaussian_scale_two(self):
         dm = df.gaussian_line(2.0)
         res = df.lowest_eigenpairs(df.assemble_forms(dm), 1)
