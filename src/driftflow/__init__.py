@@ -59,7 +59,6 @@ from .oracles import (
     dense_spectrum,
     finite_diff_time_derivative,
     integrate_equality_ode,
-    quadrature_integral,
 )
 from .spectral import (
     QuadraticForms,

@@ -168,14 +168,6 @@ class CircleAxis:
         w = self.weights * s / np.sqrt(a_stag)
         return self._d1_stag.T @ (w[:, None] * self._d1_stag)
 
-    def eigens(self):
-        """Generalized eigenpairs of this axis block, mass-orthonormal."""
-        from scipy.linalg import eigh
-
-        vals, vecs = eigh(self.stiffness_matrix(), np.diag(self.mass_diag()))
-        vals = np.maximum(vals, 0.0) if vals[0] > -1e-12 else vals
-        return vals, vecs
-
 
 # --------------------------------------------------------------------------
 # Hermite machinery (cached per basis order)

@@ -37,6 +37,10 @@ def _fail(kind: str, message: str, code: int) -> int:
     return code
 
 
+def _one_line(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {' '.join(str(exc).split())}"
+
+
 def _classify(exc: Exception) -> tuple[str, int]:
     if isinstance(exc, (ConfigurationError, DomainError, UsageError)):
         return "config", EXIT_CONFIG
@@ -98,6 +102,8 @@ def _sweep_worker(raw: dict, out_root: str | None):
     except DriftflowError as exc:
         kind, _ = _classify(exc)
         return (raw.get("name", "?"), kind, str(exc))
+    except Exception as exc:  # one bad combination must not lose the sweep manifest
+        return (raw.get("name", "?"), "unexpected", _one_line(exc))
 
 
 def _cmd_sweep(args) -> int:
@@ -250,7 +256,7 @@ def main(argv=None) -> int:
         kind, code = _classify(exc)
         return _fail(kind, str(exc), code)
     except Exception as exc:  # anything else still gets one line, not a traceback
-        return _fail("unexpected", f"{type(exc).__name__}: {' '.join(str(exc).split())}", EXIT_UNEXPECTED)
+        return _fail("unexpected", _one_line(exc), EXIT_UNEXPECTED)
 
 
 if __name__ == "__main__":

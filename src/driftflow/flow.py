@@ -32,7 +32,7 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .geometry import DiscreteWeightedManifold, discretize, evaluate_family
+from .geometry import CircleModel, DiscreteWeightedManifold, discretize, evaluate_family
 from .oracles import finite_diff_time_derivative
 from .spectral import (
     assemble_forms,
@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 MAX_STEP = 0.05
+
+# Largest estimated field memory a run may use, checked before discretizing.
+MAX_FIELD_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -291,6 +294,10 @@ class RunRequest:
         if not (0.0 < self.dt <= MAX_STEP):
             raise ConfigurationError(f"dt {self.dt} outside (0, {MAX_STEP}]")
 
+    @property
+    def steps(self) -> int:
+        return int(round(self.horizon / self.dt)) if self.horizon > 0 else 0
+
 
 @dataclass
 class FlowTrajectory:
@@ -356,7 +363,7 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     """Shared deterministic integration loop for runs and scalar replays."""
     family = request.family
     t0 = family.t0
-    nsteps = int(round(request.horizon / request.dt)) if request.horizon > 0 else 0
+    nsteps = request.steps
     dt = request.horizon / nsteps if nsteps else request.dt
 
     layout = _Layout.of(state0)
@@ -393,6 +400,30 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     return outputs
 
 
+def _check_field_memory(request: RunRequest, state) -> None:
+    """Raise ConfigurationError if the run's grid-sized arrays would take more
+    than MAX_FIELD_BYTES, before any of them is allocated.
+
+    Per grid point the estimate counts 8 bytes for each of 16 live copies of
+    the k + 1 fields a step or an output solve carries (tracemalloc measured
+    15-16.5 copies of the scalar batch per doubled RK4 step), plus 3k + 2
+    fields kept per output: k + 1 eigenfunctions, the k scalars twice while
+    they are stacked, and one drift-Laplacian image for the commutator probe.
+    """
+    points = math.prod(
+        request.resolution if isinstance(fac, CircleModel) else request.hermite_order for fac in state.factors
+    )
+    steps, k = request.steps, request.k
+    outputs = steps // request.cadence + 1 + (steps % request.cadence > 0)
+    nbytes = 8 * points * (16 * (k + 1) + outputs * (3 * k + 2))
+    if nbytes > MAX_FIELD_BYTES:
+        raise ConfigurationError(
+            f"a grid of {points} points with k = {k} and {outputs} outputs needs an estimated "
+            f"{nbytes} bytes ({nbytes / 2**30:.1f} GiB) of field memory, above the limit of "
+            f"{MAX_FIELD_BYTES} bytes; lower hermite_order, resolution, n, k or the output count"
+        )
+
+
 def run_flow(request: RunRequest) -> FlowTrajectory:
     """Integrate a scenario and record spectra, functionals, and diagnostics.
 
@@ -401,11 +432,9 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     u_1..u_k (weighted-L2 normalized, mean zero) evolve by the drift heat
     equation and their mass/energy pairings are recorded per output.
     """
-    state0 = discretize(
-        evaluate_family(request.family, request.family.t0),
-        resolution=request.resolution,
-        hermite_order=request.hermite_order,
-    )
+    start = evaluate_family(request.family, request.family.t0)
+    _check_field_memory(request, start)
+    state0 = discretize(start, resolution=request.resolution, hermite_order=request.hermite_order)
     spectrum0 = lowest_eigenpairs(assemble_forms(state0), request.k, request.eig_tol)
     scalars0 = np.stack(spectrum0.eigenfunctions[1 : request.k + 1]) if request.track_scalars else None
 
@@ -413,7 +442,10 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
 
     times = np.array([t for t, _, _ in outputs])
     states = [FlowState.from_manifold(dm) for _, dm, _ in outputs]
-    spectra = [lowest_eigenpairs(assemble_forms(st.manifold), request.k, request.eig_tol) for st in states]
+    # Output 0 holds the geometry of state0, so its solve is spectrum0.
+    spectra = [spectrum0] + [
+        lowest_eigenpairs(assemble_forms(st.manifold), request.k, request.eig_tol) for st in states[1:]
+    ]
     volumes = np.array([st.volume for st in states])
 
     scalar_values = None

@@ -273,13 +273,6 @@ class DiscreteWeightedManifold:
     def weighted_volume(self) -> float:
         return self.integrate(np.ones(self.shape))
 
-    def flatten_weight(self) -> np.ndarray:
-        """Diagonal of the mass form over the flattened tensor grid."""
-        w = np.ones(1)
-        for vec in self._wdens_vectors:
-            w = np.kron(w, vec)
-        return w * math.exp(-self.f_constant)
-
     def validate(self) -> None:
         for i, ax in enumerate(self.axes):
             if np.min(ax.weights) <= 0.0:

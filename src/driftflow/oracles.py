@@ -1,8 +1,9 @@
 """Independent brute-force references used by tests and acceptance runs.
 
 These deliberately avoid the fast paths of the main engines: the dense solve
-diagonalizes the full assembled pair, and the equality-case ODE is integrated
-step by step instead of using the closed form it validates.
+forms the Kronecker-sum stiffness matrix, which the fast path only applies
+factor by factor, and diagonalizes the full pair; the equality-case ODE is
+integrated step by step instead of using the closed form it validates.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .errors import HorizonError, OracleError, UsageError
 __all__ = [
     "OracleReport",
     "dense_spectrum",
+    "dense_stiffness",
     "integrate_equality_ode",
-    "quadrature_integral",
     "finite_diff_time_derivative",
 ]
 
@@ -69,6 +70,19 @@ class OracleReport:
         )
 
 
+def dense_stiffness(forms) -> np.ndarray:
+    """The stiffness of factored forms as one dense Kronecker-sum matrix."""
+    size = forms.dimension
+    stiff = np.zeros((size, size))
+    for i, block in enumerate(forms.blocks):
+        factor = np.ones((1, 1))
+        for j, mass in enumerate(forms.axis_masses):
+            factor = np.kron(factor, block if j == i else np.diag(mass))
+        stiff += factor
+    stiff *= forms.scale
+    return stiff
+
+
 def dense_spectrum(forms) -> np.ndarray:
     """All generalized eigenvalues of the assembled pair, ascending."""
     size = forms.dimension
@@ -77,7 +91,7 @@ def dense_spectrum(forms) -> np.ndarray:
     mass = np.asarray(forms.mass_diag, dtype=float)
     if np.min(mass) <= 0.0:
         raise OracleError("mass form is not positive definite")
-    vals = eigh(forms.stiffness, np.diag(mass), eigvals_only=True)
+    vals = eigh(dense_stiffness(forms), np.diag(mass), eigvals_only=True)
     return vals
 
 
@@ -111,11 +125,6 @@ def integrate_equality_ode(F0: float, s: float, dt: float = 1e-4) -> float:
             horizon = np.log(2.0 * F0 / (2.0 * F0 - 1.0)) if F0 > 0.5 else np.inf
             raise HorizonError(horizon, "equality ODE blew up before the requested lag")
     return F
-
-
-def quadrature_integral(samples, dm) -> float:
-    """Sum of samples * weights * density: the kernel of every e^{-f} integral."""
-    return dm.integrate(np.asarray(samples, dtype=float))
 
 
 def finite_diff_time_derivative(series, dt: float) -> np.ndarray:

@@ -5,18 +5,22 @@ The operator L = Delta - grad_f is represented weakly by the pair of forms
     D(u, v) = integral <grad u, grad v> e^{-f} dv      (stiffness)
     J(u, v) = integral u v e^{-f} dv                   (mass)
 
-so that D u = lambda J u is the weak form of -L u = lambda u.  On product
-grids the stiffness is the sum of per-axis blocks; the mass is diagonal.
+so that D u = lambda J u is the weak form of -L u = lambda u.  The mass is
+diagonal.  On product grids the stiffness is a Kronecker sum of per-axis
+blocks, each weighted by the other axes' masses; it is kept in factors and
+applied axis by axis (Lynch, Rice & Thomas 1964), never formed as one matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
+from scipy.linalg import eigh
 
-from .errors import ConfigurationError, SolverError, UndefinedQuotientError, UsageError
+from .errors import SolverError, UndefinedQuotientError, UsageError
 from .geometry import DiscreteWeightedManifold
 
 __all__ = [
@@ -36,11 +40,7 @@ __all__ = [
     "soliton_defect_profiles",
 ]
 
-# Largest dense stiffness matrix assemble_forms will allocate.
-MAX_DENSE_BYTES = 1 << 30
-
-
-def _check_field(dm: DiscreteWeightedManifold, u) -> np.ndarray:
+def _check_field(dm, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != dm.shape:
         raise UsageError(f"field shape {u.shape} does not match grid {dm.shape}")
@@ -198,54 +198,66 @@ def bochner_residual(u, dm: DiscreteWeightedManifold) -> float:
 
 @dataclass(frozen=True)
 class QuadraticForms:
-    """Assembled stiffness/mass pair over the flattened tensor grid."""
+    """Stiffness/mass pair over the flattened tensor grid, kept in factors.
 
-    manifold: DiscreteWeightedManifold
-    stiffness: np.ndarray
-    mass_diag: np.ndarray
+    With per-axis stiffness blocks S_i, per-axis mass diagonals m_i and
+    c = e^{-f_constant}, the mass is the diagonal c (m_0 x ... x m_{d-1}) and
+    the stiffness is c sum_i M_0 x ... x S_i x ... x M_{d-1}, M_j = diag(m_j).
+    The stiffness is applied axis by axis and never formed.
+    """
 
-    def J(self, u, v) -> float:
-        uf = _check_field(self.manifold, u).ravel()
-        vf = _check_field(self.manifold, v).ravel()
-        return float(uf @ (self.mass_diag * vf))
+    manifold: DiscreteWeightedManifold | None
+    blocks: tuple
+    axis_masses: tuple
+    scale: float = 1.0
 
-    def D(self, u, v) -> float:
-        uf = _check_field(self.manifold, u).ravel()
-        vf = _check_field(self.manifold, v).ravel()
-        return float(uf @ (self.stiffness @ vf))
+    @property
+    def shape(self) -> tuple:
+        return tuple(m.size for m in self.axis_masses)
 
     @property
     def dimension(self) -> int:
-        return self.mass_diag.size
+        return math.prod(self.shape)
+
+    @cached_property
+    def mass_diag(self) -> np.ndarray:
+        return reduce(np.kron, self.axis_masses) * self.scale
+
+    def apply_stiffness(self, u) -> np.ndarray:
+        """K u for one field of ``shape`` or a batch of them, (..., *shape)."""
+        u = np.asarray(u, dtype=float)
+        d = len(self.blocks)
+        if u.shape[u.ndim - d :] != self.shape:
+            raise UsageError(f"field shape {u.shape} does not end in grid {self.shape}")
+        out = 0.0
+        for i, block in enumerate(self.blocks):
+            weighted = u
+            for j, m in enumerate(self.axis_masses):
+                if j != i:
+                    weighted = weighted * np.reshape(m, [-1 if a == j else 1 for a in range(d)])
+            out = out + np.swapaxes(np.swapaxes(weighted, i - d, -1) @ block.T, i - d, -1)
+        return self.scale * out
+
+    def J(self, u, v) -> float:
+        return float(_check_field(self, u).ravel() @ (self.mass_diag * _check_field(self, v).ravel()))
+
+    def D(self, u, v) -> float:
+        return float(_check_field(self, u).ravel() @ self.apply_stiffness(_check_field(self, v)).ravel())
 
 
 def assemble_forms(dm: DiscreteWeightedManifold) -> QuadraticForms:
-    """Build the generalized eigenproblem matrices D u = lambda J u.
+    """Per-axis blocks of the generalized eigenproblem D u = lambda J u.
 
     Circle-axis stiffness weights u'v' by a^{-1/2} e^{-f} per node (the weak
     form of the drift Laplacian on a dtheta^2); Gaussian axes contribute their
     exact Hermite blocks.  The mass is the diagonal quadrature weight.
     """
-    size = dm.size
-    nbytes = 8 * size * size
-    if nbytes > MAX_DENSE_BYTES:
-        raise ConfigurationError(
-            f"a grid of {size} points needs a dense stiffness matrix of {nbytes} bytes "
-            f"({nbytes / 2**30:.1f} GiB), above the limit of {MAX_DENSE_BYTES} bytes; "
-            "lower hermite_order, resolution or n"
-        )
-    scale = math.exp(-dm.f_constant)
-    mass = dm.flatten_weight()
-    stiff = np.zeros((size, size))
-    for i, ax in enumerate(dm.axes):
-        block = ax.stiffness_matrix()
-        factor = np.ones((1, 1))
-        for j, other in enumerate(dm.axes):
-            piece = block if j == i else np.diag(other.mass_diag())
-            factor = np.kron(factor, piece)
-        stiff += factor
-    stiff *= scale
-    return QuadraticForms(manifold=dm, stiffness=stiff, mass_diag=mass)
+    return QuadraticForms(
+        manifold=dm,
+        blocks=tuple(ax.stiffness_matrix() for ax in dm.axes),
+        axis_masses=tuple(ax.mass_diag() for ax in dm.axes),
+        scale=math.exp(-dm.f_constant),
+    )
 
 
 @dataclass(frozen=True)
@@ -271,19 +283,21 @@ class SpectralResult:
         }
 
 
-def _axis_eigens(ax, count):
+def _axis_eigens(ax, block, mass, count):
+    """Mass-orthonormal eigenpairs of one axis from its stiffness block."""
     if ax.kind == "hermite":
         return ax.eigens()
     if ax.size < 512:
-        return ax.eigens()
+        vals, vecs = eigh(block, np.diag(mass))
+        return (np.maximum(vals, 0.0) if vals[0] > -1e-12 else vals), vecs
     # Large circle grids: iterative shift-invert for the few pairs we need.
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     try:
         vals, vecs = eigsh(
-            ax.stiffness_matrix(),
+            block,
             k=min(count + 2, ax.size - 2),
-            M=np.diag(ax.mass_diag()),
+            M=np.diag(mass),
             sigma=0.0,
             which="LM",
             # A fixed start vector makes reruns bitwise reproducible.  Not the
@@ -301,8 +315,8 @@ def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10) -> Spec
 
     Product states are solved axis by axis (the operator decouples on the
     supported geometry) and combined by Minkowski sums; the result is checked
-    against the assembled forms and rejected if any residual exceeds ``tol``.
-    The constant eigenfunction carries lambda_0 = 0; all later eigenfunctions
+    against the forms and rejected if any residual exceeds ``tol``.  The
+    constant eigenfunction carries lambda_0 = 0; all later eigenfunctions
     are J-orthogonal to it, which realizes the mean-zero constraint.
     """
     dm = forms.manifold
@@ -312,8 +326,8 @@ def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10) -> Spec
         raise UsageError(f"requested {k + 1} pairs from a dimension-{dm.size} problem")
 
     per_axis = []
-    for ax in dm.axes:
-        vals, vecs = _axis_eigens(ax, k)
+    for ax, block, mass in zip(dm.axes, forms.blocks, forms.axis_masses):
+        vals, vecs = _axis_eigens(ax, block, mass, k)
         take = min(k + 1, len(vals))
         per_axis.append((vals[:take], vecs[:, :take]))
 
@@ -321,43 +335,27 @@ def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10) -> Spec
     # per-axis indices at most k, so this cover is exhaustive.
     grids = np.meshgrid(*[np.arange(len(v)) for v, _ in per_axis], indexing="ij")
     tuples = np.stack([g.ravel() for g in grids], axis=1)
-    sums = np.array([sum(per_axis[i][0][t[i]] for i in range(dm.dimension)) for t in tuples])
+    sums = sum(vals[tuples[:, i]] for i, (vals, _) in enumerate(per_axis))
     order = np.argsort(sums, kind="stable")[: k + 1]
 
+    eigenvalues = sums[order]
     norm_fix = math.exp(dm.f_constant / 2.0)
-    eigenvalues = []
-    fields = []
-    residuals = []
-    mass = forms.mass_diag
-    for idx in order:
-        tup = tuples[idx]
-        lam = float(sums[idx])
+    fields = np.empty((k + 1, *dm.shape))
+    for row, idx in enumerate(order):
         field = np.ones(dm.shape)
-        for i in range(dm.dimension):
-            field = field * dm.axis_profile(i, per_axis[i][1][:, tup[i]])
+        for i, (_, vecs) in enumerate(per_axis):
+            field = field * dm.axis_profile(i, vecs[:, tuples[idx, i]])
         field = field * norm_fix
-        flat = field.ravel()
-        peak = flat[np.argmax(np.abs(flat))]
-        if peak < 0:
-            field = -field
-            flat = -flat
-        ku = forms.stiffness @ flat
-        mu = mass * flat
-        res = ku - lam * mu
-        scale = np.linalg.norm(ku) + (1.0 + abs(lam)) * np.linalg.norm(mu)
-        residuals.append(float(np.linalg.norm(res) / scale))
-        eigenvalues.append(lam)
-        fields.append(field)
+        fields[row] = -field if field.flat[np.argmax(np.abs(field))] < 0 else field
 
-    residuals = np.array(residuals)
+    ku = forms.apply_stiffness(fields).reshape(k + 1, -1)
+    mu = forms.mass_diag * fields.reshape(k + 1, -1)
+    res = ku - eigenvalues[:, None] * mu
+    scale = np.linalg.norm(ku, axis=1) + (1.0 + np.abs(eigenvalues)) * np.linalg.norm(mu, axis=1)
+    residuals = np.linalg.norm(res, axis=1) / scale
     if np.max(residuals) > tol:
         raise SolverError(
             f"eigen-residual {np.max(residuals):.3e} exceeds tolerance {tol:.3e}",
             best_residual=float(np.max(residuals)),
         )
-    return SpectralResult(
-        t=dm.t,
-        eigenvalues=np.array(eigenvalues),
-        eigenfunctions=fields,
-        residuals=residuals,
-    )
+    return SpectralResult(t=dm.t, eigenvalues=eigenvalues, eigenfunctions=list(fields), residuals=residuals)

@@ -125,13 +125,24 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert "error: stability:" in capsys.readouterr().err
 
-    def test_dense_forms_too_large_exit_code(self, tmp_path, capsys):
-        # 16^4 = 65536 grid points would need a 32 GiB dense stiffness matrix
-        cfg = _write_config(tmp_path / "huge.json", name="huge", u0=1.0, n=4, hermite_order=16)
+    def test_four_gaussian_lines_order_16_run(self, tmp_path):
+        # 16^4 = 65536 grid points: the forms stay factored, so this runs
+        cfg = _write_config(tmp_path / "big.json", name="big", n=4, hermite_order=16, horizon=0.05, k=2)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        header, rows = _read_csv(out / "big" / "trajectory.csv")
+        u = 1.0 + np.exp(rows[:, header.index("t")])  # u0 = 2
+        for j in (1, 2):  # lambda_1 = 1/(2u) has multiplicity 4
+            np.testing.assert_allclose(rows[:, header.index(f"lambda_{j}")], 1.0 / (2.0 * u), rtol=1e-8)
+
+    def test_field_memory_cap_exit_code(self, tmp_path, capsys):
+        # 64^4 = 16777216 grid points are rejected before anything grid-sized exists
+        cfg = _write_config(tmp_path / "huge.json", name="huge", u0=1.0, n=4, hermite_order=64)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config: a grid of 65536 points") and err.count("\n") == 1
+        assert err.startswith("error: config: a grid of 16777216 points") and err.count("\n") == 1
+        assert "bytes" in err
         assert not out.exists()
 
     def test_unexpected_error_is_one_line(self, tmp_path, monkeypatch, capsys):
@@ -219,6 +230,21 @@ class TestSweepAndReport:
 
         code = main(["report", "--dir", str(out)])
         assert code == 0
+
+    def test_sweep_records_unexpected_error(self, tmp_path, monkeypatch, capsys):
+        import driftflow.runner
+
+        def broken(config, out_root=None):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(driftflow.runner, "execute", broken)
+        cfg = _write_config(tmp_path / "base.json")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--grid", "u0=1,2", "--out", str(out)]) == 1
+        manifest = json.loads((out / "sweep_manifest.json").read_text())
+        assert [m["status"] for m in manifest] == ["unexpected", "unexpected"]
+        assert {m["where"] for m in manifest} == {"RuntimeError: boom second line"}
+        assert capsys.readouterr().err == "error: unexpected: 2 runs failed\n"
 
     def test_sweep_bad_grid_key(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "base.json")

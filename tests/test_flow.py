@@ -100,6 +100,29 @@ class TestRunFlow:
             drift = float(np.max(np.abs(traj.volumes / traj.volumes[0] - 1.0)))
             assert drift < 1e-6
 
+    @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
+    def test_one_eigensolve_per_output(self, backend, monkeypatch):
+        import driftflow.flow
+
+        calls = []
+        solve = driftflow.flow.lowest_eigenpairs
+
+        def counted(forms, k, tol=1e-10):
+            calls.append(forms.manifold.t)
+            return solve(forms, k, tol)
+
+        monkeypatch.setattr(driftflow.flow, "lowest_eigenpairs", counted)
+        family = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(1.0)])
+        req = RunRequest(family=family, horizon=0.02, dt=1e-3, cadence=5, resolution=32, modes=8, k=2, backend=backend)
+        traj = df.run_flow(req)
+        assert len(calls) == len(traj.times) == 5
+        # the reused initial solve is the one output 0's own manifold gives
+        again = solve(df.assemble_forms(traj.states[0].manifold), 2)
+        np.testing.assert_array_equal(traj.spectra[0].eigenvalues, again.eigenvalues)
+        np.testing.assert_array_equal(traj.spectra[0].residuals, again.residuals)
+        for u, v in zip(traj.spectra[0].eigenfunctions, again.eigenfunctions):
+            np.testing.assert_array_equal(u, v)
+
     def test_bound_columns_respect_horizon(self):
         req = RunRequest(family=df.round_circle_family(0.25), horizon=0.5, dt=1e-3, cadence=50, k=1,
                          track_scalars=False)

@@ -20,7 +20,7 @@ class TestDenseSpectrum:
         assert len(vals) == 64
 
     def test_dimension_one_system(self):
-        forms = QuadraticForms(manifold=None, stiffness=np.zeros((1, 1)), mass_diag=np.array([2.0]))
+        forms = QuadraticForms(manifold=None, blocks=(np.zeros((1, 1)),), axis_masses=(np.array([2.0]),))
         np.testing.assert_allclose(df.dense_spectrum(forms), [0.0], atol=1e-15)
 
     def test_hermite_ladder(self):
@@ -29,15 +29,17 @@ class TestDenseSpectrum:
         np.testing.assert_allclose(vals, np.arange(8) / 2.0, atol=1e-12)
 
     def test_size_cap(self):
+        # a 50 x 60 product: the cap fires before the 3000 x 3000 assembly
         forms = QuadraticForms(
-            manifold=None, stiffness=np.eye(3000), mass_diag=np.ones(3000)
+            manifold=None, blocks=(np.eye(50), np.eye(60)), axis_masses=(np.ones(50), np.ones(60))
         )
+        assert forms.dimension == 3000
         with pytest.raises(OracleError):
             df.dense_spectrum(forms)
 
     def test_indefinite_mass_rejected(self):
         forms = QuadraticForms(
-            manifold=None, stiffness=np.eye(4), mass_diag=np.array([1.0, -1.0, 1.0, 1.0])
+            manifold=None, blocks=(np.eye(4),), axis_masses=(np.array([1.0, -1.0, 1.0, 1.0]),)
         )
         with pytest.raises(OracleError):
             df.dense_spectrum(forms)
@@ -67,17 +69,17 @@ class TestEqualityOde:
 class TestQuadratureIntegral:
     def test_circle_constant(self):
         dm = df.weighted_circle(64)
-        assert df.quadrature_integral(np.ones(64), dm) == pytest.approx(2.0 * math.pi, rel=1e-14)
+        assert dm.integrate(np.ones(64)) == pytest.approx(2.0 * math.pi, rel=1e-14)
 
     def test_gaussian_second_moment(self):
         dm = df.gaussian_line(1.0)
         x = dm.axes[0].nodes
-        assert df.quadrature_integral(x * x, dm) == pytest.approx(4.0 * math.sqrt(math.pi), rel=1e-13)
+        assert dm.integrate(x * x) == pytest.approx(4.0 * math.sqrt(math.pi), rel=1e-13)
 
     def test_odd_function_vanishes(self):
         dm = df.gaussian_line(1.0)
         x = dm.axes[0].nodes
-        assert abs(df.quadrature_integral(x**3, dm)) < 1e-14
+        assert abs(dm.integrate(x**3)) < 1e-14
 
 
 class TestFiniteDiff:

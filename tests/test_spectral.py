@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import driftflow as df
 from driftflow.errors import AssemblyError, UndefinedQuotientError, UsageError
+from driftflow.geometry import CircleModel, ContinuumState
+from driftflow.oracles import dense_stiffness
 from driftflow.spectral import drift_laplacian, partials
 
 TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
@@ -48,6 +51,37 @@ class TestForms:
         v = rng.standard_normal(circle64.shape)
         assert forms.D(u, v) == pytest.approx(forms.D(v, u), rel=1e-12)
         assert forms.J(u, v) == pytest.approx(forms.J(v, u), rel=1e-12)
+
+    @pytest.mark.parametrize("grid", ["gauss12 x circle256", "gauss12^3", "wavy circle"])
+    def test_matrix_free_stiffness_matches_dense_kronecker(self, grid):
+        if grid == "gauss12 x circle256":
+            family = df.product_family([df.scaled_gaussian_family(1.5, 1), df.round_circle_family(2.0)])
+            dm = df.discretize(df.evaluate_family(family, 0.0), resolution=256, hermite_order=12)
+        elif grid == "gauss12^3":
+            dm = df.discretize(df.evaluate_family(df.scaled_gaussian_family(0.75, 3), 0.0), hermite_order=12)
+        else:
+            circle = CircleModel(a=lambda th: 1.5 + 0.3 * np.cos(th), f=lambda th: 0.4 * np.sin(2 * th))
+            dm = df.discretize(ContinuumState(t=0.0, factors=(circle,), f_constant=0.7), resolution=64)
+        forms = df.assemble_forms(dm)
+        u = np.random.default_rng(5).standard_normal((2, *dm.shape))
+        dense = dense_stiffness(forms)
+        for got, field in zip(forms.apply_stiffness(u), u):
+            ref = (dense @ field.ravel()).reshape(dm.shape)
+            assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+        assert forms.D(u[0], u[1]) == pytest.approx(float(u[0].ravel() @ dense @ u[1].ravel()), rel=1e-13)
+
+    def test_forms_and_eigenpairs_never_form_the_dense_stiffness(self):
+        family = df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle_family(4.0)])
+        dm = df.discretize(df.evaluate_family(family, 0.0), resolution=256, hermite_order=12)
+        df.lowest_eigenpairs(df.assemble_forms(dm), 3)  # warm the operator caches
+        tracemalloc.start()
+        try:
+            df.lowest_eigenpairs(df.assemble_forms(dm), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dm.size == 3072
+        assert peak < 8 * dm.size**2 / 10  # one dense stiffness matrix is 75 MB
 
     def test_degenerate_metric_rejected(self):
         with pytest.raises(AssemblyError):
