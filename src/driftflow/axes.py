@@ -3,7 +3,9 @@
 Two axis kinds cover everything in scope:
 
 * ``CircleAxis`` -- periodic coordinate on [0, 2pi) with metric a(theta) dtheta^2,
-  Fourier collocation on a uniform grid, trapezoidal quadrature.
+  Fourier collocation on a uniform grid, trapezoidal quadrature.  Per-state
+  work (f', Christoffel symbol, stiffness) runs on rfft/irfft symbols; only
+  batched field derivatives use a dense d1/d2 pair, built on first use.
 * ``HermiteLineAxis`` -- Gaussian line with constant metric multiplier a and
   weight x^2/4 + (1/2) log a, represented exactly on the Hermite eigenbasis
   of the one-dimensional drift Laplacian (Ornstein-Uhlenbeck structure).
@@ -20,13 +22,6 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from .errors import AssemblyError, ConfigurationError
-
-
-def apply_along(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a square matrix along one dimension of a multi-axis field."""
-    moved = np.moveaxis(arr, axis, 0)
-    out = np.tensordot(mat, moved, axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
 
 
 def apply_deriv(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
@@ -49,41 +44,40 @@ _FOURIER_CACHE: dict[int, dict[str, np.ndarray]] = {}
 
 
 def _fourier_ops(n: int) -> dict[str, np.ndarray]:
-    """Dense spectral operators for an n-point uniform periodic grid.
+    """rfft-domain symbols of an n-point uniform periodic grid, modes 0..n//2.
 
-    ``d1``/``d2``: first/second derivative at the nodes (Nyquist killed in d1,
-    kept in d2, the usual collocation convention).
-    ``d1_stag``: first derivative evaluated at the half-shifted nodes
-    theta_j + pi/n.  On the shifted grid the Nyquist sawtooth has a nonzero
-    derivative, so the weak-form stiffness built from d1_stag has a simple
-    kernel (constants only) even for even n.
-    ``interp_stag``: interpolation of node values to the shifted nodes.
+    ``ik``/``k2``: first/second derivative at the nodes (Nyquist killed in the
+    first, kept in the second, the usual collocation convention).
+    ``ik_stag``: first derivative at the half-shifted nodes theta_j + pi/n,
+    where the Nyquist sawtooth has a nonzero derivative, so the weak-form
+    stiffness built from it has a simple kernel (constants only) even for
+    even n.  ``stag``: interpolation to the half-shifted nodes.
     """
     ops = _FOURIER_CACHE.get(n)
-    if ops is not None:
-        return ops
-    k = np.fft.rfftfreq(n, d=1.0 / n)  # 0, 1, ..., n//2
-    shift = np.exp(1j * k * math.pi / n)
-    eye = np.eye(n)
-    modes = np.fft.rfft(eye, axis=0)
-
-    def synth(mult):
-        return np.fft.irfft(mult[:, None] * modes, n=n, axis=0).T.copy()
-
-    ik = 1j * k
-    if n % 2 == 0:
-        ik_plain = ik.copy()
-        ik_plain[-1] = 0.0  # odd derivative of the Nyquist mode vanishes at nodes
-    else:
-        ik_plain = ik
-    ops = {
-        "d1": synth(ik_plain),
-        "d2": synth(-(k**2).astype(complex)),
-        "d1_stag": synth(ik * shift),
-        "interp_stag": synth(shift),
-    }
-    _FOURIER_CACHE[n] = ops
+    if ops is None:
+        k = np.fft.rfftfreq(n, d=1.0 / n)
+        shift = np.exp(1j * k * math.pi / n)
+        ik = 1j * k
+        if n % 2 == 0:
+            ik[-1] = 0.0  # odd derivative of the Nyquist mode vanishes at nodes
+        ops = _FOURIER_CACHE[n] = {"ik": ik, "k2": -(k**2), "ik_stag": 1j * k * shift, "stag": shift}
     return ops
+
+
+def _fourier_dense(n: int) -> dict[str, np.ndarray]:
+    """The symbols plus dense ``d1``/``d2``: on a batch of fields over a small
+    grid one matrix product beats a forward and inverse FFT."""
+    ops = _fourier_ops(n)
+    if "d1" not in ops:
+        ops["d1"] = _spectral(ops["ik"], np.eye(n))
+        ops["d2"] = _spectral(ops["k2"], np.eye(n))
+    return ops
+
+
+def _spectral(symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Multiply by a Fourier symbol along the first axis of ``values``."""
+    coef = np.fft.rfft(values, axis=0)
+    return np.fft.irfft(symbol.reshape(-1, *[1] * (values.ndim - 1)) * coef, n=len(values), axis=0)
 
 
 def circle_nodes(n: int) -> np.ndarray:
@@ -101,6 +95,23 @@ def lowpass(values: np.ndarray, max_mode: int) -> np.ndarray:
 def mode_amplitudes(values: np.ndarray) -> np.ndarray:
     """Normalized magnitudes |c_k| of the trigonometric interpolant."""
     return np.abs(np.fft.rfft(values)) / values.size
+
+
+class FourierStiffness:
+    """Circle stiffness D_s^T diag(w) D_s with D_s the staggered derivative.
+
+    ``stiff @ u`` applies it by FFT along the first axis, as a matrix would;
+    constants are subtracted first, so their image is exactly zero.
+    """
+
+    def __init__(self, weight: np.ndarray):
+        self.weight = weight
+        self.symbol = _fourier_ops(weight.size)["ik_stag"]
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        flux = self.weight.reshape(-1, *[1] * (u.ndim - 1)) * _spectral(self.symbol, u - u[:1])
+        return _spectral(self.symbol.conj(), flux)
 
 
 class CircleAxis:
@@ -134,39 +145,37 @@ class CircleAxis:
         self.weights = np.full(self.size, 2.0 * math.pi / self.size)
         self.density = np.exp(-f) * np.sqrt(a)
         self.wdens = self.weights * self.density
-        ops = _fourier_ops(self.size)
-        self._d1 = ops["d1"]
-        self._d2 = ops["d2"]
-        self._d1_stag = ops["d1_stag"]
-        self._interp_stag = ops["interp_stag"]
+        self._ops = _fourier_ops(self.size)
         self.fprime = self.d1_vec(f)
         self.christoffel = self.d1_vec(a) / (2.0 * a)
 
     def d1(self, field: np.ndarray, axis: int) -> np.ndarray:
-        return apply_deriv(self._d1, field, axis)
+        return apply_deriv(_fourier_dense(self.size)["d1"], field, axis)
 
     def d2(self, field: np.ndarray, axis: int) -> np.ndarray:
-        return apply_deriv(self._d2, field, axis)
+        return apply_deriv(_fourier_dense(self.size)["d2"], field, axis)
 
     def d1_vec(self, values: np.ndarray) -> np.ndarray:
-        return self._d1 @ (values - values[0])
+        return _spectral(self._ops["ik"], values - values[0])
 
     def d2_vec(self, values: np.ndarray) -> np.ndarray:
-        return self._d2 @ (values - values[0])
+        return _spectral(self._ops["k2"], values - values[0])
+
+    def _stag(self, values: np.ndarray) -> np.ndarray:
+        """Trigonometric interpolant of node values at theta_j + pi/n."""
+        return values[0] + _spectral(self._ops["stag"], values - values[0])
 
     def mass_diag(self) -> np.ndarray:
         return self.wdens
 
-    def stiffness_matrix(self) -> np.ndarray:
+    def stiffness(self) -> FourierStiffness:
         # Weak form of the drift Laplacian in theta coordinates: the gradient
         # weight is a^{-1} e^{-f} sqrt(a) = a^{-1/2} e^{-f}, sampled on the
         # half-shifted grid where the staggered derivative lives.
-        s = np.exp(-(self._interp_stag @ self.f))
-        a_stag = self._interp_stag @ self.a
+        a_stag = self._stag(self.a)
         if np.min(a_stag) <= 0.0:
             raise AssemblyError("circle metric coefficient non-positive between nodes")
-        w = self.weights * s / np.sqrt(a_stag)
-        return self._d1_stag.T @ (w[:, None] * self._d1_stag)
+        return FourierStiffness(self.weights * np.exp(-self._stag(self.f)) / np.sqrt(a_stag))
 
 
 # --------------------------------------------------------------------------
@@ -245,16 +254,10 @@ class HermiteLineAxis:
     def d2(self, field: np.ndarray, axis: int) -> np.ndarray:
         return apply_deriv(self._d2, field, axis)
 
-    def d1_vec(self, values: np.ndarray) -> np.ndarray:
-        return self._d1 @ (values - values[0])
-
-    def d2_vec(self, values: np.ndarray) -> np.ndarray:
-        return self._d2 @ (values - values[0])
-
     def mass_diag(self) -> np.ndarray:
         return self.wdens
 
-    def stiffness_matrix(self) -> np.ndarray:
+    def stiffness(self) -> np.ndarray:
         w = self.wdens / self.scale
         return self._d1.T @ (w[:, None] * self._d1)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axes import CircleAxis, HermiteLineAxis, _fourier_ops, _hermite_ops, circle_nodes, lowpass, mode_amplitudes
+from .axes import CircleAxis, HermiteLineAxis, _fourier_dense, _hermite_ops, circle_nodes, lowpass, mode_amplitudes
 from .comparison import eigenvalue_bound
 from .errors import (
     ConfigurationError,
@@ -153,7 +153,7 @@ def _axis_fields(layout: _Layout, z: np.ndarray) -> list:
     for kind, off, n in layout.axes:
         if kind == "circle":
             a, f = _positive(z[off : off + n]), z[off + n : off + 2 * n]
-            ops = _fourier_ops(n)
+            ops = _fourier_dense(n)
             fprime = ops["d1"] @ (f - f[0])
             gamma = ops["d1"] @ (a - a[0]) / (2.0 * a)
             hess_f = ops["d2"] @ (f - f[0]) - gamma * fprime
@@ -172,7 +172,7 @@ def _scalar_rhs(layout: _Layout, fields: list, flat: np.ndarray) -> np.ndarray:
     batch = flat.reshape((-1, *layout.shape))
     out = 0.5 * batch
     for axis, ((kind, _, n), (a, drift, _)) in enumerate(zip(layout.axes, fields)):
-        ops = _fourier_ops(n) if kind == "circle" else _hermite_ops(n)
+        ops = _fourier_dense(n) if kind == "circle" else _hermite_ops(n)
         moved = np.moveaxis(batch, axis + 1, 0)
         diff = moved - moved[:1]
         d1u = ops["d1"] @ diff.reshape(n, -1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +72,16 @@ class OracleReport:
 
 
 def dense_stiffness(forms) -> np.ndarray:
-    """The stiffness of factored forms as one dense Kronecker-sum matrix."""
+    """The stiffness of factored forms as one dense Kronecker-sum matrix.
+
+    Each block is made dense by applying it to the identity.
+    """
     size = forms.dimension
     stiff = np.zeros((size, size))
     for i, block in enumerate(forms.blocks):
         factor = np.ones((1, 1))
         for j, mass in enumerate(forms.axis_masses):
-            factor = np.kron(factor, block if j == i else np.diag(mass))
+            factor = np.kron(factor, block @ np.eye(mass.size) if j == i else np.diag(mass))
         stiff += factor
     stiff *= forms.scale
     return stiff
@@ -109,19 +113,21 @@ def integrate_equality_ode(F0: float, s: float, dt: float = 1e-4) -> float:
     if s < 0.0:
         raise UsageError(f"lag must be nonnegative, got {s}")
 
-    def rhs(F):
-        return (2.0 * F - 1.0) * F
-
     nsteps = max(1, int(round(s / dt))) if s > 0 else 0
     h = s / nsteps if nsteps else 0.0
+    half, sixth = 0.5 * h, h / 6.0
     F = F0
+    # Plain float arithmetic, stages written out: the rhs is (2F - 1) F.
     for _ in range(nsteps):
-        k1 = rhs(F)
-        k2 = rhs(F + 0.5 * h * k1)
-        k3 = rhs(F + 0.5 * h * k2)
-        k4 = rhs(F + h * k3)
-        F = F + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(F) or abs(F) > _OVERFLOW_GUARD:
+        k1 = (2.0 * F - 1.0) * F
+        x = F + half * k1
+        k2 = (2.0 * x - 1.0) * x
+        x = F + half * k2
+        k3 = (2.0 * x - 1.0) * x
+        x = F + h * k3
+        k4 = (2.0 * x - 1.0) * x
+        F = F + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(F) or abs(F) > _OVERFLOW_GUARD:
             horizon = np.log(2.0 * F0 / (2.0 * F0 - 1.0)) if F0 > 0.5 else np.inf
             raise HorizonError(horizon, "equality ODE blew up before the requested lag")
     return F

@@ -9,6 +9,8 @@ so that D u = lambda J u is the weak form of -L u = lambda u.  The mass is
 diagonal.  On product grids the stiffness is a Kronecker sum of per-axis
 blocks, each weighted by the other axes' masses; it is kept in factors and
 applied axis by axis (Lynch, Rice & Thomas 1964), never formed as one matrix.
+Eigenpairs are solved per axis: Hermite axes and constant-coefficient
+circles in closed form (Fourier modes), other circles by dense ``eigh``.
 """
 
 from __future__ import annotations
@@ -203,7 +205,8 @@ class QuadraticForms:
     With per-axis stiffness blocks S_i, per-axis mass diagonals m_i and
     c = e^{-f_constant}, the mass is the diagonal c (m_0 x ... x m_{d-1}) and
     the stiffness is c sum_i M_0 x ... x S_i x ... x M_{d-1}, M_j = diag(m_j).
-    The stiffness is applied axis by axis and never formed.
+    The stiffness is applied axis by axis as ``S_i @ X``, never formed; S_i is
+    a dense matrix on Gaussian axes and a ``FourierStiffness`` on circles.
     """
 
     manifold: DiscreteWeightedManifold | None
@@ -235,7 +238,8 @@ class QuadraticForms:
             for j, m in enumerate(self.axis_masses):
                 if j != i:
                     weighted = weighted * np.reshape(m, [-1 if a == j else 1 for a in range(d)])
-            out = out + np.swapaxes(np.swapaxes(weighted, i - d, -1) @ block.T, i - d, -1)
+            moved = np.moveaxis(weighted, i - d, 0)
+            out = out + np.moveaxis((block @ moved.reshape(len(moved), -1)).reshape(moved.shape), 0, i - d)
         return self.scale * out
 
     def J(self, u, v) -> float:
@@ -248,13 +252,14 @@ class QuadraticForms:
 def assemble_forms(dm: DiscreteWeightedManifold) -> QuadraticForms:
     """Per-axis blocks of the generalized eigenproblem D u = lambda J u.
 
-    Circle-axis stiffness weights u'v' by a^{-1/2} e^{-f} per node (the weak
-    form of the drift Laplacian on a dtheta^2); Gaussian axes contribute their
-    exact Hermite blocks.  The mass is the diagonal quadrature weight.
+    Circle-axis stiffness weights u'v' by a^{-1/2} e^{-f} at the half-shifted
+    nodes (the weak form of the drift Laplacian on a dtheta^2); Gaussian axes
+    contribute their exact Hermite blocks.  The mass is the diagonal
+    quadrature weight.
     """
     return QuadraticForms(
         manifold=dm,
-        blocks=tuple(ax.stiffness_matrix() for ax in dm.axes),
+        blocks=tuple(ax.stiffness() for ax in dm.axes),
         axis_masses=tuple(ax.mass_diag() for ax in dm.axes),
         scale=math.exp(-dm.f_constant),
     )
@@ -284,30 +289,22 @@ class SpectralResult:
 
 
 def _axis_eigens(ax, block, mass, count):
-    """Mass-orthonormal eigenpairs of one axis from its stiffness block."""
+    """Lowest mass-orthonormal eigenpairs of one axis (circles: ``count``).
+
+    Constant-coefficient circles are diagonal in Fourier modes, so lambda =
+    k^2/a (0, 1, 1, 4, 4, ...) with vectors cos k theta, then sin k theta."""
     if ax.kind == "hermite":
         return ax.eigens()
-    if ax.size < 512:
-        vals, vecs = eigh(block, np.diag(mass))
-        return (np.maximum(vals, 0.0) if vals[0] > -1e-12 else vals), vecs
-    # Large circle grids: iterative shift-invert for the few pairs we need.
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-    try:
-        vals, vecs = eigsh(
-            block,
-            k=min(count + 2, ax.size - 2),
-            M=np.diag(mass),
-            sigma=0.0,
-            which="LM",
-            # A fixed start vector makes reruns bitwise reproducible.  Not the
-            # constant: that is the lambda_0 eigenvector itself.
-            v0=np.random.default_rng(0).standard_normal(ax.size),
-        )
-    except ArpackNoConvergence as exc:  # pragma: no cover - defensive
-        raise SolverError("circle eigensolve did not converge", best_residual=None) from exc
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    count = min(count, ax.size)
+    if np.ptp(ax.a) == 0.0 and np.ptp(ax.f) == 0.0:
+        k = (np.arange(count) + 1) // 2
+        phase = np.outer(ax.nodes, k)
+        vecs = np.where(np.arange(count) % 2 == 1, np.cos(phase), np.sin(phase))
+        vecs[:, 0] = 1.0
+        vecs /= np.sqrt(mass @ (vecs * vecs))
+        return k**2 / ax.a[0], vecs
+    vals, vecs = eigh(block @ np.eye(ax.size), np.diag(mass), subset_by_index=[0, count - 1])
+    return (np.maximum(vals, 0.0) if vals[0] > -1e-12 else vals), vecs
 
 
 def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10) -> SpectralResult:
@@ -327,9 +324,8 @@ def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10) -> Spec
 
     per_axis = []
     for ax, block, mass in zip(dm.axes, forms.blocks, forms.axis_masses):
-        vals, vecs = _axis_eigens(ax, block, mass, k)
-        take = min(k + 1, len(vals))
-        per_axis.append((vals[:take], vecs[:, :take]))
+        vals, vecs = _axis_eigens(ax, block, mass, k + 1)
+        per_axis.append((vals[: k + 1], vecs[:, : k + 1]))
 
     # Enumerate candidate index tuples; the k+1 smallest sums only ever use
     # per-axis indices at most k, so this cover is exhaustive.

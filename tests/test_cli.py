@@ -164,13 +164,23 @@ class TestRunCommand:
         assert [r["inputs"]["lambda0"] for r in reports if "skipped" in r] == [pytest.approx(4.0)]
 
     def test_large_circle_rerun_is_byte_identical(self, tmp_path):
-        # 512 nodes takes the iterative eigensolver path
+        # a round circle gets its pairs in closed form, so lambda_0 is exactly 0
         cfg = _write_config(tmp_path / "c512.json", name="c512", family="round_circle", resolution=512, horizon=0.05, k=2)
         spectra = []
         for run in ("o1", "o2"):
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / run)]) == 0
             spectra.append((tmp_path / run / "c512" / "spectra.json").read_bytes())
         assert spectra[0] == spectra[1]
+        assert all(sp["eigenvalues"][0] == 0.0 for sp in json.loads(spectra[0]))
+
+    def test_resolution_ceiling_edge(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "edge.json", name="edge", family="round_circle", resolution=1024, horizon=0.01, k=16)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        cfg = _write_config(tmp_path / "over.json", name="over", family="round_circle", resolution=1025, horizon=0.01)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "no")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1
 
     def test_splitting_scenario(self, tmp_path):
         cfg = tmp_path / "split.json"

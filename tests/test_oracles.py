@@ -53,6 +53,11 @@ class TestEqualityOde:
     def test_below_half_closed_form(self):
         assert df.integrate_equality_ode(0.25, LOG2, dt=1e-4) == pytest.approx(1.0 / 6.0, rel=1e-10)
 
+    def test_pinned_value_and_horizon(self):
+        assert df.integrate_equality_ode(0.25, 5.0, dt=1e-4) == 0.003346425462142423
+        with pytest.raises(HorizonError):
+            df.integrate_equality_ode(0.75, 5.0, dt=1e-4)  # blows up at log 3
+
     def test_near_blowup(self):
         val = df.integrate_equality_ode(1.0, 0.69, dt=1e-5)
         assert 100.0 < val < 1000.0

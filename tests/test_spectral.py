@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 import driftflow as df
+from driftflow import spectral
 from driftflow.errors import AssemblyError, UndefinedQuotientError, UsageError
 from driftflow.geometry import CircleModel, ContinuumState
 from driftflow.oracles import dense_stiffness
@@ -83,6 +85,16 @@ class TestForms:
         assert dm.size == 3072
         assert peak < 8 * dm.size**2 / 10  # one dense stiffness matrix is 75 MB
 
+    def test_constant_circle_solve_allocates_no_square_array(self):
+        dm = df.weighted_circle(2048, a=1.0)
+        tracemalloc.start()
+        try:
+            df.lowest_eigenpairs(df.assemble_forms(dm), 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2048**2 / 10  # one 2048 x 2048 float matrix is 33.5 MB
+
     def test_degenerate_metric_rejected(self):
         with pytest.raises(AssemblyError):
             df.weighted_circle(32, a=lambda th: np.cos(th))  # changes sign
@@ -92,6 +104,29 @@ class TestLowestEigenpairs:
     def test_round_circle_double_eigenvalue(self, circle64):
         res = df.lowest_eigenpairs(df.assemble_forms(circle64), 2)
         np.testing.assert_allclose(res.eigenvalues, [0.0, 1.0, 1.0], atol=1e-11)
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_round_circle_closed_form_pairs(self, n):
+        # every pair, Nyquist mode included for even n
+        dm = df.weighted_circle(n, a=2.5, f=0.3)
+        forms = df.assemble_forms(dm)
+        res = df.lowest_eigenpairs(forms, n - 1)
+        k = (np.arange(n) + 1) // 2
+        np.testing.assert_array_equal(res.eigenvalues, k**2 / 2.5)
+        fields = np.stack(res.eigenfunctions)
+        gram = (fields * forms.mass_diag) @ fields.T
+        assert float(np.max(np.abs(gram - np.eye(n)))) < 1e-13
+        th = dm.axes[0].nodes
+        assert abs(fields[3] @ np.sin(2 * th)) < 1e-12 and abs(fields[4] @ np.cos(2 * th)) < 1e-12
+
+    def test_varying_circle_takes_dense_eigh(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectral, "eigh", lambda *a, **kw: calls.append(a[0].shape) or eigh(*a, **kw))
+        dm = df.weighted_circle(600, f=lambda th: 0.2 * np.sin(th))
+        res = df.lowest_eigenpairs(df.assemble_forms(dm), 4, tol=1e-10)
+        assert calls == [(600, 600)]
+        assert res.eigenvalues[0] == pytest.approx(0.0, abs=1e-11)
+        assert res.eigenvalues[1] == pytest.approx(res.eigenvalues[2], rel=1e-10)
 
     def test_gaussian_ladder(self, gauss):
         res = df.lowest_eigenpairs(df.assemble_forms(gauss), 3)
@@ -229,6 +264,15 @@ class TestFieldOperations:
         np.testing.assert_allclose(div, drift_laplacian(circle64, u), atol=1e-11)
         assert np.max(np.abs(df.drift_divergence([np.zeros(64)], circle64))) == 0.0
         assert abs(circle64.integrate(df.drift_divergence([np.sin(th)], circle64))) < 1e-12
+
+    def test_circle_first_derivatives(self, circle64):
+        th = circle64.axes[0].nodes
+        np.testing.assert_allclose(partials(circle64, np.sin(th))[0], np.cos(th), rtol=0, atol=1e-12)
+        ax = df.weighted_circle(64, f=lambda t: 0.3 * np.sin(t)).axes[0]
+        np.testing.assert_allclose(ax.fprime, 0.3 * np.cos(th), rtol=0, atol=1e-12)
+        ax = df.weighted_circle(64, a=lambda t: 2.0 + np.sin(t)).axes[0]
+        want = np.cos(th) / (2.0 * (2.0 + np.sin(th)))
+        np.testing.assert_allclose(ax.christoffel, want, rtol=0, atol=1e-12)
 
     def test_shape_mismatch(self, circle64):
         with pytest.raises(UsageError):
