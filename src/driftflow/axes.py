@@ -86,15 +86,16 @@ def circle_nodes(n: int) -> np.ndarray:
 
 
 def lowpass(values: np.ndarray, max_mode: int) -> np.ndarray:
-    """Zero every Fourier mode above ``max_mode`` of a 1-d sample vector."""
+    """Zero every Fourier mode above ``max_mode`` along the last axis."""
     coef = np.fft.rfft(values)
-    coef[max_mode + 1 :] = 0.0
-    return np.fft.irfft(coef, n=values.size)
+    coef[..., max_mode + 1 :] = 0.0
+    return np.fft.irfft(coef, n=values.shape[-1])
 
 
 def mode_amplitudes(values: np.ndarray) -> np.ndarray:
-    """Normalized magnitudes |c_k| of the trigonometric interpolant."""
-    return np.abs(np.fft.rfft(values)) / values.size
+    """Normalized magnitudes |c_k| of the trigonometric interpolant along the
+    last axis."""
+    return np.abs(np.fft.rfft(values)) / values.shape[-1]
 
 
 class FourierStiffness:

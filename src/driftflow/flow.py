@@ -12,7 +12,10 @@ the unstable modes, and a mode-energy monitor that aborts genuine blow-up.
 Exact analytic families make the truncation exact and serve as validation.
 
 Tracked scalars follow the drift heat equation u_t = L u + u/2, advanced with
-the same RK4 stages as the geometry (one-way coupling).
+the same RK4 stages as the geometry (one-way coupling).  A run builds one step
+plan, the per-axis operators of ``_flow_rhs``, before its first step; both
+backends step through it, the analytic one feeding it the closed-form
+geometry at each stage and keeping only the scalar part.
 """
 
 from __future__ import annotations
@@ -146,56 +149,49 @@ def _positive(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _axis_fields(layout: _Layout, z: np.ndarray) -> list:
-    """Per axis at one stage: metric samples a, the drift Gamma + f', and on
-    circles Hess f.  Raises FlowBreakdownError once some a <= 0."""
-    fields = []
-    for kind, off, n in layout.axes:
-        if kind == "circle":
-            a, f = _positive(z[off : off + n]), z[off + n : off + 2 * n]
-            ops = _fourier_dense(n)
-            fprime = ops["d1"] @ (f - f[0])
-            gamma = ops["d1"] @ (a - a[0]) / (2.0 * a)
-            hess_f = ops["d2"] @ (f - f[0]) - gamma * fprime
-            fields.append((a, gamma + fprime, hess_f))
-        else:
-            fields.append((_positive(z[off : off + 1]), _hermite_ops(n)["nodes"] / 2.0, None))
-    return fields
-
-
-def _scalar_rhs(layout: _Layout, fields: list, flat: np.ndarray) -> np.ndarray:
-    """u_t = L u + u/2 for a raveled (count, *shape) batch, one pass per axis.
-
-    As in ``apply_deriv``, the first slice along the axis is subtracted before
-    differentiating, so constant fields get derivatives that are exactly zero.
-    """
-    batch = flat.reshape((-1, *layout.shape))
-    out = 0.5 * batch
-    for axis, ((kind, _, n), (a, drift, _)) in enumerate(zip(layout.axes, fields)):
-        ops = _fourier_dense(n) if kind == "circle" else _hermite_ops(n)
-        moved = np.moveaxis(batch, axis + 1, 0)
-        diff = moved - moved[:1]
-        d1u = ops["d1"] @ diff.reshape(n, -1)
-        d2u = ops["d2"] @ diff.reshape(n, -1)
-        term = (d2u - drift[:, None] * d1u) / a[:, None]
-        out += np.moveaxis(term.reshape(diff.shape), 0, axis + 1)
-    return out.ravel()
-
-
 def _flow_rhs(layout: _Layout, modes: int):
-    """Galerkin right-hand side of the geometry vector and the scalars."""
+    """Galerkin right-hand side of the geometry vector and the scalars.
+
+    The step plan, built once: per axis its derivative pair, the Hermite drift
+    x/2, and the permutation that brings the axis to the front of the scalar
+    batch, with its inverse.  Each stage adds an axis's term of u_t = L u + u/2
+    right after that axis's fields (a, drift Gamma + f', on circles Hess f).
+    Derivatives act on u - u[0] along the axis, exactly zero on constants.
+    """
+    plan = []
+    for axis, (kind, off, n) in enumerate(layout.axes):
+        ops = _fourier_dense(n) if kind == "circle" else _hermite_ops(n)
+        perm = (axis + 1, *(i for i in range(len(layout.axes) + 1) if i != axis + 1))
+        drift = None if kind == "circle" else ops["nodes"][:, None] / 2.0
+        plan.append((kind == "circle", off, n, ops["d1"], ops["d2"], drift, perm, tuple(np.argsort(perm))))
+    width, batch_shape = layout.width, (-1, *layout.shape)
 
     def rhs(t, z):
-        fields = _axis_fields(layout, z)
         dz = np.empty_like(z)
-        for (kind, off, n), (a, _, hess_f) in zip(layout.axes, fields):
-            if kind == "circle":
-                dz[off : off + n] = lowpass(a - 2.0 * hess_f, modes)
-                dz[off + n : off + 2 * n] = lowpass(0.5 - hess_f / a, modes)
+        scalars = z.size > width
+        if scalars:
+            batch = z[width:].reshape(batch_shape)
+            out = 0.5 * batch
+        for circle, off, n, d1, d2, drift, perm, inverse in plan:
+            if circle:
+                a, f = _positive(z[off : off + n]), z[off + n : off + 2 * n]
+                fprime = d1 @ (f - f[0])
+                gamma = d1 @ (a - a[0]) / (2.0 * a)
+                hess_f = d2 @ (f - f[0]) - gamma * fprime
+                dz[off : off + 2 * n] = lowpass(np.stack((a - 2.0 * hess_f, 0.5 - hess_f / a)), modes).ravel()
+                drift, a = (gamma + fprime)[:, None], a[:, None]
             else:
-                dz[off] = a[0] - 1.0
-        if z.size > layout.width:
-            dz[layout.width :] = _scalar_rhs(layout, fields, z[layout.width :])
+                a = z[off]
+                if a <= 0.0:
+                    raise FlowBreakdownError(0)
+                dz[off] = a - 1.0
+            if scalars:
+                moved = batch.transpose(perm)
+                diff = (moved - moved[:1]).reshape(n, -1)
+                term = (d2 @ diff - drift * (d1 @ diff)) / a
+                out += term.reshape(moved.shape).transpose(inverse)
+        if scalars:
+            dz[width:] = out.ravel()
         return dz
 
     return rhs
@@ -208,27 +204,33 @@ def _rk4(rhs, t: float, z: np.ndarray, dt: float, k1=None) -> np.ndarray:
     k2 = rhs(t + dt / 2, z + (dt / 2) * k1)
     k3 = rhs(t + dt / 2, z + (dt / 2) * k2)
     k4 = rhs(t + dt, z + dt * k3)
-    for k, w in ((k1, 1.0), (k2, 2.0), (k3, 2.0), (k4, 1.0)):
-        z = z + (w * dt / 6.0) * k
-    return z
+    out = z + (dt / 6.0) * k1
+    out += (2.0 * dt / 6.0) * k2
+    out += (2.0 * dt / 6.0) * k3
+    out += (dt / 6.0) * k4
+    return out
 
 
 def _settle(layout: _Layout, z: np.ndarray, modes: int, floor: float, threshold: float) -> np.ndarray:
     """Zero the circle modes above ``modes`` or below the relative noise
-    floor, then raise StabilityError if a mode still exceeds ``threshold``."""
+    floor, then raise StabilityError if a mode still exceeds ``threshold``.
+    A circle's a and f rows are transformed together; a is checked first."""
+    circles = [(off, n) for kind, off, n in layout.axes if kind == "circle"]
+    if not circles:
+        return z
     z = z.copy()
-    for kind, off, n in layout.axes:
-        for sl in (slice(off, off + n), slice(off + n, off + 2 * n)) if kind == "circle" else ():
-            coef = np.fft.rfft(z[sl])
-            scale = max(1.0, abs(coef[0]) / coef.size)
-            small = np.abs(coef[1:]) < floor * scale * coef.size
-            coef[1:][small] = 0.0
-            coef[modes + 1 :] = 0.0
-            z[sl] = np.fft.irfft(coef, n=n)
-            amps = mode_amplitudes(z[sl])
-            if amps[1:].size and float(np.max(amps[1:])) > threshold:
+    for off, n in circles:
+        rows = z[off : off + 2 * n].reshape(2, n)
+        coef = np.fft.rfft(rows)
+        size = coef.shape[-1]
+        scale = np.fmax(1.0, np.abs(coef[:, :1]) / size)
+        coef[:, 1:][np.abs(coef[:, 1:]) < floor * scale * size] = 0.0
+        coef[:, modes + 1 :] = 0.0
+        rows[:] = np.fft.irfft(coef, n=n)
+        for amps in mode_amplitudes(rows)[:, 1:]:
+            if float(np.max(amps)) > threshold:
                 raise StabilityError(
-                    f"circle mode energy {np.max(amps[1:]):.3e} exceeds threshold {threshold:.3e}; "
+                    f"circle mode energy {np.max(amps):.3e} exceeds threshold {threshold:.3e}; "
                     "use a shorter horizon or a lower mode cutoff"
                 )
     return z
@@ -337,7 +339,7 @@ def _advance(rhs, t, z, dt, adaptive_tol, depth=0, k1=None):
         k1 = rhs(t, z)
     full = _rk4(rhs, t, z, dt, k1)
     half = _rk4(rhs, t + dt / 2, _rk4(rhs, t, z, dt / 2, k1), dt / 2)
-    err = float(np.max(np.abs(full - half))) / 15.0
+    err = float(np.abs(full - half).max()) / 15.0
     if err <= adaptive_tol or depth >= 12:
         if err > adaptive_tol:
             raise StabilityError(f"step error {err:.3e} persists after 12 halvings")
@@ -371,16 +373,16 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     threshold = request.stability_factor * (1.0 + float(np.max(np.abs(geometry))))
     scalars = np.empty((0, *layout.shape)) if scalars0 is None else np.asarray(scalars0, dtype=float)
     analytic = request.backend == "analytic"
+    flow_rhs = _flow_rhs(layout, request.modes)
     if analytic:
         # The geometry follows its closed form; only the scalars are integrated.
         width, z = 0, scalars.ravel()
 
         def rhs(t, s):
-            return _scalar_rhs(layout, _axis_fields(layout, layout.pack_state(evaluate_family(family, t))), s)
+            return flow_rhs(t, np.concatenate([layout.pack_state(evaluate_family(family, t)), s]))[layout.width :]
 
     else:
-        width, z = layout.width, np.concatenate([geometry, scalars.ravel()])
-        rhs = _flow_rhs(layout, request.modes)
+        width, z, rhs = layout.width, np.concatenate([geometry, scalars.ravel()]), flow_rhs
 
     out_steps = sorted({0, nsteps, *range(0, nsteps + 1, request.cadence)})
     outputs = []
@@ -634,9 +636,7 @@ def gram_schmidt_frame(scalars, state, gram=None):
     # order sqrt(machine epsilon) times the scale
     if np.min(np.diag(L)) < 1e-7 * math.sqrt(max(np.max(np.diag(gram)), 1e-300)):
         raise DegeneracyError("scalars are numerically rank deficient in weighted L2")
-    from scipy.linalg import solve_triangular
-
-    mixing = solve_triangular(L, np.eye(n), lower=True)
+    mixing = np.tril(np.linalg.solve(L, np.eye(n)))  # solve pivots; keep the upper zeros exact
     frame = [sum(mixing[i, j] * fields[j] for j in range(i + 1)) for i in range(n)]
     return frame, mixing
 

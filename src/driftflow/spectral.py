@@ -304,7 +304,9 @@ def _axis_eigens(ax, block, mass, count):
         vecs /= np.sqrt(mass @ (vecs * vecs))
         return k**2 / ax.a[0], vecs
     vals, vecs = eigh(block @ np.eye(ax.size), np.diag(mass), subset_by_index=[0, count - 1])
-    return (np.maximum(vals, 0.0) if vals[0] > -1e-12 else vals), vecs
+    # The stiffness maps constants to exactly zero, so the first pair is known.
+    vals[0], vecs[:, 0] = 0.0, 1.0 / math.sqrt(mass.sum())
+    return vals, vecs
 
 
 def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10) -> SpectralResult:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import driftflow as df
-from driftflow.errors import ConfigurationError, DegeneracyError, StabilityError, UsageError
-from driftflow.flow import FlowState, RunRequest, _flow_rhs, _Layout
+from driftflow.axes import circle_nodes, lowpass, mode_amplitudes
+from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
+from driftflow.flow import FlowState, RunRequest, _advance, _flow_rhs, _Layout, _settle
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
 from driftflow.oracles import finite_diff_time_derivative
 
@@ -222,6 +223,15 @@ class TestGramSchmidtFrame:
         d = finite_diff_time_derivative(traj.mixing[:, 0, 0], traj.output_dt)
         assert abs(d[0] - (-0.25)) < 1e-4
 
+    def test_mixing_is_exactly_lower_triangular(self):
+        # |gram[1, 0]| > gram[0, 0], so an LU solve of the Cholesky factor pivots
+        dm = df.weighted_circle(64)
+        u, v = np.cos(dm.axes[0].nodes), np.sin(dm.axes[0].nodes)
+        frame, mixing = df.gram_schmidt_frame([u, 3.0 * u + 0.3 * v], FlowState.from_manifold(dm))
+        assert mixing[0, 1] == 0.0
+        pairings = [dm.integrate(frame[0] * frame[1]), dm.integrate(frame[1] ** 2)]
+        np.testing.assert_allclose(pairings, [0.0, 1.0], atol=1e-12)
+
     def test_rank_deficiency(self):
         dm = df.weighted_circle(64)
         u = np.sin(dm.axes[0].nodes)
@@ -307,3 +317,110 @@ class TestFlatState:
         assert stepped.axes[0].scale == ran.axes[0].scale
         assert np.array_equal(stepped.axes[1].a, ran.axes[1].a)
         assert np.array_equal(stepped.axes[1].f, ran.axes[1].f)
+
+
+def _varying_product():
+    state = ContinuumState(
+        t=0.0,
+        factors=(
+            CircleModel(a=lambda th: 1.0 + 0.3 * np.cos(th), f=lambda th: 0.2 * np.sin(2 * th)),
+            GaussianLineModel(1.7),
+        ),
+    )
+    return df.discretize(state, resolution=32, hermite_order=8)
+
+
+def _circle_z(n, a, f):
+    """Layout and geometry vector of one circle with the given node values."""
+    theta = circle_nodes(n)
+    return _Layout.of(df.weighted_circle(n)), np.concatenate([a(theta), f(theta)])
+
+
+class _Counted:
+    def __init__(self, rhs):
+        self.rhs, self.calls = rhs, 0
+
+    def __call__(self, t, z):
+        self.calls += 1
+        return self.rhs(t, z)
+
+
+class TestStepPlan:
+    @pytest.mark.parametrize("n", [31, 32, 64])
+    def test_batched_fourier_rows_match_single_rows(self, n):
+        rows = np.random.default_rng(n).standard_normal((2, n))
+        low = lowpass(rows, 4)
+        amps = mode_amplitudes(rows)
+        for i in range(2):
+            assert np.array_equal(low[i], lowpass(rows[i], 4))
+            assert np.array_equal(amps[i], mode_amplitudes(rows[i]))
+
+    def test_geometry_rhs_matches_axis_formulas(self):
+        dm = _varying_product()
+        layout = _Layout.of(dm)
+        dz = _flow_rhs(layout, modes=16)(0.0, layout.pack(dm))
+        ax = dm.axes[0]
+        hess_f = ax.d2_vec(ax.f) - ax.christoffel * ax.fprime
+        np.testing.assert_allclose(dz[:32], ax.a - 2.0 * hess_f, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(dz[32:64], 0.5 - hess_f / ax.a, rtol=0.0, atol=1e-12)
+        assert dz[64] == dm.axes[1].scale - 1.0
+
+    def test_eleven_evaluations_per_doubled_step(self):
+        dm = _varying_product()
+        layout = _Layout.of(dm)
+        rhs = _Counted(_flow_rhs(layout, modes=8))
+        _advance(rhs, 0.0, layout.pack(dm), 1e-3, adaptive_tol=1.0)
+        assert rhs.calls == 11
+
+    @pytest.mark.parametrize("node", [5, 64])
+    def test_breakdown_names_the_node(self, node):
+        dm = _varying_product()
+        layout = _Layout.of(dm)
+        z = layout.pack(dm)
+        z[node] = -0.1  # node 5 of the circle's a, or the Gaussian multiplier
+        with pytest.raises(FlowBreakdownError) as info:
+            _flow_rhs(layout, modes=8)(0.0, z)
+        assert info.value.node_index == (5 if node == 5 else 0)
+
+
+class TestSafeguardsFire:
+    def test_settle_cuts_modes_above_the_cutoff(self):
+        layout, z = _circle_z(32, lambda th: 1.0 + 0.1 * np.cos(10 * th), lambda th: 0.1 * np.cos(2 * th))
+        out = _settle(layout, z, modes=4, floor=1e-13, threshold=1e6)
+        assert float(np.max(mode_amplitudes(out[:32])[5:])) < 1e-17
+        assert float(np.max(np.abs(out[32:] - z[32:]))) < 1e-16
+        assert mode_amplitudes(z[:32])[10] == pytest.approx(0.05)  # the input is left alone
+
+    def test_settle_zeroes_coefficients_below_the_noise_floor(self):
+        def a(th):
+            return 2.0 + 1e-14 * np.cos(3 * th) + 1e-10 * np.cos(5 * th)
+
+        layout, z = _circle_z(32, a, lambda th: np.zeros_like(th))
+        kept = mode_amplitudes(_settle(layout, z, modes=16, floor=0.0, threshold=1e6)[:32])
+        settled = mode_amplitudes(_settle(layout, z, modes=16, floor=1e-13, threshold=1e6)[:32])
+        assert kept[3] == pytest.approx(5e-15, rel=0.1)
+        assert settled[3] < 1e-18
+        assert settled[5] == pytest.approx(5e-11, rel=1e-4)
+
+    def test_mode_energy_monitor_reports_the_metric_row_first(self):
+        layout, z = _circle_z(32, lambda th: 1.0 + 0.02 * np.cos(th), lambda th: 0.2 * np.cos(th))
+        message = (
+            r"^circle mode energy 1\.000e-02 exceeds threshold 1\.000e-03; "
+            r"use a shorter horizon or a lower mode cutoff$"
+        )
+        with pytest.raises(StabilityError, match=message):
+            _settle(layout, z, modes=16, floor=1e-13, threshold=1e-3)
+
+    def test_step_doubling_halves_on_a_stiff_rhs(self):
+        rhs = _Counted(lambda t, z: -50.0 * z)
+        z = _advance(rhs, 0.0, np.ones(1), 0.05, adaptive_tol=1e-9)
+        assert rhs.calls > 11
+        assert abs(z[0] - math.exp(-2.5)) < 1e-7
+
+    def test_step_doubling_gives_up_after_twelve_halvings(self):
+        # a jump in t at a non-dyadic point: no step size resolves it
+        def rhs(t, z):
+            return np.full_like(z, 1.0 if t >= 0.3 * 0.05 else 0.0)
+
+        with pytest.raises(StabilityError, match="persists after 12 halvings"):
+            _advance(rhs, 0.0, np.zeros(1), 0.05, adaptive_tol=1e-9)
