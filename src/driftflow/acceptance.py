@@ -27,7 +27,7 @@ from .geometry import (
     scaled_gaussian_family,
     weighted_circle,
 )
-from .oracles import dense_spectrum, finite_diff_time_derivative, integrate_equality_ode
+from .oracles import dense_spectrum, integrate_equality_ode
 from .spectral import assemble_forms, bochner_sides, lowest_eigenpairs
 from .splitting import SplittingCertificate, SplittingHypothesisFailure, detect_splitting
 
@@ -296,12 +296,12 @@ def criterion_8_gram_derivative() -> CriterionResult:
     req = RunRequest(family=scaled_gaussian_family(2.0, 1), horizon=5e-3, dt=1e-3, cadence=1, k=1)
     traj = run_flow(req)
     a11 = traj.mixing[:, 0, 0]
-    deriv = finite_diff_time_derivative(a11, traj.output_dt)[0]
+    deriv = traj.time_derivative(a11)[0]
     err_moving = abs(deriv - (-0.25))
 
     req_s = RunRequest(family=scaled_gaussian_family(1.0, 1), horizon=5e-3, dt=1e-3, cadence=1, k=1)
     traj_s = run_flow(req_s)
-    deriv_s = finite_diff_time_derivative(traj_s.mixing[:, 0, 0], traj_s.output_dt)[0]
+    deriv_s = traj_s.time_derivative(traj_s.mixing[:, 0, 0])[0]
 
     ok = err_moving <= 1e-4 and abs(deriv_s) <= 1e-10
     detail = f"a11'(0) = {deriv:.8f} (want -1/4 within 1e-4); static {deriv_s:.2e} (tol 1e-10)"

@@ -16,6 +16,7 @@ its own dimension and how to build its one-dimensional mass/stiffness blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,16 +25,29 @@ from numpy.polynomial import hermite_e
 from .errors import AssemblyError, ConfigurationError
 
 
+@functools.cache
+def axis_to_front(ndim: int, axis: int) -> tuple[tuple, tuple]:
+    """The transpose that brings ``axis`` of an ``ndim``-array to the front,
+    the others keeping their order, and its inverse; cached per pair."""
+    front = axis % ndim
+    perm = (front, *(i for i in range(ndim) if i != front))
+    return perm, tuple(perm.index(i) for i in range(ndim))
+
+
 def apply_deriv(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
     """Apply a derivative matrix along one dimension of a field.
 
     Derivative operators annihilate constants analytically; subtracting a
     reference slice first makes that exact in floating point as well, so
-    spatially constant fields have bitwise-zero derivatives.
+    spatially constant fields have bitwise-zero derivatives.  The axis is
+    brought to the front by a cached transpose and the field flattened to an
+    (n, m) operand (a 1-D field to an (n, 1) column), so one ``np.dot`` does
+    the work.
     """
-    moved = np.moveaxis(arr, axis, 0)
-    out = np.tensordot(mat, moved - moved[:1], axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
+    perm, inverse = axis_to_front(arr.ndim, axis)
+    moved = arr.transpose(perm)
+    diff = moved - moved[:1]
+    return np.dot(mat, diff.reshape(len(diff), -1)).reshape(diff.shape).transpose(inverse)
 
 
 # --------------------------------------------------------------------------

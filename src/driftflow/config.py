@@ -15,7 +15,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigurationError
-from .flow import RunRequest
+from .flow import RunRequest, output_count
 from .geometry import product_family, round_circle_family, scaled_gaussian_family
 
 __all__ = ["ScenarioConfig", "load_config"]
@@ -130,6 +130,18 @@ class ScenarioConfig:
             )
         if not isinstance(self.name, str) or not self.name:
             raise ConfigurationError("scenario name must be a nonempty string")
+        # Checks that difference outputs in time are refused here, before the
+        # run, rather than failing after it with a partial run directory.
+        outputs = output_count(self.horizon, self.dt, self.cadence)
+        for check, needed in (
+            ("check_functionals with tracked scalars", 3 if self.check_functionals and self.track_scalars else 0),
+            ("check_splitting", 2 if self.check_splitting else 0),
+        ):
+            if outputs < needed:
+                raise ConfigurationError(
+                    f"{check} needs at least {needed} outputs, but horizon {self.horizon}, "
+                    f"dt {self.dt} and cadence {self.cadence} give {outputs}"
+                )
         if self.check_splitting and self.splitting_t1 is not None and self.splitting_t0 is not None:
             if not (self.splitting_t0 < self.splitting_t1):
                 raise ConfigurationError("splitting window requires splitting_t0 < splitting_t1")

@@ -9,7 +9,10 @@ contains a backward heat operator, so naive forward integration is ill posed;
 the integrator therefore works in a fixed Fourier-Galerkin truncation with an
 explicit RK4 step, a per-step noise floor that keeps round-off from seeding
 the unstable modes, and a mode-energy monitor that aborts genuine blow-up.
-Exact analytic families make the truncation exact and serve as validation.
+A stage projects onto the kept circle modes only when the cutoff lies below
+the grid's Nyquist mode; at ``modes = resolution // 2`` the grid is the
+truncation.  Exact analytic families make the truncation exact and serve as
+validation.
 
 Tracked scalars follow the drift heat equation u_t = L u + u/2, advanced with
 the same RK4 stages as the geometry (one-way coupling).  A run builds one step
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axes import CircleAxis, HermiteLineAxis, _fourier_dense, _hermite_ops, circle_nodes, lowpass, mode_amplitudes
+from .axes import CircleAxis, HermiteLineAxis, _fourier_dense, _hermite_ops, axis_to_front, circle_nodes, lowpass
 from .comparison import eigenvalue_bound
 from .errors import (
     ConfigurationError,
@@ -153,17 +156,22 @@ def _flow_rhs(layout: _Layout, modes: int):
     """Galerkin right-hand side of the geometry vector and the scalars.
 
     The step plan, built once: per axis its derivative pair, the Hermite drift
-    x/2, and the permutation that brings the axis to the front of the scalar
-    batch, with its inverse.  Each stage adds an axis's term of u_t = L u + u/2
+    x/2, the transpose that brings the axis to the front of the scalar batch
+    with its inverse, and for a circle whether the cutoff ``modes`` lies below
+    the grid's Nyquist mode n // 2.  Only then does a stage project the
+    circle's rows (a - 2 Hess f, 1/2 - Hess f / a) with ``lowpass``; at
+    ``modes = n // 2`` the grid itself is the truncation, and the rows are
+    written as they are.  Each stage adds an axis's term of u_t = L u + u/2
     right after that axis's fields (a, drift Gamma + f', on circles Hess f).
     Derivatives act on u - u[0] along the axis, exactly zero on constants.
     """
     plan = []
     for axis, (kind, off, n) in enumerate(layout.axes):
         ops = _fourier_dense(n) if kind == "circle" else _hermite_ops(n)
-        perm = (axis + 1, *(i for i in range(len(layout.axes) + 1) if i != axis + 1))
+        project = kind == "circle" and modes < n // 2
         drift = None if kind == "circle" else ops["nodes"][:, None] / 2.0
-        plan.append((kind == "circle", off, n, ops["d1"], ops["d2"], drift, perm, tuple(np.argsort(perm))))
+        perm, inverse = axis_to_front(len(layout.axes) + 1, axis + 1)
+        plan.append((kind == "circle", project, off, n, ops["d1"], ops["d2"], drift, perm, inverse))
     width, batch_shape = layout.width, (-1, *layout.shape)
 
     def rhs(t, z):
@@ -172,14 +180,20 @@ def _flow_rhs(layout: _Layout, modes: int):
         if scalars:
             batch = z[width:].reshape(batch_shape)
             out = 0.5 * batch
-        for circle, off, n, d1, d2, drift, perm, inverse in plan:
+        for circle, project, off, n, d1, d2, drift, perm, inverse in plan:
             if circle:
                 a, f = _positive(z[off : off + n]), z[off + n : off + 2 * n]
-                fprime = d1 @ (f - f[0])
+                df = f - f[0]
+                fprime = d1 @ df
                 gamma = d1 @ (a - a[0]) / (2.0 * a)
-                hess_f = d2 @ (f - f[0]) - gamma * fprime
-                dz[off : off + 2 * n] = lowpass(np.stack((a - 2.0 * hess_f, 0.5 - hess_f / a)), modes).ravel()
-                drift, a = (gamma + fprime)[:, None], a[:, None]
+                hess_f = d2 @ df - gamma * fprime
+                rows = dz[off : off + 2 * n].reshape(2, n)
+                rows[0] = a - 2.0 * hess_f
+                rows[1] = 0.5 - hess_f / a
+                if project:
+                    rows[:] = lowpass(rows, modes)
+                if scalars:
+                    drift, a = (gamma + fprime)[:, None], a[:, None]
             else:
                 a = z[off]
                 if a <= 0.0:
@@ -214,7 +228,9 @@ def _rk4(rhs, t: float, z: np.ndarray, dt: float, k1=None) -> np.ndarray:
 def _settle(layout: _Layout, z: np.ndarray, modes: int, floor: float, threshold: float) -> np.ndarray:
     """Zero the circle modes above ``modes`` or below the relative noise
     floor, then raise StabilityError if a mode still exceeds ``threshold``.
-    A circle's a and f rows are transformed together; a is checked first."""
+    A circle's a and f rows are transformed together; a is checked first.
+    The check reads the kept coefficients, |c_k| / n as ``mode_amplitudes``
+    normalizes them, so a step costs one rfft and one irfft per circle."""
     circles = [(off, n) for kind, off, n in layout.axes if kind == "circle"]
     if not circles:
         return z
@@ -227,7 +243,7 @@ def _settle(layout: _Layout, z: np.ndarray, modes: int, floor: float, threshold:
         coef[:, 1:][np.abs(coef[:, 1:]) < floor * scale * size] = 0.0
         coef[:, modes + 1 :] = 0.0
         rows[:] = np.fft.irfft(coef, n=n)
-        for amps in mode_amplitudes(rows)[:, 1:]:
+        for amps in np.abs(coef[:, 1:]) / n:
             if float(np.max(amps)) > threshold:
                 raise StabilityError(
                     f"circle mode energy {np.max(amps):.3e} exceeds threshold {threshold:.3e}; "
@@ -267,6 +283,17 @@ def step_modified_flow(
 # --------------------------------------------------------------------------
 
 
+def step_count(horizon: float, dt: float) -> int:
+    """Steps of a run: horizon / dt rounded, none at horizon 0."""
+    return int(round(horizon / dt)) if horizon > 0 else 0
+
+
+def output_count(horizon: float, dt: float, cadence: int) -> int:
+    """Outputs of a run: step 0, every cadence-th step, and the last step."""
+    steps = step_count(horizon, dt)
+    return steps // cadence + 1 + (steps % cadence > 0)
+
+
 @dataclass(frozen=True)
 class RunRequest:
     """Everything needed to reproduce one flow run deterministically."""
@@ -298,7 +325,7 @@ class RunRequest:
 
     @property
     def steps(self) -> int:
-        return int(round(self.horizon / self.dt)) if self.horizon > 0 else 0
+        return step_count(self.horizon, self.dt)
 
 
 @dataclass
@@ -324,6 +351,42 @@ class FlowTrajectory:
     @property
     def output_dt(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
+
+    @property
+    def short_last(self) -> bool:
+        """Whether the last output falls short of the cadence (steps % cadence
+        != 0), and so lies closer to the one before it than ``output_dt``."""
+        return self.request.steps % self.request.cadence != 0
+
+    def short_stencil(self, m: int):
+        """Weights of the three-point d/dt at output ``m`` over the true times
+        of the last three outputs, when the last output is short and the
+        uniform stencil at ``m`` would reach it; None otherwise."""
+        last = len(self.times) - 1
+        if not self.short_last or last < 2 or (last > 2 and m < last - 1):
+            return None
+        t0, t1, t2 = self.times[last - 2 :]
+        x = self.times[m]
+        return (
+            (2.0 * x - t1 - t2) / ((t0 - t1) * (t0 - t2)),
+            (2.0 * x - t0 - t2) / ((t1 - t0) * (t1 - t2)),
+            (2.0 * x - t0 - t1) / ((t2 - t0) * (t2 - t1)),
+        )
+
+    def time_derivative(self, series) -> np.ndarray:
+        """Second-order d/dt of a per-output series (outputs first).
+
+        The uniform stencils of ``finite_diff_time_derivative`` at spacing
+        ``output_dt``, except that a stencil reaching a short last output uses
+        the true spacing (``short_stencil``).
+        """
+        series = np.asarray(series, dtype=float)
+        out = finite_diff_time_derivative(series, self.output_dt)
+        for m in range(max(len(self.times) - 3, 0), len(self.times)):
+            w = self.short_stencil(m)
+            if w is not None:
+                out[m] = w[0] * series[-3] + w[1] * series[-2] + w[2] * series[-1]
+        return out
 
     def index_at(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -415,8 +478,8 @@ def _check_field_memory(request: RunRequest, state) -> None:
     points = math.prod(
         request.resolution if isinstance(fac, CircleModel) else request.hermite_order for fac in state.factors
     )
-    steps, k = request.steps, request.k
-    outputs = steps // request.cadence + 1 + (steps % request.cadence > 0)
+    k = request.k
+    outputs = output_count(request.horizon, request.dt, request.cadence)
     nbytes = 8 * points * (16 * (k + 1) + outputs * (3 * k + 2))
     if nbytes > MAX_FIELD_BYTES:
         raise ConfigurationError(
@@ -559,7 +622,6 @@ def functional_residuals(traj: FlowTrajectory, scalar_indices=None) -> Functiona
         raise UsageError("trajectory has no tracked scalars")
     if len(traj.times) < 3:
         raise UsageError("need at least 3 outputs for time derivatives")
-    dt = traj.output_dt
     if scalar_indices is None:
         J, D = traj.series["J"], traj.series["D"]
         I, E, F = traj.series["I"], traj.series["E"], traj.series["F"]
@@ -571,29 +633,32 @@ def functional_residuals(traj: FlowTrajectory, scalar_indices=None) -> Functiona
         I, E, F = (traj.series[key][:, sel] for key in ("I", "E", "F"))
         hess = traj.series["hessian"][:, sel]
 
-    dJ = finite_diff_time_derivative(J, dt)
+    dJ = traj.time_derivative(J)
     rhsJ = J - 2.0 * D
     scaleJ = max(float(np.max(np.abs(rhsJ))), float(np.max(np.abs(dJ))), 1e-12)
     resJ = np.abs(dJ - rhsJ)
     max_rel_J = float(np.max(resJ)) / scaleJ
 
-    dI = finite_diff_time_derivative(I, dt)
+    dI = traj.time_derivative(I)
     rhsI = I - 2.0 * E
     scaleI = max(float(np.max(np.abs(rhsI))), float(np.max(np.abs(dI))), 1e-12)
     max_rel_I = float(np.max(np.abs(dI - rhsI))) / scaleI
 
-    dE = finite_diff_time_derivative(E, dt)
+    dE = traj.time_derivative(E)
     rhsE = -2.0 * hess
     scaleE = max(float(np.max(np.abs(E))), 1e-12)
     max_rel_E = float(np.max(np.abs(dE - rhsE))) / scaleE
 
-    dF = finite_diff_time_derivative(F, dt)
+    dF = traj.time_derivative(F)
     rhsF = -2.0 * hess / I + F * (2.0 * F - 1.0)
     scaleF = max(float(np.max(np.abs(rhsF))), float(np.max(np.abs(dF))), 1e-12)
     max_rel_F = float(np.max(np.abs(dF - rhsF))) / scaleF
 
     energy_violation = max(0.0, float(np.max(np.diff(E, axis=0))))
-    quotient_excess = max(0.0, float(np.max(np.diff(F, axis=0) / dt - F[:-1] * (2.0 * F[:-1] - 1.0))))
+    spacing = np.full((len(traj.times) - 1, 1), traj.output_dt)
+    if traj.short_last:
+        spacing[-1] = traj.times[-1] - traj.times[-2]
+    quotient_excess = max(0.0, float(np.max(np.diff(F, axis=0) / spacing - F[:-1] * (2.0 * F[:-1] - 1.0))))
 
     pointwise = np.max(np.abs(dJ - rhsJ), axis=(1, 2)) / scaleJ
     return FunctionalResidualReport(
@@ -649,16 +714,15 @@ def _commutator_series(u, traj: FlowTrajectory) -> np.ndarray:
     return out
 
 
-def _commutator_at(u, traj, index, lus=None) -> float:
-    dt = traj.output_dt
+def _commutator_at(u, traj, index, lus) -> float:
+    """``lus`` maps each output the d/dt stencil at ``index`` reads to L u there."""
+    w = traj.short_stencil(index)
+    if w is None:
+        d_lu = (lus[index + 1] - lus[index - 1]) / (2.0 * traj.output_dt)
+    else:
+        d_lu = w[0] * lus[index - 1] + w[1] * lus[index] + w[2] * lus[index + 1]
     st = traj.states[index]
     dm = st.manifold
-    if lus is None:
-        lu_prev = drift_laplacian(traj.states[index - 1].manifold, u)
-        lu_next = drift_laplacian(traj.states[index + 1].manifold, u)
-    else:
-        lu_prev, lu_next = lus[index - 1], lus[index + 1]
-    d_lu = (lu_next - lu_prev) / (2.0 * dt)
     du = partials(dm, u)
     W = []
     for i, ax in enumerate(dm.axes):
@@ -678,12 +742,14 @@ def commutator_residual(u, traj: FlowTrajectory, index: int) -> float:
 
     ``u`` is held fixed in coordinates so the time derivative acts only
     through the evolving metric and weight; d/dt is a central difference at
-    the recorded output times, hence O(dt^2) on smooth runs.
+    the recorded output times (next to a last output short of the cadence,
+    the three-point stencil of the true times), hence O(dt^2) on smooth runs.
     """
     u = np.asarray(u, dtype=float)
     if index < 1 or index > len(traj.times) - 2:
         raise UsageError("commutator residual needs an interior output index")
-    return _commutator_at(u, traj, index)
+    stencil = (index - 1, index + 1) if traj.short_stencil(index) is None else (index - 1, index, index + 1)
+    return _commutator_at(u, traj, index, {m: drift_laplacian(traj.states[m].manifold, u) for m in stencil})
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from functools import cached_property, reduce
 import numpy as np
 from scipy.linalg import eigh
 
+from .axes import axis_to_front
 from .errors import SolverError, UndefinedQuotientError, UsageError
 from .geometry import DiscreteWeightedManifold
 
@@ -238,8 +239,9 @@ class QuadraticForms:
             for j, m in enumerate(self.axis_masses):
                 if j != i:
                     weighted = weighted * np.reshape(m, [-1 if a == j else 1 for a in range(d)])
-            moved = np.moveaxis(weighted, i - d, 0)
-            out = out + np.moveaxis((block @ moved.reshape(len(moved), -1)).reshape(moved.shape), 0, i - d)
+            perm, inverse = axis_to_front(weighted.ndim, i - d)
+            moved = weighted.transpose(perm)
+            out = out + (block @ moved.reshape(len(moved), -1)).reshape(moved.shape).transpose(inverse)
         return self.scale * out
 
     def J(self, u, v) -> float:

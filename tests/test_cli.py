@@ -215,6 +215,41 @@ class TestRunCommand:
         assert cert["hypothesis_failure"]["violated"]
 
 
+    @pytest.mark.parametrize("horizon", [0.301, 0.3])
+    def test_off_cadence_last_output_passes_strict(self, tmp_path, horizon):
+        # at 0.301 the last output is one step after the one before it, not two
+        cfg = _write_config(
+            tmp_path / "oc.json", name="oc", family="round_circle", a0=1.0, horizon=horizon, cadence=2, k=2,
+            track_scalars=True, check_functionals=True, check_commutator=True,
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+        header, rows = _read_csv(out / "oc" / "trajectory.csv")
+        assert rows[-1, 0] == pytest.approx(horizon)
+        assert float(np.max(rows[:, header.index("residual_IJ")])) < 1e-4
+        assert float(np.nanmax(rows[:, header.index("residual_commutator")])) < 1e-5
+
+    @pytest.mark.parametrize(
+        "overrides, needs",
+        [
+            ({"horizon": 0.0, "check_functionals": True}, "check_functionals with tracked scalars needs at least 3"),
+            ({"horizon": 0.001, "cadence": 1, "check_functionals": True}, "check_functionals with tracked scalars needs at least 3"),
+            ({"horizon": 0.0, "check_splitting": True}, "check_splitting needs at least 2"),
+        ],
+    )
+    def test_too_few_outputs_for_a_check_is_a_config_error(self, tmp_path, capsys, overrides, needs):
+        cfg = _write_config(tmp_path / "few.json", name="few", track_scalars=True, **overrides)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {needs} outputs") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_functionals_without_scalars_need_no_outputs(self, tmp_path):
+        cfg = _write_config(tmp_path / "one.json", name="one", horizon=0.0, check_functionals=True)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--strict"]) == 0
+
+
 class TestSweepAndReport:
     def test_sweep_grid(self, tmp_path):
         cfg = tmp_path / "base.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import driftflow as df
-from driftflow.axes import circle_nodes, lowpass, mode_amplitudes
+from driftflow.axes import _fourier_dense, circle_nodes, lowpass, mode_amplitudes
 from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
 from driftflow.flow import FlowState, RunRequest, _advance, _flow_rhs, _Layout, _settle
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
@@ -195,6 +195,19 @@ class TestFunctionalResiduals:
         assert rep.energy_violation <= 1e-8 * rep.energy_scale
         assert rep.quotient_excess <= 1e-6
 
+    @pytest.mark.parametrize("horizon, times", [(0.005, [0, 2, 4, 5]), (0.003, [0, 2, 3]), (0.004, [0, 2, 4])])
+    def test_time_derivative_uses_the_true_last_spacing(self, horizon, times):
+        req = RunRequest(family=df.scaled_gaussian_family(2.0, 1), horizon=horizon, dt=1e-3, cadence=2, k=1,
+                         track_scalars=False)
+        traj = df.run_flow(req)
+        np.testing.assert_allclose(traj.times, 1e-3 * np.array(times), rtol=0, atol=1e-15)
+        quadratic = np.stack([3.0 * traj.times**2 - traj.times, np.cos(traj.times)], axis=1)
+        got = traj.time_derivative(quadratic)
+        np.testing.assert_allclose(got[:, 0], 6.0 * traj.times - 1.0, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(got[:, 1], -np.sin(traj.times), rtol=0, atol=1e-6)
+        if times[-1] % 2 == 0:  # uniform outputs keep the uniform stencils bit for bit
+            assert np.array_equal(got, finite_diff_time_derivative(quadratic, traj.output_dt))
+
     def test_requires_tracked_scalars(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.05, dt=1e-3, cadence=10,
                          k=1, track_scalars=False)
@@ -381,6 +394,59 @@ class TestStepPlan:
         with pytest.raises(FlowBreakdownError) as info:
             _flow_rhs(layout, modes=8)(0.0, z)
         assert info.value.node_index == (5 if node == 5 else 0)
+
+
+def _stage_formulas(n, a, f):
+    """The circle rows of a stage, computed as the stage computes them."""
+    ops = _fourier_dense(n)
+    fprime = ops["d1"] @ (f - f[0])
+    gamma = ops["d1"] @ (a - a[0]) / (2.0 * a)
+    hess_f = ops["d2"] @ (f - f[0]) - gamma * fprime
+    return np.stack((a - 2.0 * hess_f, 0.5 - hess_f / a))
+
+
+def _wavy_a(th):
+    return 1.0 + 0.2 * np.cos(th) + 0.05 * np.sin(13 * th)
+
+
+def _wavy_f(th):
+    return 0.3 * np.sin(2 * th) + 0.01 * np.cos(14 * th)
+
+
+class TestStageProjection:
+    @pytest.mark.parametrize("n, modes", [(64, 8), (32, 15), (31, 14)])
+    def test_below_nyquist_the_stage_is_the_lowpass_of_the_formulas(self, n, modes):
+        layout, z = _circle_z(n, _wavy_a, _wavy_f)
+        a, f = z[:n], z[n:]
+        rows = _flow_rhs(layout, modes)(0.0, z).reshape(2, n)
+        formulas = _stage_formulas(n, a, f)
+        assert np.array_equal(rows, lowpass(formulas, modes))
+        assert float(np.max(mode_amplitudes(formulas)[:, modes + 1 :])) > 1e-3  # the cutoff has work to do
+        assert float(np.max(mode_amplitudes(rows)[:, modes + 1 :])) < 1e-15
+
+    @pytest.mark.parametrize("n", [64, 32, 31])
+    def test_at_nyquist_the_stage_writes_the_formulas(self, n):
+        layout, z = _circle_z(n, _wavy_a, _wavy_f)
+        a, f = z[:n], z[n:]
+        rows = _flow_rhs(layout, n // 2)(0.0, z).reshape(2, n)
+        assert np.array_equal(rows, _stage_formulas(n, a, f))
+
+    def test_two_ffts_per_doubled_step_and_settle(self, monkeypatch):
+        layout, z = _circle_z(64, _wavy_a, _wavy_f)
+        rhs = _flow_rhs(layout, 32)
+        calls = []
+
+        def counted(name, fft):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fft(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", counted("irfft", np.fft.irfft))
+        _settle(layout, _advance(rhs, 0.0, z, 1e-3, adaptive_tol=1.0), 32, 1e-13, 1e6)
+        assert calls == ["rfft", "irfft"]
 
 
 class TestSafeguardsFire:

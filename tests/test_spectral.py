@@ -7,6 +7,7 @@ from scipy.linalg import eigh
 
 import driftflow as df
 from driftflow import spectral
+from driftflow.axes import _fourier_dense, apply_deriv
 from driftflow.errors import AssemblyError, UndefinedQuotientError, UsageError
 from driftflow.geometry import CircleModel, ContinuumState
 from driftflow.oracles import dense_stiffness
@@ -276,6 +277,21 @@ class TestFieldOperations:
         ax = df.weighted_circle(64, a=lambda t: 2.0 + np.sin(t)).axes[0]
         want = np.cos(th) / (2.0 * (2.0 + np.sin(th)))
         np.testing.assert_allclose(ax.christoffel, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(16,), (16, 6), (6, 16, 5)])
+    def test_apply_deriv_matches_moveaxis_tensordot_bitwise(self, shape):
+        rng = np.random.default_rng(len(shape))
+        field = rng.standard_normal(shape)
+        for axis in range(-len(shape), len(shape)):
+            n = shape[axis]
+            mats = [rng.standard_normal((n, n))]
+            if n == 16:
+                mats.append(_fourier_dense(16)["d1"])
+            for mat in mats:
+                for arr in (field, np.asfortranarray(field)):
+                    moved = np.moveaxis(arr, axis, 0)
+                    want = np.moveaxis(np.tensordot(mat, moved - moved[:1], axes=(1, 0)), 0, axis)
+                    assert np.array_equal(apply_deriv(mat, arr, axis), want)
 
     def test_shape_mismatch(self, circle64):
         with pytest.raises(UsageError):
