@@ -1,8 +1,12 @@
-"""Acceptance suite: one function per criterion, runnable from CLI or pytest.
+"""Every check of the paper's claims, with one tolerance table and one pass rule.
 
-Each criterion re-derives its expected values from closed forms or from the
-brute-force oracles and checks the stated tolerance.  ``run_all`` prints one
-PASS/FAIL line per criterion.
+``VERIFY_TOLERANCES`` is the single table of check tolerances.  The run
+checks ``check_bounds``, ``check_functionals``, ``check_commutator`` and
+``check_bochner`` each return the dict that ``driftflow run`` records under
+``verifications`` in its manifest, with a ``passed`` flag.  The ten criteria
+behind ``driftflow verify`` call the same checks or read the same table, and
+re-derive their expected values from closed forms or from the brute-force
+oracles.  ``run_all`` prints one PASS/FAIL line per criterion.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .comparison import (
     logistic_envelope,
 )
 from .errors import HorizonError
-from .flow import RunRequest, commutator_residual, functional_residuals, run_flow
+from .flow import FlowTrajectory, RunRequest, commutator_residual, functional_residuals, run_flow
 from .geometry import (
     gaussian_line,
     product_family,
@@ -31,9 +35,22 @@ from .oracles import dense_spectrum, integrate_equality_ode
 from .spectral import assemble_forms, bochner_sides, lowest_eigenpairs
 from .splitting import SplittingCertificate, SplittingHypothesisFailure, detect_splitting
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA"]
+__all__ = [
+    "CriterionResult", "run_all", "CRITERIA",
+    "VERIFY_TOLERANCES", "check_bounds", "check_functionals", "check_commutator", "check_bochner",
+]
 
 LOG2 = math.log(2.0)
+
+VERIFY_TOLERANCES = {
+    "bounds_slack": 1e-6,
+    "functionals_rel": 1e-4,
+    "energy_violation_rel": 1e-8,
+    "volume_drift_rel": 1e-6,
+    "mean_zero": 1e-9,
+    "commutator_rel": 1e-5,
+    "bochner_rel": 1e-8,
+}
 
 
 @dataclass(frozen=True)
@@ -56,6 +73,84 @@ def _sharp_curve(lam0: float, s: np.ndarray) -> np.ndarray:
 
 def _lambda_series(traj, j: int = 1) -> np.ndarray:
     return np.array([sp.eigenvalues[j] for sp in traj.spectra])
+
+
+def _tol(key: str) -> str:
+    """A tolerance from the table as detail lines print it, e.g. ``1e-6``."""
+    mantissa, exponent = f"{VERIFY_TOLERANCES[key]:e}".split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent)}"
+
+
+def check_bounds(traj: FlowTrajectory) -> dict:
+    """Largest excess of lambda_j over its comparison bound, j = 1..k."""
+    slack = VERIFY_TOLERANCES["bounds_slack"]
+    worst = -math.inf
+    for j in range(1, traj.bounds.shape[1] + 1):
+        lam_j = _lambda_series(traj, j)
+        finite = np.isfinite(traj.bounds[:, j - 1])
+        if not np.any(finite):
+            continue
+        worst = max(worst, float(np.max(lam_j[finite] - traj.bounds[finite, j - 1])))
+    return {"passed": worst <= slack, "max_excess": worst, "slack": slack}
+
+
+def check_functionals(traj: FlowTrajectory) -> dict:
+    """Evolution identities J' = J - 2D, I' = I - 2E and E' <= 0, plus the
+    volume and the scalars' zero means, along the tracked scalars."""
+    if not traj.series:
+        return {"passed": True, "note": "no tracked scalars"}
+    rep = functional_residuals(traj)
+    vol_drift = float(np.max(np.abs(traj.volumes / traj.volumes[0] - 1.0)))
+    means = max(
+        abs(traj.states[m].manifold.integrate(traj.scalar_values[m, i]))
+        for m in range(len(traj.times))
+        for i in range(traj.scalar_values.shape[1])
+    )
+    passed = (
+        rep.max_rel_J <= VERIFY_TOLERANCES["functionals_rel"]
+        and rep.max_rel_I <= VERIFY_TOLERANCES["functionals_rel"]
+        and rep.energy_violation <= VERIFY_TOLERANCES["energy_violation_rel"] * rep.energy_scale
+        and vol_drift <= VERIFY_TOLERANCES["volume_drift_rel"]
+        and means <= VERIFY_TOLERANCES["mean_zero"]
+    )
+    return {
+        "passed": bool(passed),
+        "max_rel_J": rep.max_rel_J,
+        "max_rel_I": rep.max_rel_I,
+        "max_rel_E": rep.max_rel_E,
+        "max_rel_F": rep.max_rel_F,
+        "energy_violation": rep.energy_violation,
+        "volume_drift": vol_drift,
+        "max_scalar_mean": means,
+    }
+
+
+def check_commutator(traj: FlowTrajectory) -> dict:
+    """Worst commutator residual over the interior outputs (at least 3 outputs)."""
+    worst = float(np.max(traj.residual_commutator[1:-1]))
+    return {"passed": worst <= VERIFY_TOLERANCES["commutator_rel"], "max_rel": worst}
+
+
+def check_bochner(dm, seed: int) -> dict:
+    """Drift Bochner identity on five seeded smooth fields over ``dm``."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(5):
+        u = np.zeros(dm.shape)
+        for i, ax in enumerate(dm.axes):
+            if ax.kind == "circle":
+                prof = np.zeros(ax.size)
+                for kk in range(1, 6):
+                    prof += (2 * rng.random() - 1) * np.cos(kk * ax.nodes)
+                    prof += (2 * rng.random() - 1) * np.sin(kk * ax.nodes)
+            else:
+                coef = 2 * rng.random(min(5, ax.size)) - 1
+                prof = sum(c * ax.nodes**p for p, c in enumerate(coef))
+            u = u + dm.axis_profile(i, prof)
+        lhs, rhs = bochner_sides(u, dm)
+        scale = max(abs(lhs), abs(rhs), 1e-300)
+        worst = max(worst, abs(lhs - rhs) / scale)
+    return {"passed": worst <= VERIFY_TOLERANCES["bochner_rel"], "max_rel": worst}
 
 
 def criterion_1_sharpness() -> CriterionResult:
@@ -123,7 +218,6 @@ def criterion_3_bound_compliance() -> CriterionResult:
             3,
         ),
     ]
-    slack = 1e-6
     worst = -math.inf
     strict_margin = math.inf
     circle1_err = 0.0
@@ -131,13 +225,9 @@ def criterion_3_bound_compliance() -> CriterionResult:
     for name, family, horizon, k in scenarios:
         req = RunRequest(family=family, horizon=horizon, dt=1e-3, cadence=10, k=k, track_scalars=False)
         traj = run_flow(req)
-        for j in range(1, k + 1):
-            lam_j = _lambda_series(traj, j)
-            finite = np.isfinite(traj.bounds[:, j - 1])
-            if np.any(finite):
-                excess = float(np.max(lam_j[finite] - traj.bounds[finite, j - 1]))
-                worst = max(worst, excess)
-                ok = ok and excess <= slack
+        bounds = check_bounds(traj)
+        worst = max(worst, bounds["max_excess"])
+        ok = ok and bounds["passed"]
         if name == "circle_a1":
             s = traj.times - traj.times[0]
             lam1 = _lambda_series(traj, 1)
@@ -148,8 +238,8 @@ def criterion_3_bound_compliance() -> CriterionResult:
     seconds = time.perf_counter() - start
     ok = ok and seconds < 30.0
     detail = (
-        f"max bound excess {worst:.2e} (slack 1e-6); circle_a1: |lambda_1 - e^-t| = {circle1_err:.2e}, "
-        f"strict margin {strict_margin:.4g}"
+        f"max bound excess {worst:.2e} (slack {_tol('bounds_slack')}); "
+        f"circle_a1: |lambda_1 - e^-t| = {circle1_err:.2e}, strict margin {strict_margin:.4g}"
     )
     return CriterionResult(3, "eigenvalue bound compliance on all scenarios", ok, detail, seconds)
 
@@ -157,26 +247,13 @@ def criterion_3_bound_compliance() -> CriterionResult:
 def criterion_4_evolution_identities() -> CriterionResult:
     start = time.perf_counter()
     req = RunRequest(family=round_circle_family(1.0), horizon=0.3, dt=1e-3, cadence=1, k=2)
-    traj = run_flow(req)
-    rep = functional_residuals(traj)
-    vol_drift = float(np.max(np.abs(traj.volumes / traj.volumes[0] - 1.0)))
-    means = max(
-        abs(traj.states[m].manifold.integrate(traj.scalar_values[m, i]))
-        for m in range(len(traj.times))
-        for i in range(traj.scalar_values.shape[1])
-    )
-    ok = (
-        rep.max_rel_J <= 1e-4
-        and rep.max_rel_I <= 1e-4
-        and rep.energy_violation <= 1e-8 * rep.energy_scale
-        and vol_drift <= 1e-6
-        and means <= 1e-9
-    )
+    c = check_functionals(run_flow(req))
     detail = (
-        f"rel J' {rep.max_rel_J:.2e}, rel I' {rep.max_rel_I:.2e} (tol 1e-4); "
-        f"E' violation {rep.energy_violation:.2e}; volume drift {vol_drift:.2e}; mean {means:.2e}"
+        f"rel J' {c['max_rel_J']:.2e}, rel I' {c['max_rel_I']:.2e} (tol {_tol('functionals_rel')}); "
+        f"E' violation {c['energy_violation']:.2e}; volume drift {c['volume_drift']:.2e}; "
+        f"mean {c['max_scalar_mean']:.2e}"
     )
-    return CriterionResult(4, "evolution identities on a circle run", bool(ok), detail, time.perf_counter() - start)
+    return CriterionResult(4, "evolution identities on a circle run", c["passed"], detail, time.perf_counter() - start)
 
 
 def criterion_5_bochner() -> CriterionResult:
@@ -198,12 +275,12 @@ def criterion_5_bochner() -> CriterionResult:
         lhs, rhs = bochner_sides(u, dm)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     seconds = time.perf_counter() - start
-    ok = worst <= 1e-8 and seconds < 5.0
+    ok = worst <= VERIFY_TOLERANCES["bochner_rel"] and seconds < 5.0
     return CriterionResult(
         5,
         "drift Bochner identity on random weighted circles",
         bool(ok),
-        f"worst rel residual {worst:.2e} over 20 seeded fields (tol 1e-8)",
+        f"worst rel residual {worst:.2e} over 20 seeded fields (tol {_tol('bochner_rel')})",
         seconds,
     )
 
@@ -223,8 +300,8 @@ def criterion_6_commutator() -> CriterionResult:
     res_circle = max(
         commutator_residual(u, traj_c, idx) for idx in (1, len(traj_c.times) // 2, len(traj_c.times) - 2)
     )
-    ok = res_static <= 1e-12 and res_circle <= 1e-5
-    detail = f"static {res_static:.2e} (tol 1e-12), circle {res_circle:.2e} (tol 1e-5)"
+    ok = res_static <= 1e-12 and res_circle <= VERIFY_TOLERANCES["commutator_rel"]
+    detail = f"static {res_static:.2e} (tol 1e-12), circle {res_circle:.2e} (tol {_tol('commutator_rel')})"
     return CriterionResult(6, "commutator of d/dt with the drift Laplacian", bool(ok), detail, time.perf_counter() - start)
 
 

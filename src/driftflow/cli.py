@@ -60,10 +60,10 @@ def _cmd_run(args) -> int:
     except DriftflowError as exc:
         kind, code = _classify(exc)
         return _fail(kind, str(exc), code)
-    failed = [name for name, v in result.verifications.items() if not v.get("passed", True)]
+    failed = result.failed
     print(f"{config.name}: wrote {len(result.files)} files to {result.out_dir}")
-    for name, v in result.verifications.items():
-        print(f"  verify {name}: {'ok' if v.get('passed', True) else 'FAILED'}")
+    for name in result.verifications:
+        print(f"  verify {name}: {'FAILED' if name in failed else 'ok'}")
     if failed and args.strict:
         return _fail("verification", f"checks failed: {', '.join(failed)}", EXIT_VERIFICATION)
     return EXIT_OK
@@ -97,8 +97,7 @@ def _sweep_worker(raw: dict, out_root: str | None):
     try:
         config = ScenarioConfig.from_dict(raw)
         result = execute(config, out_root=out_root)
-        failed = [k for k, v in result.verifications.items() if not v.get("passed", True)]
-        return (raw["name"], "ok" if not failed else "verification", result.out_dir)
+        return (raw["name"], "verification" if result.failed else "ok", result.out_dir)
     except DriftflowError as exc:
         kind, _ = _classify(exc)
         return (raw.get("name", "?"), kind, str(exc))

@@ -135,6 +135,7 @@ class ScenarioConfig:
         outputs = output_count(self.horizon, self.dt, self.cadence)
         for check, needed in (
             ("check_functionals with tracked scalars", 3 if self.check_functionals and self.track_scalars else 0),
+            ("check_commutator", 3 if self.check_commutator else 0),
             ("check_splitting", 2 if self.check_splitting else 0),
         ):
             if outputs < needed:

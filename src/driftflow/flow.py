@@ -612,10 +612,6 @@ class FunctionalResidualReport:
     quotient_excess: float
     pointwise_ij: np.ndarray
 
-    @property
-    def energy_nonincreasing(self) -> bool:
-        return self.energy_violation <= 1e-8 * max(self.energy_scale, 1e-300)
-
 
 def functional_residuals(traj: FlowTrajectory, scalar_indices=None) -> FunctionalResidualReport:
     if not traj.series:

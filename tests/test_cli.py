@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from driftflow import acceptance
 from driftflow.cli import main
 from driftflow.config import ScenarioConfig, load_config
 from driftflow.errors import ConfigurationError
@@ -235,6 +236,7 @@ class TestRunCommand:
             ({"horizon": 0.0, "check_functionals": True}, "check_functionals with tracked scalars needs at least 3"),
             ({"horizon": 0.001, "cadence": 1, "check_functionals": True}, "check_functionals with tracked scalars needs at least 3"),
             ({"horizon": 0.0, "check_splitting": True}, "check_splitting needs at least 2"),
+            ({"horizon": 0.001, "cadence": 1, "check_commutator": True}, "check_commutator needs at least 3"),
         ],
     )
     def test_too_few_outputs_for_a_check_is_a_config_error(self, tmp_path, capsys, overrides, needs):
@@ -244,6 +246,31 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: {needs} outputs") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_splitting_window_outside_the_run_leaves_no_artifacts(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path / "late.json", name="late", u0=1.0, horizon=0.02, check_splitting=True,
+            splitting_t0=0.5, splitting_t1=0.6,
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1
+        assert not (out / "late").exists()
+
+    def test_product_run_checks_bochner_and_reports_each_lambda_once(self, tmp_path):
+        # lambda_1 = lambda_2 = 1/4 on this product: one oracle report for both
+        cfg = _write_config(
+            tmp_path / "ps.json", name="ps", family="product", factors="scaled_gaussian:u0=1,n=1;round_circle:a0=4",
+            horizon=0.1, cadence=5, k=3, track_scalars=True, check_functionals=True, check_commutator=True,
+            check_bochner=True,
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+        manifest = json.loads((out / "ps" / "manifest.json").read_text())
+        assert manifest["verifications"]["bochner"]["max_rel"] <= 1e-8
+        assert manifest["tolerances"] == acceptance.VERIFY_TOLERANCES
+        assert [r["inputs_digest"] for r in manifest["oracle_reports"]] == ["0c65d4f9caff289f", "c70b95db7a01a0ee"]
 
     def test_functionals_without_scalars_need_no_outputs(self, tmp_path):
         cfg = _write_config(tmp_path / "one.json", name="one", horizon=0.0, check_functionals=True)
