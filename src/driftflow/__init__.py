@@ -76,7 +76,6 @@ from .spectral import (
 from .splitting import (
     SplittingCertificate,
     SplittingHypothesisFailure,
-    SplittingTolerances,
     certificate_residuals,
     detect_splitting,
 )

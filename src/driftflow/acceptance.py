@@ -1,19 +1,29 @@
-"""Every check of the paper's claims, with one tolerance table and one pass rule.
+"""Every check of the paper's claims as (value, tol) records, with one tolerance table and one pass rule.
 
-``VERIFY_TOLERANCES`` is the single table of check tolerances.  The run
-checks ``check_bounds``, ``check_functionals``, ``check_commutator`` and
-``check_bochner`` each return the dict that ``driftflow run`` records under
-``verifications`` in its manifest, with a ``passed`` flag.  The ten criteria
-behind ``driftflow verify`` call the same checks or read the same table, and
-re-derive their expected values from closed forms or from the brute-force
-oracles.  ``run_all`` prints one PASS/FAIL line per criterion.
+A ``Check`` is one decision: it passes exactly when ``value <= tol``, so a
+NaN value fails, and ``margin = tol - value`` is its headroom.  A strict
+``value < limit`` is the record ``tol = math.nextafter(limit, -math.inf)``;
+an exact equality is ``value = max |difference|`` with ``tol = 0``.  ``failed`` is the
+one pass rule over named groups of records: a group fails when it is empty
+or holds a failing record.  ``driftflow run --strict``, ``sweep``, ``report``
+and ``verify`` all decide with it.
+
+``VERIFY_TOLERANCES`` is the single table of check tolerances, the splitting
+certificate's for both backends included.  The run checks ``check_bounds``,
+``check_functionals``, ``check_commutator``, ``check_bochner`` and
+``check_splitting`` return lists of records, which ``driftflow run`` writes
+under ``verifications`` in its manifest.  The ten criteria behind
+``driftflow verify`` call the same checks or read the same table, re-derive
+their expected values from closed forms or from the brute-force oracles, and
+build their PASS/FAIL line from their records.  ``run_all`` prints one line
+per criterion.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +32,6 @@ from .comparison import (
     eigenvalue_bound,
     logistic_envelope,
 )
-from .errors import HorizonError
 from .flow import FlowTrajectory, RunRequest, commutator_residual, functional_residuals, run_flow
 from .geometry import (
     gaussian_line,
@@ -36,8 +45,9 @@ from .spectral import assemble_forms, bochner_sides, lowest_eigenpairs
 from .splitting import SplittingCertificate, SplittingHypothesisFailure, detect_splitting
 
 __all__ = [
-    "CriterionResult", "run_all", "CRITERIA",
-    "VERIFY_TOLERANCES", "check_bounds", "check_functionals", "check_commutator", "check_bochner",
+    "Check", "failed", "CriterionResult", "run_all", "CRITERIA",
+    "VERIFY_TOLERANCES", "splitting_tolerances",
+    "check_bounds", "check_functionals", "check_commutator", "check_bochner", "check_splitting",
 ]
 
 LOG2 = math.log(2.0)
@@ -50,20 +60,80 @@ VERIFY_TOLERANCES = {
     "mean_zero": 1e-9,
     "commutator_rel": 1e-5,
     "bochner_rel": 1e-8,
+    # The splitting certificate per backend; its eigenvalue tolerance is also
+    # the window around 1/2 in which detect_splitting looks for the cluster.
+    "splitting_eigenvalue_analytic": 1e-8,
+    "splitting_hessian_energy_analytic": 1e-10,
+    "splitting_gradient_analytic": 1e-8,
+    "splitting_weight_decomposition_analytic": 1e-8,
+    "splitting_metric_block_analytic": 1e-8,
+    "splitting_factor_equations_analytic": 1e-8,
+    "splitting_eigenvalue_galerkin": 1e-5,
+    "splitting_hessian_energy_galerkin": 1e-6,
+    "splitting_gradient_galerkin": 1e-6,
+    "splitting_weight_decomposition_galerkin": 1e-6,
+    "splitting_metric_block_galerkin": 1e-6,
+    "splitting_factor_equations_galerkin": 1e-6,
 }
+
+_SPLITTING_FIELDS = (
+    "eigenvalue", "hessian_energy", "gradient", "weight_decomposition", "metric_block", "factor_equations",
+)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One decision: ``value`` against ``tol``; it passes exactly when value <= tol."""
+
+    name: str
+    value: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.tol)
+
+    @property
+    def margin(self) -> float:
+        return self.tol - self.value
+
+    def __str__(self) -> str:
+        return f"{self.name} {self.value:.3e} {'<=' if self.passed else 'NOT <='} {self.tol:.3e}"
+
+    def to_json_dict(self) -> dict:
+        return {"name": self.name, "value": float(self.value), "tol": float(self.tol), "margin": float(self.margin),
+                "passed": self.passed}
+
+
+def failed(groups: dict) -> list:
+    """The one pass rule: names of the groups of checks that are empty or hold a failing record."""
+    return [name for name, checks in groups.items() if not checks or not all(c.passed for c in checks)]
 
 
 @dataclass(frozen=True)
 class CriterionResult:
     cid: int
     name: str
-    passed: bool
-    detail: str
+    checks: list
     seconds: float
+
+    @property
+    def passed(self) -> bool:
+        return not failed({self.cid: self.checks})
+
+    @property
+    def detail(self) -> str:
+        return "; ".join(str(c) for c in self.checks)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status}  C{self.cid:02d} {self.name} [{self.seconds:.2f}s] :: {self.detail}"
+
+    def to_json_dict(self) -> dict:
+        """The criterion's entry of ``acceptance_report.json``."""
+        checks = [c.to_json_dict() for c in self.checks]
+        return {"id": self.cid, "name": self.name, "passed": self.passed, "detail": self.detail,
+                "seconds": self.seconds, "checks": checks}
 
 
 def _sharp_curve(lam0: float, s: np.ndarray) -> np.ndarray:
@@ -75,66 +145,50 @@ def _lambda_series(traj, j: int = 1) -> np.ndarray:
     return np.array([sp.eigenvalues[j] for sp in traj.spectra])
 
 
-def _tol(key: str) -> str:
-    """A tolerance from the table as detail lines print it, e.g. ``1e-6``."""
-    mantissa, exponent = f"{VERIFY_TOLERANCES[key]:e}".split("e")
-    return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent)}"
-
-
-def check_bounds(traj: FlowTrajectory) -> dict:
+def check_bounds(traj: FlowTrajectory) -> list:
     """Largest excess of lambda_j over its comparison bound, j = 1..k."""
-    slack = VERIFY_TOLERANCES["bounds_slack"]
-    worst = -math.inf
+    excess = []
     for j in range(1, traj.bounds.shape[1] + 1):
         lam_j = _lambda_series(traj, j)
         finite = np.isfinite(traj.bounds[:, j - 1])
-        if not np.any(finite):
-            continue
-        worst = max(worst, float(np.max(lam_j[finite] - traj.bounds[finite, j - 1])))
-    return {"passed": worst <= slack, "max_excess": worst, "slack": slack}
+        if np.any(finite):
+            excess.append(np.max(lam_j[finite] - traj.bounds[finite, j - 1]))
+    worst = float(np.max(excess, initial=-math.inf))
+    return [Check("max bound excess", worst, VERIFY_TOLERANCES["bounds_slack"])]
 
 
-def check_functionals(traj: FlowTrajectory) -> dict:
-    """Evolution identities J' = J - 2D, I' = I - 2E and E' <= 0, plus the
-    volume and the scalars' zero means, along the tracked scalars."""
-    if not traj.series:
-        return {"passed": True, "note": "no tracked scalars"}
-    rep = functional_residuals(traj)
+def check_functionals(traj: FlowTrajectory) -> list:
+    """The weighted volume, and with tracked scalars the evolution identities
+    J' = J - 2D, I' = I - 2E and E' <= 0 and the scalars' zero means."""
     vol_drift = float(np.max(np.abs(traj.volumes / traj.volumes[0] - 1.0)))
+    volume = Check("volume drift", vol_drift, VERIFY_TOLERANCES["volume_drift_rel"])
+    if not traj.series:
+        return [volume]
+    rep = functional_residuals(traj)
     means = max(
         abs(traj.states[m].manifold.integrate(traj.scalar_values[m, i]))
         for m in range(len(traj.times))
         for i in range(traj.scalar_values.shape[1])
     )
-    passed = (
-        rep.max_rel_J <= VERIFY_TOLERANCES["functionals_rel"]
-        and rep.max_rel_I <= VERIFY_TOLERANCES["functionals_rel"]
-        and rep.energy_violation <= VERIFY_TOLERANCES["energy_violation_rel"] * rep.energy_scale
-        and vol_drift <= VERIFY_TOLERANCES["volume_drift_rel"]
-        and means <= VERIFY_TOLERANCES["mean_zero"]
-    )
-    return {
-        "passed": bool(passed),
-        "max_rel_J": rep.max_rel_J,
-        "max_rel_I": rep.max_rel_I,
-        "max_rel_E": rep.max_rel_E,
-        "max_rel_F": rep.max_rel_F,
-        "energy_violation": rep.energy_violation,
-        "volume_drift": vol_drift,
-        "max_scalar_mean": means,
-    }
+    return [
+        Check("rel J'", rep.max_rel_J, VERIFY_TOLERANCES["functionals_rel"]),
+        Check("rel I'", rep.max_rel_I, VERIFY_TOLERANCES["functionals_rel"]),
+        Check("E' violation", rep.energy_violation, VERIFY_TOLERANCES["energy_violation_rel"] * rep.energy_scale),
+        volume,
+        Check("scalar mean", means, VERIFY_TOLERANCES["mean_zero"]),
+    ]
 
 
-def check_commutator(traj: FlowTrajectory) -> dict:
+def check_commutator(traj: FlowTrajectory) -> list:
     """Worst commutator residual over the interior outputs (at least 3 outputs)."""
     worst = float(np.max(traj.residual_commutator[1:-1]))
-    return {"passed": worst <= VERIFY_TOLERANCES["commutator_rel"], "max_rel": worst}
+    return [Check("commutator", worst, VERIFY_TOLERANCES["commutator_rel"])]
 
 
-def check_bochner(dm, seed: int) -> dict:
+def check_bochner(dm, seed: int) -> list:
     """Drift Bochner identity on five seeded smooth fields over ``dm``."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    residuals = []
     for _ in range(5):
         u = np.zeros(dm.shape)
         for i, ax in enumerate(dm.axes):
@@ -148,58 +202,63 @@ def check_bochner(dm, seed: int) -> dict:
                 prof = sum(c * ax.nodes**p for p, c in enumerate(coef))
             u = u + dm.axis_profile(i, prof)
         lhs, rhs = bochner_sides(u, dm)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return {"passed": worst <= VERIFY_TOLERANCES["bochner_rel"], "max_rel": worst}
+        residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+    return [Check("bochner rel", float(np.max(residuals)), VERIFY_TOLERANCES["bochner_rel"])]
+
+
+def splitting_tolerances(backend: str) -> dict:
+    """The splitting certificate's tolerances on one backend, by residual."""
+    return {field: VERIFY_TOLERANCES[f"splitting_{field}_{backend}"] for field in _SPLITTING_FIELDS}
+
+
+def check_splitting(outcome, backend: str) -> list:
+    """Records of a splitting certificate at the backend's tolerances.
+
+    A hypothesis failure is one failing record of the violated hypothesis,
+    at the window that ``detect_splitting`` used.
+    """
+    if isinstance(outcome, SplittingHypothesisFailure):
+        if outcome.violated == "lambda_1(t1) >= 1/2":
+            # detect_splitting fails when lambda_1(t1) < 1/2 - window
+            return [Check("1/2 - window - lambda_1(t1)", (0.5 - outcome.window) - outcome.lambda_1_t1, 0.0)]
+        return [Check("|lambda_1(t0) - 1/2|", abs(outcome.lambda_cluster_t0 - 0.5), outcome.window)]
+    tol = splitting_tolerances(backend)
+    residuals = outcome.factor_eq_residuals
+    return [
+        Check("1 - k", 1.0 - outcome.k, 0.0),
+        Check("eigenvalue window", outcome.eigenvalue_window_deviation, tol["eigenvalue"]),
+        Check("hessian energy", float(np.max(outcome.hessian_energies, initial=0.0)), tol["hessian_energy"]),
+        Check("gradient gram", outcome.gradient_gram_deviation, tol["gradient"]),
+        Check("gradient norm", outcome.gradient_norm_deviation, tol["gradient"]),
+        Check("weight decomposition", outcome.weight_residual, tol["weight_decomposition"]),
+        Check("metric block", outcome.metric_residual, tol["metric_block"]),
+        Check("factor equation 1", residuals["check1"], tol["factor_equations"]),
+        Check("factor equation 2", residuals["check2"], tol["factor_equations"]),
+    ]
 
 
 def criterion_1_sharpness() -> CriterionResult:
     start = time.perf_counter()
-    errs = {}
-    ok = True
+    checks = []
     for backend, tol in (("analytic", 1e-8), ("galerkin", 1e-6)):
-        req = RunRequest(
-            family=scaled_gaussian_family(2.0, 1),
-            horizon=LOG2,
-            dt=1e-3,
-            cadence=10,
-            k=1,
-            backend=backend,
-            track_scalars=False,
-        )
+        req = RunRequest(family=scaled_gaussian_family(2.0, 1), horizon=LOG2, dt=1e-3, cadence=10, k=1,
+                         backend=backend, track_scalars=False)
         traj = run_flow(req)
         s = traj.times - traj.times[0]
         lam = _lambda_series(traj)
-        rel = float(np.max(np.abs(lam / _sharp_curve(0.25, s) - 1.0)))
-        errs[backend] = rel
-        ok = ok and rel <= tol
+        checks.append(Check(f"rel err {backend}", float(np.max(np.abs(lam / _sharp_curve(0.25, s) - 1.0))), tol))
     seconds = time.perf_counter() - start
-    ok = ok and seconds < 5.0
-    detail = f"rel err analytic {errs['analytic']:.2e} (tol 1e-8), galerkin {errs['galerkin']:.2e} (tol 1e-6)"
-    return CriterionResult(1, "sharp eigenvalue curve of the rescaled Gaussian", ok, detail, seconds)
+    checks.append(Check("seconds", seconds, math.nextafter(5.0, -math.inf)))
+    return CriterionResult(1, "sharp eigenvalue curve of the rescaled Gaussian", checks, seconds)
 
 
 def criterion_2_eternal() -> CriterionResult:
     start = time.perf_counter()
-    req = RunRequest(
-        family=scaled_gaussian_family(2.0, 1),
-        horizon=5.0,
-        dt=1e-3,
-        cadence=50,
-        k=1,
-        track_scalars=False,
-    )
-    traj = run_flow(req)
-    lam = _lambda_series(traj)
-    margin = float(np.min(0.5 - lam))
-    ok = bool(np.all(lam < 0.5) and margin >= 1e-3)
-    return CriterionResult(
-        2,
-        "eternal run stays strictly below 1/2",
-        ok,
-        f"min margin {margin:.4g} over horizon 5 (need >= 1e-3)",
-        time.perf_counter() - start,
-    )
+    req = RunRequest(family=scaled_gaussian_family(2.0, 1), horizon=5.0, dt=1e-3, cadence=50, k=1, track_scalars=False)
+    lam = _lambda_series(run_flow(req))
+    # lambda_1 stays at least 1e-3 below 1/2 over the whole horizon of 5
+    checks = [Check("max lambda_1 - 1/2", float(np.max(lam - 0.5)), -1e-3)]
+    return CriterionResult(2, "eternal run stays strictly below 1/2", checks, time.perf_counter() - start)
 
 
 def criterion_3_bound_compliance() -> CriterionResult:
@@ -211,49 +270,41 @@ def criterion_3_bound_compliance() -> CriterionResult:
         ("circle_a0.25", round_circle_family(0.25), 0.5, 2),
         ("circle_a1", round_circle_family(1.0), 0.5, 2),
         ("circle_a4", round_circle_family(4.0), 0.5, 2),
-        (
-            "product",
-            product_family([scaled_gaussian_family(1.0, 1), round_circle_family(4.0)]),
-            0.5,
-            3,
-        ),
+        ("product", product_family([scaled_gaussian_family(1.0, 1), round_circle_family(4.0)]), 0.5, 3),
     ]
-    worst = -math.inf
-    strict_margin = math.inf
-    circle1_err = 0.0
-    ok = True
+    excess = []
+    checks = []
     for name, family, horizon, k in scenarios:
         req = RunRequest(family=family, horizon=horizon, dt=1e-3, cadence=10, k=k, track_scalars=False)
         traj = run_flow(req)
-        bounds = check_bounds(traj)
-        worst = max(worst, bounds["max_excess"])
-        ok = ok and bounds["passed"]
+        excess.append(check_bounds(traj)[0].value)
         if name == "circle_a1":
             s = traj.times - traj.times[0]
             lam1 = _lambda_series(traj, 1)
-            circle1_err = float(np.max(np.abs(lam1 - np.exp(-s))))
             interior = s > 0
-            strict_margin = float(np.min(traj.bounds[interior, 0] - lam1[interior]))
-            ok = ok and circle1_err <= 1e-8 and strict_margin > 0.0
+            checks += [
+                Check("circle_a1 |lambda_1 - e^-t|", float(np.max(np.abs(lam1 - np.exp(-s)))), 1e-8),
+                # strictly below the bound after t = 0
+                Check(
+                    "circle_a1 lambda_1 - bound_1",
+                    float(np.max(lam1[interior] - traj.bounds[interior, 0])),
+                    math.nextafter(0.0, -math.inf),
+                ),
+            ]
     seconds = time.perf_counter() - start
-    ok = ok and seconds < 30.0
-    detail = (
-        f"max bound excess {worst:.2e} (slack {_tol('bounds_slack')}); "
-        f"circle_a1: |lambda_1 - e^-t| = {circle1_err:.2e}, strict margin {strict_margin:.4g}"
-    )
-    return CriterionResult(3, "eigenvalue bound compliance on all scenarios", ok, detail, seconds)
+    checks = [
+        Check("max bound excess", float(np.max(excess)), VERIFY_TOLERANCES["bounds_slack"]),
+        *checks,
+        Check("seconds", seconds, math.nextafter(30.0, -math.inf)),
+    ]
+    return CriterionResult(3, "eigenvalue bound compliance on all scenarios", checks, seconds)
 
 
 def criterion_4_evolution_identities() -> CriterionResult:
     start = time.perf_counter()
     req = RunRequest(family=round_circle_family(1.0), horizon=0.3, dt=1e-3, cadence=1, k=2)
-    c = check_functionals(run_flow(req))
-    detail = (
-        f"rel J' {c['max_rel_J']:.2e}, rel I' {c['max_rel_I']:.2e} (tol {_tol('functionals_rel')}); "
-        f"E' violation {c['energy_violation']:.2e}; volume drift {c['volume_drift']:.2e}; "
-        f"mean {c['max_scalar_mean']:.2e}"
-    )
-    return CriterionResult(4, "evolution identities on a circle run", c["passed"], detail, time.perf_counter() - start)
+    checks = check_functionals(run_flow(req))
+    return CriterionResult(4, "evolution identities on a circle run", checks, time.perf_counter() - start)
 
 
 def criterion_5_bochner() -> CriterionResult:
@@ -261,7 +312,7 @@ def criterion_5_bochner() -> CriterionResult:
     n = 256
     theta = 2.0 * math.pi * np.arange(n) / n
     rng = np.random.default_rng(0)
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         f = np.zeros(n)
         for kk in range(1, 4):
@@ -273,16 +324,13 @@ def criterion_5_bochner() -> CriterionResult:
             u += (2 * rng.random() - 1) * np.sin(kk * theta)
         dm = weighted_circle(n, a=1.0, f=lambda th, f=f: np.interp(th, theta, f, period=2 * math.pi))
         lhs, rhs = bochner_sides(u, dm)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        residuals.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     seconds = time.perf_counter() - start
-    ok = worst <= VERIFY_TOLERANCES["bochner_rel"] and seconds < 5.0
-    return CriterionResult(
-        5,
-        "drift Bochner identity on random weighted circles",
-        bool(ok),
-        f"worst rel residual {worst:.2e} over 20 seeded fields (tol {_tol('bochner_rel')})",
-        seconds,
-    )
+    checks = [
+        Check("worst rel residual of 20 seeded fields", float(np.max(residuals)), VERIFY_TOLERANCES["bochner_rel"]),
+        Check("seconds", seconds, math.nextafter(5.0, -math.inf)),
+    ]
+    return CriterionResult(5, "drift Bochner identity on random weighted circles", checks, seconds)
 
 
 def criterion_6_commutator() -> CriterionResult:
@@ -300,9 +348,8 @@ def criterion_6_commutator() -> CriterionResult:
     res_circle = max(
         commutator_residual(u, traj_c, idx) for idx in (1, len(traj_c.times) // 2, len(traj_c.times) - 2)
     )
-    ok = res_static <= 1e-12 and res_circle <= VERIFY_TOLERANCES["commutator_rel"]
-    detail = f"static {res_static:.2e} (tol 1e-12), circle {res_circle:.2e} (tol {_tol('commutator_rel')})"
-    return CriterionResult(6, "commutator of d/dt with the drift Laplacian", bool(ok), detail, time.perf_counter() - start)
+    checks = [Check("static", res_static, 1e-12), Check("circle", res_circle, VERIFY_TOLERANCES["commutator_rel"])]
+    return CriterionResult(6, "commutator of d/dt with the drift Laplacian", checks, time.perf_counter() - start)
 
 
 def criterion_7_comparison_suite() -> CriterionResult:
@@ -318,7 +365,6 @@ def criterion_7_comparison_suite() -> CriterionResult:
         ref = integrate_equality_ode(lam0, s, dt=dt)
         val = eigenvalue_bound(lam0, s)
         worst_agree = max(worst_agree, abs(val - ref) / max(abs(ref), 1.0))
-    ok = worst_agree <= 1e-10
 
     worst_semi = 0.0
     for lam0 in (0.05, 0.3, 0.5, 0.8, 1.5):
@@ -329,10 +375,6 @@ def criterion_7_comparison_suite() -> CriterionResult:
             two_step = eigenvalue_bound(eigenvalue_bound(lam0, s1), total - s1)
             one_step = eigenvalue_bound(lam0, total)
             worst_semi = max(worst_semi, abs(two_step - one_step))
-    ok = ok and worst_semi <= 1e-12
-
-    ok = ok and abs(blowup_horizon(1.0) - LOG2) <= 1e-12
-    ok = ok and all(logistic_envelope(1.0, s) == 1.0 for s in (0.0, 0.5, 3.0, 10.0))
 
     # 100 seeded damped logistic solutions must stay below the envelope.
     rng = np.random.default_rng(0)
@@ -360,74 +402,60 @@ def criterion_7_comparison_suite() -> CriterionResult:
                 break  # envelope is vacuous once h leaves the nonnegative regime
             if step % 10 == 9:
                 worst_env = max(worst_env, h - logistic_envelope(h0, t))
-    ok = ok and worst_env <= 1e-9
-    detail = (
-        f"bound vs RK4 {worst_agree:.2e} (tol 1e-10); semigroup {worst_semi:.2e} (tol 1e-12); "
-        f"envelope excess {worst_env:.2e} (tol 1e-9)"
-    )
-    return CriterionResult(7, "comparison suite for differential inequalities", bool(ok), detail, time.perf_counter() - start)
+    checks = [
+        Check("bound vs RK4", worst_agree, 1e-10),
+        Check("semigroup", worst_semi, 1e-12),
+        Check("|blowup_horizon(1) - log 2|", abs(blowup_horizon(1.0) - LOG2), 1e-12),
+        Check(
+            "max |logistic_envelope(1, s) - 1|",
+            float(np.max([abs(logistic_envelope(1.0, s) - 1.0) for s in (0.0, 0.5, 3.0, 10.0)])),
+            0.0,
+        ),
+        Check("envelope excess", worst_env, 1e-9),
+    ]
+    return CriterionResult(7, "comparison suite for differential inequalities", checks, time.perf_counter() - start)
 
 
 def criterion_8_gram_derivative() -> CriterionResult:
     start = time.perf_counter()
     req = RunRequest(family=scaled_gaussian_family(2.0, 1), horizon=5e-3, dt=1e-3, cadence=1, k=1)
     traj = run_flow(req)
-    a11 = traj.mixing[:, 0, 0]
-    deriv = traj.time_derivative(a11)[0]
-    err_moving = abs(deriv - (-0.25))
+    deriv = traj.time_derivative(traj.mixing[:, 0, 0])[0]
 
     req_s = RunRequest(family=scaled_gaussian_family(1.0, 1), horizon=5e-3, dt=1e-3, cadence=1, k=1)
     traj_s = run_flow(req_s)
     deriv_s = traj_s.time_derivative(traj_s.mixing[:, 0, 0])[0]
 
-    ok = err_moving <= 1e-4 and abs(deriv_s) <= 1e-10
-    detail = f"a11'(0) = {deriv:.8f} (want -1/4 within 1e-4); static {deriv_s:.2e} (tol 1e-10)"
-    return CriterionResult(8, "Gram-Schmidt diagonal drift rate", bool(ok), detail, time.perf_counter() - start)
+    checks = [Check("|a11'(0) + 1/4|", abs(deriv - (-0.25)), 1e-4), Check("static |a11'(0)|", abs(deriv_s), 1e-10)]
+    return CriterionResult(8, "Gram-Schmidt diagonal drift rate", checks, time.perf_counter() - start)
 
 
 def criterion_9_splitting() -> CriterionResult:
     start = time.perf_counter()
+    window = splitting_tolerances("galerkin")["eigenvalue"]
     fam = product_family([scaled_gaussian_family(1.0, 1), round_circle_family(0.25)])
     req = RunRequest(family=fam, horizon=0.2, dt=1e-3, cadence=20, k=3, track_scalars=False)
     traj = run_flow(req)
-    cert = detect_splitting(traj, traj.times[0], traj.times[-1])
-    ok = isinstance(cert, SplittingCertificate) and cert.valid
-    detail_parts = []
-    if isinstance(cert, SplittingCertificate):
-        ok = (
-            ok
-            and abs(cert.lambda_cluster_t0 - 0.5) <= 1e-8
-            and cert.eigenvalue_window_deviation <= 1e-8
-            and float(np.max(cert.hessian_energies)) <= 1e-10
-            and cert.gradient_norm_deviation <= 1e-8
-            and cert.weight_residual <= 1e-8
-        )
-        detail_parts.append(
-            f"cert k={cert.k} valid={cert.valid}, hess {float(np.max(cert.hessian_energies)):.1e}, "
-            f"grad {cert.gradient_norm_deviation:.1e}, f-res {cert.weight_residual:.1e}"
-        )
-    else:
-        detail_parts.append(f"no certificate: {cert.message}")
+    cert = detect_splitting(traj, traj.times[0], traj.times[-1], window)
+    # The exact product meets tighter tolerances than the backend's; the
+    # window deviation also covers the cluster's own distance from 1/2 at t0.
+    tight = {"eigenvalue window": 1e-8, "hessian energy": 1e-10, "gradient norm": 1e-8, "weight decomposition": 1e-8}
+    checks = [replace(c, tol=min(c.tol, tight.get(c.name, c.tol))) for c in check_splitting(cert, "galerkin")]
 
     for name, family in (("gauss_u2", scaled_gaussian_family(2.0, 1)), ("circle_a4", round_circle_family(4.0))):
         t = run_flow(RunRequest(family=family, horizon=0.1, dt=1e-3, cadence=10, k=2, track_scalars=False))
-        outcome = detect_splitting(t, t.times[0], t.times[-1])
-        good = isinstance(outcome, SplittingHypothesisFailure)
-        ok = ok and good
-        detail_parts.append(f"{name}: {'failure report' if good else 'unexpected certificate'}")
-    return CriterionResult(9, "splitting certificate and negative controls", bool(ok), "; ".join(detail_parts), time.perf_counter() - start)
+        outcome = detect_splitting(t, t.times[0], t.times[-1], window)
+        checks.append(Check(f"{name} certificates", float(isinstance(outcome, SplittingCertificate)), 0.0))
+    return CriterionResult(9, "splitting certificate and negative controls", checks, time.perf_counter() - start)
 
 
 def criterion_10_spectral_correctness() -> CriterionResult:
     start = time.perf_counter()
-    ok = True
-    gauss_exact = True
+    gauss_devs = []
     for a in (0.25, 0.5, 1.0, 2.0, 4.0):
         dm = gaussian_line(a, order=8)
         res = lowest_eigenpairs(assemble_forms(dm), 6)
-        expected = np.arange(7) / (2.0 * a)
-        gauss_exact = gauss_exact and np.array_equal(res.eigenvalues, expected)
-    ok = ok and gauss_exact
+        gauss_devs.append(np.max(np.abs(res.eigenvalues - np.arange(7) / (2.0 * a))))
 
     worst_circle = 0.0
     for a in (0.25, 1.0, 4.0):
@@ -438,9 +466,11 @@ def criterion_10_spectral_correctness() -> CriterionResult:
         worst_circle = max(worst_circle, float(np.max(np.abs(res.eigenvalues - expected))))
         dense = dense_spectrum(forms)[:7]
         worst_circle = max(worst_circle, float(np.max(np.abs(res.eigenvalues - dense))))
-    ok = ok and worst_circle <= 1e-10
-    detail = f"gaussian multiples exact: {gauss_exact}; circle worst dev {worst_circle:.2e} (tol 1e-10)"
-    return CriterionResult(10, "spectra on analytic backends", bool(ok), detail, time.perf_counter() - start)
+    checks = [
+        Check("gaussian |lambda_j - j/(2a)|", float(np.max(gauss_devs)), 0.0),
+        Check("circle worst dev", worst_circle, 1e-10),
+    ]
+    return CriterionResult(10, "spectra on analytic backends", checks, time.perf_counter() - start)
 
 
 CRITERIA = [

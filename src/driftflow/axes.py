@@ -176,6 +176,11 @@ class CircleAxis:
     def d2_vec(self, values: np.ndarray) -> np.ndarray:
         return _spectral(self._ops["k2"], values - values[0])
 
+    @functools.cached_property
+    def hess_f(self) -> np.ndarray:
+        """Hess f in theta coordinates: f'' - Gamma f'."""
+        return self.d2_vec(self.f) - self.christoffel * self.fprime
+
     def _stag(self, values: np.ndarray) -> np.ndarray:
         """Trigonometric interpolant of node values at theta_j + pi/n."""
         return values[0] + _spectral(self._ops["stag"], values - values[0])

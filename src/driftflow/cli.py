@@ -62,8 +62,11 @@ def _cmd_run(args) -> int:
         return _fail(kind, str(exc), code)
     failed = result.failed
     print(f"{config.name}: wrote {len(result.files)} files to {result.out_dir}")
-    for name in result.verifications:
+    for name, checks in result.verifications.items():
         print(f"  verify {name}: {'FAILED' if name in failed else 'ok'}")
+        for check in checks:
+            if not check.passed:
+                print(f"    {check}")
     if failed and args.strict:
         return _fail("verification", f"checks failed: {', '.join(failed)}", EXIT_VERIFICATION)
     return EXIT_OK
@@ -164,36 +167,38 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .acceptance import run_all
+    from .acceptance import failed, run_all
 
     results = run_all(verbose=True)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        payload = [
-            {
-                "id": r.cid,
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "seconds": r.seconds,
-            }
-            for r in results
-        ]
         with open(os.path.join(args.out, "acceptance_report.json"), "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump([r.to_json_dict() for r in results], fh, indent=2, sort_keys=True)
             fh.write("\n")
-    failed = [r for r in results if not r.passed]
-    if failed:
-        return _fail(
-            "verification",
-            f"{len(failed)} acceptance criteria failed: {', '.join('C%d' % r.cid for r in failed)}",
-            EXIT_VERIFICATION,
-        )
+    bad = failed({f"C{r.cid}": r.checks for r in results})
+    if bad:
+        return _fail("verification", f"{len(bad)} acceptance criteria failed: {', '.join(bad)}", EXIT_VERIFICATION)
     print(f"all {len(results)} acceptance criteria passed")
     return EXIT_OK
 
 
+def _manifest_checks(manifest: dict) -> dict:
+    """The manifest's verification records by check; an entry that does not
+    read as records counts as empty, and so fails."""
+    from .acceptance import Check
+
+    groups = {}
+    for name, records in manifest.get("verifications", {}).items():
+        try:
+            groups[name] = [Check(str(r["name"]), float(r["value"]), float(r["tol"])) for r in records]
+        except (KeyError, TypeError, ValueError):
+            groups[name] = []
+    return groups
+
+
 def _cmd_report(args) -> int:
+    from .acceptance import failed
+
     rows = []
     for root, _dirs, files in os.walk(args.dir):
         if "manifest.json" not in files:
@@ -203,8 +208,7 @@ def _cmd_report(args) -> int:
                 manifest = json.load(fh)
         except (OSError, json.JSONDecodeError):
             continue
-        checks = manifest.get("verifications", {})
-        status = "ok" if all(v.get("passed", True) for v in checks.values()) else "FAILED"
+        status = "FAILED" if failed(_manifest_checks(manifest)) else "ok"
         rows.append((manifest.get("name", "?"), manifest.get("config_hash", "?"), manifest.get("outputs", 0), status))
     if not rows:
         return _fail("config", f"no run manifests found under {args.dir}", EXIT_CONFIG)

@@ -770,9 +770,8 @@ def flow_equation_residual(family, t: float, dt: float, resolution: int = 64, he
             prev_ax, next_ax = dms[0].axes[i], dms[2].axes[i]
             a_dot = (next_ax.a - prev_ax.a) / (2.0 * dt)
             f_dot = (next_ax.f - prev_ax.f) / (2.0 * dt)
-            hess_f = ax.d2_vec(ax.f) - ax.christoffel * ax.fprime
-            metric_res = max(metric_res, float(np.max(np.abs(a_dot - (ax.a - 2.0 * hess_f)))))
-            weight_res = max(weight_res, float(np.max(np.abs(f_dot - (0.5 - hess_f / ax.a)))))
+            metric_res = max(metric_res, float(np.max(np.abs(a_dot - (ax.a - 2.0 * ax.hess_f)))))
+            weight_res = max(weight_res, float(np.max(np.abs(f_dot - (0.5 - ax.hess_f / ax.a)))))
         else:
             a_dot = (dms[2].axes[i].scale - dms[0].axes[i].scale) / (2.0 * dt)
             f_dot = (dms[2].axes[i].f - dms[0].axes[i].f) / (2.0 * dt)

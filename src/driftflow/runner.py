@@ -1,12 +1,13 @@
 """Scenario execution: run the flow and its checks, then write reproducible artifacts.
 
-The checks and their tolerance table live in ``acceptance``, which
-``driftflow verify`` also runs; this module only records their results.
-Every run writes a trajectory CSV, a bound-overlay CSV, a spectra JSON, an
-optional splitting certificate, and a manifest that references every
-emitted file and records the config hash, the tolerance table, the check
-results and one oracle report per distinct starting eigenvalue.  Files are
-written only after every check has run.  CSV numeric content is formatted
+The checks, their tolerance table and the pass rule live in ``acceptance``,
+which ``driftflow verify`` also runs; this module only records their
+results.  Every run writes a trajectory CSV, a bound-overlay CSV, a spectra
+JSON, an optional splitting certificate, and a manifest that references
+every emitted file and records the config hash, the tolerance table, each
+check's (name, value, tol, margin, passed) records under ``verifications``,
+and one oracle report per distinct starting eigenvalue.  Files are written
+only after every check has run.  CSV numeric content is formatted
 with 17 significant digits and newline endings, so re-running an identical
 config reproduces the bytes.
 """
@@ -20,13 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .acceptance import VERIFY_TOLERANCES, check_bochner, check_bounds, check_commutator, check_functionals
+from .acceptance import (
+    VERIFY_TOLERANCES, check_bochner, check_bounds, check_commutator, check_functionals, check_splitting, failed,
+    splitting_tolerances,
+)
 from .comparison import eigenvalue_bound
 from .config import ScenarioConfig
 from .errors import HorizonError
 from .flow import FlowTrajectory, run_flow
 from .oracles import OracleReport, integrate_equality_ode
-from .splitting import SplittingCertificate, detect_splitting
+from .splitting import detect_splitting
 
 __all__ = ["execute", "RunResult"]
 
@@ -46,7 +50,7 @@ class RunResult:
     @property
     def failed(self) -> list:
         """Names of the checks that did not pass."""
-        return [name for name, v in self.verifications.items() if not v["passed"]]
+        return failed(self.verifications)
 
 
 def _write_trajectory_csv(path: str, traj: FlowTrajectory, k: int) -> None:
@@ -87,24 +91,15 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _splitting(config: ScenarioConfig, traj: FlowTrajectory) -> tuple[dict, dict]:
-    """The certificate payload and the verification entry of the splitting check."""
+def _splitting(config: ScenarioConfig, traj: FlowTrajectory) -> tuple[dict, list]:
+    """The certificate payload and the records of the splitting check."""
     t0 = config.splitting_t0 if config.splitting_t0 is not None else traj.times[0]
     t1 = config.splitting_t1 if config.splitting_t1 is not None else traj.times[-1]
-    outcome = detect_splitting(traj, t0, t1)
-    if isinstance(outcome, SplittingCertificate):
-        return outcome.to_json_dict(), {"passed": outcome.valid, "k": outcome.k}
-    payload = {
-        "k": 0,
-        "valid": False,
-        "hypothesis_failure": {
-            "violated": outcome.violated,
-            "lambda_cluster_t0": outcome.lambda_cluster_t0,
-            "lambda_1_t1": outcome.lambda_1_t1,
-            "message": outcome.message,
-        },
-    }
-    return payload, {"passed": False, "failure": outcome.violated}
+    tolerances = splitting_tolerances(config.backend)
+    outcome = detect_splitting(traj, t0, t1, tolerances["eigenvalue"])
+    checks = check_splitting(outcome, config.backend)
+    payload = dict(outcome.to_json_dict(), valid=not failed({"splitting": checks}), tolerances=tolerances)
+    return payload, checks
 
 
 def _oracle_reports(traj: FlowTrajectory, k: int) -> list:
@@ -165,7 +160,7 @@ def execute(config: ScenarioConfig, out_root: str | None = None) -> RunResult:
         "driftflow_version": __version__,
         "tolerances": VERIFY_TOLERANCES,
         "files": files,
-        "verifications": verifications,
+        "verifications": {name: [c.to_json_dict() for c in checks] for name, checks in verifications.items()},
         "oracle_reports": oracle_reports,
         "outputs": len(traj.times),
     }

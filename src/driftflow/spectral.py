@@ -156,8 +156,7 @@ def soliton_defect_profiles(dm: DiscreteWeightedManifold) -> list:
     profiles = []
     for ax in dm.axes:
         if ax.kind == "circle":
-            hess_f = ax.d2_vec(ax.f) - ax.christoffel * ax.fprime
-            profiles.append(0.5 * ax.a - hess_f)
+            profiles.append(0.5 * ax.a - ax.hess_f)
         else:
             # Hess of x^2/4 is 1/2; the log-constant part is spatially flat.
             profiles.append(np.full(ax.size, 0.5 * ax.a - 0.5))

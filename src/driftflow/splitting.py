@@ -7,11 +7,15 @@ consequences of that rigidity instead of reconstructing the complement
 factor: vanishing Hessian energy of the direction fields, orthonormal
 parallel gradients, the weight decomposition f = f_N + (1/4) sum u_i^2, and
 the reduced factor equations.
+
+This module only measures.  The caller passes the window around 1/2 in
+which eigenvalues count as 1/2; ``acceptance.check_splitting`` turns a
+certificate, or the hypothesis that blocked one, into (value, tol) records
+at the tolerances of ``acceptance.VERIFY_TOLERANCES``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,28 +26,11 @@ from .flow import FlowState, FlowTrajectory
 from .spectral import gradient_inner, hessian_norm_sq, partials
 
 __all__ = [
-    "SplittingTolerances",
     "SplittingCertificate",
     "SplittingHypothesisFailure",
     "detect_splitting",
     "certificate_residuals",
 ]
-
-
-@dataclass(frozen=True)
-class SplittingTolerances:
-    eigenvalue: float
-    hessian_energy: float
-    gradient: float
-    weight_decomposition: float
-    metric_block: float
-    factor_equations: float
-
-    @classmethod
-    def for_backend(cls, backend: str) -> "SplittingTolerances":
-        if backend == "analytic":
-            return cls(1e-8, 1e-10, 1e-8, 1e-8, 1e-8, 1e-8)
-        return cls(1e-5, 1e-6, 1e-6, 1e-6, 1e-6, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -53,10 +40,22 @@ class SplittingHypothesisFailure:
     violated: str
     lambda_cluster_t0: float
     lambda_1_t1: float
+    window: float
     message: str
 
     def __bool__(self) -> bool:
         return False
+
+    def to_json_dict(self) -> dict:
+        return {
+            "k": 0,
+            "hypothesis_failure": {
+                "violated": self.violated,
+                "lambda_cluster_t0": self.lambda_cluster_t0,
+                "lambda_1_t1": self.lambda_1_t1,
+                "message": self.message,
+            },
+        }
 
 
 @dataclass
@@ -75,22 +74,6 @@ class SplittingCertificate:
     eigenvalue_window_deviation: float
     lambda_cluster_t0: float
     lambda_1_t1: float
-    tolerances: SplittingTolerances
-
-    @property
-    def valid(self) -> bool:
-        tol = self.tolerances
-        return bool(
-            self.k >= 1
-            and self.eigenvalue_window_deviation <= tol.eigenvalue
-            and np.all(self.hessian_energies <= tol.hessian_energy)
-            and self.gradient_gram_deviation <= tol.gradient
-            and self.gradient_norm_deviation <= tol.gradient
-            and self.weight_residual <= tol.weight_decomposition
-            and self.metric_residual <= tol.metric_block
-            and self.factor_eq_residuals["check1"] <= tol.factor_equations
-            and self.factor_eq_residuals["check2"] <= tol.factor_equations
-        )
 
     def __bool__(self) -> bool:
         return True
@@ -98,7 +81,6 @@ class SplittingCertificate:
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
-            "valid": self.valid,
             "hypotheses": {
                 "lambda_cluster_t0": self.lambda_cluster_t0,
                 "lambda_1_t1": self.lambda_1_t1,
@@ -114,25 +96,7 @@ class SplittingCertificate:
                 "factor_equation_2": self.factor_eq_residuals["check2"],
                 "eigenvalue_window_deviation": self.eigenvalue_window_deviation,
             },
-            "tolerances": {
-                "eigenvalue": self.tolerances.eigenvalue,
-                "hessian_energy": self.tolerances.hessian_energy,
-                "gradient": self.tolerances.gradient,
-                "weight_decomposition": self.tolerances.weight_decomposition,
-                "metric_block": self.tolerances.metric_block,
-                "factor_equations": self.tolerances.factor_equations,
-            },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-
-def _axis_hessian_f(dm, i):
-    ax = dm.axes[i]
-    if ax.kind == "circle":
-        return ax.d2_vec(ax.f) - ax.christoffel * ax.fprime
-    return np.full(ax.size, 0.5)
 
 
 def _split_axes(dm, grads):
@@ -219,7 +183,7 @@ def certificate_residuals(cert: SplittingCertificate, state: FlowState) -> dict:
     check1 = 0.0
     dq = partials(dm, quarter_sq)
     for i, ax in enumerate(dm.axes):
-        hess_f = dm.axis_profile(i, _axis_hessian_f(dm, i))
+        hess_f = dm.axis_profile(i, ax.hess_f if ax.kind == "circle" else np.full(ax.size, 0.5))
         gamma = dm.axis_profile(i, ax.christoffel)
         hess_q = ax.d2(quarter_sq, i) - gamma * dq[i]
         a = dm.axis_profile(i, ax.a)
@@ -250,38 +214,38 @@ def certificate_residuals(cert: SplittingCertificate, state: FlowState) -> dict:
     }
 
 
-def detect_splitting(traj: FlowTrajectory, t0: float, t1: float, tol: SplittingTolerances | None = None):
+def detect_splitting(traj: FlowTrajectory, t0: float, t1: float, window: float):
     """Build a splitting certificate from the eigenvalue-1/2 cluster.
 
-    Requires recorded spectra at both times; returns a
-    SplittingHypothesisFailure naming the violated hypothesis when the
-    eigenvalue conditions do not hold.
+    An eigenvalue within ``window`` of 1/2 counts as 1/2.  Requires recorded
+    spectra at both times; returns a SplittingHypothesisFailure naming the
+    violated hypothesis when the eigenvalue conditions do not hold.
     """
     if t1 <= t0:
         raise UsageError("need t0 < t1 inside the trajectory")
     if not traj.spectra:
         raise UsageError("trajectory carries no spectra")
-    if tol is None:
-        tol = SplittingTolerances.for_backend(traj.request.backend)
     i0 = traj.index_at(t0)
     i1 = traj.index_at(t1)
 
     lam0 = traj.spectra[i0].eigenvalues
     lam1 = traj.spectra[i1].eigenvalues
-    cluster = [i for i in range(1, len(lam0)) if abs(lam0[i] - 0.5) <= tol.eigenvalue]
+    cluster = [i for i in range(1, len(lam0)) if abs(lam0[i] - 0.5) <= window]
     if not cluster:
         nearest = float(lam0[1]) if len(lam0) > 1 else math.nan
         return SplittingHypothesisFailure(
             violated="lambda_k(t0) = 1/2",
             lambda_cluster_t0=nearest,
             lambda_1_t1=float(lam1[1]),
-            message=f"no eigenvalue within {tol.eigenvalue:g} of 1/2 at t0 (lambda_1 = {nearest:.6g})",
+            window=window,
+            message=f"no eigenvalue within {window:g} of 1/2 at t0 (lambda_1 = {nearest:.6g})",
         )
-    if lam1[1] < 0.5 - tol.eigenvalue:
+    if lam1[1] < 0.5 - window:
         return SplittingHypothesisFailure(
             violated="lambda_1(t1) >= 1/2",
             lambda_cluster_t0=float(lam0[cluster[-1]]),
             lambda_1_t1=float(lam1[1]),
+            window=window,
             message=f"lambda_1(t1) = {lam1[1]:.6g} dropped below 1/2",
         )
 
@@ -315,7 +279,6 @@ def detect_splitting(traj: FlowTrajectory, t0: float, t1: float, tol: SplittingT
         eigenvalue_window_deviation=window_dev,
         lambda_cluster_t0=float(lam0[cluster[-1]]),
         lambda_1_t1=float(lam1[1]),
-        tolerances=tol,
     )
     worst = {}
     for state in (traj.states[i0], traj.states[i1]):

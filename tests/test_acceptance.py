@@ -1,60 +1,131 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
+The ten criteria run once, through ``driftflow verify --out``, and each test
+reads its criterion's entry of the ``acceptance_report.json`` that writes.
 Run with ``pytest -s tests/test_acceptance.py`` to see the PASS/FAIL lines,
 or ``driftflow verify`` for the same suite outside pytest.
 """
 
+import json
+import math
+
 import pytest
 
 from driftflow import acceptance
+from driftflow.cli import main
+from driftflow.flow import RunRequest, run_flow
+from driftflow.geometry import product_family, round_circle_family, scaled_gaussian_family
+from driftflow.splitting import detect_splitting
 
 
-def _check(fn):
-    result = fn()
-    print(result.line())
-    assert result.passed, result.detail
-    return result
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("verify")
+    main(["verify", "--out", str(out)])
+    return {entry["id"]: entry for entry in json.loads((out / "acceptance_report.json").read_text())}
 
 
-def test_c01_sharpness():
-    _check(acceptance.criterion_1_sharpness)
+def _check(report, cid):
+    entry = report[cid]
+    assert entry["passed"], entry["detail"]
 
 
-def test_c02_eternal_below_half():
-    _check(acceptance.criterion_2_eternal)
+def test_c01_sharpness(report):
+    _check(report, 1)
 
 
-def test_c03_bound_compliance():
-    _check(acceptance.criterion_3_bound_compliance)
+def test_c02_eternal_below_half(report):
+    _check(report, 2)
 
 
-def test_c04_evolution_identities():
-    _check(acceptance.criterion_4_evolution_identities)
+def test_c03_bound_compliance(report):
+    _check(report, 3)
 
 
-def test_c05_bochner_identity():
-    _check(acceptance.criterion_5_bochner)
+def test_c04_evolution_identities(report):
+    _check(report, 4)
 
 
-def test_c06_commutator():
-    _check(acceptance.criterion_6_commutator)
+def test_c05_bochner_identity(report):
+    _check(report, 5)
 
 
-def test_c07_comparison_suite():
-    _check(acceptance.criterion_7_comparison_suite)
+def test_c06_commutator(report):
+    _check(report, 6)
 
 
-def test_c08_gram_schmidt_derivative():
-    _check(acceptance.criterion_8_gram_derivative)
+def test_c07_comparison_suite(report):
+    _check(report, 7)
 
 
-def test_c09_splitting():
-    _check(acceptance.criterion_9_splitting)
+def test_c08_gram_schmidt_derivative(report):
+    _check(report, 8)
 
 
-def test_c10_spectral_correctness():
-    _check(acceptance.criterion_10_spectral_correctness)
+def test_c09_splitting(report):
+    _check(report, 9)
 
 
-def test_every_criterion_is_covered():
+def test_c10_spectral_correctness(report):
+    _check(report, 10)
+
+
+def test_every_criterion_is_covered(report):
     assert len(acceptance.CRITERIA) == 10
+    assert sorted(report) == list(range(1, 11))
+
+
+def test_report_records_follow_the_one_rule(report):
+    for entry in report.values():
+        assert entry["checks"]
+        for record in entry["checks"]:
+            assert record["passed"] == (record["value"] <= record["tol"])
+            assert record["margin"] == record["tol"] - record["value"]
+        assert entry["passed"] == all(record["passed"] for record in entry["checks"])
+        assert set(entry) == {"id", "name", "passed", "detail", "seconds", "checks"}
+
+
+@pytest.mark.parametrize(
+    "value, tol, passed",
+    [
+        (math.nan, 1.0, False),
+        (1e-6, 1e-6, True),
+        (2e-6, 1e-6, False),
+        (-math.inf, 1e-6, True),
+        # a strict "< 0", as C03's strict margin: exactly 0 fails, the next float below passes
+        (0.0, math.nextafter(0.0, -math.inf), False),
+        (-5e-324, math.nextafter(0.0, -math.inf), True),
+    ],
+)
+def test_check_passes_exactly_when_value_is_at_most_tol(value, tol, passed):
+    check = acceptance.Check("x", value, tol)
+    assert check.passed is passed
+    assert acceptance.failed({"group": [check]}) == ([] if passed else ["group"])
+
+
+def test_an_empty_group_fails():
+    assert acceptance.failed({"empty": [], "full": [acceptance.Check("x", 0.0, 0.0)]}) == ["empty"]
+
+
+def test_every_tolerance_is_read_by_a_check(monkeypatch):
+    windows = {backend: acceptance.splitting_tolerances(backend)["eigenvalue"] for backend in ("galerkin", "analytic")}
+    read = set()
+
+    class Tracking(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(acceptance, "VERIFY_TOLERANCES", Tracking(acceptance.VERIFY_TOLERANCES))
+    family = product_family([scaled_gaussian_family(1.0, 1), round_circle_family(0.25)])
+    for backend, window in windows.items():
+        traj = run_flow(RunRequest(family=family, horizon=0.01, dt=1e-3, cadence=5, k=3, backend=backend))
+        checks = (
+            acceptance.check_bounds(traj)
+            + acceptance.check_functionals(traj)
+            + acceptance.check_commutator(traj)
+            + acceptance.check_bochner(traj.states[0].manifold, 0)
+            + acceptance.check_splitting(detect_splitting(traj, traj.times[0], traj.times[-1], window), backend)
+        )
+        assert not acceptance.failed({backend: checks})
+    assert read == set(acceptance.VERIFY_TOLERANCES)

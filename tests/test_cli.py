@@ -204,6 +204,7 @@ class TestRunCommand:
         cert = json.loads((out / "split" / "certificate.json").read_text())
         assert cert["valid"] is True
         assert cert["k"] == 1
+        assert cert["tolerances"] == acceptance.splitting_tolerances("galerkin")
 
     def test_splitting_negative_control_fails_strict(self, tmp_path, capsys):
         cfg = _write_config(
@@ -268,13 +269,19 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
         manifest = json.loads((out / "ps" / "manifest.json").read_text())
-        assert manifest["verifications"]["bochner"]["max_rel"] <= 1e-8
+        [bochner] = manifest["verifications"]["bochner"]
+        assert bochner["value"] <= 1e-8 and bochner["tol"] == 1e-8 and bochner["passed"] is True
         assert manifest["tolerances"] == acceptance.VERIFY_TOLERANCES
         assert [r["inputs_digest"] for r in manifest["oracle_reports"]] == ["0c65d4f9caff289f", "c70b95db7a01a0ee"]
 
     def test_functionals_without_scalars_need_no_outputs(self, tmp_path):
+        # without scalars the volume drift is the one functionals check
         cfg = _write_config(tmp_path / "one.json", name="one", horizon=0.0, check_functionals=True)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--strict"]) == 0
+        manifest = json.loads((tmp_path / "out" / "one" / "manifest.json").read_text())
+        [record] = manifest["verifications"]["functionals"]
+        assert record["name"] == "volume drift" and record["passed"] is True
+        assert record["value"] <= record["tol"] == acceptance.VERIFY_TOLERANCES["volume_drift_rel"]
 
 
 class TestSweepAndReport:
@@ -322,6 +329,22 @@ class TestSweepAndReport:
         cfg = _write_config(tmp_path / "base.json")
         assert main(["sweep", "--config", str(cfg), "--grid", "nope=1,2"]) == 2
         assert "grid keys" in capsys.readouterr().err
+
+    def test_report_status_column(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(_write_config(tmp_path / "good.json", name="good", horizon=0.05)),
+                     "--out", str(out)]) == 0
+        nosplit = _write_config(tmp_path / "nosplit.json", name="nosplit", horizon=0.05, check_splitting=True)
+        assert main(["run", "--config", str(nosplit), "--out", str(out)]) == 0  # fails its check, not --strict
+        manifest = json.loads((out / "good" / "manifest.json").read_text())
+        manifest["name"] = "norecords"
+        manifest["verifications"]["splitting"] = []
+        (out / "norecords").mkdir()
+        (out / "norecords" / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["report", "--dir", str(out)]) == 0
+        status = {line.split()[0]: line.split()[-1] for line in capsys.readouterr().out.splitlines()[1:]}
+        assert status == {"good": "ok", "nosplit": "FAILED", "norecords": "FAILED"}
 
     def test_report_empty_dir(self, tmp_path, capsys):
         assert main(["report", "--dir", str(tmp_path)]) == 2

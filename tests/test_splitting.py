@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import driftflow as df
+from driftflow import acceptance
 from driftflow.errors import UsageError
 from driftflow.flow import RunRequest
-from driftflow.splitting import SplittingTolerances
+
+WINDOW = acceptance.splitting_tolerances("galerkin")["eigenvalue"]
 
 
 @pytest.fixture(scope="module")
@@ -18,14 +20,14 @@ def product_traj():
 
 @pytest.fixture(scope="module")
 def product_cert(product_traj):
-    return df.detect_splitting(product_traj, product_traj.times[0], product_traj.times[-1])
+    return df.detect_splitting(product_traj, product_traj.times[0], product_traj.times[-1], WINDOW)
 
 
 class TestDetection:
     def test_certificate_fires_and_is_valid(self, product_cert):
         assert isinstance(product_cert, df.SplittingCertificate)
         assert product_cert.k == 1
-        assert product_cert.valid
+        assert not acceptance.failed({"splitting": acceptance.check_splitting(product_cert, "galerkin")})
 
     def test_residuals_are_tiny_on_exact_product(self, product_cert):
         assert float(np.max(product_cert.hessian_energies)) < 1e-9
@@ -48,22 +50,37 @@ class TestDetection:
             RunRequest(family=df.scaled_gaussian_family(2.0, 1), horizon=0.05, dt=1e-3,
                        cadence=10, k=2, track_scalars=False)
         )
-        out = df.detect_splitting(traj, traj.times[0], traj.times[-1])
+        out = df.detect_splitting(traj, traj.times[0], traj.times[-1], WINDOW)
         assert isinstance(out, df.SplittingHypothesisFailure)
         assert not out
+        assert acceptance.failed({"splitting": acceptance.check_splitting(out, "galerkin")}) == ["splitting"]
 
     def test_negative_control_circle(self):
         traj = df.run_flow(
             RunRequest(family=df.round_circle_family(4.0), horizon=0.05, dt=1e-3,
                        cadence=10, k=2, track_scalars=False)
         )
-        out = df.detect_splitting(traj, traj.times[0], traj.times[-1])
+        out = df.detect_splitting(traj, traj.times[0], traj.times[-1], WINDOW)
         assert isinstance(out, df.SplittingHypothesisFailure)
         assert out.violated == "lambda_k(t0) = 1/2"
+        [check] = acceptance.check_splitting(out, "galerkin")
+        assert check.value == abs(out.lambda_cluster_t0 - 0.5) and check.tol == WINDOW and not check.passed
+
+    def test_lambda_1_dropping_below_half_is_one_failing_record(self):
+        # lambda_1 = e^-t / 2 on the round circle with a0 = 2: at 1/2 only at t = 0
+        traj = df.run_flow(
+            RunRequest(family=df.round_circle_family(2.0), horizon=0.05, dt=1e-3,
+                       cadence=10, k=2, track_scalars=False)
+        )
+        out = df.detect_splitting(traj, traj.times[0], traj.times[-1], WINDOW)
+        assert out.violated == "lambda_1(t1) >= 1/2"
+        [check] = acceptance.check_splitting(out, "galerkin")
+        assert not check.passed
+        assert check.margin == pytest.approx(out.lambda_1_t1 - (0.5 - WINDOW))
 
     def test_window_ordering_checked(self, product_traj):
         with pytest.raises(UsageError):
-            df.detect_splitting(product_traj, product_traj.times[-1], product_traj.times[0])
+            df.detect_splitting(product_traj, product_traj.times[-1], product_traj.times[0], WINDOW)
 
 
 class TestCertificateResiduals:
@@ -87,7 +104,7 @@ class TestCertificateResiduals:
         # sqrt(a) = 1/2 against the gaussian volume 2 sqrt(pi)
         expected = 16.0 * math.pi * 0.5 * 2.0 * math.sqrt(math.pi)
         assert res["hessian_energies"][0] == pytest.approx(expected, rel=1e-10)
-        assert res["hessian_energies"][0] > bad_cert.tolerances.hessian_energy
+        assert res["hessian_energies"][0] > acceptance.splitting_tolerances("galerkin")["hessian_energy"]
 
     def test_empty_certificate_trivially_valid(self, product_cert, product_traj):
         empty = df.SplittingCertificate(
@@ -103,7 +120,6 @@ class TestCertificateResiduals:
             eigenvalue_window_deviation=0.0,
             lambda_cluster_t0=0.5,
             lambda_1_t1=0.5,
-            tolerances=product_cert.tolerances,
         )
         res = df.certificate_residuals(empty, product_traj.states[0])
         assert res["weight_residual"] == 0.0
@@ -111,13 +127,12 @@ class TestCertificateResiduals:
 
 
 class TestToleranceMonotonicity:
-    def test_shrinking_tolerance_only_invalidates(self, product_cert):
-        loose = product_cert
-        tight = df.SplittingCertificate(
-            **dict(loose.__dict__, tolerances=SplittingTolerances(1e-16, 1e-30, 1e-30, 1e-30, 1e-30, 1e-30))
-        )
-        assert loose.valid
-        assert not tight.valid  # all real residuals exceed absurdly tight budgets
+    def test_shrinking_tolerance_only_invalidates(self, product_cert, monkeypatch):
+        assert not acceptance.failed({"splitting": acceptance.check_splitting(product_cert, "galerkin")})
+        for field, tol in zip(acceptance.splitting_tolerances("galerkin"), (1e-16, 1e-30, 1e-30, 1e-30, 1e-30, 1e-30)):
+            monkeypatch.setitem(acceptance.VERIFY_TOLERANCES, f"splitting_{field}_galerkin", tol)
+        # all real residuals exceed absurdly tight budgets
+        assert acceptance.failed({"splitting": acceptance.check_splitting(product_cert, "galerkin")}) == ["splitting"]
 
 
 class TestStationarityOfDirections:
@@ -133,8 +148,9 @@ class TestStationarityOfDirections:
 class TestSerialization:
     def test_json_payload(self, product_cert):
         doc = product_cert.to_json_dict()
-        assert doc["valid"] is True
         assert doc["k"] == 1
         assert set(doc["hypotheses"]) == {"lambda_cluster_t0", "lambda_1_t1"}
         assert "weight_decomposition" in doc["residuals"]
-        assert "eigenvalue" in doc["tolerances"]
+        # the verdict and the tolerances come from acceptance; certificate.json
+        # carries them too (tests/test_cli.py::test_splitting_scenario)
+        assert "valid" not in doc and "tolerances" not in doc
