@@ -184,11 +184,15 @@ def _cmd_verify(args) -> int:
 
 def _manifest_checks(manifest: dict) -> dict:
     """The manifest's verification records by check; an entry that does not
-    read as records counts as empty, and so fails."""
+    read as records counts as empty, and so fails, as does a whole
+    ``verifications`` that is not an object."""
     from .acceptance import Check
 
+    verifications = manifest.get("verifications", {})
+    if not isinstance(verifications, dict):
+        return {"verifications": []}
     groups = {}
-    for name, records in manifest.get("verifications", {}).items():
+    for name, records in verifications.items():
         try:
             groups[name] = [Check(str(r["name"]), float(r["value"]), float(r["tol"])) for r in records]
         except (KeyError, TypeError, ValueError):
@@ -208,14 +212,17 @@ def _cmd_report(args) -> int:
                 manifest = json.load(fh)
         except (OSError, json.JSONDecodeError):
             continue
+        if not isinstance(manifest, dict):
+            continue
         status = "FAILED" if failed(_manifest_checks(manifest)) else "ok"
-        rows.append((manifest.get("name", "?"), manifest.get("config_hash", "?"), manifest.get("outputs", 0), status))
+        fields = (manifest.get("name", "?"), manifest.get("config_hash", "?"), manifest.get("outputs", 0))
+        rows.append((*map(str, fields), status))
     if not rows:
         return _fail("config", f"no run manifests found under {args.dir}", EXIT_CONFIG)
     width = max(len(r[0]) for r in rows)
     print(f"{'name'.ljust(width)}  {'hash'.ljust(16)}  outputs  status")
     for name, chash, outputs, status in sorted(rows):
-        print(f"{name.ljust(width)}  {chash.ljust(16)}  {outputs!s:>7}  {status}")
+        print(f"{name.ljust(width)}  {chash.ljust(16)}  {outputs:>7}  {status}")
     return EXIT_OK
 
 

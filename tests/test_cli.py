@@ -108,6 +108,19 @@ class TestRunCommand:
         b2 = (out2 / "sharp" / "trajectory.csv").read_bytes()
         assert b1 == b2
 
+    @pytest.mark.parametrize("horizon, cadence", [(0.3, 1), (0.301, 2)])
+    def test_adaptive_tol_at_the_schema_floor_changes_no_byte(self, tmp_path, horizon, cadence):
+        # the shape of criterion 4: no step pair, nor the odd last step, halves at 1e-14
+        written = []
+        for tol in (1e-9, 1e-14):
+            cfg = _write_config(
+                tmp_path / "circle.json", name="circle", family="round_circle", a0=1.0, horizon=horizon,
+                cadence=cadence, k=2, track_scalars=True, adaptive_tol=tol,
+            )
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / f"o{tol}")]) == 0
+            written.append((tmp_path / f"o{tol}" / "circle" / "trajectory.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_config_error_leaves_no_artifacts(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "bad.json", family="round_circle", a0=-1.0)
         out = tmp_path / "out"
@@ -345,6 +358,29 @@ class TestSweepAndReport:
         assert main(["report", "--dir", str(out)]) == 0
         status = {line.split()[0]: line.split()[-1] for line in capsys.readouterr().out.splitlines()[1:]}
         assert status == {"good": "ok", "nosplit": "FAILED", "norecords": "FAILED"}
+
+    def _report_status(self, out, capsys):
+        capsys.readouterr()
+        assert main(["report", "--dir", str(out)]) == 0
+        return {line.split()[0]: line.split()[-1] for line in capsys.readouterr().out.splitlines()[1:]}
+
+    def test_report_skips_a_manifest_that_is_not_an_object(self, tmp_path, capsys):
+        for name, doc in (("good", {"name": "good", "verifications": {}}), ("list", [1, 2])):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "manifest.json").write_text(json.dumps(doc))
+        assert self._report_status(tmp_path, capsys) == {"good": "ok"}
+
+    def test_report_fails_verifications_that_are_not_an_object(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "manifest.json").write_text(json.dumps({"name": "a", "verifications": []}))
+        assert self._report_status(tmp_path, capsys) == {"a": "FAILED"}
+
+    def test_report_prints_fields_that_are_not_strings(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "manifest.json").write_text(json.dumps({"name": 5, "config_hash": None, "outputs": [3]}))
+        capsys.readouterr()
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split() == ["5", "None", "[3]", "ok"]
 
     def test_report_empty_dir(self, tmp_path, capsys):
         assert main(["report", "--dir", str(tmp_path)]) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import driftflow as df
 from driftflow.axes import _fourier_dense, circle_nodes, lowpass, mode_amplitudes
 from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
-from driftflow.flow import FlowState, RunRequest, _advance, _flow_rhs, _Layout, _settle
+from driftflow.flow import FlowState, RunRequest, _advance, _flow_rhs, _Layout, _rk4, _settle
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
 from driftflow.oracles import finite_diff_time_derivative
 
@@ -332,21 +333,33 @@ class TestFlatState:
         assert np.array_equal(stepped.axes[1].f, ran.axes[1].f)
 
 
+class _VaryingFamily:
+    """A non-round circle times a Gaussian line at t0 = 0, as a family; a
+    Galerkin run reads only its start."""
+
+    t0 = 0.0
+
+    def evaluate(self, t):
+        circle = CircleModel(a=lambda th: 1.0 + 0.3 * np.cos(th), f=lambda th: 0.2 * np.sin(2 * th))
+        return ContinuumState(t=t, factors=(circle, GaussianLineModel(1.7)))
+
+
 def _varying_product():
-    state = ContinuumState(
-        t=0.0,
-        factors=(
-            CircleModel(a=lambda th: 1.0 + 0.3 * np.cos(th), f=lambda th: 0.2 * np.sin(2 * th)),
-            GaussianLineModel(1.7),
-        ),
-    )
-    return df.discretize(state, resolution=32, hermite_order=8)
+    return df.discretize(_VaryingFamily().evaluate(0.0), resolution=32, hermite_order=8)
 
 
 def _circle_z(n, a, f):
     """Layout and geometry vector of one circle with the given node values."""
     theta = circle_nodes(n)
     return _Layout.of(df.weighted_circle(n)), np.concatenate([a(theta), f(theta)])
+
+
+def _settler(layout, modes):
+    return lambda z: _settle(layout, z, modes, 1e-13, 1e6)
+
+
+def _unsettled(z):
+    return z
 
 
 class _Counted:
@@ -378,12 +391,28 @@ class TestStepPlan:
         np.testing.assert_allclose(dz[32:64], 0.5 - hess_f / ax.a, rtol=0.0, atol=1e-12)
         assert dz[64] == dm.axes[1].scale - 1.0
 
-    def test_eleven_evaluations_per_doubled_step(self):
+    def test_eleven_evaluations_per_step_pair(self):
         dm = _varying_product()
         layout = _Layout.of(dm)
         rhs = _Counted(_flow_rhs(layout, modes=8))
-        _advance(rhs, 0.0, layout.pack(dm), 1e-3, adaptive_tol=1.0)
+        kept = _advance(rhs, _settler(layout, 8), 0.0, layout.pack(dm), 1e-3, adaptive_tol=1.0)
         assert rhs.calls == 11
+        assert len(kept) == 2
+        kept = _advance(rhs, _settler(layout, 8), 0.0, layout.pack(dm), 5e-4, adaptive_tol=1.0, single=True)
+        assert rhs.calls == 22  # an odd last step: one step of 1e-3 against two of 5e-4
+        assert len(kept) == 1
+
+    def test_eleven_evaluations_for_a_two_step_run(self, monkeypatch):
+        counted = []
+
+        def counting_plan(layout, modes):
+            counted.append(_Counted(_flow_rhs(layout, modes)))
+            return counted[-1]
+
+        monkeypatch.setattr(df.flow, "_flow_rhs", counting_plan)
+        fam = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)])
+        df.run_flow(RunRequest(family=fam, horizon=0.002, dt=1e-3, cadence=1, k=1, resolution=16, modes=8))
+        assert [rhs.calls for rhs in counted] == [11]
 
     @pytest.mark.parametrize("node", [5, 64])
     def test_breakdown_names_the_node(self, node):
@@ -394,6 +423,57 @@ class TestStepPlan:
         with pytest.raises(FlowBreakdownError) as info:
             _flow_rhs(layout, modes=8)(0.0, z)
         assert info.value.node_index == (5 if node == 5 else 0)
+
+
+class TestStepPairs:
+    @pytest.mark.parametrize("cadence", [2, 3])
+    @pytest.mark.parametrize("steps", [2, 3, 5])
+    def test_run_matches_successive_single_steps(self, steps, cadence):
+        # cadence 3 puts an output in the middle of the pair of steps 3 and 4
+        dt = 2.0**-10
+        req = RunRequest(
+            family=_VaryingFamily(), horizon=steps * dt, dt=dt, cadence=cadence, k=2, resolution=32,
+            hermite_order=6, modes=8,
+        )
+        traj = df.run_flow(req)
+        dm0 = traj.states[0].manifold
+        layout = _Layout.of(dm0)
+        rhs = _flow_rhs(layout, 8)
+        states, z = [traj.states[0]], np.concatenate([layout.pack(dm0), traj.scalar_values[0].ravel()])
+        vectors = [z]
+        for i in range(steps):
+            states.append(df.step_modified_flow(states[-1], dt, modes=8))
+            vectors.append(_settle(layout, _rk4(rhs, i * dt, vectors[-1], dt), 8, 1e-13, 1e6))
+        out_steps = sorted({steps, *range(0, steps + 1, cadence)})
+        assert len(traj.times) == len(out_steps)
+        for m, step in enumerate(out_steps):
+            ran, stepped = traj.states[m].manifold, states[step].manifold
+            assert np.array_equal(ran.axes[0].a, stepped.axes[0].a)
+            assert np.array_equal(ran.axes[0].f, stepped.axes[0].f)
+            assert ran.axes[1].scale == stepped.axes[1].scale
+            assert np.array_equal(layout.pack(ran), vectors[step][: layout.width])
+            assert np.array_equal(traj.scalar_values[m].ravel(), vectors[step][layout.width :])
+
+    def test_step_pair_memory_stays_below_the_field_estimate(self):
+        # the per-step term of _check_field_memory: 16 copies of the k + 1 fields
+        k = 3
+        fam = df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle_family(4.0)])
+        dm = df.discretize(df.evaluate_family(fam, 0.0), resolution=256, hermite_order=16)
+        assert dm.shape == (16, 256)
+        scalars = np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), k, 1e-10).eigenfunctions[1 : k + 1])
+        layout = _Layout.of(dm)
+        rhs, settle = _flow_rhs(layout, 32), _settler(layout, 32)
+        z = np.concatenate([layout.pack(dm), scalars.ravel()])
+        _advance(rhs, settle, 0.0, z, 1e-3, adaptive_tol=1.0)  # warm the FFT plans
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = _advance(rhs, settle, 0.0, z, 1e-3, adaptive_tol=1.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 2
+        assert peak < 8 * dm.size * 16 * (k + 1)
 
 
 def _stage_formulas(n, a, f):
@@ -431,7 +511,7 @@ class TestStageProjection:
         rows = _flow_rhs(layout, n // 2)(0.0, z).reshape(2, n)
         assert np.array_equal(rows, _stage_formulas(n, a, f))
 
-    def test_two_ffts_per_doubled_step_and_settle(self, monkeypatch):
+    def test_two_ffts_per_kept_step(self, monkeypatch):
         layout, z = _circle_z(64, _wavy_a, _wavy_f)
         rhs = _flow_rhs(layout, 32)
         calls = []
@@ -445,8 +525,8 @@ class TestStageProjection:
 
         monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
         monkeypatch.setattr(np.fft, "irfft", counted("irfft", np.fft.irfft))
-        _settle(layout, _advance(rhs, 0.0, z, 1e-3, adaptive_tol=1.0), 32, 1e-13, 1e6)
-        assert calls == ["rfft", "irfft"]
+        _advance(rhs, _settler(layout, 32), 0.0, z, 1e-3, adaptive_tol=1.0)
+        assert calls == ["rfft", "irfft"] * 2
 
 
 class TestSafeguardsFire:
@@ -477,9 +557,16 @@ class TestSafeguardsFire:
         with pytest.raises(StabilityError, match=message):
             _settle(layout, z, modes=16, floor=1e-13, threshold=1e-3)
 
-    def test_step_doubling_halves_on_a_stiff_rhs(self):
+    def test_step_pair_halves_on_a_stiff_rhs(self):
         rhs = _Counted(lambda t, z: -50.0 * z)
-        z = _advance(rhs, 0.0, np.ones(1), 0.05, adaptive_tol=1e-9)
+        z1, z2 = _advance(rhs, _unsettled, 0.0, np.ones(1), 0.05, adaptive_tol=1e-9)
+        assert rhs.calls > 11
+        assert abs(z1[0] - math.exp(-2.5)) < 1e-7
+        assert abs(z2[0] - math.exp(-5.0)) < 1e-7
+
+    def test_single_step_halves_on_a_stiff_rhs(self):
+        rhs = _Counted(lambda t, z: -50.0 * z)
+        (z,) = _advance(rhs, _unsettled, 0.0, np.ones(1), 0.025, adaptive_tol=1e-9, single=True)
         assert rhs.calls > 11
         assert abs(z[0] - math.exp(-2.5)) < 1e-7
 
@@ -489,4 +576,6 @@ class TestSafeguardsFire:
             return np.full_like(z, 1.0 if t >= 0.3 * 0.05 else 0.0)
 
         with pytest.raises(StabilityError, match="persists after 12 halvings"):
-            _advance(rhs, 0.0, np.zeros(1), 0.05, adaptive_tol=1e-9)
+            _advance(rhs, _unsettled, 0.0, np.zeros(1), 0.05, adaptive_tol=1e-9)
+        with pytest.raises(StabilityError, match="persists after 12 halvings"):
+            _advance(rhs, _unsettled, 0.0, np.zeros(1), 0.025, adaptive_tol=1e-9, single=True)
