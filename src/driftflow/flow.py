@@ -9,12 +9,11 @@ contains a backward heat operator, so naive forward integration is ill posed;
 the integrator therefore works in a fixed Fourier-Galerkin truncation with an
 explicit RK4 step, a per-step noise floor that keeps round-off from seeding
 the unstable modes, and a mode-energy monitor that aborts genuine blow-up.
-Galerkin runs step in pairs: two kept RK4 steps of dt are checked against one
-step of 2 dt that shares their first stage, and a pair whose Richardson error
-estimate exceeds ``adaptive_tol`` is redone in half steps.  ``adaptive_tol``
-thus bounds the estimated error of the kept steps.  An odd last step is
-checked against two steps of dt / 2 and keeps its own step of dt, whose
-error is about 16 times the estimate.
+Each kept Galerkin step is checked by the embedded estimate dt/6 |k4 - k5|,
+where k5, the right-hand side at the kept state, is the next step's first
+stage ("first same as last"): four right-hand sides per step.  Taken per
+block relative to the block's size, the estimate of every kept step is at
+most ``adaptive_tol``; a step above it is redone as two half steps.
 A stage projects onto the kept circle modes only when the cutoff lies below
 the grid's Nyquist mode; at ``modes = resolution // 2`` the grid is the
 truncation.  Exact analytic families make the truncation exact and serve as
@@ -119,6 +118,7 @@ class _Layout:
     width: int
     shape: tuple
     f_constant: float
+    circles: tuple
 
     @classmethod
     def of(cls, dm: DiscreteWeightedManifold) -> "_Layout":
@@ -126,7 +126,8 @@ class _Layout:
         for ax in dm.axes:
             axes.append((ax.kind, offset, ax.size))
             offset += 2 * ax.size if ax.kind == "circle" else 1
-        return cls(tuple(axes), offset, dm.shape, dm.f_constant)
+        circles = tuple((off, n) for kind, off, n in axes if kind == "circle")
+        return cls(tuple(axes), offset, dm.shape, dm.f_constant, circles)
 
     def pack(self, dm: DiscreteWeightedManifold) -> np.ndarray:
         return np.concatenate([[ax.scale] if ax.kind == "hermite" else np.concatenate([ax.a, ax.f]) for ax in dm.axes])
@@ -207,7 +208,7 @@ def _flow_rhs(layout: _Layout, modes: int):
                 dz[off] = a - 1.0
             if scalars:
                 moved = batch.transpose(perm)
-                diff = (moved - moved[:1]).reshape(n, -1)
+                diff = np.subtract(moved, moved[:1], order="C").reshape(n, -1)
                 term = (d2 @ diff - drift * (d1 @ diff)) / a
                 out += term.reshape(moved.shape).transpose(inverse)
         if scalars:
@@ -217,8 +218,8 @@ def _flow_rhs(layout: _Layout, modes: int):
     return rhs
 
 
-def _rk4(rhs, t: float, z: np.ndarray, dt: float, k1=None) -> np.ndarray:
-    """One classical RK4 step of z' = rhs(t, z); ``k1`` may be passed in."""
+def _rk4(rhs, t: float, z: np.ndarray, dt: float, k1=None):
+    """One classical RK4 step of z' = rhs(t, z), ``k1`` optional: (state, k4)."""
     if k1 is None:
         k1 = rhs(t, z)
     k2 = rhs(t + dt / 2, z + (dt / 2) * k1)
@@ -228,31 +229,32 @@ def _rk4(rhs, t: float, z: np.ndarray, dt: float, k1=None) -> np.ndarray:
     out += (2.0 * dt / 6.0) * k2
     out += (2.0 * dt / 6.0) * k3
     out += (dt / 6.0) * k4
-    return out
+    return out, k4
 
 
 def _settle(layout: _Layout, z: np.ndarray, modes: int, floor: float, threshold: float) -> np.ndarray:
     """Zero the circle modes above ``modes`` or below the relative noise
-    floor, then raise StabilityError if a mode still exceeds ``threshold``.
-    A circle's a and f rows are transformed together; a is checked first.
-    The check reads the kept coefficients, |c_k| / n as ``mode_amplitudes``
-    normalizes them, so a step costs one rfft and one irfft per circle."""
-    circles = [(off, n) for kind, off, n in layout.axes if kind == "circle"]
-    if not circles:
+    floor, then raise StabilityError if a kept |c_k| / n (``mode_amplitudes``)
+    exceeds ``threshold``, a circle's a row checked before its f row.  Per
+    circle: one rfft, one |c_k| pass, one max reduction and one irfft."""
+    if not layout.circles:
         return z
     z = z.copy()
-    for off, n in circles:
+    for off, n in layout.circles:
         rows = z[off : off + 2 * n].reshape(2, n)
         coef = np.fft.rfft(rows)
         size = coef.shape[-1]
         scale = np.fmax(1.0, np.abs(coef[:, :1]) / size)
-        coef[:, 1:][np.abs(coef[:, 1:]) < floor * scale * size] = 0.0
         coef[:, modes + 1 :] = 0.0
+        kept = coef[:, 1 : modes + 1]
+        amps = np.abs(kept)
+        low = amps < floor * scale * size
+        kept[low] = amps[low] = 0.0
         rows[:] = np.fft.irfft(coef, n=n)
-        for amps in np.abs(coef[:, 1:]) / n:
-            if float(np.max(amps)) > threshold:
+        for peak in amps.max(axis=1) / n:
+            if peak > threshold:
                 raise StabilityError(
-                    f"circle mode energy {np.max(amps):.3e} exceeds threshold {threshold:.3e}; "
+                    f"circle mode energy {peak:.3e} exceeds threshold {threshold:.3e}; "
                     "use a shorter horizon or a lower mode cutoff"
                 )
     return z
@@ -280,7 +282,7 @@ def step_modified_flow(
     z = layout.pack(dm)
     if stability_threshold is None:
         stability_threshold = 1e6 * (1.0 + float(np.max(np.abs(z))))
-    z = _settle(layout, _rk4(_flow_rhs(layout, modes), dm.t, z, dt), modes, noise_floor, stability_threshold)
+    z = _settle(layout, _rk4(_flow_rhs(layout, modes), dm.t, z, dt)[0], modes, noise_floor, stability_threshold)
     return FlowState.from_manifold(layout.manifold(z, dm.t + dt))
 
 
@@ -401,29 +403,32 @@ class FlowTrajectory:
         return idx
 
 
-def _advance(rhs, settle, t, z, h, adaptive_tol, single=False, depth=0):
-    """One step pair: the kept steps z1 = settle(RK4(z, h)) and
-    z2 = settle(RK4(z1, h)), checked against one RK4 step of 2h from z that
-    shares their first stage, by the Richardson estimate |z2 - big| / 15 of
-    the pair's error.  Returns the kept states (z1, z2); with ``single`` the
-    pair only checks the step of 2h, which is kept, settled, as the one state.
+def _step(rhs, settle, t, z, h, adaptive_tol, k1, blocks=(0,), depth=0):
+    """(z1, k5, err): the kept step z1 = settle(RK4(z, h)) from the first stage
+    k1 = rhs(t, z), the next first stage k5 = rhs(t + h, z1), and the
+    third-order estimate err = h/6 |k4 - k5| that ``adaptive_tol`` bounds.
 
-    When the estimate exceeds ``adaptive_tol``, each step of the pair is
-    redone as a pair of half steps (with ``single``, the redone pair is kept);
-    StabilityError after 12 halvings.
+    k4 and k5 share the time t + h, so ``rhs`` must be autonomous.  The norm
+    is max |k4 - k5| / max(1, max |z1|) over each block of z (``blocks`` are
+    their starts); the scales are at least 1, so they are read only when the
+    plain max exceeds ``adaptive_tol``.  A step still above it is redone as
+    two of h / 2; StabilityError after 12 halvings.
     """
-    k1 = rhs(t, z)
-    z1 = settle(_rk4(rhs, t, z, h, k1))
-    z2 = settle(_rk4(rhs, t + h, z1, h))
-    big = _rk4(rhs, t, z, 2.0 * h, k1)
-    err = float(np.abs(z2 - big).max()) / 15.0
+    z1, k4 = _rk4(rhs, t, z, h, k1)
+    z1 = settle(z1)
+    k5 = rhs(t + h, z1)
+    diff = np.abs(np.subtract(k4, k5, out=k4), out=k4)  # k4 is spent
+    err = h / 6.0 * float(diff.max())
+    if err > adaptive_tol:
+        scale = np.fmax(1.0, np.maximum.reduceat(np.abs(z1), blocks))
+        err = h / 6.0 * float(np.max(np.maximum.reduceat(diff, blocks) / scale))
     if err <= adaptive_tol:
-        return (settle(big),) if single else (z1, z2)
+        return z1, k5, err
     if depth >= 12:
         raise StabilityError(f"step error {err:.3e} persists after 12 halvings")
-    z1 = _advance(rhs, settle, t, z, h / 2, adaptive_tol, depth=depth + 1)[1]
-    z2 = _advance(rhs, settle, t + h, z1, h / 2, adaptive_tol, depth=depth + 1)[1]
-    return (z2,) if single else (z1, z2)
+    half, k_half, err_1 = _step(rhs, settle, t, z, h / 2, adaptive_tol, k1, blocks, depth + 1)
+    z1, k5, err_2 = _step(rhs, settle, t + h / 2, half, h / 2, adaptive_tol, k_half, blocks, depth + 1)
+    return z1, k5, max(err_1, err_2)
 
 
 def _scalar_pairings(dm, scalars):
@@ -461,6 +466,10 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
 
     else:
         width, z, rhs = layout.width, np.concatenate([geometry, scalars.ravel()]), flow_rhs
+        # The error blocks: each circle's a and f rows, each Gaussian multiplier, each scalar.
+        blocks = [off + i * n for kind, off, n in layout.axes for i in range(1 + (kind == "circle"))]
+        blocks += range(width, z.size, math.prod(layout.shape))
+        k1 = rhs(t0, z)  # the first stage of the first step
 
     def settle(z):
         return _settle(layout, z, request.modes, request.noise_floor, threshold)
@@ -470,23 +479,16 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
         dm = layout.manifold(layout.pack_state(evaluate_family(family, t_now)) if analytic else z, t_now)
         outputs.append((t_now, dm, None if scalars0 is None else z[width:].reshape(scalars.shape).copy()))
 
-    # A Galerkin pair may carry an output at its middle state.
-    out_steps = {nsteps, *range(0, nsteps + 1, request.cadence)}
     outputs = []
     record(0, z)
-    step = 0
-    while step < nsteps:
-        t = t0 + step * dt
+    for step in range(1, nsteps + 1):
+        t = t0 + (step - 1) * dt
         if analytic:
-            kept = (_rk4(rhs, t, z, dt) if z.size else z,)
-        elif nsteps - step > 1:
-            kept = _advance(rhs, settle, t, z, dt, request.adaptive_tol)
+            z = _rk4(rhs, t, z, dt)[0] if z.size else z
         else:
-            kept = _advance(rhs, settle, t, z, dt / 2, request.adaptive_tol, single=True)
-        for z in kept:
-            step += 1
-            if step in out_steps:
-                record(step, z)
+            z, k1, _ = _step(rhs, settle, t, z, dt, request.adaptive_tol, k1, blocks)
+        if step % request.cadence == 0 or step == nsteps:
+            record(step, z)
     return outputs
 
 
@@ -496,7 +498,7 @@ def _check_field_memory(request: RunRequest, state) -> None:
 
     Per grid point the estimate counts 8 bytes for each of 16 live copies of
     the k + 1 fields a step or an output solve carries (tracemalloc measured
-    14.1 copies of the scalar batch per step pair, k = 3 on 16 x 256), plus 3k + 2
+    11.0 copies of the scalar batch per step, k = 3 on 16 x 256), plus 3k + 2
     fields kept per output: k + 1 eigenfunctions, the k scalars twice while
     they are stacked, and one drift-Laplacian image for the commutator probe.
     """

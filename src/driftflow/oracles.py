@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import HorizonError, OracleError, UsageError
 
@@ -95,6 +94,7 @@ def dense_spectrum(forms) -> np.ndarray:
     mass = np.asarray(forms.mass_diag, dtype=float)
     if np.min(mass) <= 0.0:
         raise OracleError("mass form is not positive definite")
+    from scipy.linalg import eigh  # imported on use, off the CLI's import path
     vals = eigh(dense_stiffness(forms), np.diag(mass), eigvals_only=True)
     return vals
 

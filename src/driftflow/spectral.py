@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .axes import axis_to_front
 from .errors import SolverError, UndefinedQuotientError, UsageError
@@ -304,6 +303,7 @@ def _axis_eigens(ax, block, mass, count):
         vecs[:, 0] = 1.0
         vecs /= np.sqrt(mass @ (vecs * vecs))
         return k**2 / ax.a[0], vecs
+    from scipy.linalg import eigh  # only here: the other paths need no scipy
     vals, vecs = eigh(block @ np.eye(ax.size), np.diag(mass), subset_by_index=[0, count - 1])
     # The stiffness maps constants to exactly zero, so the first pair is known.
     vals[0], vecs[:, 0] = 0.0, 1.0 / math.sqrt(mass.sum())

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from driftflow import acceptance
+from driftflow import acceptance, flow
 from driftflow.cli import main
 from driftflow.config import ScenarioConfig, load_config
 from driftflow.errors import ConfigurationError
@@ -109,17 +112,56 @@ class TestRunCommand:
         assert b1 == b2
 
     @pytest.mark.parametrize("horizon, cadence", [(0.3, 1), (0.301, 2)])
-    def test_adaptive_tol_at_the_schema_floor_changes_no_byte(self, tmp_path, horizon, cadence):
-        # the shape of criterion 4: no step pair, nor the odd last step, halves at 1e-14
-        written = []
+    def test_default_adaptive_tol_never_halves_and_the_floor_runs(self, tmp_path, monkeypatch, horizon, cadence):
+        # the shape of criterion 4, whose step estimate h^4 / 72 lies just above the schema floor 1e-14
+        calls = []
+        step = flow._step
+
+        def counted(*args):
+            calls.append(args[4])
+            return step(*args)
+
+        monkeypatch.setattr(flow, "_step", counted)
         for tol in (1e-9, 1e-14):
+            calls.clear()
             cfg = _write_config(
                 tmp_path / "circle.json", name="circle", family="round_circle", a0=1.0, horizon=horizon,
                 cadence=cadence, k=2, track_scalars=True, adaptive_tol=tol,
             )
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / f"o{tol}")]) == 0
-            written.append((tmp_path / f"o{tol}" / "circle" / "trajectory.csv").read_bytes())
-        assert written[0] == written[1]
+            steps = round(horizon / 1e-3)
+            if tol == 1e-9:
+                assert calls == [1e-3] * steps  # one call per step, none halved
+            else:
+                assert len(calls) > steps  # the floor halves steps
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"family": "round_circle", "a0": 1e8, "horizon": 0.5},
+            {"family": "scaled_gaussian", "u0": 1e8, "horizon": 0.5},
+            {"family": "round_circle", "f0": 50.0, "horizon": 0.1},
+        ],
+    )
+    def test_large_values_at_the_schema_bounds_run(self, tmp_path, overrides):
+        # each block's estimate is relative to its own size, so no step halves on these
+        cfg = _write_config(tmp_path / "big.json", name="big", k=2, track_scalars=True, **overrides)
+        start = time.perf_counter()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert time.perf_counter() - start < 5.0
+
+    def test_round_circle_run_does_not_import_scipy(self, tmp_path):
+        cfg = _write_config(tmp_path / "circle.json", name="circle", family="round_circle", a0=1.0, horizon=0.01)
+        script = (
+            "import sys; from driftflow.cli import main; print('scipy' in sys.modules); "
+            f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0; "
+            "print('scipy' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(flow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        lines = result.stdout.splitlines()
+        assert [lines[0], lines[-1]] == ["False", "False"]  # after the import, after the run
 
     def test_config_error_leaves_no_artifacts(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "bad.json", family="round_circle", a0=-1.0)

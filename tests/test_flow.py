@@ -7,7 +7,7 @@ import pytest
 import driftflow as df
 from driftflow.axes import _fourier_dense, circle_nodes, lowpass, mode_amplitudes
 from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
-from driftflow.flow import FlowState, RunRequest, _advance, _flow_rhs, _Layout, _rk4, _settle
+from driftflow.flow import FlowState, RunRequest, _flow_rhs, _Layout, _rk4, _settle, _step
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
 from driftflow.oracles import finite_diff_time_derivative
 
@@ -391,18 +391,18 @@ class TestStepPlan:
         np.testing.assert_allclose(dz[32:64], 0.5 - hess_f / ax.a, rtol=0.0, atol=1e-12)
         assert dz[64] == dm.axes[1].scale - 1.0
 
-    def test_eleven_evaluations_per_step_pair(self):
+    def test_four_evaluations_per_step(self):
         dm = _varying_product()
         layout = _Layout.of(dm)
-        rhs = _Counted(_flow_rhs(layout, modes=8))
-        kept = _advance(rhs, _settler(layout, 8), 0.0, layout.pack(dm), 1e-3, adaptive_tol=1.0)
-        assert rhs.calls == 11
-        assert len(kept) == 2
-        kept = _advance(rhs, _settler(layout, 8), 0.0, layout.pack(dm), 5e-4, adaptive_tol=1.0, single=True)
-        assert rhs.calls == 22  # an odd last step: one step of 1e-3 against two of 5e-4
-        assert len(kept) == 1
+        rhs, settle = _Counted(_flow_rhs(layout, modes=8)), _settler(layout, 8)
+        z = layout.pack(dm)
+        z, k1, _ = _step(rhs, settle, 0.0, z, 1e-3, 1.0, rhs(0.0, z))
+        assert rhs.calls == 5  # the first stage, then four per step
+        z, k1, _ = _step(rhs, settle, 1e-3, z, 1e-3, 1.0, k1)
+        assert rhs.calls == 9
+        assert np.array_equal(k1, _flow_rhs(layout, modes=8)(2e-3, z))  # the last stage is the next first
 
-    def test_eleven_evaluations_for_a_two_step_run(self, monkeypatch):
+    def test_nine_evaluations_for_a_two_step_run(self, monkeypatch):
         counted = []
 
         def counting_plan(layout, modes):
@@ -412,7 +412,16 @@ class TestStepPlan:
         monkeypatch.setattr(df.flow, "_flow_rhs", counting_plan)
         fam = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)])
         df.run_flow(RunRequest(family=fam, horizon=0.002, dt=1e-3, cadence=1, k=1, resolution=16, modes=8))
-        assert [rhs.calls for rhs in counted] == [11]
+        assert [rhs.calls for rhs in counted] == [9]
+
+    def test_step_plan_is_autonomous(self):
+        # k4 and k5 of a step share the time t + h, so the estimate would miss a dependence on t
+        dm = _varying_product()
+        layout = _Layout.of(dm)
+        fields = np.random.default_rng(3).standard_normal((2, *dm.shape))
+        z = np.concatenate([layout.pack(dm), fields.ravel()])
+        rhs = _flow_rhs(layout, modes=8)
+        assert np.array_equal(rhs(0.0, z), rhs(0.73, z))
 
     @pytest.mark.parametrize("node", [5, 64])
     def test_breakdown_names_the_node(self, node):
@@ -429,7 +438,7 @@ class TestStepPairs:
     @pytest.mark.parametrize("cadence", [2, 3])
     @pytest.mark.parametrize("steps", [2, 3, 5])
     def test_run_matches_successive_single_steps(self, steps, cadence):
-        # cadence 3 puts an output in the middle of the pair of steps 3 and 4
+        # cadence 3 puts an output after an odd step
         dt = 2.0**-10
         req = RunRequest(
             family=_VaryingFamily(), horizon=steps * dt, dt=dt, cadence=cadence, k=2, resolution=32,
@@ -443,7 +452,7 @@ class TestStepPairs:
         vectors = [z]
         for i in range(steps):
             states.append(df.step_modified_flow(states[-1], dt, modes=8))
-            vectors.append(_settle(layout, _rk4(rhs, i * dt, vectors[-1], dt), 8, 1e-13, 1e6))
+            vectors.append(_settle(layout, _rk4(rhs, i * dt, vectors[-1], dt)[0], 8, 1e-13, 1e6))
         out_steps = sorted({steps, *range(0, steps + 1, cadence)})
         assert len(traj.times) == len(out_steps)
         for m, step in enumerate(out_steps):
@@ -454,7 +463,7 @@ class TestStepPairs:
             assert np.array_equal(layout.pack(ran), vectors[step][: layout.width])
             assert np.array_equal(traj.scalar_values[m].ravel(), vectors[step][layout.width :])
 
-    def test_step_pair_memory_stays_below_the_field_estimate(self):
+    def test_step_memory_stays_below_the_field_estimate(self):
         # the per-step term of _check_field_memory: 16 copies of the k + 1 fields
         k = 3
         fam = df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle_family(4.0)])
@@ -464,15 +473,16 @@ class TestStepPairs:
         layout = _Layout.of(dm)
         rhs, settle = _flow_rhs(layout, 32), _settler(layout, 32)
         z = np.concatenate([layout.pack(dm), scalars.ravel()])
-        _advance(rhs, settle, 0.0, z, 1e-3, adaptive_tol=1.0)  # warm the FFT plans
+        k1 = rhs(0.0, z)
+        _step(rhs, settle, 0.0, z, 1e-3, 1.0, k1)  # warm the FFT plans
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            kept = _advance(rhs, settle, 0.0, z, 1e-3, adaptive_tol=1.0)
+            kept = _step(rhs, settle, 0.0, z, 1e-3, 1.0, k1)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert len(kept) == 2
+        assert kept[0].shape == z.shape
         assert peak < 8 * dm.size * 16 * (k + 1)
 
 
@@ -525,8 +535,8 @@ class TestStageProjection:
 
         monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
         monkeypatch.setattr(np.fft, "irfft", counted("irfft", np.fft.irfft))
-        _advance(rhs, _settler(layout, 32), 0.0, z, 1e-3, adaptive_tol=1.0)
-        assert calls == ["rfft", "irfft"] * 2
+        _step(rhs, _settler(layout, 32), 0.0, z, 1e-3, 1.0, rhs(0.0, z))
+        assert calls == ["rfft", "irfft"]
 
 
 class TestSafeguardsFire:
@@ -558,24 +568,38 @@ class TestSafeguardsFire:
             _settle(layout, z, modes=16, floor=1e-13, threshold=1e-3)
 
     def test_step_pair_halves_on_a_stiff_rhs(self):
+        # two successive steps, each halved
         rhs = _Counted(lambda t, z: -50.0 * z)
-        z1, z2 = _advance(rhs, _unsettled, 0.0, np.ones(1), 0.05, adaptive_tol=1e-9)
+        z = np.ones(1)
+        k1 = rhs(0.0, z)
+        for i in range(2):
+            z, k1, err = _step(rhs, _unsettled, 0.05 * i, z, 0.05, 1e-9, k1)
+            assert err <= 1e-9
         assert rhs.calls > 11
-        assert abs(z1[0] - math.exp(-2.5)) < 1e-7
-        assert abs(z2[0] - math.exp(-5.0)) < 1e-7
+        assert abs(z[0] - math.exp(-5.0)) < 1e-9
 
     def test_single_step_halves_on_a_stiff_rhs(self):
         rhs = _Counted(lambda t, z: -50.0 * z)
-        (z,) = _advance(rhs, _unsettled, 0.0, np.ones(1), 0.025, adaptive_tol=1e-9, single=True)
+        z, _, _ = _step(rhs, _unsettled, 0.0, np.ones(1), 0.05, 1e-9, -50.0 * np.ones(1))
         assert rhs.calls > 11
         assert abs(z[0] - math.exp(-2.5)) < 1e-7
 
     def test_step_doubling_gives_up_after_twelve_halvings(self):
-        # a jump in t at a non-dyadic point: no step size resolves it
-        def rhs(t, z):
-            return np.full_like(z, 1.0 if t >= 0.3 * 0.05 else 0.0)
+        # k4 and k5 share their time, so a jump in t would not show in the
+        # estimate; a rate that even a step of 0.05 / 2**12 cannot follow does
+        with pytest.raises(StabilityError, match="persists after 12 halvings"):
+            _step(lambda t, z: -1e12 * z, _unsettled, 0.0, np.ones(1), 0.05, 1e-9, np.full(1, -1e12))
 
-        with pytest.raises(StabilityError, match="persists after 12 halvings"):
-            _advance(rhs, _unsettled, 0.0, np.zeros(1), 0.05, adaptive_tol=1e-9)
-        with pytest.raises(StabilityError, match="persists after 12 halvings"):
-            _advance(rhs, _unsettled, 0.0, np.zeros(1), 0.025, adaptive_tol=1e-9, single=True)
+    @pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
+    def test_estimate_bounds_the_true_local_error(self, h):
+        z, _, err = _step(lambda t, z: -5.0 * z, _unsettled, 0.0, np.ones(1), h, 1.0, np.full(1, -5.0))
+        assert err >= abs(z[0] - math.exp(-5.0 * h))
+
+    def test_block_scales_keep_a_large_block_from_halving(self):
+        # the plain estimate of u' = -5u from u = 1e8 exceeds the tolerance,
+        # its estimate relative to max |u| does not
+        rhs = _Counted(lambda t, z: -5.0 * z)
+        z = np.array([1e8, 1.0])
+        z, _, err = _step(rhs, _unsettled, 0.0, z, 0.002, 1e-9, rhs(0.0, z), blocks=[0, 1])
+        assert rhs.calls == 5
+        assert 1e-11 < err <= 1e-9

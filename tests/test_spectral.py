@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import eigh
 
 import driftflow as df
-from driftflow import spectral
 from driftflow.axes import _fourier_dense, apply_deriv
 from driftflow.errors import AssemblyError, UndefinedQuotientError, UsageError
 from driftflow.geometry import CircleModel, ContinuumState
@@ -122,7 +122,8 @@ class TestLowestEigenpairs:
 
     def test_varying_circle_takes_dense_eigh(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(spectral, "eigh", lambda *a, **kw: calls.append(a[0].shape) or eigh(*a, **kw))
+        # the dense branch imports scipy.linalg.eigh when it runs
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **kw: calls.append(a[0].shape) or eigh(*a, **kw))
         dm = df.weighted_circle(600, f=lambda th: 0.2 * np.sin(th))
         res = df.lowest_eigenpairs(df.assemble_forms(dm), 4, tol=1e-10)
         assert calls == [(600, 600)]
