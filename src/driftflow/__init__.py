@@ -59,6 +59,7 @@ from .oracles import (
     dense_spectrum,
     finite_diff_time_derivative,
     integrate_equality_ode,
+    modal_propagator,
 )
 from .spectral import (
     QuadraticForms,

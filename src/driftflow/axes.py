@@ -232,7 +232,7 @@ def _hermite_ops(order: int) -> dict[str, np.ndarray]:
     # d/dx q_k = sqrt(k / 2) q_{k-1}
     shift = np.diag(np.sqrt(np.arange(1, order) / 2.0), k=1)
     d1 = vand @ shift @ vinv
-    ops = {"nodes": nodes, "wdens": wdens, "vand": vand, "d1": d1, "d2": d1 @ d1}
+    ops = {"nodes": nodes, "wdens": wdens, "vand": vand, "vinv": vinv, "d1": d1, "d2": d1 @ d1}
     _HERMITE_CACHE[order] = ops
     return ops
 

@@ -20,10 +20,11 @@ truncation.  Exact analytic families make the truncation exact and serve as
 validation.
 
 Tracked scalars follow the drift heat equation u_t = L u + u/2, advanced with
-the same RK4 stages as the geometry (one-way coupling).  A run builds one step
-plan, the per-axis operators of ``_flow_rhs``, before its first step; both
-backends step through it, the analytic one feeding it the closed-form
-geometry at each stage and keeping only the scalar part.
+the same RK4 stages as the geometry (one-way coupling).  A Galerkin run builds
+one step plan, the per-axis operators of ``_flow_rhs``, before its first step
+and takes every step with ``_step``.  The analytic backend steps nothing: its
+outputs are the closed-form states, sampled by ``discretize``, and its scalars
+those of ``oracles.modal_propagator``, exact on every supported family.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axes import CircleAxis, HermiteLineAxis, _fourier_dense, _hermite_ops, axis_to_front, circle_nodes, lowpass
+from .axes import CircleAxis, HermiteLineAxis, _fourier_dense, _hermite_ops, axis_to_front, lowpass
 from .comparison import eigenvalue_bound
 from .errors import (
     ConfigurationError,
@@ -44,7 +45,7 @@ from .errors import (
     UsageError,
 )
 from .geometry import CircleModel, DiscreteWeightedManifold, discretize, evaluate_family
-from .oracles import finite_diff_time_derivative
+from .oracles import finite_diff_time_derivative, modal_propagator
 from .spectral import (
     assemble_forms,
     drift_divergence,
@@ -131,17 +132,6 @@ class _Layout:
 
     def pack(self, dm: DiscreteWeightedManifold) -> np.ndarray:
         return np.concatenate([[ax.scale] if ax.kind == "hermite" else np.concatenate([ax.a, ax.f]) for ax in dm.axes])
-
-    def pack_state(self, state) -> np.ndarray:
-        """Geometry vector of a closed-form state, sampled as ``discretize`` does."""
-        parts = []
-        for (kind, _, n), fac in zip(self.axes, state.factors):
-            if kind == "circle":
-                theta = circle_nodes(n)
-                parts += [fac.a_at(theta), fac.f_at(theta)]
-            else:
-                parts.append([fac.scale])
-        return np.concatenate(parts)
 
     def manifold(self, z: np.ndarray, t: float) -> DiscreteWeightedManifold:
         axes = []
@@ -444,51 +434,56 @@ def _scalar_pairings(dm, scalars):
     return J, D, hess
 
 
-def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
-    """Shared deterministic integration loop for runs and scalar replays."""
-    family = request.family
-    t0 = family.t0
+def _output_steps(request: RunRequest) -> tuple[float, list]:
+    """The step size of a run and the steps after which it records an output:
+    step 0, every cadence-th step, and the last step."""
     nsteps = request.steps
     dt = request.horizon / nsteps if nsteps else request.dt
+    return dt, sorted({*range(0, nsteps + 1, request.cadence), nsteps})
+
+
+def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
+    """(t, manifold, scalars or None) per output of a Galerkin run or scalar
+    replay: one deterministic integration, every step a ``_step``."""
+    t0 = request.family.t0
+    dt, recorded = _output_steps(request)
 
     layout = _Layout.of(state0)
     geometry = layout.pack(state0)
     threshold = request.stability_factor * (1.0 + float(np.max(np.abs(geometry))))
     scalars = np.empty((0, *layout.shape)) if scalars0 is None else np.asarray(scalars0, dtype=float)
-    analytic = request.backend == "analytic"
-    flow_rhs = _flow_rhs(layout, request.modes)
-    if analytic:
-        # The geometry follows its closed form; only the scalars are integrated.
-        width, z = 0, scalars.ravel()
-
-        def rhs(t, s):
-            return flow_rhs(t, np.concatenate([layout.pack_state(evaluate_family(family, t)), s]))[layout.width :]
-
-    else:
-        width, z, rhs = layout.width, np.concatenate([geometry, scalars.ravel()]), flow_rhs
-        # The error blocks: each circle's a and f rows, each Gaussian multiplier, each scalar.
-        blocks = [off + i * n for kind, off, n in layout.axes for i in range(1 + (kind == "circle"))]
-        blocks += range(width, z.size, math.prod(layout.shape))
-        k1 = rhs(t0, z)  # the first stage of the first step
+    rhs = _flow_rhs(layout, request.modes)
+    width, z = layout.width, np.concatenate([geometry, scalars.ravel()])
+    # The error blocks: each circle's a and f rows, each Gaussian multiplier, each scalar.
+    blocks = [off + i * n for kind, off, n in layout.axes for i in range(1 + (kind == "circle"))]
+    blocks += range(width, z.size, math.prod(layout.shape))
+    k1 = rhs(t0, z)  # the first stage of the first step
 
     def settle(z):
         return _settle(layout, z, request.modes, request.noise_floor, threshold)
 
-    def record(step, z):
-        t_now = t0 + step * dt
-        dm = layout.manifold(layout.pack_state(evaluate_family(family, t_now)) if analytic else z, t_now)
-        outputs.append((t_now, dm, None if scalars0 is None else z[width:].reshape(scalars.shape).copy()))
+    outputs, done = [], 0
+    for step in recorded:
+        for s in range(done, step):
+            z, k1, _ = _step(rhs, settle, t0 + s * dt, z, dt, request.adaptive_tol, k1, blocks)
+        done, t = step, t0 + step * dt
+        batch = None if scalars0 is None else z[width:].reshape(scalars.shape).copy()
+        outputs.append((t, layout.manifold(z, t), batch))
+    return outputs
 
+
+def _closed_form_outputs(request: RunRequest, scalars0):
+    """(t, manifold, scalars or None) per output of an analytic run: the
+    family's closed form, sampled by ``discretize``, and the scalars carried
+    from output 0 by the exact ``modal_propagator``.  Nothing is stepped."""
+    family = request.family
+    dt, recorded = _output_steps(request)
+    start = evaluate_family(family, family.t0)
     outputs = []
-    record(0, z)
-    for step in range(1, nsteps + 1):
-        t = t0 + (step - 1) * dt
-        if analytic:
-            z = _rk4(rhs, t, z, dt)[0] if z.size else z
-        else:
-            z, k1, _ = _step(rhs, settle, t, z, dt, request.adaptive_tol, k1, blocks)
-        if step % request.cadence == 0 or step == nsteps:
-            record(step, z)
+    for step in recorded:
+        state = evaluate_family(family, family.t0 + step * dt)
+        dm = discretize(state, resolution=request.resolution, hermite_order=request.hermite_order)
+        outputs.append((state.t, dm, None if scalars0 is None else modal_propagator(scalars0, start, state)))
     return outputs
 
 
@@ -530,7 +525,8 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     spectrum0 = lowest_eigenpairs(assemble_forms(state0), request.k, request.eig_tol)
     scalars0 = np.stack(spectrum0.eigenfunctions[1 : request.k + 1]) if request.track_scalars else None
 
-    outputs = _run_loop(request, state0, scalars0)
+    closed_form = request.backend == "analytic"
+    outputs = _closed_form_outputs(request, scalars0) if closed_form else _run_loop(request, state0, scalars0)
 
     times = np.array([t for t, _, _ in outputs])
     states = [FlowState.from_manifold(dm) for _, dm, _ in outputs]
@@ -600,21 +596,24 @@ class ScalarTrajectory:
     values: np.ndarray  # (n_outputs, *grid)
     means: np.ndarray  # weighted means against e^{-f} dv
 
-    def final(self) -> np.ndarray:
-        return self.values[-1]
-
 
 def evolve_scalar(u0, traj: FlowTrajectory) -> ScalarTrajectory:
-    """Evolve u_t = L u + u/2 along a recorded run with matching RK4 stages.
+    """Evolve u_t = L u + u/2 along a recorded run, on the run's backend.
 
-    The geometry replay is deterministic, so the scalar sees exactly the
-    stage states of the original integration.  If the weighted mean of u0
-    vanishes it stays zero for all later times (up to integration error).
+    On Galerkin the geometry replay is deterministic, so the scalar sees
+    exactly the stage states of the original integration; on the analytic
+    backend it is propagated exactly (``modal_propagator``).  If the weighted
+    mean of u0 vanishes it stays zero for all later times (up to integration
+    error).
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != traj.states[0].manifold.shape:
         raise UsageError(f"scalar shape {u0.shape} does not match grid {traj.states[0].manifold.shape}")
-    outputs = _run_loop(traj.request, traj.states[0].manifold, np.stack([u0]))
+    request, scalars0 = traj.request, np.stack([u0])
+    if request.backend == "analytic":
+        outputs = _closed_form_outputs(request, scalars0)
+    else:
+        outputs = _run_loop(request, traj.states[0].manifold, scalars0)
     times = np.array([t for t, _, _ in outputs])
     values = np.stack([s[0] for _, _, s in outputs])
     means = np.array([dm.integrate(s[0]) for _, dm, s in outputs])

@@ -129,9 +129,6 @@ class ScaledGaussianFamily:
         # that f_t = n/2 - Delta f holds and e^{-f} dv is preserved exactly.
         return ContinuumState(t=float(t), factors=tuple(GaussianLineModel(u) for _ in range(self.n)))
 
-    def lowest_nonzero_eigenvalue(self, t: float) -> float:
-        return 1.0 / (2.0 * self.scale_at(t))
-
 
 @dataclass(frozen=True)
 class RoundCircleFamily:
@@ -154,9 +151,6 @@ class RoundCircleFamily:
         a = self.a0 * math.exp(t - self.t0)
         f = self.f0 + 0.5 * (t - self.t0)
         return ContinuumState(t=float(t), factors=(CircleModel(a=a, f=f),))
-
-    def lowest_nonzero_eigenvalue(self, t: float) -> float:
-        return math.exp(-(t - self.t0)) / self.a0
 
 
 @dataclass(frozen=True)

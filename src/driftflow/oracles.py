@@ -3,7 +3,11 @@
 These deliberately avoid the fast paths of the main engines: the dense solve
 forms the Kronecker-sum stiffness matrix, which the fast path only applies
 factor by factor, and diagonalizes the full pair; the equality-case ODE is
-integrated step by step instead of using the closed form it validates.
+integrated step by step instead of using the closed form it validates; the
+modal propagator solves the drift heat equation of the tracked scalars in
+closed form, mode by mode in each axis's eigenbasis, where the integrator
+steps it with the coupled right-hand side.  The analytic backend records its
+scalars from the propagator.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .axes import _hermite_ops, axis_to_front
 from .errors import HorizonError, OracleError, UsageError
+from .geometry import CircleModel
 
 __all__ = [
     "OracleReport",
@@ -23,6 +29,7 @@ __all__ = [
     "dense_stiffness",
     "integrate_equality_ode",
     "finite_diff_time_derivative",
+    "modal_propagator",
 ]
 
 _OVERFLOW_GUARD = 1e12
@@ -149,3 +156,43 @@ def finite_diff_time_derivative(series, dt: float) -> np.ndarray:
     out[0] = (-3.0 * series[0] + 4.0 * series[1] - series[2]) / (2.0 * dt)
     out[-1] = (3.0 * series[-1] - 4.0 * series[-2] + series[-3]) / (2.0 * dt)
     return out
+
+
+def modal_propagator(u0, start, end) -> np.ndarray:
+    """Exact solution at ``end`` of u_t = L u + u/2 started from ``u0`` at ``start``.
+
+    ``start`` and ``end`` are closed-form states of one family
+    (``evaluate_family``): round circles and Gaussian lines.  ``u0`` holds
+    node values on their ``discretize`` grid in its trailing axes; leading
+    axes are a batch.  Along such a flow L is diagonal in one fixed basis per
+    axis, the Fourier modes k of a circle with eigenvalue k^2 / a(t) and the
+    orthonormal Hermite functions j of a line with j / (2 u(t)), so each mode
+    gains exp(s/2 - Lambda) over the lag s, Lambda being the integral of its
+    eigenvalue: k^2 (1/a(start) - 1/a(end)) on a circle and
+    (j/2) (s - log(u(end) / u(start))) on a line.  The basis changes are the
+    rfft and the inverse Hermite Vandermonde matrix, axis by axis, applied to
+    u - u[0] along the axis, so that constants pass exactly.  At zero lag the
+    propagator is the identity.
+    """
+    u = np.array(u0, dtype=float)
+    s = float(end.t) - float(start.t)
+    if s == 0.0:
+        return u
+    first = u.ndim - len(start.factors)
+    for axis, (fac0, fac1) in enumerate(zip(start.factors, end.factors), start=first):
+        n = u.shape[axis]
+        perm, inverse = axis_to_front(u.ndim, axis)
+        moved = u.transpose(perm)
+        diff = (moved - moved[:1]).reshape(n, -1)
+        if isinstance(fac0, CircleModel):
+            if callable(fac0.a) or callable(fac1.a):
+                raise UsageError("the modal propagator needs round circles")
+            k2 = np.arange(n // 2 + 1) ** 2.0
+            gain = np.exp(-k2 * (1.0 / fac0.a - 1.0 / fac1.a))
+            diff = np.fft.irfft(gain[:, None] * np.fft.rfft(diff, axis=0), n=n, axis=0)
+        else:
+            ops = _hermite_ops(n)
+            gain = np.exp(-0.5 * np.arange(n) * (s - math.log(fac1.scale / fac0.scale)))
+            diff = ops["vand"] @ (gain[:, None] * (ops["vinv"] @ diff))
+        u = (moved[:1] + diff.reshape(moved.shape)).transpose(inverse)
+    return math.exp(s / 2.0) * u

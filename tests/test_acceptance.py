@@ -9,10 +9,12 @@ or ``driftflow verify`` for the same suite outside pytest.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from driftflow import acceptance
 from driftflow.cli import main
+from driftflow.config import ScenarioConfig
 from driftflow.flow import RunRequest, run_flow
 from driftflow.geometry import product_family, round_circle_family, scaled_gaussian_family
 from driftflow.splitting import detect_splitting
@@ -129,3 +131,17 @@ def test_every_tolerance_is_read_by_a_check(monkeypatch):
         )
         assert not acceptance.failed({backend: checks})
     assert read == set(acceptance.VERIFY_TOLERANCES)
+
+
+def test_analytic_scalars_of_a_fast_circle_stay_bounded():
+    # Stepped with plain RK4 far outside its stability interval, these scalars
+    # reached 7e72 and E' violation 1.4e184; propagated exactly, they decay.
+    config = ScenarioConfig.from_dict({
+        "family": "round_circle", "a0": 0.001, "horizon": 0.01, "cadence": 1, "k": 2, "backend": "analytic",
+        "check_functionals": True,
+    })
+    traj = run_flow(config.to_request())
+    peak = np.max(np.abs(traj.scalar_values), axis=(1, 2))
+    assert np.all(peak <= peak[0])
+    checks = {c.name: c for c in acceptance.check_functionals(traj)}
+    assert checks["E' violation"].passed and checks["scalar mean"].passed

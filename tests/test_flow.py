@@ -144,6 +144,27 @@ class TestRunFlow:
         assert verdict.passed
 
 
+class TestShiftInvariance:
+    """The system is autonomous and sees f only through its derivatives, so a
+    shift of t0 or f0 leaves the eigenvalues, the bounds and the energies."""
+
+    @staticmethod
+    def _run(backend, t0=0.0, f0=0.0):
+        family = df.product_family(
+            [df.scaled_gaussian_family(2.0, 1, t0=t0), df.round_circle_family(4.0, t0=t0, f0=f0)]
+        )
+        traj = df.run_flow(RunRequest(family=family, horizon=0.5, dt=1e-3, cadence=50, k=4, backend=backend))
+        return np.stack([sp.eigenvalues for sp in traj.spectra]), traj.bounds, traj.series["E"]
+
+    @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
+    def test_t0_and_f0_shifts(self, backend):
+        base = self._run(backend)
+        for shift in ({"t0": 100.0}, {"t0": -100.0}, {"f0": 50.0}, {"f0": -50.0}):
+            for name, ref, got in zip(("lambda", "bounds", "E"), base, self._run(backend, **shift)):
+                deviation = float(np.max(np.abs(got - ref))) / float(np.max(np.abs(ref)))
+                assert deviation <= 1e-11, (shift, name, deviation)
+
+
 @pytest.fixture(scope="module")
 def static_traj():
     req = RunRequest(family=df.scaled_gaussian_family(1.0, 1), horizon=0.2, dt=1e-3,

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 import driftflow as df
+import driftflow.flow
+from driftflow.axes import _hermite_ops, circle_nodes
 from driftflow.errors import HorizonError, OracleError, UsageError
-from driftflow.oracles import OracleReport
+from driftflow.flow import RunRequest
+from driftflow.geometry import CircleModel, ContinuumState
+from driftflow.oracles import OracleReport, modal_propagator
 from driftflow.spectral import QuadraticForms
 
 LOG2 = math.log(2.0)
@@ -122,3 +126,94 @@ class TestDeterminism:
         doc = r1.to_json_dict()
         assert doc["oracle"] == "demo"
         assert doc["rel_deviation"] <= doc["abs_deviation"]
+
+
+def _gauss_circle():
+    """scaled_gaussian(u0=2) x round_circle(a0=4): a Hermite mode j = 1 and the
+    circle modes cos t, sin t all start at lambda = 1/4."""
+    return df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(4.0)])
+
+
+class TestModalPropagator:
+    ORDER, NODES = 12, 64
+
+    def _modes(self):
+        vand = _hermite_ops(self.ORDER)["vand"]
+        theta = circle_nodes(self.NODES)
+        return vand, theta
+
+    def test_each_mode_gains_its_own_axis_integral(self):
+        family = _gauss_circle()
+        vand, theta = self._modes()
+        start = df.evaluate_family(family, 0.0)
+        for s in (0.1, 0.5, 1.3):
+            end = df.evaluate_family(family, s)
+            u_s = 1.0 + math.exp(s)
+            for k in range(4):
+                for j in range(4):
+                    for wave in (np.cos, np.sin):
+                        u0 = np.outer(vand[:, j], wave(k * theta))
+                        if not u0.any():  # sin 0
+                            continue
+                        circle = k * k * (1.0 - math.exp(-s)) / 4.0
+                        line = 0.5 * j * (s - math.log(u_s) + math.log(2.0))
+                        gain = math.exp(s / 2.0 - circle - line)
+                        got = modal_propagator(u0, start, end)
+                        assert float(np.max(np.abs(got - gain * u0))) <= 1e-13 * float(np.max(np.abs(u0)))
+
+    def test_the_three_quarter_modes_are_told_apart_by_axis(self):
+        family = _gauss_circle()
+        vand, theta = self._modes()
+        s = 0.5
+        start, end = df.evaluate_family(family, 0.0), df.evaluate_family(family, s)
+        hermite = np.outer(vand[:, 1], np.ones(self.NODES))
+        gains = [
+            modal_propagator(u, start, end)[2, 3] / u[2, 3]
+            for u in (hermite, np.outer(vand[:, 0], np.cos(theta)), np.outer(vand[:, 0], np.sin(theta)))
+        ]
+        # lambda = 1/(2 u(t)) on the line, e^{-t}/4 on the circle
+        assert gains[0] == pytest.approx(math.exp(s / 2.0 - 0.5 * (s - math.log(1.0 + math.exp(s)) + LOG2)), rel=1e-13)
+        assert gains[1] == pytest.approx(math.exp(s / 2.0 - (1.0 - math.exp(-s)) / 4.0), rel=1e-13)
+        assert gains[2] == pytest.approx(gains[1], rel=1e-13)
+        assert abs(gains[0] - gains[1]) > 1e-3
+
+    def test_constants_gain_exactly_e_to_the_half_lag(self):
+        family = _gauss_circle()
+        start = df.evaluate_family(family, 0.0)
+        for s in (0.0, 0.25, 2.0):
+            u0 = np.full((self.ORDER, self.NODES), -1.75)
+            got = modal_propagator(u0, start, df.evaluate_family(family, s))
+            np.testing.assert_array_equal(got, math.exp(s / 2.0) * u0)
+
+    def test_composition(self):
+        family = _gauss_circle()
+        u0 = np.random.default_rng(3).standard_normal((2, self.ORDER, self.NODES))
+        t0, t1, t2 = (df.evaluate_family(family, t) for t in (0.0, 0.15, 0.4))
+        direct = modal_propagator(u0, t0, t2)
+        composed = modal_propagator(modal_propagator(u0, t0, t1), t1, t2)
+        assert float(np.max(np.abs(composed - direct))) <= 1e-13 * float(np.max(np.abs(direct)))
+
+    def test_batch_is_fieldwise_and_zero_lag_is_the_identity(self):
+        family = df.scaled_gaussian_family(0.5, 3)  # a shrinking n = 3 Gaussian
+        u0 = np.random.default_rng(4).standard_normal((2, 5, 5, 5))
+        start, end = df.evaluate_family(family, 0.0), df.evaluate_family(family, 0.3)
+        batch = modal_propagator(u0, start, end)
+        for field, out in zip(u0, batch):
+            np.testing.assert_allclose(modal_propagator(field, start, end), out, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(modal_propagator(u0, start, start), u0)
+
+    def test_rejects_a_circle_that_is_not_round(self):
+        wavy = [ContinuumState(t=t, factors=(CircleModel(a=lambda th: 2.0 + np.cos(th)),)) for t in (0.0, 1.0)]
+        with pytest.raises(UsageError):
+            modal_propagator(np.ones(8), *wavy)
+
+    @pytest.mark.parametrize("name", ["_flow_rhs", "_rk4", "_step"])
+    def test_analytic_runs_never_step(self, name, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{name} reached")
+
+        req = RunRequest(family=_gauss_circle(), horizon=0.05, dt=1e-3, cadence=10, k=4, backend="analytic")
+        monkeypatch.setattr(driftflow.flow, name, unreachable)
+        traj = df.run_flow(req)
+        out = df.evolve_scalar(traj.scalar_values[0, 1], traj)
+        np.testing.assert_allclose(out.values, traj.scalar_values[:, 1], rtol=0, atol=1e-14)
