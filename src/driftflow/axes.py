@@ -182,7 +182,10 @@ class CircleAxis:
         return self.d2_vec(self.f) - self.christoffel * self.fprime
 
     def _stag(self, values: np.ndarray) -> np.ndarray:
-        """Trigonometric interpolant of node values at theta_j + pi/n."""
+        """Trigonometric interpolant of node values at theta_j + pi/n; a
+        constant interpolates to itself, with no transform."""
+        if np.ptp(values) == 0.0:
+            return np.full(self.size, values[0])
         return values[0] + _spectral(self._ops["stag"], values - values[0])
 
     def mass_diag(self) -> np.ndarray:
@@ -232,7 +235,10 @@ def _hermite_ops(order: int) -> dict[str, np.ndarray]:
     # d/dx q_k = sqrt(k / 2) q_{k-1}
     shift = np.diag(np.sqrt(np.arange(1, order) / 2.0), k=1)
     d1 = vand @ shift @ vinv
-    ops = {"nodes": nodes, "wdens": wdens, "vand": vand, "vinv": vinv, "d1": d1, "d2": d1 @ d1}
+    # The basis renormalized under the quadrature itself: the eigenvectors.
+    eigvecs = vand / np.sqrt(np.sum(vand * vand * wdens[:, None], axis=0))
+    eigvecs.flags.writeable = False
+    ops = {"nodes": nodes, "wdens": wdens, "vand": vand, "vinv": vinv, "d1": d1, "d2": d1 @ d1, "eigvecs": eigvecs}
     _HERMITE_CACHE[order] = ops
     return ops
 
@@ -266,7 +272,7 @@ class HermiteLineAxis:
         self.christoffel = 0.0
         self._d1 = ops["d1"]
         self._d2 = ops["d2"]
-        self._vand = ops["vand"]
+        self._eigvecs = ops["eigvecs"]
 
     def d1(self, field: np.ndarray, axis: int) -> np.ndarray:
         return apply_deriv(self._d1, field, axis)
@@ -285,8 +291,6 @@ class HermiteLineAxis:
         return np.arange(self.size) / (2.0 * self.scale)
 
     def eigens(self):
-        """Exact eigenpairs: Hermite basis vectors, quadrature-normalized."""
-        vecs = self._vand.copy()
-        norms = np.sqrt(np.sum(vecs * vecs * self.wdens[:, None], axis=0))
-        vecs /= norms
-        return self.analytic_eigenvalues(), vecs
+        """Exact eigenpairs: Hermite basis vectors, quadrature-normalized
+        once per order (read-only)."""
+        return self.analytic_eigenvalues(), self._eigvecs

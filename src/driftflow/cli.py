@@ -12,7 +12,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import ScenarioConfig, load_config
 from .errors import (
@@ -108,8 +107,17 @@ def _sweep_worker(raw: dict, out_root: str | None):
         return (raw.get("name", "?"), "unexpected", _one_line(exc))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _cmd_sweep(args) -> int:
     try:
+        if args.jobs < 1:
+            raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
         base = load_config(args.config)
         grid = _parse_grid(args.grid)
         unknown = set(grid) - set(base.canonical_dict())
@@ -128,8 +136,13 @@ def _cmd_sweep(args) -> int:
         raw["name"] = f"{base.name}-{suffix}"
         combos.append(raw)
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A process pool forks all its workers at the first submit, so start no
+    # more than there are runs and usable cores.
+    workers = min(args.jobs, len(combos), _usable_cpus())
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing: only here
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_worker, combos, [args.out] * len(combos)))
     else:
         outcomes = [_sweep_worker(raw, args.out) for raw in combos]

@@ -11,17 +11,21 @@ blocks, each weighted by the other axes' masses; it is kept in factors and
 applied axis by axis (Lynch, Rice & Thomas 1964), never formed as one matrix.
 Eigenpairs are solved per axis: Hermite axes and constant-coefficient
 circles in closed form (Fourier modes), other circles by dense ``eigh``.
+The closed-form tables depend only on the grid and are cached read-only per
+grid; products combine the axes with one outer sum of eigenvalues and one
+broadcast product of eigenvectors, in the same floating-point operations as
+a per-pair build.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .axes import axis_to_front
+from .axes import axis_to_front, circle_nodes
 from .errors import SolverError, UndefinedQuotientError, UsageError
 from .geometry import DiscreteWeightedManifold
 
@@ -223,7 +227,8 @@ class QuadraticForms:
 
     @cached_property
     def mass_diag(self) -> np.ndarray:
-        return reduce(np.kron, self.axis_masses) * self.scale
+        # The Kronecker product of the axis masses, one multiply per entry as in np.kron.
+        return reduce(np.multiply.outer, self.axis_masses).ravel() * self.scale
 
     def apply_stiffness(self, u) -> np.ndarray:
         """K u for one field of ``shape`` or a batch of them, (..., *shape)."""
@@ -231,12 +236,13 @@ class QuadraticForms:
         d = len(self.blocks)
         if u.shape[u.ndim - d :] != self.shape:
             raise UsageError(f"field shape {u.shape} does not end in grid {self.shape}")
+        masses = [np.reshape(m, [-1 if a == j else 1 for a in range(d)]) for j, m in enumerate(self.axis_masses)]
         out = 0.0
         for i, block in enumerate(self.blocks):
             weighted = u
-            for j, m in enumerate(self.axis_masses):
+            for j, m in enumerate(masses):
                 if j != i:
-                    weighted = weighted * np.reshape(m, [-1 if a == j else 1 for a in range(d)])
+                    weighted = weighted * m
             perm, inverse = axis_to_front(weighted.ndim, i - d)
             moved = weighted.transpose(perm)
             out = out + (block @ moved.reshape(len(moved), -1)).reshape(moved.shape).transpose(inverse)
@@ -288,26 +294,45 @@ class SpectralResult:
         }
 
 
+@cache
+def _circle_modes(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wavenumbers k = 0, 1, 1, 2, 2, ... and the unnormalized closed-form
+    table 1, cos k theta, sin k theta, ... at the n nodes; read-only, cached
+    per grid."""
+    k = (np.arange(count) + 1) // 2
+    phase = np.outer(circle_nodes(n), k)
+    vecs = np.where(np.arange(count) % 2 == 1, np.cos(phase), np.sin(phase))
+    vecs[:, 0] = 1.0
+    k.flags.writeable = vecs.flags.writeable = False
+    return k, vecs
+
+
 def _axis_eigens(ax, block, mass, count):
     """Lowest mass-orthonormal eigenpairs of one axis (circles: ``count``).
 
+    Hermite axes return their exact basis, normalized once per order.
     Constant-coefficient circles are diagonal in Fourier modes, so lambda =
-    k^2/a (0, 1, 1, 4, 4, ...) with vectors cos k theta, then sin k theta."""
+    k^2/a (0, 1, 1, 4, 4, ...) with vectors cos k theta, then sin k theta;
+    the table is cached per grid and only its normalization, which depends
+    on the state's mass, is computed per call.  Other circles take dense
+    ``eigh``."""
     if ax.kind == "hermite":
         return ax.eigens()
     count = min(count, ax.size)
     if np.ptp(ax.a) == 0.0 and np.ptp(ax.f) == 0.0:
-        k = (np.arange(count) + 1) // 2
-        phase = np.outer(ax.nodes, k)
-        vecs = np.where(np.arange(count) % 2 == 1, np.cos(phase), np.sin(phase))
-        vecs[:, 0] = 1.0
-        vecs /= np.sqrt(mass @ (vecs * vecs))
-        return k**2 / ax.a[0], vecs
+        k, table = _circle_modes(ax.size, count)
+        return k**2 / ax.a[0], table / np.sqrt(mass @ (table * table))
     from scipy.linalg import eigh  # only here: the other paths need no scipy
     vals, vecs = eigh(block @ np.eye(ax.size), np.diag(mass), subset_by_index=[0, count - 1])
     # The stiffness maps constants to exactly zero, so the first pair is known.
     vals[0], vecs[:, 0] = 0.0, 1.0 / math.sqrt(mass.sum())
     return vals, vecs
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: ``np.linalg.norm(x, axis=1)`` for real x,
+    by the same formula."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10) -> SpectralResult:
@@ -330,28 +355,32 @@ def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10) -> Spec
         vals, vecs = _axis_eigens(ax, block, mass, k + 1)
         per_axis.append((vals[: k + 1], vecs[:, : k + 1]))
 
-    # Enumerate candidate index tuples; the k+1 smallest sums only ever use
-    # per-axis indices at most k, so this cover is exhaustive.
-    grids = np.meshgrid(*[np.arange(len(v)) for v, _ in per_axis], indexing="ij")
-    tuples = np.stack([g.ravel() for g in grids], axis=1)
-    sums = sum(vals[tuples[:, i]] for i, (vals, _) in enumerate(per_axis))
-    order = np.argsort(sums, kind="stable")[: k + 1]
+    # All sums of per-axis eigenvalues, added left to right in C order; the
+    # k+1 smallest only ever use per-axis indices at most k, so this cover
+    # is exhaustive.
+    sums = reduce(np.add.outer, [vals for vals, _ in per_axis])
+    order = np.argsort(sums, axis=None, kind="stable")[: k + 1]
+    eigenvalues = sums.ravel()[order]
 
-    eigenvalues = sums[order]
-    norm_fix = math.exp(dm.f_constant / 2.0)
-    fields = np.empty((k + 1, *dm.shape))
-    for row, idx in enumerate(order):
-        field = np.ones(dm.shape)
-        for i, (_, vecs) in enumerate(per_axis):
-            field = field * dm.axis_profile(i, vecs[:, tuples[idx, i]])
-        field = field * norm_fix
-        fields[row] = -field if field.flat[np.argmax(np.abs(field))] < 0 else field
+    # Each eigenfunction is the product of one column per axis, multiplied
+    # in axis order and then by the normalization, all k+1 in one broadcast.
+    d = len(per_axis)
+    fields = reduce(
+        np.multiply,
+        [
+            vecs.T[idx].reshape(k + 1, *[-1 if j == i else 1 for j in range(d)])
+            for i, ((_, vecs), idx) in enumerate(zip(per_axis, np.unravel_index(order, sums.shape)))
+        ],
+    ) * math.exp(dm.f_constant / 2.0)
+    flat = fields.reshape(k + 1, -1)
+    flip = flat[np.arange(k + 1), np.argmax(np.abs(flat), axis=1)] < 0
+    fields[flip] = -fields[flip]
 
     ku = forms.apply_stiffness(fields).reshape(k + 1, -1)
     mu = forms.mass_diag * fields.reshape(k + 1, -1)
     res = ku - eigenvalues[:, None] * mu
-    scale = np.linalg.norm(ku, axis=1) + (1.0 + np.abs(eigenvalues)) * np.linalg.norm(mu, axis=1)
-    residuals = np.linalg.norm(res, axis=1) / scale
+    scale = _row_norms(ku) + (1.0 + np.abs(eigenvalues)) * _row_norms(mu)
+    residuals = _row_norms(res) / scale
     if np.max(residuals) > tol:
         raise SolverError(
             f"eigen-residual {np.max(residuals):.3e} exceeds tolerance {tol:.3e}",

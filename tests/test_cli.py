@@ -163,6 +163,19 @@ class TestRunCommand:
         lines = result.stdout.splitlines()
         assert [lines[0], lines[-1]] == ["False", "False"]  # after the import, after the run
 
+    def test_run_does_not_import_multiprocessing(self, tmp_path):
+        # only a sweep with more than one worker needs the process pool
+        cfg = _write_config(tmp_path / "g.json", name="g", horizon=0.01)
+        script = (
+            "import sys; from driftflow.cli import main; "
+            f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+        )
+        src = os.path.dirname(os.path.dirname(flow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_config_error_leaves_no_artifacts(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "bad.json", family="round_circle", a0=-1.0)
         out = tmp_path / "out"
@@ -379,6 +392,64 @@ class TestSweepAndReport:
         assert [m["status"] for m in manifest] == ["unexpected", "unexpected"]
         assert {m["where"] for m in manifest} == {"RuntimeError: boom second line"}
         assert capsys.readouterr().err == "error: unexpected: 2 runs failed\n"
+
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        """Record the pools a sweep starts; the fake runs its map in this
+        process and forks nothing.  Runs return at once."""
+        import concurrent.futures
+        import types
+
+        import driftflow.runner
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(
+            driftflow.runner, "execute", lambda config, out_root=None: types.SimpleNamespace(failed=[], out_dir="x")
+        )
+        return pools
+
+    @pytest.mark.parametrize(
+        "jobs, grid, cpus, pool",
+        [
+            (100000, "u0=1,2", 64, [2]),  # no more workers than runs
+            (8, "u0=1,2,3,4", 3, [3]),  # nor than usable cores
+            (3, "u0=1,2,3,4", 64, [3]),
+            (4, "u0=1", 64, []),  # one run, or one core, runs in this process
+            (4, "u0=1,2", 1, []),
+            (1, "u0=1,2", 64, []),
+        ],
+    )
+    def test_sweep_pool_is_bounded_by_runs_and_cores(self, tmp_path, monkeypatch, fake_pool, jobs, grid, cpus, pool):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cfg = _write_config(tmp_path / "base.json")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--grid", grid, "--jobs", str(jobs), "--out", str(out)]) == 0
+        assert fake_pool == pool
+        manifest = json.loads((out / "sweep_manifest.json").read_text())
+        assert [m["status"] for m in manifest] == ["ok"] * len(grid.split(","))
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_sweep_rejects_jobs_below_one(self, tmp_path, capsys, fake_pool, jobs):
+        cfg = _write_config(tmp_path / "base.json")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--grid", "u0=1,2", "--jobs", str(jobs), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config: --jobs must be at least 1, got {jobs}\n"
+        assert fake_pool == [] and not out.exists()
 
     def test_sweep_bad_grid_key(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "base.json")

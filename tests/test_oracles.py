@@ -68,6 +68,49 @@ class TestEqualityOde:
         with pytest.raises(HorizonError):
             df.integrate_equality_ode(1.0, 0.70, dt=1e-5)
 
+    @staticmethod
+    def _guarded_every_step(F0, s, dt):
+        """The integrator with its overflow guard read after every step."""
+        nsteps = max(1, int(round(s / dt))) if s > 0 else 0
+        h = s / nsteps if nsteps else 0.0
+        F = F0
+        for _ in range(nsteps):
+            k1 = (2.0 * F - 1.0) * F
+            x = F + 0.5 * h * k1
+            k2 = (2.0 * x - 1.0) * x
+            x = F + 0.5 * h * k2
+            k3 = (2.0 * x - 1.0) * x
+            x = F + h * k3
+            k4 = (2.0 * x - 1.0) * x
+            F = F + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not math.isfinite(F) or abs(F) > 1e12:
+                return HorizonError(np.log(2.0 * F0 / (2.0 * F0 - 1.0)) if F0 > 0.5 else np.inf)
+        return F
+
+    @pytest.mark.parametrize(
+        "F0, s, dt",
+        [
+            (0.25, 5.0, 1e-4),  # 50000 steps, not a whole number of blocks
+            (0.5, 1.0, 1e-3),
+            (-0.3, 2.0, 1e-3),
+            (1.0, 0.69, 1e-5),  # close below the horizon log 2
+            (0.75, 5.0, 1e-4),  # passes the guard inside a block
+            (10.0, 1.0, 1e-2),  # overflows to inf within the first, partial block
+            (0.6, 0.3, 1e-3),
+            (float("nan"), 1.0, 1e-3),
+            (float("inf"), 1.0, 1e-3),
+        ],
+    )
+    def test_guard_per_block_matches_guard_per_step(self, F0, s, dt):
+        expected = self._guarded_every_step(F0, s, dt)
+        if isinstance(expected, HorizonError):
+            with pytest.raises(HorizonError) as caught:
+                df.integrate_equality_ode(F0, s, dt=dt)
+            assert str(caught.value) == "equality ODE blew up before the requested lag"
+            np.testing.assert_equal(caught.value.horizon, expected.horizon)  # nan for F0 = inf
+        else:
+            assert df.integrate_equality_ode(F0, s, dt=dt) == expected
+
     def test_bad_arguments(self):
         with pytest.raises(UsageError):
             df.integrate_equality_ode(0.3, 1.0, dt=-1e-3)

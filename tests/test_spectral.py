@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -7,11 +8,11 @@ import scipy.linalg
 from scipy.linalg import eigh
 
 import driftflow as df
-from driftflow.axes import _fourier_dense, apply_deriv
+from driftflow.axes import _fourier_dense, _fourier_ops, _hermite_ops, _spectral, apply_deriv
 from driftflow.errors import AssemblyError, UndefinedQuotientError, UsageError
-from driftflow.geometry import CircleModel, ContinuumState
+from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel, discretize
 from driftflow.oracles import dense_stiffness
-from driftflow.spectral import drift_laplacian, partials
+from driftflow.spectral import _axis_eigens, _circle_modes, drift_laplacian, partials
 
 TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 FOUR_SQRT_PI = 4.0 * math.sqrt(math.pi)
@@ -210,6 +211,123 @@ class TestLowestEigenpairs:
         assert doc["normalization"] == "weighted-L2"
         assert len(doc["eigenvalues"]) == 3
 
+
+
+def _reference_eigenpairs(forms, k):
+    """The straightforward assembly the cached tables and broadcasts replace:
+    per-call tables, a meshgrid enumeration, one field per loop, np.linalg.norm
+    and np.kron."""
+    dm = forms.manifold
+    per_axis = []
+    for ax, block, mass in zip(dm.axes, forms.blocks, forms.axis_masses):
+        count = k + 1
+        if ax.kind == "hermite":
+            vecs = _hermite_ops(ax.size)["vand"].copy()
+            vecs /= np.sqrt(np.sum(vecs * vecs * ax.wdens[:, None], axis=0))
+            vals = ax.analytic_eigenvalues()
+        elif np.ptp(ax.a) == 0.0 and np.ptp(ax.f) == 0.0:
+            count = min(count, ax.size)
+            kk = (np.arange(count) + 1) // 2
+            phase = np.outer(ax.nodes, kk)
+            vecs = np.where(np.arange(count) % 2 == 1, np.cos(phase), np.sin(phase))
+            vecs[:, 0] = 1.0
+            vecs /= np.sqrt(mass @ (vecs * vecs))
+            vals = kk**2 / ax.a[0]
+        else:
+            vals, vecs = eigh(block @ np.eye(ax.size), np.diag(mass), subset_by_index=[0, min(count, ax.size) - 1])
+            vals[0], vecs[:, 0] = 0.0, 1.0 / math.sqrt(mass.sum())
+        per_axis.append((vals[: k + 1], vecs[:, : k + 1]))
+    grids = np.meshgrid(*[np.arange(len(v)) for v, _ in per_axis], indexing="ij")
+    tuples = np.stack([g.ravel() for g in grids], axis=1)
+    sums = sum(vals[tuples[:, i]] for i, (vals, _) in enumerate(per_axis))
+    order = np.argsort(sums, kind="stable")[: k + 1]
+    eigenvalues = sums[order]
+    fields = np.empty((k + 1, *dm.shape))
+    for row, idx in enumerate(order):
+        field = np.ones(dm.shape)
+        for i, (_, vecs) in enumerate(per_axis):
+            field = field * dm.axis_profile(i, vecs[:, tuples[idx, i]])
+        field = field * math.exp(dm.f_constant / 2.0)
+        fields[row] = -field if field.flat[np.argmax(np.abs(field))] < 0 else field
+    mass_diag = functools.reduce(np.kron, forms.axis_masses) * forms.scale
+    ku = forms.apply_stiffness(fields).reshape(k + 1, -1)
+    mu = mass_diag * fields.reshape(k + 1, -1)
+    res = ku - eigenvalues[:, None] * mu
+    scale = np.linalg.norm(ku, axis=1) + (1.0 + np.abs(eigenvalues)) * np.linalg.norm(mu, axis=1)
+    return eigenvalues, fields, np.linalg.norm(res, axis=1) / scale, mass_diag
+
+
+def _product(*factors, f_constant=0.0, resolution=64, hermite_order=12):
+    state = ContinuumState(t=0.0, factors=factors, f_constant=f_constant)
+    return discretize(state, resolution=resolution, hermite_order=hermite_order)
+
+
+class TestCachedSpectralTables:
+    @pytest.mark.parametrize(
+        "grid, k",
+        [
+            ("round circle", 9),
+            ("non-round circle", 5),
+            ("gaussian x circle, f_constant 0.7", 7),
+            ("gaussian n=3", 6),
+            ("gaussian x 8-node circle", 12),  # the circle has fewer nodes than pairs
+        ],
+    )
+    def test_bitwise_equal_to_the_reference_assembly(self, grid, k):
+        dm = {
+            "round circle": lambda: df.weighted_circle(64, a=2.5, f=0.3),
+            "non-round circle": lambda: df.weighted_circle(48, a=lambda th: 1.0 + 0.3 * np.cos(th)),
+            "gaussian x circle, f_constant 0.7": lambda: _product(
+                GaussianLineModel(1.7), CircleModel(a=0.8, f=0.25), f_constant=0.7, resolution=32, hermite_order=10
+            ),
+            "gaussian n=3": lambda: _product(*[GaussianLineModel(0.6)] * 3, hermite_order=8),
+            "gaussian x 8-node circle": lambda: _product(
+                GaussianLineModel(1.0), CircleModel(a=3.0, f=0.2), f_constant=-0.4, resolution=8, hermite_order=6
+            ),
+        }[grid]()
+        forms = df.assemble_forms(dm)
+        res = df.lowest_eigenpairs(forms, k)
+        vals, fields, residuals, mass_diag = _reference_eigenpairs(forms, k)
+        assert res.eigenvalues.tobytes() == vals.tobytes()
+        assert np.stack(res.eigenfunctions).tobytes() == fields.tobytes()
+        assert res.residuals.tobytes() == residuals.tobytes()
+        assert forms.mass_diag.tobytes() == mass_diag.tobytes()
+
+    @pytest.mark.parametrize("value", [2.5, 0.0, -0.0, -1.25, 1e-8])
+    def test_constant_interpolates_to_itself_as_the_transform_gives(self, value):
+        ax = df.weighted_circle(32).axes[0]
+        values = np.full(32, value)
+        by_transform = values[0] + _spectral(_fourier_ops(32)["stag"], values - values[0])
+        assert np.exp(-ax._stag(values)).tobytes() == np.exp(-by_transform).tobytes()
+        if value != 0.0:
+            assert ax._stag(values).tobytes() == by_transform.tobytes()
+
+    def test_tables_are_read_only(self):
+        k, table = _circle_modes(64, 5)
+        vals, vecs = df.gaussian_line(1.0, order=12).axes[0].eigens()
+        for arr in (k, table, vecs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert vals.flags.writeable  # the eigenvalues depend on the scale
+
+    def test_round_circles_share_the_table_not_its_normalization(self):
+        cached = _circle_modes.cache_info().currsize
+        small, large = df.weighted_circle(96, a=0.5, f=0.1), df.weighted_circle(96, a=4.0, f=0.1)
+        pairs = []
+        for dm in (small, large):
+            forms = df.assemble_forms(dm)
+            pairs.append(_axis_eigens(dm.axes[0], forms.blocks[0], forms.axis_masses[0], 5))
+        assert _circle_modes.cache_info().currsize <= cached + 1  # one entry for both
+        (vals_s, vecs_s), (vals_l, vecs_l) = pairs
+        table = _circle_modes(96, 5)[1]
+        assert vecs_s is not table and vecs_l is not table and vecs_s.flags.writeable
+        np.testing.assert_array_equal(vals_s, 8.0 * vals_l)
+        # the weighted length 2 pi e^{-f} sqrt(a) differs, so the normalization does
+        np.testing.assert_allclose(vecs_s, 2.0 ** 0.75 * vecs_l, rtol=1e-14)
+        for (_, vecs), dm in zip(pairs, (small, large)):
+            gram = vecs.T @ (dm.axes[0].wdens[:, None] * vecs)
+            assert float(np.max(np.abs(gram - np.eye(5)))) < 1e-13
 
 class TestFieldOperations:
     def test_energy_profile_examples(self):
