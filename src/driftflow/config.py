@@ -6,6 +6,9 @@ encoded in a compact factor string, e.g.
 
     "family": "product",
     "factors": "scaled_gaussian:u0=1,n=1;round_circle:a0=0.25"
+
+whose factor kinds and parameter names are checked like keys, and whose
+values are held to the bounds of the top-level keys of the same names.
 """
 
 from __future__ import annotations
@@ -39,6 +42,13 @@ _BOUNDS = {
     "f0": (-50.0, 50.0),
     "n": (1, 4),
     "seed": (0, 2**31 - 1),
+}
+
+# The parameters each factor kind of a product takes, with their types; every
+# value is held to the bounds of the top-level key of the same name.
+_FACTOR_PARAMS = {
+    "scaled_gaussian": {"u0": float, "n": int},
+    "round_circle": {"a0": float, "f0": float},
 }
 
 
@@ -116,8 +126,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown family {self.family!r}")
         if self.backend not in ("galerkin", "analytic"):
             raise ConfigurationError(f"unknown backend {self.backend!r}")
-        if self.family == "product" and not self.factors:
-            raise ConfigurationError("product family requires a 'factors' string")
+        if self.family == "product" and not self._factors():
+            raise ConfigurationError("product family requires a 'factors' string naming at least one factor")
         for key, (lo, hi) in _BOUNDS.items():
             val = getattr(self, key)
             if val is None:
@@ -147,35 +157,46 @@ class ScenarioConfig:
             if not (self.splitting_t0 < self.splitting_t1):
                 raise ConfigurationError("splitting window requires splitting_t0 < splitting_t1")
 
-    def _parse_factor(self, entry: str):
-        kind, _, args = entry.partition(":")
-        params = {}
-        if args:
-            for item in args.split(","):
-                key, _, value = item.partition("=")
-                if not _:
+    def _factors(self) -> list:
+        """(kind, parameters) per entry of the ``factors`` string, each value
+        typed and within the bounds of its top-level key."""
+        specs = []
+        for entry in filter(None, (part.strip() for part in self.factors.split(";"))):
+            kind, _, args = (part.strip() for part in entry.partition(":"))
+            known = _FACTOR_PARAMS.get(kind)
+            if known is None:
+                raise ConfigurationError(f"unknown factor kind {kind!r}")
+            params = {}
+            for item in args.split(",") if args else ():
+                key, sep, value = (part.strip() for part in item.partition("="))
+                if not sep:
                     raise ConfigurationError(f"malformed factor parameter {item!r}")
-                params[key.strip()] = value.strip()
-        try:
-            if kind.strip() == "scaled_gaussian":
-                return scaled_gaussian_family(
-                    float(params.get("u0", 1.0)), int(params.get("n", 1)), self.t0
-                )
-            if kind.strip() == "round_circle":
-                return round_circle_family(
-                    float(params.get("a0", 1.0)), self.t0, float(params.get("f0", 0.0))
-                )
-        except ValueError as exc:
-            raise ConfigurationError(f"bad factor parameters in {entry!r}: {exc}") from exc
-        raise ConfigurationError(f"unknown factor kind {kind!r}")
+                if key not in known:
+                    raise ConfigurationError(
+                        f"unknown parameter {key!r} in factor {entry!r}; {kind} takes {', '.join(known)}"
+                    )
+                if key in params:
+                    raise ConfigurationError(f"parameter {key!r} repeated in factor {entry!r}")
+                try:
+                    val = known[key](value)
+                except ValueError as exc:
+                    raise ConfigurationError(f"bad factor parameters in {entry!r}: {exc}") from exc
+                lo, hi = _BOUNDS[key]
+                if not (lo <= val <= hi):
+                    raise ConfigurationError(f"config key {key} = {val} of factor {entry!r} outside [{lo}, {hi}]")
+                params[key] = val
+            specs.append((kind, params))
+        return specs
+
+    def _factor(self, kind: str, u0: float = 1.0, n: int = 1, a0: float = 1.0, f0: float = 0.0):
+        if kind == "scaled_gaussian":
+            return scaled_gaussian_family(u0, n, self.t0)
+        return round_circle_family(a0, self.t0, f0)
 
     def build_family(self):
-        if self.family == "scaled_gaussian":
-            return scaled_gaussian_family(self.u0, self.n, self.t0)
-        if self.family == "round_circle":
-            return round_circle_family(self.a0, self.t0, self.f0)
-        parts = [p for p in self.factors.split(";") if p.strip()]
-        return product_family([self._parse_factor(p) for p in parts])
+        if self.family != "product":
+            return self._factor(self.family, self.u0, self.n, self.a0, self.f0)
+        return product_family([self._factor(kind, **params) for kind, params in self._factors()])
 
     def to_request(self) -> RunRequest:
         return RunRequest(

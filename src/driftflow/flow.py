@@ -14,6 +14,10 @@ where k5, the right-hand side at the kept state, is the next step's first
 stage ("first same as last"): four right-hand sides per step.  Taken per
 block relative to the block's size, the estimate of every kept step is at
 most ``adaptive_tol``; a step above it is redone as two half steps.
+A state of one number (one Gaussian line, no tracked scalars) is stepped as
+a Python float: ``_rk4`` and ``_step`` apply the same IEEE-754 operations to
+it as to a one-element array, so its bits are those of the array path,
+without numpy's per-call cost.
 A stage projects onto the kept circle modes only when the cutoff lies below
 the grid's Nyquist mode; at ``modes = resolution // 2`` the grid is the
 truncation.  Exact analytic families make the truncation exact and serve as
@@ -193,9 +197,7 @@ def _flow_rhs(layout: _Layout, modes: int):
                     drift, a = (gamma + fprime)[:, None], a[:, None]
             else:
                 a = z[off]
-                if a <= 0.0:
-                    raise FlowBreakdownError(0)
-                dz[off] = a - 1.0
+                dz[off] = _multiplier_rhs(t, a)
             if scalars:
                 moved = batch.transpose(perm)
                 diff = np.subtract(moved, moved[:1], order="C").reshape(n, -1)
@@ -208,8 +210,17 @@ def _flow_rhs(layout: _Layout, modes: int):
     return rhs
 
 
-def _rk4(rhs, t: float, z: np.ndarray, dt: float, k1=None):
-    """One classical RK4 step of z' = rhs(t, z), ``k1`` optional: (state, k4)."""
+def _multiplier_rhs(t, u):
+    """u' = u - 1 of a Gaussian line's metric multiplier u, on a float or a
+    numpy scalar alike: the right-hand side of a one-number state."""
+    if u <= 0.0:
+        raise FlowBreakdownError(0)
+    return u - 1.0
+
+
+def _rk4(rhs, t: float, z: np.ndarray | float, dt: float, k1=None):
+    """One classical RK4 step of z' = rhs(t, z) on an array or a float, ``k1``
+    optional: (state, k4)."""
     if k1 is None:
         k1 = rhs(t, z)
     k2 = rhs(t + dt / 2, z + (dt / 2) * k1)
@@ -401,17 +412,23 @@ def _step(rhs, settle, t, z, h, adaptive_tol, k1, blocks=(0,), depth=0):
     k4 and k5 share the time t + h, so ``rhs`` must be autonomous.  The norm
     is max |k4 - k5| / max(1, max |z1|) over each block of z (``blocks`` are
     their starts); the scales are at least 1, so they are read only when the
-    plain max exceeds ``adaptive_tol``.  A step still above it is redone as
-    two of h / 2; StabilityError after 12 halvings.
+    plain max exceeds ``adaptive_tol``.  A float state is one block, with
+    the same operations on floats.  A step still above it is redone as two
+    of h / 2; StabilityError after 12 halvings.
     """
     z1, k4 = _rk4(rhs, t, z, h, k1)
     z1 = settle(z1)
     k5 = rhs(t + h, z1)
-    diff = np.abs(np.subtract(k4, k5, out=k4), out=k4)  # k4 is spent
-    err = h / 6.0 * float(diff.max())
-    if err > adaptive_tol:
-        scale = np.fmax(1.0, np.maximum.reduceat(np.abs(z1), blocks))
-        err = h / 6.0 * float(np.max(np.maximum.reduceat(diff, blocks) / scale))
+    if isinstance(z1, float):  # one block of one number: the same operations on floats
+        err = h / 6.0 * abs(k4 - k5)
+        if err > adaptive_tol:
+            err = h / 6.0 * (abs(k4 - k5) / max(1.0, abs(z1)))
+    else:
+        diff = np.abs(np.subtract(k4, k5, out=k4), out=k4)  # k4 is spent
+        err = h / 6.0 * float(diff.max())
+        if err > adaptive_tol:
+            scale = np.fmax(1.0, np.maximum.reduceat(np.abs(z1), blocks))
+            err = h / 6.0 * float(np.max(np.maximum.reduceat(diff, blocks) / scale))
     if err <= adaptive_tol:
         return z1, k5, err
     if depth >= 12:
@@ -452,11 +469,14 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     geometry = layout.pack(state0)
     threshold = request.stability_factor * (1.0 + float(np.max(np.abs(geometry))))
     scalars = np.empty((0, *layout.shape)) if scalars0 is None else np.asarray(scalars0, dtype=float)
-    rhs = _flow_rhs(layout, request.modes)
     width, z = layout.width, np.concatenate([geometry, scalars.ravel()])
     # The error blocks: each circle's a and f rows, each Gaussian multiplier, each scalar.
     blocks = [off + i * n for kind, off, n in layout.axes for i in range(1 + (kind == "circle"))]
     blocks += range(width, z.size, math.prod(layout.shape))
+    if z.size == 1:  # one Gaussian multiplier and no scalars: a float, without numpy's per-call cost
+        rhs, z = _multiplier_rhs, float(z[0])
+    else:
+        rhs = _flow_rhs(layout, request.modes)
     k1 = rhs(t0, z)  # the first stage of the first step
 
     def settle(z):
@@ -468,7 +488,7 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
             z, k1, _ = _step(rhs, settle, t0 + s * dt, z, dt, request.adaptive_tol, k1, blocks)
         done, t = step, t0 + step * dt
         batch = None if scalars0 is None else z[width:].reshape(scalars.shape).copy()
-        outputs.append((t, layout.manifold(z, t), batch))
+        outputs.append((t, layout.manifold(np.atleast_1d(z), t), batch))
     return outputs
 
 

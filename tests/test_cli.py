@@ -189,6 +189,39 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "factors, message",
+        [
+            ("scaled_gaussian:u0=1,n=1;round_circle:a=4", "unknown parameter 'a' in factor 'round_circle:a=4'"),
+            ("scaled_gaussian:u0=1;torus:a0=1", "unknown factor kind 'torus'"),
+            ("scaled_gaussian:u0=1e12", "config key u0 = 1000000000000.0 of factor 'scaled_gaussian:u0=1e12' outside"),
+            ("round_circle:a0=4,f0=80", "config key f0 = 80.0 of factor 'round_circle:a0=4,f0=80' outside"),
+            ("scaled_gaussian:u0=nan", "config key u0 = nan of factor 'scaled_gaussian:u0=nan' outside"),
+            ("scaled_gaussian:u0=1,n=9", "config key n = 9 of factor 'scaled_gaussian:u0=1,n=9' outside [1, 4]"),
+            ("scaled_gaussian:u0=1,u0=3", "parameter 'u0' repeated in factor 'scaled_gaussian:u0=1,u0=3'"),
+        ],
+        ids=["unknown_parameter", "unknown_kind", "u0_too_large", "f0_too_large", "u0_nan", "n_too_large", "repeated"],
+    )
+    def test_bad_factor_string_exits_2(self, tmp_path, capsys, factors, message):
+        cfg = _write_config(tmp_path / "p.json", name="p", family="product", factors=factors, horizon=0.01)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {message}") and err.count("\n") == 1
+        assert not out.exists()
+        assert main(["sweep", "--config", str(cfg), "--grid", "horizon=0.01,0.02", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == err  # the base config fails before any run
+        assert not out.exists()
+
+    def test_valid_factor_string_runs(self, tmp_path):
+        cfg = _write_config(
+            tmp_path / "p.json", name="p", family="product", horizon=0.01,
+            factors=" scaled_gaussian: u0 = 1.5 , n=1 ; round_circle:a0=4,f0=-2", k=2,
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        gauss, circle = load_config(str(cfg)).build_family().factors
+        assert (gauss.u0, gauss.n, circle.a0, circle.f0) == (1.5, 1, 4.0, -2.0)
+
     def test_breakdown_exit_code(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "dying.json", name="dying", u0=0.5, horizon=1.0)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3

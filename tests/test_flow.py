@@ -507,6 +507,122 @@ class TestStepPairs:
         assert peak < 8 * dm.size * 16 * (k + 1)
 
 
+def _gaussian_request(u0, horizon, **kw):
+    kw = {"dt": 1e-3, "cadence": 10, "k": 1, "track_scalars": False, **kw}
+    return RunRequest(family=df.scaled_gaussian_family(u0, 1, kw.pop("t0", 0.0)), horizon=horizon, **kw)
+
+
+def _counting_step(monkeypatch, errors=None):
+    """Replace ``flow._step`` by a wrapper that records the type of each
+    call's state, halved calls included, and the error estimates it returns
+    in ``errors``; positional, as ``_run_loop`` calls it."""
+    seen, step = [], df.flow._step
+
+    def counted(*args):
+        seen.append(type(args[3]))
+        kept = step(*args)
+        if errors is not None:
+            errors.append(float(kept[2]).hex())
+        return kept
+
+    monkeypatch.setattr(df.flow, "_step", counted)
+    return seen
+
+
+def _array_multipliers(request):
+    """The multiplier at each output of a geometry-only Gaussian run, stepped
+    as a one-element array through ``_step``: the loop of ``_run_loop`` with
+    the step plan of ``_flow_rhs``."""
+    t0 = request.family.t0
+    dm = df.discretize(df.evaluate_family(request.family, t0), hermite_order=request.hermite_order)
+    layout = _Layout.of(dm)
+    rhs, settle, z = _flow_rhs(layout, request.modes), _settler(layout, request.modes), layout.pack(dm)
+    dt, recorded = df.flow._output_steps(request)
+    k1, done, out = rhs(t0, z), 0, []
+    for step in recorded:
+        for s in range(done, step):
+            z, k1, _ = df.flow._step(rhs, settle, t0 + s * dt, z, dt, request.adaptive_tol, k1, [0])
+        done = step
+        out.append(float(z[0]))
+    return out
+
+
+def _float_multipliers(request):
+    t0 = request.family.t0
+    dm = df.discretize(df.evaluate_family(request.family, t0), hermite_order=request.hermite_order)
+    return [out.axes[0].scale for _, out, _ in df.flow._run_loop(request, dm, None)]
+
+
+class TestOneNumberState:
+    """A geometry-only run of one Gaussian line steps its multiplier as a
+    Python float, with the operations and bits of the one-element array."""
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            _gaussian_request(2.0, 5.0, cadence=50),  # the eternal Gaussian
+            _gaussian_request(3.0, 0.2, dt=0.05, cadence=1, adaptive_tol=1e-12),  # halves
+            _gaussian_request(1e8, 0.5, dt=0.05, cadence=1, adaptive_tol=1e-14),  # relative norm
+            _gaussian_request(0.6, 0.5, dt=0.05, cadence=1, adaptive_tol=1e-12),  # halves below u = 1
+            _gaussian_request(2.0, 1.0, t0=-100.0),
+        ],
+        ids=["eternal", "halving", "relative", "halving_small", "t0_shift"],
+    )
+    def test_float_steps_match_array_steps_bitwise(self, monkeypatch, request_):
+        errors = []
+        seen = _counting_step(monkeypatch, errors)
+        expected = _array_multipliers(request_)
+        assert set(seen) == {np.ndarray}
+        array_errors = errors.copy()
+        seen.clear()
+        errors.clear()
+        got = _float_multipliers(request_)
+        assert set(seen) == {float}
+        assert errors == array_errors  # the same calls, halvings and estimates
+        assert [u.hex() for u in got] == [u.hex() for u in expected]
+        if request_.dt == 0.05:
+            assert len(seen) > request_.steps  # the step control halved
+
+    def test_halving_counts(self, monkeypatch):
+        seen = _counting_step(monkeypatch)
+        _float_multipliers(_gaussian_request(3.0, 0.2, dt=0.05, cadence=1, adaptive_tol=1e-12))
+        assert len(seen) == 124
+        seen.clear()
+        _float_multipliers(_gaussian_request(1e8, 0.5, dt=0.05, cadence=1, adaptive_tol=1e-14))
+        assert len(seen) == 1270
+
+    def test_breakdown_at_the_same_step(self, monkeypatch):
+        request = _gaussian_request(0.5, 1.0, cadence=100)
+        seen = _counting_step(monkeypatch)
+        with pytest.raises(FlowBreakdownError) as array_info:
+            _array_multipliers(request)
+        array_calls = len(seen)
+        seen.clear()
+        with pytest.raises(FlowBreakdownError) as float_info:
+            _float_multipliers(request)
+        assert set(seen) == {float}
+        assert len(seen) == array_calls
+        assert 0 < array_calls < request.steps
+        assert float_info.value.node_index == array_info.value.node_index == 0
+
+    @pytest.mark.parametrize(
+        "family, track_scalars, state_type",
+        [
+            (df.scaled_gaussian_family(2.0, 1), False, float),
+            (df.scaled_gaussian_family(2.0, 3), False, np.ndarray),
+            (df.scaled_gaussian_family(2.0, 1), True, np.ndarray),
+            (df.round_circle_family(2.0), False, np.ndarray),
+            (df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)]), False, np.ndarray),
+        ],
+        ids=["one_line", "n3", "scalars", "circle", "product"],
+    )
+    def test_float_form_exactly_for_one_number(self, monkeypatch, family, track_scalars, state_type):
+        seen = _counting_step(monkeypatch)
+        df.run_flow(RunRequest(family=family, horizon=0.003, dt=1e-3, cadence=1, k=1, resolution=16, modes=8,
+                               hermite_order=6, track_scalars=track_scalars))
+        assert seen == [state_type] * 3
+
+
 def _stage_formulas(n, a, f):
     """The circle rows of a stage, computed as the stage computes them."""
     ops = _fourier_dense(n)
