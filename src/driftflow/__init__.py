@@ -7,12 +7,8 @@ splitting rigidity numerically.
 """
 
 from .comparison import (
-    BoundCase,
-    BoundCurve,
     blowup_horizon,
     eigenvalue_bound,
-    forward_diff_check,
-    linear_comparison,
     logistic_envelope,
 )
 from .errors import (
@@ -28,7 +24,6 @@ from .errors import (
     OutOfRegimeError,
     SolverError,
     StabilityError,
-    UndefinedQuotientError,
     UsageError,
 )
 from .flow import (
@@ -36,12 +31,9 @@ from .flow import (
     FlowTrajectory,
     RunRequest,
     commutator_residual,
-    evolve_scalar,
-    flow_equation_residual,
     functional_residuals,
     gram_schmidt_frame,
     run_flow,
-    step_modified_flow,
 )
 from .geometry import (
     ContinuumState,
@@ -65,14 +57,11 @@ from .spectral import (
     QuadraticForms,
     SpectralResult,
     assemble_forms,
-    bochner_residual,
     bochner_sides,
     drift_divergence,
     drift_laplacian,
-    energy_profile,
     hessian_norm_sq,
     lowest_eigenpairs,
-    weighted_pairings,
 )
 from .splitting import (
     SplittingCertificate,

@@ -1,32 +1,23 @@
-"""Scalar comparison machinery: difference inequalities and the sharp bound.
+"""The sharp eigenvalue bound, its blow-up horizon and the logistic envelope.
 
-Everything here is phrased for derivatives in the limsup-of-forward-difference
-sense, which is how eigenvalue curves behave across multiplicity crossings.
-The central object is the logistic trap h' <= h (h - 1): solutions starting
-at or below 1 stay trapped, and the equality solution gives a closed-form
-upper envelope.  With h = 2 F this becomes the sharp eigenvalue bound.
+The central object is the logistic trap h' <= h (h - 1), with derivatives in
+the limsup-of-forward-difference sense, which is how eigenvalue curves behave
+across multiplicity crossings: solutions starting at or below 1 stay trapped,
+and the equality solution ``logistic_envelope`` is a closed-form upper
+envelope.  With h = 2 F this becomes the sharp bound ``eigenvalue_bound``,
+finite up to ``blowup_horizon``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
-from typing import Callable
 
-import numpy as np
-
-from .errors import DomainError, HorizonError, OutOfRegimeError, UsageError
+from .errors import DomainError, HorizonError, OutOfRegimeError
 
 __all__ = [
-    "BoundCase",
-    "BoundCurve",
     "eigenvalue_bound",
     "blowup_horizon",
-    "linear_comparison",
     "logistic_envelope",
-    "forward_diff_check",
-    "ForwardDiffVerdict",
 ]
 
 
@@ -62,11 +53,6 @@ def eigenvalue_bound(lambda0: float, s: float) -> float:
     return lambda0 / (2.0 * lambda0 * (1.0 - es) + es)
 
 
-def linear_comparison(h_a: float, c: float, s: float) -> float:
-    """Upper envelope h(a) + c s for any continuous h with h' <= c."""
-    return float(h_a) + float(c) * float(s)
-
-
 def logistic_envelope(h0: float, s: float) -> float:
     """Upper envelope for h >= 0 with h' <= h (h - 1), valid for h0 <= 1.
 
@@ -86,89 +72,3 @@ def logistic_envelope(h0: float, s: float) -> float:
     if h0 == 1.0:
         return 1.0
     return h0 / (h0 + (1.0 - h0) * math.exp(s))
-
-
-class BoundCase(enum.Enum):
-    BELOW_HALF = "below_half"
-    AT_HALF = "at_half"
-    ABOVE_HALF = "above_half"
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """Evaluated form of the sharp bound for one starting eigenvalue."""
-
-    lambda0: float
-    case: BoundCase
-    horizon: float
-
-    @classmethod
-    def from_lambda0(cls, lambda0: float) -> "BoundCurve":
-        lambda0 = float(lambda0)
-        if lambda0 <= 0.0:
-            raise DomainError(f"initial eigenvalue must be positive, got {lambda0}")
-        if lambda0 < 0.5:
-            case = BoundCase.BELOW_HALF
-        elif lambda0 == 0.5:
-            case = BoundCase.AT_HALF
-        else:
-            case = BoundCase.ABOVE_HALF
-        return cls(lambda0=lambda0, case=case, horizon=blowup_horizon(lambda0))
-
-    def __call__(self, s: float) -> float:
-        return eigenvalue_bound(self.lambda0, s)
-
-    def samples(self, s_grid) -> np.ndarray:
-        """Evaluate on a grid; +inf where the bound has blown up."""
-        out = np.empty(len(s_grid))
-        for i, s in enumerate(s_grid):
-            try:
-                out[i] = eigenvalue_bound(self.lambda0, s)
-            except HorizonError:
-                out[i] = math.inf
-        return out
-
-
-@dataclass(frozen=True)
-class ForwardDiffVerdict:
-    """Outcome of a discrete forward-difference-quotient inequality check."""
-
-    passed: bool
-    slack: float
-    max_excess: float
-    worst_time: float
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def forward_diff_check(
-    series,
-    rhs: Callable[[float, float], float],
-    dt: float,
-    t0: float = 0.0,
-    slack: float = 0.0,
-) -> ForwardDiffVerdict:
-    """Check every forward difference quotient of ``series`` against ``rhs``.
-
-    The quotient (h_{i+1} - h_i) / dt must stay at or below
-    rhs(t_i, h_i) + slack.  Reports the largest observed excess and where it
-    occurred; negative excess means the inequality held with margin.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1 or series.size < 3:
-        raise UsageError("forward_diff_check needs at least 3 samples on a uniform grid")
-    if dt <= 0.0:
-        raise UsageError(f"grid spacing must be positive, got {dt}")
-    quotients = np.diff(series) / dt
-    times = t0 + dt * np.arange(series.size - 1)
-    bounds = np.array([rhs(t, h) for t, h in zip(times, series[:-1])])
-    excess = quotients - bounds
-    worst = int(np.argmax(excess))
-    max_excess = float(excess[worst])
-    return ForwardDiffVerdict(
-        passed=max_excess <= slack,
-        slack=float(slack),
-        max_excess=max_excess,
-        worst_time=float(times[worst]),
-    )

@@ -41,10 +41,6 @@ class OutOfRegimeError(DomainError):
     """The comparison principle provides no forward bound for this initial value."""
 
 
-class UndefinedQuotientError(DomainError):
-    """A Rayleigh quotient was requested for an identically zero field."""
-
-
 class AssemblyError(DriftflowError):
     """Quadratic forms could not be assembled (degenerate metric sample)."""
 

@@ -65,15 +65,11 @@ __all__ = [
     "FlowState",
     "FlowTrajectory",
     "RunRequest",
-    "step_modified_flow",
     "run_flow",
-    "evolve_scalar",
-    "ScalarTrajectory",
     "functional_residuals",
     "FunctionalResidualReport",
     "gram_schmidt_frame",
     "commutator_residual",
-    "flow_equation_residual",
 ]
 
 MAX_STEP = 0.05
@@ -261,32 +257,6 @@ def _settle(layout: _Layout, z: np.ndarray, modes: int, floor: float, threshold:
     return z
 
 
-def step_modified_flow(
-    state: FlowState,
-    dt: float,
-    *,
-    modes: int = 32,
-    noise_floor: float = 1e-13,
-    stability_threshold: float | None = None,
-    max_dt: float = MAX_STEP,
-) -> FlowState:
-    """Advance the coupled system by one explicit RK4 step.
-
-    Local truncation error is O(dt^5) on resolved solutions.  Raises
-    FlowBreakdownError if the metric coefficient loses positivity and
-    StabilityError if truncated backward-heat modes outgrow the threshold.
-    """
-    if dt <= 0.0 or dt > max_dt:
-        raise ConfigurationError(f"step size {dt} outside (0, {max_dt}]")
-    dm = state.manifold
-    layout = _Layout.of(dm)
-    z = layout.pack(dm)
-    if stability_threshold is None:
-        stability_threshold = 1e6 * (1.0 + float(np.max(np.abs(z))))
-    z = _settle(layout, _rk4(_flow_rhs(layout, modes), dm.t, z, dt)[0], modes, noise_floor, stability_threshold)
-    return FlowState.from_manifold(layout.manifold(z, dm.t + dt))
-
-
 # --------------------------------------------------------------------------
 # Full runs
 # --------------------------------------------------------------------------
@@ -460,8 +430,8 @@ def _output_steps(request: RunRequest) -> tuple[float, list]:
 
 
 def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
-    """(t, manifold, scalars or None) per output of a Galerkin run or scalar
-    replay: one deterministic integration, every step a ``_step``."""
+    """(t, manifold, scalars or None) per output of a Galerkin run: one
+    deterministic integration, every step a ``_step``."""
     t0 = request.family.t0
     dt, recorded = _output_steps(request)
 
@@ -568,7 +538,7 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
         mixing = np.empty((n_out, ns, ns))
         for m, st in enumerate(states):
             J[m], D[m], hess[m] = _scalar_pairings(st.manifold, scalar_values[m])
-            _, mixing[m] = gram_schmidt_frame(list(scalar_values[m]), st, gram=J[m])
+            mixing[m] = gram_schmidt_frame(J[m])
         I = np.einsum("mii->mi", J).copy()
         E = np.einsum("mii->mi", D).copy()
         series = {"J": J, "D": D, "I": I, "E": E, "F": E / I, "hessian": hess}
@@ -601,43 +571,13 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
         traj.residual_ij = rep.pointwise_ij
     if len(times) >= 3:
         probe = spectrum0.eigenfunctions[1]
-        traj.residual_commutator = _commutator_series(probe, traj)
+        traj.residual_commutator[1:-1] = commutator_residual(probe, traj, range(1, len(times) - 1))
     return traj
 
 
 # --------------------------------------------------------------------------
-# Scalar evolution and evolution-identity residuals
+# Evolution-identity residuals
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalarTrajectory:
-    times: np.ndarray
-    values: np.ndarray  # (n_outputs, *grid)
-    means: np.ndarray  # weighted means against e^{-f} dv
-
-
-def evolve_scalar(u0, traj: FlowTrajectory) -> ScalarTrajectory:
-    """Evolve u_t = L u + u/2 along a recorded run, on the run's backend.
-
-    On Galerkin the geometry replay is deterministic, so the scalar sees
-    exactly the stage states of the original integration; on the analytic
-    backend it is propagated exactly (``modal_propagator``).  If the weighted
-    mean of u0 vanishes it stays zero for all later times (up to integration
-    error).
-    """
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != traj.states[0].manifold.shape:
-        raise UsageError(f"scalar shape {u0.shape} does not match grid {traj.states[0].manifold.shape}")
-    request, scalars0 = traj.request, np.stack([u0])
-    if request.backend == "analytic":
-        outputs = _closed_form_outputs(request, scalars0)
-    else:
-        outputs = _run_loop(request, traj.states[0].manifold, scalars0)
-    times = np.array([t for t, _, _ in outputs])
-    values = np.stack([s[0] for _, _, s in outputs])
-    means = np.array([dm.integrate(s[0]) for _, dm, s in outputs])
-    return ScalarTrajectory(times=times, values=values, means=means)
 
 
 @dataclass(frozen=True)
@@ -659,21 +599,14 @@ class FunctionalResidualReport:
     pointwise_ij: np.ndarray
 
 
-def functional_residuals(traj: FlowTrajectory, scalar_indices=None) -> FunctionalResidualReport:
+def functional_residuals(traj: FlowTrajectory) -> FunctionalResidualReport:
     if not traj.series:
         raise UsageError("trajectory has no tracked scalars")
     if len(traj.times) < 3:
         raise UsageError("need at least 3 outputs for time derivatives")
-    if scalar_indices is None:
-        J, D = traj.series["J"], traj.series["D"]
-        I, E, F = traj.series["I"], traj.series["E"], traj.series["F"]
-        hess = traj.series["hessian"]
-    else:
-        sel = list(scalar_indices)
-        block = np.ix_(np.arange(len(traj.times)), sel, sel)
-        J, D = traj.series["J"][block], traj.series["D"][block]
-        I, E, F = (traj.series[key][:, sel] for key in ("I", "E", "F"))
-        hess = traj.series["hessian"][:, sel]
+    J, D = traj.series["J"], traj.series["D"]
+    I, E, F = traj.series["I"], traj.series["E"], traj.series["F"]
+    hess = traj.series["hessian"]
 
     dJ = traj.time_derivative(J)
     rhsJ = J - 2.0 * D
@@ -720,21 +653,14 @@ def functional_residuals(traj: FlowTrajectory, scalar_indices=None) -> Functiona
 # --------------------------------------------------------------------------
 
 
-def gram_schmidt_frame(scalars, state, gram=None):
+def gram_schmidt_frame(gram: np.ndarray) -> np.ndarray:
     """Lower-triangular mixing onto a weighted-L2 orthonormal frame.
 
-    Returns (frame, mixing) with frame_i = sum_j mixing[i, j] * scalars[j].
-    Along a run started from orthonormal eigenfunctions, the diagonal drifts
-    at rate (2 lambda_i - 1)/2 at the initial time.
+    ``gram`` holds the weighted-L2 pairings of fields u_1..u_n; the frame
+    e_i = sum_j mixing[i, j] * u_j is orthonormal, mixing @ gram @ mixing.T
+    = I.  Along a run started from orthonormal eigenfunctions, the diagonal
+    drifts at rate (2 lambda_i - 1)/2 at the initial time.
     """
-    dm = state.manifold if isinstance(state, FlowState) else state
-    fields = [np.asarray(u, dtype=float) for u in scalars]
-    n = len(fields)
-    if gram is None:
-        gram = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                gram[i, j] = gram[j, i] = dm.integrate(fields[i] * fields[j])
     try:
         L = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
@@ -743,17 +669,28 @@ def gram_schmidt_frame(scalars, state, gram=None):
     # order sqrt(machine epsilon) times the scale
     if np.min(np.diag(L)) < 1e-7 * math.sqrt(max(np.max(np.diag(gram)), 1e-300)):
         raise DegeneracyError("scalars are numerically rank deficient in weighted L2")
-    mixing = np.tril(np.linalg.solve(L, np.eye(n)))  # solve pivots; keep the upper zeros exact
-    frame = [sum(mixing[i, j] * fields[j] for j in range(i + 1)) for i in range(n)]
-    return frame, mixing
+    return np.tril(np.linalg.solve(L, np.eye(len(gram))))  # solve pivots; keep the upper zeros exact
 
 
-def _commutator_series(u, traj: FlowTrajectory) -> np.ndarray:
-    lus = [drift_laplacian(st.manifold, u) for st in traj.states]
-    out = np.full(len(traj.times), np.nan)
-    for m in range(1, len(traj.times) - 1):
-        out[m] = _commutator_at(u, traj, m, lus)
-    return out
+def commutator_residual(u, traj: FlowTrajectory, indices) -> np.ndarray:
+    """Weighted-L2 defect of d/dt(L u) = L u_t - 2 div_f(phi(grad u)) at each
+    of the interior outputs ``indices``.
+
+    ``u`` is held fixed in coordinates so the time derivative acts only
+    through the evolving metric and weight; d/dt is a central difference at
+    the recorded output times (next to a last output short of the cadence,
+    the three-point stencil of the true times), hence O(dt^2) on smooth runs.
+    L u is computed once at each output that one of these stencils reads.
+    """
+    u = np.asarray(u, dtype=float)
+    indices = list(indices)
+    if any(index < 1 or index > len(traj.times) - 2 for index in indices):
+        raise UsageError("commutator residual needs interior output indices")
+    reads = set()
+    for index in indices:
+        reads.update((index - 1, index + 1) if traj.short_stencil(index) is None else (index - 1, index, index + 1))
+    lus = {m: drift_laplacian(traj.states[m].manifold, u) for m in reads}
+    return np.array([_commutator_at(u, traj, index, lus) for index in indices])
 
 
 def _commutator_at(u, traj, index, lus) -> float:
@@ -777,53 +714,3 @@ def _commutator_at(u, traj, index, lus) -> float:
     if scale < 1e-300:
         return float(norm(resid))
     return float(norm(resid) / scale)
-
-
-def commutator_residual(u, traj: FlowTrajectory, index: int) -> float:
-    """Weighted-L2 defect of d/dt(L u) = L u_t - 2 div_f(phi(grad u)).
-
-    ``u`` is held fixed in coordinates so the time derivative acts only
-    through the evolving metric and weight; d/dt is a central difference at
-    the recorded output times (next to a last output short of the cadence,
-    the three-point stencil of the true times), hence O(dt^2) on smooth runs.
-    """
-    u = np.asarray(u, dtype=float)
-    if index < 1 or index > len(traj.times) - 2:
-        raise UsageError("commutator residual needs an interior output index")
-    stencil = (index - 1, index + 1) if traj.short_stencil(index) is None else (index - 1, index, index + 1)
-    return _commutator_at(u, traj, index, {m: drift_laplacian(traj.states[m].manifold, u) for m in stencil})
-
-
-# --------------------------------------------------------------------------
-# Closed-form family residual (finite differences in time)
-# --------------------------------------------------------------------------
-
-
-def flow_equation_residual(family, t: float, dt: float, resolution: int = 64, hermite_order: int = 12) -> dict:
-    """Sup-norm defect of the flow equations for a closed-form family at t.
-
-    Central time differences of the sampled (g, f) are compared against the
-    exact right-hand sides; for a genuine solution both defects are O(dt^2).
-    """
-    dms = [
-        discretize(evaluate_family(family, t + s), resolution=resolution, hermite_order=hermite_order)
-        for s in (-dt, 0.0, dt)
-    ]
-    metric_res = 0.0
-    weight_res = 0.0
-    for i, ax in enumerate(dms[1].axes):
-        if ax.kind == "circle":
-            prev_ax, next_ax = dms[0].axes[i], dms[2].axes[i]
-            a_dot = (next_ax.a - prev_ax.a) / (2.0 * dt)
-            f_dot = (next_ax.f - prev_ax.f) / (2.0 * dt)
-            metric_res = max(metric_res, float(np.max(np.abs(a_dot - (ax.a - 2.0 * ax.hess_f)))))
-            weight_res = max(weight_res, float(np.max(np.abs(f_dot - (0.5 - ax.hess_f / ax.a)))))
-        else:
-            a_dot = (dms[2].axes[i].scale - dms[0].axes[i].scale) / (2.0 * dt)
-            f_dot = (dms[2].axes[i].f - dms[0].axes[i].f) / (2.0 * dt)
-            metric_res = max(metric_res, abs(a_dot - (ax.scale - 1.0)))
-            weight_res = max(
-                weight_res,
-                float(np.max(np.abs(f_dot - (0.5 - 0.5 / ax.scale)))),
-            )
-    return {"metric": metric_res, "weight": weight_res}

@@ -26,7 +26,7 @@ from functools import cache, cached_property, reduce
 import numpy as np
 
 from .axes import axis_to_front, circle_nodes
-from .errors import SolverError, UndefinedQuotientError, UsageError
+from .errors import SolverError, UsageError
 from .geometry import DiscreteWeightedManifold
 
 __all__ = [
@@ -34,11 +34,8 @@ __all__ = [
     "SpectralResult",
     "assemble_forms",
     "lowest_eigenpairs",
-    "weighted_pairings",
-    "energy_profile",
     "hessian_norm_sq",
     "bochner_sides",
-    "bochner_residual",
     "drift_divergence",
     "partials",
     "gradient_inner",
@@ -97,27 +94,6 @@ def drift_divergence(V, dm: DiscreteWeightedManifold) -> np.ndarray:
         fp = dm.axis_profile(i, ax.fprime)
         out += ax.d1(Vi, i) + Vi * (gamma - fp)
     return out
-
-
-def weighted_pairings(u, v, dm: DiscreteWeightedManifold) -> dict:
-    """Quadrature values of the mass and Dirichlet pairings of two fields."""
-    u = _check_field(dm, u)
-    v = _check_field(dm, v)
-    du = partials(dm, u)
-    dv = partials(dm, v)
-    return {
-        "J": dm.integrate(u * v),
-        "D": dm.integrate(gradient_inner(dm, du, dv)),
-    }
-
-
-def energy_profile(u, dm: DiscreteWeightedManifold) -> dict:
-    """Weighted L2 mass I, Dirichlet energy E, and Rayleigh quotient F = E/I."""
-    p = weighted_pairings(u, u, dm)
-    I, E = p["J"], p["D"]
-    if not (I > 0.0):
-        raise UndefinedQuotientError("Rayleigh quotient undefined: field has zero weighted mass")
-    return {"I": I, "E": E, "F": E / I}
 
 
 def _hessian_components(dm: DiscreteWeightedManifold, u: np.ndarray):
@@ -188,12 +164,6 @@ def bochner_sides(u, dm: DiscreteWeightedManifold) -> tuple[float, float]:
         - dm.integrate(lu * lu)
     )
     return lhs, rhs
-
-
-def bochner_residual(u, dm: DiscreteWeightedManifold) -> float:
-    """Absolute defect of the integrated drift Bochner identity for ``u``."""
-    lhs, rhs = bochner_sides(u, dm)
-    return abs(lhs - rhs)
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import driftflow as df
-from driftflow.comparison import BoundCase, BoundCurve
-from driftflow.errors import DomainError, HorizonError, OutOfRegimeError, UsageError
+from driftflow.errors import DomainError, HorizonError, OutOfRegimeError
 
 LOG2 = math.log(2.0)
 
@@ -74,29 +73,6 @@ class TestBlowupHorizon:
             df.blowup_horizon(0.0)
 
 
-class TestBoundCurve:
-    def test_case_tags(self):
-        assert BoundCurve.from_lambda0(0.2).case is BoundCase.BELOW_HALF
-        assert BoundCurve.from_lambda0(0.5).case is BoundCase.AT_HALF
-        assert BoundCurve.from_lambda0(0.8).case is BoundCase.ABOVE_HALF
-
-    def test_samples_fill_inf_past_horizon(self):
-        curve = BoundCurve.from_lambda0(1.0)
-        vals = curve.samples([0.0, 0.5, 1.0])
-        assert vals[0] == pytest.approx(1.0)
-        assert math.isinf(vals[2])
-
-
-class TestLinearComparison:
-    def test_trivial(self):
-        assert df.linear_comparison(0.0, 1.0, 2.0) == 2.0
-        assert df.linear_comparison(3.0, 0.0, 5.0) == 3.0
-
-    def test_sine_below_its_envelope(self):
-        for s in np.linspace(0.0, 3.0, 40):
-            assert math.sin(s) <= df.linear_comparison(0.0, 1.0, s) + 1e-15
-
-
 class TestLogisticEnvelope:
     def test_trapped_at_one(self):
         for s in (0.0, 0.3, 2.0, 20.0):
@@ -120,41 +96,27 @@ class TestLogisticEnvelope:
             df.logistic_envelope(-0.1, 0.1)
 
 
+def _forward_excess(series, rhs, dt):
+    """Largest excess of the forward difference quotients of ``series`` over
+    ``rhs`` at the left end of each step."""
+    return float(np.max(np.diff(series) / dt - rhs(series[:-1])))
+
+
 class TestForwardDiffCheck:
-    def test_constant_series_passes_with_zero_slack(self):
-        verdict = df.forward_diff_check(np.zeros(10), lambda t, v: 0.0, dt=0.1, slack=0.0)
-        assert verdict.passed
-        assert verdict.max_excess <= 0.0
-
-    def test_growing_series_fails(self):
-        series = np.exp(np.linspace(0.0, 1.0, 50))
-        verdict = df.forward_diff_check(series, lambda t, v: 0.0, dt=1.0 / 49.0)
-        assert not verdict.passed
-        assert verdict.max_excess > 0.5
-
     def test_sharp_series_is_equality_case(self):
         dt = 1e-5
-        s = np.arange(0.0, 0.5, dt)
-        lam = 0.25 / (2.0 * 0.25 * (1.0 - np.exp(s)) + np.exp(s))
-        verdict = df.forward_diff_check(lam, lambda t, v: (2.0 * v - 1.0) * v, dt=dt, slack=1e-6)
-        assert verdict.passed
-        assert verdict.max_excess < 1e-6
-
-    def test_too_few_samples(self):
-        with pytest.raises(UsageError):
-            df.forward_diff_check([1.0, 2.0], lambda t, v: 0.0, dt=0.1)
+        lam = np.array([df.eigenvalue_bound(0.25, s) for s in np.arange(0.0, 0.5, dt)])
+        assert _forward_excess(lam, lambda v: (2.0 * v - 1.0) * v, dt) < 1e-6
 
     def test_chain_rule_consistency(self):
-        # if the raw quotients satisfy h' <= h(h-1), the transformed series
-        # log(h/(1-h)) satisfies quotients <= -1 as well
+        # the envelope's quotients satisfy h' <= h(h-1), and those of the
+        # transformed series log(h/(1-h)) the transformed bound -1
         dt = 1e-4
         ts = np.arange(0.0, 2.0, dt)
         for h0 in (0.3, 0.7, 0.95):
             h = np.array([df.logistic_envelope(h0, t) for t in ts])
-            raw = df.forward_diff_check(h, lambda t, v: v * (v - 1.0), dt, slack=1e-5)
-            transformed = df.forward_diff_check(np.log(h / (1.0 - h)), lambda t, v: -1.0, dt, slack=1e-5)
-            assert (not raw.passed) or transformed.passed
-            assert raw.passed and transformed.passed  # both hold at this slack
+            assert _forward_excess(h, lambda v: v * (v - 1.0), dt) <= 1e-5
+            assert _forward_excess(np.log(h / (1.0 - h)), lambda v: -1.0, dt) <= 1e-5
 
 
 class TestEnvelopeDominatesDampedSolutions:

@@ -7,7 +7,7 @@ import pytest
 import driftflow as df
 from driftflow.axes import _fourier_dense, circle_nodes, lowpass, mode_amplitudes
 from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
-from driftflow.flow import FlowState, RunRequest, _flow_rhs, _Layout, _rk4, _settle, _step
+from driftflow.flow import FlowState, RunRequest, _flow_rhs, _Layout, _rk4, _run_loop, _scalar_pairings, _settle, _step
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
 from driftflow.oracles import finite_diff_time_derivative
 
@@ -18,32 +18,39 @@ def _state(family, t=0.0, **kw):
     return FlowState.from_manifold(df.discretize(df.evaluate_family(family, t), **kw))
 
 
+def _one_step(family, dt):
+    """The manifold after a geometry-only Galerkin run of one step."""
+    req = RunRequest(family=family, horizon=dt, dt=dt, cadence=1, k=1, track_scalars=False)
+    traj = df.run_flow(req)
+    assert len(traj.times) == 2
+    return traj.states[-1].manifold
+
+
 class TestSingleStep:
     def test_static_soliton_is_fixed(self):
-        st = _state(df.scaled_gaussian_family(1.0, 1))
-        st2 = df.step_modified_flow(st, 0.02)
-        assert abs(st2.manifold.axes[0].scale - 1.0) < 1e-13
+        dm = _one_step(df.scaled_gaussian_family(1.0, 1), 0.02)
+        assert abs(dm.axes[0].scale - 1.0) < 1e-13
 
     def test_round_circle_exponential(self):
-        st = _state(df.round_circle_family(1.0))
-        st2 = df.step_modified_flow(st, 0.01)
-        assert float(np.max(np.abs(st2.manifold.axes[0].a - math.exp(0.01)))) < 1e-12
+        dm = _one_step(df.round_circle_family(1.0), 0.01)
+        assert float(np.max(np.abs(dm.axes[0].a - math.exp(0.01)))) < 1e-12
 
     def test_gaussian_matches_closed_form(self):
-        st = _state(df.scaled_gaussian_family(2.0, 1))
-        st2 = df.step_modified_flow(st, 0.01)
+        dm = _one_step(df.scaled_gaussian_family(2.0, 1), 0.01)
         exact = 1.0 + math.exp(0.01)
-        assert abs(st2.manifold.axes[0].scale - exact) < 1e-12
+        assert abs(dm.axes[0].scale - exact) < 1e-12
 
     def test_step_size_cap(self):
-        st = _state(df.round_circle_family(1.0))
         with pytest.raises(ConfigurationError):
-            df.step_modified_flow(st, 0.2)
+            RunRequest(family=df.round_circle_family(1.0), horizon=1.0, dt=0.2)
 
     def test_mode_energy_monitor(self):
-        st = FlowState.from_manifold(df.weighted_circle(64, f=lambda th: 0.01 * np.cos(2 * th)))
-        with pytest.raises(StabilityError):
-            df.step_modified_flow(st, 1e-3, stability_threshold=1e-4)
+        # a run's threshold is stability_factor (1 + max |geometry|); here it
+        # lies below the non-round circle's own mode amplitudes
+        req = RunRequest(family=_VaryingFamily(), horizon=0.01, dt=1e-3, k=1, resolution=32, hermite_order=6,
+                         modes=8, track_scalars=False, stability_factor=1e-3)
+        with pytest.raises(StabilityError, match="^circle mode energy"):
+            df.run_flow(req)
 
     def test_positivity_breakdown(self):
         req = RunRequest(
@@ -138,10 +145,9 @@ class TestRunFlow:
                          track_scalars=False)
         traj = df.run_flow(req)
         lam = np.array([sp.eigenvalues[1] for sp in traj.spectra])
-        verdict = df.forward_diff_check(
-            lam, lambda t, v: (2.0 * v - 1.0) * v, dt=traj.output_dt, slack=1e-6
-        )
-        assert verdict.passed
+        # the paper's inequality lambda' <= (2 lambda - 1) lambda, on forward difference quotients
+        excess = np.diff(lam) / traj.output_dt - (2.0 * lam[:-1] - 1.0) * lam[:-1]
+        assert float(np.max(excess)) <= 1e-6
 
 
 class TestShiftInvariance:
@@ -172,27 +178,29 @@ def static_traj():
     return df.run_flow(req)
 
 
+def _evolved(traj, u0):
+    """(manifold, u) per output of the scalar u0 carried by u_t = L u + u/2
+    through the run's own Galerkin integration (``_run_loop``)."""
+    return [(dm, s[0]) for _, dm, s in _run_loop(traj.request, traj.states[0].manifold, u0[None])]
+
+
 class TestEvolveScalar:
     def test_eigenfunction_at_half_is_stationary(self, static_traj):
         x = static_traj.states[0].manifold.axes[0].nodes.copy()
-        out = df.evolve_scalar(x, static_traj)
-        assert float(np.max(np.abs(out.values[-1] - x))) < 1e-12
+        _, u = _evolved(static_traj, x)[-1]
+        assert float(np.max(np.abs(u - x))) < 1e-12
 
     def test_constant_grows_at_half_rate(self, static_traj):
         ones = np.ones(static_traj.states[0].manifold.shape)
-        out = df.evolve_scalar(ones, static_traj)
-        np.testing.assert_allclose(out.values[-1], math.exp(0.1), rtol=1e-10)
+        _, u = _evolved(static_traj, ones)[-1]
+        np.testing.assert_allclose(u, math.exp(0.1), rtol=1e-10)
 
     def test_mean_zero_preserved(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.3, dt=1e-3, cadence=30, k=1)
         traj = df.run_flow(req)
         u0 = np.sin(traj.states[0].manifold.axes[0].nodes)
-        out = df.evolve_scalar(u0, traj)
-        assert float(np.max(np.abs(out.means))) < 1e-9
-
-    def test_shape_check(self, static_traj):
-        with pytest.raises(UsageError):
-            df.evolve_scalar(np.ones(5), static_traj)
+        means = [dm.integrate(u) for dm, u in _evolved(traj, u0)]
+        assert float(np.max(np.abs(means))) < 1e-9
 
 
 class TestFunctionalResiduals:
@@ -238,13 +246,19 @@ class TestFunctionalResiduals:
             df.functional_residuals(traj)
 
 
+def _gram(dm, fields):
+    """Weighted-L2 Gram matrix of ``fields``, as a run pairs its scalars."""
+    return _scalar_pairings(dm, np.stack(fields))[0]
+
+
 class TestGramSchmidtFrame:
     def test_orthonormal_inputs_give_identity(self):
         dm = df.weighted_circle(64)
         res = df.lowest_eigenpairs(df.assemble_forms(dm), 2)
-        frame, mixing = df.gram_schmidt_frame(res.eigenfunctions, FlowState.from_manifold(dm))
+        gram = _gram(dm, res.eigenfunctions)
+        mixing = df.gram_schmidt_frame(gram)
         np.testing.assert_allclose(mixing, np.eye(3), atol=1e-10)
-        np.testing.assert_allclose(frame[1], res.eigenfunctions[1], atol=1e-10)
+        np.testing.assert_allclose(mixing @ gram @ mixing.T, np.eye(3), atol=1e-10)
 
     def test_static_diagonal_is_flat(self):
         req = RunRequest(family=df.scaled_gaussian_family(1.0, 1), horizon=5e-3, dt=1e-3, cadence=1, k=1)
@@ -262,16 +276,16 @@ class TestGramSchmidtFrame:
         # |gram[1, 0]| > gram[0, 0], so an LU solve of the Cholesky factor pivots
         dm = df.weighted_circle(64)
         u, v = np.cos(dm.axes[0].nodes), np.sin(dm.axes[0].nodes)
-        frame, mixing = df.gram_schmidt_frame([u, 3.0 * u + 0.3 * v], FlowState.from_manifold(dm))
+        gram = _gram(dm, [u, 3.0 * u + 0.3 * v])
+        mixing = df.gram_schmidt_frame(gram)
         assert mixing[0, 1] == 0.0
-        pairings = [dm.integrate(frame[0] * frame[1]), dm.integrate(frame[1] ** 2)]
-        np.testing.assert_allclose(pairings, [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(mixing @ gram @ mixing.T, np.eye(2), atol=1e-12)
 
     def test_rank_deficiency(self):
         dm = df.weighted_circle(64)
         u = np.sin(dm.axes[0].nodes)
         with pytest.raises(DegeneracyError):
-            df.gram_schmidt_frame([u, 2.0 * u], FlowState.from_manifold(dm))
+            df.gram_schmidt_frame(_gram(dm, [u, 2.0 * u]))
 
 
 class TestCommutatorResidual:
@@ -280,27 +294,51 @@ class TestCommutatorResidual:
                          cadence=1, k=1, track_scalars=False)
         traj = df.run_flow(req)
         x = traj.states[0].manifold.axes[0].nodes.copy()
-        assert df.commutator_residual(x, traj, len(traj.times) // 2) < 1e-12
+        assert df.commutator_residual(x, traj, [len(traj.times) // 2])[0] < 1e-12
 
     def test_constant_field(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.02, dt=1e-3, cadence=1,
                          k=1, track_scalars=False)
         traj = df.run_flow(req)
-        assert df.commutator_residual(np.ones(traj.states[0].manifold.shape), traj, 1) < 1e-14
+        assert df.commutator_residual(np.ones(traj.states[0].manifold.shape), traj, [1])[0] < 1e-14
 
     def test_circle_cosine(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.05, dt=1e-3, cadence=1,
                          k=1, track_scalars=False)
         traj = df.run_flow(req)
         u = np.cos(traj.states[0].manifold.axes[0].nodes)
-        assert df.commutator_residual(u, traj, len(traj.times) // 2) < 1e-5
+        assert df.commutator_residual(u, traj, [len(traj.times) // 2])[0] < 1e-5
 
     def test_interior_index_required(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.02, dt=1e-3, cadence=1,
                          k=1, track_scalars=False)
         traj = df.run_flow(req)
-        with pytest.raises(UsageError):
-            df.commutator_residual(np.ones(traj.states[0].manifold.shape), traj, 0)
+        ones = np.ones(traj.states[0].manifold.shape)
+        for indices in ([0], [1, len(traj.times) - 1]):
+            with pytest.raises(UsageError):
+                df.commutator_residual(ones, traj, indices)
+
+    @pytest.mark.parametrize("horizon, reads", [(0.006, [1, 3]), (0.005, [1, 2, 3])])
+    def test_run_series_and_laplacians_read(self, monkeypatch, horizon, reads):
+        # the run's series at every interior output and one index alone agree
+        # bit for bit; L u is taken at the outputs the stencil reads, which
+        # next to a short last output (steps 0, 2, 4, 5) include the index itself
+        index = 2
+        req = RunRequest(family=df.round_circle_family(1.0), horizon=horizon, dt=1e-3, cadence=2,
+                         k=1, track_scalars=False)
+        traj = df.run_flow(req)
+        probe = traj.spectra[0].eigenfunctions[1]
+        times, laplacian = [], df.flow.drift_laplacian
+
+        def counted(dm, u):
+            times.append(dm.t)
+            return laplacian(dm, u)
+
+        monkeypatch.setattr(df.flow, "drift_laplacian", counted)
+        got = df.commutator_residual(probe, traj, [index])
+        assert got[0] == traj.residual_commutator[index]
+        assert sorted(times) == [traj.times[m] for m in reads]
+        assert np.isnan(traj.residual_commutator[[0, -1]]).all()
 
 
 class TestScalarOrthogonalityAlongFlow:
@@ -346,12 +384,12 @@ class TestFlatState:
         fam = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)])
         req = RunRequest(family=fam, horizon=0.01, dt=0.01, cadence=1, k=1, track_scalars=False)
         traj = df.run_flow(req)
-        stepped = df.step_modified_flow(traj.states[0], 0.01).manifold
+        dm0 = traj.states[0].manifold
+        layout = _Layout.of(dm0)
+        stepped = _settler(layout, req.modes)(_rk4(_flow_rhs(layout, req.modes), 0.0, layout.pack(dm0), 0.01)[0])
         ran = traj.states[-1].manifold
-        assert stepped.t == ran.t
-        assert stepped.axes[0].scale == ran.axes[0].scale
-        assert np.array_equal(stepped.axes[1].a, ran.axes[1].a)
-        assert np.array_equal(stepped.axes[1].f, ran.axes[1].f)
+        assert ran.t == 0.01
+        assert np.array_equal(layout.pack(ran), stepped)
 
 
 class _VaryingFamily:
@@ -469,19 +507,13 @@ class TestStepPairs:
         dm0 = traj.states[0].manifold
         layout = _Layout.of(dm0)
         rhs = _flow_rhs(layout, 8)
-        states, z = [traj.states[0]], np.concatenate([layout.pack(dm0), traj.scalar_values[0].ravel()])
-        vectors = [z]
+        vectors = [np.concatenate([layout.pack(dm0), traj.scalar_values[0].ravel()])]
         for i in range(steps):
-            states.append(df.step_modified_flow(states[-1], dt, modes=8))
             vectors.append(_settle(layout, _rk4(rhs, i * dt, vectors[-1], dt)[0], 8, 1e-13, 1e6))
         out_steps = sorted({steps, *range(0, steps + 1, cadence)})
         assert len(traj.times) == len(out_steps)
         for m, step in enumerate(out_steps):
-            ran, stepped = traj.states[m].manifold, states[step].manifold
-            assert np.array_equal(ran.axes[0].a, stepped.axes[0].a)
-            assert np.array_equal(ran.axes[0].f, stepped.axes[0].f)
-            assert ran.axes[1].scale == stepped.axes[1].scale
-            assert np.array_equal(layout.pack(ran), vectors[step][: layout.width])
+            assert np.array_equal(layout.pack(traj.states[m].manifold), vectors[step][: layout.width])
             assert np.array_equal(traj.scalar_values[m].ravel(), vectors[step][layout.width :])
 
     def test_step_memory_stays_below_the_field_estimate(self):
