@@ -49,6 +49,7 @@ from .geometry import (
 from .oracles import (
     OracleReport,
     dense_spectrum,
+    equality_ode_extrapolated,
     finite_diff_time_derivative,
     integrate_equality_ode,
     modal_propagator,

@@ -1,8 +1,10 @@
 """Command line front door: run, sweep, verify, report.
 
 Exit codes: 0 success, 2 configuration error, 3 stability error, 4 solver
-error, 5 verification failure, 1 anything else.  Every failure prints one
-machine-parsable line ``error: <kind>: <message>`` on stderr.
+error (an eigen solve short of its residual, or tracked scalars that are
+linearly dependent in weighted L2), 5 verification failure, 1 anything
+else.  Every failure prints one machine-parsable line
+``error: <kind>: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 from .config import ScenarioConfig, load_config
 from .errors import (
     ConfigurationError,
+    DegeneracyError,
     DomainError,
     DriftflowError,
     SolverError,
@@ -45,7 +48,7 @@ def _classify(exc: Exception) -> tuple[str, int]:
         return "config", EXIT_CONFIG
     if isinstance(exc, StabilityError):
         return "stability", EXIT_STABILITY
-    if isinstance(exc, SolverError):
+    if isinstance(exc, (SolverError, DegeneracyError)):
         return "solver", EXIT_SOLVER
     return "unexpected", EXIT_UNEXPECTED
 

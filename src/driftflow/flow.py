@@ -23,12 +23,21 @@ the grid's Nyquist mode; at ``modes = resolution // 2`` the grid is the
 truncation.  Exact analytic families make the truncation exact and serve as
 validation.
 
-Tracked scalars follow the drift heat equation u_t = L u + u/2, advanced with
-the same RK4 stages as the geometry (one-way coupling).  A Galerkin run builds
-one step plan, the per-axis operators of ``_flow_rhs``, before its first step
-and takes every step with ``_step``.  The analytic backend steps nothing: its
-outputs are the closed-form states, sampled by ``discretize``, and its scalars
-those of ``oracles.modal_propagator``, exact on every supported family.
+Tracked scalars follow the drift heat equation u_t = L u + u/2 (one-way
+coupling) through an integrating factor (Lawson 1967).  On a Gaussian line
+or a round circle L acts as c_i(t) D_i, with D_i fixed and diagonal in the
+axis's basis (j/2 on the Hermite functions, k^2 on the Fourier modes) and
+c_i = 1/u or 1/a read from the Galerkin geometry.  The integrals C_i of
+c_i dt join the geometry in the RK4 state, and each output applies
+E = exp(s/2 - sum_i D_i C_i) once: u = E V.  Only a circle that is not round
+keeps its full operator in the stages, acting on V; without one, V is the
+initial batch, the stages never touch the scalars, and the geometry takes
+the steps of a run without them.  A Galerkin run builds one step plan, the
+per-axis operators of ``_flow_rhs``, before its first step and takes every
+step with ``_step``.  The analytic backend steps nothing: its outputs are the
+closed-form states, sampled by ``discretize``, and its scalars those of
+``oracles.modal_propagator``, exact on every supported family; a Galerkin
+run never calls it.
 """
 
 from __future__ import annotations
@@ -107,12 +116,17 @@ class FlowState:
 
 @dataclass(frozen=True)
 class _Layout:
-    """Where each axis of a manifold lives in the flat geometry vector.
+    """Where each part of a run's state lives in its flat vector.
 
     ``axes`` holds (kind, offset, size) per axis: a circle of ``size`` nodes
     stores its samples of a and then of f from ``offset``, a Gaussian line of
-    Hermite order ``size`` its metric multiplier.  The integrator state is
-    this vector followed by the raveled (count, *shape) batch of scalars.
+    Hermite order ``size`` its metric multiplier; ``width`` entries in all.
+    With ``count`` tracked scalars, u = E V (``_factor``), the geometry is
+    followed by one integral C_i of c_i dt per diagonal axis, in the order of
+    ``diagonal``, and when some circle is not round (``stepped``) by the
+    raveled (count, *shape) batch V.  A diagonal axis is a Gaussian line or a
+    circle whose a and f samples are all equal; its scalar operator is
+    c_i(t) D_i with D_i fixed and diagonal in the axis's basis.
     """
 
     axes: tuple
@@ -120,15 +134,29 @@ class _Layout:
     shape: tuple
     f_constant: float
     circles: tuple
+    diagonal: tuple = ()
+    stepped: bool = False
 
     @classmethod
-    def of(cls, dm: DiscreteWeightedManifold) -> "_Layout":
+    def of(cls, dm: DiscreteWeightedManifold, count: int = 0) -> "_Layout":
         axes, offset = [], 0
         for ax in dm.axes:
             axes.append((ax.kind, offset, ax.size))
             offset += 2 * ax.size if ax.kind == "circle" else 1
         circles = tuple((off, n) for kind, off, n in axes if kind == "circle")
-        return cls(tuple(axes), offset, dm.shape, dm.f_constant, circles)
+        diagonal = ()
+        if count:  # a round circle's stages keep its equal samples equal: constants have zero derivatives
+            diagonal = tuple(
+                i for i, ax in enumerate(dm.axes)
+                if ax.kind == "hermite" or (np.ptp(ax.a) == 0.0 and np.ptp(ax.f) == 0.0)
+            )
+        stepped = count > 0 and len(diagonal) < len(axes)
+        return cls(tuple(axes), offset, dm.shape, dm.f_constant, circles, diagonal, stepped)
+
+    @property
+    def start(self) -> int:
+        """The offset of V, right after the integrals."""
+        return self.width + len(self.diagonal)
 
     def pack(self, dm: DiscreteWeightedManifold) -> np.ndarray:
         return np.concatenate([[ax.scale] if ax.kind == "hermite" else np.concatenate([ax.a, ax.f]) for ax in dm.axes])
@@ -150,34 +178,38 @@ def _positive(a: np.ndarray) -> np.ndarray:
 
 
 def _flow_rhs(layout: _Layout, modes: int):
-    """Galerkin right-hand side of the geometry vector and the scalars.
+    """Galerkin right-hand side of the geometry, the integrals and V.
 
-    The step plan, built once: per axis its derivative pair, the Hermite drift
-    x/2, the transpose that brings the axis to the front of the scalar batch
-    with its inverse, and for a circle whether the cutoff ``modes`` lies below
-    the grid's Nyquist mode n // 2.  Only then does a stage project the
-    circle's rows (a - 2 Hess f, 1/2 - Hess f / a) with ``lowpass``; at
-    ``modes = n // 2`` the grid itself is the truncation, and the rows are
-    written as they are.  Each stage adds an axis's term of u_t = L u + u/2
-    right after that axis's fields (a, drift Gamma + f', on circles Hess f).
-    Derivatives act on u - u[0] along the axis, exactly zero on constants.
+    The step plan, built once: per axis its derivative pair, the slot of its
+    integral if it is diagonal, and for a circle whether the cutoff ``modes``
+    lies below the grid's Nyquist mode n // 2.  Only then does a stage
+    project the circle's rows (a - 2 Hess f, 1/2 - Hess f / a) with
+    ``lowpass``; at ``modes = n // 2`` the grid itself is the truncation, and
+    the rows are written as they are.  A diagonal axis adds C_i' = 1/a of a
+    round circle or 1/u of a Gaussian line.  A circle that is not round
+    applies its full scalar operator (u'' - (Gamma + f') u') / a to V along
+    its own axis, through the transpose that brings the axis to the front of
+    the batch and its inverse; derivatives act on V - V[0] along the axis,
+    exactly zero on constants.  Without such a circle the scalars are not in
+    the state, and the stages never touch them.
     """
     plan = []
     for axis, (kind, off, n) in enumerate(layout.axes):
-        ops = _fourier_dense(n) if kind == "circle" else _hermite_ops(n)
+        ops = _fourier_dense(n) if kind == "circle" else dict.fromkeys(("d1", "d2"))
         project = kind == "circle" and modes < n // 2
-        drift = None if kind == "circle" else ops["nodes"][:, None] / 2.0
+        integral = layout.width + layout.diagonal.index(axis) if axis in layout.diagonal else None
+        acts = layout.stepped and integral is None
         perm, inverse = axis_to_front(len(layout.axes) + 1, axis + 1)
-        plan.append((kind == "circle", project, off, n, ops["d1"], ops["d2"], drift, perm, inverse))
-    width, batch_shape = layout.width, (-1, *layout.shape)
+        plan.append((kind == "circle", project, off, n, ops["d1"], ops["d2"], integral, acts, perm, inverse))
+    start, batch_shape = layout.start, (-1, *layout.shape)
 
     def rhs(t, z):
         dz = np.empty_like(z)
-        scalars = z.size > width
-        if scalars:
-            batch = z[width:].reshape(batch_shape)
-            out = 0.5 * batch
-        for circle, project, off, n, d1, d2, drift, perm, inverse in plan:
+        if layout.stepped:
+            batch = z[start:].reshape(batch_shape)
+            out = dz[start:].reshape(batch_shape)
+            out[...] = 0.0
+        for circle, project, off, n, d1, d2, integral, acts, perm, inverse in plan:
             if circle:
                 a, f = _positive(z[off : off + n]), z[off + n : off + 2 * n]
                 df = f - f[0]
@@ -189,21 +221,50 @@ def _flow_rhs(layout: _Layout, modes: int):
                 rows[1] = 0.5 - hess_f / a
                 if project:
                     rows[:] = lowpass(rows, modes)
-                if scalars:
-                    drift, a = (gamma + fprime)[:, None], a[:, None]
+                if integral is not None:
+                    dz[integral] = 1.0 / a[0]
+                if acts:
+                    moved = batch.transpose(perm)
+                    diff = np.subtract(moved, moved[:1], order="C").reshape(n, -1)
+                    term = (d2 @ diff - (gamma + fprime)[:, None] * (d1 @ diff)) / a[:, None]
+                    out += term.reshape(moved.shape).transpose(inverse)
             else:
-                a = z[off]
-                dz[off] = _multiplier_rhs(t, a)
-            if scalars:
-                moved = batch.transpose(perm)
-                diff = np.subtract(moved, moved[:1], order="C").reshape(n, -1)
-                term = (d2 @ diff - drift * (d1 @ diff)) / a
-                out += term.reshape(moved.shape).transpose(inverse)
-        if scalars:
-            dz[width:] = out.ravel()
+                u = z[off]
+                dz[off] = _multiplier_rhs(t, u)
+                if integral is not None:
+                    dz[integral] = 1.0 / u
         return dz
 
     return rhs
+
+
+def _factor(layout: _Layout, v: np.ndarray, integrals, s: float) -> np.ndarray:
+    """u = E V at lag ``s``, E = exp(s/2 - sum_i D_i C_i) on the diagonal axes.
+
+    ``integrals`` are the C_i of c_i dt since the start.  Along a round
+    circle D_i is k^2 on the rfft modes, Nyquist included; along a Gaussian
+    line j/2 on the orthonormal Hermite functions, whose change of basis and
+    back, ``vand`` diag(gain) ``vinv``, is one n x n matrix.  The growth
+    s/2 rides in the first axis's gains.  The whole field is transformed,
+    constants included.  At zero lag E is the identity.
+    """
+    if s == 0.0:
+        return v.copy()
+    u, lag = v, s / 2.0
+    for axis, c in zip(layout.diagonal, integrals):
+        kind, _, n = layout.axes[axis]
+        if kind == "circle":
+            coef = np.fft.rfft(u, axis=axis + 1)
+            coef *= np.exp(lag - np.arange(n // 2 + 1) ** 2.0 * c).reshape(-1, *[1] * (u.ndim - axis - 2))
+            u = np.fft.irfft(coef, n=n, axis=axis + 1)
+        else:
+            ops = _hermite_ops(n)
+            matrix = ops["vand"] @ (np.exp(lag - 0.5 * np.arange(n) * c)[:, None] * ops["vinv"])
+            perm, inverse = axis_to_front(u.ndim, axis + 1)
+            moved = u.transpose(perm)
+            u = (matrix @ moved.reshape(n, -1)).reshape(moved.shape).transpose(inverse)
+        lag = 0.0
+    return math.exp(lag) * u if lag else u
 
 
 def _multiplier_rhs(t, u):
@@ -431,18 +492,24 @@ def _output_steps(request: RunRequest) -> tuple[float, list]:
 
 def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     """(t, manifold, scalars or None) per output of a Galerkin run: one
-    deterministic integration, every step a ``_step``."""
+    deterministic integration, every step a ``_step``.  The scalars are
+    u = E V (``_factor``), E applied once per output; V is stepped only when
+    some circle is not round, and is ``scalars0`` otherwise."""
     t0 = request.family.t0
     dt, recorded = _output_steps(request)
 
-    layout = _Layout.of(state0)
+    scalars = None if scalars0 is None else np.asarray(scalars0, dtype=float)
+    layout = _Layout.of(state0, 0 if scalars is None else len(scalars))
     geometry = layout.pack(state0)
     threshold = request.stability_factor * (1.0 + float(np.max(np.abs(geometry))))
-    scalars = np.empty((0, *layout.shape)) if scalars0 is None else np.asarray(scalars0, dtype=float)
-    width, z = layout.width, np.concatenate([geometry, scalars.ravel()])
-    # The error blocks: each circle's a and f rows, each Gaussian multiplier, each scalar.
+    parts = [geometry, np.zeros(len(layout.diagonal))]
+    if layout.stepped:
+        parts.append(scalars.ravel())
+    width, start, z = layout.width, layout.start, np.concatenate(parts)
+    # The error blocks: each circle's a and f rows, each Gaussian multiplier, each integral, each scalar of V.
     blocks = [off + i * n for kind, off, n in layout.axes for i in range(1 + (kind == "circle"))]
-    blocks += range(width, z.size, math.prod(layout.shape))
+    blocks += range(width, start)
+    blocks += range(start, z.size, math.prod(layout.shape))
     if z.size == 1:  # one Gaussian multiplier and no scalars: a float, without numpy's per-call cost
         rhs, z = _multiplier_rhs, float(z[0])
     else:
@@ -457,7 +524,10 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
         for s in range(done, step):
             z, k1, _ = _step(rhs, settle, t0 + s * dt, z, dt, request.adaptive_tol, k1, blocks)
         done, t = step, t0 + step * dt
-        batch = None if scalars0 is None else z[width:].reshape(scalars.shape).copy()
+        batch = None
+        if scalars is not None:
+            v = z[start:].reshape(scalars.shape) if layout.stepped else scalars
+            batch = _factor(layout, v, z[width:start], step * dt)
         outputs.append((t, layout.manifold(np.atleast_1d(z), t), batch))
     return outputs
 
@@ -482,10 +552,12 @@ def _check_field_memory(request: RunRequest, state) -> None:
     than MAX_FIELD_BYTES, before any of them is allocated.
 
     Per grid point the estimate counts 8 bytes for each of 16 live copies of
-    the k + 1 fields a step or an output solve carries (tracemalloc measured
-    11.0 copies of the scalar batch per step, k = 3 on 16 x 256), plus 3k + 2
-    fields kept per output: k + 1 eigenfunctions, the k scalars twice while
-    they are stacked, and one drift-Laplacian image for the commutator probe.
+    the k + 1 fields a step or an output solve carries, plus 3k + 2 fields
+    kept per output: k + 1 eigenfunctions, the k scalars twice while they
+    are stacked, and one drift-Laplacian image for the commutator probe.
+    tracemalloc, k = 3 on 16 x 256: a step that carries V (a circle that is
+    not round) peaks at 9.0 copies of the scalar batch, applying E at an
+    output at 3.1, and a step of round axes at less than one.
     """
     points = math.prod(
         request.resolution if isinstance(fac, CircleModel) else request.hermite_order for fac in state.factors

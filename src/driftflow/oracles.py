@@ -3,11 +3,12 @@
 These deliberately avoid the fast paths of the main engines: the dense solve
 forms the Kronecker-sum stiffness matrix, which the fast path only applies
 factor by factor, and diagonalizes the full pair; the equality-case ODE is
-integrated step by step instead of using the closed form it validates; the
-modal propagator solves the drift heat equation of the tracked scalars in
-closed form, mode by mode in each axis's eigenbasis, where the integrator
-steps it with the coupled right-hand side.  The analytic backend records its
-scalars from the propagator.
+integrated step by step instead of using the closed form it validates, and
+extrapolated from two step counts; the modal propagator solves the drift
+heat equation of the tracked scalars in closed form, mode by mode in each
+axis's eigenbasis, with the eigenvalue integrals of the closed-form
+geometry, where the integrator integrates them along its own Galerkin
+geometry.  The analytic backend records its scalars from the propagator.
 """
 
 from __future__ import annotations
@@ -28,12 +29,17 @@ __all__ = [
     "dense_spectrum",
     "dense_stiffness",
     "integrate_equality_ode",
+    "equality_ode_extrapolated",
     "finite_diff_time_derivative",
     "modal_propagator",
 ]
 
 _OVERFLOW_GUARD = 1e12
 _GUARD_BLOCK = 256  # steps of the equality ODE between reads of the guard
+# Coarse steps of the extrapolated equality ODE: over C07's 22 cases, 500
+# reads 4.6e-15 worst against the closed form, 250 reads 1.4e-13 and 1000
+# 1.8e-14 (more steps, more round-off).
+_RICHARDSON_STEPS = 500
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,21 @@ def integrate_equality_ode(F0: float, s: float, dt: float = 1e-4) -> float:
             horizon = np.log(2.0 * F0 / (2.0 * F0 - 1.0)) if F0 > 0.5 else np.inf
             raise HorizonError(horizon, "equality ODE blew up before the requested lag")
     return F
+
+
+def equality_ode_extrapolated(F0: float, s: float) -> float:
+    """F(s) of F' = (2F - 1) F from F(0) = F0, by ``integrate_equality_ode``
+    over ``_RICHARDSON_STEPS`` and twice as many RK4 steps and the Richardson
+    value (16 F_{h/2} - F_h) / 15, which cancels RK4's leading h^4 error term.
+
+    A fixed step count keeps the cost independent of the lag: 1500 steps
+    where a step of 1e-4 takes 10^4 per unit of lag.
+    """
+    if s <= 0.0:  # zero lag is F0; a negative one is refused there
+        return integrate_equality_ode(F0, s)
+    coarse = integrate_equality_ode(F0, s, dt=s / _RICHARDSON_STEPS)
+    fine = integrate_equality_ode(F0, s, dt=s / (2 * _RICHARDSON_STEPS))
+    return (16.0 * fine - coarse) / 15.0
 
 
 def finite_diff_time_derivative(series, dt: float) -> np.ndarray:

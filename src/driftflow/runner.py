@@ -29,7 +29,7 @@ from .comparison import eigenvalue_bound
 from .config import ScenarioConfig
 from .errors import HorizonError
 from .flow import FlowTrajectory, run_flow
-from .oracles import OracleReport, integrate_equality_ode
+from .oracles import OracleReport, equality_ode_extrapolated
 from .splitting import detect_splitting
 
 __all__ = ["execute", "RunResult"]
@@ -103,8 +103,9 @@ def _splitting(config: ScenarioConfig, traj: FlowTrajectory) -> tuple[dict, list
 
 
 def _oracle_reports(traj: FlowTrajectory, k: int) -> list:
-    """Closed-form bound cross-checked against the equality-case RK4 oracle at
-    the run's own distinct starting eigenvalues and final lag."""
+    """Closed-form bound cross-checked against the equality-case RK4 oracle,
+    Richardson-extrapolated, at the run's own distinct starting eigenvalues
+    and final lag."""
     reports = []
     seen = set()
     s_final = float(traj.times[-1] - traj.times[0])
@@ -116,7 +117,7 @@ def _oracle_reports(traj: FlowTrajectory, k: int) -> list:
         inputs = {"lambda0": lam, "s": s_final}
         try:
             target = eigenvalue_bound(lam, s_final)
-            reference = integrate_equality_ode(lam, s_final, dt=min(1e-4, s_final / 10 or 1e-4))
+            reference = equality_ode_extrapolated(lam, s_final)
         except HorizonError as exc:
             reports.append({"oracle": "integrate_equality_ode", "inputs": inputs, "skipped": str(exc)})
             continue

@@ -227,6 +227,18 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert "error: stability:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("a0", [1e-3, 1e-8])
+    def test_degenerate_scalars_are_a_solver_error(self, tmp_path, capsys, a0):
+        # the exact scalars of a fast circle decay below their mean's round-off
+        # (at 1e-8 they underflow to 0), so their Gram matrix is rank deficient
+        cfg = _write_config(tmp_path / "fast.json", name="fast", family="round_circle", a0=a0, horizon=0.1, k=2,
+                            track_scalars=True)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver: scalars are") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_four_gaussian_lines_order_16_run(self, tmp_path):
         # 16^4 = 65536 grid points: the forms stay factored, so this runs
         cfg = _write_config(tmp_path / "big.json", name="big", n=4, hermite_order=16, horizon=0.05, k=2)

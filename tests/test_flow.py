@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 import driftflow as df
-from driftflow.axes import _fourier_dense, circle_nodes, lowpass, mode_amplitudes
+import driftflow.oracles
+from driftflow.acceptance import check_functionals
+from driftflow.axes import _fourier_dense, _hermite_ops, circle_nodes, lowpass, mode_amplitudes
 from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
-from driftflow.flow import FlowState, RunRequest, _flow_rhs, _Layout, _rk4, _run_loop, _scalar_pairings, _settle, _step
+from driftflow.flow import (
+    FlowState, RunRequest, _factor, _flow_rhs, _Layout, _rk4, _run_loop, _scalar_pairings, _settle, _step,
+)
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
 from driftflow.oracles import finite_diff_time_derivative
 
@@ -356,6 +360,8 @@ class TestScalarOrthogonalityAlongFlow:
 
 class TestFlatState:
     def test_batched_scalar_rhs_matches_drift_laplacian(self):
+        # u = E V: the stages apply the non-round circle's operator to V, and
+        # E the Gaussian line's c D, c = 1/u read from the stage; the two are L
         state = ContinuumState(
             t=0.0,
             factors=(
@@ -367,18 +373,24 @@ class TestFlatState:
         theta = dm.axis_profile(0, dm.axes[0].nodes)
         x = dm.axis_profile(1, dm.axes[1].nodes)
         fields = np.stack([np.cos(theta) * x, np.sin(2 * theta) + x**3, np.cos(3 * theta) * (x * x - 2.0)])
-        layout = _Layout.of(dm)
+        layout = _Layout.of(dm, len(fields))
+        assert layout.diagonal == (1,) and layout.stepped
         rhs = _flow_rhs(layout, modes=8)
 
-        def scalar_part(batch):
-            z = np.concatenate([layout.pack(dm), batch.ravel()])
-            return rhs(0.0, z)[layout.width :].reshape(batch.shape)
+        def stage(batch):
+            dz = rhs(0.0, np.concatenate([layout.pack(dm), [0.0], batch.ravel()]))
+            return dz[layout.width], dz[layout.start :].reshape(batch.shape)
 
-        for got, u in zip(scalar_part(fields), fields):
-            want = df.drift_laplacian(dm, u) + 0.5 * u
-            assert float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(np.abs(want)))
+        ops = _hermite_ops(8)
+        line = ops["vand"] @ (-0.5 * np.arange(8)[:, None] * ops["vinv"])  # -D in the nodes
+        c, circle_part = stage(fields)
+        assert c == 1.0 / 1.7
+        for got, u in zip(circle_part, fields):
+            want = df.drift_laplacian(dm, u)
+            total = got + c * (u @ line.T)
+            assert float(np.max(np.abs(total - want))) <= 1e-13 * float(np.max(np.abs(want)))
         constants = np.stack([np.full(dm.shape, 1.0), np.full(dm.shape, -2.5)])
-        assert np.array_equal(scalar_part(constants), 0.5 * constants)
+        assert np.array_equal(stage(constants)[1], np.zeros_like(constants))
 
     def test_single_step_matches_one_step_run(self):
         fam = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)])
@@ -476,9 +488,9 @@ class TestStepPlan:
     def test_step_plan_is_autonomous(self):
         # k4 and k5 of a step share the time t + h, so the estimate would miss a dependence on t
         dm = _varying_product()
-        layout = _Layout.of(dm)
+        layout = _Layout.of(dm, 2)
         fields = np.random.default_rng(3).standard_normal((2, *dm.shape))
-        z = np.concatenate([layout.pack(dm), fields.ravel()])
+        z = np.concatenate([layout.pack(dm), [0.3], fields.ravel()])
         rhs = _flow_rhs(layout, modes=8)
         assert np.array_equal(rhs(0.0, z), rhs(0.73, z))
 
@@ -497,7 +509,8 @@ class TestStepPairs:
     @pytest.mark.parametrize("cadence", [2, 3])
     @pytest.mark.parametrize("steps", [2, 3, 5])
     def test_run_matches_successive_single_steps(self, steps, cadence):
-        # cadence 3 puts an output after an odd step
+        # cadence 3 puts an output after an odd step; the non-round circle puts
+        # V in the state, beside the Gaussian line's integral
         dt = 2.0**-10
         req = RunRequest(
             family=_VaryingFamily(), horizon=steps * dt, dt=dt, cadence=cadence, k=2, resolution=32,
@@ -505,38 +518,141 @@ class TestStepPairs:
         )
         traj = df.run_flow(req)
         dm0 = traj.states[0].manifold
-        layout = _Layout.of(dm0)
+        v0 = traj.scalar_values[0]
+        layout = _Layout.of(dm0, len(v0))
         rhs = _flow_rhs(layout, 8)
-        vectors = [np.concatenate([layout.pack(dm0), traj.scalar_values[0].ravel()])]
+        vectors = [np.concatenate([layout.pack(dm0), [0.0], v0.ravel()])]
         for i in range(steps):
             vectors.append(_settle(layout, _rk4(rhs, i * dt, vectors[-1], dt)[0], 8, 1e-13, 1e6))
         out_steps = sorted({steps, *range(0, steps + 1, cadence)})
         assert len(traj.times) == len(out_steps)
         for m, step in enumerate(out_steps):
-            assert np.array_equal(layout.pack(traj.states[m].manifold), vectors[step][: layout.width])
-            assert np.array_equal(traj.scalar_values[m].ravel(), vectors[step][layout.width :])
+            z = vectors[step]
+            assert np.array_equal(layout.pack(traj.states[m].manifold), z[: layout.width])
+            v = z[layout.start :].reshape(v0.shape)
+            assert np.array_equal(traj.scalar_values[m], _factor(layout, v, z[layout.width : layout.start], step * dt))
 
     def test_step_memory_stays_below_the_field_estimate(self):
-        # the per-step term of _check_field_memory: 16 copies of the k + 1 fields
+        # the per-step term of _check_field_memory, 16 copies of the k + 1
+        # fields, bounds a step that carries V (a non-round circle) and the
+        # output that applies E; a step of round axes carries no scalars
         k = 3
+        round_product = df.evaluate_family(
+            df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle_family(4.0)]), 0.0
+        )
+        wavy = ContinuumState(
+            t=0.0,
+            factors=(GaussianLineModel(1.0), CircleModel(a=lambda th: 4.0 + 0.3 * np.cos(th), f=lambda th: 0.2 * np.sin(th))),
+        )
+        for state in (round_product, wavy):
+            dm = df.discretize(state, resolution=256, hermite_order=16)
+            assert dm.shape == (16, 256)
+            scalars = np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), k, 1e-8).eigenfunctions[1 : k + 1])
+            layout = _Layout.of(dm, k)
+            assert layout.stepped == (state is wavy)
+            rhs, settle = _flow_rhs(layout, 32), _settler(layout, 32)
+            z = np.concatenate([layout.pack(dm), np.zeros(len(layout.diagonal))] + [scalars.ravel()] * layout.stepped)
+            v = z[layout.start :].reshape(scalars.shape) if layout.stepped else scalars
+            integrals = np.full(len(layout.diagonal), 0.3)
+            k1 = rhs(0.0, z)
+            _step(rhs, settle, 0.0, z, 1e-3, 1.0, k1)  # warm the FFT plans
+            _factor(layout, v, integrals, 0.1)
+            peaks = []
+            tracemalloc.start()
+            try:
+                for work in (lambda: _step(rhs, settle, 0.0, z, 1e-3, 1.0, k1), lambda: _factor(layout, v, integrals, 0.1)):
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    work()
+                    peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            assert max(peaks) < 8 * dm.size * 16 * (k + 1)
+            if not layout.stepped:
+                assert peaks[0] < 8 * scalars.size  # less than one copy of the batch
+
+
+class TestIntegratingFactor:
+    """Scalars u = E V with E = exp(s/2 - sum_i D_i C_i) over the diagonal axes
+    (round circles and Gaussian lines), C_i the integral of c_i dt stepped
+    with the geometry."""
+
+    def test_matches_plain_rk4_of_the_drift_heat_equation(self):
+        # an RK4 of u_t = L u + u/2 on drift_laplacian over the closed-form geometry
+        fam = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)])
+        req = RunRequest(family=fam, horizon=0.02, dt=1e-3, cadence=5, k=3, resolution=16, modes=8, hermite_order=8)
+        traj = df.run_flow(req)
+
+        def rhs(t, u):
+            dm = df.discretize(df.evaluate_family(fam, t), resolution=16, hermite_order=8)
+            return np.stack([df.drift_laplacian(dm, x) + 0.5 * x for x in u])
+
+        u, h, plain = traj.scalar_values[0], 1e-3, [traj.scalar_values[0]]
+        for step in range(20):
+            u = _rk4(rhs, step * h, u, h)[0]
+            if step % 5 == 4:
+                plain.append(u)
+        plain = np.stack(plain)
+        assert float(np.max(np.abs(traj.scalar_values - plain))) <= 1e-12 * float(np.max(np.abs(plain)))
+
+    def test_fast_circle_takes_one_step_per_step(self, monkeypatch):
+        # a0 = 1e-3: dt k^2 / a reaches 1024 on the top mode, which RK4 stages
+        # halved 69,964 times; E takes it exactly.  Its two scalars decay by
+        # e^-95 and more below their mean's round-off, so their Gram matrix is
+        # rank deficient.
+        seen = _counting_step(monkeypatch)
+        req = RunRequest(family=df.round_circle_family(1e-3), horizon=0.1, k=2)
+        with pytest.raises(DegeneracyError):
+            df.run_flow(req)
+        assert len(seen) == 100
+
+    def test_stiff_circle_passes_the_propagator_record(self):
+        req = RunRequest(family=df.round_circle_family(0.25), horizon=0.5, k=2, resolution=64)
+        records = {c.name: c for c in check_functionals(df.run_flow(req))}
+        assert records["scalar propagator"].passed
+        assert records["scalar propagator"].value < 1e-12
+
+    def test_galerkin_scalars_never_call_the_propagator(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the step called the modal propagator")
+
+        monkeypatch.setattr(df.flow, "modal_propagator", refuse)
+        monkeypatch.setattr(driftflow.oracles, "modal_propagator", refuse)
+        fam = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)])
+        req = RunRequest(family=fam, horizon=0.01, dt=1e-3, cadence=5, k=2, resolution=16, modes=8)
+        assert df.run_flow(req).scalar_values.shape == (3, 2, 12, 16)
+        with pytest.raises(AssertionError, match="modal propagator"):
+            df.run_flow(RunRequest(family=fam, horizon=0.01, k=2, resolution=16, modes=8, backend="analytic"))
+
+    @pytest.mark.parametrize("n", [16, 31, 48, 64, 100, 128])
+    def test_round_circle_stays_exactly_round(self, n):
+        # constants have exactly zero derivatives, and the cutoff and the
+        # settle round trip keep equal samples equal
+        dm = df.weighted_circle(n, a=0.7, f=-3.1)
+        for modes in sorted({n // 2, n // 4}):
+            layout = _Layout.of(dm, 2)
+            assert layout.diagonal == (0,) and not layout.stepped
+            rhs, z = _flow_rhs(layout, modes), np.concatenate([layout.pack(dm), [0.0]])
+            for step in range(5):
+                z = _settle(layout, _rk4(rhs, step * 1e-3, z, 1e-3)[0], modes, 1e-13, 1e6)
+                assert np.ptp(z[:n]) == 0.0 and np.ptp(z[n : 2 * n]) == 0.0
+            assert z[-1] == pytest.approx((1.0 - math.exp(-5e-3)) / 0.7, rel=1e-13)  # C = int 1/a dt, a = 0.7 e^t
+
+    def test_geometry_is_bitwise_the_same_without_scalars(self):
+        # the scalars left the geometry's error norm
         fam = df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle_family(4.0)])
-        dm = df.discretize(df.evaluate_family(fam, 0.0), resolution=256, hermite_order=16)
-        assert dm.shape == (16, 256)
-        scalars = np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), k, 1e-10).eigenfunctions[1 : k + 1])
-        layout = _Layout.of(dm)
-        rhs, settle = _flow_rhs(layout, 32), _settler(layout, 32)
-        z = np.concatenate([layout.pack(dm), scalars.ravel()])
-        k1 = rhs(0.0, z)
-        _step(rhs, settle, 0.0, z, 1e-3, 1.0, k1)  # warm the FFT plans
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            kept = _step(rhs, settle, 0.0, z, 1e-3, 1.0, k1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert kept[0].shape == z.shape
-        assert peak < 8 * dm.size * 16 * (k + 1)
+        runs = [
+            df.run_flow(RunRequest(family=fam, horizon=0.1, cadence=5, k=3, track_scalars=track))
+            for track in (True, False)
+        ]
+        with_scalars, without = runs
+        assert with_scalars.scalar_values is not None and without.scalar_values is None
+        for m, (a, b) in enumerate(zip(with_scalars.states, without.states)):
+            layout = _Layout.of(a.manifold)
+            assert np.array_equal(layout.pack(a.manifold), layout.pack(b.manifold))
+            assert np.array_equal(with_scalars.spectra[m].eigenvalues, without.spectra[m].eigenvalues)
+        for name in ("times", "volumes", "bounds", "residual_commutator"):
+            assert np.array_equal(getattr(with_scalars, name), getattr(without, name), equal_nan=True), name
 
 
 def _gaussian_request(u0, horizon, **kw):

@@ -118,6 +118,33 @@ class TestEqualityOde:
             df.integrate_equality_ode(0.3, -1.0)
 
 
+class TestExtrapolatedEqualityOde:
+    @pytest.mark.parametrize("F0, s", [(0.05, 5.0), (0.25, LOG2), (0.49, 2.0), (0.6, 1.0), (2.0, 0.2)])
+    def test_matches_the_closed_form(self, F0, s):
+        exact = df.eigenvalue_bound(F0, s)
+        assert abs(df.equality_ode_extrapolated(F0, s) - exact) <= 1e-14 * max(abs(exact), 1.0)
+
+    def test_two_step_counts_and_the_richardson_value(self, monkeypatch):
+        calls, integrate = [], df.oracles.integrate_equality_ode
+
+        def counted(F0, s, dt=1e-4):
+            calls.append(round(s / dt))
+            return integrate(F0, s, dt)
+
+        monkeypatch.setattr(df.oracles, "integrate_equality_ode", counted)
+        got = df.equality_ode_extrapolated(0.3, 5.0)
+        assert calls == [500, 1000]
+        coarse, fine = integrate(0.3, 5.0, dt=0.01), integrate(0.3, 5.0, dt=0.005)
+        assert got == (16.0 * fine - coarse) / 15.0
+
+    def test_zero_lag_blowup_and_bad_lag(self):
+        assert df.equality_ode_extrapolated(0.3, 0.0) == 0.3
+        with pytest.raises(HorizonError):
+            df.equality_ode_extrapolated(0.75, 5.0)  # blows up at log 3
+        with pytest.raises(UsageError):
+            df.equality_ode_extrapolated(0.3, -1.0)
+
+
 class TestQuadratureIntegral:
     def test_circle_constant(self):
         dm = df.weighted_circle(64)
