@@ -100,10 +100,16 @@ def circle_nodes(n: int) -> np.ndarray:
 
 
 def lowpass(values: np.ndarray, max_mode: int) -> np.ndarray:
-    """Zero every Fourier mode above ``max_mode`` along the last axis."""
-    coef = np.fft.rfft(values)
-    coef[..., max_mode + 1 :] = 0.0
-    return np.fft.irfft(coef, n=values.shape[-1])
+    """Zero every Fourier mode above ``max_mode`` along the last axis.  A
+    constant row, with no mode above 0, skips the rfft/irfft round trip,
+    which is not exact at Bluestein sizes such as 331."""
+    out = np.array(values, dtype=float)
+    vary = np.ptp(out, axis=-1) != 0.0
+    if np.any(vary):
+        coef = np.fft.rfft(out[vary])
+        coef[..., max_mode + 1 :] = 0.0
+        out[vary] = np.fft.irfft(coef, n=out.shape[-1])
+    return out
 
 
 def mode_amplitudes(values: np.ndarray) -> np.ndarray:

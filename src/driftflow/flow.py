@@ -60,13 +60,7 @@ from .errors import (
 from .geometry import CircleModel, DiscreteWeightedManifold, discretize, evaluate_family
 from .oracles import finite_diff_time_derivative, modal_propagator
 from .spectral import (
-    assemble_forms,
-    drift_divergence,
-    drift_laplacian,
-    gradient_inner,
-    hessian_norm_sq,
-    lowest_eigenpairs,
-    partials,
+    _laplacian, _scalar_pairings, assemble_forms, drift_divergence, lowest_eigenpairs, partials,
     soliton_defect_profiles,
 )
 
@@ -294,13 +288,18 @@ def _settle(layout: _Layout, z: np.ndarray, modes: int, floor: float, threshold:
     """Zero the circle modes above ``modes`` or below the relative noise
     floor, then raise StabilityError if a kept |c_k| / n (``mode_amplitudes``)
     exceeds ``threshold``, a circle's a row checked before its f row.  Per
-    circle: one rfft, one |c_k| pass, one max reduction and one irfft."""
+    circle: one rfft, one |c_k| pass, one max reduction and one irfft.  A
+    constant row has nothing to zero or monitor and skips the round trip
+    (see ``lowpass``), so a round circle stays exactly round."""
     if not layout.circles:
         return z
     z = z.copy()
     for off, n in layout.circles:
         rows = z[off : off + 2 * n].reshape(2, n)
-        coef = np.fft.rfft(rows)
+        vary = np.ptp(rows, axis=1) != 0.0
+        if not vary.any():
+            continue
+        coef = np.fft.rfft(rows[vary])
         size = coef.shape[-1]
         scale = np.fmax(1.0, np.abs(coef[:, :1]) / size)
         coef[:, modes + 1 :] = 0.0
@@ -308,7 +307,7 @@ def _settle(layout: _Layout, z: np.ndarray, modes: int, floor: float, threshold:
         amps = np.abs(kept)
         low = amps < floor * scale * size
         kept[low] = amps[low] = 0.0
-        rows[:] = np.fft.irfft(coef, n=n)
+        rows[vary] = np.fft.irfft(coef, n=n)
         for peak in amps.max(axis=1) / n:
             if peak > threshold:
                 raise StabilityError(
@@ -469,19 +468,6 @@ def _step(rhs, settle, t, z, h, adaptive_tol, k1, blocks=(0,), depth=0):
     return z1, k5, max(err_1, err_2)
 
 
-def _scalar_pairings(dm, scalars):
-    n = scalars.shape[0]
-    J = np.empty((n, n))
-    D = np.empty((n, n))
-    parts = [partials(dm, u) for u in scalars]
-    for i in range(n):
-        for j in range(i, n):
-            J[i, j] = J[j, i] = dm.integrate(scalars[i] * scalars[j])
-            D[i, j] = D[j, i] = dm.integrate(gradient_inner(dm, parts[i], parts[j]))
-    hess = np.array([hessian_norm_sq(u, dm) for u in scalars])
-    return J, D, hess
-
-
 def _output_steps(request: RunRequest) -> tuple[float, list]:
     """The step size of a run and the steps after which it records an output:
     step 0, every cadence-th step, and the last step."""
@@ -557,7 +543,8 @@ def _check_field_memory(request: RunRequest, state) -> None:
     are stacked, and one drift-Laplacian image for the commutator probe.
     tracemalloc, k = 3 on 16 x 256: a step that carries V (a circle that is
     not round) peaks at 9.0 copies of the scalar batch, applying E at an
-    output at 3.1, and a step of round axes at less than one.
+    output at 3.1, a step of round axes at less than one, and one output's
+    pairings (``_scalar_pairings``, one output's k scalars at once) at 5.7.
     """
     points = math.prod(
         request.resolution if isinstance(fac, CircleModel) else request.hermite_order for fac in state.factors
@@ -609,7 +596,7 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
         hess = np.empty((n_out, ns))
         mixing = np.empty((n_out, ns, ns))
         for m, st in enumerate(states):
-            J[m], D[m], hess[m] = _scalar_pairings(st.manifold, scalar_values[m])
+            J[m], D[m], hess[m], _ = _scalar_pairings(st.manifold, scalar_values[m])
             mixing[m] = gram_schmidt_frame(J[m])
         I = np.einsum("mii->mi", J).copy()
         E = np.einsum("mii->mi", D).copy()
@@ -752,7 +739,10 @@ def commutator_residual(u, traj: FlowTrajectory, indices) -> np.ndarray:
     through the evolving metric and weight; d/dt is a central difference at
     the recorded output times (next to a last output short of the cadence,
     the three-point stencil of the true times), hence O(dt^2) on smooth runs.
-    L u is computed once at each output that one of these stencils reads.
+    The grid is the same at every output, so the partials of u are taken
+    once per call; L u at each output a stencil reads, and phi(grad u) / a^2
+    at each index, are built from per-axis vectors, and only the divergence
+    differentiates per output.
     """
     u = np.asarray(u, dtype=float)
     indices = list(indices)
@@ -761,12 +751,16 @@ def commutator_residual(u, traj: FlowTrajectory, indices) -> np.ndarray:
     reads = set()
     for index in indices:
         reads.update((index - 1, index + 1) if traj.short_stencil(index) is None else (index - 1, index, index + 1))
-    lus = {m: drift_laplacian(traj.states[m].manifold, u) for m in reads}
-    return np.array([_commutator_at(u, traj, index, lus) for index in indices])
+    dm = traj.states[0].manifold
+    du = partials(dm, u)
+    d2u = [ax.d2(u, i) for i, ax in enumerate(dm.axes)]
+    lus = {m: _laplacian(traj.states[m].manifold, du, d2u) for m in reads}
+    return np.array([_commutator_at(du, traj, index, lus) for index in indices])
 
 
-def _commutator_at(u, traj, index, lus) -> float:
-    """``lus`` maps each output the d/dt stencil at ``index`` reads to L u there."""
+def _commutator_at(du, traj, index, lus) -> float:
+    """``du``: the probe's partials; ``lus``: L u at each output the d/dt
+    stencil at ``index`` reads."""
     w = traj.short_stencil(index)
     if w is None:
         d_lu = (lus[index + 1] - lus[index - 1]) / (2.0 * traj.output_dt)
@@ -774,11 +768,7 @@ def _commutator_at(u, traj, index, lus) -> float:
         d_lu = w[0] * lus[index - 1] + w[1] * lus[index] + w[2] * lus[index + 1]
     st = traj.states[index]
     dm = st.manifold
-    du = partials(dm, u)
-    W = []
-    for i, ax in enumerate(dm.axes):
-        a = dm.axis_profile(i, ax.a)
-        W.append(dm.axis_profile(i, st.phi[i]) * du[i] / (a * a))
+    W = [dm.axis_profile(i, st.phi[i]) * du[i] / dm.axis_profile(i, ax.a * ax.a) for i, ax in enumerate(dm.axes)]
     div_term = 2.0 * drift_divergence(W, dm)
     resid = d_lu + div_term  # L u_t vanishes: u is fixed in coordinates
     norm = lambda g: math.sqrt(max(dm.integrate(g * g), 0.0))

@@ -241,9 +241,10 @@ class DiscreteWeightedManifold:
         self._wdens_vectors = [ax.wdens for ax in axes]
 
     def axis_profile(self, idx: int, values) -> np.ndarray:
-        """Broadcast a per-axis sample vector (or scalar) over the full grid."""
+        """Broadcast a per-axis sample vector (or scalar) over the full grid,
+        as a read-only view."""
         if np.isscalar(values):
-            return np.full(self.shape, float(values))
+            return np.broadcast_to(float(values), self.shape)
         shape = [1] * self.dimension
         shape[idx] = self.shape[idx]
         return np.broadcast_to(np.reshape(values, shape), self.shape)

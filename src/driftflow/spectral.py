@@ -60,22 +60,23 @@ def gradient_inner(dm: DiscreteWeightedManifold, du: list, dv: list) -> np.ndarr
     """Pointwise <grad u, grad v> from coordinate partials (diagonal metric)."""
     out = np.zeros(dm.shape)
     for i, ax in enumerate(dm.axes):
-        ainv = 1.0 / dm.axis_profile(i, ax.a)
-        out += ainv * du[i] * dv[i]
+        out += dm.axis_profile(i, 1.0 / ax.a) * du[i] * dv[i]
     return out
 
 
 def drift_laplacian(dm: DiscreteWeightedManifold, u) -> np.ndarray:
     """L u = Delta u - <grad u, grad f> evaluated pseudo-spectrally."""
     u = _check_field(dm, u)
+    axes = list(enumerate(dm.axes))
+    return _laplacian(dm, [ax.d1(u, i) for i, ax in axes], [ax.d2(u, i) for i, ax in axes])
+
+
+def _laplacian(dm: DiscreteWeightedManifold, du: list, d2u: list) -> np.ndarray:
+    """L u from the first and second partials of u along each axis."""
     out = np.zeros(dm.shape)
     for i, ax in enumerate(dm.axes):
-        du = ax.d1(u, i)
-        d2u = ax.d2(u, i)
-        gamma = dm.axis_profile(i, ax.christoffel)
-        fp = dm.axis_profile(i, ax.fprime)
-        ainv = 1.0 / dm.axis_profile(i, ax.a)
-        out += ainv * (d2u - gamma * du) - ainv * du * fp
+        gamma, fp, ainv = (dm.axis_profile(i, v) for v in (ax.christoffel, ax.fprime, 1.0 / ax.a))
+        out += ainv * (d2u[i] - gamma * du[i]) - ainv * du[i] * fp
     return out
 
 
@@ -96,16 +97,48 @@ def drift_divergence(V, dm: DiscreteWeightedManifold) -> np.ndarray:
     return out
 
 
-def _hessian_components(dm: DiscreteWeightedManifold, u: np.ndarray):
-    """Upper-triangular covariant Hessian components keyed by axis pair."""
-    du = partials(dm, u)
-    comps = {}
+def _scalar_pairings(dm: DiscreteWeightedManifold, scalars: np.ndarray):
+    """(J, D, hess, du) of a (k, *shape) batch of fields, in one pass.
+
+    J and D are the mass and stiffness pairings of every two fields, hess
+    the Hessian energy of each (``hessian_norm_sq``), du the partials of
+    the batch, one (k, *shape) array per axis.  Each derivative is applied
+    once to the whole batch: 2d + d(d-1)/2 applications whatever k is.  The
+    quadrature weights, 1/a and Gamma enter as per-axis vectors that
+    broadcast along their axes, and the integrals are row products of the
+    weighted batch with the batch, times e^{-f_constant}.  J and D are
+    symmetrized; they agree with ``dm.integrate`` to round-off.
+    """
+    k, d = len(scalars), dm.dimension
+
+    def along(i, v):  # axis_profile without its np.broadcast_to, whose per-call cost shows here
+        return v if np.isscalar(v) else v.reshape([-1 if b == i else 1 for b in range(d)])
+
+    weights = [along(i, ax.wdens) for i, ax in enumerate(dm.axes)]
+    ainv = [along(i, 1.0 / ax.a) for i, ax in enumerate(dm.axes)]
+
+    def weighted(x, *differentiated):
+        for w in weights + [ainv[i] for i in differentiated]:
+            x = x * w
+        return x.reshape(k, -1)
+
+    def gram(x, *differentiated):
+        g = weighted(x, *differentiated) @ x.reshape(k, -1).T
+        return (g + g.T) / 2.0
+
+    def squares(x, *differentiated):
+        return np.einsum("ij,ij->i", weighted(x, *differentiated), x.reshape(k, -1))
+
+    du = [ax.d1(scalars, i + 1) for i, ax in enumerate(dm.axes)]
+    J = gram(scalars)
+    D = sum(gram(g, i) for i, g in enumerate(du))
+    hess = np.zeros(k)
     for i, ax in enumerate(dm.axes):
-        gamma = dm.axis_profile(i, ax.christoffel)
-        comps[(i, i)] = ax.d2(u, i) - gamma * du[i]
-        for j in range(i + 1, dm.dimension):
-            comps[(i, j)] = dm.axes[j].d1(du[i], j)
-    return comps
+        hess += squares(ax.d2(scalars, i + 1) - along(i, ax.christoffel) * du[i], i, i)
+        for j in range(i + 1, d):
+            hess += 2.0 * squares(dm.axes[j].d1(du[i], j + 1), i, j)
+    scale = math.exp(-dm.f_constant)
+    return scale * J, scale * D, scale * hess, du
 
 
 def hessian_norm_sq(u, dm: DiscreteWeightedManifold) -> float:
@@ -115,15 +148,7 @@ def hessian_norm_sq(u, dm: DiscreteWeightedManifold) -> float:
     squared norm a^{-2} (u'' - Gamma u')^2; cross components on products are
     plain mixed partials (the metric is block diagonal and flat).
     """
-    u = _check_field(dm, u)
-    comps = _hessian_components(dm, u)
-    total = np.zeros(dm.shape)
-    for (i, j), h in comps.items():
-        ai = dm.axis_profile(i, dm.axes[i].a)
-        aj = dm.axis_profile(j, dm.axes[j].a)
-        term = h * h / (ai * aj)
-        total += term if i == j else 2.0 * term
-    return dm.integrate(total)
+    return float(_scalar_pairings(dm, _check_field(dm, u)[None])[2][0])
 
 
 def soliton_defect_profiles(dm: DiscreteWeightedManifold) -> list:
@@ -150,20 +175,14 @@ def bochner_sides(u, dm: DiscreteWeightedManifold) -> tuple[float, float]:
     The two agree for smooth fields.
     """
     u = _check_field(dm, u)
-    du = partials(dm, u)
+    _, D, hess, du = _scalar_pairings(dm, u[None])
     phi = soliton_defect_profiles(dm)
     lhs_integrand = np.zeros(dm.shape)
     for i, ax in enumerate(dm.axes):
-        ainv = 1.0 / dm.axis_profile(i, ax.a)
-        lhs_integrand += dm.axis_profile(i, phi[i]) * (ainv * du[i]) ** 2
+        lhs_integrand += dm.axis_profile(i, phi[i]) * (dm.axis_profile(i, 1.0 / ax.a) * du[i][0]) ** 2
     lhs = dm.integrate(lhs_integrand)
     lu = drift_laplacian(dm, u)
-    rhs = (
-        hessian_norm_sq(u, dm)
-        + 0.5 * dm.integrate(gradient_inner(dm, du, du))
-        - dm.integrate(lu * lu)
-    )
-    return lhs, rhs
+    return lhs, float(hess[0] + 0.5 * D[0, 0] - dm.integrate(lu * lu))
 
 
 # --------------------------------------------------------------------------

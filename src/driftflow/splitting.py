@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import UsageError
 from .flow import FlowState, FlowTrajectory
-from .spectral import gradient_inner, hessian_norm_sq, partials
+from .spectral import _scalar_pairings, gradient_inner, partials
 
 __all__ = [
     "SplittingCertificate",
@@ -127,7 +127,8 @@ def certificate_residuals(cert: SplittingCertificate, state: FlowState) -> dict:
     Covers the parallelism test (Hessian energies), the unit-speed and
     orthogonality tests on the gradients, the weight decomposition, the
     metric block structure, and the reduced factor equations for the
-    non-split part.
+    non-split part.  The directions' partials and Hessian energies come
+    from one ``_scalar_pairings`` pass.
     """
     dm = state.manifold
     if cert.k == 0:
@@ -141,9 +142,9 @@ def certificate_residuals(cert: SplittingCertificate, state: FlowState) -> dict:
             "check1": 0.0,
             "check2": 0.0,
         }
-    dirs = [np.asarray(u, dtype=float) for u in cert.directions]
-    grads = [partials(dm, u) for u in dirs]
-    hess_energies = np.array([hessian_norm_sq(u, dm) for u in dirs])
+    dirs = np.asarray(cert.directions, dtype=float)
+    _, _, hess_energies, du = _scalar_pairings(dm, dirs)
+    grads = list(zip(*du))  # per direction, its partial along each axis
 
     # Pointwise gradient inner products: parallel orthonormal gradients make
     # these constant delta_ij fields.

@@ -239,6 +239,18 @@ class TestRunCommand:
         assert err.startswith("error: solver: scalars are") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_round_circle_at_a_prime_resolution_runs(self, tmp_path):
+        # 331 nodes: numpy's FFT round trip of a constant row is not exact
+        # there; constant rows skip it, so the circle stays round (exit 3,
+        # "metric coefficient lost positivity at node 198", when they did not)
+        cfg = _write_config(tmp_path / "prime.json", name="prime", family="round_circle", a0=0.25, resolution=331,
+                            modes=165, horizon=0.05, k=2, track_scalars=False)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        header, rows = _read_csv(out / "prime" / "trajectory.csv")
+        np.testing.assert_allclose(rows[:, header.index("lambda_1")], 4.0 * np.exp(-rows[:, header.index("t")]),
+                                   rtol=1e-10)
+
     def test_four_gaussian_lines_order_16_run(self, tmp_path):
         # 16^4 = 65536 grid points: the forms stay factored, so this runs
         cfg = _write_config(tmp_path / "big.json", name="big", n=4, hermite_order=16, horizon=0.05, k=2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import driftflow as df
+import driftflow.axes
 import driftflow.oracles
 from driftflow.acceptance import check_functionals
 from driftflow.axes import _fourier_dense, _hermite_ops, circle_nodes, lowpass, mode_amplitudes
@@ -14,6 +15,7 @@ from driftflow.flow import (
 )
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
 from driftflow.oracles import finite_diff_time_derivative
+from driftflow.spectral import gradient_inner, hessian_norm_sq, partials
 
 LOG2 = math.log(2.0)
 
@@ -332,17 +334,202 @@ class TestCommutatorResidual:
                          k=1, track_scalars=False)
         traj = df.run_flow(req)
         probe = traj.spectra[0].eigenfunctions[1]
-        times, laplacian = [], df.flow.drift_laplacian
+        times, laplacian = [], df.flow._laplacian
 
-        def counted(dm, u):
+        def counted(dm, du, d2u):
             times.append(dm.t)
-            return laplacian(dm, u)
+            return laplacian(dm, du, d2u)
 
-        monkeypatch.setattr(df.flow, "drift_laplacian", counted)
+        monkeypatch.setattr(df.flow, "_laplacian", counted)
         got = df.commutator_residual(probe, traj, [index])
         assert got[0] == traj.residual_commutator[index]
         assert sorted(times) == [traj.times[m] for m in reads]
         assert np.isnan(traj.residual_commutator[[0, -1]]).all()
+
+
+def _round_product(resolution=64, order=12):
+    """The Gaussian x round-circle product at t = 0."""
+    fam = df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle_family(4.0)])
+    return df.discretize(df.evaluate_family(fam, 0.0), resolution=resolution, hermite_order=order)
+
+
+def _wavy_product(resolution=64, order=12):
+    """A hand-made non-round circle x Gaussian line, circle first, with a
+    constant in the weight: no family reaches it."""
+    circle = CircleModel(a=lambda th: 4.0 + 0.3 * np.cos(th), f=lambda th: 0.2 * np.sin(th) + 0.1 * np.cos(2 * th))
+    state = ContinuumState(t=0.0, factors=(circle, GaussianLineModel(1.3)), f_constant=0.7)
+    return df.discretize(state, resolution=resolution, hermite_order=order)
+
+
+def _gaussian_cube():
+    return df.discretize(df.evaluate_family(df.scaled_gaussian_family(1.5, 3), 0.0), hermite_order=6)
+
+
+def _smooth_fields(dm, k, seed=7):
+    """k seeded smooth fields on ``dm``: per axis a few Fourier modes or a
+    cubic, combined by their product and their sum so that every mixed
+    partial is nonzero."""
+    rng = np.random.default_rng(seed)
+    fields = []
+    for _ in range(k):
+        profiles = []
+        for i, ax in enumerate(dm.axes):
+            if ax.kind == "circle":
+                prof = sum(rng.uniform(-1, 1) * np.cos(m * ax.nodes + rng.uniform(0, 6)) for m in range(1, 4))
+            else:
+                prof = sum(rng.uniform(-1, 1) * ax.nodes**p for p in range(4))
+            profiles.append(dm.axis_profile(i, prof))
+        fields.append(np.prod(profiles, axis=0) + sum(profiles))
+    return np.stack(fields)
+
+
+def _hessian_energy(dm, u):
+    """Weighted integral of |Hess u|^2 of one field, term by term: the
+    squares of u'' - Gamma u' along each axis over a^2 and twice those of
+    each mixed partial over a_i a_j, integrated by ``dm.integrate``."""
+    du = partials(dm, u)
+    total = np.zeros(dm.shape)
+    for i, ax in enumerate(dm.axes):
+        ai = np.full(dm.shape, dm.axis_profile(i, ax.a))
+        h = ax.d2(u, i) - dm.axis_profile(i, ax.christoffel) * du[i]
+        total += h * h / (ai * ai)
+        for j in range(i + 1, dm.dimension):
+            h = dm.axes[j].d1(du[i], j)
+            total += 2.0 * h * h / (ai * dm.axis_profile(j, dm.axes[j].a))
+    return dm.integrate(total)
+
+
+def _count_derivatives(monkeypatch):
+    """Record the field of every ``axes.apply_deriv`` call, through which
+    each axis applies its d1 and d2."""
+    seen, apply = [], driftflow.axes.apply_deriv
+
+    def counted(mat, arr, axis):
+        seen.append(arr)
+        return apply(mat, arr, axis)
+
+    monkeypatch.setattr(driftflow.axes, "apply_deriv", counted)
+    return seen
+
+
+class TestScalarPairings:
+    """One output's J, D and Hessian energies: one pass over the batch."""
+
+    @pytest.mark.parametrize("make", [_round_product, _wavy_product])
+    def test_batched_equals_the_per_pair_definitions(self, make):
+        dm = make()
+        fields = _smooth_fields(dm, 3)
+        J, D, hess, du = _scalar_pairings(dm, fields)
+        parts = [partials(dm, u) for u in fields]
+        J_ref = np.array([[dm.integrate(u * v) for v in fields] for u in fields])
+        D_ref = np.array([[dm.integrate(gradient_inner(dm, p, q)) for q in parts] for p in parts])
+        for got, ref in ((J, J_ref), (D, D_ref)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.array_equal(got, got.T)
+        np.testing.assert_allclose(hess, [_hessian_energy(dm, u) for u in fields], rtol=1e-13, atol=0)
+        assert [hessian_norm_sq(u, dm) for u in fields] == pytest.approx(hess, rel=1e-13)
+        for i, batch in enumerate(du):
+            ref = np.stack([p[i] for p in parts])
+            assert np.max(np.abs(batch - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("make, d", [(_round_product, 2), (_wavy_product, 2), (_gaussian_cube, 3)])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_derivative_pass_whatever_k(self, monkeypatch, make, d, k):
+        # d1 and d2 along each axis and each mixed partial, each once on the batch
+        dm = make()
+        fields = _smooth_fields(dm, k)
+        seen = _count_derivatives(monkeypatch)
+        _scalar_pairings(dm, fields)
+        assert len(seen) == 2 * d + d * (d - 1) // 2
+        assert all(arr.shape == fields.shape for arr in seen)
+
+    def test_commutator_differentiates_the_probe_once_per_call(self, monkeypatch):
+        fam = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)])
+        req = RunRequest(family=fam, horizon=0.01, dt=1e-3, cadence=2, k=1, resolution=16, hermite_order=8,
+                         track_scalars=False)
+        traj = df.run_flow(req)
+        probe = traj.spectra[0].eigenfunctions[1]
+        indices = range(1, len(traj.times) - 1)
+        seen = _count_derivatives(monkeypatch)
+        got = df.commutator_residual(probe, traj, indices)
+        assert np.array_equal(got, traj.residual_commutator[1:-1])
+        d = 2
+        on_probe = [arr for arr in seen if arr.shape == probe.shape and np.array_equal(arr, probe)]
+        assert len(on_probe) == 2 * d  # d1 and d2 per axis, for every output at once
+        assert len(seen) == 2 * d + d * len(indices)  # then the divergence's d1 per axis and index
+
+    def test_one_output_stays_within_the_field_budget(self):
+        # the per-output term of _check_field_memory, 16 live copies of the
+        # k + 1 fields, bounds one output's pass at k = 3 on 16 x 256
+        k = 3
+        for dm in (_round_product(256, 16), _wavy_product(256, 16)):
+            assert dm.size == 16 * 256
+            fields = _smooth_fields(dm, k)
+            _scalar_pairings(dm, fields)  # build the derivative matrices
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                _scalar_pairings(dm, fields)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * dm.size * 16 * (k + 1)
+
+
+class TestConstantRowsSkipTheRoundTrip:
+    """A constant circle row has no mode above 0: ``lowpass`` and ``_settle``
+    return it as it is.  numpy's rfft/irfft round trip of a constant is
+    exact at powers of two and not at Bluestein sizes."""
+
+    @pytest.mark.parametrize("n", [31, 48, 100, 191, 331, 1021])
+    def test_constant_rows_are_returned_exactly(self, n):
+        rng = np.random.default_rng(n)
+        constants = rng.uniform(0.1, 10.0, 20)
+        trip = [np.fft.irfft(np.fft.rfft(np.full(n, c)), n=n) for c in constants]
+        assert any(not np.array_equal(x, np.full(n, c)) for x, c in zip(trip, constants))  # it would move them
+        layout = _Layout.of(df.weighted_circle(n))
+        for c in constants:
+            rows = np.stack([np.full(n, c), np.full(n, -c)])
+            assert np.array_equal(lowpass(rows, n // 4), rows)
+            assert np.array_equal(lowpass(rows[0], n // 4), rows[0])
+            z = rows.ravel()
+            assert np.array_equal(_settle(layout, z, n // 2, 1e-13, 1e6), z)
+
+    def test_a_varying_row_beside_a_constant_one_is_still_filtered(self):
+        n = 100
+        theta = circle_nodes(n)
+        rows = np.stack([np.full(n, 2.7), 1.0 + 0.1 * np.cos(3 * theta) + 0.01 * np.cos(40 * theta)])
+        low = lowpass(rows, 20)
+        assert np.array_equal(low[0], rows[0])
+        assert np.array_equal(low[1], lowpass(rows[1], 20))
+        assert float(np.max(mode_amplitudes(low[1])[21:])) < 1e-15
+        settled = _settle(_Layout.of(df.weighted_circle(n)), rows.ravel(), 20, 1e-13, 1e6)
+        assert np.array_equal(settled[:n], rows[0])
+        assert float(np.max(mode_amplitudes(settled[n:])[21:])) < 1e-15
+
+    def test_prime_resolution_round_circle_stays_round(self):
+        # 331 nodes, modes 165: a lost positivity at node 198 when the
+        # round trip seeded non-round round-off in the stiff top modes
+        req = RunRequest(family=df.round_circle_family(0.25), horizon=0.05, resolution=331, modes=165, k=2,
+                         track_scalars=False)
+        traj = df.run_flow(req)
+        assert traj.times[-1] == pytest.approx(0.05)
+        for st in traj.states:
+            ax = st.manifold.axes[0]
+            assert np.ptp(ax.a) == 0.0 and np.ptp(ax.f) == 0.0
+        np.testing.assert_allclose([st.manifold.axes[0].a[0] for st in traj.states], 0.25 * np.exp(traj.times),
+                                   rtol=1e-12)
+
+    def test_below_nyquist_at_100_nodes_a_stays_exactly_constant(self):
+        # modes 40 < 50 = n // 2: every stage takes the lowpass of its rows
+        req = RunRequest(family=df.round_circle_family(1.3), horizon=0.05, resolution=100, modes=40, k=2,
+                         track_scalars=False)
+        for st in df.run_flow(req).states:
+            assert np.ptp(st.manifold.axes[0].a) == 0.0 and np.ptp(st.manifold.axes[0].f) == 0.0
+        for c in np.random.default_rng(100).uniform(0.1, 10.0, 20):
+            layout, z = _circle_z(100, lambda th: np.full_like(th, c), lambda th: np.full_like(th, -0.4))
+            rows = _flow_rhs(layout, 40)(0.0, z).reshape(2, 100)
+            assert np.array_equal(rows[0], np.full(100, c)) and np.array_equal(rows[1], np.full(100, 0.5))
 
 
 class TestScalarOrthogonalityAlongFlow:

@@ -161,6 +161,18 @@ class TestDiscretize:
         dm = df.discretize(state)
         assert dm.weighted_volume() == pytest.approx(2.0 * math.pi * math.exp(-1.0), rel=1e-13)
 
+    def test_axis_profile_is_a_read_only_view(self):
+        # a Hermite axis's a and Gamma are floats: their profile is a
+        # broadcast of the float, with no grid-sized allocation
+        fam = df.product_family([df.scaled_gaussian_family(1.5, 1), df.round_circle_family(2.0)])
+        dm = df.discretize(df.evaluate_family(fam, 0.0), resolution=16, hermite_order=8)
+        gauss, circle = dm.axes
+        for idx, values in ((0, gauss.a), (0, gauss.christoffel), (0, gauss.fprime), (1, circle.a)):
+            profile = dm.axis_profile(idx, values)
+            assert profile.shape == dm.shape and not profile.flags.writeable
+            assert np.array_equal(profile, np.broadcast_to(np.reshape(values, (-1, 1) if idx == 0 else (1, -1)), dm.shape))
+        assert dm.axis_profile(0, gauss.a).strides == (0, 0)
+
 
 def _flow_equation_residual(family, t: float, dt: float, resolution: int = 64, hermite_order: int = 12) -> dict:
     """Sup-norm defect of the flow equations for a closed-form family at t.
