@@ -50,7 +50,6 @@ from .oracles import (
     OracleReport,
     dense_spectrum,
     equality_ode_extrapolated,
-    finite_diff_time_derivative,
     integrate_equality_ode,
     modal_propagator,
 )

@@ -167,7 +167,8 @@ def check_bounds(traj: FlowTrajectory) -> list:
 
 def check_functionals(traj: FlowTrajectory) -> list:
     """The weighted volume, and with tracked scalars the evolution identities
-    J' = J - 2D, I' = I - 2E and E' <= 0, the scalars' zero means relative
+    J' = J - 2D and I' = I - 2E at each output's own rates (``series["dJ"]``),
+    E' <= 0 between outputs, the scalars' zero means relative
     to their Cauchy-Schwarz bound |int u| <= sqrt(I volume), and their
     distance from the exact ``modal_propagator`` at every output, relative
     to the propagated batch."""
@@ -199,8 +200,8 @@ def check_functionals(traj: FlowTrajectory) -> list:
 
 
 def check_commutator(traj: FlowTrajectory) -> list:
-    """Worst commutator residual over the interior outputs (at least 3 outputs)."""
-    worst = float(np.max(traj.residual_commutator[1:-1]))
+    """Worst commutator residual over the outputs."""
+    worst = float(np.max(traj.residual_commutator))
     return [Check("commutator", worst, VERIFY_TOLERANCES["commutator_rel"])]
 
 
@@ -364,7 +365,7 @@ def criterion_6_commutator() -> CriterionResult:
     req_c = RunRequest(family=round_circle_family(1.0), horizon=0.1, dt=1e-3, cadence=1, k=1, track_scalars=False)
     traj_c = run_flow(req_c)
     u = np.cos(traj_c.states[0].manifold.axes[0].nodes)
-    res_circle = float(np.max(commutator_residual(u, traj_c, (1, len(traj_c.times) // 2, len(traj_c.times) - 2))))
+    res_circle = float(np.max(commutator_residual(u, traj_c, range(len(traj_c.times)))))
     checks = [Check("static", res_static, 1e-12), Check("circle", res_circle, VERIFY_TOLERANCES["commutator_rel"])]
     return CriterionResult(6, "commutator of d/dt with the drift Laplacian", checks, time.perf_counter() - start)
 
@@ -433,15 +434,19 @@ def criterion_7_comparison_suite() -> CriterionResult:
     return CriterionResult(7, "comparison suite for differential inequalities", checks, time.perf_counter() - start)
 
 
+def _diagonal_rate(traj: FlowTrajectory) -> float:
+    """a11'(0) of the Gram-Schmidt mixing: a11 = J11^{-1/2}, so a11' = -J11' J11^{-3/2} / 2."""
+    J11, dJ11 = traj.series["J"][0, 0, 0], traj.series["dJ"][0, 0, 0]
+    return float(-0.5 * dJ11 * J11**-1.5)
+
+
 def criterion_8_gram_derivative() -> CriterionResult:
     start = time.perf_counter()
     req = RunRequest(family=scaled_gaussian_family(2.0, 1), horizon=5e-3, dt=1e-3, cadence=1, k=1)
-    traj = run_flow(req)
-    deriv = traj.time_derivative(traj.mixing[:, 0, 0])[0]
+    deriv = _diagonal_rate(run_flow(req))
 
     req_s = RunRequest(family=scaled_gaussian_family(1.0, 1), horizon=5e-3, dt=1e-3, cadence=1, k=1)
-    traj_s = run_flow(req_s)
-    deriv_s = traj_s.time_derivative(traj_s.mixing[:, 0, 0])[0]
+    deriv_s = _diagonal_rate(run_flow(req_s))
 
     checks = [Check("|a11'(0) + 1/4|", abs(deriv - (-0.25)), 1e-4), Check("static |a11'(0)|", abs(deriv_s), 1e-10)]
     return CriterionResult(8, "Gram-Schmidt diagonal drift rate", checks, time.perf_counter() - start)

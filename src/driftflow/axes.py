@@ -177,10 +177,16 @@ class CircleAxis:
         return apply_deriv(_fourier_dense(self.size)["d2"], field, axis)
 
     def d1_vec(self, values: np.ndarray) -> np.ndarray:
-        return _spectral(self._ops["ik"], values - values[0])
+        return self._deriv_vec("ik", values)
 
     def d2_vec(self, values: np.ndarray) -> np.ndarray:
-        return _spectral(self._ops["k2"], values - values[0])
+        return self._deriv_vec("k2", values)
+
+    def _deriv_vec(self, symbol: str, values: np.ndarray) -> np.ndarray:
+        """A derivative of node values; a constant row's is zero, with no transform."""
+        if np.ptp(values) == 0.0:
+            return np.zeros(self.size)
+        return _spectral(self._ops[symbol], values - values[0])
 
     @functools.cached_property
     def hess_f(self) -> np.ndarray:

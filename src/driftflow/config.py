@@ -140,19 +140,14 @@ class ScenarioConfig:
             )
         if not isinstance(self.name, str) or not self.name:
             raise ConfigurationError("scenario name must be a nonempty string")
-        # Checks that difference outputs in time are refused here, before the
-        # run, rather than failing after it with a partial run directory.
+        # The splitting certificate compares two outputs; a run with fewer is
+        # refused here, before the run, rather than after it.
         outputs = output_count(self.horizon, self.dt, self.cadence)
-        for check, needed in (
-            ("check_functionals with tracked scalars", 3 if self.check_functionals and self.track_scalars else 0),
-            ("check_commutator", 3 if self.check_commutator else 0),
-            ("check_splitting", 2 if self.check_splitting else 0),
-        ):
-            if outputs < needed:
-                raise ConfigurationError(
-                    f"{check} needs at least {needed} outputs, but horizon {self.horizon}, "
-                    f"dt {self.dt} and cadence {self.cadence} give {outputs}"
-                )
+        if self.check_splitting and outputs < 2:
+            raise ConfigurationError(
+                f"check_splitting needs at least 2 outputs, but horizon {self.horizon}, "
+                f"dt {self.dt} and cadence {self.cadence} give {outputs}"
+            )
         if self.check_splitting and self.splitting_t1 is not None and self.splitting_t0 is not None:
             if not (self.splitting_t0 < self.splitting_t1):
                 raise ConfigurationError("splitting window requires splitting_t0 < splitting_t1")

@@ -58,10 +58,9 @@ from .errors import (
     UsageError,
 )
 from .geometry import CircleModel, DiscreteWeightedManifold, discretize, evaluate_family
-from .oracles import finite_diff_time_derivative, modal_propagator
+from .oracles import modal_propagator
 from .spectral import (
-    _laplacian, _scalar_pairings, assemble_forms, drift_divergence, lowest_eigenpairs, partials,
-    soliton_defect_profiles,
+    _scalar_pairings, assemble_forms, drift_divergence, lowest_eigenpairs, partials, soliton_defect_profiles,
 )
 
 __all__ = [
@@ -391,42 +390,6 @@ class FlowTrajectory:
     def output_dt(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
-    @property
-    def short_last(self) -> bool:
-        """Whether the last output falls short of the cadence (steps % cadence
-        != 0), and so lies closer to the one before it than ``output_dt``."""
-        return self.request.steps % self.request.cadence != 0
-
-    def short_stencil(self, m: int):
-        """Weights of the three-point d/dt at output ``m`` over the true times
-        of the last three outputs, when the last output is short and the
-        uniform stencil at ``m`` would reach it; None otherwise."""
-        last = len(self.times) - 1
-        if not self.short_last or last < 2 or (last > 2 and m < last - 1):
-            return None
-        t0, t1, t2 = self.times[last - 2 :]
-        x = self.times[m]
-        return (
-            (2.0 * x - t1 - t2) / ((t0 - t1) * (t0 - t2)),
-            (2.0 * x - t0 - t2) / ((t1 - t0) * (t1 - t2)),
-            (2.0 * x - t0 - t1) / ((t2 - t0) * (t2 - t1)),
-        )
-
-    def time_derivative(self, series) -> np.ndarray:
-        """Second-order d/dt of a per-output series (outputs first).
-
-        The uniform stencils of ``finite_diff_time_derivative`` at spacing
-        ``output_dt``, except that a stencil reaching a short last output uses
-        the true spacing (``short_stencil``).
-        """
-        series = np.asarray(series, dtype=float)
-        out = finite_diff_time_derivative(series, self.output_dt)
-        for m in range(max(len(self.times) - 3, 0), len(self.times)):
-            w = self.short_stencil(m)
-            if w is not None:
-                out[m] = w[0] * series[-3] + w[1] * series[-2] + w[2] * series[-1]
-        return out
-
     def index_at(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[idx] - t) > 0.5 * max(self.output_dt, 1e-12):
@@ -540,7 +503,7 @@ def _check_field_memory(request: RunRequest, state) -> None:
     Per grid point the estimate counts 8 bytes for each of 16 live copies of
     the k + 1 fields a step or an output solve carries, plus 3k + 2 fields
     kept per output: k + 1 eigenfunctions, the k scalars twice while they
-    are stacked, and one drift-Laplacian image for the commutator probe.
+    are stacked, and one spare field.
     tracemalloc, k = 3 on 16 x 256: a step that carries V (a circle that is
     not round) peaks at 9.0 copies of the scalar batch, applying E at an
     output at 3.1, a step of round axes at less than one, and one output's
@@ -591,16 +554,13 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     if scalars0 is not None:
         scalar_values = np.stack([s for _, _, s in outputs])
         n_out, ns = scalar_values.shape[0], scalar_values.shape[1]
-        J = np.empty((n_out, ns, ns))
-        D = np.empty((n_out, ns, ns))
-        hess = np.empty((n_out, ns))
-        mixing = np.empty((n_out, ns, ns))
+        J, D, dJ, mixing = (np.empty((n_out, ns, ns)) for _ in range(4))
         for m, st in enumerate(states):
-            J[m], D[m], hess[m], _ = _scalar_pairings(st.manifold, scalar_values[m])
+            J[m], D[m], _, _, dJ[m] = _scalar_pairings(st.manifold, scalar_values[m])
             mixing[m] = gram_schmidt_frame(J[m])
         I = np.einsum("mii->mi", J).copy()
         E = np.einsum("mii->mi", D).copy()
-        series = {"J": J, "D": D, "I": I, "E": E, "F": E / I, "hessian": hess}
+        series = {"J": J, "D": D, "dJ": dJ, "I": I, "E": E}
 
     lam0 = spectra[0].eigenvalues
     bounds = np.full((len(times), request.k), np.inf)
@@ -625,12 +585,9 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
         residual_commutator=np.full(len(times), np.nan),
     )
 
-    if scalars0 is not None and len(times) >= 3:
-        rep = functional_residuals(traj)
-        traj.residual_ij = rep.pointwise_ij
-    if len(times) >= 3:
-        probe = spectrum0.eigenfunctions[1]
-        traj.residual_commutator[1:-1] = commutator_residual(probe, traj, range(1, len(times) - 1))
+    if scalars0 is not None:
+        traj.residual_ij = functional_residuals(traj).pointwise_ij
+    traj.residual_commutator = commutator_residual(spectrum0.eigenfunctions[1], traj, range(len(times)))
     return traj
 
 
@@ -641,69 +598,36 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
 
 @dataclass(frozen=True)
 class FunctionalResidualReport:
-    """Finite-difference defects of the evolution identities along a run.
-
-    ``max_rel_*`` compare d/dt of the recorded pairings against their exact
-    right-hand sides (J' = J - 2D and so on), normalized by the sup of the
-    series involved.  Sign records cover E' <= 0 and F' <= F (2F - 1).
-    """
+    """Defects of the evolution identities J' = J - 2D and I' = I - 2E along
+    a run, with the rates dJ that each output's pairings give (``series["dJ"]``,
+    I' its diagonal), normalized by the sup of the series involved, and the
+    largest rise of E between outputs (E' <= 0)."""
 
     max_rel_J: float
     max_rel_I: float
-    max_rel_E: float
-    max_rel_F: float
     energy_violation: float
     energy_scale: float
-    quotient_excess: float
     pointwise_ij: np.ndarray
 
 
 def functional_residuals(traj: FlowTrajectory) -> FunctionalResidualReport:
     if not traj.series:
         raise UsageError("trajectory has no tracked scalars")
-    if len(traj.times) < 3:
-        raise UsageError("need at least 3 outputs for time derivatives")
-    J, D = traj.series["J"], traj.series["D"]
-    I, E, F = traj.series["I"], traj.series["E"], traj.series["F"]
-    hess = traj.series["hessian"]
-
-    dJ = traj.time_derivative(J)
+    J, D, dJ, E = (traj.series[name] for name in ("J", "D", "dJ", "E"))
     rhsJ = J - 2.0 * D
-    scaleJ = max(float(np.max(np.abs(rhsJ))), float(np.max(np.abs(dJ))), 1e-12)
     resJ = np.abs(dJ - rhsJ)
-    max_rel_J = float(np.max(resJ)) / scaleJ
+    scaleJ = max(float(np.max(np.abs(rhsJ))), float(np.max(np.abs(dJ))), 1e-12)
 
-    dI = traj.time_derivative(I)
-    rhsI = I - 2.0 * E
+    diagonal = lambda x: np.einsum("mii->mi", x)
+    rhsI, dI = diagonal(rhsJ), diagonal(dJ)
     scaleI = max(float(np.max(np.abs(rhsI))), float(np.max(np.abs(dI))), 1e-12)
-    max_rel_I = float(np.max(np.abs(dI - rhsI))) / scaleI
 
-    dE = traj.time_derivative(E)
-    rhsE = -2.0 * hess
-    scaleE = max(float(np.max(np.abs(E))), 1e-12)
-    max_rel_E = float(np.max(np.abs(dE - rhsE))) / scaleE
-
-    dF = traj.time_derivative(F)
-    rhsF = -2.0 * hess / I + F * (2.0 * F - 1.0)
-    scaleF = max(float(np.max(np.abs(rhsF))), float(np.max(np.abs(dF))), 1e-12)
-    max_rel_F = float(np.max(np.abs(dF - rhsF))) / scaleF
-
-    energy_violation = max(0.0, float(np.max(np.diff(E, axis=0))))
-    spacing = np.full((len(traj.times) - 1, 1), traj.output_dt)
-    if traj.short_last:
-        spacing[-1] = traj.times[-1] - traj.times[-2]
-    quotient_excess = max(0.0, float(np.max(np.diff(F, axis=0) / spacing - F[:-1] * (2.0 * F[:-1] - 1.0))))
-
-    pointwise = np.max(np.abs(dJ - rhsJ), axis=(1, 2)) / scaleJ
     return FunctionalResidualReport(
-        max_rel_J=max_rel_J,
-        max_rel_I=max_rel_I,
-        max_rel_E=max_rel_E,
-        max_rel_F=max_rel_F,
-        energy_violation=energy_violation,
-        energy_scale=scaleE,
-        quotient_excess=quotient_excess,
-        pointwise_ij=pointwise,
+        max_rel_J=float(np.max(resJ)) / scaleJ,
+        max_rel_I=float(np.max(diagonal(resJ))) / scaleI,
+        energy_violation=float(np.max(np.diff(E, axis=0), initial=0.0)),
+        energy_scale=max(float(np.max(np.abs(E))), 1e-12),
+        pointwise_ij=np.max(resJ, axis=(1, 2)) / scaleJ,
     )
 
 
@@ -733,41 +657,53 @@ def gram_schmidt_frame(gram: np.ndarray) -> np.ndarray:
 
 def commutator_residual(u, traj: FlowTrajectory, indices) -> np.ndarray:
     """Weighted-L2 defect of d/dt(L u) = L u_t - 2 div_f(phi(grad u)) at each
-    of the interior outputs ``indices``.
+    of the outputs ``indices``.
 
-    ``u`` is held fixed in coordinates so the time derivative acts only
-    through the evolving metric and weight; d/dt is a central difference at
-    the recorded output times (next to a last output short of the cadence,
-    the three-point stencil of the true times), hence O(dt^2) on smooth runs.
+    ``u`` is held fixed in coordinates, so L u_t vanishes and d/dt(L u) is
+    the derivative of L along the output's own rates (``_laplacian_rates``).
     The grid is the same at every output, so the partials of u are taken
-    once per call; L u at each output a stencil reads, and phi(grad u) / a^2
-    at each index, are built from per-axis vectors, and only the divergence
-    differentiates per output.
+    once per call; the rates and phi(grad u) / a^2 are built from per-axis
+    vectors, and only the divergence differentiates per output.
     """
     u = np.asarray(u, dtype=float)
     indices = list(indices)
-    if any(index < 1 or index > len(traj.times) - 2 for index in indices):
-        raise UsageError("commutator residual needs interior output indices")
-    reads = set()
-    for index in indices:
-        reads.update((index - 1, index + 1) if traj.short_stencil(index) is None else (index - 1, index, index + 1))
+    if any(not 0 <= index < len(traj.times) for index in indices):
+        raise UsageError(f"commutator residual needs output indices in [0, {len(traj.times)})")
     dm = traj.states[0].manifold
     du = partials(dm, u)
     d2u = [ax.d2(u, i) for i, ax in enumerate(dm.axes)]
-    lus = {m: _laplacian(traj.states[m].manifold, du, d2u) for m in reads}
-    return np.array([_commutator_at(du, traj, index, lus) for index in indices])
+    return np.array([_commutator_at(du, d2u, traj.states[index]) for index in indices])
 
 
-def _commutator_at(du, traj, index, lus) -> float:
-    """``du``: the probe's partials; ``lus``: L u at each output the d/dt
-    stencil at ``index`` reads."""
-    w = traj.short_stencil(index)
-    if w is None:
-        d_lu = (lus[index + 1] - lus[index - 1]) / (2.0 * traj.output_dt)
-    else:
-        d_lu = w[0] * lus[index - 1] + w[1] * lus[index] + w[2] * lus[index + 1]
-    st = traj.states[index]
+def _weight_rate(ax: CircleAxis) -> np.ndarray:
+    """f_t = 1/2 - Hess f / a of a circle's weight under the flow."""
+    return 0.5 - ax.hess_f / ax.a
+
+
+def _laplacian_rates(ax, phi) -> tuple:
+    """(c1, c2): d/dt of L along one axis is c1 u'' + c2 u' for u fixed.
+
+    Along that axis L u = (u'' - (Gamma + f') u') / a with a_t = 2 phi, so
+    c1 = -a_t / a^2 and c2 = -c1 (Gamma + f') - (Gamma_t + f_t') / a, where
+    Gamma_t = (a_t' - 2 Gamma a_t) / (2a).  A Gaussian line's a_t, f_t and
+    Gamma = 0 are spatially constant, so only its first term remains.
+    """
+    a_t = 2.0 * phi
+    c1 = -a_t / (ax.a * ax.a)
+    c2 = -c1 * (ax.christoffel + ax.fprime)
+    if ax.kind == "circle":
+        gamma_t = (ax.d1_vec(a_t) - 2.0 * ax.christoffel * a_t) / (2.0 * ax.a)
+        c2 = c2 - (gamma_t + ax.d1_vec(_weight_rate(ax))) / ax.a
+    return c1, c2
+
+
+def _commutator_at(du, d2u, st: FlowState) -> float:
+    """The residual at one output ``st`` from the probe's first and second partials."""
     dm = st.manifold
+    d_lu = 0.0
+    for i, ax in enumerate(dm.axes):
+        c1, c2 = _laplacian_rates(ax, st.phi[i])
+        d_lu = d_lu + dm.axis_profile(i, c1) * d2u[i] + dm.axis_profile(i, c2) * du[i]
     W = [dm.axis_profile(i, st.phi[i]) * du[i] / dm.axis_profile(i, ax.a * ax.a) for i, ax in enumerate(dm.axes)]
     div_term = 2.0 * drift_divergence(W, dm)
     resid = d_lu + div_term  # L u_t vanishes: u is fixed in coordinates

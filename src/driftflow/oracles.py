@@ -30,7 +30,6 @@ __all__ = [
     "dense_stiffness",
     "integrate_equality_ode",
     "equality_ode_extrapolated",
-    "finite_diff_time_derivative",
     "modal_propagator",
 ]
 
@@ -163,24 +162,6 @@ def equality_ode_extrapolated(F0: float, s: float) -> float:
     coarse = integrate_equality_ode(F0, s, dt=s / _RICHARDSON_STEPS)
     fine = integrate_equality_ode(F0, s, dt=s / (2 * _RICHARDSON_STEPS))
     return (16.0 * fine - coarse) / 15.0
-
-
-def finite_diff_time_derivative(series, dt: float) -> np.ndarray:
-    """Second-order time derivative of a uniformly sampled series.
-
-    Central differences at interior samples, one-sided three-point stencils
-    at the endpoints.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.ndim < 1 or series.shape[0] < 3:
-        raise UsageError("need at least 3 samples for a second-order derivative")
-    if dt <= 0.0:
-        raise UsageError(f"grid spacing must be positive, got {dt}")
-    out = np.empty_like(series)
-    out[1:-1] = (series[2:] - series[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * series[0] + 4.0 * series[1] - series[2]) / (2.0 * dt)
-    out[-1] = (3.0 * series[-1] - 4.0 * series[-2] + series[-3]) / (2.0 * dt)
-    return out
 
 
 def modal_propagator(u0, start, end) -> np.ndarray:

@@ -98,11 +98,13 @@ def drift_divergence(V, dm: DiscreteWeightedManifold) -> np.ndarray:
 
 
 def _scalar_pairings(dm: DiscreteWeightedManifold, scalars: np.ndarray):
-    """(J, D, hess, du) of a (k, *shape) batch of fields, in one pass.
+    """(J, D, hess, du, dJ) of a (k, *shape) batch of fields, in one pass.
 
     J and D are the mass and stiffness pairings of every two fields, hess
     the Hessian energy of each (``hessian_norm_sq``), du the partials of
-    the batch, one (k, *shape) array per axis.  Each derivative is applied
+    the batch, one (k, *shape) array per axis.  dJ is the rate of J when
+    the fields solve u_t = L u + u/2 along a flow that preserves e^{-f} dv:
+    J + (G + G^T) with G_ij = int u_i (L u_j).  Each derivative is applied
     once to the whole batch: 2d + d(d-1)/2 applications whatever k is.  The
     quadrature weights, 1/a and Gamma enter as per-axis vectors that
     broadcast along their axes, and the integrals are row products of the
@@ -132,13 +134,16 @@ def _scalar_pairings(dm: DiscreteWeightedManifold, scalars: np.ndarray):
     du = [ax.d1(scalars, i + 1) for i, ax in enumerate(dm.axes)]
     J = gram(scalars)
     D = sum(gram(g, i) for i, g in enumerate(du))
-    hess = np.zeros(k)
+    hess, lu = np.zeros(k), 0.0
     for i, ax in enumerate(dm.axes):
-        hess += squares(ax.d2(scalars, i + 1) - along(i, ax.christoffel) * du[i], i, i)
+        h = ax.d2(scalars, i + 1) - along(i, ax.christoffel) * du[i]
+        hess += squares(h, i, i)
+        lu = lu + ainv[i] * (h - along(i, ax.fprime) * du[i])
         for j in range(i + 1, d):
             hess += 2.0 * squares(dm.axes[j].d1(du[i], j + 1), i, j)
+    G = weighted(scalars) @ lu.reshape(k, -1).T
     scale = math.exp(-dm.f_constant)
-    return scale * J, scale * D, scale * hess, du
+    return scale * J, scale * D, scale * hess, du, scale * (J + (G + G.T))
 
 
 def hessian_norm_sq(u, dm: DiscreteWeightedManifold) -> float:
@@ -175,7 +180,7 @@ def bochner_sides(u, dm: DiscreteWeightedManifold) -> tuple[float, float]:
     The two agree for smooth fields.
     """
     u = _check_field(dm, u)
-    _, D, hess, du = _scalar_pairings(dm, u[None])
+    _, D, hess, du, _ = _scalar_pairings(dm, u[None])
     phi = soliton_defect_profiles(dm)
     lhs_integrand = np.zeros(dm.shape)
     for i, ax in enumerate(dm.axes):
@@ -236,12 +241,6 @@ class QuadraticForms:
             moved = weighted.transpose(perm)
             out = out + (block @ moved.reshape(len(moved), -1)).reshape(moved.shape).transpose(inverse)
         return self.scale * out
-
-    def J(self, u, v) -> float:
-        return float(_check_field(self, u).ravel() @ (self.mass_diag * _check_field(self, v).ravel()))
-
-    def D(self, u, v) -> float:
-        return float(_check_field(self, u).ravel() @ self.apply_stiffness(_check_field(self, v)).ravel())
 
 
 def assemble_forms(dm: DiscreteWeightedManifold) -> QuadraticForms:

@@ -143,7 +143,7 @@ def certificate_residuals(cert: SplittingCertificate, state: FlowState) -> dict:
             "check2": 0.0,
         }
     dirs = np.asarray(cert.directions, dtype=float)
-    _, _, hess_energies, du = _scalar_pairings(dm, dirs)
+    _, _, hess_energies, du, _ = _scalar_pairings(dm, dirs)
     grads = list(zip(*du))  # per direction, its partial along each axis
 
     # Pointwise gradient inner products: parallel orthonormal gradients make

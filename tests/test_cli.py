@@ -357,21 +357,49 @@ class TestRunCommand:
         assert float(np.nanmax(rows[:, header.index("residual_commutator")])) < 1e-5
 
     @pytest.mark.parametrize(
-        "overrides, needs",
+        "overrides",
         [
-            ({"horizon": 0.0, "check_functionals": True}, "check_functionals with tracked scalars needs at least 3"),
-            ({"horizon": 0.001, "cadence": 1, "check_functionals": True}, "check_functionals with tracked scalars needs at least 3"),
-            ({"horizon": 0.0, "check_splitting": True}, "check_splitting needs at least 2"),
-            ({"horizon": 0.001, "cadence": 1, "check_commutator": True}, "check_commutator needs at least 3"),
+            {"horizon": 0.0, "check_functionals": True},
+            {"horizon": 0.001, "cadence": 1, "check_functionals": True},
+            {"horizon": 0.001, "cadence": 1, "check_commutator": True},
         ],
     )
-    def test_too_few_outputs_for_a_check_is_a_config_error(self, tmp_path, capsys, overrides, needs):
+    def test_one_or_two_outputs_pass_strict(self, tmp_path, overrides):
+        # the identity checks take each output's own rates, so one output is enough
         cfg = _write_config(tmp_path / "few.json", name="few", track_scalars=True, **overrides)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+        header, rows = _read_csv(out / "few" / "trajectory.csv")
+        assert len(rows) == 1 + (overrides["horizon"] > 0)
+        assert np.all(np.isfinite(rows[:, header.index("residual_IJ")]))
+        assert np.all(np.isfinite(rows[:, header.index("residual_commutator")]))
+
+    def test_too_few_outputs_for_splitting_is_a_config_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "few.json", name="few", track_scalars=True, horizon=0.0, check_splitting=True)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: config: {needs} outputs") and err.count("\n") == 1
+        assert err.startswith("error: config: check_splitting needs at least 2 outputs") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"a0": 0.25, "horizon": 0.5, "k": 2, "check_functionals": True},
+            {"a0": 1.0, "horizon": 0.1, "k": 2, "check_functionals": True, "check_commutator": True},
+            {"a0": 1.0, "horizon": 0.1, "k": 3, "check_functionals": True},
+            {"f0": -50.0, "horizon": 0.1, "k": 2, "check_functionals": True},
+        ],
+    )
+    def test_round_circles_pass_the_identity_checks_at_the_default_cadence(self, tmp_path, overrides):
+        # exact flows at the default cadence: the identity checks read round-off
+        cfg = _write_config(tmp_path / "rc.json", name="rc", family="round_circle", track_scalars=True, **overrides)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+        manifest = json.loads((out / "rc" / "manifest.json").read_text())
+        values = {c["name"]: c["value"] for checks in manifest["verifications"].values() for c in checks}
+        assert values["rel J'"] < 1e-12 and values["rel I'"] < 1e-12
+        assert values.get("commutator", 0.0) < 1e-12
 
     def test_splitting_window_outside_the_run_leaves_no_artifacts(self, tmp_path, capsys):
         cfg = _write_config(

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -7,14 +8,14 @@ import pytest
 import driftflow as df
 import driftflow.axes
 import driftflow.oracles
-from driftflow.acceptance import check_functionals
+from driftflow import acceptance
+from driftflow.acceptance import check_commutator, check_functionals
 from driftflow.axes import _fourier_dense, _hermite_ops, circle_nodes, lowpass, mode_amplitudes
 from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
 from driftflow.flow import (
     FlowState, RunRequest, _factor, _flow_rhs, _Layout, _rk4, _run_loop, _scalar_pairings, _settle, _step,
 )
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
-from driftflow.oracles import finite_diff_time_derivative
 from driftflow.spectral import gradient_inner, hessian_norm_sq, partials
 
 LOG2 = math.log(2.0)
@@ -224,25 +225,26 @@ class TestFunctionalResiduals:
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.1, dt=1e-3, cadence=1, k=2)
         traj = df.run_flow(req)
         rep = df.functional_residuals(traj)
-        assert rep.max_rel_J < 1e-4
-        assert rep.max_rel_I < 1e-4
-        assert rep.max_rel_E < 1e-3
-        assert rep.max_rel_F < 1e-3
+        assert rep.max_rel_J < 1e-12
+        assert rep.max_rel_I < 1e-12
         assert rep.energy_violation <= 1e-8 * rep.energy_scale
-        assert rep.quotient_excess <= 1e-6
+        assert np.all(np.isfinite(traj.residual_ij)) and np.max(traj.residual_ij) == rep.max_rel_J
 
-    @pytest.mark.parametrize("horizon, times", [(0.005, [0, 2, 4, 5]), (0.003, [0, 2, 3]), (0.004, [0, 2, 4])])
-    def test_time_derivative_uses_the_true_last_spacing(self, horizon, times):
-        req = RunRequest(family=df.scaled_gaussian_family(2.0, 1), horizon=horizon, dt=1e-3, cadence=2, k=1,
-                         track_scalars=False)
+    def test_rates_are_the_time_derivative_of_the_pairings(self):
+        # the exact dJ against a central difference of J at cadence 1: O(dt^2)
+        req = RunRequest(family=df.round_circle_family(0.5), horizon=0.01, dt=1e-3, cadence=1, k=2)
         traj = df.run_flow(req)
-        np.testing.assert_allclose(traj.times, 1e-3 * np.array(times), rtol=0, atol=1e-15)
-        quadratic = np.stack([3.0 * traj.times**2 - traj.times, np.cos(traj.times)], axis=1)
-        got = traj.time_derivative(quadratic)
-        np.testing.assert_allclose(got[:, 0], 6.0 * traj.times - 1.0, rtol=0, atol=1e-11)
-        np.testing.assert_allclose(got[:, 1], -np.sin(traj.times), rtol=0, atol=1e-6)
-        if times[-1] % 2 == 0:  # uniform outputs keep the uniform stencils bit for bit
-            assert np.array_equal(got, finite_diff_time_derivative(quadratic, traj.output_dt))
+        J, dJ = traj.series["J"], traj.series["dJ"]
+        central = (J[2:] - J[:-2]) / 2e-3
+        assert np.max(np.abs(central - dJ[1:-1])) < 1e-5 * np.max(np.abs(dJ))
+
+    def test_one_output_has_finite_residuals(self):
+        req = RunRequest(family=df.round_circle_family(1.0), horizon=0.0, k=2)
+        traj = df.run_flow(req)
+        assert len(traj.times) == 1
+        rep = df.functional_residuals(traj)
+        assert rep.energy_violation == 0.0 and rep.max_rel_J < 1e-12
+        assert np.all(np.isfinite(traj.residual_ij)) and np.all(np.isfinite(traj.residual_commutator))
 
     def test_requires_tracked_scalars(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.05, dt=1e-3, cadence=10,
@@ -269,14 +271,19 @@ class TestGramSchmidtFrame:
     def test_static_diagonal_is_flat(self):
         req = RunRequest(family=df.scaled_gaussian_family(1.0, 1), horizon=5e-3, dt=1e-3, cadence=1, k=1)
         traj = df.run_flow(req)
-        d = finite_diff_time_derivative(traj.mixing[:, 0, 0], traj.output_dt)
-        assert abs(d[0]) < 1e-10
+        J, dJ = traj.series["J"][:, 0, 0], traj.series["dJ"][:, 0, 0]
+        np.testing.assert_allclose(traj.mixing[:, 0, 0], J**-0.5, rtol=1e-14, atol=0)
+        assert np.max(np.abs(dJ)) < 1e-12
 
     def test_moving_diagonal_rate(self):
+        # a11 = J11^{-1/2}, so a11' = -J11' J11^{-3/2} / 2, -1/4 at t = 0 for u0 = 2
         req = RunRequest(family=df.scaled_gaussian_family(2.0, 1), horizon=5e-3, dt=1e-3, cadence=1, k=1)
         traj = df.run_flow(req)
-        d = finite_diff_time_derivative(traj.mixing[:, 0, 0], traj.output_dt)
-        assert abs(d[0] - (-0.25)) < 1e-4
+        J, dJ = traj.series["J"][:, 0, 0], traj.series["dJ"][:, 0, 0]
+        rate = -0.5 * dJ * J**-1.5
+        assert abs(rate[0] - (-0.25)) < 1e-12
+        central = (traj.mixing[2:, 0, 0] - traj.mixing[:-2, 0, 0]) / 2e-3
+        np.testing.assert_allclose(central, rate[1:-1], rtol=1e-6, atol=0)
 
     def test_mixing_is_exactly_lower_triangular(self):
         # |gram[1, 0]| > gram[0, 0], so an LU solve of the Cholesky factor pivots
@@ -313,38 +320,28 @@ class TestCommutatorResidual:
                          k=1, track_scalars=False)
         traj = df.run_flow(req)
         u = np.cos(traj.states[0].manifold.axes[0].nodes)
-        assert df.commutator_residual(u, traj, [len(traj.times) // 2])[0] < 1e-5
+        assert df.commutator_residual(u, traj, [len(traj.times) // 2])[0] < 1e-12
 
-    def test_interior_index_required(self):
+    def test_indices_must_name_outputs(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.02, dt=1e-3, cadence=1,
                          k=1, track_scalars=False)
         traj = df.run_flow(req)
         ones = np.ones(traj.states[0].manifold.shape)
-        for indices in ([0], [1, len(traj.times) - 1]):
+        for indices in ([-1], [1, len(traj.times)]):
             with pytest.raises(UsageError):
                 df.commutator_residual(ones, traj, indices)
 
-    @pytest.mark.parametrize("horizon, reads", [(0.006, [1, 3]), (0.005, [1, 2, 3])])
-    def test_run_series_and_laplacians_read(self, monkeypatch, horizon, reads):
-        # the run's series at every interior output and one index alone agree
-        # bit for bit; L u is taken at the outputs the stencil reads, which
-        # next to a short last output (steps 0, 2, 4, 5) include the index itself
-        index = 2
+    @pytest.mark.parametrize("horizon", [0.006, 0.005])
+    def test_run_series_at_every_output(self, horizon):
+        # the run's series and each index alone agree bit for bit, at the first
+        # and the last output too, a last output short of the cadence included
         req = RunRequest(family=df.round_circle_family(1.0), horizon=horizon, dt=1e-3, cadence=2,
                          k=1, track_scalars=False)
         traj = df.run_flow(req)
         probe = traj.spectra[0].eigenfunctions[1]
-        times, laplacian = [], df.flow._laplacian
-
-        def counted(dm, du, d2u):
-            times.append(dm.t)
-            return laplacian(dm, du, d2u)
-
-        monkeypatch.setattr(df.flow, "_laplacian", counted)
-        got = df.commutator_residual(probe, traj, [index])
-        assert got[0] == traj.residual_commutator[index]
-        assert sorted(times) == [traj.times[m] for m in reads]
-        assert np.isnan(traj.residual_commutator[[0, -1]]).all()
+        got = [df.commutator_residual(probe, traj, [m])[0] for m in range(len(traj.times))]
+        assert np.array_equal(got, traj.residual_commutator)
+        assert np.max(traj.residual_commutator) < 1e-12
 
 
 def _round_product(resolution=64, order=12):
@@ -419,7 +416,7 @@ class TestScalarPairings:
     def test_batched_equals_the_per_pair_definitions(self, make):
         dm = make()
         fields = _smooth_fields(dm, 3)
-        J, D, hess, du = _scalar_pairings(dm, fields)
+        J, D, hess, du, _ = _scalar_pairings(dm, fields)
         parts = [partials(dm, u) for u in fields]
         J_ref = np.array([[dm.integrate(u * v) for v in fields] for u in fields])
         D_ref = np.array([[dm.integrate(gradient_inner(dm, p, q)) for q in parts] for p in parts])
@@ -476,6 +473,70 @@ class TestScalarPairings:
             assert peak < 8 * dm.size * 16 * (k + 1)
 
 
+def _single_output(dm):
+    """A stand-in trajectory of one output on ``dm``: what the commutator reads."""
+    return types.SimpleNamespace(times=np.array([dm.t]), states=[FlowState.from_manifold(dm)])
+
+
+def _moved(dm, phi, eps):
+    """``dm`` moved by ``eps`` along its own rates: a + eps a_t and f + eps f_t
+    on a circle, u + eps u_t on a Gaussian line, with a_t = 2 phi."""
+    axes = [
+        driftflow.axes.CircleAxis(ax.a + eps * 2.0 * p, ax.f + eps * df.flow._weight_rate(ax)) if ax.kind == "circle"
+        else driftflow.axes.HermiteLineAxis(ax.size, ax.scale + eps * 2.0 * p[0])
+        for ax, p in zip(dm.axes, phi)
+    ]
+    return df.DiscreteWeightedManifold(axes, dm.f_constant, dm.t)
+
+
+class TestExactRates:
+    """d/dt(L u) and dJ from one output's own rates a_t = 2 phi, f_t."""
+
+    @pytest.mark.parametrize("make", [_wavy_product, _round_product])
+    def test_rates_of_L_match_a_central_difference_of_L(self, make):
+        dm = make()
+        st = FlowState.from_manifold(dm)
+        u = _smooth_fields(dm, 1)[0]
+        du, d2u = partials(dm, u), [ax.d2(u, i) for i, ax in enumerate(dm.axes)]
+        exact = 0.0
+        for i, ax in enumerate(dm.axes):
+            c1, c2 = df.flow._laplacian_rates(ax, st.phi[i])
+            exact = exact + dm.axis_profile(i, c1) * d2u[i] + dm.axis_profile(i, c2) * du[i]
+        eps = 1e-5
+        plus, minus = (df.drift_laplacian(_moved(dm, st.phi, h), u) for h in (eps, -eps))
+        central = (plus - minus) / (2.0 * eps)
+        assert np.max(np.abs(central - exact)) < 1e-7 * np.max(np.abs(exact))
+
+    def test_commutator_on_a_non_round_circle(self):
+        dm = _wavy_product()
+        u = _smooth_fields(dm, 1)[0]
+        assert df.commutator_residual(u, _single_output(dm), [0])[0] < 1e-10
+
+    def test_a_wrong_weight_rate_fails_the_commutator(self, monkeypatch):
+        dm = _wavy_product()
+        u = _smooth_fields(dm, 1)[0]
+        monkeypatch.setattr(df.flow, "_weight_rate", lambda ax: 0.5 + ax.hess_f / ax.a)  # the sign of Hess f flipped
+        got = df.commutator_residual(u, _single_output(dm), [0])[0]
+        assert got > acceptance.VERIFY_TOLERANCES["commutator_rel"]
+        assert not check_commutator(types.SimpleNamespace(residual_commutator=np.array([got])))[0].passed
+
+    @pytest.mark.parametrize("make", [_round_product, _wavy_product, _gaussian_cube])
+    def test_pairing_rates_are_J_minus_2D(self, make):
+        # integration by parts: G + G^T = -2D up to round-off
+        dm = make()
+        J, D, _, _, dJ = _scalar_pairings(dm, _smooth_fields(dm, 3))
+        assert np.array_equal(dJ, dJ.T)
+        assert np.max(np.abs(dJ - (J - 2.0 * D))) < 1e-12 * np.max(np.abs(J - 2.0 * D))
+
+    def test_scaled_stiffness_fails_rel_J(self):
+        req = RunRequest(family=df.round_circle_family(1.0), horizon=0.05, k=2)
+        traj = df.run_flow(req)
+        assert all(c.passed for c in check_functionals(traj))
+        traj.series["D"] = traj.series["D"] * (1.0 + 1e-3)
+        records = {c.name: c for c in check_functionals(traj)}
+        assert not records["rel J'"].passed and records["rel J'"].value > 1e-3
+
+
 class TestConstantRowsSkipTheRoundTrip:
     """A constant circle row has no mode above 0: ``lowpass`` and ``_settle``
     return it as it is.  numpy's rfft/irfft round trip of a constant is
@@ -530,6 +591,24 @@ class TestConstantRowsSkipTheRoundTrip:
             layout, z = _circle_z(100, lambda th: np.full_like(th, c), lambda th: np.full_like(th, -0.4))
             rows = _flow_rhs(layout, 40)(0.0, z).reshape(2, 100)
             assert np.array_equal(rows[0], np.full(100, c)) and np.array_equal(rows[1], np.full(100, 0.5))
+
+    @pytest.mark.parametrize("n", [64, 331])
+    def test_a_round_circle_takes_no_transform(self, monkeypatch, n):
+        # its construction, hess_f, phi and the commutator rates: every row they differentiate is constant
+        seen, spectral = [], driftflow.axes._spectral
+        monkeypatch.setattr(driftflow.axes, "_spectral", lambda symbol, values: seen.append(values) or spectral(symbol, values))
+        st = _state(df.round_circle_family(0.7, f0=0.3), 0.2, resolution=n)
+        ax = st.manifold.axes[0]
+        c1, c2 = df.flow._laplacian_rates(ax, st.phi[0])
+        assert seen == []
+        assert np.array_equal(ax.fprime, np.zeros(n)) and np.array_equal(ax.hess_f, np.zeros(n))
+        assert np.array_equal(c2, np.zeros(n)) and np.ptp(c1) == 0.0
+
+    def test_a_varying_row_keeps_its_bits(self):
+        ax = _wavy_product().axes[0]
+        row = _wavy_f(ax.nodes)
+        for symbol, deriv in (("ik", ax.d1_vec), ("k2", ax.d2_vec)):
+            assert np.array_equal(deriv(row), driftflow.axes._spectral(ax._ops[symbol], row - row[0]))
 
 
 class TestScalarOrthogonalityAlongFlow:

@@ -161,25 +161,6 @@ class TestQuadratureIntegral:
         assert abs(dm.integrate(x**3)) < 1e-14
 
 
-class TestFiniteDiff:
-    def test_linear_exact(self):
-        series = 3.0 * np.arange(10.0)
-        np.testing.assert_allclose(df.finite_diff_time_derivative(series, 1.0), 3.0, atol=1e-13)
-
-    def test_exponential_accuracy(self):
-        dt = 1e-3
-        t = np.arange(0.0, 0.05, dt)
-        d = df.finite_diff_time_derivative(np.exp(t), dt)
-        assert float(np.max(np.abs(d / np.exp(t) - 1.0))) < 1e-6
-
-    def test_constant(self):
-        np.testing.assert_allclose(df.finite_diff_time_derivative(np.ones(5), 0.1), 0.0, atol=1e-15)
-
-    def test_too_short(self):
-        with pytest.raises(UsageError):
-            df.finite_diff_time_derivative(np.ones(2), 0.1)
-
-
 class TestDeterminism:
     def test_repeat_runs_bit_identical(self):
         a = df.integrate_equality_ode(0.3, 1.2345, dt=1e-4)

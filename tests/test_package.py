@@ -27,6 +27,16 @@ REMOVED = (
     "BoundCurve",
     "ForwardDiffVerdict",
     "forward_diff_check",
+    # Time derivatives are taken from each output's own rates, not by differencing outputs.
+    "finite_diff_time_derivative",
+    "FlowTrajectory.short_last",
+    "FlowTrajectory.short_stencil",
+    "FlowTrajectory.time_derivative",
+    "FunctionalResidualReport.max_rel_E",
+    "FunctionalResidualReport.max_rel_F",
+    "FunctionalResidualReport.quotient_excess",
+    "QuadraticForms.J",
+    "QuadraticForms.D",
 )
 
 
@@ -51,6 +61,14 @@ def test_package_imports_only_public_names():
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_not_importable(name):
+    owner, _, attr = name.rpartition(".")
+    if owner:  # a member of a class that stays
+        modules = [importlib.import_module(f"driftflow.{module}") for module in MODULES]
+        classes = [getattr(m, owner) for m in modules if hasattr(m, owner)]
+        assert classes
+        for cls in classes:
+            assert not hasattr(cls, attr) and attr not in getattr(cls, "__dataclass_fields__", {})
+        return
     with pytest.raises(ImportError):
         exec(f"from driftflow import {name}", {})
     for module in MODULES:
