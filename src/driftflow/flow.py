@@ -18,10 +18,14 @@ A state of one number (one Gaussian line, no tracked scalars) is stepped as
 a Python float: ``_rk4`` and ``_step`` apply the same IEEE-754 operations to
 it as to a one-element array, so its bits are those of the array path,
 without numpy's per-call cost.
-A stage projects onto the kept circle modes only when the cutoff lies below
-the grid's Nyquist mode; at ``modes = resolution // 2`` the grid is the
-truncation.  Exact analytic families make the truncation exact and serve as
-validation.
+A round circle (all a samples equal, all f samples equal) is two numbers in
+the state, its a and its f: on constant rows the stage formulas give exactly
+(a, 1/2), so it stays round, and its two numbers take the operations and
+bits of its 2n equal samples.  Only a circle that is not round keeps its
+rows; a stage projects them onto the kept modes only when the cutoff lies
+below the grid's Nyquist mode (at ``modes = resolution // 2`` the grid is
+the truncation), and ``_settle`` filters them after each step.  Exact
+analytic families make the truncation exact and serve as validation.
 
 Tracked scalars follow the drift heat equation u_t = L u + u/2 (one-way
 coupling) through an integrating factor (Lawson 1967).  On a Gaussian line
@@ -111,14 +115,18 @@ class FlowState:
 class _Layout:
     """Where each part of a run's state lives in its flat vector.
 
-    ``axes`` holds (kind, offset, size) per axis: a circle of ``size`` nodes
-    stores its samples of a and then of f from ``offset``, a Gaussian line of
-    Hermite order ``size`` its metric multiplier; ``width`` entries in all.
-    With ``count`` tracked scalars, u = E V (``_factor``), the geometry is
-    followed by one integral C_i of c_i dt per diagonal axis, in the order of
-    ``diagonal``, and when some circle is not round (``stepped``) by the
-    raveled (count, *shape) batch V.  A diagonal axis is a Gaussian line or a
-    circle whose a and f samples are all equal; its scalar operator is
+    ``axes`` holds (kind, offset, size) per axis, ``size`` its node count or
+    Hermite order.  A round circle (kind ``"round"``: all a samples equal and
+    all f samples equal) stores its a and its f from ``offset``, two entries,
+    since its stages keep it round: constants have exactly zero derivatives.
+    Any other circle (``"circle"``) stores its ``size`` samples of a and then
+    of f, and a Gaussian line its metric multiplier; ``width`` entries in all.
+    ``circles`` are the (offset, size) of the full-row circles, the only rows
+    ``_settle`` filters.  With ``count`` tracked scalars, u = E V
+    (``_factor``), the geometry is followed by one integral C_i of c_i dt per
+    diagonal axis, in the order of ``diagonal``, and when some circle is not
+    round (``stepped``) by the raveled (count, *shape) batch V.  A diagonal
+    axis is a Gaussian line or a round circle; its scalar operator is
     c_i(t) D_i with D_i fixed and diagonal in the axis's basis.
     """
 
@@ -134,16 +142,14 @@ class _Layout:
     def of(cls, dm: DiscreteWeightedManifold, count: int = 0) -> "_Layout":
         axes, offset = [], 0
         for ax in dm.axes:
-            axes.append((ax.kind, offset, ax.size))
-            offset += 2 * ax.size if ax.kind == "circle" else 1
+            kind = ax.kind
+            if kind == "circle" and np.ptp(ax.a) == 0.0 and np.ptp(ax.f) == 0.0:
+                kind = "round"
+            axes.append((kind, offset, ax.size))
+            offset += {"circle": 2 * ax.size, "round": 2, "hermite": 1}[kind]
         circles = tuple((off, n) for kind, off, n in axes if kind == "circle")
-        diagonal = ()
-        if count:  # a round circle's stages keep its equal samples equal: constants have zero derivatives
-            diagonal = tuple(
-                i for i, ax in enumerate(dm.axes)
-                if ax.kind == "hermite" or (np.ptp(ax.a) == 0.0 and np.ptp(ax.f) == 0.0)
-            )
-        stepped = count > 0 and len(diagonal) < len(axes)
+        diagonal = tuple(i for i, (kind, _, _) in enumerate(axes) if kind != "circle") if count else ()
+        stepped = count > 0 and bool(circles)
         return cls(tuple(axes), offset, dm.shape, dm.f_constant, circles, diagonal, stepped)
 
     @property
@@ -152,13 +158,21 @@ class _Layout:
         return self.width + len(self.diagonal)
 
     def pack(self, dm: DiscreteWeightedManifold) -> np.ndarray:
-        return np.concatenate([[ax.scale] if ax.kind == "hermite" else np.concatenate([ax.a, ax.f]) for ax in dm.axes])
+        parts = []
+        for (kind, _, _), ax in zip(self.axes, dm.axes):
+            if kind == "hermite":
+                parts.append([ax.scale])
+            else:
+                parts += [ax.a[:1], ax.f[:1]] if kind == "round" else [ax.a, ax.f]
+        return np.concatenate(parts)
 
     def manifold(self, z: np.ndarray, t: float) -> DiscreteWeightedManifold:
         axes = []
         for kind, off, n in self.axes:
             if kind == "circle":
                 axes.append(CircleAxis(_positive(z[off : off + n]).copy(), z[off + n : off + 2 * n].copy()))
+            elif kind == "round":
+                axes.append(CircleAxis(np.full(n, _positive(z[off : off + 1])[0]), np.full(n, z[off + 1])))
             else:
                 axes.append(HermiteLineAxis(n, float(_positive(z[off : off + 1])[0])))
         return DiscreteWeightedManifold(axes, f_constant=self.f_constant, t=t)
@@ -173,18 +187,22 @@ def _positive(a: np.ndarray) -> np.ndarray:
 def _flow_rhs(layout: _Layout, modes: int):
     """Galerkin right-hand side of the geometry, the integrals and V.
 
-    The step plan, built once: per axis its derivative pair, the slot of its
-    integral if it is diagonal, and for a circle whether the cutoff ``modes``
-    lies below the grid's Nyquist mode n // 2.  Only then does a stage
-    project the circle's rows (a - 2 Hess f, 1/2 - Hess f / a) with
-    ``lowpass``; at ``modes = n // 2`` the grid itself is the truncation, and
-    the rows are written as they are.  A diagonal axis adds C_i' = 1/a of a
-    round circle or 1/u of a Gaussian line.  A circle that is not round
-    applies its full scalar operator (u'' - (Gamma + f') u') / a to V along
-    its own axis, through the transpose that brings the axis to the front of
-    the batch and its inverse; derivatives act on V - V[0] along the axis,
-    exactly zero on constants.  Without such a circle the scalars are not in
-    the state, and the stages never touch them.
+    The step plan, built once: per axis its kind, its derivative pair, the
+    slot of its integral if it is diagonal, and for a full-row circle whether
+    the cutoff ``modes`` lies below the grid's Nyquist mode n // 2.  Only
+    then does a stage project the circle's rows (a - 2 Hess f, 1/2 - Hess f / a)
+    with ``lowpass``; at ``modes = n // 2`` the grid itself is the
+    truncation, and the rows are written as they are.  On a round circle
+    these formulas are exactly (a, 1/2), since constants have bitwise-zero
+    derivatives (a - 2 * 0 = a, 1/2 - 0 / a = 1/2), so the stage writes those
+    two numbers with no derivative product and no projection.  A diagonal
+    axis adds C_i' = 1/a of a round circle or 1/u of a Gaussian line.  A
+    circle that is not round applies its full scalar operator
+    (u'' - (Gamma + f') u') / a to V along its own axis, through the
+    transpose that brings the axis to the front of the batch and its inverse;
+    derivatives act on V - V[0] along the axis, exactly zero on constants.
+    Without such a circle the scalars are not in the state, and the stages
+    never touch them.
     """
     plan = []
     for axis, (kind, off, n) in enumerate(layout.axes):
@@ -193,7 +211,7 @@ def _flow_rhs(layout: _Layout, modes: int):
         integral = layout.width + layout.diagonal.index(axis) if axis in layout.diagonal else None
         acts = layout.stepped and integral is None
         perm, inverse = axis_to_front(len(layout.axes) + 1, axis + 1)
-        plan.append((kind == "circle", project, off, n, ops["d1"], ops["d2"], integral, acts, perm, inverse))
+        plan.append((kind, project, off, n, ops["d1"], ops["d2"], integral, acts, perm, inverse))
     start, batch_shape = layout.start, (-1, *layout.shape)
 
     def rhs(t, z):
@@ -202,8 +220,8 @@ def _flow_rhs(layout: _Layout, modes: int):
             batch = z[start:].reshape(batch_shape)
             out = dz[start:].reshape(batch_shape)
             out[...] = 0.0
-        for circle, project, off, n, d1, d2, integral, acts, perm, inverse in plan:
-            if circle:
+        for kind, project, off, n, d1, d2, integral, acts, perm, inverse in plan:
+            if kind == "circle":
                 a, f = _positive(z[off : off + n]), z[off + n : off + 2 * n]
                 df = f - f[0]
                 fprime = d1 @ df
@@ -221,6 +239,13 @@ def _flow_rhs(layout: _Layout, modes: int):
                     diff = np.subtract(moved, moved[:1], order="C").reshape(n, -1)
                     term = (d2 @ diff - (gamma + fprime)[:, None] * (d1 @ diff)) / a[:, None]
                     out += term.reshape(moved.shape).transpose(inverse)
+            elif kind == "round":
+                a = z[off]
+                if a <= 0.0:
+                    raise FlowBreakdownError(0)
+                dz[off], dz[off + 1] = a, 0.5
+                if integral is not None:
+                    dz[integral] = 1.0 / a
             else:
                 u = z[off]
                 dz[off] = _multiplier_rhs(t, u)
@@ -246,16 +271,16 @@ def _factor(layout: _Layout, v: np.ndarray, integrals, s: float) -> np.ndarray:
     u, lag = v, s / 2.0
     for axis, c in zip(layout.diagonal, integrals):
         kind, _, n = layout.axes[axis]
-        if kind == "circle":
-            coef = np.fft.rfft(u, axis=axis + 1)
-            coef *= np.exp(lag - np.arange(n // 2 + 1) ** 2.0 * c).reshape(-1, *[1] * (u.ndim - axis - 2))
-            u = np.fft.irfft(coef, n=n, axis=axis + 1)
-        else:
+        if kind == "hermite":
             ops = _hermite_ops(n)
             matrix = ops["vand"] @ (np.exp(lag - 0.5 * np.arange(n) * c)[:, None] * ops["vinv"])
             perm, inverse = axis_to_front(u.ndim, axis + 1)
             moved = u.transpose(perm)
             u = (matrix @ moved.reshape(n, -1)).reshape(moved.shape).transpose(inverse)
+        else:
+            coef = np.fft.rfft(u, axis=axis + 1)
+            coef *= np.exp(lag - np.arange(n // 2 + 1) ** 2.0 * c).reshape(-1, *[1] * (u.ndim - axis - 2))
+            u = np.fft.irfft(coef, n=n, axis=axis + 1)
         lag = 0.0
     return math.exp(lag) * u if lag else u
 
@@ -287,9 +312,11 @@ def _settle(layout: _Layout, z: np.ndarray, modes: int, floor: float, threshold:
     """Zero the circle modes above ``modes`` or below the relative noise
     floor, then raise StabilityError if a kept |c_k| / n (``mode_amplitudes``)
     exceeds ``threshold``, a circle's a row checked before its f row.  Per
-    circle: one rfft, one |c_k| pass, one max reduction and one irfft.  A
-    constant row has nothing to zero or monitor and skips the round trip
-    (see ``lowpass``), so a round circle stays exactly round."""
+    full-row circle (``layout.circles``; a round circle is two numbers and
+    has no modes to filter): one rfft, one |c_k| pass, one max reduction and
+    one irfft.  A constant row, such as a constant f beside a varying a, has
+    nothing to zero or monitor and skips the round trip (see ``lowpass``),
+    which is not exact at Bluestein sizes."""
     if not layout.circles:
         return z
     z = z.copy()
@@ -455,8 +482,11 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     if layout.stepped:
         parts.append(scalars.ravel())
     width, start, z = layout.width, layout.start, np.concatenate(parts)
-    # The error blocks: each circle's a and f rows, each Gaussian multiplier, each integral, each scalar of V.
-    blocks = [off + i * n for kind, off, n in layout.axes for i in range(1 + (kind == "circle"))]
+    # The error blocks: each circle's a and f (rows, or one number each if round), each Gaussian multiplier,
+    # each integral, each scalar of V.
+    blocks = [
+        off + i * (n if kind == "circle" else 1) for kind, off, n in layout.axes for i in range(1 + (kind != "hermite"))
+    ]
     blocks += range(width, start)
     blocks += range(start, z.size, math.prod(layout.shape))
     if z.size == 1:  # one Gaussian multiplier and no scalars: a float, without numpy's per-call cost
@@ -506,8 +536,9 @@ def _check_field_memory(request: RunRequest, state) -> None:
     are stacked, and one spare field.
     tracemalloc, k = 3 on 16 x 256: a step that carries V (a circle that is
     not round) peaks at 9.0 copies of the scalar batch, applying E at an
-    output at 3.1, a step of round axes at less than one, and one output's
-    pairings (``_scalar_pairings``, one output's k scalars at once) at 5.7.
+    output at 3.1, and one output's pairings (``_scalar_pairings``, one
+    output's k scalars at once) at 7.4.  A step of round axes holds no field:
+    its state is a few numbers, and it peaks at 0.01 copies.
     """
     points = math.prod(
         request.resolution if isinstance(fac, CircleModel) else request.hermite_order for fac in state.factors
@@ -556,7 +587,7 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
         n_out, ns = scalar_values.shape[0], scalar_values.shape[1]
         J, D, dJ, mixing = (np.empty((n_out, ns, ns)) for _ in range(4))
         for m, st in enumerate(states):
-            J[m], D[m], _, _, dJ[m] = _scalar_pairings(st.manifold, scalar_values[m])
+            J[m], D[m], _, dJ[m] = _scalar_pairings(st.manifold, scalar_values[m])
             mixing[m] = gram_schmidt_frame(J[m])
         I = np.einsum("mii->mi", J).copy()
         E = np.einsum("mii->mi", D).copy()

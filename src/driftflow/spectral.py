@@ -97,21 +97,18 @@ def drift_divergence(V, dm: DiscreteWeightedManifold) -> np.ndarray:
     return out
 
 
-def _scalar_pairings(dm: DiscreteWeightedManifold, scalars: np.ndarray):
-    """(J, D, hess, du, dJ) of a (k, *shape) batch of fields, in one pass.
+def _batch_partials(dm: DiscreteWeightedManifold, batch: np.ndarray) -> list:
+    """The partials of a (k, *shape) batch of fields, one (k, *shape) array
+    per axis, each derivative applied once to the whole batch."""
+    return [ax.d1(batch, i + 1) for i, ax in enumerate(dm.axes)]
 
-    J and D are the mass and stiffness pairings of every two fields, hess
-    the Hessian energy of each (``hessian_norm_sq``), du the partials of
-    the batch, one (k, *shape) array per axis.  dJ is the rate of J when
-    the fields solve u_t = L u + u/2 along a flow that preserves e^{-f} dv:
-    J + (G + G^T) with G_ij = int u_i (L u_j).  Each derivative is applied
-    once to the whole batch: 2d + d(d-1)/2 applications whatever k is.  The
-    quadrature weights, 1/a and Gamma enter as per-axis vectors that
-    broadcast along their axes, and the integrals are row products of the
-    weighted batch with the batch, times e^{-f_constant}.  J and D are
-    symmetrized; they agree with ``dm.integrate`` to round-off.
-    """
-    k, d = len(scalars), dm.dimension
+
+def _integrands(dm: DiscreteWeightedManifold, k: int):
+    """(along, weighted) for integrals of a (k, *shape) batch: ``along(i, v)``
+    reshapes a per-axis vector to broadcast along axis i, and
+    ``weighted(x, *differentiated)`` multiplies x by the quadrature weights
+    and by 1/a of each axis in ``differentiated``, as (k, size) rows."""
+    d = dm.dimension
 
     def along(i, v):  # axis_profile without its np.broadcast_to, whose per-call cost shows here
         return v if np.isscalar(v) else v.reshape([-1 if b == i else 1 for b in range(d)])
@@ -124,26 +121,59 @@ def _scalar_pairings(dm: DiscreteWeightedManifold, scalars: np.ndarray):
             x = x * w
         return x.reshape(k, -1)
 
+    return along, weighted
+
+
+def _scalar_pairings(dm: DiscreteWeightedManifold, scalars: np.ndarray):
+    """(J, D, du, dJ) of a (k, *shape) batch of fields, in one pass.
+
+    J and D are the mass and stiffness pairings of every two fields, du the
+    partials of the batch (``_batch_partials``).  dJ is the rate of J when
+    the fields solve u_t = L u + u/2 along a flow that preserves e^{-f} dv:
+    J + (G + G^T) with G_ij = int u_i (L u_j).  Each derivative is applied
+    once to the whole batch: 2d applications whatever k is.  The quadrature
+    weights, 1/a and Gamma enter as per-axis vectors that broadcast along
+    their axes, and the integrals are row products of the weighted batch
+    with the batch, times e^{-f_constant}.  J and D are symmetrized; they
+    agree with ``dm.integrate`` to round-off.
+    """
+    k = len(scalars)
+    along, weighted = _integrands(dm, k)
+
     def gram(x, *differentiated):
         g = weighted(x, *differentiated) @ x.reshape(k, -1).T
         return (g + g.T) / 2.0
 
+    du = _batch_partials(dm, scalars)
+    J = gram(scalars)
+    D = sum(gram(g, i) for i, g in enumerate(du))
+    lu = 0.0
+    for i, ax in enumerate(dm.axes):
+        h = ax.d2(scalars, i + 1) - along(i, ax.christoffel) * du[i]
+        lu = lu + along(i, 1.0 / ax.a) * (h - along(i, ax.fprime) * du[i])
+    G = weighted(scalars) @ lu.reshape(k, -1).T
+    scale = math.exp(-dm.f_constant)
+    return scale * J, scale * D, du, scale * (J + (G + G.T))
+
+
+def _hessian_energies(dm: DiscreteWeightedManifold, scalars: np.ndarray, du: list) -> np.ndarray:
+    """The Hessian energy (``hessian_norm_sq``) of each field of a (k, *shape)
+    batch whose partials are ``du``: d2 along each axis and each mixed
+    partial (d1 of du[i] along each later axis) applied once to the batch,
+    integrated as in ``_scalar_pairings``."""
+    k, d = len(scalars), dm.dimension
+    along, weighted = _integrands(dm, k)
+
     def squares(x, *differentiated):
         return np.einsum("ij,ij->i", weighted(x, *differentiated), x.reshape(k, -1))
 
-    du = [ax.d1(scalars, i + 1) for i, ax in enumerate(dm.axes)]
-    J = gram(scalars)
-    D = sum(gram(g, i) for i, g in enumerate(du))
-    hess, lu = np.zeros(k), 0.0
+    hess = np.zeros(k)
     for i, ax in enumerate(dm.axes):
         h = ax.d2(scalars, i + 1) - along(i, ax.christoffel) * du[i]
         hess += squares(h, i, i)
-        lu = lu + ainv[i] * (h - along(i, ax.fprime) * du[i])
         for j in range(i + 1, d):
             hess += 2.0 * squares(dm.axes[j].d1(du[i], j + 1), i, j)
-    G = weighted(scalars) @ lu.reshape(k, -1).T
-    scale = math.exp(-dm.f_constant)
-    return scale * J, scale * D, scale * hess, du, scale * (J + (G + G.T))
+    return math.exp(-dm.f_constant) * hess
 
 
 def hessian_norm_sq(u, dm: DiscreteWeightedManifold) -> float:
@@ -153,7 +183,8 @@ def hessian_norm_sq(u, dm: DiscreteWeightedManifold) -> float:
     squared norm a^{-2} (u'' - Gamma u')^2; cross components on products are
     plain mixed partials (the metric is block diagonal and flat).
     """
-    return float(_scalar_pairings(dm, _check_field(dm, u)[None])[2][0])
+    batch = _check_field(dm, u)[None]
+    return float(_hessian_energies(dm, batch, _batch_partials(dm, batch))[0])
 
 
 def soliton_defect_profiles(dm: DiscreteWeightedManifold) -> list:
@@ -180,7 +211,8 @@ def bochner_sides(u, dm: DiscreteWeightedManifold) -> tuple[float, float]:
     The two agree for smooth fields.
     """
     u = _check_field(dm, u)
-    _, D, hess, du, _ = _scalar_pairings(dm, u[None])
+    _, D, du, _ = _scalar_pairings(dm, u[None])
+    hess = _hessian_energies(dm, u[None], du)
     phi = soliton_defect_profiles(dm)
     lhs_integrand = np.zeros(dm.shape)
     for i, ax in enumerate(dm.axes):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import UsageError
 from .flow import FlowState, FlowTrajectory
-from .spectral import _scalar_pairings, gradient_inner, partials
+from .spectral import _batch_partials, _hessian_energies, gradient_inner, partials
 
 __all__ = [
     "SplittingCertificate",
@@ -127,8 +127,9 @@ def certificate_residuals(cert: SplittingCertificate, state: FlowState) -> dict:
     Covers the parallelism test (Hessian energies), the unit-speed and
     orthogonality tests on the gradients, the weight decomposition, the
     metric block structure, and the reduced factor equations for the
-    non-split part.  The directions' partials and Hessian energies come
-    from one ``_scalar_pairings`` pass.
+    non-split part.  The directions' partials and Hessian energies are
+    taken on the whole batch at once (``_batch_partials``,
+    ``_hessian_energies``).
     """
     dm = state.manifold
     if cert.k == 0:
@@ -143,7 +144,8 @@ def certificate_residuals(cert: SplittingCertificate, state: FlowState) -> dict:
             "check2": 0.0,
         }
     dirs = np.asarray(cert.directions, dtype=float)
-    _, _, hess_energies, du, _ = _scalar_pairings(dm, dirs)
+    du = _batch_partials(dm, dirs)
+    hess_energies = _hessian_energies(dm, dirs, du)
     grads = list(zip(*du))  # per direction, its partial along each axis
 
     # Pointwise gradient inner products: parallel orthonormal gradients make

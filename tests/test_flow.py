@@ -16,7 +16,7 @@ from driftflow.flow import (
     FlowState, RunRequest, _factor, _flow_rhs, _Layout, _rk4, _run_loop, _scalar_pairings, _settle, _step,
 )
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
-from driftflow.spectral import gradient_inner, hessian_norm_sq, partials
+from driftflow.spectral import _hessian_energies, gradient_inner, hessian_norm_sq, partials
 
 LOG2 = math.log(2.0)
 
@@ -410,13 +410,15 @@ def _count_derivatives(monkeypatch):
 
 
 class TestScalarPairings:
-    """One output's J, D and Hessian energies: one pass over the batch."""
+    """One output's J, D and dJ in one pass over the batch; the Hessian
+    energies in another, only where they are read."""
 
     @pytest.mark.parametrize("make", [_round_product, _wavy_product])
     def test_batched_equals_the_per_pair_definitions(self, make):
         dm = make()
         fields = _smooth_fields(dm, 3)
-        J, D, hess, du, _ = _scalar_pairings(dm, fields)
+        J, D, du, _ = _scalar_pairings(dm, fields)
+        hess = _hessian_energies(dm, fields, du)
         parts = [partials(dm, u) for u in fields]
         J_ref = np.array([[dm.integrate(u * v) for v in fields] for u in fields])
         D_ref = np.array([[dm.integrate(gradient_inner(dm, p, q)) for q in parts] for p in parts])
@@ -432,12 +434,15 @@ class TestScalarPairings:
     @pytest.mark.parametrize("make, d", [(_round_product, 2), (_wavy_product, 2), (_gaussian_cube, 3)])
     @pytest.mark.parametrize("k", [1, 3])
     def test_one_derivative_pass_whatever_k(self, monkeypatch, make, d, k):
-        # d1 and d2 along each axis and each mixed partial, each once on the batch
+        # the pairings take d1 and d2 along each axis, the Hessian energies
+        # d2 along each axis and each mixed partial, each once on the batch
         dm = make()
         fields = _smooth_fields(dm, k)
         seen = _count_derivatives(monkeypatch)
-        _scalar_pairings(dm, fields)
-        assert len(seen) == 2 * d + d * (d - 1) // 2
+        du = _scalar_pairings(dm, fields)[2]
+        assert len(seen) == 2 * d
+        _hessian_energies(dm, fields, du)
+        assert len(seen) == 3 * d + d * (d - 1) // 2
         assert all(arr.shape == fields.shape for arr in seen)
 
     def test_commutator_differentiates_the_probe_once_per_call(self, monkeypatch):
@@ -524,7 +529,7 @@ class TestExactRates:
     def test_pairing_rates_are_J_minus_2D(self, make):
         # integration by parts: G + G^T = -2D up to round-off
         dm = make()
-        J, D, _, _, dJ = _scalar_pairings(dm, _smooth_fields(dm, 3))
+        J, D, _, dJ = _scalar_pairings(dm, _smooth_fields(dm, 3))
         assert np.array_equal(dJ, dJ.T)
         assert np.max(np.abs(dJ - (J - 2.0 * D))) < 1e-12 * np.max(np.abs(J - 2.0 * D))
 
@@ -548,7 +553,8 @@ class TestConstantRowsSkipTheRoundTrip:
         constants = rng.uniform(0.1, 10.0, 20)
         trip = [np.fft.irfft(np.fft.rfft(np.full(n, c)), n=n) for c in constants]
         assert any(not np.array_equal(x, np.full(n, c)) for x, c in zip(trip, constants))  # it would move them
-        layout = _Layout.of(df.weighted_circle(n))
+        layout = _full_row_layout(df.weighted_circle(n))
+        assert layout.circles == ((0, n),)
         for c in constants:
             rows = np.stack([np.full(n, c), np.full(n, -c)])
             assert np.array_equal(lowpass(rows, n // 4), rows)
@@ -564,7 +570,9 @@ class TestConstantRowsSkipTheRoundTrip:
         assert np.array_equal(low[0], rows[0])
         assert np.array_equal(low[1], lowpass(rows[1], 20))
         assert float(np.max(mode_amplitudes(low[1])[21:])) < 1e-15
-        settled = _settle(_Layout.of(df.weighted_circle(n)), rows.ravel(), 20, 1e-13, 1e6)
+        layout = _Layout.of(df.weighted_circle(n, a=2.7, f=lambda th: 1.0 + 0.1 * np.cos(3 * th)))
+        assert layout.circles == ((0, n),)
+        settled = _settle(layout, rows.ravel(), 20, 1e-13, 1e6)
         assert np.array_equal(settled[:n], rows[0])
         assert float(np.max(mode_amplitudes(settled[n:])[21:])) < 1e-15
 
@@ -587,10 +595,15 @@ class TestConstantRowsSkipTheRoundTrip:
                          track_scalars=False)
         for st in df.run_flow(req).states:
             assert np.ptp(st.manifold.axes[0].a) == 0.0 and np.ptp(st.manifold.axes[0].f) == 0.0
+        # on full rows the stage formulas of constant rows are exactly (c, 1/2),
+        # which the round circle's two numbers take as their rates
         for c in np.random.default_rng(100).uniform(0.1, 10.0, 20):
-            layout, z = _circle_z(100, lambda th: np.full_like(th, c), lambda th: np.full_like(th, -0.4))
-            rows = _flow_rhs(layout, 40)(0.0, z).reshape(2, 100)
+            dm = df.weighted_circle(100, a=c, f=-0.4)
+            layout = _full_row_layout(dm)
+            rows = _flow_rhs(layout, 40)(0.0, layout.pack(dm)).reshape(2, 100)
             assert np.array_equal(rows[0], np.full(100, c)) and np.array_equal(rows[1], np.full(100, 0.5))
+            compact = _Layout.of(dm)
+            assert np.array_equal(_flow_rhs(compact, 40)(0.0, compact.pack(dm)), [c, 0.5])
 
     @pytest.mark.parametrize("n", [64, 331])
     def test_a_round_circle_takes_no_transform(self, monkeypatch, n):
@@ -686,9 +699,28 @@ def _varying_product():
 
 
 def _circle_z(n, a, f):
-    """Layout and geometry vector of one circle with the given node values."""
+    """Layout and geometry vector of one circle with the given node values,
+    the layout built from a circle with those samples."""
     theta = circle_nodes(n)
-    return _Layout.of(df.weighted_circle(n)), np.concatenate([a(theta), f(theta)])
+    return _Layout.of(df.weighted_circle(n, a=a, f=f)), np.concatenate([a(theta), f(theta)])
+
+
+_compact_layout = _Layout.of
+
+
+def _full_row_layout(dm, count=0):
+    """The layout of ``dm`` with each round circle stored as its 2n equal
+    samples (kind "circle") and still diagonal: stepped by the full stage
+    formulas and filtered by ``_settle``, as before round circles became two
+    numbers."""
+    compact = _compact_layout(dm, count)
+    axes, offset = [], 0
+    for kind, _, n in compact.axes:
+        kind = "circle" if kind == "round" else kind
+        axes.append((kind, offset, n))
+        offset += 2 * n if kind == "circle" else 1
+    circles = tuple((off, n) for kind, off, n in axes if kind == "circle")
+    return _Layout(tuple(axes), offset, dm.shape, dm.f_constant, circles, compact.diagonal, compact.stepped)
 
 
 def _settler(layout, modes):
@@ -893,15 +925,19 @@ class TestIntegratingFactor:
     @pytest.mark.parametrize("n", [16, 31, 48, 64, 100, 128])
     def test_round_circle_stays_exactly_round(self, n):
         # constants have exactly zero derivatives, and the cutoff and the
-        # settle round trip keep equal samples equal
+        # settle round trip keep full rows of equal samples equal, and equal
+        # to the round circle's two numbers
         dm = df.weighted_circle(n, a=0.7, f=-3.1)
         for modes in sorted({n // 2, n // 4}):
-            layout = _Layout.of(dm, 2)
-            assert layout.diagonal == (0,) and not layout.stepped
+            layout, compact = _full_row_layout(dm, 2), _Layout.of(dm, 2)
+            assert layout.diagonal == compact.diagonal == (0,) and not layout.stepped and not compact.stepped
             rhs, z = _flow_rhs(layout, modes), np.concatenate([layout.pack(dm), [0.0]])
+            two, y = _flow_rhs(compact, modes), np.concatenate([compact.pack(dm), [0.0]])
             for step in range(5):
                 z = _settle(layout, _rk4(rhs, step * 1e-3, z, 1e-3)[0], modes, 1e-13, 1e6)
-                assert np.ptp(z[:n]) == 0.0 and np.ptp(z[n : 2 * n]) == 0.0
+                y = _settle(compact, _rk4(two, step * 1e-3, y, 1e-3)[0], modes, 1e-13, 1e6)
+                assert np.array_equal(z[:n], np.full(n, y[0])) and np.array_equal(z[n : 2 * n], np.full(n, y[1]))
+                assert z[-1] == y[-1]
             assert z[-1] == pytest.approx((1.0 - math.exp(-5e-3)) / 0.7, rel=1e-13)  # C = int 1/a dt, a = 0.7 e^t
 
     def test_geometry_is_bitwise_the_same_without_scalars(self):
@@ -1035,6 +1071,132 @@ class TestOneNumberState:
         df.run_flow(RunRequest(family=family, horizon=0.003, dt=1e-3, cadence=1, k=1, resolution=16, modes=8,
                                hermite_order=6, track_scalars=track_scalars))
         assert seen == [state_type] * 3
+
+
+def _round_request(family, horizon, **kw):
+    kw = {"dt": 1e-3, "cadence": 1, "k": 2, **kw}
+    return RunRequest(family=family, horizon=horizon, **kw)
+
+
+_PRODUCT = df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle_family(4.0)])
+
+
+def _loop_record(monkeypatch, request, layout_of):
+    """``_run_loop``'s outputs for ``request`` with ``flow._Layout.of`` set to
+    ``layout_of``, the integrals each output's ``_factor`` reads and every
+    step's error estimate, halved calls included, as ``float.hex``."""
+    dm = df.discretize(
+        df.evaluate_family(request.family, request.family.t0),
+        resolution=request.resolution, hermite_order=request.hermite_order,
+    )
+    scalars0 = None
+    if request.track_scalars:
+        scalars0 = np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), request.k).eigenfunctions[1 : request.k + 1])
+    integrals, errors = [], []
+    factor = df.flow._factor
+
+    def recorded(layout, v, c, s):
+        integrals.append([x.hex() for x in c])
+        return factor(layout, v, c, s)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(df.flow._Layout, "of", classmethod(lambda cls, dm, count=0: layout_of(dm, count)))
+        patch.setattr(df.flow, "_factor", recorded)
+        seen = _counting_step(patch, errors)
+        outputs = _run_loop(request, dm, scalars0)
+    return outputs, integrals, errors, len(seen)
+
+
+class TestRoundCircleState:
+    """A round circle is two numbers, a and f, in the integrator state; its
+    full rows of 2n equal samples give the same bits."""
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            _round_request(df.round_circle_family(1.0), 0.3),  # C04's circle
+            _round_request(_PRODUCT, 0.1, cadence=5, k=3),  # product_scalars
+            _round_request(df.round_circle_family(0.25), 0.05, resolution=331, modes=165),  # a Bluestein size
+            _round_request(_PRODUCT, 0.3, cadence=2, k=3, modes=8),  # below n // 2, where full-row stages call lowpass
+            _round_request(df.round_circle_family(1.0), 0.05, dt=0.01, adaptive_tol=1e-14),  # halves
+        ],
+        ids=["c04", "product_scalars", "bluestein_331", "modes_8", "halving"],
+    )
+    def test_compact_steps_match_full_rows_bitwise(self, monkeypatch, request_):
+        full, full_integrals, full_errors, full_calls = _loop_record(monkeypatch, request_, _full_row_layout)
+        got, integrals, errors, calls = _loop_record(monkeypatch, request_, _compact_layout)
+        assert calls == full_calls and errors == full_errors  # the same steps, halvings and estimates
+        assert integrals == full_integrals and len(integrals) == len(got)
+        assert len(got) == len(full) == len(df.flow._output_steps(request_)[1])
+        for (t, dm, u), (t_full, dm_full, u_full) in zip(got, full):
+            assert t == t_full and np.array_equal(u, u_full)
+            for ax, ax_full in zip(dm.axes, dm_full.axes):
+                assert np.array_equal(ax.a, ax_full.a) and np.array_equal(ax.f, ax_full.f)
+        if request_.adaptive_tol == 1e-14:
+            assert calls > request_.steps  # the step control halved
+
+    @pytest.mark.parametrize("n", [16, 31, 331, 1024])
+    def test_a_round_circle_takes_two_entries(self, n):
+        layout = _Layout.of(df.weighted_circle(n, a=0.7, f=-3.1), 2)
+        assert layout.axes == (("round", 0, n),) and layout.width == 2 and layout.circles == ()
+        assert layout.diagonal == (0,) and not layout.stepped and layout.start == 3  # after its integral
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_one_differing_sample_keeps_full_rows(self, row):
+        n = 32
+        rows = [np.full(n, 0.7), np.full(n, -3.1)]
+        rows[row][5] = np.nextafter(rows[row][5], np.inf)
+        layout = _Layout.of(df.DiscreteWeightedManifold([driftflow.axes.CircleAxis(*rows)]), 2)
+        assert layout.axes == (("circle", 0, n),) and layout.width == 2 * n and layout.circles == ((0, n),)
+        assert layout.diagonal == () and layout.stepped
+
+    def test_a_gaussian_line_takes_one_entry(self):
+        assert _Layout.of(df.gaussian_line(2.0)).width == 1
+        dm = df.discretize(df.evaluate_family(df.scaled_gaussian_family(1.5, 3), 0.0), hermite_order=6)
+        assert [kind for kind, _, _ in _Layout.of(dm).axes] == ["hermite"] * 3 and _Layout.of(dm).width == 3
+
+    def test_stepping_takes_no_transform_and_no_derivative_matrix(self, monkeypatch):
+        # modes 8 < 32 = n // 2, where full rows took a lowpass per stage; the
+        # step plan builds no derivative pair, and the steps transform nothing
+        calls, stepping = [], [False]
+
+        def counted(name, call, always=False):
+            def wrapper(*args, **kwargs):
+                if stepping[0] or always:
+                    calls.append(name)
+                return call(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        monkeypatch.setattr(df.flow, "_fourier_dense", counted("_fourier_dense", df.flow._fourier_dense, True))
+        monkeypatch.setattr(df.flow, "lowpass", counted("lowpass", df.flow.lowpass, True))
+        step = df.flow._step
+
+        def stepped(*args):
+            stepping[0] = True
+            try:
+                return step(*args)
+            finally:
+                stepping[0] = False
+
+        monkeypatch.setattr(df.flow, "_step", stepped)
+        for family in (df.round_circle_family(1.0), _PRODUCT):
+            traj = df.run_flow(_round_request(family, 0.01, cadence=5, k=2, modes=8))
+            assert traj.scalar_values is not None and len(traj.times) == 3
+        assert calls == []
+
+    def test_a_round_product_with_scalars_keeps_no_batch(self, monkeypatch):
+        dm = df.discretize(df.evaluate_family(_PRODUCT, 0.0))
+        layout = _Layout.of(dm, 3)
+        assert [kind for kind, _, _ in layout.axes] == ["hermite", "round"]
+        assert not layout.stepped and layout.diagonal == (0, 1) and layout.start == 5
+        sizes = []
+        step = df.flow._step
+        monkeypatch.setattr(df.flow, "_step", lambda *args: sizes.append(args[3].size) or step(*args))
+        df.run_flow(_round_request(_PRODUCT, 0.003, k=3))
+        assert sizes == [5] * 3  # the multiplier, a, f and two integrals
 
 
 def _stage_formulas(n, a, f):
