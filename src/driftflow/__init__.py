@@ -27,7 +27,6 @@ from .errors import (
     UsageError,
 )
 from .flow import (
-    FlowState,
     FlowTrajectory,
     RunRequest,
     commutator_residual,

@@ -176,9 +176,9 @@ def check_functionals(traj: FlowTrajectory) -> list:
     volume = Check("volume drift", vol_drift, VERIFY_TOLERANCES["volume_drift_rel"])
     if not traj.series:
         return [volume]
-    rep = functional_residuals(traj)
+    rep = functional_residuals(traj.series)
     means = max(
-        abs(traj.states[m].manifold.integrate(traj.scalar_values[m, i]))
+        abs(traj.manifolds[m].integrate(traj.scalar_values[m, i]))
         / math.sqrt(traj.series["I"][m, i] * traj.volumes[m])
         for m in range(len(traj.times))
         for i in range(traj.scalar_values.shape[1])
@@ -359,13 +359,13 @@ def criterion_6_commutator() -> CriterionResult:
         family=scaled_gaussian_family(1.0, 1), horizon=0.1, dt=1e-3, cadence=1, k=1, track_scalars=False
     )
     traj_s = run_flow(req_s)
-    x = traj_s.states[0].manifold.axes[0].nodes.copy()
-    res_static = float(commutator_residual(x, traj_s, [len(traj_s.times) // 2])[0])
+    x = traj_s.manifolds[0].axes[0].nodes.copy()
+    res_static = float(commutator_residual(x, traj_s.manifolds, [len(traj_s.times) // 2])[0])
 
     req_c = RunRequest(family=round_circle_family(1.0), horizon=0.1, dt=1e-3, cadence=1, k=1, track_scalars=False)
     traj_c = run_flow(req_c)
-    u = np.cos(traj_c.states[0].manifold.axes[0].nodes)
-    res_circle = float(np.max(commutator_residual(u, traj_c, range(len(traj_c.times)))))
+    u = np.cos(traj_c.manifolds[0].axes[0].nodes)
+    res_circle = float(np.max(commutator_residual(u, traj_c.manifolds, range(len(traj_c.times)))))
     checks = [Check("static", res_static, 1e-12), Check("circle", res_circle, VERIFY_TOLERANCES["commutator_rel"])]
     return CriterionResult(6, "commutator of d/dt with the drift Laplacian", checks, time.perf_counter() - start)
 

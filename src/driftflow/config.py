@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigurationError
@@ -138,8 +139,12 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"mode cutoff {self.modes} exceeds resolution/2 = {self.resolution // 2}"
             )
-        if not isinstance(self.name, str) or not self.name:
-            raise ConfigurationError("scenario name must be a nonempty string")
+        # The name is the run's directory under the output root, so it must stay inside it.
+        if self.name in ("", ".", "..") or os.path.basename(self.name) != self.name or "\0" in self.name:
+            raise ConfigurationError(
+                f"scenario name {self.name!r} must be one plain path component: nonempty, not '.' or '..', "
+                "without a path separator or a NUL"
+            )
         # The splitting certificate compares two outputs; a run with fewer is
         # refused here, before the run, rather than after it.
         outputs = output_count(self.horizon, self.dt, self.cadence)

@@ -42,6 +42,9 @@ step with ``_step``.  The analytic backend steps nothing: its outputs are the
 closed-form states, sampled by ``discretize``, and its scalars those of
 ``oracles.modal_propagator``, exact on every supported family; a Galerkin
 run never calls it.
+
+``run_flow`` returns one frozen ``FlowTrajectory``, built once from finished
+values: its residual columns are computed before the record is.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "FlowState",
     "FlowTrajectory",
     "RunRequest",
     "run_flow",
@@ -83,27 +85,11 @@ MAX_STEP = 0.05
 # Largest estimated field memory a run may use, checked before discretizing.
 MAX_FIELD_BYTES = 1 << 30
 
-
-@dataclass(frozen=True)
-class FlowState:
-    """One instant of the flow: sampled geometry plus derived quantities.
-
-    ``phi`` holds the per-axis soliton defect g/2 - Hess_f - Ric; it vanishes
-    identically on the static Gaussian shrinker and equals half the metric
-    velocity along exact solutions.
-    """
-
-    manifold: DiscreteWeightedManifold
-    phi: list
-    volume: float
-
-    @classmethod
-    def from_manifold(cls, dm: DiscreteWeightedManifold) -> "FlowState":
-        return cls(manifold=dm, phi=soliton_defect_profiles(dm), volume=dm.weighted_volume())
-
-    @property
-    def t(self) -> float:
-        return self.manifold.t
+# ``_settle`` zeroes a circle mode below NOISE_FLOOR times its row's scale, and
+# a run stops when a kept mode exceeds STABILITY_FACTOR (1 + max |geometry|)
+# of its initial state.  ``_run_loop`` reads both as it runs.
+NOISE_FLOOR = 1e-13
+STABILITY_FACTOR = 1e6
 
 
 # --------------------------------------------------------------------------
@@ -133,7 +119,6 @@ class _Layout:
     axes: tuple
     width: int
     shape: tuple
-    f_constant: float
     circles: tuple
     diagonal: tuple = ()
     stepped: bool = False
@@ -150,7 +135,7 @@ class _Layout:
         circles = tuple((off, n) for kind, off, n in axes if kind == "circle")
         diagonal = tuple(i for i, (kind, _, _) in enumerate(axes) if kind != "circle") if count else ()
         stepped = count > 0 and bool(circles)
-        return cls(tuple(axes), offset, dm.shape, dm.f_constant, circles, diagonal, stepped)
+        return cls(tuple(axes), offset, dm.shape, circles, diagonal, stepped)
 
     @property
     def start(self) -> int:
@@ -175,7 +160,7 @@ class _Layout:
                 axes.append(CircleAxis(np.full(n, _positive(z[off : off + 1])[0]), np.full(n, z[off + 1])))
             else:
                 axes.append(HermiteLineAxis(n, float(_positive(z[off : off + 1])[0])))
-        return DiscreteWeightedManifold(axes, f_constant=self.f_constant, t=t)
+        return DiscreteWeightedManifold(axes, t=t)
 
 
 def _positive(a: np.ndarray) -> np.ndarray:
@@ -374,8 +359,6 @@ class RunRequest:
     backend: str = "galerkin"
     eig_tol: float = 1e-10
     adaptive_tol: float = 1e-9
-    noise_floor: float = 1e-13
-    stability_factor: float = 1e6
     track_scalars: bool = True
 
     def __post_init__(self):
@@ -393,25 +376,26 @@ class RunRequest:
         return step_count(self.horizon, self.dt)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowTrajectory:
-    """Recorded outputs of one run plus everything needed to replay it."""
+    """Recorded outputs of one run plus everything needed to replay it.
+
+    Per output: its time, its sampled geometry (``manifolds``), its spectrum,
+    its weighted volume, and with tracked scalars their values and pairings
+    (``series``); ``residual_ij`` is NaN without them.  Built once by
+    ``run_flow`` from finished values.
+    """
 
     request: RunRequest
     times: np.ndarray
-    states: list
+    manifolds: list
     spectra: list
     volumes: np.ndarray
     scalar_values: np.ndarray | None
     series: dict
-    mixing: np.ndarray | None
     bounds: np.ndarray
     residual_ij: np.ndarray
     residual_commutator: np.ndarray
-
-    @property
-    def t0(self) -> float:
-        return float(self.times[0])
 
     @property
     def output_dt(self) -> float:
@@ -477,7 +461,7 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     scalars = None if scalars0 is None else np.asarray(scalars0, dtype=float)
     layout = _Layout.of(state0, 0 if scalars is None else len(scalars))
     geometry = layout.pack(state0)
-    threshold = request.stability_factor * (1.0 + float(np.max(np.abs(geometry))))
+    threshold = STABILITY_FACTOR * (1.0 + float(np.max(np.abs(geometry))))
     parts = [geometry, np.zeros(len(layout.diagonal))]
     if layout.stepped:
         parts.append(scalars.ravel())
@@ -496,7 +480,7 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     k1 = rhs(t0, z)  # the first stage of the first step
 
     def settle(z):
-        return _settle(layout, z, request.modes, request.noise_floor, threshold)
+        return _settle(layout, z, request.modes, NOISE_FLOOR, threshold)
 
     outputs, done = [], 0
     for step in recorded:
@@ -572,26 +556,27 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     outputs = _closed_form_outputs(request, scalars0) if closed_form else _run_loop(request, state0, scalars0)
 
     times = np.array([t for t, _, _ in outputs])
-    states = [FlowState.from_manifold(dm) for _, dm, _ in outputs]
+    manifolds = [dm for _, dm, _ in outputs]
     # Output 0 holds the geometry of state0, so its solve is spectrum0.
     spectra = [spectrum0] + [
-        lowest_eigenpairs(assemble_forms(st.manifold), request.k, request.eig_tol) for st in states[1:]
+        lowest_eigenpairs(assemble_forms(dm), request.k, request.eig_tol) for dm in manifolds[1:]
     ]
-    volumes = np.array([st.volume for st in states])
+    volumes = np.array([dm.weighted_volume() for dm in manifolds])
 
     scalar_values = None
     series = {}
-    mixing = None
+    residual_ij = np.full(len(times), np.nan)
     if scalars0 is not None:
         scalar_values = np.stack([s for _, _, s in outputs])
         n_out, ns = scalar_values.shape[0], scalar_values.shape[1]
-        J, D, dJ, mixing = (np.empty((n_out, ns, ns)) for _ in range(4))
-        for m, st in enumerate(states):
-            J[m], D[m], _, dJ[m] = _scalar_pairings(st.manifold, scalar_values[m])
-            mixing[m] = gram_schmidt_frame(J[m])
+        J, D, dJ = (np.empty((n_out, ns, ns)) for _ in range(3))
+        for m, dm in enumerate(manifolds):
+            J[m], D[m], _, dJ[m] = _scalar_pairings(dm, scalar_values[m])
+            gram_schmidt_frame(J[m])  # DegeneracyError if the scalars are dependent
         I = np.einsum("mii->mi", J).copy()
         E = np.einsum("mii->mi", D).copy()
         series = {"J": J, "D": D, "dJ": dJ, "I": I, "E": E}
+        residual_ij = functional_residuals(series).pointwise_ij
 
     lam0 = spectra[0].eigenvalues
     bounds = np.full((len(times), request.k), np.inf)
@@ -602,24 +587,18 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
             except HorizonError:
                 bounds[m, j - 1] = np.inf
 
-    traj = FlowTrajectory(
+    return FlowTrajectory(
         request=request,
         times=times,
-        states=states,
+        manifolds=manifolds,
         spectra=spectra,
         volumes=volumes,
         scalar_values=scalar_values,
         series=series,
-        mixing=mixing,
         bounds=bounds,
-        residual_ij=np.full(len(times), np.nan),
-        residual_commutator=np.full(len(times), np.nan),
+        residual_ij=residual_ij,
+        residual_commutator=commutator_residual(spectrum0.eigenfunctions[1], manifolds, range(len(times))),
     )
-
-    if scalars0 is not None:
-        traj.residual_ij = functional_residuals(traj).pointwise_ij
-    traj.residual_commutator = commutator_residual(spectrum0.eigenfunctions[1], traj, range(len(times)))
-    return traj
 
 
 # --------------------------------------------------------------------------
@@ -641,10 +620,11 @@ class FunctionalResidualReport:
     pointwise_ij: np.ndarray
 
 
-def functional_residuals(traj: FlowTrajectory) -> FunctionalResidualReport:
-    if not traj.series:
+def functional_residuals(series: dict) -> FunctionalResidualReport:
+    """The report of a run's ``series`` of pairings (``FlowTrajectory.series``)."""
+    if not series:
         raise UsageError("trajectory has no tracked scalars")
-    J, D, dJ, E = (traj.series[name] for name in ("J", "D", "dJ", "E"))
+    J, D, dJ, E = (series[name] for name in ("J", "D", "dJ", "E"))
     rhsJ = J - 2.0 * D
     resJ = np.abs(dJ - rhsJ)
     scaleJ = max(float(np.max(np.abs(rhsJ))), float(np.max(np.abs(dJ))), 1e-12)
@@ -686,9 +666,9 @@ def gram_schmidt_frame(gram: np.ndarray) -> np.ndarray:
     return np.tril(np.linalg.solve(L, np.eye(len(gram))))  # solve pivots; keep the upper zeros exact
 
 
-def commutator_residual(u, traj: FlowTrajectory, indices) -> np.ndarray:
+def commutator_residual(u, manifolds, indices) -> np.ndarray:
     """Weighted-L2 defect of d/dt(L u) = L u_t - 2 div_f(phi(grad u)) at each
-    of the outputs ``indices``.
+    of the outputs ``indices`` of a run's ``manifolds``.
 
     ``u`` is held fixed in coordinates, so L u_t vanishes and d/dt(L u) is
     the derivative of L along the output's own rates (``_laplacian_rates``).
@@ -698,12 +678,12 @@ def commutator_residual(u, traj: FlowTrajectory, indices) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     indices = list(indices)
-    if any(not 0 <= index < len(traj.times) for index in indices):
-        raise UsageError(f"commutator residual needs output indices in [0, {len(traj.times)})")
-    dm = traj.states[0].manifold
+    if any(not 0 <= index < len(manifolds) for index in indices):
+        raise UsageError(f"commutator residual needs output indices in [0, {len(manifolds)})")
+    dm = manifolds[0]
     du = partials(dm, u)
     d2u = [ax.d2(u, i) for i, ax in enumerate(dm.axes)]
-    return np.array([_commutator_at(du, d2u, traj.states[index]) for index in indices])
+    return np.array([_commutator_at(du, d2u, manifolds[index]) for index in indices])
 
 
 def _weight_rate(ax: CircleAxis) -> np.ndarray:
@@ -728,14 +708,14 @@ def _laplacian_rates(ax, phi) -> tuple:
     return c1, c2
 
 
-def _commutator_at(du, d2u, st: FlowState) -> float:
-    """The residual at one output ``st`` from the probe's first and second partials."""
-    dm = st.manifold
+def _commutator_at(du, d2u, dm: DiscreteWeightedManifold) -> float:
+    """The residual at one output ``dm`` from the probe's first and second partials."""
+    phi = soliton_defect_profiles(dm)
     d_lu = 0.0
     for i, ax in enumerate(dm.axes):
-        c1, c2 = _laplacian_rates(ax, st.phi[i])
+        c1, c2 = _laplacian_rates(ax, phi[i])
         d_lu = d_lu + dm.axis_profile(i, c1) * d2u[i] + dm.axis_profile(i, c2) * du[i]
-    W = [dm.axis_profile(i, st.phi[i]) * du[i] / dm.axis_profile(i, ax.a * ax.a) for i, ax in enumerate(dm.axes)]
+    W = [dm.axis_profile(i, phi[i]) * du[i] / dm.axis_profile(i, ax.a * ax.a) for i, ax in enumerate(dm.axes)]
     div_term = 2.0 * drift_divergence(W, dm)
     resid = d_lu + div_term  # L u_t vanishes: u is fixed in coordinates
     norm = lambda g: math.sqrt(max(dm.integrate(g * g), 0.0))

@@ -71,16 +71,11 @@ class GaussianLineModel:
 
 @dataclass(frozen=True)
 class ContinuumState:
-    """Exact product state at a fixed flow time.
-
-    The total weight is the sum of the per-factor terms plus ``f_constant``;
-    the constant shifts every e^{-f} integral but not the drift Laplacian and
-    is tracked explicitly, never renormalized.
-    """
+    """Exact product state at a fixed flow time; the total weight is the sum
+    of the per-factor terms."""
 
     t: float
     factors: tuple
-    f_constant: float = 0.0
 
     @property
     def dimension(self) -> int:
@@ -223,17 +218,15 @@ def evaluate_family(family, t: float) -> ContinuumState:
 class DiscreteWeightedManifold:
     """Sampled product geometry, ready for quadrature and spectral assembly.
 
-    Holds one spectral axis per factor plus the explicit additive constant of
-    the weight.  All arrays are frozen after construction; every operation on
-    a manifold is a pure function.
+    Holds one spectral axis per factor.  All arrays are frozen after
+    construction; every operation on a manifold is a pure function.
     """
 
-    def __init__(self, axes, f_constant: float = 0.0, t: float = 0.0):
+    def __init__(self, axes, t: float = 0.0):
         axes = tuple(axes)
         if not axes:
             raise ConfigurationError("a manifold needs at least one axis")
         self.axes = axes
-        self.f_constant = float(f_constant)
         self.t = float(t)
         self.shape = tuple(ax.size for ax in axes)
         self.size = int(np.prod(self.shape))
@@ -250,7 +243,7 @@ class DiscreteWeightedManifold:
         return np.broadcast_to(np.reshape(values, shape), self.shape)
 
     def f_field(self) -> np.ndarray:
-        total = np.full(self.shape, self.f_constant)
+        total = np.zeros(self.shape)
         for i, ax in enumerate(self.axes):
             total = total + self.axis_profile(i, ax.f)
         return total
@@ -263,7 +256,7 @@ class DiscreteWeightedManifold:
         out = values
         for vec in reversed(self._wdens_vectors):
             out = out @ vec
-        return float(out) * math.exp(-self.f_constant)
+        return float(out)
 
     def weighted_volume(self) -> float:
         return self.integrate(np.ones(self.shape))
@@ -302,7 +295,7 @@ def discretize(state: ContinuumState, resolution: int = 64, hermite_order: int =
             axes.append(HermiteLineAxis(hermite_order, fac.scale))
         else:
             raise ConfigurationError(f"unsupported factor {type(fac).__name__}")
-    dm = DiscreteWeightedManifold(axes, f_constant=state.f_constant, t=state.t)
+    dm = DiscreteWeightedManifold(axes, t=state.t)
     dm.validate()
     return dm
 

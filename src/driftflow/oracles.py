@@ -95,7 +95,6 @@ def dense_stiffness(forms) -> np.ndarray:
         for j, mass in enumerate(forms.axis_masses):
             factor = np.kron(factor, block @ np.eye(mass.size) if j == i else np.diag(mass))
         stiff += factor
-    stiff *= forms.scale
     return stiff
 
 

@@ -39,7 +39,7 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
     config: ScenarioConfig
     trajectory: FlowTrajectory
@@ -145,7 +145,7 @@ def execute(config: ScenarioConfig, out_root: str | None = None) -> RunResult:
     if config.check_commutator:
         verifications["commutator"] = check_commutator(traj)
     if config.check_bochner:
-        verifications["bochner"] = check_bochner(traj.states[0].manifold, config.seed)
+        verifications["bochner"] = check_bochner(traj.manifolds[0], config.seed)
     certificate = None
     if config.check_splitting:
         certificate, verifications["splitting"] = _splitting(config, traj)

@@ -134,8 +134,8 @@ def _scalar_pairings(dm: DiscreteWeightedManifold, scalars: np.ndarray):
     once to the whole batch: 2d applications whatever k is.  The quadrature
     weights, 1/a and Gamma enter as per-axis vectors that broadcast along
     their axes, and the integrals are row products of the weighted batch
-    with the batch, times e^{-f_constant}.  J and D are symmetrized; they
-    agree with ``dm.integrate`` to round-off.
+    with the batch.  J and D are symmetrized; they agree with
+    ``dm.integrate`` to round-off.
     """
     k = len(scalars)
     along, weighted = _integrands(dm, k)
@@ -152,8 +152,7 @@ def _scalar_pairings(dm: DiscreteWeightedManifold, scalars: np.ndarray):
         h = ax.d2(scalars, i + 1) - along(i, ax.christoffel) * du[i]
         lu = lu + along(i, 1.0 / ax.a) * (h - along(i, ax.fprime) * du[i])
     G = weighted(scalars) @ lu.reshape(k, -1).T
-    scale = math.exp(-dm.f_constant)
-    return scale * J, scale * D, du, scale * (J + (G + G.T))
+    return J, D, du, J + (G + G.T)
 
 
 def _hessian_energies(dm: DiscreteWeightedManifold, scalars: np.ndarray, du: list) -> np.ndarray:
@@ -173,7 +172,7 @@ def _hessian_energies(dm: DiscreteWeightedManifold, scalars: np.ndarray, du: lis
         hess += squares(h, i, i)
         for j in range(i + 1, d):
             hess += 2.0 * squares(dm.axes[j].d1(du[i], j + 1), i, j)
-    return math.exp(-dm.f_constant) * hess
+    return hess
 
 
 def hessian_norm_sq(u, dm: DiscreteWeightedManifold) -> float:
@@ -231,9 +230,9 @@ def bochner_sides(u, dm: DiscreteWeightedManifold) -> tuple[float, float]:
 class QuadraticForms:
     """Stiffness/mass pair over the flattened tensor grid, kept in factors.
 
-    With per-axis stiffness blocks S_i, per-axis mass diagonals m_i and
-    c = e^{-f_constant}, the mass is the diagonal c (m_0 x ... x m_{d-1}) and
-    the stiffness is c sum_i M_0 x ... x S_i x ... x M_{d-1}, M_j = diag(m_j).
+    With per-axis stiffness blocks S_i and per-axis mass diagonals m_i, the
+    mass is the diagonal m_0 x ... x m_{d-1} and the stiffness is
+    sum_i M_0 x ... x S_i x ... x M_{d-1}, M_j = diag(m_j).
     The stiffness is applied axis by axis as ``S_i @ X``, never formed; S_i is
     a dense matrix on Gaussian axes and a ``FourierStiffness`` on circles.
     """
@@ -241,7 +240,6 @@ class QuadraticForms:
     manifold: DiscreteWeightedManifold | None
     blocks: tuple
     axis_masses: tuple
-    scale: float = 1.0
 
     @property
     def shape(self) -> tuple:
@@ -254,7 +252,7 @@ class QuadraticForms:
     @cached_property
     def mass_diag(self) -> np.ndarray:
         # The Kronecker product of the axis masses, one multiply per entry as in np.kron.
-        return reduce(np.multiply.outer, self.axis_masses).ravel() * self.scale
+        return reduce(np.multiply.outer, self.axis_masses).ravel()
 
     def apply_stiffness(self, u) -> np.ndarray:
         """K u for one field of ``shape`` or a batch of them, (..., *shape)."""
@@ -272,7 +270,7 @@ class QuadraticForms:
             perm, inverse = axis_to_front(weighted.ndim, i - d)
             moved = weighted.transpose(perm)
             out = out + (block @ moved.reshape(len(moved), -1)).reshape(moved.shape).transpose(inverse)
-        return self.scale * out
+        return out
 
 
 def assemble_forms(dm: DiscreteWeightedManifold) -> QuadraticForms:
@@ -287,7 +285,6 @@ def assemble_forms(dm: DiscreteWeightedManifold) -> QuadraticForms:
         manifold=dm,
         blocks=tuple(ax.stiffness() for ax in dm.axes),
         axis_masses=tuple(ax.mass_diag() for ax in dm.axes),
-        scale=math.exp(-dm.f_constant),
     )
 
 
@@ -391,7 +388,7 @@ def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10) -> Spec
             vecs.T[idx].reshape(k + 1, *[-1 if j == i else 1 for j in range(d)])
             for i, ((_, vecs), idx) in enumerate(zip(per_axis, np.unravel_index(order, sums.shape)))
         ],
-    ) * math.exp(dm.f_constant / 2.0)
+    )
     flat = fields.reshape(k + 1, -1)
     flip = flat[np.arange(k + 1), np.argmax(np.abs(flat), axis=1)] < 0
     fields[flip] = -fields[flip]

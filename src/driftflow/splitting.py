@@ -11,7 +11,9 @@ the reduced factor equations.
 This module only measures.  The caller passes the window around 1/2 in
 which eigenvalues count as 1/2; ``acceptance.check_splitting`` turns a
 certificate, or the hypothesis that blocked one, into (value, tol) records
-at the tolerances of ``acceptance.VERIFY_TOLERANCES``.
+at the tolerances of ``acceptance.VERIFY_TOLERANCES``.  ``detect_splitting``
+builds each frozen certificate once, from the worst of its residuals at the
+two outputs (``certificate_residuals``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .flow import FlowState, FlowTrajectory
+from .flow import FlowTrajectory
+from .geometry import DiscreteWeightedManifold
 from .spectral import _batch_partials, _hessian_energies, gradient_inner, partials
 
 __all__ = [
@@ -58,7 +61,7 @@ class SplittingHypothesisFailure:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplittingCertificate:
     """Evidence that the state splits off k flat Gaussian-weighted directions."""
 
@@ -121,8 +124,8 @@ def _axis_average(dm, field, axes_to_avg):
     return np.broadcast_to(out, dm.shape)
 
 
-def certificate_residuals(cert: SplittingCertificate, state: FlowState) -> dict:
-    """Recompute every certificate residual on a given state.
+def certificate_residuals(directions, dm: DiscreteWeightedManifold) -> dict:
+    """Every certificate residual of the direction fields ``directions`` on ``dm``.
 
     Covers the parallelism test (Hessian energies), the unit-speed and
     orthogonality tests on the gradients, the weight decomposition, the
@@ -131,8 +134,8 @@ def certificate_residuals(cert: SplittingCertificate, state: FlowState) -> dict:
     taken on the whole batch at once (``_batch_partials``,
     ``_hessian_energies``).
     """
-    dm = state.manifold
-    if cert.k == 0:
+    k = len(directions)
+    if k == 0:
         return {
             "hessian_energies": np.zeros(0),
             "gradient_norm_deviation": 0.0,
@@ -143,7 +146,7 @@ def certificate_residuals(cert: SplittingCertificate, state: FlowState) -> dict:
             "check1": 0.0,
             "check2": 0.0,
         }
-    dirs = np.asarray(cert.directions, dtype=float)
+    dirs = np.asarray(directions, dtype=float)
     du = _batch_partials(dm, dirs)
     hess_energies = _hessian_energies(dm, dirs, du)
     grads = list(zip(*du))  # per direction, its partial along each axis
@@ -153,8 +156,8 @@ def certificate_residuals(cert: SplittingCertificate, state: FlowState) -> dict:
     norm_dev = 0.0
     gram_dev = 0.0
     gram_sum = 0.0
-    for i in range(cert.k):
-        for j in range(i, cert.k):
+    for i in range(k):
+        for j in range(i, k):
             pij = gradient_inner(dm, grads[i], grads[j])
             target = 1.0 if i == j else 0.0
             dev = float(np.max(np.abs(pij - target)))
@@ -163,7 +166,7 @@ def certificate_residuals(cert: SplittingCertificate, state: FlowState) -> dict:
             else:
                 gram_dev = max(gram_dev, dev)
             gram_sum += dm.integrate(pij) / dm.weighted_volume()
-    gram_mean = gram_sum / (cert.k * (cert.k + 1) / 2)
+    gram_mean = gram_sum / (k * (k + 1) / 2)
     gram_dev = max(gram_dev, norm_dev)
 
     split = _split_axes(dm, grads)
@@ -203,7 +206,7 @@ def certificate_residuals(cert: SplittingCertificate, state: FlowState) -> dict:
         gamma = dm.axis_profile(i, ax.christoffel)
         a = dm.axis_profile(i, ax.a)
         lap_q += (ax.d2(quarter_sq, i) - gamma * dq[i]) / a
-    check2 = float(np.max(np.abs(lap_q - cert.k / 2.0)))
+    check2 = float(np.max(np.abs(lap_q - k / 2.0)))
 
     return {
         "hessian_energies": hess_energies,
@@ -252,15 +255,13 @@ def detect_splitting(traj: FlowTrajectory, t0: float, t1: float, window: float):
             message=f"lambda_1(t1) = {lam1[1]:.6g} dropped below 1/2",
         )
 
-    k = len(cluster)
     window_dev = 0.0
     for m in range(i0, i1 + 1):
         lam = traj.spectra[m].eigenvalues
         for i in cluster:
             window_dev = max(window_dev, abs(float(lam[i]) - 0.5))
 
-    state0 = traj.states[i0]
-    dm = state0.manifold
+    dm = traj.manifolds[i0]
     volume = dm.weighted_volume()
     directions = []
     for i in cluster:
@@ -269,34 +270,21 @@ def detect_splitting(traj: FlowTrajectory, t0: float, t1: float, window: float):
         energy = dm.integrate(gradient_inner(dm, du, du))
         directions.append(u * math.sqrt(volume / energy))
 
-    cert = SplittingCertificate(
-        k=k,
-        directions=directions,
-        hessian_energies=np.zeros(k),
-        gradient_gram_mean=0.0,
-        gradient_gram_deviation=0.0,
-        gradient_norm_deviation=0.0,
-        weight_residual=0.0,
-        metric_residual=0.0,
-        factor_eq_residuals={"check1": 0.0, "check2": 0.0},
-        eigenvalue_window_deviation=window_dev,
-        lambda_cluster_t0=float(lam0[cluster[-1]]),
-        lambda_1_t1=float(lam1[1]),
-    )
     worst = {}
-    for state in (traj.states[i0], traj.states[i1]):
-        res = certificate_residuals(cert, state)
-        for key, val in res.items():
+    for m in (i0, i1):
+        for key, val in certificate_residuals(directions, traj.manifolds[m]).items():
             cur = worst.get(key)
             if key == "hessian_energies":
                 worst[key] = val if cur is None else np.maximum(cur, val)
             else:
                 worst[key] = val if cur is None else max(cur, val)
-    cert.hessian_energies = worst["hessian_energies"]
-    cert.gradient_gram_mean = worst["gradient_gram_mean"]
-    cert.gradient_gram_deviation = worst["gradient_gram_deviation"]
-    cert.gradient_norm_deviation = worst["gradient_norm_deviation"]
-    cert.weight_residual = worst["weight_residual"]
-    cert.metric_residual = worst["metric_residual"]
-    cert.factor_eq_residuals = {"check1": worst["check1"], "check2": worst["check2"]}
-    return cert
+    factor_eq_residuals = {"check1": worst.pop("check1"), "check2": worst.pop("check2")}
+    return SplittingCertificate(
+        k=len(cluster),
+        directions=directions,
+        factor_eq_residuals=factor_eq_residuals,
+        eigenvalue_window_deviation=window_dev,
+        lambda_cluster_t0=float(lam0[cluster[-1]]),
+        lambda_1_t1=float(lam1[1]),
+        **worst,
+    )

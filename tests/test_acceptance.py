@@ -126,7 +126,7 @@ def test_every_tolerance_is_read_by_a_check(monkeypatch):
             acceptance.check_bounds(traj)
             + acceptance.check_functionals(traj)
             + acceptance.check_commutator(traj)
-            + acceptance.check_bochner(traj.states[0].manifold, 0)
+            + acceptance.check_bochner(traj.manifolds[0], 0)
             + acceptance.check_splitting(detect_splitting(traj, traj.times[0], traj.times[-1], window), backend)
         )
         assert not acceptance.failed({backend: checks})

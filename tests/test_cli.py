@@ -183,6 +183,15 @@ class TestRunCommand:
         assert not out.exists()
         assert "error: config:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["../escaped", ".", "..", "a/b", "/abs", "x\0y", ""])
+    def test_name_must_be_one_path_component(self, tmp_path, capsys, name):
+        # the name is the run's directory under --out: "../escaped" wrote outside it, "." into the root itself
+        cfg = _write_config(tmp_path / "named.json", name=name, horizon=0.01)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: config: scenario name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["named.json"]
+
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "odd.json"
         cfg.write_text(json.dumps({"name": "x", "horizon": 0.1, "wrong_key": 1}))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import types
@@ -13,16 +14,16 @@ from driftflow.acceptance import check_commutator, check_functionals
 from driftflow.axes import _fourier_dense, _hermite_ops, circle_nodes, lowpass, mode_amplitudes
 from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
 from driftflow.flow import (
-    FlowState, RunRequest, _factor, _flow_rhs, _Layout, _rk4, _run_loop, _scalar_pairings, _settle, _step,
+    RunRequest, _factor, _flow_rhs, _Layout, _rk4, _run_loop, _scalar_pairings, _settle, _step,
 )
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
-from driftflow.spectral import _hessian_energies, gradient_inner, hessian_norm_sq, partials
+from driftflow.spectral import _hessian_energies, gradient_inner, hessian_norm_sq, partials, soliton_defect_profiles
 
 LOG2 = math.log(2.0)
 
 
-def _state(family, t=0.0, **kw):
-    return FlowState.from_manifold(df.discretize(df.evaluate_family(family, t), **kw))
+def _manifold(family, t=0.0, **kw):
+    return df.discretize(df.evaluate_family(family, t), **kw)
 
 
 def _one_step(family, dt):
@@ -30,7 +31,7 @@ def _one_step(family, dt):
     req = RunRequest(family=family, horizon=dt, dt=dt, cadence=1, k=1, track_scalars=False)
     traj = df.run_flow(req)
     assert len(traj.times) == 2
-    return traj.states[-1].manifold
+    return traj.manifolds[-1]
 
 
 class TestSingleStep:
@@ -51,11 +52,12 @@ class TestSingleStep:
         with pytest.raises(ConfigurationError):
             RunRequest(family=df.round_circle_family(1.0), horizon=1.0, dt=0.2)
 
-    def test_mode_energy_monitor(self):
-        # a run's threshold is stability_factor (1 + max |geometry|); here it
+    def test_mode_energy_monitor(self, monkeypatch):
+        # a run's threshold is STABILITY_FACTOR (1 + max |geometry|); here it
         # lies below the non-round circle's own mode amplitudes
+        monkeypatch.setattr(df.flow, "STABILITY_FACTOR", 1e-3)
         req = RunRequest(family=_VaryingFamily(), horizon=0.01, dt=1e-3, k=1, resolution=32, hermite_order=6,
-                         modes=8, track_scalars=False, stability_factor=1e-3)
+                         modes=8, track_scalars=False)
         with pytest.raises(StabilityError, match="^circle mode energy"):
             df.run_flow(req)
 
@@ -68,22 +70,31 @@ class TestSingleStep:
             df.run_flow(req)
 
 
-class TestFlowState:
+class TestOutputRecord:
     def test_phi_vanishes_on_shrinker(self):
-        st = _state(df.scaled_gaussian_family(1.0, 1))
-        assert float(np.max(np.abs(st.phi[0]))) == 0.0
+        phi = soliton_defect_profiles(_manifold(df.scaled_gaussian_family(1.0, 1)))
+        assert float(np.max(np.abs(phi[0]))) == 0.0
 
     def test_two_phi_equals_metric_velocity(self):
         # g_t = u'(t) = u - 1 on the rescaled Gaussian; phi = (u - 1)/2
         fam = df.scaled_gaussian_family(2.0, 1)
         for t in (0.0, 0.4):
-            st = _state(fam, t)
+            phi = soliton_defect_profiles(_manifold(fam, t))
             u = fam.scale_at(t)
-            np.testing.assert_allclose(2.0 * st.phi[0], u - 1.0, rtol=1e-14)
+            np.testing.assert_allclose(2.0 * phi[0], u - 1.0, rtol=1e-14)
 
-    def test_volume_field(self):
-        st = _state(df.round_circle_family(1.0))
-        assert st.volume == pytest.approx(2.0 * math.pi, rel=1e-13)
+    def test_volumes_are_the_outputs_weighted_volumes(self):
+        req = RunRequest(family=df.round_circle_family(1.0), horizon=0.02, cadence=10, k=1, track_scalars=False)
+        traj = df.run_flow(req)
+        assert traj.volumes.tolist() == [dm.weighted_volume() for dm in traj.manifolds]
+        np.testing.assert_allclose(traj.volumes, 2.0 * math.pi, rtol=1e-13)
+
+    def test_the_trajectory_is_frozen(self):
+        req = RunRequest(family=df.round_circle_family(1.0), horizon=0.002, cadence=1, k=1, track_scalars=False)
+        traj = df.run_flow(req)
+        assert np.all(np.isnan(traj.residual_ij))  # no scalars: the column is NaN from the start
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.residual_ij = np.zeros(len(traj.times))
 
 
 class TestRunFlow:
@@ -133,7 +144,7 @@ class TestRunFlow:
         traj = df.run_flow(req)
         assert len(calls) == len(traj.times) == 5
         # the reused initial solve is the one output 0's own manifold gives
-        again = solve(df.assemble_forms(traj.states[0].manifold), 2)
+        again = solve(df.assemble_forms(traj.manifolds[0]), 2)
         np.testing.assert_array_equal(traj.spectra[0].eigenvalues, again.eigenvalues)
         np.testing.assert_array_equal(traj.spectra[0].residuals, again.residuals)
         for u, v in zip(traj.spectra[0].eigenfunctions, again.eigenfunctions):
@@ -188,24 +199,24 @@ def static_traj():
 def _evolved(traj, u0):
     """(manifold, u) per output of the scalar u0 carried by u_t = L u + u/2
     through the run's own Galerkin integration (``_run_loop``)."""
-    return [(dm, s[0]) for _, dm, s in _run_loop(traj.request, traj.states[0].manifold, u0[None])]
+    return [(dm, s[0]) for _, dm, s in _run_loop(traj.request, traj.manifolds[0], u0[None])]
 
 
 class TestEvolveScalar:
     def test_eigenfunction_at_half_is_stationary(self, static_traj):
-        x = static_traj.states[0].manifold.axes[0].nodes.copy()
+        x = static_traj.manifolds[0].axes[0].nodes.copy()
         _, u = _evolved(static_traj, x)[-1]
         assert float(np.max(np.abs(u - x))) < 1e-12
 
     def test_constant_grows_at_half_rate(self, static_traj):
-        ones = np.ones(static_traj.states[0].manifold.shape)
+        ones = np.ones(static_traj.manifolds[0].shape)
         _, u = _evolved(static_traj, ones)[-1]
         np.testing.assert_allclose(u, math.exp(0.1), rtol=1e-10)
 
     def test_mean_zero_preserved(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.3, dt=1e-3, cadence=30, k=1)
         traj = df.run_flow(req)
-        u0 = np.sin(traj.states[0].manifold.axes[0].nodes)
+        u0 = np.sin(traj.manifolds[0].axes[0].nodes)
         means = [dm.integrate(u) for dm, u in _evolved(traj, u0)]
         assert float(np.max(np.abs(means))) < 1e-9
 
@@ -224,7 +235,7 @@ class TestFunctionalResiduals:
     def test_circle_run_identities(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.1, dt=1e-3, cadence=1, k=2)
         traj = df.run_flow(req)
-        rep = df.functional_residuals(traj)
+        rep = df.functional_residuals(traj.series)
         assert rep.max_rel_J < 1e-12
         assert rep.max_rel_I < 1e-12
         assert rep.energy_violation <= 1e-8 * rep.energy_scale
@@ -242,7 +253,7 @@ class TestFunctionalResiduals:
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.0, k=2)
         traj = df.run_flow(req)
         assert len(traj.times) == 1
-        rep = df.functional_residuals(traj)
+        rep = df.functional_residuals(traj.series)
         assert rep.energy_violation == 0.0 and rep.max_rel_J < 1e-12
         assert np.all(np.isfinite(traj.residual_ij)) and np.all(np.isfinite(traj.residual_commutator))
 
@@ -251,7 +262,7 @@ class TestFunctionalResiduals:
                          k=1, track_scalars=False)
         traj = df.run_flow(req)
         with pytest.raises(UsageError):
-            df.functional_residuals(traj)
+            df.functional_residuals(traj.series)
 
 
 def _gram(dm, fields):
@@ -272,7 +283,8 @@ class TestGramSchmidtFrame:
         req = RunRequest(family=df.scaled_gaussian_family(1.0, 1), horizon=5e-3, dt=1e-3, cadence=1, k=1)
         traj = df.run_flow(req)
         J, dJ = traj.series["J"][:, 0, 0], traj.series["dJ"][:, 0, 0]
-        np.testing.assert_allclose(traj.mixing[:, 0, 0], J**-0.5, rtol=1e-14, atol=0)
+        mixing = np.stack([df.gram_schmidt_frame(gram) for gram in traj.series["J"]])
+        np.testing.assert_allclose(mixing[:, 0, 0], J**-0.5, rtol=1e-14, atol=0)
         assert np.max(np.abs(dJ)) < 1e-12
 
     def test_moving_diagonal_rate(self):
@@ -282,7 +294,8 @@ class TestGramSchmidtFrame:
         J, dJ = traj.series["J"][:, 0, 0], traj.series["dJ"][:, 0, 0]
         rate = -0.5 * dJ * J**-1.5
         assert abs(rate[0] - (-0.25)) < 1e-12
-        central = (traj.mixing[2:, 0, 0] - traj.mixing[:-2, 0, 0]) / 2e-3
+        mixing = np.stack([df.gram_schmidt_frame(gram) for gram in traj.series["J"]])
+        central = (mixing[2:, 0, 0] - mixing[:-2, 0, 0]) / 2e-3
         np.testing.assert_allclose(central, rate[1:-1], rtol=1e-6, atol=0)
 
     def test_mixing_is_exactly_lower_triangular(self):
@@ -306,30 +319,30 @@ class TestCommutatorResidual:
         req = RunRequest(family=df.scaled_gaussian_family(1.0, 1), horizon=0.02, dt=1e-3,
                          cadence=1, k=1, track_scalars=False)
         traj = df.run_flow(req)
-        x = traj.states[0].manifold.axes[0].nodes.copy()
-        assert df.commutator_residual(x, traj, [len(traj.times) // 2])[0] < 1e-12
+        x = traj.manifolds[0].axes[0].nodes.copy()
+        assert df.commutator_residual(x, traj.manifolds, [len(traj.times) // 2])[0] < 1e-12
 
     def test_constant_field(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.02, dt=1e-3, cadence=1,
                          k=1, track_scalars=False)
         traj = df.run_flow(req)
-        assert df.commutator_residual(np.ones(traj.states[0].manifold.shape), traj, [1])[0] < 1e-14
+        assert df.commutator_residual(np.ones(traj.manifolds[0].shape), traj.manifolds, [1])[0] < 1e-14
 
     def test_circle_cosine(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.05, dt=1e-3, cadence=1,
                          k=1, track_scalars=False)
         traj = df.run_flow(req)
-        u = np.cos(traj.states[0].manifold.axes[0].nodes)
-        assert df.commutator_residual(u, traj, [len(traj.times) // 2])[0] < 1e-12
+        u = np.cos(traj.manifolds[0].axes[0].nodes)
+        assert df.commutator_residual(u, traj.manifolds, [len(traj.times) // 2])[0] < 1e-12
 
     def test_indices_must_name_outputs(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.02, dt=1e-3, cadence=1,
                          k=1, track_scalars=False)
         traj = df.run_flow(req)
-        ones = np.ones(traj.states[0].manifold.shape)
+        ones = np.ones(traj.manifolds[0].shape)
         for indices in ([-1], [1, len(traj.times)]):
             with pytest.raises(UsageError):
-                df.commutator_residual(ones, traj, indices)
+                df.commutator_residual(ones, traj.manifolds, indices)
 
     @pytest.mark.parametrize("horizon", [0.006, 0.005])
     def test_run_series_at_every_output(self, horizon):
@@ -339,7 +352,7 @@ class TestCommutatorResidual:
                          k=1, track_scalars=False)
         traj = df.run_flow(req)
         probe = traj.spectra[0].eigenfunctions[1]
-        got = [df.commutator_residual(probe, traj, [m])[0] for m in range(len(traj.times))]
+        got = [df.commutator_residual(probe, traj.manifolds, [m])[0] for m in range(len(traj.times))]
         assert np.array_equal(got, traj.residual_commutator)
         assert np.max(traj.residual_commutator) < 1e-12
 
@@ -353,8 +366,10 @@ def _round_product(resolution=64, order=12):
 def _wavy_product(resolution=64, order=12):
     """A hand-made non-round circle x Gaussian line, circle first, with a
     constant in the weight: no family reaches it."""
-    circle = CircleModel(a=lambda th: 4.0 + 0.3 * np.cos(th), f=lambda th: 0.2 * np.sin(th) + 0.1 * np.cos(2 * th))
-    state = ContinuumState(t=0.0, factors=(circle, GaussianLineModel(1.3)), f_constant=0.7)
+    circle = CircleModel(
+        a=lambda th: 4.0 + 0.3 * np.cos(th), f=lambda th: 0.2 * np.sin(th) + 0.1 * np.cos(2 * th) + 0.7
+    )
+    state = ContinuumState(t=0.0, factors=(circle, GaussianLineModel(1.3)))
     return df.discretize(state, resolution=resolution, hermite_order=order)
 
 
@@ -453,7 +468,7 @@ class TestScalarPairings:
         probe = traj.spectra[0].eigenfunctions[1]
         indices = range(1, len(traj.times) - 1)
         seen = _count_derivatives(monkeypatch)
-        got = df.commutator_residual(probe, traj, indices)
+        got = df.commutator_residual(probe, traj.manifolds, indices)
         assert np.array_equal(got, traj.residual_commutator[1:-1])
         d = 2
         on_probe = [arr for arr in seen if arr.shape == probe.shape and np.array_equal(arr, probe)]
@@ -478,11 +493,6 @@ class TestScalarPairings:
             assert peak < 8 * dm.size * 16 * (k + 1)
 
 
-def _single_output(dm):
-    """A stand-in trajectory of one output on ``dm``: what the commutator reads."""
-    return types.SimpleNamespace(times=np.array([dm.t]), states=[FlowState.from_manifold(dm)])
-
-
 def _moved(dm, phi, eps):
     """``dm`` moved by ``eps`` along its own rates: a + eps a_t and f + eps f_t
     on a circle, u + eps u_t on a Gaussian line, with a_t = 2 phi."""
@@ -491,7 +501,7 @@ def _moved(dm, phi, eps):
         else driftflow.axes.HermiteLineAxis(ax.size, ax.scale + eps * 2.0 * p[0])
         for ax, p in zip(dm.axes, phi)
     ]
-    return df.DiscreteWeightedManifold(axes, dm.f_constant, dm.t)
+    return df.DiscreteWeightedManifold(axes, t=dm.t)
 
 
 class TestExactRates:
@@ -500,28 +510,28 @@ class TestExactRates:
     @pytest.mark.parametrize("make", [_wavy_product, _round_product])
     def test_rates_of_L_match_a_central_difference_of_L(self, make):
         dm = make()
-        st = FlowState.from_manifold(dm)
+        phi = soliton_defect_profiles(dm)
         u = _smooth_fields(dm, 1)[0]
         du, d2u = partials(dm, u), [ax.d2(u, i) for i, ax in enumerate(dm.axes)]
         exact = 0.0
         for i, ax in enumerate(dm.axes):
-            c1, c2 = df.flow._laplacian_rates(ax, st.phi[i])
+            c1, c2 = df.flow._laplacian_rates(ax, phi[i])
             exact = exact + dm.axis_profile(i, c1) * d2u[i] + dm.axis_profile(i, c2) * du[i]
         eps = 1e-5
-        plus, minus = (df.drift_laplacian(_moved(dm, st.phi, h), u) for h in (eps, -eps))
+        plus, minus = (df.drift_laplacian(_moved(dm, phi, h), u) for h in (eps, -eps))
         central = (plus - minus) / (2.0 * eps)
         assert np.max(np.abs(central - exact)) < 1e-7 * np.max(np.abs(exact))
 
     def test_commutator_on_a_non_round_circle(self):
         dm = _wavy_product()
         u = _smooth_fields(dm, 1)[0]
-        assert df.commutator_residual(u, _single_output(dm), [0])[0] < 1e-10
+        assert df.commutator_residual(u, [dm], [0])[0] < 1e-10
 
     def test_a_wrong_weight_rate_fails_the_commutator(self, monkeypatch):
         dm = _wavy_product()
         u = _smooth_fields(dm, 1)[0]
         monkeypatch.setattr(df.flow, "_weight_rate", lambda ax: 0.5 + ax.hess_f / ax.a)  # the sign of Hess f flipped
-        got = df.commutator_residual(u, _single_output(dm), [0])[0]
+        got = df.commutator_residual(u, [dm], [0])[0]
         assert got > acceptance.VERIFY_TOLERANCES["commutator_rel"]
         assert not check_commutator(types.SimpleNamespace(residual_commutator=np.array([got])))[0].passed
 
@@ -537,8 +547,8 @@ class TestExactRates:
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.05, k=2)
         traj = df.run_flow(req)
         assert all(c.passed for c in check_functionals(traj))
-        traj.series["D"] = traj.series["D"] * (1.0 + 1e-3)
-        records = {c.name: c for c in check_functionals(traj)}
+        scaled = dataclasses.replace(traj, series={**traj.series, "D": traj.series["D"] * (1.0 + 1e-3)})
+        records = {c.name: c for c in check_functionals(scaled)}
         assert not records["rel J'"].passed and records["rel J'"].value > 1e-3
 
 
@@ -583,18 +593,18 @@ class TestConstantRowsSkipTheRoundTrip:
                          track_scalars=False)
         traj = df.run_flow(req)
         assert traj.times[-1] == pytest.approx(0.05)
-        for st in traj.states:
-            ax = st.manifold.axes[0]
+        for dm in traj.manifolds:
+            ax = dm.axes[0]
             assert np.ptp(ax.a) == 0.0 and np.ptp(ax.f) == 0.0
-        np.testing.assert_allclose([st.manifold.axes[0].a[0] for st in traj.states], 0.25 * np.exp(traj.times),
+        np.testing.assert_allclose([dm.axes[0].a[0] for dm in traj.manifolds], 0.25 * np.exp(traj.times),
                                    rtol=1e-12)
 
     def test_below_nyquist_at_100_nodes_a_stays_exactly_constant(self):
         # modes 40 < 50 = n // 2: every stage takes the lowpass of its rows
         req = RunRequest(family=df.round_circle_family(1.3), horizon=0.05, resolution=100, modes=40, k=2,
                          track_scalars=False)
-        for st in df.run_flow(req).states:
-            assert np.ptp(st.manifold.axes[0].a) == 0.0 and np.ptp(st.manifold.axes[0].f) == 0.0
+        for dm in df.run_flow(req).manifolds:
+            assert np.ptp(dm.axes[0].a) == 0.0 and np.ptp(dm.axes[0].f) == 0.0
         # on full rows the stage formulas of constant rows are exactly (c, 1/2),
         # which the round circle's two numbers take as their rates
         for c in np.random.default_rng(100).uniform(0.1, 10.0, 20):
@@ -610,9 +620,9 @@ class TestConstantRowsSkipTheRoundTrip:
         # its construction, hess_f, phi and the commutator rates: every row they differentiate is constant
         seen, spectral = [], driftflow.axes._spectral
         monkeypatch.setattr(driftflow.axes, "_spectral", lambda symbol, values: seen.append(values) or spectral(symbol, values))
-        st = _state(df.round_circle_family(0.7, f0=0.3), 0.2, resolution=n)
-        ax = st.manifold.axes[0]
-        c1, c2 = df.flow._laplacian_rates(ax, st.phi[0])
+        dm = _manifold(df.round_circle_family(0.7, f0=0.3), 0.2, resolution=n)
+        ax = dm.axes[0]
+        c1, c2 = df.flow._laplacian_rates(ax, soliton_defect_profiles(dm)[0])
         assert seen == []
         assert np.array_equal(ax.fprime, np.zeros(n)) and np.array_equal(ax.hess_f, np.zeros(n))
         assert np.array_equal(c2, np.zeros(n)) and np.ptp(c1) == 0.0
@@ -675,10 +685,10 @@ class TestFlatState:
         fam = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)])
         req = RunRequest(family=fam, horizon=0.01, dt=0.01, cadence=1, k=1, track_scalars=False)
         traj = df.run_flow(req)
-        dm0 = traj.states[0].manifold
+        dm0 = traj.manifolds[0]
         layout = _Layout.of(dm0)
         stepped = _settler(layout, req.modes)(_rk4(_flow_rhs(layout, req.modes), 0.0, layout.pack(dm0), 0.01)[0])
-        ran = traj.states[-1].manifold
+        ran = traj.manifolds[-1]
         assert ran.t == 0.01
         assert np.array_equal(layout.pack(ran), stepped)
 
@@ -720,7 +730,7 @@ def _full_row_layout(dm, count=0):
         axes.append((kind, offset, n))
         offset += 2 * n if kind == "circle" else 1
     circles = tuple((off, n) for kind, off, n in axes if kind == "circle")
-    return _Layout(tuple(axes), offset, dm.shape, dm.f_constant, circles, compact.diagonal, compact.stepped)
+    return _Layout(tuple(axes), offset, dm.shape, circles, compact.diagonal, compact.stepped)
 
 
 def _settler(layout, modes):
@@ -815,7 +825,7 @@ class TestStepPairs:
             hermite_order=6, modes=8,
         )
         traj = df.run_flow(req)
-        dm0 = traj.states[0].manifold
+        dm0 = traj.manifolds[0]
         v0 = traj.scalar_values[0]
         layout = _Layout.of(dm0, len(v0))
         rhs = _flow_rhs(layout, 8)
@@ -826,7 +836,7 @@ class TestStepPairs:
         assert len(traj.times) == len(out_steps)
         for m, step in enumerate(out_steps):
             z = vectors[step]
-            assert np.array_equal(layout.pack(traj.states[m].manifold), z[: layout.width])
+            assert np.array_equal(layout.pack(traj.manifolds[m]), z[: layout.width])
             v = z[layout.start :].reshape(v0.shape)
             assert np.array_equal(traj.scalar_values[m], _factor(layout, v, z[layout.width : layout.start], step * dt))
 
@@ -949,9 +959,9 @@ class TestIntegratingFactor:
         ]
         with_scalars, without = runs
         assert with_scalars.scalar_values is not None and without.scalar_values is None
-        for m, (a, b) in enumerate(zip(with_scalars.states, without.states)):
-            layout = _Layout.of(a.manifold)
-            assert np.array_equal(layout.pack(a.manifold), layout.pack(b.manifold))
+        for m, (a, b) in enumerate(zip(with_scalars.manifolds, without.manifolds)):
+            layout = _Layout.of(a)
+            assert np.array_equal(layout.pack(a), layout.pack(b))
             assert np.array_equal(with_scalars.spectra[m].eigenvalues, without.spectra[m].eigenvalues)
         for name in ("times", "volumes", "bounds", "residual_commutator"):
             assert np.array_equal(getattr(with_scalars, name), getattr(without, name), equal_nan=True), name

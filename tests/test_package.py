@@ -3,6 +3,7 @@ package re-exports exactly what its modules declare public."""
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -37,6 +38,17 @@ REMOVED = (
     "FunctionalResidualReport.quotient_excess",
     "QuadraticForms.J",
     "QuadraticForms.D",
+    # A run's record holds each output's manifold; no code read the wrapper, the start time or the mixing.
+    "FlowState",
+    "FlowTrajectory.states",
+    "FlowTrajectory.t0",
+    "FlowTrajectory.mixing",
+    # Safeguard settings that no config set are module constants of flow.
+    "RunRequest.noise_floor",
+    "RunRequest.stability_factor",
+    # No family, key or criterion set an additive weight constant.
+    "QuadraticForms.scale",
+    "ContinuumState.f_constant",
 )
 
 
@@ -57,6 +69,19 @@ def test_package_imports_only_public_names():
             if public is not None:
                 private += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in public]
     assert private == []
+
+
+def test_every_traced_benchmark_span_resolves():
+    # the benchmark's traced mode wraps each (module, attribute) of TRACED by name
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{attr}" for module, attr in spans.TRACED
+        if not callable(getattr(importlib.import_module(f"driftflow.{module}"), attr, None))
+    ]
+    assert spans.TRACED and missing == []
 
 
 @pytest.mark.parametrize("name", REMOVED)

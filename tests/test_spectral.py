@@ -71,8 +71,8 @@ class TestForms:
         elif grid == "gauss12^3":
             dm = df.discretize(df.evaluate_family(df.scaled_gaussian_family(0.75, 3), 0.0), hermite_order=12)
         else:
-            circle = CircleModel(a=lambda th: 1.5 + 0.3 * np.cos(th), f=lambda th: 0.4 * np.sin(2 * th))
-            dm = df.discretize(ContinuumState(t=0.0, factors=(circle,), f_constant=0.7), resolution=64)
+            circle = CircleModel(a=lambda th: 1.5 + 0.3 * np.cos(th), f=lambda th: 0.4 * np.sin(2 * th) + 0.7)
+            dm = df.discretize(ContinuumState(t=0.0, factors=(circle,)), resolution=64)
         forms = df.assemble_forms(dm)
         u = np.random.default_rng(5).standard_normal((2, *dm.shape))
         dense = dense_stiffness(forms)
@@ -249,9 +249,8 @@ def _reference_eigenpairs(forms, k):
         field = np.ones(dm.shape)
         for i, (_, vecs) in enumerate(per_axis):
             field = field * dm.axis_profile(i, vecs[:, tuples[idx, i]])
-        field = field * math.exp(dm.f_constant / 2.0)
         fields[row] = -field if field.flat[np.argmax(np.abs(field))] < 0 else field
-    mass_diag = functools.reduce(np.kron, forms.axis_masses) * forms.scale
+    mass_diag = functools.reduce(np.kron, forms.axis_masses)
     ku = forms.apply_stiffness(fields).reshape(k + 1, -1)
     mu = mass_diag * fields.reshape(k + 1, -1)
     res = ku - eigenvalues[:, None] * mu
@@ -259,8 +258,8 @@ def _reference_eigenpairs(forms, k):
     return eigenvalues, fields, np.linalg.norm(res, axis=1) / scale, mass_diag
 
 
-def _product(*factors, f_constant=0.0, resolution=64, hermite_order=12):
-    state = ContinuumState(t=0.0, factors=factors, f_constant=f_constant)
+def _product(*factors, resolution=64, hermite_order=12):
+    state = ContinuumState(t=0.0, factors=factors)
     return discretize(state, resolution=resolution, hermite_order=hermite_order)
 
 
@@ -270,7 +269,7 @@ class TestCachedSpectralTables:
         [
             ("round circle", 9),
             ("non-round circle", 5),
-            ("gaussian x circle, f_constant 0.7", 7),
+            ("gaussian x circle, f 0.95", 7),
             ("gaussian n=3", 6),
             ("gaussian x 8-node circle", 12),  # the circle has fewer nodes than pairs
         ],
@@ -279,12 +278,12 @@ class TestCachedSpectralTables:
         dm = {
             "round circle": lambda: df.weighted_circle(64, a=2.5, f=0.3),
             "non-round circle": lambda: df.weighted_circle(48, a=lambda th: 1.0 + 0.3 * np.cos(th)),
-            "gaussian x circle, f_constant 0.7": lambda: _product(
-                GaussianLineModel(1.7), CircleModel(a=0.8, f=0.25), f_constant=0.7, resolution=32, hermite_order=10
+            "gaussian x circle, f 0.95": lambda: _product(
+                GaussianLineModel(1.7), CircleModel(a=0.8, f=0.95), resolution=32, hermite_order=10
             ),
             "gaussian n=3": lambda: _product(*[GaussianLineModel(0.6)] * 3, hermite_order=8),
             "gaussian x 8-node circle": lambda: _product(
-                GaussianLineModel(1.0), CircleModel(a=3.0, f=0.2), f_constant=-0.4, resolution=8, hermite_order=6
+                GaussianLineModel(1.0), CircleModel(a=3.0, f=-0.2), resolution=8, hermite_order=6
             ),
         }[grid]()
         forms = df.assemble_forms(dm)

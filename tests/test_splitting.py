@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -39,7 +40,7 @@ class TestDetection:
         assert product_cert.factor_eq_residuals["check2"] < 1e-9
 
     def test_direction_is_the_gaussian_coordinate(self, product_cert, product_traj):
-        dm = product_traj.states[0].manifold
+        dm = product_traj.manifolds[0]
         x = dm.axis_profile(0, dm.axes[0].nodes)
         u = product_cert.directions[0]
         sign = math.copysign(1.0, float(np.sum(u * x)))
@@ -78,6 +79,10 @@ class TestDetection:
         assert not check.passed
         assert check.margin == pytest.approx(out.lambda_1_t1 - (0.5 - WINDOW))
 
+    def test_certificate_is_frozen(self, product_cert):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            product_cert.weight_residual = 0.0
+
     def test_window_ordering_checked(self, product_traj):
         with pytest.raises(UsageError):
             df.detect_splitting(product_traj, product_traj.times[-1], product_traj.times[0], WINDOW)
@@ -85,43 +90,22 @@ class TestDetection:
 
 class TestCertificateResiduals:
     def test_recompute_matches_stored(self, product_cert, product_traj):
-        res = df.certificate_residuals(product_cert, product_traj.states[0])
+        res = df.certificate_residuals(product_cert.directions, product_traj.manifolds[0])
         assert float(np.max(res["hessian_energies"])) < 1e-9
         assert res["weight_residual"] < 1e-9
 
-    def test_bad_direction_has_large_hessian_energy(self, product_cert, product_traj):
-        state = product_traj.states[0]
-        dm = state.manifold
+    def test_bad_direction_has_large_hessian_energy(self, product_traj):
+        dm = product_traj.manifolds[0]
         theta = dm.axis_profile(1, dm.axes[1].nodes)
-        bad = dict(
-            product_cert.__dict__,
-            directions=[np.cos(theta)],
-            k=1,
-        )
-        bad_cert = df.SplittingCertificate(**bad)
-        res = df.certificate_residuals(bad_cert, state)
+        res = df.certificate_residuals([np.cos(theta)], dm)
         # |Hess cos|^2 = a^{-2} cos^2 on the circle factor, integrated with
         # sqrt(a) = 1/2 against the gaussian volume 2 sqrt(pi)
         expected = 16.0 * math.pi * 0.5 * 2.0 * math.sqrt(math.pi)
         assert res["hessian_energies"][0] == pytest.approx(expected, rel=1e-10)
         assert res["hessian_energies"][0] > acceptance.splitting_tolerances("galerkin")["hessian_energy"]
 
-    def test_empty_certificate_trivially_valid(self, product_cert, product_traj):
-        empty = df.SplittingCertificate(
-            k=0,
-            directions=[],
-            hessian_energies=np.zeros(0),
-            gradient_gram_mean=0.0,
-            gradient_gram_deviation=0.0,
-            gradient_norm_deviation=0.0,
-            weight_residual=0.0,
-            metric_residual=0.0,
-            factor_eq_residuals={"check1": 0.0, "check2": 0.0},
-            eigenvalue_window_deviation=0.0,
-            lambda_cluster_t0=0.5,
-            lambda_1_t1=0.5,
-        )
-        res = df.certificate_residuals(empty, product_traj.states[0])
+    def test_no_directions_are_trivially_valid(self, product_traj):
+        res = df.certificate_residuals([], product_traj.manifolds[0])
         assert res["weight_residual"] == 0.0
         assert res["check1"] == 0.0
 
@@ -139,7 +123,7 @@ class TestStationarityOfDirections:
     def test_direction_field_barely_moves(self, product_cert, product_traj):
         u0 = product_cert.directions[0]
         # u0 carried by u_t = L u + u/2 through the run's own Galerkin integration
-        _, dm_last, u_last = _run_loop(product_traj.request, product_traj.states[0].manifold, u0[None])[-1]
+        _, dm_last, u_last = _run_loop(product_traj.request, product_traj.manifolds[0], u0[None])[-1]
         diff = u_last[0] - u0
         change = math.sqrt(dm_last.integrate(diff * diff))
         assert change < 1e-8
