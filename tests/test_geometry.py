@@ -154,6 +154,15 @@ class TestDiscretize:
         assert errors[8] < 1e-3
         assert errors[16] < 1e-12  # far beyond any algebraic rate
 
+    def test_hermite_axis_differentiates_the_gaussian_weight(self):
+        # f = x^2/4 + (1/2) log u has f' = x/2 and Hess f = 1/2.  The nodal
+        # derivative matrices lose digits as the order grows: at the default
+        # order 12 the defects read at most 2.2e-12 (d1) and 3.7e-12 (d2).
+        for u0 in (0.7, 1.0, 2.0):
+            ax = df.discretize(df.evaluate_family(df.scaled_gaussian_family(u0, 1), 0.1)).axes[0]
+            assert float(np.max(np.abs(ax.d1(ax.f, 0) - ax.nodes / 2.0))) < 1e-11
+            assert float(np.max(np.abs(ax.d2(ax.f, 0) - 0.5))) < 1e-11
+
     def test_axis_profile_is_a_read_only_view(self):
         # a Hermite axis's a and Gamma are floats: their profile is a
         # broadcast of the float, with no grid-sized allocation
@@ -167,47 +176,90 @@ class TestDiscretize:
         assert dm.axis_profile(0, gauss.a).strides == (0, 0)
 
 
-def _flow_equation_residual(family, t: float, resolution: int = 64, hermite_order: int = 8) -> dict:
+def _closed_form_rates(family, t: float) -> list:
+    """Exact (metric, weight) rates of each axis at t, from the family's own parameters.
+
+    A round circle a0 e^{t - t0} with weight f0 + (t - t0)/2 has
+    a' = a0 e^{t - t0} and f' = 1/2.  A Gaussian line with multiplier
+    u = 1 + (u0 - 1) e^{t - t0} has u' = (u0 - 1) e^{t - t0}, and its weight
+    x^2/4 + (1/2) log u has f' = u' / (2u).
+    """
+    rates = []
+    for fam in getattr(family, "factors", (family,)):
+        grow = math.exp(t - fam.t0)
+        if isinstance(fam, df.geometry.RoundCircleFamily):
+            rates.append((fam.a0 * grow, 0.5))
+        else:
+            u_rate = (fam.u0 - 1.0) * grow
+            rates += [(u_rate, 0.5 * u_rate / (1.0 + u_rate))] * fam.n
+    return rates
+
+
+def _sampled_metric(ax):
+    return ax.a if ax.kind == "circle" else ax.scale
+
+
+def _flow_equation_residual(family, t: float, resolution: int = 64) -> dict:
     """Sup-norm defect of the flow equations for a closed-form family at t.
 
-    The families' exact rates are compared against the right-hand sides
-    a - 2 Hess f and 1/2 - Hess f / a (Ric = S = 0), with Hess f taken from
-    the sampled weight by the axis's own derivatives.  A round circle has
-    a' = a and f' = 1/2.  A Gaussian line with multiplier u has u' = u - 1,
-    and its weight x^2/4 + (1/2) log u has f' = 1/2 - 1/(2u).  Hermite
-    differentiation loses digits as the order grows; at order 8 the defects
-    are below 4e-13.
+    The family's closed-form rates are compared against the right-hand sides
+    a - 2 Hess f and 1/2 - Hess f / a (Ric = S = 0) of its sampled state.  A
+    circle's Hess f comes from its own derivatives; a Gaussian line's weight
+    has Hess f = 1/2 (its sampled Hessian is checked in ``TestDiscretize``).
     """
-    dm = df.discretize(df.evaluate_family(family, t), resolution=resolution, hermite_order=hermite_order)
+    dm = df.discretize(df.evaluate_family(family, t), resolution=resolution)
     metric_res = 0.0
     weight_res = 0.0
-    for ax in dm.axes:
-        if ax.kind == "circle":
-            hess_f, a_rate, f_rate = ax.hess_f, ax.a, 0.5
-        else:  # Gamma = 0 on a Gaussian line
-            hess_f, a_rate, f_rate = ax.d2(ax.f, 0), ax.scale - 1.0, 0.5 - 0.5 / ax.scale
-        metric_res = max(metric_res, float(np.max(np.abs(a_rate - (ax.a - 2.0 * hess_f)))))
-        weight_res = max(weight_res, float(np.max(np.abs(f_rate - (0.5 - hess_f / ax.a)))))
+    for ax, (a_rate, f_rate) in zip(dm.axes, _closed_form_rates(family, t), strict=True):
+        hess_f = ax.hess_f if ax.kind == "circle" else 0.5
+        a = _sampled_metric(ax)
+        metric_res = max(metric_res, float(np.max(np.abs(a_rate - (a - 2.0 * hess_f)))))
+        weight_res = max(weight_res, float(np.max(np.abs(f_rate - (0.5 - hess_f / a)))))
     return {"metric": metric_res, "weight": weight_res}
 
 
+def _time_difference_defect(family, t: float, dt: float, resolution: int = 64) -> float:
+    """Sup-norm gap between the closed-form rates at t and central time
+    differences of the sampled (a, f); O(dt^2) when the family evaluates the
+    closed form whose rates ``_closed_form_rates`` gives."""
+    dms = [df.discretize(df.evaluate_family(family, t + s), resolution=resolution) for s in (-dt, dt)]
+    defect = 0.0
+    for i, (a_rate, f_rate) in enumerate(_closed_form_rates(family, t)):
+        before, after = dms[0].axes[i], dms[1].axes[i]
+        a_dot = (_sampled_metric(after) - _sampled_metric(before)) / (2.0 * dt)
+        f_dot = (after.f - before.f) / (2.0 * dt)
+        defect = max(defect, float(np.max(np.abs(a_dot - a_rate))), float(np.max(np.abs(f_dot - f_rate))))
+    return defect
+
+
+_FAMILIES = [
+    df.scaled_gaussian_family(2.0, 1),
+    df.scaled_gaussian_family(0.7, 1),
+    df.round_circle_family(1.5),
+    df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(1.0)]),
+]
+
+
 class TestFlowEquationResiduals:
-    @pytest.mark.parametrize(
-        "family",
-        [
-            df.scaled_gaussian_family(2.0, 1),
-            df.scaled_gaussian_family(0.7, 1),
-            df.round_circle_family(1.5),
-            df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(1.0)]),
-        ],
-    )
+    @pytest.mark.parametrize("family", _FAMILIES)
     def test_families_solve_the_flow_to_round_off(self, family):
         for t in (0.0, 0.1, 0.2):
             res = _flow_equation_residual(family, t)
-            assert res["metric"] < 1e-12 and res["weight"] < 1e-12
+            assert res["metric"] < 1e-14 and res["weight"] < 1e-14
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_families_move_at_their_closed_form_rates(self, family):
+        # a family whose evaluate drifts from its closed form (a wrong
+        # exponent in a or u, a wrong slope in f) misses these rates by O(1)
+        coarse = _time_difference_defect(family, t=0.1, dt=1e-2)
+        fine = _time_difference_defect(family, t=0.1, dt=5e-3)
+        assert coarse < 1e-3
+        # halving dt divides an O(dt^2) defect by about 4, unless the defect
+        # already sits at the floating-point floor
+        assert fine < max(coarse / 3.0, 1e-13)
 
     def test_static_soliton_exact(self):
-        res = _flow_equation_residual(df.scaled_gaussian_family(1.0, 1), t=0.2)
-        assert res["metric"] < 1e-12
-        assert res["weight"] < 1e-12
-
+        # u0 = 1: the multiplier is exactly 1.0 at every t and every rate is 0
+        fam = df.scaled_gaussian_family(1.0, 1)
+        assert _flow_equation_residual(fam, t=0.2) == {"metric": 0.0, "weight": 0.0}
+        assert _time_difference_defect(fam, t=0.2, dt=1e-3) == 0.0
