@@ -50,15 +50,22 @@ def apply_deriv(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
     return np.dot(mat, diff.reshape(len(diff), -1)).reshape(diff.shape).transpose(inverse)
 
 
+def _read_only(ops: dict) -> dict:
+    """Mark every array of a cached table non-writeable: a process shares it."""
+    for arr in ops.values():
+        arr.flags.writeable = False
+    return ops
+
+
 # --------------------------------------------------------------------------
 # Fourier machinery (cached per grid size)
 # --------------------------------------------------------------------------
 
-_FOURIER_CACHE: dict[int, dict[str, np.ndarray]] = {}
 
-
+@functools.cache
 def _fourier_ops(n: int) -> dict[str, np.ndarray]:
-    """rfft-domain symbols of an n-point uniform periodic grid, modes 0..n//2.
+    """rfft-domain symbols of an n-point uniform periodic grid, modes 0..n//2;
+    read-only, cached per grid.
 
     ``ik``/``k2``: first/second derivative at the nodes (Nyquist killed in the
     first, kept in the second, the usual collocation convention).
@@ -67,25 +74,21 @@ def _fourier_ops(n: int) -> dict[str, np.ndarray]:
     stiffness built from it has a simple kernel (constants only) even for
     even n.  ``stag``: interpolation to the half-shifted nodes.
     """
-    ops = _FOURIER_CACHE.get(n)
-    if ops is None:
-        k = np.fft.rfftfreq(n, d=1.0 / n)
-        shift = np.exp(1j * k * math.pi / n)
-        ik = 1j * k
-        if n % 2 == 0:
-            ik[-1] = 0.0  # odd derivative of the Nyquist mode vanishes at nodes
-        ops = _FOURIER_CACHE[n] = {"ik": ik, "k2": -(k**2), "ik_stag": 1j * k * shift, "stag": shift}
-    return ops
+    k = np.fft.rfftfreq(n, d=1.0 / n)
+    shift = np.exp(1j * k * math.pi / n)
+    ik = 1j * k
+    if n % 2 == 0:
+        ik[-1] = 0.0  # odd derivative of the Nyquist mode vanishes at nodes
+    return _read_only({"ik": ik, "k2": -(k**2), "ik_stag": 1j * k * shift, "stag": shift})
 
 
+@functools.cache
 def _fourier_dense(n: int) -> dict[str, np.ndarray]:
-    """The symbols plus dense ``d1``/``d2``: on a batch of fields over a small
-    grid one matrix product beats a forward and inverse FFT."""
+    """Dense ``d1``/``d2`` of an n-point grid, built on first use; read-only,
+    cached per grid.  On a batch of fields over a small grid one matrix
+    product beats a forward and inverse FFT."""
     ops = _fourier_ops(n)
-    if "d1" not in ops:
-        ops["d1"] = _spectral(ops["ik"], np.eye(n))
-        ops["d2"] = _spectral(ops["k2"], np.eye(n))
-    return ops
+    return _read_only({"d1": _spectral(ops["ik"], np.eye(n)), "d2": _spectral(ops["k2"], np.eye(n))})
 
 
 def _spectral(symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -217,11 +220,11 @@ class CircleAxis:
 # Hermite machinery (cached per basis order)
 # --------------------------------------------------------------------------
 
-_HERMITE_CACHE: dict[int, dict[str, np.ndarray]] = {}
 
-
+@functools.cache
 def _hermite_ops(order: int) -> dict[str, np.ndarray]:
-    """Nodes, weights and basis operators for ``order`` Hermite modes.
+    """Nodes, weights and basis operators for ``order`` Hermite modes;
+    read-only, cached per order.
 
     The basis is p_k(x) = He_k(x / sqrt(2)), the eigenfunctions of
     u'' - (x/2) u' with eigenvalue -k/2; quadrature is Gauss-Hermite for the
@@ -230,9 +233,6 @@ def _hermite_ops(order: int) -> dict[str, np.ndarray]:
     quadrature exactness gives the inverse of the Vandermonde matrix as its
     weighted transpose; no ill-conditioned monomial solve is needed.
     """
-    ops = _HERMITE_CACHE.get(order)
-    if ops is not None:
-        return ops
     y, wy = hermite_e.hermegauss(order)
     nodes = math.sqrt(2.0) * y
     wdens = math.sqrt(2.0) * wy  # integrates q(x) e^{-x^2/4} dx exactly
@@ -249,10 +249,9 @@ def _hermite_ops(order: int) -> dict[str, np.ndarray]:
     d1 = vand @ shift @ vinv
     # The basis renormalized under the quadrature itself: the eigenvectors.
     eigvecs = vand / np.sqrt(np.sum(vand * vand * wdens[:, None], axis=0))
-    eigvecs.flags.writeable = False
-    ops = {"nodes": nodes, "wdens": wdens, "vand": vand, "vinv": vinv, "d1": d1, "d2": d1 @ d1, "eigvecs": eigvecs}
-    _HERMITE_CACHE[order] = ops
-    return ops
+    return _read_only(
+        {"nodes": nodes, "wdens": wdens, "vand": vand, "vinv": vinv, "d1": d1, "d2": d1 @ d1, "eigvecs": eigvecs}
+    )
 
 
 class HermiteLineAxis:
@@ -281,6 +280,7 @@ class HermiteLineAxis:
         self.a = scale
         self.f = self.nodes**2 / 4.0 + 0.5 * math.log(scale)
         self.fprime = self.nodes / 2.0
+        self.hess_f = np.full(order, 0.5)  # Hess of x^2/4; the log-scale part is flat
         self.christoffel = 0.0
         self._d1 = ops["d1"]
         self._d2 = ops["d2"]

@@ -53,6 +53,21 @@ _FACTOR_PARAMS = {
 }
 
 
+def _number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+# The check and the name in the error message of each field annotation of
+# ScenarioConfig (a string, as the module defers its annotations).
+_FIELD_TYPES = {
+    "str": ("a string", lambda val: isinstance(val, str)),
+    "bool": ("a boolean", lambda val: isinstance(val, bool)),
+    "int": ("an integer", lambda val: isinstance(val, int) and not isinstance(val, bool)),
+    "float": ("a number", _number),
+    "float | None": ("a number", lambda val: val is None or _number(val)),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str = "run"
@@ -86,43 +101,18 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(raw) - set(known))
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
         cfg = cls(**raw)
         cfg._validate()
         return cfg
 
-    _STR_KEYS = ("name", "family", "factors", "backend", "out_dir")
-    _BOOL_KEYS = (
-        "track_scalars",
-        "check_bounds",
-        "check_functionals",
-        "check_commutator",
-        "check_bochner",
-        "check_splitting",
-    )
-    _INT_KEYS = ("cadence", "resolution", "hermite_order", "modes", "k", "n", "seed")
-    _FLOAT_KEYS = ("u0", "a0", "f0", "t0", "horizon", "dt", "eig_tol", "adaptive_tol")
-
     def _validate(self) -> None:
-        for key in self._STR_KEYS:
-            if not isinstance(getattr(self, key), str):
-                raise ConfigurationError(f"config key {key} must be a string")
-        for key in self._BOOL_KEYS:
-            if not isinstance(getattr(self, key), bool):
-                raise ConfigurationError(f"config key {key} must be a boolean")
-        for key in self._INT_KEYS:
-            val = getattr(self, key)
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ConfigurationError(f"config key {key} must be an integer")
-        for key in self._FLOAT_KEYS + ("splitting_t0", "splitting_t1"):
-            val = getattr(self, key)
-            if val is None and key.startswith("splitting"):
-                continue
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigurationError(f"config key {key} must be a number")
+        for f in fields(self):
+            what, valid = _FIELD_TYPES[f.type]
+            if not valid(getattr(self, f.name)):
+                raise ConfigurationError(f"config key {f.name} must be {what}")
         if self.family not in ("scaled_gaussian", "round_circle", "product"):
             raise ConfigurationError(f"unknown family {self.family!r}")
         if self.backend not in ("galerkin", "analytic"):

@@ -67,7 +67,8 @@ from .errors import (
 from .geometry import CircleModel, DiscreteWeightedManifold, discretize, evaluate_family
 from .oracles import modal_propagator
 from .spectral import (
-    _scalar_pairings, assemble_forms, drift_divergence, lowest_eigenpairs, partials, soliton_defect_profiles,
+    _derivatives, _scalar_pairings, assemble_forms, drift_divergence, lowest_eigenpairs, partials,
+    soliton_defect_profiles,
 )
 
 __all__ = [
@@ -571,7 +572,7 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
         n_out, ns = scalar_values.shape[0], scalar_values.shape[1]
         J, D, dJ = (np.empty((n_out, ns, ns)) for _ in range(3))
         for m, dm in enumerate(manifolds):
-            J[m], D[m], _, dJ[m] = _scalar_pairings(dm, scalar_values[m])
+            J[m], D[m], dJ[m] = _scalar_pairings(dm, scalar_values[m], *_derivatives(dm, scalar_values[m]))
             gram_schmidt_frame(J[m])  # DegeneracyError if the scalars are dependent
         I = np.einsum("mii->mi", J).copy()
         E = np.einsum("mii->mi", D).copy()

@@ -218,8 +218,10 @@ def evaluate_family(family, t: float) -> ContinuumState:
 class DiscreteWeightedManifold:
     """Sampled product geometry, ready for quadrature and spectral assembly.
 
-    Holds one spectral axis per factor.  All arrays are frozen after
-    construction; every operation on a manifold is a pure function.
+    Holds one spectral axis per factor.  The axes' own arrays stay
+    writeable (only the tables they share from the per-grid caches are
+    read-only); by convention no code changes a manifold after construction,
+    and every operation on a manifold is a pure function.
     """
 
     def __init__(self, axes, t: float = 0.0):

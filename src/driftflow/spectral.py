@@ -15,6 +15,15 @@ The closed-form tables depend only on the grid and are cached read-only per
 grid; products combine the axes with one outer sum of eigenvalues and one
 broadcast product of eigenvectors, in the same floating-point operations as
 a per-pair build.
+
+Pointwise quantities of a (k, *shape) batch of fields come from one
+derivative pass (``_derivatives``): the partials du_i and the diagonal
+Hessian components h_i = d2_i u - Gamma_i du_i, each derivative applied
+once to the whole batch.  L has one formula, sum_i (1/a_i)(h_i - f'_i du_i)
+(``_drift``); the drift Laplacian, the pairings J and D with their rate,
+the Hessian energies, both Bochner sides and the splitting certificate are
+built from du and h, and only the mixed partials of a product take more
+derivatives.
 """
 
 from __future__ import annotations
@@ -65,19 +74,9 @@ def gradient_inner(dm: DiscreteWeightedManifold, du: list, dv: list) -> np.ndarr
 
 
 def drift_laplacian(dm: DiscreteWeightedManifold, u) -> np.ndarray:
-    """L u = Delta u - <grad u, grad f> evaluated pseudo-spectrally."""
-    u = _check_field(dm, u)
-    axes = list(enumerate(dm.axes))
-    return _laplacian(dm, [ax.d1(u, i) for i, ax in axes], [ax.d2(u, i) for i, ax in axes])
-
-
-def _laplacian(dm: DiscreteWeightedManifold, du: list, d2u: list) -> np.ndarray:
-    """L u from the first and second partials of u along each axis."""
-    out = np.zeros(dm.shape)
-    for i, ax in enumerate(dm.axes):
-        gamma, fp, ainv = (dm.axis_profile(i, v) for v in (ax.christoffel, ax.fprime, 1.0 / ax.a))
-        out += ainv * (d2u[i] - gamma * du[i]) - ainv * du[i] * fp
-    return out
+    """L u = Delta u - <grad u, grad f> evaluated pseudo-spectrally: the L of
+    the pairings (``_drift``) on a one-field batch."""
+    return _drift(dm, *_derivatives(dm, _check_field(dm, u)[None]))[0]
 
 
 def drift_divergence(V, dm: DiscreteWeightedManifold) -> np.ndarray:
@@ -97,79 +96,83 @@ def drift_divergence(V, dm: DiscreteWeightedManifold) -> np.ndarray:
     return out
 
 
-def _batch_partials(dm: DiscreteWeightedManifold, batch: np.ndarray) -> list:
-    """The partials of a (k, *shape) batch of fields, one (k, *shape) array
-    per axis, each derivative applied once to the whole batch."""
-    return [ax.d1(batch, i + 1) for i, ax in enumerate(dm.axes)]
+def _along(dm: DiscreteWeightedManifold, i: int, v):
+    """A per-axis vector shaped to broadcast along axis i of the grid and of a
+    (k, *shape) batch over it; a scalar as it is.  This is ``axis_profile``
+    without its np.broadcast_to, whose per-call cost shows in the batch."""
+    return v if np.isscalar(v) else v.reshape([-1 if b == i else 1 for b in range(dm.dimension)])
 
 
-def _integrands(dm: DiscreteWeightedManifold, k: int):
-    """(along, weighted) for integrals of a (k, *shape) batch: ``along(i, v)``
-    reshapes a per-axis vector to broadcast along axis i, and
-    ``weighted(x, *differentiated)`` multiplies x by the quadrature weights
-    and by 1/a of each axis in ``differentiated``, as (k, size) rows."""
-    d = dm.dimension
+def _derivatives(dm: DiscreteWeightedManifold, batch: np.ndarray) -> tuple[list, list]:
+    """(du, h) of a (k, *shape) batch of fields: the partials du_i and the
+    diagonal Hessian components h_i = d2_i u - Gamma_i du_i along each axis,
+    one (k, *shape) array each.  Each derivative is applied once to the whole
+    batch: 2d applications whatever k is."""
+    du = [ax.d1(batch, i + 1) for i, ax in enumerate(dm.axes)]
+    h = [ax.d2(batch, i + 1) - _along(dm, i, ax.christoffel) * du[i] for i, ax in enumerate(dm.axes)]
+    return du, h
 
-    def along(i, v):  # axis_profile without its np.broadcast_to, whose per-call cost shows here
-        return v if np.isscalar(v) else v.reshape([-1 if b == i else 1 for b in range(d)])
 
-    weights = [along(i, ax.wdens) for i, ax in enumerate(dm.axes)]
-    ainv = [along(i, 1.0 / ax.a) for i, ax in enumerate(dm.axes)]
+def _drift(dm: DiscreteWeightedManifold, du: list, h: list) -> np.ndarray:
+    """L u = sum_i (1/a_i)(h_i - f'_i du_i) of a batch from its ``_derivatives``."""
+    lu = 0.0
+    for i, ax in enumerate(dm.axes):
+        lu = lu + _along(dm, i, 1.0 / ax.a) * (h[i] - _along(dm, i, ax.fprime) * du[i])
+    return lu
+
+
+def _weighting(dm: DiscreteWeightedManifold, k: int):
+    """``weighted(x, *differentiated)`` for integrals of a (k, *shape) batch:
+    x times the quadrature weights and 1/a of each axis in ``differentiated``,
+    as (k, size) rows.  The per-axis vectors are shaped once per pass."""
+    weights = [_along(dm, i, ax.wdens) for i, ax in enumerate(dm.axes)]
+    ainv = [_along(dm, i, 1.0 / ax.a) for i, ax in enumerate(dm.axes)]
 
     def weighted(x, *differentiated):
         for w in weights + [ainv[i] for i in differentiated]:
             x = x * w
         return x.reshape(k, -1)
 
-    return along, weighted
+    return weighted
 
 
-def _scalar_pairings(dm: DiscreteWeightedManifold, scalars: np.ndarray):
-    """(J, D, du, dJ) of a (k, *shape) batch of fields, in one pass.
+def _scalar_pairings(dm: DiscreteWeightedManifold, scalars: np.ndarray, du: list, h: list):
+    """(J, D, dJ) of a (k, *shape) batch of fields with ``_derivatives`` (du, h).
 
-    J and D are the mass and stiffness pairings of every two fields, du the
-    partials of the batch (``_batch_partials``).  dJ is the rate of J when
-    the fields solve u_t = L u + u/2 along a flow that preserves e^{-f} dv:
-    J + (G + G^T) with G_ij = int u_i (L u_j).  Each derivative is applied
-    once to the whole batch: 2d applications whatever k is.  The quadrature
-    weights, 1/a and Gamma enter as per-axis vectors that broadcast along
-    their axes, and the integrals are row products of the weighted batch
-    with the batch.  J and D are symmetrized; they agree with
-    ``dm.integrate`` to round-off.
+    J and D are the mass and stiffness pairings of every two fields.  dJ is
+    the rate of J when the fields solve u_t = L u + u/2 along a flow that
+    preserves e^{-f} dv: J + (G + G^T) with G_ij = int u_i (L u_j), L from
+    ``_drift``.  The integrals are row products of the weighted batch with
+    the batch.  J and D are symmetrized; they agree with ``dm.integrate`` to
+    round-off.
     """
     k = len(scalars)
-    along, weighted = _integrands(dm, k)
+    weighted = _weighting(dm, k)
 
     def gram(x, *differentiated):
         g = weighted(x, *differentiated) @ x.reshape(k, -1).T
         return (g + g.T) / 2.0
 
-    du = _batch_partials(dm, scalars)
     J = gram(scalars)
     D = sum(gram(g, i) for i, g in enumerate(du))
-    lu = 0.0
-    for i, ax in enumerate(dm.axes):
-        h = ax.d2(scalars, i + 1) - along(i, ax.christoffel) * du[i]
-        lu = lu + along(i, 1.0 / ax.a) * (h - along(i, ax.fprime) * du[i])
-    G = weighted(scalars) @ lu.reshape(k, -1).T
-    return J, D, du, J + (G + G.T)
+    G = weighted(scalars) @ _drift(dm, du, h).reshape(k, -1).T
+    return J, D, J + (G + G.T)
 
 
-def _hessian_energies(dm: DiscreteWeightedManifold, scalars: np.ndarray, du: list) -> np.ndarray:
-    """The Hessian energy (``hessian_norm_sq``) of each field of a (k, *shape)
-    batch whose partials are ``du``: d2 along each axis and each mixed
-    partial (d1 of du[i] along each later axis) applied once to the batch,
-    integrated as in ``_scalar_pairings``."""
-    k, d = len(scalars), dm.dimension
-    along, weighted = _integrands(dm, k)
+def _hessian_energies(dm: DiscreteWeightedManifold, du: list, h: list) -> np.ndarray:
+    """The Hessian energy (``hessian_norm_sq``) of each field of a batch with
+    ``_derivatives`` (du, h): the squared diagonal components h_i and each
+    mixed partial (d1 of du_i along each later axis, applied once to the
+    batch), integrated as in ``_scalar_pairings``."""
+    k, d = len(du[0]), dm.dimension
+    weighted = _weighting(dm, k)
 
     def squares(x, *differentiated):
         return np.einsum("ij,ij->i", weighted(x, *differentiated), x.reshape(k, -1))
 
     hess = np.zeros(k)
-    for i, ax in enumerate(dm.axes):
-        h = ax.d2(scalars, i + 1) - along(i, ax.christoffel) * du[i]
-        hess += squares(h, i, i)
+    for i in range(d):
+        hess += squares(h[i], i, i)
         for j in range(i + 1, d):
             hess += 2.0 * squares(dm.axes[j].d1(du[i], j + 1), i, j)
     return hess
@@ -182,8 +185,7 @@ def hessian_norm_sq(u, dm: DiscreteWeightedManifold) -> float:
     squared norm a^{-2} (u'' - Gamma u')^2; cross components on products are
     plain mixed partials (the metric is block diagonal and flat).
     """
-    batch = _check_field(dm, u)[None]
-    return float(_hessian_energies(dm, batch, _batch_partials(dm, batch))[0])
+    return float(_hessian_energies(dm, *_derivatives(dm, _check_field(dm, u)[None]))[0])
 
 
 def soliton_defect_profiles(dm: DiscreteWeightedManifold) -> list:
@@ -192,33 +194,33 @@ def soliton_defect_profiles(dm: DiscreteWeightedManifold) -> list:
     Vanishes identically on the static Gaussian shrinker and equals half the
     metric velocity along exact solutions of the coupled flow.
     """
-    profiles = []
-    for ax in dm.axes:
-        if ax.kind == "circle":
-            profiles.append(0.5 * ax.a - ax.hess_f)
-        else:
-            # Hess of x^2/4 is 1/2; the log-constant part is spatially flat.
-            profiles.append(np.full(ax.size, 0.5 * ax.a - 0.5))
-    return profiles
+    return [0.5 * ax.a - ax.hess_f for ax in dm.axes]
 
 
-def bochner_sides(u, dm: DiscreteWeightedManifold) -> tuple[float, float]:
-    """Both sides of the integrated drift Bochner identity.
+def bochner_sides(u, dm: DiscreteWeightedManifold) -> tuple[float, float, float]:
+    """Both sides of the integrated drift Bochner identity, and the Dirichlet
+    energy D of ``u``, from one derivative pass.
 
     Left: the soliton defect paired with grad u against e^{-f} dv.  Right:
     Hessian energy plus half the Dirichlet energy minus the L-image mass.
-    The two agree for smooth fields.
+    The two agree for smooth fields.  The identity reads int Ric_f(grad u,
+    grad u) = D/2 - lhs, so D/2 is its scale where phi vanishes and both
+    sides are zero.
     """
-    u = _check_field(dm, u)
-    _, D, du, _ = _scalar_pairings(dm, u[None])
-    hess = _hessian_energies(dm, u[None], du)
+    batch = _check_field(dm, u)[None]
+    du, h = _derivatives(dm, batch)
+    weighted = _weighting(dm, 1)
+
+    def integral(x, y, *differentiated):
+        return float(np.vdot(weighted(x, *differentiated), y))
+
     phi = soliton_defect_profiles(dm)
-    lhs_integrand = np.zeros(dm.shape)
-    for i, ax in enumerate(dm.axes):
-        lhs_integrand += dm.axis_profile(i, phi[i]) * (dm.axis_profile(i, 1.0 / ax.a) * du[i][0]) ** 2
-    lhs = dm.integrate(lhs_integrand)
-    lu = drift_laplacian(dm, u)
-    return lhs, float(hess[0] + 0.5 * D[0, 0] - dm.integrate(lu * lu))
+    lhs = dm.integrate(sum(_along(dm, i, phi[i]) * (_along(dm, i, 1.0 / ax.a) * du[i][0]) ** 2
+                           for i, ax in enumerate(dm.axes)))
+    dirichlet = sum(integral(g, g, i) for i, g in enumerate(du))
+    lu = _drift(dm, du, h)
+    rhs = float(_hessian_energies(dm, du, h)[0]) + 0.5 * dirichlet - integral(lu, lu)
+    return lhs, rhs, dirichlet
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import UsageError
 from .flow import FlowTrajectory
 from .geometry import DiscreteWeightedManifold
-from .spectral import _batch_partials, _hessian_energies, gradient_inner, partials
+from .spectral import _derivatives, _hessian_energies, gradient_inner, partials
 
 __all__ = [
     "SplittingCertificate",
@@ -130,9 +130,9 @@ def certificate_residuals(directions, dm: DiscreteWeightedManifold) -> dict:
     Covers the parallelism test (Hessian energies), the unit-speed and
     orthogonality tests on the gradients, the weight decomposition, the
     metric block structure, and the reduced factor equations for the
-    non-split part.  The directions' partials and Hessian energies are
-    taken on the whole batch at once (``_batch_partials``,
-    ``_hessian_energies``).
+    non-split part.  The direction fields take one derivative pass as a
+    batch (``spectral._derivatives``), and q = (1/4) sum u_i^2 another; the
+    Hessian energies, the gradients, Hess q and Delta q are built from them.
     """
     k = len(directions)
     if k == 0:
@@ -147,8 +147,8 @@ def certificate_residuals(directions, dm: DiscreteWeightedManifold) -> dict:
             "check2": 0.0,
         }
     dirs = np.asarray(directions, dtype=float)
-    du = _batch_partials(dm, dirs)
-    hess_energies = _hessian_energies(dm, dirs, du)
+    du, h = _derivatives(dm, dirs)
+    hess_energies = _hessian_energies(dm, du, h)
     grads = list(zip(*du))  # per direction, its partial along each axis
 
     # Pointwise gradient inner products: parallel orthonormal gradients make
@@ -186,26 +186,19 @@ def certificate_residuals(directions, dm: DiscreteWeightedManifold) -> dict:
     # Reduced factor equations: the split block of g - 2 Hess_f must be
     # static, the complement must see Hess_f through fbar only, and the
     # weight equation loses exactly k/2 through Delta(quarter_sq).
+    dq, hq = _derivatives(dm, quarter_sq[None])
     check1 = 0.0
-    dq = partials(dm, quarter_sq)
+    lap_q = 0.0
     for i, ax in enumerate(dm.axes):
-        hess_f = dm.axis_profile(i, ax.hess_f if ax.kind == "circle" else np.full(ax.size, 0.5))
-        gamma = dm.axis_profile(i, ax.christoffel)
-        hess_q = ax.d2(quarter_sq, i) - gamma * dq[i]
         a = dm.axis_profile(i, ax.a)
         if i in split:
-            check1 = max(check1, float(np.max(np.abs(a - 2.0 * hess_f))))
+            check1 = max(check1, float(np.max(np.abs(a - 2.0 * dm.axis_profile(i, ax.hess_f)))))
         else:
-            check1 = max(check1, float(np.max(np.abs(2.0 * hess_q))))
+            check1 = max(check1, float(np.max(np.abs(2.0 * hq[i]))))
         for j in range(i + 1, dm.dimension):
-            cross = dm.axes[j].d1(dq[i], j)
+            cross = dm.axes[j].d1(dq[i], j + 1)
             check1 = max(check1, float(np.max(np.abs(2.0 * cross))))
-
-    lap_q = np.zeros(dm.shape)
-    for i, ax in enumerate(dm.axes):
-        gamma = dm.axis_profile(i, ax.christoffel)
-        a = dm.axis_profile(i, ax.a)
-        lap_q += (ax.d2(quarter_sq, i) - gamma * dq[i]) / a
+        lap_q = lap_q + hq[i] / a
     check2 = float(np.max(np.abs(lap_q - k / 2.0)))
 
     return {

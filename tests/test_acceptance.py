@@ -12,11 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from driftflow import acceptance
+from driftflow import acceptance, spectral
 from driftflow.cli import main
 from driftflow.config import ScenarioConfig
 from driftflow.flow import RunRequest, run_flow
-from driftflow.geometry import product_family, round_circle_family, scaled_gaussian_family
+from driftflow.geometry import (
+    gaussian_line, product_family, round_circle_family, scaled_gaussian_family, weighted_circle,
+)
 from driftflow.splitting import detect_splitting
 
 
@@ -145,3 +147,55 @@ def test_analytic_scalars_of_a_fast_circle_stay_bounded():
     assert np.all(peak <= peak[0])
     checks = {c.name: c for c in acceptance.check_functionals(traj)}
     assert checks["E' violation"].passed and checks["scalar mean"].passed
+
+
+def _drop_half_dirichlet(monkeypatch):
+    sides = acceptance.bochner_sides
+
+    def broken(u, dm):
+        lhs, rhs, dirichlet = sides(u, dm)
+        return lhs, rhs - 0.5 * dirichlet, dirichlet
+
+    monkeypatch.setattr(acceptance, "bochner_sides", broken)
+
+
+def _flip_phi(monkeypatch):
+    profiles = spectral.soliton_defect_profiles
+    monkeypatch.setattr(spectral, "soliton_defect_profiles", lambda dm: [-p for p in profiles(dm)])
+
+
+def _flip_hess_f_in_phi(monkeypatch):
+    monkeypatch.setattr(spectral, "soliton_defect_profiles", lambda dm: [0.5 * ax.a + ax.hess_f for ax in dm.axes])
+
+
+class TestBochnerResidual:
+    """check_bochner and C05 share one residual, |lhs - rhs| over
+    max(|lhs|, |rhs|, D/2).  On the static shrinker phi = 0, both sides are
+    zero and the old scale max(|lhs|, |rhs|) read round-off over itself, 1.0."""
+
+    @pytest.mark.parametrize("order", [8, 12, 16, 24])
+    def test_the_shrinker_passes(self, order):
+        dm = gaussian_line(1.0, order=order)
+        assert all(np.array_equal(p, np.zeros(order)) for p in spectral.soliton_defect_profiles(dm))
+        (check,) = acceptance.check_bochner(dm, 0)
+        assert check.passed and check.value < 1e-11
+
+    def test_c05_passes(self):
+        assert acceptance.criterion_5_bochner().passed
+
+    # -phi equals phi = 0 on the shrinker, so there phi breaks through the sign of Hess f
+    @pytest.mark.parametrize("brk", [_drop_half_dirichlet, _flip_hess_f_in_phi])
+    @pytest.mark.parametrize("order", [8, 24])
+    def test_a_broken_identity_fails_on_the_shrinker(self, monkeypatch, brk, order):
+        brk(monkeypatch)
+        (check,) = acceptance.check_bochner(gaussian_line(1.0, order=order), 0)
+        assert not check.passed and check.value > 0.1
+
+    @pytest.mark.parametrize("brk", [_drop_half_dirichlet, _flip_phi, _flip_hess_f_in_phi])
+    def test_a_broken_identity_fails_on_a_c05_circle(self, monkeypatch, brk):
+        brk(monkeypatch)
+        result = acceptance.criterion_5_bochner()
+        assert not result.passed and result.checks[0].value > 1e-3
+        dm = weighted_circle(64, f=lambda th: 0.5 * np.cos(th) - 0.3 * np.sin(2 * th))
+        (check,) = acceptance.check_bochner(dm, 0)
+        assert not check.passed

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -58,6 +59,31 @@ class TestConfigSchema:
         with pytest.raises(ConfigurationError):
             ScenarioConfig.from_dict({"k": 2.5})
 
+    # The type of every config key, and values of other types it refuses.
+    KEY_TYPES = {
+        "a string": (("name", "family", "factors", "backend", "out_dir"), (1, None, True, ["x"])),
+        "a boolean": (
+            ("track_scalars", "check_bounds", "check_functionals", "check_commutator", "check_bochner",
+             "check_splitting"),
+            (1, 0, "true", None),
+        ),
+        "an integer": (("cadence", "resolution", "hermite_order", "modes", "k", "n", "seed"), (2.0, True, "2", None)),
+        "a number": (
+            ("u0", "a0", "f0", "t0", "horizon", "dt", "eig_tol", "adaptive_tol", "splitting_t0", "splitting_t1"),
+            ("1", True, [1.0]),
+        ),
+    }
+
+    def test_every_key_is_type_checked(self):
+        keys = [key for names, _ in self.KEY_TYPES.values() for key in names]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ScenarioConfig))
+        for what, (names, wrong) in self.KEY_TYPES.items():
+            for key in names:
+                for value in wrong:
+                    with pytest.raises(ConfigurationError) as err:
+                        ScenarioConfig.from_dict({key: value})
+                    assert str(err.value) == f"config key {key} must be {what}"
+
     def test_product_factor_string(self, tmp_path):
         cfg = ScenarioConfig.from_dict(
             {
@@ -101,6 +127,18 @@ class TestRunCommand:
             assert (run_dir / name).exists()
         assert manifest["config_hash"] == load_config(str(cfg)).config_hash()
         assert manifest["oracle_reports"]
+
+    @pytest.mark.parametrize("order", [8, 12, 16])
+    def test_bochner_on_the_static_shrinker_passes(self, tmp_path, order):
+        # phi = 0 there, so both sides of the identity are zero; this exited 5 with "bochner rel 1.000e+00"
+        cfg = _write_config(
+            tmp_path / "shrinker.json", name="shrinker", u0=1, horizon=0.05, k=2, hermite_order=order,
+            check_bochner=True,
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--strict"]) == 0
+        manifest = json.loads((tmp_path / "out" / "shrinker" / "manifest.json").read_text())
+        (check,) = manifest["verifications"]["bochner"]
+        assert check["passed"] and check["value"] < 1e-11
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path / "sharp.json")

@@ -9,6 +9,8 @@ import pytest
 import driftflow as df
 import driftflow.axes
 import driftflow.oracles
+import driftflow.spectral
+import driftflow.splitting
 from driftflow import acceptance
 from driftflow.acceptance import check_commutator, check_functionals
 from driftflow.axes import _fourier_dense, _hermite_ops, circle_nodes, lowpass, mode_amplitudes
@@ -17,7 +19,9 @@ from driftflow.flow import (
     RunRequest, _factor, _flow_rhs, _Layout, _rk4, _run_loop, _scalar_pairings, _settle, _step,
 )
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
-from driftflow.spectral import _hessian_energies, gradient_inner, hessian_norm_sq, partials, soliton_defect_profiles
+from driftflow.spectral import (
+    _derivatives, _hessian_energies, gradient_inner, hessian_norm_sq, partials, soliton_defect_profiles,
+)
 
 LOG2 = math.log(2.0)
 
@@ -265,9 +269,14 @@ class TestFunctionalResiduals:
             df.functional_residuals(traj.series)
 
 
+def _scalar_pass(dm, batch):
+    """(J, D, dJ) of a (k, *shape) batch, from one derivative pass, as a run pairs its scalars."""
+    return _scalar_pairings(dm, batch, *_derivatives(dm, batch))
+
+
 def _gram(dm, fields):
     """Weighted-L2 Gram matrix of ``fields``, as a run pairs its scalars."""
-    return _scalar_pairings(dm, np.stack(fields))[0]
+    return _scalar_pass(dm, np.stack(fields))[0]
 
 
 class TestGramSchmidtFrame:
@@ -432,8 +441,9 @@ class TestScalarPairings:
     def test_batched_equals_the_per_pair_definitions(self, make):
         dm = make()
         fields = _smooth_fields(dm, 3)
-        J, D, du, _ = _scalar_pairings(dm, fields)
-        hess = _hessian_energies(dm, fields, du)
+        du, h = _derivatives(dm, fields)
+        J, D, _ = _scalar_pairings(dm, fields, du, h)
+        hess = _hessian_energies(dm, du, h)
         parts = [partials(dm, u) for u in fields]
         J_ref = np.array([[dm.integrate(u * v) for v in fields] for u in fields])
         D_ref = np.array([[dm.integrate(gradient_inner(dm, p, q)) for q in parts] for p in parts])
@@ -449,16 +459,45 @@ class TestScalarPairings:
     @pytest.mark.parametrize("make, d", [(_round_product, 2), (_wavy_product, 2), (_gaussian_cube, 3)])
     @pytest.mark.parametrize("k", [1, 3])
     def test_one_derivative_pass_whatever_k(self, monkeypatch, make, d, k):
-        # the pairings take d1 and d2 along each axis, the Hessian energies
-        # d2 along each axis and each mixed partial, each once on the batch
+        # one pass takes d1 and d2 along each axis, each once on the batch;
+        # the pairings take nothing more, the Hessian energies each mixed
+        # partial once, and every other consumer builds on the same pass
         dm = make()
         fields = _smooth_fields(dm, k)
+        one_pass = 2 * d + d * (d - 1) // 2
         seen = _count_derivatives(monkeypatch)
-        du = _scalar_pairings(dm, fields)[2]
+        du, h = _derivatives(dm, fields)
         assert len(seen) == 2 * d
-        _hessian_energies(dm, fields, du)
-        assert len(seen) == 3 * d + d * (d - 1) // 2
+        _scalar_pairings(dm, fields, du, h)
+        assert len(seen) == 2 * d
+        _hessian_energies(dm, du, h)
+        assert len(seen) == one_pass
         assert all(arr.shape == fields.shape for arr in seen)
+        for count, call in (
+            (2 * d, lambda: df.drift_laplacian(dm, fields[0])),
+            (one_pass, lambda: hessian_norm_sq(fields[0], dm)),
+            (one_pass, lambda: df.bochner_sides(fields[0], dm)),
+            # one pass on the directions and one on q = (1/4) sum u_i^2
+            (2 * one_pass, lambda: driftflow.splitting.certificate_residuals(list(fields), dm)),
+        ):
+            seen.clear()
+            call()
+            assert len(seen) == count
+
+    @pytest.mark.parametrize("make", [_round_product, _wavy_product, _gaussian_cube])
+    def test_drift_laplacian_is_the_L_of_the_pairings_bitwise(self, monkeypatch, make):
+        dm = make()
+        u = _smooth_fields(dm, 1)
+        images, drift = [], driftflow.spectral._drift
+
+        def recorded(*args):
+            images.append(drift(*args))
+            return images[-1]
+
+        monkeypatch.setattr(driftflow.spectral, "_drift", recorded)
+        _scalar_pass(dm, u)
+        (lu,) = images
+        assert np.array_equal(lu[0], df.drift_laplacian(dm, u[0]))
 
     def test_commutator_differentiates_the_probe_once_per_call(self, monkeypatch):
         fam = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)])
@@ -482,11 +521,11 @@ class TestScalarPairings:
         for dm in (_round_product(256, 16), _wavy_product(256, 16)):
             assert dm.size == 16 * 256
             fields = _smooth_fields(dm, k)
-            _scalar_pairings(dm, fields)  # build the derivative matrices
+            _scalar_pass(dm, fields)  # build the derivative matrices
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                _scalar_pairings(dm, fields)
+                _scalar_pass(dm, fields)
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
@@ -539,7 +578,7 @@ class TestExactRates:
     def test_pairing_rates_are_J_minus_2D(self, make):
         # integration by parts: G + G^T = -2D up to round-off
         dm = make()
-        J, D, _, dJ = _scalar_pairings(dm, _smooth_fields(dm, 3))
+        J, D, dJ = _scalar_pass(dm, _smooth_fields(dm, 3))
         assert np.array_equal(dJ, dJ.T)
         assert np.max(np.abs(dJ - (J - 2.0 * D))) < 1e-12 * np.max(np.abs(J - 2.0 * D))
 

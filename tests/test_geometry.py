@@ -5,6 +5,7 @@ import pytest
 
 import driftflow as df
 from driftflow.errors import ConfigurationError, DomainError, ExtinctionError
+from driftflow.spectral import soliton_defect_profiles
 
 TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 
@@ -163,6 +164,14 @@ class TestDiscretize:
             assert float(np.max(np.abs(ax.d1(ax.f, 0) - ax.nodes / 2.0))) < 1e-11
             assert float(np.max(np.abs(ax.d2(ax.f, 0) - 0.5))) < 1e-11
 
+    @pytest.mark.parametrize("u0", [0.7, 1.0, 2.0, 1e-8, 1e8])
+    def test_hermite_axis_samples_its_constant_hessian(self, u0):
+        # Hess f = 1/2 exactly, so phi = a/2 - Hess f is the bits of 0.5 a - 0.5
+        ax = df.discretize(df.evaluate_family(df.scaled_gaussian_family(u0, 1), 0.0), hermite_order=10).axes[0]
+        assert ax.hess_f.tobytes() == np.full(10, 0.5).tobytes()
+        (phi,) = soliton_defect_profiles(df.DiscreteWeightedManifold([ax]))
+        assert phi.tobytes() == np.full(10, 0.5 * ax.a - 0.5).tobytes()
+
     def test_axis_profile_is_a_read_only_view(self):
         # a Hermite axis's a and Gamma are floats: their profile is a
         # broadcast of the float, with no grid-sized allocation
@@ -205,13 +214,14 @@ def _flow_equation_residual(family, t: float, resolution: int = 64) -> dict:
     The family's closed-form rates are compared against the right-hand sides
     a - 2 Hess f and 1/2 - Hess f / a (Ric = S = 0) of its sampled state.  A
     circle's Hess f comes from its own derivatives; a Gaussian line's weight
-    has Hess f = 1/2 (its sampled Hessian is checked in ``TestDiscretize``).
+    has Hess f = 1/2, sampled as ``hess_f`` (its differentiated Hessian is
+    checked in ``TestDiscretize``).
     """
     dm = df.discretize(df.evaluate_family(family, t), resolution=resolution)
     metric_res = 0.0
     weight_res = 0.0
     for ax, (a_rate, f_rate) in zip(dm.axes, _closed_form_rates(family, t), strict=True):
-        hess_f = ax.hess_f if ax.kind == "circle" else 0.5
+        hess_f = ax.hess_f
         a = _sampled_metric(ax)
         metric_res = max(metric_res, float(np.max(np.abs(a_rate - (a - 2.0 * hess_f)))))
         weight_res = max(weight_res, float(np.max(np.abs(f_rate - (0.5 - hess_f / a)))))

@@ -8,11 +8,12 @@ import scipy.linalg
 from scipy.linalg import eigh
 
 import driftflow as df
+import driftflow.axes
 from driftflow.axes import _fourier_dense, _fourier_ops, _hermite_ops, _spectral, apply_deriv
 from driftflow.errors import AssemblyError, UsageError
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel, discretize
 from driftflow.oracles import dense_stiffness
-from driftflow.spectral import _axis_eigens, _circle_modes, _scalar_pairings, drift_laplacian, partials
+from driftflow.spectral import _axis_eigens, _circle_modes, _derivatives, _scalar_pairings, drift_laplacian, partials
 
 TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 FOUR_SQRT_PI = 4.0 * math.sqrt(math.pi)
@@ -26,6 +27,11 @@ def circle64():
 @pytest.fixture(scope="module")
 def gauss():
     return df.gaussian_line(1.0, order=12)
+
+
+def _scalar_pass(dm, batch):
+    """(J, D, dJ) of a (k, *shape) batch, from one derivative pass, as a run pairs its scalars."""
+    return _scalar_pairings(dm, batch, *_derivatives(dm, batch))
 
 
 def _pairings(forms, fields):
@@ -43,14 +49,14 @@ class TestForms:
 
     def test_gaussian_coordinate_moments(self, gauss):
         x = gauss.axes[0].nodes.copy()
-        J, D, *_ = _scalar_pairings(gauss, x[None])
+        J, D, _ = _scalar_pass(gauss, x[None])
         assert J[0, 0] == pytest.approx(FOUR_SQRT_PI, rel=1e-13)
         assert D[0, 0] == pytest.approx(TWO_SQRT_PI, rel=1e-13)
         assert D[0, 0] / J[0, 0] == pytest.approx(0.5, rel=1e-13)
 
     def test_circle_cosine_rayleigh(self, circle64):
         u = np.cos(circle64.axes[0].nodes)
-        J, D, *_ = _scalar_pairings(circle64, u[None])
+        J, D, _ = _scalar_pass(circle64, u[None])
         assert D[0, 0] == pytest.approx(math.pi, rel=1e-12)
         assert J[0, 0] == pytest.approx(math.pi, rel=1e-12)
 
@@ -175,7 +181,7 @@ class TestLowestEigenpairs:
 
     def test_rayleigh_identity_per_pair(self, circle64):
         res = df.lowest_eigenpairs(df.assemble_forms(circle64), 3)
-        J, D, *_ = _scalar_pairings(circle64, np.stack(res.eigenfunctions[1:]))
+        J, D, _ = _scalar_pass(circle64, np.stack(res.eigenfunctions[1:]))
         np.testing.assert_allclose(np.diag(D) / np.diag(J), res.eigenvalues[1:], rtol=0, atol=1e-10)
 
     def test_agrees_with_dense_oracle(self):
@@ -306,11 +312,32 @@ class TestCachedSpectralTables:
     def test_tables_are_read_only(self):
         k, table = _circle_modes(64, 5)
         vals, vecs = df.gaussian_line(1.0, order=12).axes[0].eigens()
-        for arr in (k, table, vecs):
+        cached = [k, table, vecs]
+        for ops in (_fourier_ops(64), _fourier_dense(16), _hermite_ops(12)):
+            cached += ops.values()
+        for arr in cached:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+            with pytest.raises(ValueError):
+                arr *= 1.0
         assert vals.flags.writeable  # the eigenvalues depend on the scale
+
+    def test_dense_derivatives_are_built_on_first_use_only(self, monkeypatch):
+        built, build = [], driftflow.axes._fourier_dense
+        monkeypatch.setattr(driftflow.axes, "_fourier_dense", lambda n: built.append(n) or build(n))
+        # the spectral ladder's grids: forms and eigenpairs need no dense matrix
+        prod = df.product_family([df.scaled_gaussian_family(1.3, 1), df.round_circle_family(2.0)])
+        for dm in [df.weighted_circle(n, a=2.5) for n in (256, 384, 448, 2048)] + [
+            df.discretize(df.evaluate_family(prod, 0.0), resolution=256, hermite_order=12),
+            df.weighted_circle(64, f=lambda th: 0.3 * np.cos(th)),
+        ]:
+            df.lowest_eigenpairs(df.assemble_forms(dm), 6)
+        assert built == []
+        dm = df.weighted_circle(16)
+        partials(dm, np.cos(dm.axes[0].nodes))
+        assert built == [16]
+        assert build(16) is build(16)
 
     def test_round_circles_share_the_table_not_its_normalization(self):
         cached = _circle_modes.cache_info().currsize
@@ -334,7 +361,7 @@ class TestFieldOperations:
     def test_energy_profile_examples(self):
         dm4 = df.weighted_circle(64, a=4.0)
         u = np.cos(dm4.axes[0].nodes)
-        J, D, *_ = _scalar_pairings(dm4, u[None])
+        J, D, _ = _scalar_pass(dm4, u[None])
         assert D[0, 0] / J[0, 0] == pytest.approx(0.25, rel=1e-12)
 
     def test_hessian_examples(self, circle64, gauss):
@@ -345,12 +372,13 @@ class TestFieldOperations:
         assert df.hessian_norm_sq(u, circle64) == pytest.approx(math.pi, rel=1e-11)
 
     def test_bochner_trivial_and_symbolic(self, circle64):
-        lhs, rhs = df.bochner_sides(np.ones(circle64.shape), circle64)
-        assert abs(lhs - rhs) < 1e-14
+        lhs, rhs, dirichlet = df.bochner_sides(np.ones(circle64.shape), circle64)
+        assert abs(lhs - rhs) < 1e-14 and dirichlet == 0.0
         u = np.cos(circle64.axes[0].nodes)
         # phi = g/2 here, so both sides equal half the Dirichlet energy
-        lhs, rhs = df.bochner_sides(u, circle64)
+        lhs, rhs, dirichlet = df.bochner_sides(u, circle64)
         assert lhs == pytest.approx(0.5 * math.pi, rel=1e-11)
+        assert dirichlet == pytest.approx(math.pi, rel=1e-11)
         assert abs(lhs - rhs) < 1e-11
 
     def test_bochner_random_fields(self):
@@ -367,7 +395,7 @@ class TestFieldOperations:
             (2 * rng.random() - 1) * np.cos(k * theta) + (2 * rng.random() - 1) * np.sin(k * theta)
             for k in range(1, 6)
         )
-        lhs, rhs = df.bochner_sides(u, dm)
+        lhs, rhs, _ = df.bochner_sides(u, dm)
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-8
 
     def test_bochner_residual_decays_spectrally(self):
@@ -375,7 +403,7 @@ class TestFieldOperations:
         for n in (16, 32):
             dm = df.weighted_circle(n, f=lambda th: 2.0 * np.cos(th))
             u = np.cos(3 * dm.axes[0].nodes)
-            lhs, rhs = df.bochner_sides(u, dm)
+            lhs, rhs, _ = df.bochner_sides(u, dm)
             rels[n] = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
         assert rels[16] < 1e-3
         assert rels[32] < 1e-12
