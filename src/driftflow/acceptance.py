@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .axes import along
 from .comparison import (
     blowup_horizon,
     eigenvalue_bound,
@@ -220,7 +221,7 @@ def check_bochner(dm, seed: int) -> list:
             else:
                 coef = 2 * rng.random(min(5, ax.size)) - 1
                 prof = sum(c * ax.nodes**p for p, c in enumerate(coef))
-            u = u + dm.axis_profile(i, prof)
+            u = u + along(prof, i, dm.dimension)
         residuals.append(_bochner_residual(u, dm))
     return [Check("bochner rel", float(np.max(residuals)), VERIFY_TOLERANCES["bochner_rel"])]
 

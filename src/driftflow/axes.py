@@ -12,6 +12,9 @@ Two axis kinds cover everything in scope:
 
 Fields are stored as node values; each axis knows how to differentiate along
 its own dimension and how to build its one-dimensional mass/stiffness blocks.
+Per-axis data meets an n-d field or a (k, *shape) batch of fields only
+here: ``along`` shapes a per-axis vector to broadcast along one axis, and
+``apply_along`` applies a per-axis operator along one axis.
 """
 
 from __future__ import annotations
@@ -34,20 +37,38 @@ def axis_to_front(ndim: int, axis: int) -> tuple[tuple, tuple]:
     return perm, tuple(perm.index(i) for i in range(ndim))
 
 
-def apply_deriv(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a derivative matrix along one dimension of a field.
+def along(values, axis: int, ndim: int):
+    """Per-axis data shaped to broadcast along ``axis`` of an ``ndim``-axis
+    grid and of any batch axes in front of it: a read-only view whose last
+    axis lands on ``axis``, leading axes kept in front.  A scalar, such as a
+    Gaussian line's a or its Gamma = 0, passes through as it is."""
+    if np.isscalar(values):
+        return values
+    view = values.reshape(*values.shape[:-1], *(-1 if b == axis else 1 for b in range(ndim)))
+    view.flags.writeable = False
+    return view
 
-    Derivative operators annihilate constants analytically; subtracting a
-    reference slice first makes that exact in floating point as well, so
-    spatially constant fields have bitwise-zero derivatives.  The axis is
-    brought to the front by a cached transpose and the field flattened to an
-    (n, m) operand (a 1-D field to an (n, 1) column), so one ``np.dot`` does
-    the work.
-    """
+
+def apply_along(op, arr: np.ndarray, axis: int, subtract: str | None = None) -> np.ndarray:
+    """``op`` applied along one axis of ``arr``: the axis brought to the front
+    by the cached ``axis_to_front``, the array flattened to an (n, m) operand
+    (a 1-D array to an (n, 1) column) that ``op`` maps to one of the same
+    shape, and the result transposed back.  With ``subtract``, a memory order
+    ("K" keeps the layout of ``arr``, "C" keeps the flattening a view), the
+    first slice is taken off first, so a constant reaches ``op`` as exact
+    zeros.  The operand's layout decides how a matrix product rounds."""
     perm, inverse = axis_to_front(arr.ndim, axis)
     moved = arr.transpose(perm)
-    diff = moved - moved[:1]
-    return np.dot(mat, diff.reshape(len(diff), -1)).reshape(diff.shape).transpose(inverse)
+    if subtract:
+        moved = np.subtract(moved, moved[:1], order=subtract)
+    return op(moved.reshape(len(moved), -1)).reshape(moved.shape).transpose(inverse)
+
+
+def apply_deriv(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Apply a derivative matrix along one dimension of a field, the first
+    slice subtracted first: a field constant along it has exactly zero
+    derivative there, as in exact arithmetic."""
+    return apply_along(mat.dot, arr, axis, subtract="K")
 
 
 def _read_only(ops: dict) -> dict:
@@ -94,7 +115,7 @@ def _fourier_dense(n: int) -> dict[str, np.ndarray]:
 def _spectral(symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Multiply by a Fourier symbol along the first axis of ``values``."""
     coef = np.fft.rfft(values, axis=0)
-    return np.fft.irfft(symbol.reshape(-1, *[1] * (values.ndim - 1)) * coef, n=len(values), axis=0)
+    return np.fft.irfft(along(symbol, 0, values.ndim) * coef, n=len(values), axis=0)
 
 
 def circle_nodes(n: int) -> np.ndarray:
@@ -134,7 +155,7 @@ class FourierStiffness:
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        flux = self.weight.reshape(-1, *[1] * (u.ndim - 1)) * _spectral(self.symbol, u - u[:1])
+        flux = along(self.weight, 0, u.ndim) * _spectral(self.symbol, u - u[:1])
         return _spectral(self.symbol.conj(), flux)
 
 
@@ -192,6 +213,11 @@ class CircleAxis:
         return _spectral(self._ops[symbol], values - values[0])
 
     @functools.cached_property
+    def is_round(self) -> bool:
+        """All a and all f samples equal: every operator is diagonal in Fourier modes."""
+        return bool(np.ptp(self.a) == 0.0 and np.ptp(self.f) == 0.0)
+
+    @functools.cached_property
     def hess_f(self) -> np.ndarray:
         """Hess f in theta coordinates: f'' - Gamma f'."""
         return self.d2_vec(self.f) - self.christoffel * self.fprime
@@ -202,9 +228,6 @@ class CircleAxis:
         if np.ptp(values) == 0.0:
             return np.full(self.size, values[0])
         return values[0] + _spectral(self._ops["stag"], values - values[0])
-
-    def mass_diag(self) -> np.ndarray:
-        return self.wdens
 
     def stiffness(self) -> FourierStiffness:
         # Weak form of the drift Laplacian in theta coordinates: the gradient
@@ -291,9 +314,6 @@ class HermiteLineAxis:
 
     def d2(self, field: np.ndarray, axis: int) -> np.ndarray:
         return apply_deriv(self._d2, field, axis)
-
-    def mass_diag(self) -> np.ndarray:
-        return self.wdens
 
     def stiffness(self) -> np.ndarray:
         w = self.wdens / self.scale

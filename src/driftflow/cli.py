@@ -43,14 +43,18 @@ def _one_line(exc: Exception) -> str:
     return f"{type(exc).__name__}: {' '.join(str(exc).split())}"
 
 
+# Failure kinds in priority order, with the errors each covers and its exit code: a run's
+# error takes the first kind it matches, a failed sweep the first kind among its runs.
+_KINDS = (
+    ("config", (ConfigurationError, DomainError, UsageError), EXIT_CONFIG),
+    ("stability", StabilityError, EXIT_STABILITY),
+    ("solver", (SolverError, DegeneracyError), EXIT_SOLVER),
+    ("unexpected", Exception, EXIT_UNEXPECTED),
+)
+
+
 def _classify(exc: Exception) -> tuple[str, int]:
-    if isinstance(exc, (ConfigurationError, DomainError, UsageError)):
-        return "config", EXIT_CONFIG
-    if isinstance(exc, StabilityError):
-        return "stability", EXIT_STABILITY
-    if isinstance(exc, (SolverError, DegeneracyError)):
-        return "solver", EXIT_SOLVER
-    return "unexpected", EXIT_UNEXPECTED
+    return next((kind, code) for kind, errors, code in _KINDS if isinstance(exc, errors))
 
 
 def _cmd_run(args) -> int:
@@ -173,13 +177,8 @@ def _cmd_sweep(args) -> int:
             if args.strict
             else EXIT_OK
         )
-    if "config" in statuses:
-        return _fail("config", f"{len(bad)} runs failed", EXIT_CONFIG)
-    if "stability" in statuses:
-        return _fail("stability", f"{len(bad)} runs failed", EXIT_STABILITY)
-    if "solver" in statuses:
-        return _fail("solver", f"{len(bad)} runs failed", EXIT_SOLVER)
-    return _fail("unexpected", f"{len(bad)} runs failed", EXIT_UNEXPECTED)
+    kind, code = next((kind, code) for kind, _, code in _KINDS if kind in statuses or kind == "unexpected")
+    return _fail(kind, f"{len(bad)} runs failed", code)
 
 
 def _cmd_verify(args) -> int:

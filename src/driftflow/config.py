@@ -19,7 +19,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigurationError
-from .flow import RunRequest, output_count
+from .flow import MAX_STEP, RunRequest, output_count
 from .geometry import product_family, round_circle_family, scaled_gaussian_family
 
 __all__ = ["ScenarioConfig", "load_config"]
@@ -27,7 +27,7 @@ __all__ = ["ScenarioConfig", "load_config"]
 _BOUNDS = {
     "horizon": (0.0, 100.0),
     "t0": (-100.0, 100.0),
-    "dt": (1e-6, 0.05),
+    "dt": (1e-6, MAX_STEP),
     "cadence": (1, 100000),
     # The eigen-residual check's own round-off grows as resolution^2: on
     # round circles it stays within half the default eig_tol 1e-10 up to 1024
@@ -119,7 +119,9 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown backend {self.backend!r}")
         if self.family == "product" and not self._factors():
             raise ConfigurationError("product family requires a 'factors' string naming at least one factor")
-        for key, (lo, hi) in _BOUNDS.items():
+        # The splitting window's ends are read at recorded outputs, so each must lie in the run.
+        window = dict.fromkeys(("splitting_t0", "splitting_t1"), (self.t0, self.t0 + self.horizon))
+        for key, (lo, hi) in {**_BOUNDS, **window}.items():
             val = getattr(self, key)
             if val is None:
                 continue

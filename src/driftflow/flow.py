@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axes import CircleAxis, HermiteLineAxis, _fourier_dense, _hermite_ops, axis_to_front, lowpass
+from .axes import CircleAxis, HermiteLineAxis, _fourier_dense, _hermite_ops, along, apply_along, lowpass
 from .comparison import eigenvalue_bound
 from .errors import (
     ConfigurationError,
@@ -92,6 +92,9 @@ MAX_FIELD_BYTES = 1 << 30
 NOISE_FLOOR = 1e-13
 STABILITY_FACTOR = 1e6
 
+# ``functional_residuals`` takes rates of at least RATE_FLOOR max |J| as scale.
+RATE_FLOOR = 1e-3
+
 
 # --------------------------------------------------------------------------
 # Flat integrator state
@@ -128,9 +131,7 @@ class _Layout:
     def of(cls, dm: DiscreteWeightedManifold, count: int = 0) -> "_Layout":
         axes, offset = [], 0
         for ax in dm.axes:
-            kind = ax.kind
-            if kind == "circle" and np.ptp(ax.a) == 0.0 and np.ptp(ax.f) == 0.0:
-                kind = "round"
+            kind = "round" if ax.kind == "circle" and ax.is_round else ax.kind
             axes.append((kind, offset, ax.size))
             offset += {"circle": 2 * ax.size, "round": 2, "hermite": 1}[kind]
         circles = tuple((off, n) for kind, off, n in axes if kind == "circle")
@@ -184,8 +185,7 @@ def _flow_rhs(layout: _Layout, modes: int):
     two numbers with no derivative product and no projection.  A diagonal
     axis adds C_i' = 1/a of a round circle or 1/u of a Gaussian line.  A
     circle that is not round applies its full scalar operator
-    (u'' - (Gamma + f') u') / a to V along its own axis, through the
-    transpose that brings the axis to the front of the batch and its inverse;
+    (u'' - (Gamma + f') u') / a to V along its own axis (``apply_along``);
     derivatives act on V - V[0] along the axis, exactly zero on constants.
     Without such a circle the scalars are not in the state, and the stages
     never touch them.
@@ -196,8 +196,7 @@ def _flow_rhs(layout: _Layout, modes: int):
         project = kind == "circle" and modes < n // 2
         integral = layout.width + layout.diagonal.index(axis) if axis in layout.diagonal else None
         acts = layout.stepped and integral is None
-        perm, inverse = axis_to_front(len(layout.axes) + 1, axis + 1)
-        plan.append((kind, project, off, n, ops["d1"], ops["d2"], integral, acts, perm, inverse))
+        plan.append((kind, project, off, n, ops["d1"], ops["d2"], integral, acts))
     start, batch_shape = layout.start, (-1, *layout.shape)
 
     def rhs(t, z):
@@ -206,7 +205,7 @@ def _flow_rhs(layout: _Layout, modes: int):
             batch = z[start:].reshape(batch_shape)
             out = dz[start:].reshape(batch_shape)
             out[...] = 0.0
-        for kind, project, off, n, d1, d2, integral, acts, perm, inverse in plan:
+        for axis, (kind, project, off, n, d1, d2, integral, acts) in enumerate(plan):
             if kind == "circle":
                 a, f = _positive(z[off : off + n]), z[off + n : off + 2 * n]
                 df = f - f[0]
@@ -221,10 +220,8 @@ def _flow_rhs(layout: _Layout, modes: int):
                 if integral is not None:
                     dz[integral] = 1.0 / a[0]
                 if acts:
-                    moved = batch.transpose(perm)
-                    diff = np.subtract(moved, moved[:1], order="C").reshape(n, -1)
-                    term = (d2 @ diff - (gamma + fprime)[:, None] * (d1 @ diff)) / a[:, None]
-                    out += term.reshape(moved.shape).transpose(inverse)
+                    drift = (gamma + fprime)[:, None]
+                    out += apply_along(lambda v: (d2 @ v - drift * (d1 @ v)) / a[:, None], batch, axis + 1, "C")
             elif kind == "round":
                 a = z[off]
                 if a <= 0.0:
@@ -260,12 +257,10 @@ def _factor(layout: _Layout, v: np.ndarray, integrals, s: float) -> np.ndarray:
         if kind == "hermite":
             ops = _hermite_ops(n)
             matrix = ops["vand"] @ (np.exp(lag - 0.5 * np.arange(n) * c)[:, None] * ops["vinv"])
-            perm, inverse = axis_to_front(u.ndim, axis + 1)
-            moved = u.transpose(perm)
-            u = (matrix @ moved.reshape(n, -1)).reshape(moved.shape).transpose(inverse)
+            u = apply_along(matrix.__matmul__, u, axis + 1)
         else:
             coef = np.fft.rfft(u, axis=axis + 1)
-            coef *= np.exp(lag - np.arange(n // 2 + 1) ** 2.0 * c).reshape(-1, *[1] * (u.ndim - axis - 2))
+            coef *= along(np.exp(lag - np.arange(n // 2 + 1) ** 2.0 * c), axis, u.ndim - 1)
             u = np.fft.irfft(coef, n=n, axis=axis + 1)
         lag = 0.0
     return math.exp(lag) * u if lag else u
@@ -545,8 +540,11 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     Eigenvalue curves are matched across time by sorted order with
     multiplicity.  When scalars are tracked, the initial eigenfunctions
     u_1..u_k (weighted-L2 normalized, mean zero) evolve by the drift heat
-    equation and their mass/energy pairings are recorded per output.
+    equation and their mass/energy pairings are recorded per output.  A family
+    extinct by the last output fails before anything is discretized.
     """
+    dt, recorded = _output_steps(request)
+    evaluate_family(request.family, request.family.t0 + recorded[-1] * dt)
     start = evaluate_family(request.family, request.family.t0)
     _check_field_memory(request, start)
     state0 = discretize(start, resolution=request.resolution, hermite_order=request.hermite_order)
@@ -612,7 +610,12 @@ class FunctionalResidualReport:
     """Defects of the evolution identities J' = J - 2D and I' = I - 2E along
     a run, with the rates dJ that each output's pairings give (``series["dJ"]``,
     I' its diagonal), normalized by the sup of the series involved, and the
-    largest rise of E between outputs (E' <= 0)."""
+    largest rise of E between outputs (E' <= 0).
+
+    The scale is at least RATE_FLOOR max |J|.  J' = (1 - 2 lambda) J on an
+    eigenfunction, so that floor acts only where every tracked lambda lies
+    within RATE_FLOOR / 2 of 1/2; at 1/2, the equality case of splitting,
+    J - 2D and J' are round-off, and round-off over itself would read 1."""
 
     max_rel_J: float
     max_rel_I: float
@@ -628,11 +631,12 @@ def functional_residuals(series: dict) -> FunctionalResidualReport:
     J, D, dJ, E = (series[name] for name in ("J", "D", "dJ", "E"))
     rhsJ = J - 2.0 * D
     resJ = np.abs(dJ - rhsJ)
-    scaleJ = max(float(np.max(np.abs(rhsJ))), float(np.max(np.abs(dJ))), 1e-12)
+    floor = max(RATE_FLOOR * float(np.max(np.abs(J))), 1e-12)
+    scaleJ = max(float(np.max(np.abs(rhsJ))), float(np.max(np.abs(dJ))), floor)
 
     diagonal = lambda x: np.einsum("mii->mi", x)
     rhsI, dI = diagonal(rhsJ), diagonal(dJ)
-    scaleI = max(float(np.max(np.abs(rhsI))), float(np.max(np.abs(dI))), 1e-12)
+    scaleI = max(float(np.max(np.abs(rhsI))), float(np.max(np.abs(dI))), floor)
 
     return FunctionalResidualReport(
         max_rel_J=float(np.max(resJ)) / scaleJ,
@@ -711,12 +715,12 @@ def _laplacian_rates(ax, phi) -> tuple:
 
 def _commutator_at(du, d2u, dm: DiscreteWeightedManifold) -> float:
     """The residual at one output ``dm`` from the probe's first and second partials."""
-    phi = soliton_defect_profiles(dm)
+    phi, d = soliton_defect_profiles(dm), dm.dimension
     d_lu = 0.0
     for i, ax in enumerate(dm.axes):
         c1, c2 = _laplacian_rates(ax, phi[i])
-        d_lu = d_lu + dm.axis_profile(i, c1) * d2u[i] + dm.axis_profile(i, c2) * du[i]
-    W = [dm.axis_profile(i, phi[i]) * du[i] / dm.axis_profile(i, ax.a * ax.a) for i, ax in enumerate(dm.axes)]
+        d_lu = d_lu + along(c1, i, d) * d2u[i] + along(c2, i, d) * du[i]
+    W = [along(phi[i], i, d) * du[i] / along(ax.a * ax.a, i, d) for i, ax in enumerate(dm.axes)]
     div_term = 2.0 * drift_divergence(W, dm)
     resid = d_lu + div_term  # L u_t vanishes: u is fixed in coordinates
     norm = lambda g: math.sqrt(max(dm.integrate(g * g), 0.0))

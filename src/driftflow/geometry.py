@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .axes import CircleAxis, HermiteLineAxis, circle_nodes
+from .axes import CircleAxis, HermiteLineAxis, along, circle_nodes
 from .errors import ConfigurationError, DomainError, ExtinctionError, UsageError
 
 __all__ = [
@@ -218,10 +218,11 @@ def evaluate_family(family, t: float) -> ContinuumState:
 class DiscreteWeightedManifold:
     """Sampled product geometry, ready for quadrature and spectral assembly.
 
-    Holds one spectral axis per factor.  The axes' own arrays stay
-    writeable (only the tables they share from the per-grid caches are
-    read-only); by convention no code changes a manifold after construction,
-    and every operation on a manifold is a pure function.
+    Holds one spectral axis per factor; their per-axis vectors meet fields
+    through ``axes.along``, not through the manifold.  The axes' own arrays
+    stay writeable (only the tables they share from the per-grid caches
+    are read-only); by convention no code changes a manifold after
+    construction, and every operation on a manifold is a pure function.
     """
 
     def __init__(self, axes, t: float = 0.0):
@@ -235,20 +236,8 @@ class DiscreteWeightedManifold:
         self.dimension = len(axes)
         self._wdens_vectors = [ax.wdens for ax in axes]
 
-    def axis_profile(self, idx: int, values) -> np.ndarray:
-        """Broadcast a per-axis sample vector (or scalar) over the full grid,
-        as a read-only view."""
-        if np.isscalar(values):
-            return np.broadcast_to(float(values), self.shape)
-        shape = [1] * self.dimension
-        shape[idx] = self.shape[idx]
-        return np.broadcast_to(np.reshape(values, shape), self.shape)
-
     def f_field(self) -> np.ndarray:
-        total = np.zeros(self.shape)
-        for i, ax in enumerate(self.axes):
-            total = total + self.axis_profile(i, ax.f)
-        return total
+        return sum((along(ax.f, i, self.dimension) for i, ax in enumerate(self.axes)), np.zeros(self.shape))
 
     def integrate(self, values) -> float:
         """Quadrature of ``values`` against the weighted volume e^{-f} dv."""

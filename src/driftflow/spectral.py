@@ -8,7 +8,8 @@ The operator L = Delta - grad_f is represented weakly by the pair of forms
 so that D u = lambda J u is the weak form of -L u = lambda u.  The mass is
 diagonal.  On product grids the stiffness is a Kronecker sum of per-axis
 blocks, each weighted by the other axes' masses; it is kept in factors and
-applied axis by axis (Lynch, Rice & Thomas 1964), never formed as one matrix.
+applied axis by axis with ``axes.apply_along`` (Lynch, Rice & Thomas 1964),
+never formed as one matrix.
 Eigenpairs are solved per axis: Hermite axes and constant-coefficient
 circles in closed form (Fourier modes), other circles by dense ``eigh``.
 The closed-form tables depend only on the grid and are cached read-only per
@@ -19,11 +20,12 @@ a per-pair build.
 Pointwise quantities of a (k, *shape) batch of fields come from one
 derivative pass (``_derivatives``): the partials du_i and the diagonal
 Hessian components h_i = d2_i u - Gamma_i du_i, each derivative applied
-once to the whole batch.  L has one formula, sum_i (1/a_i)(h_i - f'_i du_i)
-(``_drift``); the drift Laplacian, the pairings J and D with their rate,
-the Hessian energies, both Bochner sides and the splitting certificate are
-built from du and h, and only the mixed partials of a product take more
-derivatives.
+once to the whole batch; per-axis vectors such as 1/a_i, Gamma_i and the
+weights enter as ``axes.along`` views.  L has one formula,
+sum_i (1/a_i)(h_i - f'_i du_i) (``_drift``); the drift Laplacian, the
+pairings J and D with their rate, the Hessian energies, both Bochner
+sides and the splitting certificate are built from du and h, and only the
+mixed partials of a product take more derivatives.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .axes import axis_to_front, circle_nodes
+from .axes import along, apply_along, circle_nodes
 from .errors import SolverError, UsageError
 from .geometry import DiscreteWeightedManifold
 
@@ -69,7 +71,7 @@ def gradient_inner(dm: DiscreteWeightedManifold, du: list, dv: list) -> np.ndarr
     """Pointwise <grad u, grad v> from coordinate partials (diagonal metric)."""
     out = np.zeros(dm.shape)
     for i, ax in enumerate(dm.axes):
-        out += dm.axis_profile(i, 1.0 / ax.a) * du[i] * dv[i]
+        out += along(1.0 / ax.a, i, dm.dimension) * du[i] * dv[i]
     return out
 
 
@@ -90,17 +92,9 @@ def drift_divergence(V, dm: DiscreteWeightedManifold) -> np.ndarray:
     out = np.zeros(dm.shape)
     for i, ax in enumerate(dm.axes):
         Vi = _check_field(dm, V[i])
-        gamma = dm.axis_profile(i, ax.christoffel)
-        fp = dm.axis_profile(i, ax.fprime)
+        gamma, fp = along(ax.christoffel, i, dm.dimension), along(ax.fprime, i, dm.dimension)
         out += ax.d1(Vi, i) + Vi * (gamma - fp)
     return out
-
-
-def _along(dm: DiscreteWeightedManifold, i: int, v):
-    """A per-axis vector shaped to broadcast along axis i of the grid and of a
-    (k, *shape) batch over it; a scalar as it is.  This is ``axis_profile``
-    without its np.broadcast_to, whose per-call cost shows in the batch."""
-    return v if np.isscalar(v) else v.reshape([-1 if b == i else 1 for b in range(dm.dimension)])
 
 
 def _derivatives(dm: DiscreteWeightedManifold, batch: np.ndarray) -> tuple[list, list]:
@@ -109,7 +103,7 @@ def _derivatives(dm: DiscreteWeightedManifold, batch: np.ndarray) -> tuple[list,
     one (k, *shape) array each.  Each derivative is applied once to the whole
     batch: 2d applications whatever k is."""
     du = [ax.d1(batch, i + 1) for i, ax in enumerate(dm.axes)]
-    h = [ax.d2(batch, i + 1) - _along(dm, i, ax.christoffel) * du[i] for i, ax in enumerate(dm.axes)]
+    h = [ax.d2(batch, i + 1) - along(ax.christoffel, i, dm.dimension) * du[i] for i, ax in enumerate(dm.axes)]
     return du, h
 
 
@@ -117,7 +111,7 @@ def _drift(dm: DiscreteWeightedManifold, du: list, h: list) -> np.ndarray:
     """L u = sum_i (1/a_i)(h_i - f'_i du_i) of a batch from its ``_derivatives``."""
     lu = 0.0
     for i, ax in enumerate(dm.axes):
-        lu = lu + _along(dm, i, 1.0 / ax.a) * (h[i] - _along(dm, i, ax.fprime) * du[i])
+        lu = lu + along(1.0 / ax.a, i, dm.dimension) * (h[i] - along(ax.fprime, i, dm.dimension) * du[i])
     return lu
 
 
@@ -125,8 +119,8 @@ def _weighting(dm: DiscreteWeightedManifold, k: int):
     """``weighted(x, *differentiated)`` for integrals of a (k, *shape) batch:
     x times the quadrature weights and 1/a of each axis in ``differentiated``,
     as (k, size) rows.  The per-axis vectors are shaped once per pass."""
-    weights = [_along(dm, i, ax.wdens) for i, ax in enumerate(dm.axes)]
-    ainv = [_along(dm, i, 1.0 / ax.a) for i, ax in enumerate(dm.axes)]
+    weights = [along(ax.wdens, i, dm.dimension) for i, ax in enumerate(dm.axes)]
+    ainv = [along(1.0 / ax.a, i, dm.dimension) for i, ax in enumerate(dm.axes)]
 
     def weighted(x, *differentiated):
         for w in weights + [ainv[i] for i in differentiated]:
@@ -215,7 +209,7 @@ def bochner_sides(u, dm: DiscreteWeightedManifold) -> tuple[float, float, float]
         return float(np.vdot(weighted(x, *differentiated), y))
 
     phi = soliton_defect_profiles(dm)
-    lhs = dm.integrate(sum(_along(dm, i, phi[i]) * (_along(dm, i, 1.0 / ax.a) * du[i][0]) ** 2
+    lhs = dm.integrate(sum(along(phi[i], i, dm.dimension) * (along(1.0 / ax.a, i, dm.dimension) * du[i][0]) ** 2
                            for i, ax in enumerate(dm.axes)))
     dirichlet = sum(integral(g, g, i) for i, g in enumerate(du))
     lu = _drift(dm, du, h)
@@ -262,16 +256,11 @@ class QuadraticForms:
         d = len(self.blocks)
         if u.shape[u.ndim - d :] != self.shape:
             raise UsageError(f"field shape {u.shape} does not end in grid {self.shape}")
-        masses = [np.reshape(m, [-1 if a == j else 1 for a in range(d)]) for j, m in enumerate(self.axis_masses)]
+        masses = [along(m, j, d) for j, m in enumerate(self.axis_masses)]
         out = 0.0
         for i, block in enumerate(self.blocks):
-            weighted = u
-            for j, m in enumerate(masses):
-                if j != i:
-                    weighted = weighted * m
-            perm, inverse = axis_to_front(weighted.ndim, i - d)
-            moved = weighted.transpose(perm)
-            out = out + (block @ moved.reshape(len(moved), -1)).reshape(moved.shape).transpose(inverse)
+            weighted = reduce(np.multiply, [m for j, m in enumerate(masses) if j != i], u)
+            out = out + apply_along(block.__matmul__, weighted, i - d)
         return out
 
 
@@ -286,7 +275,7 @@ def assemble_forms(dm: DiscreteWeightedManifold) -> QuadraticForms:
     return QuadraticForms(
         manifold=dm,
         blocks=tuple(ax.stiffness() for ax in dm.axes),
-        axis_masses=tuple(ax.mass_diag() for ax in dm.axes),
+        axis_masses=tuple(ax.wdens for ax in dm.axes),
     )
 
 
@@ -338,7 +327,7 @@ def _axis_eigens(ax, block, mass, count):
     if ax.kind == "hermite":
         return ax.eigens()
     count = min(count, ax.size)
-    if np.ptp(ax.a) == 0.0 and np.ptp(ax.f) == 0.0:
+    if ax.is_round:
         k, table = _circle_modes(ax.size, count)
         return k**2 / ax.a[0], table / np.sqrt(mass @ (table * table))
     from scipy.linalg import eigh  # only here: the other paths need no scipy
@@ -382,15 +371,10 @@ def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10) -> Spec
     eigenvalues = sums.ravel()[order]
 
     # Each eigenfunction is the product of one column per axis, multiplied
-    # in axis order and then by the normalization, all k+1 in one broadcast.
-    d = len(per_axis)
-    fields = reduce(
-        np.multiply,
-        [
-            vecs.T[idx].reshape(k + 1, *[-1 if j == i else 1 for j in range(d)])
-            for i, ((_, vecs), idx) in enumerate(zip(per_axis, np.unravel_index(order, sums.shape)))
-        ],
-    )
+    # in axis order and then by the normalization, all k+1 in one broadcast;
+    # the product starts from an exact 1.0, so it is a new array even on one axis.
+    columns = enumerate(zip(per_axis, np.unravel_index(order, sums.shape)))
+    fields = reduce(np.multiply, [along(vecs.T[idx], i, len(per_axis)) for i, ((_, vecs), idx) in columns], 1.0)
     flat = fields.reshape(k + 1, -1)
     flip = flat[np.arange(k + 1), np.argmax(np.abs(flat), axis=1)] < 0
     fields[flip] = -fields[flip]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .axes import along
 from .errors import UsageError
 from .flow import FlowTrajectory
 from .geometry import DiscreteWeightedManifold
@@ -113,15 +114,13 @@ def _split_axes(dm, grads):
 
 
 def _axis_average(dm, field, axes_to_avg):
-    """Weighted average of a field over the given axes, broadcast back."""
+    """Weighted average of a field over the given axes, each kept as a
+    length-1 axis that broadcasts against the grid."""
     out = field
     for i in axes_to_avg:
         w = dm.axes[i].wdens
-        w = w / np.sum(w)
-        shape = [1] * dm.dimension
-        shape[i] = dm.shape[i]
-        out = np.sum(out * np.reshape(w, shape), axis=i, keepdims=True)
-    return np.broadcast_to(out, dm.shape)
+        out = np.sum(out * along(w / np.sum(w), i, dm.dimension), axis=i, keepdims=True)
+    return out
 
 
 def certificate_residuals(directions, dm: DiscreteWeightedManifold) -> dict:
@@ -178,7 +177,7 @@ def certificate_residuals(directions, dm: DiscreteWeightedManifold) -> dict:
 
     metric_residual = 0.0
     for i, ax in enumerate(dm.axes):
-        a = dm.axis_profile(i, ax.a)
+        a = along(ax.a, i, dm.dimension)
         speed = sum(du[i] * du[i] for du in grads) / a
         target = 1.0 if i in split else 0.0
         metric_residual = max(metric_residual, float(np.max(np.abs(speed - target))))
@@ -190,9 +189,9 @@ def certificate_residuals(directions, dm: DiscreteWeightedManifold) -> dict:
     check1 = 0.0
     lap_q = 0.0
     for i, ax in enumerate(dm.axes):
-        a = dm.axis_profile(i, ax.a)
+        a = along(ax.a, i, dm.dimension)
         if i in split:
-            check1 = max(check1, float(np.max(np.abs(a - 2.0 * dm.axis_profile(i, ax.hess_f)))))
+            check1 = max(check1, float(np.max(np.abs(a - 2.0 * along(ax.hess_f, i, dm.dimension)))))
         else:
             check1 = max(check1, float(np.max(np.abs(2.0 * hq[i]))))
         for j in range(i + 1, dm.dimension):

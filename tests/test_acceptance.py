@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from driftflow import acceptance, spectral
+from driftflow import acceptance, flow, spectral
 from driftflow.cli import main
 from driftflow.config import ScenarioConfig
 from driftflow.flow import RunRequest, run_flow
@@ -199,3 +199,41 @@ class TestBochnerResidual:
         dm = weighted_circle(64, f=lambda th: 0.5 * np.cos(th) - 0.3 * np.sin(2 * th))
         (check,) = acceptance.check_bochner(dm, 0)
         assert not check.passed
+
+
+# The static shrinker's configs of every dimension: each tracked eigenvalue is 1/2.
+SHRINKERS = [
+    {"n": 1, "k": 1},
+    {"n": 2, "k": 2},
+    {"n": 2, "k": 2, "backend": "analytic"},
+    {"n": 3, "k": 3},
+]
+
+
+def _shrinker_run(**overrides):
+    return run_flow(ScenarioConfig.from_dict({"family": "scaled_gaussian", "u0": 1.0, **overrides}).to_request())
+
+
+def _scale_d(J, D, dJ):
+    return J, D * (1.0 + 1e-3), dJ
+
+
+def _drop_g_transpose(J, D, dJ):
+    # the scalars are eigenfunctions, so G = (dJ - J) / 2 is symmetric
+    return J, D, J + (dJ - J) / 2.0
+
+
+class TestFunctionalsOnTheShrinker:
+    """J - 2D and J' are both round-off where every tracked eigenvalue is
+    1/2, so the identity defects are measured against at least
+    flow.RATE_FLOOR max |J| there (the configs pass, see test_cli); a broken
+    identity still fails."""
+
+    @pytest.mark.parametrize("brk", [_scale_d, _drop_g_transpose])
+    @pytest.mark.parametrize("overrides", SHRINKERS)
+    def test_a_broken_identity_fails_on_the_shrinker(self, monkeypatch, brk, overrides):
+        pairings = flow._scalar_pairings
+        monkeypatch.setattr(flow, "_scalar_pairings", lambda *args: brk(*pairings(*args)))
+        checks = {c.name: c for c in acceptance.check_functionals(_shrinker_run(**overrides))}
+        assert not checks["rel J'"].passed and not checks["rel I'"].passed
+        assert checks["rel J'"].value > 0.1

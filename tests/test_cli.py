@@ -9,10 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from driftflow import acceptance, flow
+from driftflow import acceptance, cli, flow
 from driftflow.cli import main
 from driftflow.config import ScenarioConfig, load_config
-from driftflow.errors import ConfigurationError
+from driftflow.errors import ConfigurationError, DegeneracyError, SolverError, StabilityError
 
 LOG2 = math.log(2.0)
 
@@ -83,6 +83,15 @@ class TestConfigSchema:
                     with pytest.raises(ConfigurationError) as err:
                         ScenarioConfig.from_dict({key: value})
                     assert str(err.value) == f"config key {key} must be {what}"
+
+    @pytest.mark.parametrize("key", ["splitting_t0", "splitting_t1"])
+    def test_splitting_window_must_lie_in_the_run(self, key):
+        base = {"t0": 1.0, "horizon": 0.5, "check_splitting": True}
+        for val in (1.0, 1.5):  # the run's two ends are inside
+            assert getattr(ScenarioConfig.from_dict({**base, key: val}), key) == val
+        for val in (0.99, 1.51, 7.0):
+            with pytest.raises(ConfigurationError, match=rf"^config key {key} = {val} outside \[1\.0, 1\.5\]$"):
+                ScenarioConfig.from_dict({**base, key: val})
 
     def test_product_factor_string(self, tmp_path):
         cfg = ScenarioConfig.from_dict(
@@ -269,10 +278,17 @@ class TestRunCommand:
         gauss, circle = load_config(str(cfg)).build_family().factors
         assert (gauss.u0, gauss.n, circle.a0, circle.f0) == (1.5, 1, 4.0, -2.0)
 
-    def test_breakdown_exit_code(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path / "dying.json", name="dying", u0=0.5, horizon=1.0)
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
-        assert "error: stability:" in capsys.readouterr().err
+    def test_breakdown_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a horizon past the family's extinction at log 2 is a config error on
+        # both backends, raised before the first step and before any output
+        steps = []
+        monkeypatch.setattr(flow, "_step", lambda *args: steps.append(args))
+        monkeypatch.setattr(flow, "discretize", lambda *args, **kw: steps.append(args))
+        for backend in ("galerkin", "analytic"):
+            cfg = _write_config(tmp_path / "dying.json", name="dying", u0=0.5, horizon=1.0, backend=backend)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == "error: config: family is extinct at t = 0.69314718056\n"
+        assert steps == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("a0", [1e-3, 1e-8])
     def test_degenerate_scalars_are_a_solver_error(self, tmp_path, capsys, a0):
@@ -448,7 +464,23 @@ class TestRunCommand:
         assert values["rel J'"] < 1e-12 and values["rel I'"] < 1e-12
         assert values.get("commutator", 0.0) < 1e-12
 
-    def test_splitting_window_outside_the_run_leaves_no_artifacts(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n, k, backend", [(1, 1, "galerkin"), (2, 2, "galerkin"), (2, 2, "analytic"), (3, 3, "galerkin")])
+    def test_the_static_shrinker_passes_the_identity_checks(self, tmp_path, n, k, backend):
+        # every tracked eigenvalue is 1/2: J - 2D and J' are round-off, measured against RATE_FLOOR max |J|
+        cfg = _write_config(tmp_path / "s.json", name="s", u0=1.0, n=n, k=k, backend=backend, horizon=0.5,
+                            track_scalars=True, check_functionals=True)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+        manifest = json.loads((out / "s" / "manifest.json").read_text())
+        values = {c["name"]: c["value"] for c in manifest["verifications"]["functionals"]}
+        assert values["rel J'"] < 1e-10 and values["rel I'"] < 1e-10
+
+    def test_splitting_window_outside_the_run_leaves_no_artifacts(self, tmp_path, capsys, monkeypatch):
+        # refused when the config loads, so the flow is never integrated
+        import driftflow.runner
+
+        runs = []
+        monkeypatch.setattr(driftflow.runner, "run_flow", lambda request: runs.append(request))
         cfg = _write_config(
             tmp_path / "late.json", name="late", u0=1.0, horizon=0.02, check_splitting=True,
             splitting_t0=0.5, splitting_t1=0.6,
@@ -456,8 +488,8 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config: ") and err.count("\n") == 1
-        assert not (out / "late").exists()
+        assert err == "error: config: config key splitting_t0 = 0.5 outside [0.0, 0.02]\n"
+        assert not (out / "late").exists() and runs == []
 
     def test_product_run_checks_bochner_and_reports_each_lambda_once(self, tmp_path):
         # lambda_1 = lambda_2 = 1/4 on this product: one oracle report for both
@@ -524,6 +556,31 @@ class TestSweepAndReport:
         assert [m["status"] for m in manifest] == ["unexpected", "unexpected"]
         assert {m["where"] for m in manifest} == {"RuntimeError: boom second line"}
         assert capsys.readouterr().err == "error: unexpected: 2 runs failed\n"
+
+    @pytest.mark.parametrize(
+        "raised, kind, code",
+        [
+            ((StabilityError, SolverError, ConfigurationError), "config", 2),
+            ((SolverError, StabilityError, RuntimeError), "stability", 3),
+            ((RuntimeError, DegeneracyError, RuntimeError), "solver", 4),
+            ((RuntimeError, RuntimeError, RuntimeError), "unexpected", 1),
+        ],
+    )
+    def test_sweep_exits_with_the_first_kind_among_its_failures(self, tmp_path, monkeypatch, capsys, raised, kind,
+                                                                code):
+        # one table orders the kinds for a run's error and for a sweep's failures
+        import driftflow.runner
+
+        def failing(config, out_root=None):
+            raise raised[int(config.u0) - 1]("x")
+
+        monkeypatch.setattr(driftflow.runner, "execute", failing)
+        cfg = _write_config(tmp_path / "base.json")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--grid", "u0=1,2,3", "--out", str(out)]) == code
+        assert capsys.readouterr().err == f"error: {kind}: 3 runs failed\n"
+        statuses = [m["status"] for m in json.loads((out / "sweep_manifest.json").read_text())]
+        assert statuses == [cli._classify(exc("x"))[0] for exc in raised]
 
     @pytest.fixture
     def fake_pool(self, monkeypatch):

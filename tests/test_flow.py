@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 import types
@@ -13,7 +14,7 @@ import driftflow.spectral
 import driftflow.splitting
 from driftflow import acceptance
 from driftflow.acceptance import check_commutator, check_functionals
-from driftflow.axes import _fourier_dense, _hermite_ops, circle_nodes, lowpass, mode_amplitudes
+from driftflow.axes import _fourier_dense, _hermite_ops, along, circle_nodes, lowpass, mode_amplitudes
 from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
 from driftflow.flow import (
     RunRequest, _factor, _flow_rhs, _Layout, _rk4, _run_loop, _scalar_pairings, _settle, _step,
@@ -65,13 +66,21 @@ class TestSingleStep:
         with pytest.raises(StabilityError, match="^circle mode energy"):
             df.run_flow(req)
 
-    def test_positivity_breakdown(self):
+    def test_positivity_breakdown(self, monkeypatch):
+        # the family dies at log 2 < 1: run_flow refuses it before any step,
+        # and the stepping loop's own positivity safeguard still fires on it
         req = RunRequest(
             family=df.scaled_gaussian_family(0.5, 1), horizon=1.0, dt=1e-3, cadence=100, k=1,
             track_scalars=False,
         )
-        with pytest.raises(df.FlowBreakdownError):
+        seen = _counting_step(monkeypatch)
+        with pytest.raises(df.ExtinctionError, match=r"^family is extinct at t = 0\.69314718056$"):
             df.run_flow(req)
+        assert seen == []
+        dm = df.discretize(df.evaluate_family(req.family, 0.0), hermite_order=req.hermite_order)
+        with pytest.raises(df.FlowBreakdownError):
+            df.flow._run_loop(req, dm, None)
+        assert 0 < len(seen) < req.steps
 
 
 class TestOutputRecord:
@@ -399,8 +408,8 @@ def _smooth_fields(dm, k, seed=7):
                 prof = sum(rng.uniform(-1, 1) * np.cos(m * ax.nodes + rng.uniform(0, 6)) for m in range(1, 4))
             else:
                 prof = sum(rng.uniform(-1, 1) * ax.nodes**p for p in range(4))
-            profiles.append(dm.axis_profile(i, prof))
-        fields.append(np.prod(profiles, axis=0) + sum(profiles))
+            profiles.append(along(prof, i, dm.dimension))
+        fields.append(functools.reduce(np.multiply, profiles) + sum(profiles))
     return np.stack(fields)
 
 
@@ -411,12 +420,12 @@ def _hessian_energy(dm, u):
     du = partials(dm, u)
     total = np.zeros(dm.shape)
     for i, ax in enumerate(dm.axes):
-        ai = np.full(dm.shape, dm.axis_profile(i, ax.a))
-        h = ax.d2(u, i) - dm.axis_profile(i, ax.christoffel) * du[i]
+        ai = np.full(dm.shape, along(ax.a, i, dm.dimension))
+        h = ax.d2(u, i) - along(ax.christoffel, i, dm.dimension) * du[i]
         total += h * h / (ai * ai)
         for j in range(i + 1, dm.dimension):
             h = dm.axes[j].d1(du[i], j)
-            total += 2.0 * h * h / (ai * dm.axis_profile(j, dm.axes[j].a))
+            total += 2.0 * h * h / (ai * along(dm.axes[j].a, j, dm.dimension))
     return dm.integrate(total)
 
 
@@ -555,7 +564,7 @@ class TestExactRates:
         exact = 0.0
         for i, ax in enumerate(dm.axes):
             c1, c2 = df.flow._laplacian_rates(ax, phi[i])
-            exact = exact + dm.axis_profile(i, c1) * d2u[i] + dm.axis_profile(i, c2) * du[i]
+            exact = exact + along(c1, i, dm.dimension) * d2u[i] + along(c2, i, dm.dimension) * du[i]
         eps = 1e-5
         plus, minus = (df.drift_laplacian(_moved(dm, phi, h), u) for h in (eps, -eps))
         central = (plus - minus) / (2.0 * eps)
@@ -698,8 +707,8 @@ class TestFlatState:
             ),
         )
         dm = df.discretize(state, resolution=32, hermite_order=8)
-        theta = dm.axis_profile(0, dm.axes[0].nodes)
-        x = dm.axis_profile(1, dm.axes[1].nodes)
+        theta = along(dm.axes[0].nodes, 0, 2)
+        x = along(dm.axes[1].nodes, 1, 2)
         fields = np.stack([np.cos(theta) * x, np.sin(2 * theta) + x**3, np.cos(3 * theta) * (x * x - 2.0)])
         layout = _Layout.of(dm, len(fields))
         assert layout.diagonal == (1,) and layout.stepped

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import driftflow as df
+from driftflow.axes import along
 from driftflow.errors import ConfigurationError, DomainError, ExtinctionError
 from driftflow.spectral import soliton_defect_profiles
 
@@ -172,17 +173,27 @@ class TestDiscretize:
         (phi,) = soliton_defect_profiles(df.DiscreteWeightedManifold([ax]))
         assert phi.tobytes() == np.full(10, 0.5 * ax.a - 0.5).tobytes()
 
-    def test_axis_profile_is_a_read_only_view(self):
-        # a Hermite axis's a and Gamma are floats: their profile is a
-        # broadcast of the float, with no grid-sized allocation
+    def test_along_is_a_read_only_view(self):
+        # a Hermite axis's a and Gamma are floats: they pass through as they
+        # are, with no grid-sized allocation; a vector becomes a read-only
+        # view of itself that broadcasts along its own axis of the grid
         fam = df.product_family([df.scaled_gaussian_family(1.5, 1), df.round_circle_family(2.0)])
         dm = df.discretize(df.evaluate_family(fam, 0.0), resolution=16, hermite_order=8)
         gauss, circle = dm.axes
-        for idx, values in ((0, gauss.a), (0, gauss.christoffel), (0, gauss.fprime), (1, circle.a)):
-            profile = dm.axis_profile(idx, values)
-            assert profile.shape == dm.shape and not profile.flags.writeable
-            assert np.array_equal(profile, np.broadcast_to(np.reshape(values, (-1, 1) if idx == 0 else (1, -1)), dm.shape))
-        assert dm.axis_profile(0, gauss.a).strides == (0, 0)
+        assert along(gauss.a, 0, dm.dimension) is gauss.a
+        assert along(gauss.christoffel, 0, dm.dimension) is gauss.christoffel
+        for idx, values in ((0, gauss.fprime), (1, circle.a)):
+            profile = along(values, idx, dm.dimension)
+            assert np.broadcast_shapes(profile.shape, dm.shape) == dm.shape and profile.size == values.size
+            assert not profile.flags.writeable and np.shares_memory(profile, values)
+            assert np.array_equal(
+                np.broadcast_to(profile, dm.shape),
+                np.broadcast_to(np.reshape(values, (-1, 1) if idx == 0 else (1, -1)), dm.shape),
+            )
+        # and along the same axis of a (k, *shape) batch, leading axes kept in front
+        rows = np.stack([circle.a, circle.f])
+        assert along(rows, 1, dm.dimension).shape == (2, 1, 16)
+        assert circle.a.flags.writeable and gauss.fprime.flags.writeable  # the views leave their bases writeable
 
 
 def _closed_form_rates(family, t: float) -> list:

@@ -49,6 +49,12 @@ REMOVED = (
     # No family, key or criterion set an additive weight constant.
     "QuadraticForms.scale",
     "ContinuumState.f_constant",
+    # Per-axis vectors meet a field through axes.along, which broadcasts without allocating.
+    "DiscreteWeightedManifold.axis_profile",
+    "_along",
+    # An axis's mass diagonal is its quadrature density ``wdens``, read directly.
+    "CircleAxis.mass_diag",
+    "HermiteLineAxis.mass_diag",
 )
 
 
@@ -98,3 +104,32 @@ def test_removed_names_are_not_importable(name):
         exec(f"from driftflow import {name}", {})
     for module in MODULES:
         assert not hasattr(importlib.import_module(f"driftflow.{module}"), name), module
+
+
+def _calls_by_function(attr: str) -> set:
+    """(module, enclosing class.function) of every use of the attribute ``attr`` in the package."""
+    found = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            found.add((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for module in MODULES:
+        visit(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")), module, "")
+    return found
+
+
+def test_only_axes_and_the_oracles_transpose_an_axis_to_the_front():
+    # every other module applies per-axis operators through axes.apply_along
+    named = {module for module in MODULES if "axis_to_front" in (PACKAGE / f"{module}.py").read_text(encoding="utf-8")}
+    assert named == {"axes", "oracles"}
+    assert {module for module, _ in _calls_by_function("transpose")} <= {"axes", "oracles"}
+
+
+def test_broadcast_to_only_samples_a_constant_circle_model():
+    # per-axis vectors broadcast through axes.along, a view with no grid-sized shape
+    assert _calls_by_function("broadcast_to") == {("geometry", "CircleModel.a_at"), ("geometry", "CircleModel.f_at")}

@@ -9,7 +9,7 @@ from scipy.linalg import eigh
 
 import driftflow as df
 import driftflow.axes
-from driftflow.axes import _fourier_dense, _fourier_ops, _hermite_ops, _spectral, apply_deriv
+from driftflow.axes import _fourier_dense, _fourier_ops, _hermite_ops, _spectral, along, apply_deriv
 from driftflow.errors import AssemblyError, UsageError
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel, discretize
 from driftflow.oracles import dense_stiffness
@@ -254,7 +254,7 @@ def _reference_eigenpairs(forms, k):
     for row, idx in enumerate(order):
         field = np.ones(dm.shape)
         for i, (_, vecs) in enumerate(per_axis):
-            field = field * dm.axis_profile(i, vecs[:, tuples[idx, i]])
+            field = field * along(vecs[:, tuples[idx, i]], i, dm.dimension)
         fields[row] = -field if field.flat[np.argmax(np.abs(field))] < 0 else field
     mass_diag = functools.reduce(np.kron, forms.axis_masses)
     ku = forms.apply_stiffness(fields).reshape(k + 1, -1)

@@ -6,6 +6,7 @@ import pytest
 
 import driftflow as df
 from driftflow import acceptance
+from driftflow.axes import along
 from driftflow.errors import UsageError
 from driftflow.flow import RunRequest, _run_loop
 
@@ -41,7 +42,7 @@ class TestDetection:
 
     def test_direction_is_the_gaussian_coordinate(self, product_cert, product_traj):
         dm = product_traj.manifolds[0]
-        x = dm.axis_profile(0, dm.axes[0].nodes)
+        x = along(dm.axes[0].nodes, 0, dm.dimension)
         u = product_cert.directions[0]
         sign = math.copysign(1.0, float(np.sum(u * x)))
         assert float(np.max(np.abs(sign * u - x))) < 1e-8
@@ -96,8 +97,8 @@ class TestCertificateResiduals:
 
     def test_bad_direction_has_large_hessian_energy(self, product_traj):
         dm = product_traj.manifolds[0]
-        theta = dm.axis_profile(1, dm.axes[1].nodes)
-        res = df.certificate_residuals([np.cos(theta)], dm)
+        theta = along(dm.axes[1].nodes, 1, dm.dimension)
+        res = df.certificate_residuals([np.broadcast_to(np.cos(theta), dm.shape)], dm)
         # |Hess cos|^2 = a^{-2} cos^2 on the circle factor, integrated with
         # sqrt(a) = 1/2 against the gaussian volume 2 sqrt(pi)
         expected = 16.0 * math.pi * 0.5 * 2.0 * math.sqrt(math.pi)
