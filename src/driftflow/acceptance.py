@@ -417,13 +417,17 @@ def criterion_7_comparison_suite() -> CriterionResult:
 
         h = h0
         t = 0.0
+        r_start = r(t)
         for step in range(nsteps):
-            k1 = h * (h - 1.0) - r(t)
-            k2 = (h + 0.5 * dt * k1) * (h + 0.5 * dt * k1 - 1.0) - r(t + 0.5 * dt)
-            k3 = (h + 0.5 * dt * k2) * (h + 0.5 * dt * k2 - 1.0) - r(t + 0.5 * dt)
-            k4 = (h + dt * k3) * (h + dt * k3 - 1.0) - r(t + dt)
+            # r at the step's midpoint once; r at its end is the next step's r at its start
+            r_mid, r_end = r(t + 0.5 * dt), r(t + dt)
+            k1 = h * (h - 1.0) - r_start
+            k2 = (h + 0.5 * dt * k1) * (h + 0.5 * dt * k1 - 1.0) - r_mid
+            k3 = (h + 0.5 * dt * k2) * (h + 0.5 * dt * k2 - 1.0) - r_mid
+            k4 = (h + dt * k3) * (h + dt * k3 - 1.0) - r_end
             h = h + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += dt
+            r_start = r_end
             if h < 0.0:
                 break  # envelope is vacuous once h leaves the nonnegative regime
             if step % 10 == 9:

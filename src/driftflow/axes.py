@@ -14,7 +14,11 @@ Fields are stored as node values; each axis knows how to differentiate along
 its own dimension and how to build its one-dimensional mass/stiffness blocks.
 Per-axis data meets an n-d field or a (k, *shape) batch of fields only
 here: ``along`` shapes a per-axis vector to broadcast along one axis, and
-``apply_along`` applies a per-axis operator along one axis.
+``apply_along`` applies a per-axis operator along one axis.  A stack of
+outputs on one grid is a leading axis: ``along`` keeps the leading axes of
+stacked per-axis vectors in front, and ``apply_along`` with ``lead`` keeps
+the stack in front of the operand, so that each output's operator acts on
+its own slice.
 """
 
 from __future__ import annotations
@@ -29,11 +33,12 @@ from .errors import AssemblyError, ConfigurationError
 
 
 @functools.cache
-def axis_to_front(ndim: int, axis: int) -> tuple[tuple, tuple]:
+def axis_to_front(ndim: int, axis: int, lead: int = 0) -> tuple[tuple, tuple]:
     """The transpose that brings ``axis`` of an ``ndim``-array to the front,
-    the others keeping their order, and its inverse; cached per pair."""
+    behind its first ``lead`` axes, the others keeping their order, and its
+    inverse; cached per triple."""
     front = axis % ndim
-    perm = (front, *(i for i in range(ndim) if i != front))
+    perm = (*range(lead), front, *(i for i in range(lead, ndim) if i != front))
     return perm, tuple(perm.index(i) for i in range(ndim))
 
 
@@ -42,33 +47,39 @@ def along(values, axis: int, ndim: int):
     grid and of any batch axes in front of it: a read-only view whose last
     axis lands on ``axis``, leading axes kept in front.  A scalar, such as a
     Gaussian line's a or its Gamma = 0, passes through as it is."""
-    if np.isscalar(values):
+    if not isinstance(values, np.ndarray):
         return values
-    view = values.reshape(*values.shape[:-1], *(-1 if b == axis else 1 for b in range(ndim)))
+    shape = [1] * ndim
+    shape[axis] = -1
+    view = values.reshape(values.shape[:-1] + tuple(shape))
     view.flags.writeable = False
     return view
 
 
-def apply_along(op, arr: np.ndarray, axis: int, subtract: str | None = None) -> np.ndarray:
+def apply_along(op, arr: np.ndarray, axis: int, subtract: str | None = None, lead: int = 0) -> np.ndarray:
     """``op`` applied along one axis of ``arr``: the axis brought to the front
     by the cached ``axis_to_front``, the array flattened to an (n, m) operand
     (a 1-D array to an (n, 1) column) that ``op`` maps to one of the same
-    shape, and the result transposed back.  With ``subtract``, a memory order
-    ("K" keeps the layout of ``arr``, "C" keeps the flattening a view), the
-    first slice is taken off first, so a constant reaches ``op`` as exact
-    zeros.  The operand's layout decides how a matrix product rounds."""
-    perm, inverse = axis_to_front(arr.ndim, axis)
+    shape, and the result transposed back.  With ``lead`` = 1 the first axis
+    of ``arr`` is a stack of outputs and stays in front: ``op`` maps an
+    (s, n, m) operand, each output's (n, m) slice shaped as it would be
+    alone.  With ``subtract``, a memory order ("K" keeps the layout of
+    ``arr``, "C" keeps the flattening a view), the first slice is taken off
+    first, so a constant reaches ``op`` as exact zeros.  The operand's layout
+    decides how a matrix product rounds."""
+    perm, inverse = axis_to_front(arr.ndim, axis, lead)
     moved = arr.transpose(perm)
     if subtract:
-        moved = np.subtract(moved, moved[:1], order=subtract)
-    return op(moved.reshape(len(moved), -1)).reshape(moved.shape).transpose(inverse)
+        moved = np.subtract(moved, moved[(slice(None),) * lead + (slice(1),)], order=subtract)
+    return op(moved.reshape(*moved.shape[: lead + 1], -1)).reshape(moved.shape).transpose(inverse)
 
 
-def apply_deriv(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+def apply_deriv(mat: np.ndarray, arr: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
     """Apply a derivative matrix along one dimension of a field, the first
     slice subtracted first: a field constant along it has exactly zero
-    derivative there, as in exact arithmetic."""
-    return apply_along(mat.dot, arr, axis, subtract="K")
+    derivative there, as in exact arithmetic.  With ``lead`` = 1, along each
+    field of a stack, one matrix product per field (``apply_along``)."""
+    return apply_along(mat.__matmul__ if lead else mat.dot, arr, axis, subtract="K", lead=lead)
 
 
 def _read_only(ops: dict) -> dict:
@@ -112,10 +123,13 @@ def _fourier_dense(n: int) -> dict[str, np.ndarray]:
     return _read_only({"d1": _spectral(ops["ik"], np.eye(n)), "d2": _spectral(ops["k2"], np.eye(n))})
 
 
-def _spectral(symbol: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Multiply by a Fourier symbol along the first axis of ``values``."""
-    coef = np.fft.rfft(values, axis=0)
-    return np.fft.irfft(along(symbol, 0, values.ndim) * coef, n=len(values), axis=0)
+def _spectral(symbol: np.ndarray, values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Multiply by a Fourier symbol along one axis of ``values``, the first
+    by default.  Each line is transformed on its own, so its bits do not
+    depend on the lines beside it."""
+    axis %= values.ndim
+    coef = np.fft.rfft(values, axis=axis)
+    return np.fft.irfft(along(symbol, axis, values.ndim) * coef, n=values.shape[axis], axis=axis)
 
 
 def circle_nodes(n: int) -> np.ndarray:
@@ -146,17 +160,21 @@ class FourierStiffness:
     """Circle stiffness D_s^T diag(w) D_s with D_s the staggered derivative.
 
     ``stiff @ u`` applies it by FFT along the first axis, as a matrix would;
-    constants are subtracted first, so their image is exactly zero.
+    constants are subtracted first, so their image is exactly zero.  Built
+    from a stack of weights (s, n), it applies each to its own operand of a
+    stack (s, n, m) along the second axis, as a stack of matrices would.
     """
 
     def __init__(self, weight: np.ndarray):
         self.weight = weight
-        self.symbol = _fourier_ops(weight.size)["ik_stag"]
+        self.symbol = _fourier_ops(weight.shape[-1])["ik_stag"]
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        flux = along(self.weight, 0, u.ndim) * _spectral(self.symbol, u - u[:1])
-        return _spectral(self.symbol.conj(), flux)
+        lead = self.weight.ndim - 1
+        first = u[(slice(None),) * lead + (slice(1),)]
+        flux = along(self.weight, 0, u.ndim - lead) * _spectral(self.symbol, u - first, lead)
+        return _spectral(self.symbol.conj(), flux, lead)
 
 
 class CircleAxis:
@@ -194,8 +212,8 @@ class CircleAxis:
         self.fprime = self.d1_vec(f)
         self.christoffel = self.d1_vec(a) / (2.0 * a)
 
-    def d1(self, field: np.ndarray, axis: int) -> np.ndarray:
-        return apply_deriv(_fourier_dense(self.size)["d1"], field, axis)
+    def d1(self, field: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
+        return apply_deriv(_fourier_dense(self.size)["d1"], field, axis, lead)
 
     def d2(self, field: np.ndarray, axis: int) -> np.ndarray:
         return apply_deriv(_fourier_dense(self.size)["d2"], field, axis)
@@ -207,10 +225,14 @@ class CircleAxis:
         return self._deriv_vec("k2", values)
 
     def _deriv_vec(self, symbol: str, values: np.ndarray) -> np.ndarray:
-        """A derivative of node values; a constant row's is zero, with no transform."""
-        if np.ptp(values) == 0.0:
-            return np.zeros(self.size)
-        return _spectral(self._ops[symbol], values - values[0])
+        """A derivative of node values along the last axis, of one row or a
+        stack of rows; a constant row's is zero, with no transform."""
+        out = np.zeros(values.shape)
+        vary = np.ptp(values, axis=-1) != 0.0
+        if np.any(vary):
+            rows = values[vary]
+            out[vary] = _spectral(self._ops[symbol], rows - rows[:, :1], axis=-1)
+        return out
 
     @functools.cached_property
     def is_round(self) -> bool:
@@ -246,8 +268,9 @@ class CircleAxis:
 
 @functools.cache
 def _hermite_ops(order: int) -> dict[str, np.ndarray]:
-    """Nodes, weights and basis operators for ``order`` Hermite modes;
-    read-only, cached per order.
+    """Nodes, weights and basis operators for ``order`` Hermite modes, and
+    the per-node data of a Gaussian line that no scale changes (its density,
+    quadrature weights, x^2/4, f' and Hess f); read-only, cached per order.
 
     The basis is p_k(x) = He_k(x / sqrt(2)), the eigenfunctions of
     u'' - (x/2) u' with eigenvalue -k/2; quadrature is Gauss-Hermite for the
@@ -259,6 +282,7 @@ def _hermite_ops(order: int) -> dict[str, np.ndarray]:
     y, wy = hermite_e.hermegauss(order)
     nodes = math.sqrt(2.0) * y
     wdens = math.sqrt(2.0) * wy  # integrates q(x) e^{-x^2/4} dx exactly
+    density = np.exp(-(nodes**2) / 4.0)  # e^{-f} sqrt(a), the same for every scale
     # vand[i, k] = q_k(y_i) with q_k = He_k / sqrt(sqrt(2 pi) k!), orthonormal
     # for e^{-y^2/2} dy, so vand.T @ diag(wy) @ vand = I under the quadrature.
     vand = np.empty((order, order))
@@ -273,7 +297,9 @@ def _hermite_ops(order: int) -> dict[str, np.ndarray]:
     # The basis renormalized under the quadrature itself: the eigenvectors.
     eigvecs = vand / np.sqrt(np.sum(vand * vand * wdens[:, None], axis=0))
     return _read_only(
-        {"nodes": nodes, "wdens": wdens, "vand": vand, "vinv": vinv, "d1": d1, "d2": d1 @ d1, "eigvecs": eigvecs}
+        {"nodes": nodes, "wdens": wdens, "vand": vand, "vinv": vinv, "d1": d1, "d2": d1 @ d1, "eigvecs": eigvecs,
+         "density": density, "weights": wdens / density, "quarter_sq": nodes**2 / 4.0, "fprime": nodes / 2.0,
+         "hess_f": np.full(order, 0.5)}
     )
 
 
@@ -298,19 +324,19 @@ class HermiteLineAxis:
         self.scale = scale
         self.nodes = ops["nodes"]
         self.wdens = ops["wdens"]
-        self.density = np.exp(-(self.nodes**2) / 4.0)  # e^{-f} sqrt(a), scale-free
-        self.weights = self.wdens / self.density
+        self.density = ops["density"]  # e^{-f} sqrt(a), scale-free
+        self.weights = ops["weights"]
         self.a = scale
-        self.f = self.nodes**2 / 4.0 + 0.5 * math.log(scale)
-        self.fprime = self.nodes / 2.0
-        self.hess_f = np.full(order, 0.5)  # Hess of x^2/4; the log-scale part is flat
+        self.f = ops["quarter_sq"] + 0.5 * math.log(scale)
+        self.fprime = ops["fprime"]
+        self.hess_f = ops["hess_f"]  # Hess of x^2/4; the log-scale part is flat
         self.christoffel = 0.0
         self._d1 = ops["d1"]
         self._d2 = ops["d2"]
         self._eigvecs = ops["eigvecs"]
 
-    def d1(self, field: np.ndarray, axis: int) -> np.ndarray:
-        return apply_deriv(self._d1, field, axis)
+    def d1(self, field: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
+        return apply_deriv(self._d1, field, axis, lead)
 
     def d2(self, field: np.ndarray, axis: int) -> np.ndarray:
         return apply_deriv(self._d2, field, axis)

@@ -66,10 +66,7 @@ from .errors import (
 )
 from .geometry import CircleModel, DiscreteWeightedManifold, discretize, evaluate_family
 from .oracles import modal_propagator
-from .spectral import (
-    _derivatives, _scalar_pairings, assemble_forms, drift_divergence, lowest_eigenpairs, partials,
-    soliton_defect_profiles,
-)
+from .spectral import _derivatives, _scalar_pairings, _stacked_eigenpairs, assemble_forms, lowest_eigenpairs, partials
 
 __all__ = [
     "FlowTrajectory",
@@ -85,6 +82,15 @@ MAX_STEP = 0.05
 
 # Largest estimated field memory a run may use, checked before discretizing.
 MAX_FIELD_BYTES = 1 << 30
+
+# Live copies of the k + 1 fields that one step, or one output of the output
+# pass, is estimated to hold per grid point (``_check_field_memory``).
+FIELD_COPIES = 16
+
+# Largest estimated temporary memory of one stack of outputs in a run's output
+# pass (``_output_pass``), at FIELD_COPIES copies of each output's k + 1
+# fields; a grid where one output takes more goes one output at a time.
+STACK_BYTES = 1 << 20
 
 # ``_settle`` zeroes a circle mode below NOISE_FLOOR times its row's scale, and
 # a run stops when a kept mode exceeds STABILITY_FACTOR (1 + max |geometry|)
@@ -510,28 +516,55 @@ def _check_field_memory(request: RunRequest, state) -> None:
     """Raise ConfigurationError if the run's grid-sized arrays would take more
     than MAX_FIELD_BYTES, before any of them is allocated.
 
-    Per grid point the estimate counts 8 bytes for each of 16 live copies of
-    the k + 1 fields a step or an output solve carries, plus 3k + 2 fields
-    kept per output: k + 1 eigenfunctions, the k scalars twice while they
-    are stacked, and one spare field.
+    Per grid point the estimate counts 8 bytes for each of FIELD_COPIES live
+    copies of the k + 1 fields a step or an output solve carries, plus
+    3k + 2 fields kept per output: k + 1 eigenfunctions, the k scalars twice
+    while they are stacked, and one spare field.  On top come STACK_BYTES,
+    the budget of one stack of the output pass (``_output_pass``).
     tracemalloc, k = 3 on 16 x 256: a step that carries V (a circle that is
     not round) peaks at 9.0 copies of the scalar batch, applying E at an
     output at 3.1, and one output's pairings (``_scalar_pairings``, one
     output's k scalars at once) at 7.4.  A step of round axes holds no field:
-    its state is a few numbers, and it peaks at 0.01 copies.
+    its state is a few numbers, and it peaks at 0.01 copies.  A stack of the
+    output pass holds about 6.5 copies of each of its outputs' k + 1 fields
+    above what it keeps, on 768- to 4096-point grids at k = 1 and 3.
     """
     points = math.prod(
         request.resolution if isinstance(fac, CircleModel) else request.hermite_order for fac in state.factors
     )
     k = request.k
     outputs = output_count(request.horizon, request.dt, request.cadence)
-    nbytes = 8 * points * (16 * (k + 1) + outputs * (3 * k + 2))
+    nbytes = 8 * points * (FIELD_COPIES * (k + 1) + outputs * (3 * k + 2)) + STACK_BYTES
     if nbytes > MAX_FIELD_BYTES:
         raise ConfigurationError(
             f"a grid of {points} points with k = {k} and {outputs} outputs needs an estimated "
             f"{nbytes} bytes ({nbytes / 2**30:.1f} GiB) of field memory, above the limit of "
             f"{MAX_FIELD_BYTES} bytes; lower hermite_order, resolution, n, k or the output count"
         )
+
+
+def _stack_length(points: int, fields: int) -> int:
+    """Outputs per stack of the output pass: as many as STACK_BYTES holds at
+    FIELD_COPIES copies of each output's ``fields`` fields, and at least one."""
+    return max(1, STACK_BYTES // (8 * points * FIELD_COPIES * fields))
+
+
+def _output_pass(manifolds: list, spectrum0, k: int, tol: float) -> tuple[list, np.ndarray]:
+    """The spectrum and the commutator residual of every output, in stacks of
+    consecutive outputs: outputs 1, 2, ... in ``_stacked_eigenpairs`` stacks
+    sized for the k + 1 eigenfunctions of each, and every output in
+    ``_commutator_stack`` stacks sized for its one probe field.  Output 0
+    reuses ``spectrum0``, whose second eigenfunction is the commutator's
+    probe, differentiated once per run."""
+    points, count = manifolds[0].size, len(manifolds)
+    per_stack = _stack_length(points, k + 1)
+    spectra = [spectrum0]
+    for lo in range(1, count, per_stack):
+        spectra += _stacked_eigenpairs([assemble_forms(dm) for dm in manifolds[lo : lo + per_stack]], k, tol)
+    probe = _probe_partials(manifolds[0], spectrum0.eigenfunctions[1])
+    per_stack = _stack_length(points, 1)
+    residuals = [_commutator_stack(probe, manifolds[lo : lo + per_stack]) for lo in range(0, count, per_stack)]
+    return spectra, np.concatenate(residuals)
 
 
 def run_flow(request: RunRequest) -> FlowTrajectory:
@@ -542,6 +575,9 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     u_1..u_k (weighted-L2 normalized, mean zero) evolve by the drift heat
     equation and their mass/energy pairings are recorded per output.  A family
     extinct by the last output fails before anything is discretized.
+    Output 0's solve seeds the scalars; the spectra and commutator residuals
+    of the outputs are then taken in stacks (``_output_pass``), each solved
+    over a leading output axis in the bits of its one-output solve.
     """
     dt, recorded = _output_steps(request)
     evaluate_family(request.family, request.family.t0 + recorded[-1] * dt)
@@ -557,9 +593,7 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     times = np.array([t for t, _, _ in outputs])
     manifolds = [dm for _, dm, _ in outputs]
     # Output 0 holds the geometry of state0, so its solve is spectrum0.
-    spectra = [spectrum0] + [
-        lowest_eigenpairs(assemble_forms(dm), request.k, request.eig_tol) for dm in manifolds[1:]
-    ]
+    spectra, residual_commutator = _output_pass(manifolds, spectrum0, request.k, request.eig_tol)
     volumes = np.array([dm.weighted_volume() for dm in manifolds])
 
     scalar_values = None
@@ -571,7 +605,7 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
         J, D, dJ = (np.empty((n_out, ns, ns)) for _ in range(3))
         for m, dm in enumerate(manifolds):
             J[m], D[m], dJ[m] = _scalar_pairings(dm, scalar_values[m], *_derivatives(dm, scalar_values[m]))
-            gram_schmidt_frame(J[m])  # DegeneracyError if the scalars are dependent
+        _cholesky_factors(J)  # DegeneracyError if the scalars are dependent at some output
         I = np.einsum("mii->mi", J).copy()
         E = np.einsum("mii->mi", D).copy()
         series = {"J": J, "D": D, "dJ": dJ, "I": I, "E": E}
@@ -596,7 +630,7 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
         series=series,
         bounds=bounds,
         residual_ij=residual_ij,
-        residual_commutator=commutator_residual(spectrum0.eigenfunctions[1], manifolds, range(len(times))),
+        residual_commutator=residual_commutator,
     )
 
 
@@ -652,6 +686,26 @@ def functional_residuals(series: dict) -> FunctionalResidualReport:
 # --------------------------------------------------------------------------
 
 
+def _cholesky_factors(grams: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a stack of Gram matrices (m, n, n), taken in one
+    call.  DegeneracyError at the first matrix, in stack order, that is not
+    positive definite or is numerically rank deficient: a rank-deficient
+    Gram matrix can slip through Cholesky with a pivot of order
+    sqrt(machine epsilon) times the scale, so a pivot below 1e-7 sqrt(its
+    largest diagonal entry) fails too."""
+    try:
+        L = np.linalg.cholesky(grams)
+    except np.linalg.LinAlgError as exc:
+        for gram in grams[:-1]:  # the first matrix that fails alone, in either way, names the error
+            _cholesky_factors(gram[None])
+        raise DegeneracyError("scalars are linearly dependent in weighted L2") from exc
+    pivots = np.min(np.diagonal(L, axis1=1, axis2=2), axis=1)
+    scales = np.sqrt(np.maximum(np.max(np.diagonal(grams, axis1=1, axis2=2), axis=1), 1e-300))
+    if np.any(pivots < 1e-7 * scales):
+        raise DegeneracyError("scalars are numerically rank deficient in weighted L2")
+    return L
+
+
 def gram_schmidt_frame(gram: np.ndarray) -> np.ndarray:
     """Lower-triangular mixing onto a weighted-L2 orthonormal frame.
 
@@ -659,15 +713,9 @@ def gram_schmidt_frame(gram: np.ndarray) -> np.ndarray:
     e_i = sum_j mixing[i, j] * u_j is orthonormal, mixing @ gram @ mixing.T
     = I.  Along a run started from orthonormal eigenfunctions, the diagonal
     drifts at rate (2 lambda_i - 1)/2 at the initial time.
+    DegeneracyError if the fields are dependent (``_cholesky_factors``).
     """
-    try:
-        L = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError("scalars are linearly dependent in weighted L2") from exc
-    # a rank-deficient Gram matrix can slip through Cholesky with a pivot of
-    # order sqrt(machine epsilon) times the scale
-    if np.min(np.diag(L)) < 1e-7 * math.sqrt(max(np.max(np.diag(gram)), 1e-300)):
-        raise DegeneracyError("scalars are numerically rank deficient in weighted L2")
+    L = _cholesky_factors(np.asarray(gram)[None])[0]
     return np.tril(np.linalg.solve(L, np.eye(len(gram))))  # solve pivots; keep the upper zeros exact
 
 
@@ -678,53 +726,92 @@ def commutator_residual(u, manifolds, indices) -> np.ndarray:
     ``u`` is held fixed in coordinates, so L u_t vanishes and d/dt(L u) is
     the derivative of L along the output's own rates (``_laplacian_rates``).
     The grid is the same at every output, so the partials of u are taken
-    once per call; the rates and phi(grad u) / a^2 are built from per-axis
-    vectors, and only the divergence differentiates per output.
+    once per call; the requested outputs then form one stack
+    (``_commutator_stack``).
     """
     u = np.asarray(u, dtype=float)
     indices = list(indices)
     if any(not 0 <= index < len(manifolds) for index in indices):
         raise UsageError(f"commutator residual needs output indices in [0, {len(manifolds)})")
-    dm = manifolds[0]
-    du = partials(dm, u)
-    d2u = [ax.d2(u, i) for i, ax in enumerate(dm.axes)]
-    return np.array([_commutator_at(du, d2u, manifolds[index]) for index in indices])
+    if not indices:
+        return np.array([])
+    return _commutator_stack(_probe_partials(manifolds[0], u), [manifolds[index] for index in indices])
 
 
-def _weight_rate(ax: CircleAxis) -> np.ndarray:
+def _probe_partials(dm: DiscreteWeightedManifold, u: np.ndarray) -> tuple:
+    """(du, d2u): the first and second partials of the commutator's probe
+    along each axis of the grid."""
+    return partials(dm, u), [ax.d2(u, i) for i, ax in enumerate(dm.axes)]
+
+
+def _commutator_stack(probe_partials: tuple, stack: list) -> np.ndarray:
+    """The commutator residual at each output of ``stack``, over a leading
+    output axis: the rates, phi(grad u) / a^2 and the divergence of every
+    output at once, one derivative application per axis (``lead`` = 1), each
+    output's values those it has alone."""
+    du, d2u = probe_partials
+    d = stack[0].dimension
+    d_lu = div = 0.0
+    for i, ax in enumerate(stack[0].axes):
+        a, gamma, fprime, hess_f = _stacked_axis([dm.axes[i] for dm in stack])
+        phi, c1, c2 = _laplacian_rates(ax, a, gamma, fprime, hess_f)
+        d_lu = d_lu + along(c1, i, d) * d2u[i] + along(c2, i, d) * du[i]
+        W = along(phi, i, d) * du[i] / along(a * a, i, d)
+        div = div + ax.d1(W, i + 1, lead=1) + W * (along(gamma, i, d) - along(fprime, i, d))
+    div_term = 2.0 * div
+    resid = d_lu + div_term  # L u_t vanishes: u is fixed in coordinates
+    wdens = [np.array([dm.axes[i].wdens for dm in stack]) for i in range(d)]
+    norm_resid, norm_lu, norm_div = (_weighted_norms(wdens, g) for g in (resid, d_lu, div_term))
+    scale = np.maximum(norm_lu, norm_div)
+    return norm_resid / np.where(scale < 1e-300, 1.0, scale)
+
+
+def _stacked_axis(axes: list) -> tuple:
+    """(a, Gamma, f', Hess f) of one axis at each output of a stack, as (s, n)
+    rows.  A Gaussian line varies only in its scale, an (s, 1) column; its
+    Gamma is 0 and its f' and Hess f, the same at every scale, pass as the
+    axis holds them."""
+    ax = axes[0]
+    if ax.kind == "hermite":
+        return np.array([[axis.scale] for axis in axes]), ax.christoffel, ax.fprime, ax.hess_f
+    return tuple(np.stack([getattr(axis, name) for axis in axes]) for name in ("a", "christoffel", "fprime", "hess_f"))
+
+
+def _weighted_norms(wdens: list, g: np.ndarray) -> np.ndarray:
+    """sqrt of the weighted integral of g^2 for each output of an (s, *shape)
+    stack against its own quadrature densities ``wdens``, (s, n_i) per axis:
+    contracted from the last axis, as ``DiscreteWeightedManifold.integrate``
+    contracts one field, in the same matrix-vector and vector-vector
+    products per output."""
+    out = g * g
+    for w in reversed(wdens[1:]):
+        out = (out @ w.reshape(len(w), *(1,) * (out.ndim - 3), -1, 1))[..., 0]
+    return np.sqrt(np.maximum((out[:, None] @ wdens[0][:, :, None])[:, 0, 0], 0.0))
+
+
+def _weight_rate(hess_f, a):
     """f_t = 1/2 - Hess f / a of a circle's weight under the flow."""
-    return 0.5 - ax.hess_f / ax.a
+    return 0.5 - hess_f / a
 
 
-def _laplacian_rates(ax, phi) -> tuple:
-    """(c1, c2): d/dt of L along one axis is c1 u'' + c2 u' for u fixed.
+def _laplacian_rates(ax, a, gamma, fprime, hess_f) -> tuple:
+    """(phi, c1, c2) of one axis at each output of a stack, from its
+    ``_stacked_axis`` rows (``ax``: the axis at any one output): the soliton
+    defect phi = a/2 - Hess f (``soliton_defect_profiles``), and d/dt of L
+    along the axis as c1 u'' + c2 u' for u fixed.
 
     Along that axis L u = (u'' - (Gamma + f') u') / a with a_t = 2 phi, so
     c1 = -a_t / a^2 and c2 = -c1 (Gamma + f') - (Gamma_t + f_t') / a, where
     Gamma_t = (a_t' - 2 Gamma a_t) / (2a).  A Gaussian line's a_t, f_t and
-    Gamma = 0 are spatially constant, so only its first term remains.
+    Gamma = 0 are spatially constant, so only its first term remains.  A
+    circle differentiates its rows with ``CircleAxis.d1_vec``, a constant
+    row to exact zeros.
     """
+    phi = 0.5 * a - hess_f
     a_t = 2.0 * phi
-    c1 = -a_t / (ax.a * ax.a)
-    c2 = -c1 * (ax.christoffel + ax.fprime)
+    c1 = -a_t / (a * a)
+    c2 = -c1 * (gamma + fprime)
     if ax.kind == "circle":
-        gamma_t = (ax.d1_vec(a_t) - 2.0 * ax.christoffel * a_t) / (2.0 * ax.a)
-        c2 = c2 - (gamma_t + ax.d1_vec(_weight_rate(ax))) / ax.a
-    return c1, c2
-
-
-def _commutator_at(du, d2u, dm: DiscreteWeightedManifold) -> float:
-    """The residual at one output ``dm`` from the probe's first and second partials."""
-    phi, d = soliton_defect_profiles(dm), dm.dimension
-    d_lu = 0.0
-    for i, ax in enumerate(dm.axes):
-        c1, c2 = _laplacian_rates(ax, phi[i])
-        d_lu = d_lu + along(c1, i, d) * d2u[i] + along(c2, i, d) * du[i]
-    W = [along(phi[i], i, d) * du[i] / along(ax.a * ax.a, i, d) for i, ax in enumerate(dm.axes)]
-    div_term = 2.0 * drift_divergence(W, dm)
-    resid = d_lu + div_term  # L u_t vanishes: u is fixed in coordinates
-    norm = lambda g: math.sqrt(max(dm.integrate(g * g), 0.0))
-    scale = max(norm(d_lu), norm(div_term))
-    if scale < 1e-300:
-        return float(norm(resid))
-    return float(norm(resid) / scale)
+        gamma_t = (ax.d1_vec(a_t) - 2.0 * gamma * a_t) / (2.0 * a)
+        c2 = c2 - (gamma_t + ax.d1_vec(_weight_rate(hess_f, a))) / a
+    return phi, c1, c2

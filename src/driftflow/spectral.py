@@ -15,7 +15,11 @@ circles in closed form (Fourier modes), other circles by dense ``eigh``.
 The closed-form tables depend only on the grid and are cached read-only per
 grid; products combine the axes with one outer sum of eigenvalues and one
 broadcast product of eigenvectors, in the same floating-point operations as
-a per-pair build.
+a per-pair build.  The forms of a sequence of outputs on one grid are solved
+together (``_stacked_eigenpairs``): every per-axis vector and stiffness block
+gains a leading output axis, each output's arithmetic is the one it takes
+alone, and one pass of numpy calls serves the whole stack;
+``lowest_eigenpairs`` is its one-output case.
 
 Pointwise quantities of a (k, *shape) batch of fields come from one
 derivative pass (``_derivatives``): the partials du_i and the diagonal
@@ -36,7 +40,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .axes import along, apply_along, circle_nodes
+from .axes import FourierStiffness, _hermite_ops, along, apply_along, circle_nodes
 from .errors import SolverError, UsageError
 from .geometry import DiscreteWeightedManifold
 
@@ -253,15 +257,33 @@ class QuadraticForms:
     def apply_stiffness(self, u) -> np.ndarray:
         """K u for one field of ``shape`` or a batch of them, (..., *shape)."""
         u = np.asarray(u, dtype=float)
-        d = len(self.blocks)
-        if u.shape[u.ndim - d :] != self.shape:
+        if u.shape[u.ndim - len(self.blocks) :] != self.shape:
             raise UsageError(f"field shape {u.shape} does not end in grid {self.shape}")
-        masses = [along(m, j, d) for j, m in enumerate(self.axis_masses)]
-        out = 0.0
-        for i, block in enumerate(self.blocks):
-            weighted = reduce(np.multiply, [m for j, m in enumerate(masses) if j != i], u)
-            out = out + apply_along(block.__matmul__, weighted, i - d)
-        return out
+        return _stiffness_product(self.blocks, self.axis_masses, u)
+
+
+def _stiffness_product(blocks, masses, u: np.ndarray, lead: int = 0) -> np.ndarray:
+    """K u from per-axis blocks and masses.  With ``lead`` = 1 they are
+    stacked over outputs (``_stack_blocks``; masses (s, 1, n_i)) and u is an
+    (s, ..., *shape) stack, each output's fields weighted by its own masses
+    and mapped by its own blocks."""
+    d = len(blocks)
+    masses = [along(m, j, d) for j, m in enumerate(masses)]
+    out = 0.0
+    for i, block in enumerate(blocks):
+        weighted = reduce(np.multiply, [m for j, m in enumerate(masses) if j != i], u)
+        out = out + apply_along(block.__matmul__, weighted, i - d, lead=lead)
+    return out
+
+
+def _stack_blocks(blocks: list):
+    """One axis's stiffness blocks of a sequence of outputs as one block over
+    a leading output axis: dense matrices as an (s, n, n) array, circle
+    stiffness as one ``FourierStiffness`` of the (s, n) weights.  Either maps
+    an (s, n, m) stack, each output by its own block."""
+    if isinstance(blocks[0], FourierStiffness):
+        return FourierStiffness(np.array([block.weight for block in blocks]))
+    return np.array(blocks)
 
 
 def assemble_forms(dm: DiscreteWeightedManifold) -> QuadraticForms:
@@ -315,32 +337,43 @@ def _circle_modes(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return k, vecs
 
 
-def _axis_eigens(ax, block, mass, count):
-    """Lowest mass-orthonormal eigenpairs of one axis (circles: ``count``).
+def _axis_eigens(axes: list, blocks: list, masses: np.ndarray, count: int):
+    """Lowest mass-orthonormal eigenpairs of one axis at each of a stack of
+    outputs (circles: ``count``): values (s, c) and vectors (s, n, c), or
+    (1, n, c) when every output shares them.
 
-    Hermite axes return their exact basis, normalized once per order.
-    Constant-coefficient circles are diagonal in Fourier modes, so lambda =
-    k^2/a (0, 1, 1, 4, 4, ...) with vectors cos k theta, then sin k theta;
-    the table is cached per grid and only its normalization, which depends
-    on the state's mass, is computed per call.  Other circles take dense
-    ``eigh``."""
+    Hermite axes return their exact basis, normalized once per order and
+    shared, with lambda = j / (2 scale).  Constant-coefficient circles are
+    diagonal in Fourier modes, so lambda = k^2/a (0, 1, 1, 4, 4, ...) with
+    vectors cos k theta, then sin k theta; the table is cached per grid and
+    only its normalization, which depends on each output's mass, is computed
+    per output, one vector-matrix product each.  Other circles take dense
+    ``eigh``, one output at a time, beside round outputs of the same stack."""
+    ax = axes[0]
     if ax.kind == "hermite":
-        return ax.eigens()
+        # ``eigens`` of every output at once: the vectors are the per-order table
+        scales = np.array([[axis.scale] for axis in axes])
+        return np.arange(ax.size) / (2.0 * scales), _hermite_ops(ax.size)["eigvecs"][None]
     count = min(count, ax.size)
-    if ax.is_round:
+    if all(axis.is_round for axis in axes):
         k, table = _circle_modes(ax.size, count)
-        return k**2 / ax.a[0], table / np.sqrt(mass @ (table * table))
+        return k**2 / np.array([axis.a[:1] for axis in axes]), table / np.sqrt(masses[:, None] @ (table * table))
     from scipy.linalg import eigh  # only here: the other paths need no scipy
-    vals, vecs = eigh(block @ np.eye(ax.size), np.diag(mass), subset_by_index=[0, count - 1])
-    # The stiffness maps constants to exactly zero, so the first pair is known.
-    vals[0], vecs[:, 0] = 0.0, 1.0 / math.sqrt(mass.sum())
+    vals, vecs = np.empty((len(axes), count)), np.empty((len(axes), ax.size, count))
+    for m, (axis, block, mass) in enumerate(zip(axes, blocks, masses)):
+        if axis.is_round:
+            vals[m : m + 1], vecs[m : m + 1] = _axis_eigens([axis], [block], mass[None], count)
+            continue
+        vals[m], vecs[m] = eigh(block @ np.eye(ax.size), np.diag(mass), subset_by_index=[0, count - 1])
+        # The stiffness maps constants to exactly zero, so the first pair is known.
+        vals[m, 0], vecs[m, :, 0] = 0.0, 1.0 / math.sqrt(mass.sum())
     return vals, vecs
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row: ``np.linalg.norm(x, axis=1)`` for real x,
-    by the same formula."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
+    """Euclidean norm of each row, along the last axis: ``np.linalg.norm(x,
+    axis=-1)`` for real x, by the same formula."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10) -> SpectralResult:
@@ -350,43 +383,70 @@ def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10) -> Spec
     supported geometry) and combined by Minkowski sums; the result is checked
     against the forms and rejected if any residual exceeds ``tol``.  The
     constant eigenfunction carries lambda_0 = 0; all later eigenfunctions
-    are J-orthogonal to it, which realizes the mean-zero constraint.
+    are J-orthogonal to it, which realizes the mean-zero constraint.  This
+    is the one-output case of ``_stacked_eigenpairs``.
     """
-    dm = forms.manifold
+    return _stacked_eigenpairs([forms], k, tol)[0]
+
+
+def _stacked_eigenpairs(stack: list, k: int, tol: float = 1e-10) -> list:
+    """``lowest_eigenpairs`` of each ``QuadraticForms`` of ``stack``, a
+    sequence of outputs on one grid, solved over a leading output axis: one
+    ``SpectralResult`` per output, with the bits it has when solved alone.
+
+    Each output's residual ||Ku - lambda Mu|| / (||Ku|| + (1 + |lambda|)
+    ||Mu||) is taken against its own blocks; SolverError names the first
+    output, in stack order, whose worst residual exceeds ``tol``.
+    """
+    dm = stack[0].manifold
     if k < 1:
         raise UsageError("eigenpair count k must be at least 1")
     if k + 1 > dm.size:
         raise UsageError(f"requested {k + 1} pairs from a dimension-{dm.size} problem")
+    m, d = len(stack), dm.dimension
 
+    masses = [np.array([forms.axis_masses[i] for forms in stack]) for i in range(d)]
+    blocks = [[forms.blocks[i] for forms in stack] for i in range(d)]
     per_axis = []
-    for ax, block, mass in zip(dm.axes, forms.blocks, forms.axis_masses):
-        vals, vecs = _axis_eigens(ax, block, mass, k + 1)
-        per_axis.append((vals[: k + 1], vecs[:, : k + 1]))
+    for i in range(d):
+        vals, vecs = _axis_eigens([forms.manifold.axes[i] for forms in stack], blocks[i], masses[i], k + 1)
+        per_axis.append((vals[:, : k + 1], vecs[..., : k + 1]))
 
     # All sums of per-axis eigenvalues, added left to right in C order; the
     # k+1 smallest only ever use per-axis indices at most k, so this cover
     # is exhaustive.
-    sums = reduce(np.add.outer, [vals for vals, _ in per_axis])
-    order = np.argsort(sums, axis=None, kind="stable")[: k + 1]
-    eigenvalues = sums.ravel()[order]
+    sums = reduce(np.add, [along(vals, i, d) for i, (vals, _) in enumerate(per_axis)])
+    flat_sums = sums.reshape(m, -1)
+    order = flat_sums.argsort(axis=1, kind="stable")[:, : k + 1]
+    rows = np.arange(m)[:, None]
+    eigenvalues = flat_sums[rows, order]
 
     # Each eigenfunction is the product of one column per axis, multiplied
-    # in axis order and then by the normalization, all k+1 in one broadcast;
-    # the product starts from an exact 1.0, so it is a new array even on one axis.
-    columns = enumerate(zip(per_axis, np.unravel_index(order, sums.shape)))
-    fields = reduce(np.multiply, [along(vecs.T[idx], i, len(per_axis)) for i, ((_, vecs), idx) in columns], 1.0)
-    flat = fields.reshape(k + 1, -1)
-    flip = flat[np.arange(k + 1), np.argmax(np.abs(flat), axis=1)] < 0
+    # in axis order and then by the normalization, all k+1 of every output
+    # in one broadcast (vectors that every output shares are one row); the
+    # product starts from an exact 1.0, so it is a new array even on one axis.
+    columns = enumerate(zip(per_axis, np.unravel_index(order, sums.shape[1:])))
+    fields = reduce(
+        np.multiply, [along(vecs[np.arange(len(vecs))[:, None], :, idx], i, d) for i, ((_, vecs), idx) in columns], 1.0
+    )
+    flat = fields.reshape(m, k + 1, -1)
+    flip = flat[rows, np.arange(k + 1), np.abs(flat).argmax(axis=2)] < 0
     fields[flip] = -fields[flip]
 
-    ku = forms.apply_stiffness(fields).reshape(k + 1, -1)
-    mu = forms.mass_diag * fields.reshape(k + 1, -1)
-    res = ku - eigenvalues[:, None] * mu
+    ku = _stiffness_product([_stack_blocks(b) for b in blocks], [ms[:, None] for ms in masses], fields, lead=1)
+    ku = ku.reshape(m, k + 1, -1)
+    mass_diag = reduce(np.multiply, [along(ms, i, d) for i, ms in enumerate(masses)])
+    mu = mass_diag.reshape(m, 1, -1) * flat
+    res = ku - eigenvalues[..., None] * mu
     scale = _row_norms(ku) + (1.0 + np.abs(eigenvalues)) * _row_norms(mu)
     residuals = _row_norms(res) / scale
-    if np.max(residuals) > tol:
-        raise SolverError(
-            f"eigen-residual {np.max(residuals):.3e} exceeds tolerance {tol:.3e}",
-            best_residual=float(np.max(residuals)),
-        )
-    return SpectralResult(t=dm.t, eigenvalues=eigenvalues, eigenfunctions=list(fields), residuals=residuals)
+    worst = residuals.max(axis=1)
+    failed = worst > tol
+    if failed.any():
+        j = int(np.argmax(failed))
+        raise SolverError(f"eigen-residual {worst[j]:.3e} exceeds tolerance {tol:.3e}", best_residual=float(worst[j]))
+    return [
+        SpectralResult(t=forms.manifold.t, eigenvalues=eigenvalues[j], eigenfunctions=list(fields[j]),
+                       residuals=residuals[j])
+        for j, forms in enumerate(stack)
+    ]

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import tracemalloc
 import types
 
@@ -17,11 +18,13 @@ from driftflow.acceptance import check_commutator, check_functionals
 from driftflow.axes import _fourier_dense, _hermite_ops, along, circle_nodes, lowpass, mode_amplitudes
 from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
 from driftflow.flow import (
-    RunRequest, _factor, _flow_rhs, _Layout, _rk4, _run_loop, _scalar_pairings, _settle, _step,
+    STACK_BYTES, RunRequest, _factor, _flow_rhs, _Layout, _rk4, _run_loop, _scalar_pairings, _settle,
+    _stack_length, _step,
 )
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
 from driftflow.spectral import (
-    _derivatives, _hessian_energies, gradient_inner, hessian_norm_sq, partials, soliton_defect_profiles,
+    _derivatives, _hessian_energies, _stacked_eigenpairs, gradient_inner, hessian_norm_sq, partials,
+    soliton_defect_profiles,
 )
 
 LOG2 = math.log(2.0)
@@ -141,23 +144,29 @@ class TestRunFlow:
             assert drift < 1e-6
 
     @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
-    def test_one_eigensolve_per_output(self, backend, monkeypatch):
-        import driftflow.flow
-
-        calls = []
-        solve = driftflow.flow.lowest_eigenpairs
-
-        def counted(forms, k, tol=1e-10):
-            calls.append(forms.manifold.t)
-            return solve(forms, k, tol)
-
-        monkeypatch.setattr(driftflow.flow, "lowest_eigenpairs", counted)
+    @pytest.mark.parametrize("per_stack, stacks", [(None, 1), (2, 2), (3, 2), (1, 4)])
+    def test_one_stacked_solve_per_stack(self, backend, per_stack, stacks, monkeypatch):
+        # output 0's solve seeds the scalars; the later outputs are solved in
+        # stacks of consecutive outputs, one stacked solve per stack
+        singles, stacked = [], []
+        solve, solve_stack = df.flow.lowest_eigenpairs, df.flow._stacked_eigenpairs
+        monkeypatch.setattr(
+            df.flow, "lowest_eigenpairs", lambda forms, k, tol: singles.append(forms) or solve(forms, k, tol)
+        )
+        monkeypatch.setattr(
+            df.flow, "_stacked_eigenpairs",
+            lambda stack, k, tol: stacked.append([forms.manifold.t for forms in stack]) or solve_stack(stack, k, tol),
+        )
+        if per_stack:
+            monkeypatch.setattr(df.flow, "_stack_length", lambda points, fields: per_stack)
         family = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(1.0)])
         req = RunRequest(family=family, horizon=0.02, dt=1e-3, cadence=5, resolution=32, modes=8, k=2, backend=backend)
         traj = df.run_flow(req)
-        assert len(calls) == len(traj.times) == 5
+        assert len(traj.times) == 5 and len(singles) == 1 and singles[0].manifold.t == 0.0
+        assert len(stacked) == stacks
+        assert [t for stack in stacked for t in stack] == list(traj.times[1:])
         # the reused initial solve is the one output 0's own manifold gives
-        again = solve(df.assemble_forms(traj.manifolds[0]), 2)
+        again = solve(df.assemble_forms(traj.manifolds[0]), 2, 1e-10)
         np.testing.assert_array_equal(traj.spectra[0].eigenvalues, again.eigenvalues)
         np.testing.assert_array_equal(traj.spectra[0].residuals, again.residuals)
         for u, v in zip(traj.spectra[0].eigenfunctions, again.eigenfunctions):
@@ -331,6 +340,26 @@ class TestGramSchmidtFrame:
         with pytest.raises(DegeneracyError):
             df.gram_schmidt_frame(_gram(dm, [u, 2.0 * u]))
 
+    def test_a_stack_fails_as_its_first_failing_matrix_does(self):
+        # one Cholesky over a run's (m, k, k) J: the error is the one the first
+        # failing matrix gives alone, rank deficient (a tiny pivot) or dependent
+        # (Cholesky fails), and a stack that passes gives each matrix's factor
+        dm = df.weighted_circle(64)
+        u, v = np.sin(dm.axes[0].nodes), np.cos(dm.axes[0].nodes)
+        good, tiny, indefinite = _gram(dm, [u, v]), _gram(dm, [u, 2.0 * u]), np.array([[1.0, 2.0], [2.0, 1.0]])
+        for stack, message in (
+            ([good, tiny, indefinite], "numerically rank deficient"),
+            ([good, indefinite, tiny], "linearly dependent"),
+            ([indefinite], "linearly dependent"),
+        ):
+            with pytest.raises(DegeneracyError, match=message):
+                df.flow._cholesky_factors(np.stack(stack))
+            first_bad = next(gram for gram in stack if gram is not good)
+            with pytest.raises(DegeneracyError, match=message):
+                df.gram_schmidt_frame(first_bad)
+        factors = df.flow._cholesky_factors(np.stack([good, 2.0 * good]))
+        assert np.array_equal(factors, np.stack([np.linalg.cholesky(good), np.linalg.cholesky(2.0 * good)]))
+
 
 class TestCommutatorResidual:
     def test_static_soliton(self):
@@ -434,9 +463,9 @@ def _count_derivatives(monkeypatch):
     each axis applies its d1 and d2."""
     seen, apply = [], driftflow.axes.apply_deriv
 
-    def counted(mat, arr, axis):
+    def counted(mat, arr, axis, lead=0):
         seen.append(arr)
-        return apply(mat, arr, axis)
+        return apply(mat, arr, axis, lead)
 
     monkeypatch.setattr(driftflow.axes, "apply_deriv", counted)
     return seen
@@ -521,7 +550,8 @@ class TestScalarPairings:
         d = 2
         on_probe = [arr for arr in seen if arr.shape == probe.shape and np.array_equal(arr, probe)]
         assert len(on_probe) == 2 * d  # d1 and d2 per axis, for every output at once
-        assert len(seen) == 2 * d + d * len(indices)  # then the divergence's d1 per axis and index
+        assert len(seen) == 2 * d + d  # then the divergence's d1 per axis, once for the stack of outputs
+        assert all(arr.shape == (len(indices), *probe.shape) for arr in seen[2 * d :])
 
     def test_one_output_stays_within_the_field_budget(self):
         # the per-output term of _check_field_memory, 16 live copies of the
@@ -545,7 +575,8 @@ def _moved(dm, phi, eps):
     """``dm`` moved by ``eps`` along its own rates: a + eps a_t and f + eps f_t
     on a circle, u + eps u_t on a Gaussian line, with a_t = 2 phi."""
     axes = [
-        driftflow.axes.CircleAxis(ax.a + eps * 2.0 * p, ax.f + eps * df.flow._weight_rate(ax)) if ax.kind == "circle"
+        driftflow.axes.CircleAxis(ax.a + eps * 2.0 * p, ax.f + eps * df.flow._weight_rate(ax.hess_f, ax.a))
+        if ax.kind == "circle"
         else driftflow.axes.HermiteLineAxis(ax.size, ax.scale + eps * 2.0 * p[0])
         for ax, p in zip(dm.axes, phi)
     ]
@@ -563,8 +594,8 @@ class TestExactRates:
         du, d2u = partials(dm, u), [ax.d2(u, i) for i, ax in enumerate(dm.axes)]
         exact = 0.0
         for i, ax in enumerate(dm.axes):
-            c1, c2 = df.flow._laplacian_rates(ax, phi[i])
-            exact = exact + along(c1, i, dm.dimension) * d2u[i] + along(c2, i, dm.dimension) * du[i]
+            _, c1, c2 = df.flow._laplacian_rates(ax, *df.flow._stacked_axis([ax]))
+            exact = exact + along(c1[0], i, dm.dimension) * d2u[i] + along(c2[0], i, dm.dimension) * du[i]
         eps = 1e-5
         plus, minus = (df.drift_laplacian(_moved(dm, phi, h), u) for h in (eps, -eps))
         central = (plus - minus) / (2.0 * eps)
@@ -578,7 +609,7 @@ class TestExactRates:
     def test_a_wrong_weight_rate_fails_the_commutator(self, monkeypatch):
         dm = _wavy_product()
         u = _smooth_fields(dm, 1)[0]
-        monkeypatch.setattr(df.flow, "_weight_rate", lambda ax: 0.5 + ax.hess_f / ax.a)  # the sign of Hess f flipped
+        monkeypatch.setattr(df.flow, "_weight_rate", lambda hess_f, a: 0.5 + hess_f / a)  # the sign of Hess f flipped
         got = df.commutator_residual(u, [dm], [0])[0]
         assert got > acceptance.VERIFY_TOLERANCES["commutator_rel"]
         assert not check_commutator(types.SimpleNamespace(residual_commutator=np.array([got])))[0].passed
@@ -670,10 +701,11 @@ class TestConstantRowsSkipTheRoundTrip:
         monkeypatch.setattr(driftflow.axes, "_spectral", lambda symbol, values: seen.append(values) or spectral(symbol, values))
         dm = _manifold(df.round_circle_family(0.7, f0=0.3), 0.2, resolution=n)
         ax = dm.axes[0]
-        c1, c2 = df.flow._laplacian_rates(ax, soliton_defect_profiles(dm)[0])
+        phi, c1, c2 = df.flow._laplacian_rates(ax, *df.flow._stacked_axis([ax, ax]))
         assert seen == []
         assert np.array_equal(ax.fprime, np.zeros(n)) and np.array_equal(ax.hess_f, np.zeros(n))
-        assert np.array_equal(c2, np.zeros(n)) and np.ptp(c1) == 0.0
+        assert np.array_equal(phi[0], soliton_defect_profiles(dm)[0])
+        assert np.array_equal(c2, np.zeros((2, n))) and np.ptp(c1) == 0.0
 
     def test_a_varying_row_keeps_its_bits(self):
         ax = _wavy_product().axes[0]
@@ -1374,3 +1406,110 @@ class TestSafeguardsFire:
         z, _, err = _step(rhs, _unsettled, 0.0, z, 0.002, 1e-9, rhs(0.0, z), blocks=[0, 1])
         assert rhs.calls == 5
         assert 1e-11 < err <= 1e-9
+
+
+def _same_bits(got, want):
+    return (
+        got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        and np.stack(got.eigenfunctions).tobytes() == np.stack(want.eigenfunctions).tobytes()
+        and got.residuals.tobytes() == want.residuals.tobytes()
+    )
+
+
+def _full_rows(monkeypatch):
+    monkeypatch.setattr(df.flow._Layout, "of", classmethod(lambda cls, dm, count=0: _full_row_layout(dm, count)))
+
+
+class TestStackedOutputPass:
+    """A run solves its outputs' spectra and commutator residuals in stacks
+    over a leading output axis (``_output_pass``), each output in the bits
+    of its own one-output solve."""
+
+    @pytest.mark.parametrize(
+        "request_, patch, stacks",
+        [
+            (RunRequest(family=df.scaled_gaussian_family(2.0, 1), horizon=1.0, cadence=10, k=1, track_scalars=False),
+             None, 1),
+            (RunRequest(family=_PRODUCT, horizon=0.05, cadence=5, k=3, resolution=32), None, 2),
+            (RunRequest(family=_PRODUCT, horizon=0.05, cadence=5, k=3, resolution=32, backend="analytic"), None, 2),
+            (RunRequest(family=_VaryingFamily(), horizon=0.01, k=2, resolution=32, hermite_order=6, modes=8,
+                        track_scalars=False), None, 1),
+            (RunRequest(family=df.round_circle_family(1.0), horizon=0.05, cadence=1, k=2), _full_rows, 2),
+            (RunRequest(family=_PRODUCT, horizon=0.04, cadence=5, k=1, resolution=128, track_scalars=False), None, 4),
+        ],
+        ids=["eternal_like", "round_product", "analytic", "non_round_circle", "full_row_circle", "several_stacks"],
+    )
+    def test_every_output_has_the_bits_of_its_own_solve(self, monkeypatch, request_, patch, stacks):
+        if patch:
+            patch(monkeypatch)
+        traj = df.run_flow(request_)
+        points, count = traj.manifolds[0].size, len(traj.times)
+        assert len(range(1, count, _stack_length(points, request_.k + 1))) == stacks
+        assert (_stack_length(points, 1) < count) == (request_.resolution == 128)  # its commutator takes two stacks
+        probe = traj.spectra[0].eigenfunctions[1]
+        for m, dm in enumerate(traj.manifolds):
+            alone = df.lowest_eigenpairs(df.assemble_forms(dm), request_.k, request_.eig_tol)
+            assert _same_bits(traj.spectra[m], alone)
+            assert df.commutator_residual(probe, traj.manifolds, [m])[0] == traj.residual_commutator[m]
+        if patch:
+            assert all(ax.kind == "circle" and ax.is_round for dm in traj.manifolds for ax in dm.axes)
+
+    def test_an_output_keeps_its_bits_in_any_stack(self):
+        req = RunRequest(family=_PRODUCT, horizon=0.03, cadence=5, k=3, resolution=32, track_scalars=False)
+        traj = df.run_flow(req)
+        forms = [df.assemble_forms(dm) for dm in traj.manifolds]
+        probe = traj.spectra[0].eigenfunctions[1]
+        whole = _stacked_eigenpairs(forms, 3)
+        assert len(forms) == 7
+        for grouping in ([[m] for m in range(7)], [[6, 5, 4, 3, 2, 1, 0]], [[0, 3], [5, 1, 2], [4, 6]]):
+            for group in grouping:
+                for m, got in zip(group, _stacked_eigenpairs([forms[m] for m in group], 3)):
+                    assert _same_bits(got, whole[m])
+                got = df.commutator_residual(probe, traj.manifolds, group)
+                assert np.array_equal(got, traj.residual_commutator[group])
+
+    def test_round_and_varying_circles_share_a_stack(self):
+        # the closed form and eigh in one stack, each output as alone
+        circles = [df.weighted_circle(48, a=2.0), df.weighted_circle(48, a=lambda th: 1.0 + 0.3 * np.cos(th)),
+                   df.weighted_circle(48, a=0.5, f=0.2)]
+        forms = [df.assemble_forms(dm) for dm in circles]
+        for got, one in zip(_stacked_eigenpairs(forms, 4), forms):
+            assert _same_bits(got, df.lowest_eigenpairs(one, 4))
+
+    def test_the_first_failing_output_names_the_error(self):
+        # the same SolverError as solving one output at a time: the first
+        # output, in stack order, whose worst residual exceeds the tolerance
+        dms = [df.gaussian_line(u) for u in (1.0, 1e-7, 1e-8)]
+        forms = [df.assemble_forms(dm) for dm in dms]
+        with pytest.raises(df.SolverError) as alone:
+            df.lowest_eigenpairs(forms[1], 1)
+        with pytest.raises(df.SolverError) as stacked:
+            _stacked_eigenpairs(forms, 1)
+        assert str(stacked.value) == str(alone.value) and stacked.value.best_residual == alone.value.best_residual
+
+    def test_stack_lengths(self):
+        # the eternal Gaussian's 101 outputs take one stack; a 16 x 256 grid
+        # goes one output at a time, within the per-output field estimate
+        assert _stack_length(12, 2) >= 101
+        assert all(_stack_length(16 * 256, k + 1) == 1 for k in range(1, 17))
+
+    def test_output_pass_stays_within_the_field_estimate(self, monkeypatch):
+        req = RunRequest(family=_PRODUCT, horizon=0.2, cadence=5, k=1, resolution=32, track_scalars=False)
+        traj = df.run_flow(req)
+        points, outputs = traj.manifolds[0].size, len(traj.times)
+        assert outputs == 41 and 4 < _stack_length(points, req.k + 1) < _stack_length(points, 1) < outputs
+        df.flow._output_pass(traj.manifolds, traj.spectra[0], req.k, req.eig_tol)  # warm the caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            spectra, _ = df.flow._output_pass(traj.manifolds, traj.spectra[0], req.k, req.eig_tol)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(df.flow, "MAX_FIELD_BYTES", 0)
+        with pytest.raises(ConfigurationError) as err:
+            df.flow._check_field_memory(req, df.evaluate_family(req.family, 0.0))
+        estimate = int(re.search(r"estimated (\d+) bytes", str(err.value)).group(1))
+        assert peak - before < estimate
+        # a stack's temporaries, above what the pass keeps, fit the stack budget
+        assert peak - kept < STACK_BYTES

@@ -193,7 +193,9 @@ class TestDiscretize:
         # and along the same axis of a (k, *shape) batch, leading axes kept in front
         rows = np.stack([circle.a, circle.f])
         assert along(rows, 1, dm.dimension).shape == (2, 1, 16)
-        assert circle.a.flags.writeable and gauss.fprime.flags.writeable  # the views leave their bases writeable
+        # the views leave their bases as they were: a circle's own samples
+        # writeable, a Gaussian line's f', shared from the per-order cache, read-only
+        assert circle.a.flags.writeable and not gauss.fprime.flags.writeable
 
 
 def _closed_form_rates(family, t: float) -> list:
