@@ -178,12 +178,8 @@ def check_functionals(traj: FlowTrajectory) -> list:
     if not traj.series:
         return [volume]
     rep = functional_residuals(traj.series)
-    means = max(
-        abs(traj.manifolds[m].integrate(traj.scalar_values[m, i]))
-        / math.sqrt(traj.series["I"][m, i] * traj.volumes[m])
-        for m in range(len(traj.times))
-        for i in range(traj.scalar_values.shape[1])
-    )
+    integrals = np.stack([traj.manifolds.integrate(u) for u in traj.scalar_values.swapaxes(0, 1)], axis=1)
+    means = float(np.max(np.abs(integrals) / np.sqrt(traj.series["I"] * traj.volumes[:, None])))
     family, u0 = traj.request.family, traj.scalar_values[0]
     start = evaluate_family(family, traj.times[0])
     deviation = 0.0

@@ -14,11 +14,14 @@ Fields are stored as node values; each axis knows how to differentiate along
 its own dimension and how to build its one-dimensional mass/stiffness blocks.
 Per-axis data meets an n-d field or a (k, *shape) batch of fields only
 here: ``along`` shapes a per-axis vector to broadcast along one axis, and
-``apply_along`` applies a per-axis operator along one axis.  A stack of
-outputs on one grid is a leading axis: ``along`` keeps the leading axes of
-stacked per-axis vectors in front, and ``apply_along`` with ``lead`` keeps
-the stack in front of the operand, so that each output's operator acts on
-its own slice.
+``apply_along`` applies a per-axis operator along one axis.
+
+An axis may hold a stack of outputs on one grid, built from (m, n) rows of
+a circle's a and f or an (m, 1) column of a line's scales: each per-output
+vector gains a leading output axis, each row computed as for its output
+alone, and the per-grid tables stay shared.  ``along`` keeps that axis in
+front, ``apply_along`` with ``lead`` keeps the stack in front of the
+operand, and ``axis[m]`` is output m's axis (``axis[lo:hi]`` a sub-stack).
 """
 
 from __future__ import annotations
@@ -183,9 +186,10 @@ class CircleAxis:
     Parameters
     ----------
     a : array
-        Metric coefficient samples (length squared), strictly positive.
+        Metric coefficient samples (length squared), strictly positive: one
+        row of n, or (m, n) rows, one per output of a stack.
     f : array
-        Weight samples on this factor.
+        Weight samples on this factor, of the shape of ``a``.
     """
 
     kind = "circle"
@@ -193,24 +197,31 @@ class CircleAxis:
     def __init__(self, a, f):
         a = np.asarray(a, dtype=float)
         f = np.asarray(f, dtype=float)
-        if a.ndim != 1 or a.shape != f.shape:
-            raise ConfigurationError("circle metric and weight samples must be 1-d and congruent")
-        if a.size < 8:
-            raise ConfigurationError(f"circle resolution {a.size} below the minimum of 8")
+        if a.ndim not in (1, 2) or a.shape != f.shape:
+            raise ConfigurationError("circle metric and weight samples must be congruent rows")
+        if a.shape[-1] < 8:
+            raise ConfigurationError(f"circle resolution {a.shape[-1]} below the minimum of 8")
         if np.min(a) <= 0.0:
             raise AssemblyError(
-                f"circle metric coefficient non-positive at node {int(np.argmin(a))}"
+                f"circle metric coefficient non-positive at node {int(np.argmin(a)) % a.shape[-1]}"
             )
-        self.size = a.size
+        self.size = a.shape[-1]
         self.nodes = circle_nodes(self.size)
         self.a = a
         self.f = f
         self.weights = np.full(self.size, 2.0 * math.pi / self.size)
-        self.density = np.exp(-f) * np.sqrt(a)
-        self.wdens = self.weights * self.density
+        self.wdens = self.weights * (np.exp(-f) * np.sqrt(a))  # quadrature weight times e^{-f} sqrt(a)
         self._ops = _fourier_ops(self.size)
         self.fprime = self.d1_vec(f)
         self.christoffel = self.d1_vec(a) / (2.0 * a)
+
+    def __getitem__(self, index) -> "CircleAxis":
+        """Output ``index`` of a stack, or a sub-stack: views of its rows,
+        nothing recomputed but ``is_round``."""
+        rows = ("a", "f", "wdens", "fprime", "christoffel", "hess_f")
+        out = object.__new__(CircleAxis)
+        out.__dict__.update({k: v[index] if k in rows else v for k, v in vars(self).items() if k != "is_round"})
+        return out
 
     def d1(self, field: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
         return apply_deriv(_fourier_dense(self.size)["d1"], field, axis, lead)
@@ -236,8 +247,9 @@ class CircleAxis:
 
     @functools.cached_property
     def is_round(self) -> bool:
-        """All a and all f samples equal: every operator is diagonal in Fourier modes."""
-        return bool(np.ptp(self.a) == 0.0 and np.ptp(self.f) == 0.0)
+        """All a and all f samples of each row equal, at every output of a
+        stack: every operator is diagonal in Fourier modes."""
+        return bool(np.all(np.ptp(self.a, axis=-1) == 0.0) and np.all(np.ptp(self.f, axis=-1) == 0.0))
 
     @functools.cached_property
     def hess_f(self) -> np.ndarray:
@@ -245,20 +257,25 @@ class CircleAxis:
         return self.d2_vec(self.f) - self.christoffel * self.fprime
 
     def _stag(self, values: np.ndarray) -> np.ndarray:
-        """Trigonometric interpolant of node values at theta_j + pi/n; a
-        constant interpolates to itself, with no transform."""
-        if np.ptp(values) == 0.0:
-            return np.full(self.size, values[0])
-        return values[0] + _spectral(self._ops["stag"], values - values[0])
+        """Trigonometric interpolant of node values at theta_j + pi/n, of one
+        row or a stack of rows; a constant row interpolates to itself, with
+        no transform."""
+        out = np.array(values, dtype=float)
+        vary = np.ptp(values, axis=-1) != 0.0
+        if np.any(vary):
+            rows = values[vary]
+            out[vary] = rows[:, :1] + _spectral(self._ops["stag"], rows - rows[:, :1], axis=-1)
+        return out
 
     def stiffness(self) -> FourierStiffness:
         # Weak form of the drift Laplacian in theta coordinates: the gradient
         # weight is a^{-1} e^{-f} sqrt(a) = a^{-1/2} e^{-f}, sampled on the
-        # half-shifted grid where the staggered derivative lives.
-        a_stag = self._stag(self.a)
+        # half-shifted grid where the staggered derivative lives.  Round rows
+        # interpolate to themselves.
+        a_stag, f_stag = (self.a, self.f) if self.is_round else (self._stag(self.a), self._stag(self.f))
         if np.min(a_stag) <= 0.0:
             raise AssemblyError("circle metric coefficient non-positive between nodes")
-        return FourierStiffness(self.weights * np.exp(-self._stag(self.f)) / np.sqrt(a_stag))
+        return FourierStiffness(self.weights * np.exp(-f_stag) / np.sqrt(a_stag))
 
 
 # --------------------------------------------------------------------------
@@ -269,7 +286,7 @@ class CircleAxis:
 @functools.cache
 def _hermite_ops(order: int) -> dict[str, np.ndarray]:
     """Nodes, weights and basis operators for ``order`` Hermite modes, and
-    the per-node data of a Gaussian line that no scale changes (its density,
+    the per-node data of a Gaussian line that no scale changes (its
     quadrature weights, x^2/4, f' and Hess f); read-only, cached per order.
 
     The basis is p_k(x) = He_k(x / sqrt(2)), the eigenfunctions of
@@ -298,13 +315,14 @@ def _hermite_ops(order: int) -> dict[str, np.ndarray]:
     eigvecs = vand / np.sqrt(np.sum(vand * vand * wdens[:, None], axis=0))
     return _read_only(
         {"nodes": nodes, "wdens": wdens, "vand": vand, "vinv": vinv, "d1": d1, "d2": d1 @ d1, "eigvecs": eigvecs,
-         "density": density, "weights": wdens / density, "quarter_sq": nodes**2 / 4.0, "fprime": nodes / 2.0,
+         "weights": wdens / density, "quarter_sq": nodes**2 / 4.0, "fprime": nodes / 2.0,
          "hess_f": np.full(order, 0.5)}
     )
 
 
 class HermiteLineAxis:
-    """One Gaussian line factor with constant metric multiplier ``scale``.
+    """One Gaussian line factor with constant metric multiplier ``scale``: a
+    float, or an (m, 1) column of them, one per output of a stack.
 
     The factor weight is x^2/4 + (1/2) log(scale); with that split the
     combined quadrature density e^{-f} sqrt(a) equals e^{-x^2/4} regardless of
@@ -313,27 +331,33 @@ class HermiteLineAxis:
 
     kind = "hermite"
 
-    def __init__(self, order: int, scale: float):
+    def __init__(self, order: int, scale):
         if order < 3:
             raise ConfigurationError(f"hermite basis order {order} below the minimum of 3")
-        scale = float(scale)
-        if scale <= 0.0:
+        stacked = np.ndim(scale) > 0
+        scale = np.asarray(scale, dtype=float) if stacked else float(scale)
+        if (scale.min() if stacked else scale) <= 0.0:
             raise AssemblyError("gaussian metric multiplier must be positive")
+        # math.log of each scale, as for one output: numpy's log may differ in the last bit
+        log = np.array([[math.log(s)] for s in scale[:, 0]]) if stacked else math.log(scale)
         ops = _hermite_ops(order)
         self.size = order
         self.scale = scale
         self.nodes = ops["nodes"]
-        self.wdens = ops["wdens"]
-        self.density = ops["density"]  # e^{-f} sqrt(a), scale-free
+        self.wdens = ops["wdens"]  # e^{-f} sqrt(a) times the quadrature weights, scale-free
         self.weights = ops["weights"]
         self.a = scale
-        self.f = ops["quarter_sq"] + 0.5 * math.log(scale)
+        self.f = ops["quarter_sq"] + 0.5 * log
         self.fprime = ops["fprime"]
         self.hess_f = ops["hess_f"]  # Hess of x^2/4; the log-scale part is flat
         self.christoffel = 0.0
         self._d1 = ops["d1"]
         self._d2 = ops["d2"]
-        self._eigvecs = ops["eigvecs"]
+
+    def __getitem__(self, index) -> "HermiteLineAxis":
+        """Output ``index`` of a stack, or a sub-stack, rebuilt from its scales."""
+        scale = self.scale[index]
+        return HermiteLineAxis(self.size, scale[0] if scale.ndim == 1 else scale)
 
     def d1(self, field: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
         return apply_deriv(self._d1, field, axis, lead)
@@ -342,13 +366,6 @@ class HermiteLineAxis:
         return apply_deriv(self._d2, field, axis)
 
     def stiffness(self) -> np.ndarray:
+        """d1^T diag(wdens / scale) d1: an (n, n) block, or (m, n, n) for a stack."""
         w = self.wdens / self.scale
-        return self._d1.T @ (w[:, None] * self._d1)
-
-    def analytic_eigenvalues(self) -> np.ndarray:
-        return np.arange(self.size) / (2.0 * self.scale)
-
-    def eigens(self):
-        """Exact eigenpairs: Hermite basis vectors, quadrature-normalized
-        once per order (read-only)."""
-        return self.analytic_eigenvalues(), self._eigvecs
+        return self._d1.T @ (w[..., :, None] * self._d1)

@@ -39,12 +39,15 @@ initial batch, the stages never touch the scalars, and the geometry takes
 the steps of a run without them.  A Galerkin run builds one step plan, the
 per-axis operators of ``_flow_rhs``, before its first step and takes every
 step with ``_step``.  The analytic backend steps nothing: its outputs are the
-closed-form states, sampled by ``discretize``, and its scalars those of
-``oracles.modal_propagator``, exact on every supported family; a Galerkin
-run never calls it.
+closed-form states, and its scalars those of ``oracles.modal_propagator``,
+exact on every supported family; a Galerkin run never calls it.
 
-``run_flow`` returns one frozen ``FlowTrajectory``, built once from finished
-values: its residual columns are computed before the record is.
+Either backend records each output as its row of the layout's packed
+geometry (``_Layout.pack``) and builds all outputs once, as one stack
+(``_Layout.stack``); the spectra, the commutator, the volumes and the
+checks read that stack.  ``run_flow`` returns one frozen ``FlowTrajectory``,
+built once from finished values: its residual columns are computed before
+the record is.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axes import CircleAxis, HermiteLineAxis, _fourier_dense, _hermite_ops, along, apply_along, lowpass
+from .axes import CircleAxis, HermiteLineAxis, _fourier_dense, _hermite_ops, along, apply_along, circle_nodes, lowpass
 from .comparison import eigenvalue_bound
 from .errors import (
     ConfigurationError,
@@ -64,9 +67,9 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .geometry import CircleModel, DiscreteWeightedManifold, discretize, evaluate_family
+from .geometry import CircleModel, ContinuumState, DiscreteWeightedManifold, discretize, evaluate_family
 from .oracles import modal_propagator
-from .spectral import _derivatives, _scalar_pairings, _stacked_eigenpairs, assemble_forms, lowest_eigenpairs, partials
+from .spectral import _derivatives, _scalar_pairings, assemble_forms, lowest_eigenpairs, partials
 
 __all__ = [
     "FlowTrajectory",
@@ -123,7 +126,8 @@ class _Layout:
     diagonal axis, in the order of ``diagonal``, and when some circle is not
     round (``stepped``) by the raveled (count, *shape) batch V.  A diagonal
     axis is a Gaussian line or a round circle; its scalar operator is
-    c_i(t) D_i with D_i fixed and diagonal in the axis's basis.
+    c_i(t) D_i with D_i fixed and diagonal in the axis's basis.  A run
+    records each output as its geometry row, the first ``width`` entries.
     """
 
     axes: tuple
@@ -132,6 +136,7 @@ class _Layout:
     circles: tuple
     diagonal: tuple = ()
     stepped: bool = False
+    count: int = 0
 
     @classmethod
     def of(cls, dm: DiscreteWeightedManifold, count: int = 0) -> "_Layout":
@@ -143,37 +148,58 @@ class _Layout:
         circles = tuple((off, n) for kind, off, n in axes if kind == "circle")
         diagonal = tuple(i for i, (kind, _, _) in enumerate(axes) if kind != "circle") if count else ()
         stepped = count > 0 and bool(circles)
-        return cls(tuple(axes), offset, dm.shape, circles, diagonal, stepped)
+        return cls(tuple(axes), offset, dm.shape, circles, diagonal, stepped, count)
 
     @property
     def start(self) -> int:
         """The offset of V, right after the integrals."""
         return self.width + len(self.diagonal)
 
-    def pack(self, dm: DiscreteWeightedManifold) -> np.ndarray:
+    @property
+    def blocks(self) -> list:
+        """The starts of the blocks of ``_step``'s error norm: each circle's a
+        and f (rows, or one number each if round), each Gaussian multiplier,
+        each integral, and each scalar of V."""
+        starts = []
+        for kind, off, n in self.axes:
+            starts += [off] if kind == "hermite" else [off, off + (n if kind == "circle" else 1)]
+        starts += range(self.width, self.start)
+        if self.stepped:
+            points = math.prod(self.shape)
+            starts += range(self.start, self.start + self.count * points, points)
+        return starts
+
+    def pack(self, state) -> np.ndarray:
+        """The geometry row of one output, from a manifold's axes or a continuum
+        state's factors (sampled at the nodes, as by ``discretize``)."""
         parts = []
-        for (kind, _, _), ax in zip(self.axes, dm.axes):
+        for (kind, _, n), fac in zip(self.axes, state.factors if isinstance(state, ContinuumState) else state.axes):
             if kind == "hermite":
-                parts.append([ax.scale])
-            else:
-                parts += [ax.a[:1], ax.f[:1]] if kind == "round" else [ax.a, ax.f]
+                parts.append([fac.scale])
+                continue
+            theta = circle_nodes(n)
+            a, f = (fac.a_at(theta), fac.f_at(theta)) if isinstance(fac, CircleModel) else (fac.a, fac.f)
+            parts += [a[:1], f[:1]] if kind == "round" else [a, f]
         return np.concatenate(parts)
 
-    def manifold(self, z: np.ndarray, t: float) -> DiscreteWeightedManifold:
+    def stack(self, rows: np.ndarray, times: np.ndarray) -> DiscreteWeightedManifold:
+        """The outputs of a run as one stack, from their geometry rows (m,
+        ``width``) and their times: a round circle's two numbers repeated
+        over its nodes."""
         axes = []
         for kind, off, n in self.axes:
-            if kind == "circle":
-                axes.append(CircleAxis(_positive(z[off : off + n]).copy(), z[off + n : off + 2 * n].copy()))
-            elif kind == "round":
-                axes.append(CircleAxis(np.full(n, _positive(z[off : off + 1])[0]), np.full(n, z[off + 1])))
-            else:
-                axes.append(HermiteLineAxis(n, float(_positive(z[off : off + 1])[0])))
-        return DiscreteWeightedManifold(axes, t=t)
+            row = n if kind == "circle" else 1
+            a, f = _positive(rows[:, off : off + row]), rows[:, off + row : off + 2 * row]
+            axes.append(
+                HermiteLineAxis(n, a.copy()) if kind == "hermite"
+                else CircleAxis(np.repeat(a, n // row, axis=1), np.repeat(f, n // row, axis=1))
+            )
+        return DiscreteWeightedManifold(axes, t=times)
 
 
 def _positive(a: np.ndarray) -> np.ndarray:
     if a.min() <= 0.0:
-        raise FlowBreakdownError(int(np.argmin(a)))
+        raise FlowBreakdownError(int(np.argmin(a)) % a.shape[-1])
     return a
 
 
@@ -382,15 +408,16 @@ class RunRequest:
 class FlowTrajectory:
     """Recorded outputs of one run plus everything needed to replay it.
 
-    Per output: its time, its sampled geometry (``manifolds``), its spectrum,
-    its weighted volume, and with tracked scalars their values and pairings
-    (``series``); ``residual_ij`` is NaN without them.  Built once by
-    ``run_flow`` from finished values.
+    Per output: its time, its sampled geometry, its spectrum, its weighted
+    volume, and with tracked scalars their values and pairings (``series``);
+    ``residual_ij`` is NaN without them.  ``manifolds`` is the geometry of
+    every output as one stack (``DiscreteWeightedManifold``): ``manifolds[m]``
+    is output m's manifold.  Built once by ``run_flow`` from finished values.
     """
 
     request: RunRequest
     times: np.ndarray
-    manifolds: list
+    manifolds: DiscreteWeightedManifold
     spectra: list
     volumes: np.ndarray
     scalar_values: np.ndarray | None
@@ -453,10 +480,11 @@ def _output_steps(request: RunRequest) -> tuple[float, list]:
 
 
 def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
-    """(t, manifold, scalars or None) per output of a Galerkin run: one
-    deterministic integration, every step a ``_step``.  The scalars are
-    u = E V (``_factor``), E applied once per output; V is stepped only when
-    some circle is not round, and is ``scalars0`` otherwise."""
+    """(outputs, scalars or None) of a Galerkin run: one deterministic
+    integration, every step a ``_step``, each output recorded as its geometry
+    row and the rows built once as one stack.  The scalars are u = E V
+    (``_factor``), E applied once per output; V is stepped only when some
+    circle is not round, and is ``scalars0`` otherwise."""
     t0 = request.family.t0
     dt, recorded = _output_steps(request)
 
@@ -467,14 +495,7 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     parts = [geometry, np.zeros(len(layout.diagonal))]
     if layout.stepped:
         parts.append(scalars.ravel())
-    width, start, z = layout.width, layout.start, np.concatenate(parts)
-    # The error blocks: each circle's a and f (rows, or one number each if round), each Gaussian multiplier,
-    # each integral, each scalar of V.
-    blocks = [
-        off + i * (n if kind == "circle" else 1) for kind, off, n in layout.axes for i in range(1 + (kind != "hermite"))
-    ]
-    blocks += range(width, start)
-    blocks += range(start, z.size, math.prod(layout.shape))
+    width, start, blocks, z = layout.width, layout.start, layout.blocks, np.concatenate(parts)
     if z.size == 1:  # one Gaussian multiplier and no scalars: a float, without numpy's per-call cost
         rhs, z = _multiplier_rhs, float(z[0])
     else:
@@ -484,32 +505,33 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     def settle(z):
         return _settle(layout, z, request.modes, NOISE_FLOOR, threshold)
 
-    outputs, done = [], 0
-    for step in recorded:
+    rows, batches, done = np.empty((len(recorded), width)), [], 0
+    for m, step in enumerate(recorded):
         for s in range(done, step):
             z, k1, _ = _step(rhs, settle, t0 + s * dt, z, dt, request.adaptive_tol, k1, blocks)
-        done, t = step, t0 + step * dt
-        batch = None
+        done = step
+        rows[m] = np.atleast_1d(z)[:width]
         if scalars is not None:
             v = z[start:].reshape(scalars.shape) if layout.stepped else scalars
-            batch = _factor(layout, v, z[width:start], step * dt)
-        outputs.append((t, layout.manifold(np.atleast_1d(z), t), batch))
-    return outputs
+            batches.append(_factor(layout, v, z[width:start], step * dt))
+    times = np.array([t0 + step * dt for step in recorded])
+    return layout.stack(rows, times), None if scalars is None else np.stack(batches)
 
 
-def _closed_form_outputs(request: RunRequest, scalars0):
-    """(t, manifold, scalars or None) per output of an analytic run: the
-    family's closed form, sampled by ``discretize``, and the scalars carried
-    from output 0 by the exact ``modal_propagator``.  Nothing is stepped."""
+def _closed_form_outputs(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
+    """(outputs, scalars or None) of an analytic run: the family's closed
+    form at each output, packed as its geometry row, the rows built once as
+    one stack, and the scalars carried from output 0 by the exact
+    ``modal_propagator``.  Nothing is stepped."""
     family = request.family
     dt, recorded = _output_steps(request)
+    layout = _Layout.of(state0)
     start = evaluate_family(family, family.t0)
-    outputs = []
-    for step in recorded:
-        state = evaluate_family(family, family.t0 + step * dt)
-        dm = discretize(state, resolution=request.resolution, hermite_order=request.hermite_order)
-        outputs.append((state.t, dm, None if scalars0 is None else modal_propagator(scalars0, start, state)))
-    return outputs
+    states = [evaluate_family(family, family.t0 + step * dt) for step in recorded]
+    outputs = layout.stack(np.array([layout.pack(state) for state in states]), np.array([state.t for state in states]))
+    if scalars0 is None:
+        return outputs, None
+    return outputs, np.stack([modal_propagator(scalars0, start, state) for state in states])
 
 
 def _check_field_memory(request: RunRequest, state) -> None:
@@ -549,18 +571,18 @@ def _stack_length(points: int, fields: int) -> int:
     return max(1, STACK_BYTES // (8 * points * FIELD_COPIES * fields))
 
 
-def _output_pass(manifolds: list, spectrum0, k: int, tol: float) -> tuple[list, np.ndarray]:
-    """The spectrum and the commutator residual of every output, in stacks of
-    consecutive outputs: outputs 1, 2, ... in ``_stacked_eigenpairs`` stacks
-    sized for the k + 1 eigenfunctions of each, and every output in
-    ``_commutator_stack`` stacks sized for its one probe field.  Output 0
-    reuses ``spectrum0``, whose second eigenfunction is the commutator's
-    probe, differentiated once per run."""
-    points, count = manifolds[0].size, len(manifolds)
+def _output_pass(manifolds: DiscreteWeightedManifold, spectrum0, k: int, tol: float) -> tuple[list, np.ndarray]:
+    """The spectrum and the commutator residual of every output of the stack
+    ``manifolds``, on sub-stacks of consecutive outputs: outputs 1, 2, ...
+    solved by ``lowest_eigenpairs`` on sub-stacks sized for the k + 1
+    eigenfunctions of each, and every output's residual on sub-stacks sized
+    for its one probe field.  Output 0 reuses ``spectrum0``, whose second
+    eigenfunction is the commutator's probe, differentiated once per run."""
+    points, count = manifolds.size, len(manifolds)
     per_stack = _stack_length(points, k + 1)
     spectra = [spectrum0]
     for lo in range(1, count, per_stack):
-        spectra += _stacked_eigenpairs([assemble_forms(dm) for dm in manifolds[lo : lo + per_stack]], k, tol)
+        spectra += lowest_eigenpairs(assemble_forms(manifolds[lo : lo + per_stack]), k, tol)
     probe = _probe_partials(manifolds[0], spectrum0.eigenfunctions[1])
     per_stack = _stack_length(points, 1)
     residuals = [_commutator_stack(probe, manifolds[lo : lo + per_stack]) for lo in range(0, count, per_stack)]
@@ -575,9 +597,10 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     u_1..u_k (weighted-L2 normalized, mean zero) evolve by the drift heat
     equation and their mass/energy pairings are recorded per output.  A family
     extinct by the last output fails before anything is discretized.
-    Output 0's solve seeds the scalars; the spectra and commutator residuals
-    of the outputs are then taken in stacks (``_output_pass``), each solved
-    over a leading output axis in the bits of its one-output solve.
+    Output 0's solve seeds the scalars.  Every output's geometry is then
+    built once, as one stack, and the spectra and commutator residuals are
+    taken on sub-stacks of it (``_output_pass``), each output in the bits of
+    its one-output solve.
     """
     dt, recorded = _output_steps(request)
     evaluate_family(request.family, request.family.t0 + recorded[-1] * dt)
@@ -587,20 +610,16 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     spectrum0 = lowest_eigenpairs(assemble_forms(state0), request.k, request.eig_tol)
     scalars0 = np.stack(spectrum0.eigenfunctions[1 : request.k + 1]) if request.track_scalars else None
 
-    closed_form = request.backend == "analytic"
-    outputs = _closed_form_outputs(request, scalars0) if closed_form else _run_loop(request, state0, scalars0)
-
-    times = np.array([t for t, _, _ in outputs])
-    manifolds = [dm for _, dm, _ in outputs]
+    outputs = _closed_form_outputs if request.backend == "analytic" else _run_loop
+    manifolds, scalar_values = outputs(request, state0, scalars0)
+    times = manifolds.t
     # Output 0 holds the geometry of state0, so its solve is spectrum0.
     spectra, residual_commutator = _output_pass(manifolds, spectrum0, request.k, request.eig_tol)
-    volumes = np.array([dm.weighted_volume() for dm in manifolds])
+    volumes = manifolds.weighted_volume()
 
-    scalar_values = None
     series = {}
     residual_ij = np.full(len(times), np.nan)
-    if scalars0 is not None:
-        scalar_values = np.stack([s for _, _, s in outputs])
+    if scalar_values is not None:
         n_out, ns = scalar_values.shape[0], scalar_values.shape[1]
         J, D, dJ = (np.empty((n_out, ns, ns)) for _ in range(3))
         for m, dm in enumerate(manifolds):
@@ -719,14 +738,14 @@ def gram_schmidt_frame(gram: np.ndarray) -> np.ndarray:
     return np.tril(np.linalg.solve(L, np.eye(len(gram))))  # solve pivots; keep the upper zeros exact
 
 
-def commutator_residual(u, manifolds, indices) -> np.ndarray:
+def commutator_residual(u, manifolds: DiscreteWeightedManifold, indices) -> np.ndarray:
     """Weighted-L2 defect of d/dt(L u) = L u_t - 2 div_f(phi(grad u)) at each
-    of the outputs ``indices`` of a run's ``manifolds``.
+    of the outputs ``indices`` of a run's stack ``manifolds``.
 
     ``u`` is held fixed in coordinates, so L u_t vanishes and d/dt(L u) is
     the derivative of L along the output's own rates (``_laplacian_rates``).
     The grid is the same at every output, so the partials of u are taken
-    once per call; the requested outputs then form one stack
+    once per call; the requested outputs then form one sub-stack
     (``_commutator_stack``).
     """
     u = np.asarray(u, dtype=float)
@@ -735,7 +754,7 @@ def commutator_residual(u, manifolds, indices) -> np.ndarray:
         raise UsageError(f"commutator residual needs output indices in [0, {len(manifolds)})")
     if not indices:
         return np.array([])
-    return _commutator_stack(_probe_partials(manifolds[0], u), [manifolds[index] for index in indices])
+    return _commutator_stack(_probe_partials(manifolds[0], u), manifolds[indices])
 
 
 def _probe_partials(dm: DiscreteWeightedManifold, u: np.ndarray) -> tuple:
@@ -744,49 +763,24 @@ def _probe_partials(dm: DiscreteWeightedManifold, u: np.ndarray) -> tuple:
     return partials(dm, u), [ax.d2(u, i) for i, ax in enumerate(dm.axes)]
 
 
-def _commutator_stack(probe_partials: tuple, stack: list) -> np.ndarray:
-    """The commutator residual at each output of ``stack``, over a leading
-    output axis: the rates, phi(grad u) / a^2 and the divergence of every
-    output at once, one derivative application per axis (``lead`` = 1), each
-    output's values those it has alone."""
+def _commutator_stack(probe_partials: tuple, stack: DiscreteWeightedManifold) -> np.ndarray:
+    """The commutator residual at each output of ``stack``, over its leading
+    output axis: the rates, phi(grad u) / a^2, the divergence and the norms
+    of every output at once, one derivative application per axis (``lead`` =
+    1), each output's values those it has alone."""
     du, d2u = probe_partials
-    d = stack[0].dimension
+    d = stack.dimension
     d_lu = div = 0.0
-    for i, ax in enumerate(stack[0].axes):
-        a, gamma, fprime, hess_f = _stacked_axis([dm.axes[i] for dm in stack])
-        phi, c1, c2 = _laplacian_rates(ax, a, gamma, fprime, hess_f)
+    for i, ax in enumerate(stack.axes):
+        phi, c1, c2 = _laplacian_rates(ax)
         d_lu = d_lu + along(c1, i, d) * d2u[i] + along(c2, i, d) * du[i]
-        W = along(phi, i, d) * du[i] / along(a * a, i, d)
-        div = div + ax.d1(W, i + 1, lead=1) + W * (along(gamma, i, d) - along(fprime, i, d))
+        W = along(phi, i, d) * du[i] / along(ax.a * ax.a, i, d)
+        div = div + ax.d1(W, i + 1, lead=1) + W * (along(ax.christoffel, i, d) - along(ax.fprime, i, d))
     div_term = 2.0 * div
     resid = d_lu + div_term  # L u_t vanishes: u is fixed in coordinates
-    wdens = [np.array([dm.axes[i].wdens for dm in stack]) for i in range(d)]
-    norm_resid, norm_lu, norm_div = (_weighted_norms(wdens, g) for g in (resid, d_lu, div_term))
+    norm_resid, norm_lu, norm_div = (np.sqrt(np.maximum(stack.integrate(g * g), 0.0)) for g in (resid, d_lu, div_term))
     scale = np.maximum(norm_lu, norm_div)
     return norm_resid / np.where(scale < 1e-300, 1.0, scale)
-
-
-def _stacked_axis(axes: list) -> tuple:
-    """(a, Gamma, f', Hess f) of one axis at each output of a stack, as (s, n)
-    rows.  A Gaussian line varies only in its scale, an (s, 1) column; its
-    Gamma is 0 and its f' and Hess f, the same at every scale, pass as the
-    axis holds them."""
-    ax = axes[0]
-    if ax.kind == "hermite":
-        return np.array([[axis.scale] for axis in axes]), ax.christoffel, ax.fprime, ax.hess_f
-    return tuple(np.stack([getattr(axis, name) for axis in axes]) for name in ("a", "christoffel", "fprime", "hess_f"))
-
-
-def _weighted_norms(wdens: list, g: np.ndarray) -> np.ndarray:
-    """sqrt of the weighted integral of g^2 for each output of an (s, *shape)
-    stack against its own quadrature densities ``wdens``, (s, n_i) per axis:
-    contracted from the last axis, as ``DiscreteWeightedManifold.integrate``
-    contracts one field, in the same matrix-vector and vector-vector
-    products per output."""
-    out = g * g
-    for w in reversed(wdens[1:]):
-        out = (out @ w.reshape(len(w), *(1,) * (out.ndim - 3), -1, 1))[..., 0]
-    return np.sqrt(np.maximum((out[:, None] @ wdens[0][:, :, None])[:, 0, 0], 0.0))
 
 
 def _weight_rate(hess_f, a):
@@ -794,11 +788,11 @@ def _weight_rate(hess_f, a):
     return 0.5 - hess_f / a
 
 
-def _laplacian_rates(ax, a, gamma, fprime, hess_f) -> tuple:
-    """(phi, c1, c2) of one axis at each output of a stack, from its
-    ``_stacked_axis`` rows (``ax``: the axis at any one output): the soliton
-    defect phi = a/2 - Hess f (``soliton_defect_profiles``), and d/dt of L
-    along the axis as c1 u'' + c2 u' for u fixed.
+def _laplacian_rates(ax) -> tuple:
+    """(phi, c1, c2) of one axis, of one output or at each output of a
+    stack: the soliton defect phi = a/2 - Hess f
+    (``soliton_defect_profiles``), and d/dt of L along the axis as
+    c1 u'' + c2 u' for u fixed.
 
     Along that axis L u = (u'' - (Gamma + f') u') / a with a_t = 2 phi, so
     c1 = -a_t / a^2 and c2 = -c1 (Gamma + f') - (Gamma_t + f_t') / a, where
@@ -807,11 +801,12 @@ def _laplacian_rates(ax, a, gamma, fprime, hess_f) -> tuple:
     circle differentiates its rows with ``CircleAxis.d1_vec``, a constant
     row to exact zeros.
     """
-    phi = 0.5 * a - hess_f
+    a, gamma = ax.a, ax.christoffel
+    phi = 0.5 * a - ax.hess_f
     a_t = 2.0 * phi
     c1 = -a_t / (a * a)
-    c2 = -c1 * (gamma + fprime)
+    c2 = -c1 * (gamma + ax.fprime)
     if ax.kind == "circle":
         gamma_t = (ax.d1_vec(a_t) - 2.0 * gamma * a_t) / (2.0 * a)
-        c2 = c2 - (gamma_t + ax.d1_vec(_weight_rate(hess_f, a))) / a
+        c2 = c2 - (gamma_t + ax.d1_vec(_weight_rate(ax.hess_f, a))) / a
     return phi, c1, c2

@@ -5,7 +5,8 @@ lines with a constant metric multiplier, and products of those (at most one
 circle factor).  On these models Ric and the scalar curvature vanish
 identically, so the coupled metric/weight evolution is implementable without
 a curvature engine while still exercising every quantitative statement in
-scope (sharp bounds, the eternal sub-1/2 example, splitting).
+scope (sharp bounds, the eternal sub-1/2 example, splitting).  A run's
+outputs on one grid form one ``DiscreteWeightedManifold``, a stack.
 """
 
 from __future__ import annotations
@@ -223,34 +224,51 @@ class DiscreteWeightedManifold:
     stay writeable (only the tables they share from the per-grid caches
     are read-only); by convention no code changes a manifold after
     construction, and every operation on a manifold is a pure function.
+
+    A manifold is one output, at a float time ``t``, or a stack of outputs on
+    one grid, at the times ``t`` of a 1-d array, whose axes carry a leading
+    output axis (see ``axes``); ``shape`` is the grid of each output.
+    ``stack[m]`` is output m's manifold, a slice or a list of rows a
+    sub-stack.  On a stack ``integrate`` and ``weighted_volume`` give one
+    value per output, each in the bits it has alone.
     """
 
-    def __init__(self, axes, t: float = 0.0):
+    def __init__(self, axes, t=0.0):
         axes = tuple(axes)
         if not axes:
             raise ConfigurationError("a manifold needs at least one axis")
         self.axes = axes
-        self.t = float(t)
+        self.stacked = np.ndim(t) == 1
+        self.t = np.asarray(t, dtype=float) if self.stacked else float(t)
         self.shape = tuple(ax.size for ax in axes)
-        self.size = int(np.prod(self.shape))
+        self.size = math.prod(self.shape)
         self.dimension = len(axes)
-        self._wdens_vectors = [ax.wdens for ax in axes]
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index) -> "DiscreteWeightedManifold":
+        return DiscreteWeightedManifold([ax[index] for ax in self.axes], t=self.t[index])
 
     def f_field(self) -> np.ndarray:
         return sum((along(ax.f, i, self.dimension) for i, ax in enumerate(self.axes)), np.zeros(self.shape))
 
-    def integrate(self, values) -> float:
-        """Quadrature of ``values`` against the weighted volume e^{-f} dv."""
+    def integrate(self, values):
+        """Quadrature of ``values`` against the weighted volume e^{-f} dv: the
+        axes' densities contracted from the last axis, a matrix-vector
+        product per axis and then a dot product, per output of a stack."""
         values = np.asarray(values, dtype=float)
-        if values.shape != self.shape:
-            raise UsageError(f"field shape {values.shape} does not match grid {self.shape}")
-        out = values
-        for vec in reversed(self._wdens_vectors):
-            out = out @ vec
-        return float(out)
+        if values.shape != np.shape(self.t) + self.shape:
+            raise UsageError(f"field shape {values.shape} does not match grid {np.shape(self.t) + self.shape}")
+        out = values if self.stacked else values[None]
+        for ax in reversed(self.axes[1:]):
+            w = ax.wdens
+            out = (out @ w.reshape(*w.shape[:-1], *(1,) * (out.ndim - 3), -1, 1))[..., 0]
+        totals = (out[:, None] @ self.axes[0].wdens[..., :, None])[:, 0, 0]
+        return totals if self.stacked else float(totals[0])
 
-    def weighted_volume(self) -> float:
-        return self.integrate(np.ones(self.shape))
+    def weighted_volume(self):
+        return self.integrate(np.ones(np.shape(self.t) + self.shape))
 
     def validate(self) -> None:
         for i, ax in enumerate(self.axes):

@@ -15,11 +15,10 @@ circles in closed form (Fourier modes), other circles by dense ``eigh``.
 The closed-form tables depend only on the grid and are cached read-only per
 grid; products combine the axes with one outer sum of eigenvalues and one
 broadcast product of eigenvectors, in the same floating-point operations as
-a per-pair build.  The forms of a sequence of outputs on one grid are solved
-together (``_stacked_eigenpairs``): every per-axis vector and stiffness block
-gains a leading output axis, each output's arithmetic is the one it takes
-alone, and one pass of numpy calls serves the whole stack;
-``lowest_eigenpairs`` is its one-output case.
+a per-pair build.  A stack of outputs on one grid (see ``geometry``) takes
+the same two calls: ``assemble_forms`` stacks its blocks and masses over the
+leading output axis, and ``lowest_eigenpairs`` solves them in one pass of
+numpy calls, one ``SpectralResult`` per output in the bits it has alone.
 
 Pointwise quantities of a (k, *shape) batch of fields come from one
 derivative pass (``_derivatives``): the partials du_i and the diagonal
@@ -243,7 +242,7 @@ class QuadraticForms:
 
     @property
     def shape(self) -> tuple:
-        return tuple(m.size for m in self.axis_masses)
+        return tuple(m.shape[-1] for m in self.axis_masses)
 
     @property
     def dimension(self) -> int:
@@ -255,35 +254,23 @@ class QuadraticForms:
         return reduce(np.multiply.outer, self.axis_masses).ravel()
 
     def apply_stiffness(self, u) -> np.ndarray:
-        """K u for one field of ``shape`` or a batch of them, (..., *shape)."""
+        """K u for one field of ``shape`` or a batch of them, (..., *shape).
+        On the forms of a stack u is an (s, ..., *shape) stack: each output's
+        fields are weighted by its own masses (a mass the outputs share is one
+        row) and mapped by its own blocks."""
         u = np.asarray(u, dtype=float)
-        if u.shape[u.ndim - len(self.blocks) :] != self.shape:
+        d = len(self.blocks)
+        if u.shape[u.ndim - d :] != self.shape:
             raise UsageError(f"field shape {u.shape} does not end in grid {self.shape}")
-        return _stiffness_product(self.blocks, self.axis_masses, u)
-
-
-def _stiffness_product(blocks, masses, u: np.ndarray, lead: int = 0) -> np.ndarray:
-    """K u from per-axis blocks and masses.  With ``lead`` = 1 they are
-    stacked over outputs (``_stack_blocks``; masses (s, 1, n_i)) and u is an
-    (s, ..., *shape) stack, each output's fields weighted by its own masses
-    and mapped by its own blocks."""
-    d = len(blocks)
-    masses = [along(m, j, d) for j, m in enumerate(masses)]
-    out = 0.0
-    for i, block in enumerate(blocks):
-        weighted = reduce(np.multiply, [m for j, m in enumerate(masses) if j != i], u)
-        out = out + apply_along(block.__matmul__, weighted, i - d, lead=lead)
-    return out
-
-
-def _stack_blocks(blocks: list):
-    """One axis's stiffness blocks of a sequence of outputs as one block over
-    a leading output axis: dense matrices as an (s, n, n) array, circle
-    stiffness as one ``FourierStiffness`` of the (s, n) weights.  Either maps
-    an (s, n, m) stack, each output by its own block."""
-    if isinstance(blocks[0], FourierStiffness):
-        return FourierStiffness(np.array([block.weight for block in blocks]))
-    return np.array(blocks)
+        lead = int(self.manifold is not None and self.manifold.stacked)
+        batch = (1,) * (u.ndim - d - lead)
+        masses = [along(m.reshape(m.shape[0], *batch, -1) if m.ndim > 1 else m, j, d)
+                  for j, m in enumerate(self.axis_masses)]
+        out = 0.0
+        for i, block in enumerate(self.blocks):
+            weighted = reduce(np.multiply, [m for j, m in enumerate(masses) if j != i], u)
+            out = out + apply_along(block.__matmul__, weighted, i - d, lead=lead)
+        return out
 
 
 def assemble_forms(dm: DiscreteWeightedManifold) -> QuadraticForms:
@@ -292,7 +279,8 @@ def assemble_forms(dm: DiscreteWeightedManifold) -> QuadraticForms:
     Circle-axis stiffness weights u'v' by a^{-1/2} e^{-f} at the half-shifted
     nodes (the weak form of the drift Laplacian on a dtheta^2); Gaussian axes
     contribute their exact Hermite blocks.  The mass is the diagonal
-    quadrature weight.
+    quadrature weight.  On a stack of outputs every block and mass that
+    varies by output is stacked over a leading output axis.
     """
     return QuadraticForms(
         manifold=dm,
@@ -337,10 +325,10 @@ def _circle_modes(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return k, vecs
 
 
-def _axis_eigens(axes: list, blocks: list, masses: np.ndarray, count: int):
-    """Lowest mass-orthonormal eigenpairs of one axis at each of a stack of
-    outputs (circles: ``count``): values (s, c) and vectors (s, n, c), or
-    (1, n, c) when every output shares them.
+def _axis_eigens(ax, block, count: int):
+    """The ``count`` (at most n) lowest mass-orthonormal eigenpairs of one
+    axis, one output or a stack of them: values (s, c) and vectors (s, n, c),
+    one row (1, ...) when there is one output or every output shares it.
 
     Hermite axes return their exact basis, normalized once per order and
     shared, with lambda = j / (2 scale).  Constant-coefficient circles are
@@ -348,23 +336,20 @@ def _axis_eigens(axes: list, blocks: list, masses: np.ndarray, count: int):
     vectors cos k theta, then sin k theta; the table is cached per grid and
     only its normalization, which depends on each output's mass, is computed
     per output, one vector-matrix product each.  Other circles take dense
-    ``eigh``, one output at a time, beside round outputs of the same stack."""
-    ax = axes[0]
-    if ax.kind == "hermite":
-        # ``eigens`` of every output at once: the vectors are the per-order table
-        scales = np.array([[axis.scale] for axis in axes])
-        return np.arange(ax.size) / (2.0 * scales), _hermite_ops(ax.size)["eigvecs"][None]
+    ``eigh``, one output at a time."""
     count = min(count, ax.size)
-    if all(axis.is_round for axis in axes):
+    if ax.kind == "hermite":
+        vecs = _hermite_ops(ax.size)["eigvecs"][None, :, :count]
+        return (np.arange(count) / (2.0 * ax.scale)).reshape(-1, count), vecs
+    masses = ax.wdens.reshape(-1, ax.size)
+    if ax.is_round:
         k, table = _circle_modes(ax.size, count)
-        return k**2 / np.array([axis.a[:1] for axis in axes]), table / np.sqrt(masses[:, None] @ (table * table))
+        return k**2 / ax.a.reshape(-1, ax.size)[:, :1], table / np.sqrt(masses[:, None] @ (table * table))
     from scipy.linalg import eigh  # only here: the other paths need no scipy
-    vals, vecs = np.empty((len(axes), count)), np.empty((len(axes), ax.size, count))
-    for m, (axis, block, mass) in enumerate(zip(axes, blocks, masses)):
-        if axis.is_round:
-            vals[m : m + 1], vecs[m : m + 1] = _axis_eigens([axis], [block], mass[None], count)
-            continue
-        vals[m], vecs[m] = eigh(block @ np.eye(ax.size), np.diag(mass), subset_by_index=[0, count - 1])
+    vals, vecs = np.empty((len(masses), count)), np.empty((len(masses), ax.size, count))
+    for m, (weight, mass) in enumerate(zip(block.weight.reshape(-1, ax.size), masses)):
+        dense = FourierStiffness(weight) @ np.eye(ax.size)
+        vals[m], vecs[m] = eigh(dense, np.diag(mass), subset_by_index=[0, count - 1])
         # The stiffness maps constants to exactly zero, so the first pair is known.
         vals[m, 0], vecs[m, :, 0] = 0.0, 1.0 / math.sqrt(mass.sum())
     return vals, vecs
@@ -376,41 +361,28 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10) -> SpectralResult:
-    """k+1 smallest eigenpairs of the weak drift Laplacian.
+def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10):
+    """k+1 smallest eigenpairs of the weak drift Laplacian: a
+    ``SpectralResult``, or on the forms of a stack of outputs a list of them,
+    one per output, each with the bits it has when solved alone.
 
     Product states are solved axis by axis (the operator decouples on the
     supported geometry) and combined by Minkowski sums; the result is checked
     against the forms and rejected if any residual exceeds ``tol``.  The
     constant eigenfunction carries lambda_0 = 0; all later eigenfunctions
-    are J-orthogonal to it, which realizes the mean-zero constraint.  This
-    is the one-output case of ``_stacked_eigenpairs``.
+    are J-orthogonal to it, which realizes the mean-zero constraint.  Each
+    output's residual ||Ku - lambda Mu|| / (||Ku|| + (1 + |lambda|) ||Mu||)
+    is taken against its own blocks; SolverError names the first output, in
+    stack order, whose worst residual exceeds ``tol``.
     """
-    return _stacked_eigenpairs([forms], k, tol)[0]
-
-
-def _stacked_eigenpairs(stack: list, k: int, tol: float = 1e-10) -> list:
-    """``lowest_eigenpairs`` of each ``QuadraticForms`` of ``stack``, a
-    sequence of outputs on one grid, solved over a leading output axis: one
-    ``SpectralResult`` per output, with the bits it has when solved alone.
-
-    Each output's residual ||Ku - lambda Mu|| / (||Ku|| + (1 + |lambda|)
-    ||Mu||) is taken against its own blocks; SolverError names the first
-    output, in stack order, whose worst residual exceeds ``tol``.
-    """
-    dm = stack[0].manifold
+    dm = forms.manifold
     if k < 1:
         raise UsageError("eigenpair count k must be at least 1")
     if k + 1 > dm.size:
         raise UsageError(f"requested {k + 1} pairs from a dimension-{dm.size} problem")
-    m, d = len(stack), dm.dimension
+    m, d = len(dm) if dm.stacked else 1, dm.dimension
 
-    masses = [np.array([forms.axis_masses[i] for forms in stack]) for i in range(d)]
-    blocks = [[forms.blocks[i] for forms in stack] for i in range(d)]
-    per_axis = []
-    for i in range(d):
-        vals, vecs = _axis_eigens([forms.manifold.axes[i] for forms in stack], blocks[i], masses[i], k + 1)
-        per_axis.append((vals[:, : k + 1], vecs[..., : k + 1]))
+    per_axis = [_axis_eigens(ax, block, k + 1) for ax, block in zip(dm.axes, forms.blocks)]
 
     # All sums of per-axis eigenvalues, added left to right in C order; the
     # k+1 smallest only ever use per-axis indices at most k, so this cover
@@ -433,10 +405,9 @@ def _stacked_eigenpairs(stack: list, k: int, tol: float = 1e-10) -> list:
     flip = flat[rows, np.arange(k + 1), np.abs(flat).argmax(axis=2)] < 0
     fields[flip] = -fields[flip]
 
-    ku = _stiffness_product([_stack_blocks(b) for b in blocks], [ms[:, None] for ms in masses], fields, lead=1)
-    ku = ku.reshape(m, k + 1, -1)
-    mass_diag = reduce(np.multiply, [along(ms, i, d) for i, ms in enumerate(masses)])
-    mu = mass_diag.reshape(m, 1, -1) * flat
+    ku = forms.apply_stiffness(fields if dm.stacked else fields[0]).reshape(m, k + 1, -1)
+    mass_diag = reduce(np.multiply, [along(mass, i, d) for i, mass in enumerate(forms.axis_masses)])
+    mu = mass_diag.reshape(-1, 1, dm.size) * flat
     res = ku - eigenvalues[..., None] * mu
     scale = _row_norms(ku) + (1.0 + np.abs(eigenvalues)) * _row_norms(mu)
     residuals = _row_norms(res) / scale
@@ -445,8 +416,8 @@ def _stacked_eigenpairs(stack: list, k: int, tol: float = 1e-10) -> list:
     if failed.any():
         j = int(np.argmax(failed))
         raise SolverError(f"eigen-residual {worst[j]:.3e} exceeds tolerance {tol:.3e}", best_residual=float(worst[j]))
-    return [
-        SpectralResult(t=forms.manifold.t, eigenvalues=eigenvalues[j], eigenfunctions=list(fields[j]),
-                       residuals=residuals[j])
-        for j, forms in enumerate(stack)
+    results = [
+        SpectralResult(t=t, eigenvalues=eigenvalues[j], eigenfunctions=list(fields[j]), residuals=residuals[j])
+        for j, t in enumerate(dm.t.tolist() if dm.stacked else [dm.t])
     ]
+    return results if dm.stacked else results[0]

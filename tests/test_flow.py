@@ -23,8 +23,7 @@ from driftflow.flow import (
 )
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
 from driftflow.spectral import (
-    _derivatives, _hessian_energies, _stacked_eigenpairs, gradient_inner, hessian_norm_sq, partials,
-    soliton_defect_profiles,
+    _derivatives, _hessian_energies, gradient_inner, hessian_norm_sq, partials, soliton_defect_profiles,
 )
 
 LOG2 = math.log(2.0)
@@ -147,23 +146,24 @@ class TestRunFlow:
     @pytest.mark.parametrize("per_stack, stacks", [(None, 1), (2, 2), (3, 2), (1, 4)])
     def test_one_stacked_solve_per_stack(self, backend, per_stack, stacks, monkeypatch):
         # output 0's solve seeds the scalars; the later outputs are solved in
-        # stacks of consecutive outputs, one stacked solve per stack
+        # stacks of consecutive outputs, one stacked solve per stack, all by
+        # the public assemble_forms and lowest_eigenpairs
         singles, stacked = [], []
-        solve, solve_stack = df.flow.lowest_eigenpairs, df.flow._stacked_eigenpairs
+        solve, assemble = df.flow.lowest_eigenpairs, df.flow.assemble_forms
         monkeypatch.setattr(
-            df.flow, "lowest_eigenpairs", lambda forms, k, tol: singles.append(forms) or solve(forms, k, tol)
+            df.flow, "lowest_eigenpairs",
+            lambda forms, k, tol: (stacked if forms.manifold.stacked else singles).append(forms.manifold.t)
+            or solve(forms, k, tol),
         )
-        monkeypatch.setattr(
-            df.flow, "_stacked_eigenpairs",
-            lambda stack, k, tol: stacked.append([forms.manifold.t for forms in stack]) or solve_stack(stack, k, tol),
-        )
+        assembled = []
+        monkeypatch.setattr(df.flow, "assemble_forms", lambda dm: assembled.append(dm) or assemble(dm))
         if per_stack:
             monkeypatch.setattr(df.flow, "_stack_length", lambda points, fields: per_stack)
         family = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(1.0)])
         req = RunRequest(family=family, horizon=0.02, dt=1e-3, cadence=5, resolution=32, modes=8, k=2, backend=backend)
         traj = df.run_flow(req)
-        assert len(traj.times) == 5 and len(singles) == 1 and singles[0].manifold.t == 0.0
-        assert len(stacked) == stacks
+        assert len(traj.times) == 5 and singles == [0.0]
+        assert len(stacked) == stacks and len(assembled) == stacks + 1
         assert [t for stack in stacked for t in stack] == list(traj.times[1:])
         # the reused initial solve is the one output 0's own manifold gives
         again = solve(df.assemble_forms(traj.manifolds[0]), 2, 1e-10)
@@ -221,7 +221,8 @@ def static_traj():
 def _evolved(traj, u0):
     """(manifold, u) per output of the scalar u0 carried by u_t = L u + u/2
     through the run's own Galerkin integration (``_run_loop``)."""
-    return [(dm, s[0]) for _, dm, s in _run_loop(traj.request, traj.manifolds[0], u0[None])]
+    outputs, scalars = _run_loop(traj.request, traj.manifolds[0], u0[None])
+    return [(dm, s[0]) for dm, s in zip(outputs, scalars)]
 
 
 class TestEvolveScalar:
@@ -402,6 +403,16 @@ class TestCommutatorResidual:
         got = [df.commutator_residual(probe, traj.manifolds, [m])[0] for m in range(len(traj.times))]
         assert np.array_equal(got, traj.residual_commutator)
         assert np.max(traj.residual_commutator) < 1e-12
+
+
+def _one_output_stack(dm):
+    """``dm`` as a stack of one output."""
+    axes = [
+        driftflow.axes.CircleAxis(ax.a[None], ax.f[None]) if ax.kind == "circle"
+        else driftflow.axes.HermiteLineAxis(ax.size, [[ax.scale]])
+        for ax in dm.axes
+    ]
+    return df.DiscreteWeightedManifold(axes, t=[dm.t])
 
 
 def _round_product(resolution=64, order=12):
@@ -594,8 +605,8 @@ class TestExactRates:
         du, d2u = partials(dm, u), [ax.d2(u, i) for i, ax in enumerate(dm.axes)]
         exact = 0.0
         for i, ax in enumerate(dm.axes):
-            _, c1, c2 = df.flow._laplacian_rates(ax, *df.flow._stacked_axis([ax]))
-            exact = exact + along(c1[0], i, dm.dimension) * d2u[i] + along(c2[0], i, dm.dimension) * du[i]
+            _, c1, c2 = df.flow._laplacian_rates(ax)
+            exact = exact + along(c1, i, dm.dimension) * d2u[i] + along(c2, i, dm.dimension) * du[i]
         eps = 1e-5
         plus, minus = (df.drift_laplacian(_moved(dm, phi, h), u) for h in (eps, -eps))
         central = (plus - minus) / (2.0 * eps)
@@ -604,13 +615,13 @@ class TestExactRates:
     def test_commutator_on_a_non_round_circle(self):
         dm = _wavy_product()
         u = _smooth_fields(dm, 1)[0]
-        assert df.commutator_residual(u, [dm], [0])[0] < 1e-10
+        assert df.commutator_residual(u, _one_output_stack(dm), [0])[0] < 1e-10
 
     def test_a_wrong_weight_rate_fails_the_commutator(self, monkeypatch):
         dm = _wavy_product()
         u = _smooth_fields(dm, 1)[0]
         monkeypatch.setattr(df.flow, "_weight_rate", lambda hess_f, a: 0.5 + hess_f / a)  # the sign of Hess f flipped
-        got = df.commutator_residual(u, [dm], [0])[0]
+        got = df.commutator_residual(u, _one_output_stack(dm), [0])[0]
         assert got > acceptance.VERIFY_TOLERANCES["commutator_rel"]
         assert not check_commutator(types.SimpleNamespace(residual_commutator=np.array([got])))[0].passed
 
@@ -701,7 +712,7 @@ class TestConstantRowsSkipTheRoundTrip:
         monkeypatch.setattr(driftflow.axes, "_spectral", lambda symbol, values: seen.append(values) or spectral(symbol, values))
         dm = _manifold(df.round_circle_family(0.7, f0=0.3), 0.2, resolution=n)
         ax = dm.axes[0]
-        phi, c1, c2 = df.flow._laplacian_rates(ax, *df.flow._stacked_axis([ax, ax]))
+        phi, c1, c2 = df.flow._laplacian_rates(driftflow.axes.CircleAxis(np.stack([ax.a, ax.a]), np.stack([ax.f, ax.f])))
         assert seen == []
         assert np.array_equal(ax.fprime, np.zeros(n)) and np.array_equal(ax.hess_f, np.zeros(n))
         assert np.array_equal(phi[0], soliton_defect_profiles(dm)[0])
@@ -810,7 +821,7 @@ def _full_row_layout(dm, count=0):
         axes.append((kind, offset, n))
         offset += 2 * n if kind == "circle" else 1
     circles = tuple((off, n) for kind, off, n in axes if kind == "circle")
-    return _Layout(tuple(axes), offset, dm.shape, circles, compact.diagonal, compact.stepped)
+    return _Layout(tuple(axes), offset, dm.shape, circles, compact.diagonal, compact.stepped, compact.count)
 
 
 def _settler(layout, modes):
@@ -1090,7 +1101,8 @@ def _array_multipliers(request):
 def _float_multipliers(request):
     t0 = request.family.t0
     dm = df.discretize(df.evaluate_family(request.family, t0), hermite_order=request.hermite_order)
-    return [out.axes[0].scale for _, out, _ in df.flow._run_loop(request, dm, None)]
+    outputs, _ = df.flow._run_loop(request, dm, None)
+    return [float(scale) for scale in outputs.axes[0].scale[:, 0]]
 
 
 class TestOneNumberState:
@@ -1216,12 +1228,12 @@ class TestRoundCircleState:
         full, full_integrals, full_errors, full_calls = _loop_record(monkeypatch, request_, _full_row_layout)
         got, integrals, errors, calls = _loop_record(monkeypatch, request_, _compact_layout)
         assert calls == full_calls and errors == full_errors  # the same steps, halvings and estimates
-        assert integrals == full_integrals and len(integrals) == len(got)
-        assert len(got) == len(full) == len(df.flow._output_steps(request_)[1])
-        for (t, dm, u), (t_full, dm_full, u_full) in zip(got, full):
-            assert t == t_full and np.array_equal(u, u_full)
-            for ax, ax_full in zip(dm.axes, dm_full.axes):
-                assert np.array_equal(ax.a, ax_full.a) and np.array_equal(ax.f, ax_full.f)
+        assert integrals == full_integrals and len(integrals) == len(got[0])
+        assert len(got[0]) == len(full[0]) == len(df.flow._output_steps(request_)[1])
+        (outputs, scalars), (full_outputs, full_scalars) = got, full
+        assert np.array_equal(outputs.t, full_outputs.t) and np.array_equal(scalars, full_scalars)
+        for ax, ax_full in zip(outputs.axes, full_outputs.axes):
+            assert np.array_equal(ax.a, ax_full.a) and np.array_equal(ax.f, ax_full.f)
         if request_.adaptive_tol == 1e-14:
             assert calls > request_.steps  # the step control halved
 
@@ -1457,34 +1469,24 @@ class TestStackedOutputPass:
     def test_an_output_keeps_its_bits_in_any_stack(self):
         req = RunRequest(family=_PRODUCT, horizon=0.03, cadence=5, k=3, resolution=32, track_scalars=False)
         traj = df.run_flow(req)
-        forms = [df.assemble_forms(dm) for dm in traj.manifolds]
         probe = traj.spectra[0].eigenfunctions[1]
-        whole = _stacked_eigenpairs(forms, 3)
-        assert len(forms) == 7
+        whole = df.lowest_eigenpairs(df.assemble_forms(traj.manifolds), 3)
+        assert len(traj.manifolds) == 7
         for grouping in ([[m] for m in range(7)], [[6, 5, 4, 3, 2, 1, 0]], [[0, 3], [5, 1, 2], [4, 6]]):
             for group in grouping:
-                for m, got in zip(group, _stacked_eigenpairs([forms[m] for m in group], 3)):
+                for m, got in zip(group, df.lowest_eigenpairs(df.assemble_forms(traj.manifolds[group]), 3)):
                     assert _same_bits(got, whole[m])
                 got = df.commutator_residual(probe, traj.manifolds, group)
                 assert np.array_equal(got, traj.residual_commutator[group])
 
-    def test_round_and_varying_circles_share_a_stack(self):
-        # the closed form and eigh in one stack, each output as alone
-        circles = [df.weighted_circle(48, a=2.0), df.weighted_circle(48, a=lambda th: 1.0 + 0.3 * np.cos(th)),
-                   df.weighted_circle(48, a=0.5, f=0.2)]
-        forms = [df.assemble_forms(dm) for dm in circles]
-        for got, one in zip(_stacked_eigenpairs(forms, 4), forms):
-            assert _same_bits(got, df.lowest_eigenpairs(one, 4))
-
     def test_the_first_failing_output_names_the_error(self):
         # the same SolverError as solving one output at a time: the first
         # output, in stack order, whose worst residual exceeds the tolerance
-        dms = [df.gaussian_line(u) for u in (1.0, 1e-7, 1e-8)]
-        forms = [df.assemble_forms(dm) for dm in dms]
+        stack = df.DiscreteWeightedManifold([driftflow.axes.HermiteLineAxis(12, [[1.0], [1e-7], [1e-8]])], t=[0.0] * 3)
         with pytest.raises(df.SolverError) as alone:
-            df.lowest_eigenpairs(forms[1], 1)
+            df.lowest_eigenpairs(df.assemble_forms(stack[1]), 1)
         with pytest.raises(df.SolverError) as stacked:
-            _stacked_eigenpairs(forms, 1)
+            df.lowest_eigenpairs(df.assemble_forms(stack), 1)
         assert str(stacked.value) == str(alone.value) and stacked.value.best_residual == alone.value.best_residual
 
     def test_stack_lengths(self):
@@ -1513,3 +1515,107 @@ class TestStackedOutputPass:
         assert peak - before < estimate
         # a stack's temporaries, above what the pass keeps, fit the stack budget
         assert peak - kept < STACK_BYTES
+
+
+def _built_alone(layout, row, t):
+    """One output's manifold built from its geometry row alone: each axis
+    from its own samples, as a one-output manifold."""
+    axes = []
+    for kind, off, n in layout.axes:
+        if kind == "circle":
+            axes.append(driftflow.axes.CircleAxis(row[off : off + n].copy(), row[off + n : off + 2 * n].copy()))
+        elif kind == "round":
+            axes.append(driftflow.axes.CircleAxis(np.full(n, row[off]), np.full(n, row[off + 1])))
+        else:
+            axes.append(driftflow.axes.HermiteLineAxis(n, float(row[off])))
+    return df.DiscreteWeightedManifold(axes, t=t)
+
+
+def _same_manifold(got, want):
+    """Array for array the same bits: each axis's a, f, wdens, f', Gamma,
+    Hess f (and a line's scale), and the time."""
+    assert type(got.t) is float and got.t == want.t and got.shape == want.shape
+    for ax, ref in zip(got.axes, want.axes):
+        assert ax.kind == ref.kind
+        names = ["a", "f", "wdens", "fprime", "christoffel", "hess_f"] + ["scale"] * (ax.kind == "hermite")
+        for name in names:
+            x, y = getattr(ax, name), getattr(ref, name)
+            assert np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes(), name
+
+
+def _integrate_alone(dm, values):
+    """The quadrature of one field, contracted axis by axis from the last."""
+    out = values
+    for ax in reversed(dm.axes):
+        out = out @ ax.wdens
+    return float(out)
+
+
+_ROUND_PRODUCT_RUN = RunRequest(family=_PRODUCT, horizon=0.05, cadence=5, k=3, resolution=32)
+_CUBE_RUN = RunRequest(family=df.scaled_gaussian_family(1.5, 3), horizon=0.05, cadence=10, k=3, hermite_order=8)
+
+
+class TestOneStackPerRun:
+    """A run builds its outputs once, as one stack; each output of the stack
+    is the manifold that output's geometry gives alone."""
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            _ROUND_PRODUCT_RUN,
+            _CUBE_RUN,
+            RunRequest(family=_VaryingFamily(), horizon=0.01, cadence=5, k=2, resolution=32, hermite_order=6, modes=8),
+        ],
+        ids=["round_product", "gaussian_cube", "non_round_product"],
+    )
+    def test_every_output_is_its_manifold_built_alone(self, request_):
+        traj = df.run_flow(request_)
+        stack = traj.manifolds
+        assert stack.stacked and len(stack) == len(traj.times) > 2 and stack.t is traj.times
+        layout = _Layout.of(stack[0])
+        for m, dm in enumerate(stack):
+            _same_manifold(dm, _built_alone(layout, layout.pack(dm), float(traj.times[m])))
+        _same_manifold(stack[0], df.discretize(df.evaluate_family(request_.family, 0.0), resolution=request_.resolution,
+                                               hermite_order=request_.hermite_order))
+
+    @pytest.mark.parametrize("request_", [_ROUND_PRODUCT_RUN, _CUBE_RUN], ids=["round_product", "gaussian_cube"])
+    def test_the_analytic_stack_is_each_closed_form_discretized(self, request_):
+        traj = df.run_flow(dataclasses.replace(request_, backend="analytic"))
+        for m, dm in enumerate(traj.manifolds):
+            state = df.evaluate_family(request_.family, traj.times[m])
+            _same_manifold(dm, df.discretize(state, resolution=request_.resolution, hermite_order=request_.hermite_order))
+            assert np.array_equal(_Layout.of(dm).pack(state), _Layout.of(dm).pack(dm))
+
+    def test_a_sub_stack_is_its_outputs(self):
+        stack = df.run_flow(_ROUND_PRODUCT_RUN).manifolds
+        for index in (slice(1, 4), [5, 0, 3], slice(None, None, -1)):
+            sub = stack[index]
+            assert np.array_equal(sub.t, stack.t[index])
+            for got, m in zip(sub, np.arange(len(stack))[index]):
+                _same_manifold(got, stack[int(m)])
+        with pytest.raises(IndexError):
+            stack[len(stack)]
+
+    @pytest.mark.parametrize("request_", [_ROUND_PRODUCT_RUN, _CUBE_RUN], ids=["round_product", "gaussian_cube"])
+    def test_integrals_over_a_stack_are_each_outputs_bitwise(self, request_):
+        stack = df.run_flow(request_).manifolds
+        fields = np.random.default_rng(3).standard_normal((len(stack), *stack.shape))
+        integrals, volumes = stack.integrate(fields), stack.weighted_volume()
+        assert integrals.shape == volumes.shape == (len(stack),)
+        for m, dm in enumerate(stack):
+            assert integrals[m] == dm.integrate(fields[m]) == _integrate_alone(dm, fields[m])
+            assert volumes[m] == dm.weighted_volume() == _integrate_alone(dm, np.ones(dm.shape))
+        # a Fortran-ordered field, as the commutator's temporaries can be
+        fields = np.asfortranarray(fields)
+        assert all(x == _integrate_alone(dm, f) for x, dm, f in zip(stack.integrate(fields), stack, fields))
+        with pytest.raises(UsageError):
+            stack.integrate(fields[0])
+
+    def test_the_layout_places_the_error_blocks(self):
+        dm = _varying_product()
+        layout = _Layout.of(dm, 2)
+        points = math.prod(dm.shape)
+        assert layout.stepped and layout.width == 2 * 32 + 1 and layout.start == 66
+        assert layout.blocks == [0, 32, 64, 65, 66, 66 + points]
+        compact = _Layout.of(_round_product(), 3)  # a Gaussian multiplier, a round circle's a and f, two integrals
+        assert not compact.stepped and compact.blocks == [0, 1, 2, 3, 4]

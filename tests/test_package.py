@@ -55,7 +55,21 @@ REMOVED = (
     # An axis's mass diagonal is its quadrature density ``wdens``, read directly.
     "CircleAxis.mass_diag",
     "HermiteLineAxis.mass_diag",
+    # A run's outputs are one stacked manifold, built once; the solve, the commutator and
+    # the checks read its stacked axes, with no per-output gathers or rebuilds.
+    "_stacked_eigenpairs",
+    "_stack_blocks",
+    "_stiffness_product",
+    "_stacked_axis",
+    "_weighted_norms",
+    "_Layout.manifold",
+    # The solve reads the per-order eigenvector table; the eigenvalues are j / (2 scale).
+    "HermiteLineAxis.analytic_eigenvalues",
+    "HermiteLineAxis.eigens",
 )
+
+# Instance attributes that nothing reads: an axis's quadrature density is ``wdens``.
+REMOVED_AXIS_ATTRIBUTES = ("_eigvecs", "density")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -104,6 +118,11 @@ def test_removed_names_are_not_importable(name):
         exec(f"from driftflow import {name}", {})
     for module in MODULES:
         assert not hasattr(importlib.import_module(f"driftflow.{module}"), name), module
+
+
+def test_removed_axis_attributes_are_not_set():
+    axes = [driftflow.weighted_circle(8).axes[0], driftflow.gaussian_line(1.0, order=4).axes[0]]
+    assert [(type(ax).__name__, a) for ax in axes for a in REMOVED_AXIS_ATTRIBUTES if hasattr(ax, a)] == []
 
 
 def _calls_by_function(attr: str) -> set:

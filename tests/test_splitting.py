@@ -124,7 +124,8 @@ class TestStationarityOfDirections:
     def test_direction_field_barely_moves(self, product_cert, product_traj):
         u0 = product_cert.directions[0]
         # u0 carried by u_t = L u + u/2 through the run's own Galerkin integration
-        _, dm_last, u_last = _run_loop(product_traj.request, product_traj.manifolds[0], u0[None])[-1]
+        outputs, scalars = _run_loop(product_traj.request, product_traj.manifolds[0], u0[None])
+        dm_last, u_last = outputs[-1], scalars[-1]
         diff = u_last[0] - u0
         change = math.sqrt(dm_last.integrate(diff * diff))
         assert change < 1e-8
