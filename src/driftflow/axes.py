@@ -66,15 +66,17 @@ def apply_along(op, arr: np.ndarray, axis: int, subtract: str | None = None, lea
     shape, and the result transposed back.  With ``lead`` = 1 the first axis
     of ``arr`` is a stack of outputs and stays in front: ``op`` maps an
     (s, n, m) operand, each output's (n, m) slice shaped as it would be
-    alone.  With ``subtract``, a memory order ("K" keeps the layout of
-    ``arr``, "C" keeps the flattening a view), the first slice is taken off
-    first, so a constant reaches ``op`` as exact zeros.  The operand's layout
-    decides how a matrix product rounds."""
+    alone; a stack of one may meet a stack of operators, whose outputs then
+    all start from the one operand.  With ``subtract``, a memory order ("K"
+    keeps the layout of ``arr``, "C" keeps the flattening a view), the first
+    slice is taken off first, so a constant reaches ``op`` as exact zeros.
+    The operand's layout decides how a matrix product rounds."""
     perm, inverse = axis_to_front(arr.ndim, axis, lead)
     moved = arr.transpose(perm)
     if subtract:
         moved = np.subtract(moved, moved[(slice(None),) * lead + (slice(1),)], order=subtract)
-    return op(moved.reshape(*moved.shape[: lead + 1], -1)).reshape(moved.shape).transpose(inverse)
+    out = op(moved.reshape(*moved.shape[: lead + 1], -1))
+    return out.reshape(*out.shape[:lead], *moved.shape[lead:]).transpose(inverse)
 
 
 def apply_deriv(mat: np.ndarray, arr: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
@@ -226,8 +228,8 @@ class CircleAxis:
     def d1(self, field: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
         return apply_deriv(_fourier_dense(self.size)["d1"], field, axis, lead)
 
-    def d2(self, field: np.ndarray, axis: int) -> np.ndarray:
-        return apply_deriv(_fourier_dense(self.size)["d2"], field, axis)
+    def d2(self, field: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
+        return apply_deriv(_fourier_dense(self.size)["d2"], field, axis, lead)
 
     def d1_vec(self, values: np.ndarray) -> np.ndarray:
         return self._deriv_vec("ik", values)
@@ -362,8 +364,8 @@ class HermiteLineAxis:
     def d1(self, field: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
         return apply_deriv(self._d1, field, axis, lead)
 
-    def d2(self, field: np.ndarray, axis: int) -> np.ndarray:
-        return apply_deriv(self._d2, field, axis)
+    def d2(self, field: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
+        return apply_deriv(self._d2, field, axis, lead)
 
     def stiffness(self) -> np.ndarray:
         """d1^T diag(wdens / scale) d1: an (n, n) block, or (m, n, n) for a stack."""

@@ -32,11 +32,13 @@ coupling) through an integrating factor (Lawson 1967).  On a Gaussian line
 or a round circle L acts as c_i(t) D_i, with D_i fixed and diagonal in the
 axis's basis (j/2 on the Hermite functions, k^2 on the Fourier modes) and
 c_i = 1/u or 1/a read from the Galerkin geometry.  The integrals C_i of
-c_i dt join the geometry in the RK4 state, and each output applies
-E = exp(s/2 - sum_i D_i C_i) once: u = E V.  Only a circle that is not round
-keeps its full operator in the stages, acting on V; without one, V is the
-initial batch, the stages never touch the scalars, and the geometry takes
-the steps of a run without them.  A Galerkin run builds one step plan, the
+c_i dt join the geometry in the RK4 state; each output records its C_i and
+its lag s, and once the steps are done E = exp(s/2 - sum_i D_i C_i) gives
+u = E V on sub-stacks of consecutive outputs, one call each.  Only a circle
+that is not round keeps its full operator in the stages, acting on V, which
+each output then records too; without one, V is the initial batch, the
+stages never touch the scalars, and the geometry takes the steps of a run
+without them.  A Galerkin run builds one step plan, the
 per-axis operators of ``_flow_rhs``, before its first step and takes every
 step with ``_step``.  The analytic backend steps nothing: its outputs are the
 closed-form states, and its scalars those of ``oracles.modal_propagator``,
@@ -45,9 +47,14 @@ exact on every supported family; a Galerkin run never calls it.
 Either backend records each output as its row of the layout's packed
 geometry (``_Layout.pack``) and builds all outputs once, as one stack
 (``_Layout.stack``); the spectra, the commutator, the volumes and the
-checks read that stack.  ``run_flow`` returns one frozen ``FlowTrajectory``,
-built once from finished values: its residual columns are computed before
-the record is.
+checks read that stack.  The work on every output goes over its leading
+output axis in sub-stacks of consecutive outputs, each sized by
+``_stack_length`` to STACK_BYTES and each writing into its part of a
+preallocated result: the spectra and the commutator (``_output_pass``), and
+the scalar pass, E, the pairings (``_pairings``) and the propagator of
+either the analytic backend or the check.  ``run_flow`` returns one frozen
+``FlowTrajectory``, built once from finished values: its residual columns
+are computed before the record is.
 """
 
 from __future__ import annotations
@@ -90,9 +97,11 @@ MAX_FIELD_BYTES = 1 << 30
 # pass, is estimated to hold per grid point (``_check_field_memory``).
 FIELD_COPIES = 16
 
-# Largest estimated temporary memory of one stack of outputs in a run's output
-# pass (``_output_pass``), at FIELD_COPIES copies of each output's k + 1
-# fields; a grid where one output takes more goes one output at a time.
+# Largest estimated temporary memory of one sub-stack of outputs in a run's
+# output pass (``_output_pass``) or scalar pass (E, the pairings and the
+# propagator check), at FIELD_COPIES copies of each output's fields: its
+# k + 1 eigenfunctions, its one commutator probe or its k scalars.  A grid
+# where one output takes more goes one output at a time.
 STACK_BYTES = 1 << 20
 
 # ``_settle`` zeroes a circle mode below NOISE_FLOOR times its row's scale, and
@@ -156,6 +165,11 @@ class _Layout:
         return self.width + len(self.diagonal)
 
     @property
+    def points(self) -> int:
+        """The grid points of one field."""
+        return math.prod(self.shape)
+
+    @property
     def blocks(self) -> list:
         """The starts of the blocks of ``_step``'s error norm: each circle's a
         and f (rows, or one number each if round), each Gaussian multiplier,
@@ -165,8 +179,7 @@ class _Layout:
             starts += [off] if kind == "hermite" else [off, off + (n if kind == "circle" else 1)]
         starts += range(self.width, self.start)
         if self.stepped:
-            points = math.prod(self.shape)
-            starts += range(self.start, self.start + self.count * points, points)
+            starts += range(self.start, self.start + self.count * self.points, self.points)
         return starts
 
     def pack(self, state) -> np.ndarray:
@@ -271,31 +284,40 @@ def _flow_rhs(layout: _Layout, modes: int):
     return rhs
 
 
-def _factor(layout: _Layout, v: np.ndarray, integrals, s: float) -> np.ndarray:
-    """u = E V at lag ``s``, E = exp(s/2 - sum_i D_i C_i) on the diagonal axes.
+def _factor(layout: _Layout, v: np.ndarray, integrals: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """u = E V at each output of a sub-stack, E = exp(s/2 - sum_i D_i C_i) on
+    the diagonal axes at the output's lag s: an (m, count, *shape) stack.
 
-    ``integrals`` are the C_i of c_i dt since the start.  Along a round
-    circle D_i is k^2 on the rfft modes, Nyquist included; along a Gaussian
-    line j/2 on the orthonormal Hermite functions, whose change of basis and
-    back, ``vand`` diag(gain) ``vinv``, is one n x n matrix.  The growth
+    ``v`` is the (m, count, *shape) stack of the outputs' V, or, when V is
+    not stepped, the one (count, *shape) batch that every output shares;
+    ``integrals`` are each output's C_i of c_i dt since the start, (m,
+    diagonal), and ``lags`` its s.  Along a round circle D_i is k^2 on the
+    rfft modes, Nyquist included; along a Gaussian line j/2 on the
+    orthonormal Hermite functions, whose change of basis and back,
+    ``vand`` diag(gain) ``vinv``, is one n x n matrix per output.  The growth
     s/2 rides in the first axis's gains.  The whole field is transformed,
-    constants included.  At zero lag E is the identity.
+    constants included, each output's fields as for that output alone
+    (``apply_along`` with ``lead`` = 1; a shared V is a stack of one that the
+    first axis's gains widen).  At zero lag E is the identity.
     """
-    if s == 0.0:
-        return v.copy()
-    u, lag = v, s / 2.0
-    for axis, c in zip(layout.diagonal, integrals):
+    lags, d = np.asarray(lags, dtype=float), len(layout.shape)
+    stacked = v.ndim == d + 2
+    if not layout.diagonal:  # only full-row circles: the growth alone
+        return np.array([math.exp(lag / 2.0) for lag in lags.tolist()]).reshape(-1, *(1,) * (d + 1)) * v
+    u, lag = v if stacked else v[None], lags[:, None] / 2.0
+    for axis, c in zip(layout.diagonal, integrals.T):
         kind, _, n = layout.axes[axis]
+        spectrum = 0.5 * np.arange(n) if kind == "hermite" else np.arange(n // 2 + 1) ** 2.0  # D_i per mode
+        gains = np.exp(lag - spectrum * c[:, None])
         if kind == "hermite":
             ops = _hermite_ops(n)
-            matrix = ops["vand"] @ (np.exp(lag - 0.5 * np.arange(n) * c)[:, None] * ops["vinv"])
-            u = apply_along(matrix.__matmul__, u, axis + 1)
+            u = apply_along((ops["vand"] @ (gains[:, :, None] * ops["vinv"])).__matmul__, u, axis + 2, lead=1)
         else:
-            coef = np.fft.rfft(u, axis=axis + 1)
-            coef *= along(np.exp(lag - np.arange(n // 2 + 1) ** 2.0 * c), axis, u.ndim - 1)
-            u = np.fft.irfft(coef, n=n, axis=axis + 1)
+            coef = np.fft.rfft(u, axis=axis + 2) * along(gains[:, None], axis, d)
+            u = np.fft.irfft(coef, n=n, axis=axis + 2)
         lag = 0.0
-    return math.exp(lag) * u if lag else u
+    u[lags == 0.0] = v[lags == 0.0] if stacked else v
+    return u
 
 
 def _multiplier_rhs(t, u):
@@ -482,9 +504,11 @@ def _output_steps(request: RunRequest) -> tuple[float, list]:
 def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     """(outputs, scalars or None) of a Galerkin run: one deterministic
     integration, every step a ``_step``, each output recorded as its geometry
-    row and the rows built once as one stack.  The scalars are u = E V
-    (``_factor``), E applied once per output; V is stepped only when some
-    circle is not round, and is ``scalars0`` otherwise."""
+    row and the rows built once as one stack.  The scalars are u = E V: each
+    output records its integrals and its lag, and V only when V is stepped
+    (some circle is not round; otherwise V is ``scalars0``), into the
+    result, which ``_factor`` then maps to E V on sub-stacks of consecutive
+    outputs sized for their scalars, in place."""
     t0 = request.family.t0
     dt, recorded = _output_steps(request)
 
@@ -505,24 +529,32 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     def settle(z):
         return _settle(layout, z, request.modes, NOISE_FLOOR, threshold)
 
-    rows, batches, done = np.empty((len(recorded), width)), [], 0
+    count = len(recorded)
+    rows, integrals, done = np.empty((count, width)), np.empty((count, start - width)), 0
+    values = None if scalars is None else np.empty((count, *scalars.shape))
     for m, step in enumerate(recorded):
         for s in range(done, step):
             z, k1, _ = _step(rhs, settle, t0 + s * dt, z, dt, request.adaptive_tol, k1, blocks)
         done = step
         rows[m] = np.atleast_1d(z)[:width]
-        if scalars is not None:
-            v = z[start:].reshape(scalars.shape) if layout.stepped else scalars
-            batches.append(_factor(layout, v, z[width:start], step * dt))
+        if values is not None:
+            integrals[m] = z[width:start]
+            if layout.stepped:
+                values[m] = z[start:].reshape(scalars.shape)
     times = np.array([t0 + step * dt for step in recorded])
-    return layout.stack(rows, times), None if scalars is None else np.stack(batches)
+    if values is not None:
+        lags = np.array([step * dt for step in recorded])
+        for sub in _sub_stacks(count, layout.points, len(scalars)):
+            values[sub] = _factor(layout, values[sub] if layout.stepped else scalars, integrals[sub], lags[sub])
+    return layout.stack(rows, times), values
 
 
 def _closed_form_outputs(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     """(outputs, scalars or None) of an analytic run: the family's closed
     form at each output, packed as its geometry row, the rows built once as
     one stack, and the scalars carried from output 0 by the exact
-    ``modal_propagator``.  Nothing is stepped."""
+    ``modal_propagator``, one call per sub-stack of consecutive outputs sized
+    for their scalars.  Nothing is stepped."""
     family = request.family
     dt, recorded = _output_steps(request)
     layout = _Layout.of(state0)
@@ -531,7 +563,10 @@ def _closed_form_outputs(request: RunRequest, state0: DiscreteWeightedManifold, 
     outputs = layout.stack(np.array([layout.pack(state) for state in states]), np.array([state.t for state in states]))
     if scalars0 is None:
         return outputs, None
-    return outputs, np.stack([modal_propagator(scalars0, start, state) for state in states])
+    values = np.empty((len(states), *scalars0.shape))
+    for sub in _sub_stacks(len(states), layout.points, len(scalars0)):
+        values[sub] = modal_propagator(scalars0, start, states[sub])
+    return outputs, values
 
 
 def _check_field_memory(request: RunRequest, state) -> None:
@@ -540,16 +575,18 @@ def _check_field_memory(request: RunRequest, state) -> None:
 
     Per grid point the estimate counts 8 bytes for each of FIELD_COPIES live
     copies of the k + 1 fields a step or an output solve carries, plus
-    3k + 2 fields kept per output: k + 1 eigenfunctions, the k scalars twice
-    while they are stacked, and one spare field.  On top come STACK_BYTES,
-    the budget of one stack of the output pass (``_output_pass``).
-    tracemalloc, k = 3 on 16 x 256: a step that carries V (a circle that is
-    not round) peaks at 9.0 copies of the scalar batch, applying E at an
-    output at 3.1, and one output's pairings (``_scalar_pairings``, one
-    output's k scalars at once) at 7.4.  A step of round axes holds no field:
-    its state is a few numbers, and it peaks at 0.01 copies.  A stack of the
-    output pass holds about 6.5 copies of each of its outputs' k + 1 fields
-    above what it keeps, on 768- to 4096-point grids at k = 1 and 3.
+    3k + 2 fields per output, of which a run keeps 2k + 1: the k + 1
+    eigenfunctions and the k scalars, written once into their result.  On
+    top come STACK_BYTES, the budget of one sub-stack of the output pass or
+    of the scalar pass.  tracemalloc, k = 3 on 16 x 256: a step that carries
+    V (a circle that is not round) peaks at 9.0 copies of the scalar batch;
+    a step of round axes holds no field (its state is a few numbers) and
+    peaks at 0.01 copies.  Above what they keep, per output of a sub-stack
+    and in copies of its k scalars, E holds 3.4 (a round product; 0.05 on a
+    Gaussian line beside a circle that is not round), the pairings 9.4 and
+    the propagator check 7.1.  A sub-stack of the output pass holds about
+    6.5 copies of each of its outputs' k + 1 fields above what it keeps, on
+    768- to 4096-point grids at k = 1 and 3.
     """
     points = math.prod(
         request.resolution if isinstance(fac, CircleModel) else request.hermite_order for fac in state.factors
@@ -571,6 +608,13 @@ def _stack_length(points: int, fields: int) -> int:
     return max(1, STACK_BYTES // (8 * points * FIELD_COPIES * fields))
 
 
+def _sub_stacks(count: int, points: int, fields: int, first: int = 0) -> list:
+    """Slices of consecutive outputs ``first``, ``first`` + 1, ... of a run's
+    ``count``, each holding ``_stack_length(points, fields)`` of them."""
+    per_stack = _stack_length(points, fields)
+    return [slice(lo, lo + per_stack) for lo in range(first, count, per_stack)]
+
+
 def _output_pass(manifolds: DiscreteWeightedManifold, spectrum0, k: int, tol: float) -> tuple[list, np.ndarray]:
     """The spectrum and the commutator residual of every output of the stack
     ``manifolds``, on sub-stacks of consecutive outputs: outputs 1, 2, ...
@@ -579,14 +623,25 @@ def _output_pass(manifolds: DiscreteWeightedManifold, spectrum0, k: int, tol: fl
     for its one probe field.  Output 0 reuses ``spectrum0``, whose second
     eigenfunction is the commutator's probe, differentiated once per run."""
     points, count = manifolds.size, len(manifolds)
-    per_stack = _stack_length(points, k + 1)
     spectra = [spectrum0]
-    for lo in range(1, count, per_stack):
-        spectra += lowest_eigenpairs(assemble_forms(manifolds[lo : lo + per_stack]), k, tol)
+    for sub in _sub_stacks(count, points, k + 1, first=1):
+        spectra += lowest_eigenpairs(assemble_forms(manifolds[sub]), k, tol)
     probe = _probe_partials(manifolds[0], spectrum0.eigenfunctions[1])
-    per_stack = _stack_length(points, 1)
-    residuals = [_commutator_stack(probe, manifolds[lo : lo + per_stack]) for lo in range(0, count, per_stack)]
+    residuals = [_commutator_stack(probe, manifolds[sub]) for sub in _sub_stacks(count, points, 1)]
     return spectra, np.concatenate(residuals)
+
+
+def _pairings(manifolds: DiscreteWeightedManifold, scalars: np.ndarray) -> tuple:
+    """(J, D, dJ) of every output's scalars, each an (m, k, k) stack, on
+    sub-stacks of consecutive outputs sized for their k scalars: one
+    derivative pass and one batched row product per integral each
+    (``_scalar_pairings`` over the leading output axis)."""
+    count, k = scalars.shape[:2]
+    J, D, dJ = (np.empty((count, k, k)) for _ in range(3))
+    for sub in _sub_stacks(count, manifolds.size, k):
+        stack, batch = manifolds[sub], scalars[sub]
+        J[sub], D[sub], dJ[sub] = _scalar_pairings(stack, batch, *_derivatives(stack, batch))
+    return J, D, dJ
 
 
 def run_flow(request: RunRequest) -> FlowTrajectory:
@@ -598,9 +653,9 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     equation and their mass/energy pairings are recorded per output.  A family
     extinct by the last output fails before anything is discretized.
     Output 0's solve seeds the scalars.  Every output's geometry is then
-    built once, as one stack, and the spectra and commutator residuals are
-    taken on sub-stacks of it (``_output_pass``), each output in the bits of
-    its one-output solve.
+    built once, as one stack, and the spectra and commutator residuals
+    (``_output_pass``) and the scalars' pairings (``_pairings``) are taken on
+    sub-stacks of it, each output in the bits of its one-output computation.
     """
     dt, recorded = _output_steps(request)
     evaluate_family(request.family, request.family.t0 + recorded[-1] * dt)
@@ -620,10 +675,7 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     series = {}
     residual_ij = np.full(len(times), np.nan)
     if scalar_values is not None:
-        n_out, ns = scalar_values.shape[0], scalar_values.shape[1]
-        J, D, dJ = (np.empty((n_out, ns, ns)) for _ in range(3))
-        for m, dm in enumerate(manifolds):
-            J[m], D[m], dJ[m] = _scalar_pairings(dm, scalar_values[m], *_derivatives(dm, scalar_values[m]))
+        J, D, dJ = _pairings(manifolds, scalar_values)
         _cholesky_factors(J)  # DegeneracyError if the scalars are dependent at some output
         I = np.einsum("mii->mi", J).copy()
         E = np.einsum("mii->mi", D).copy()

@@ -163,10 +163,11 @@ def equality_ode_extrapolated(F0: float, s: float) -> float:
     return (16.0 * fine - coarse) / 15.0
 
 
-def modal_propagator(u0, start, end) -> np.ndarray:
-    """Exact solution at ``end`` of u_t = L u + u/2 started from ``u0`` at ``start``.
+def modal_propagator(u0, start, ends) -> np.ndarray:
+    """Exact solutions at each state of ``ends`` of u_t = L u + u/2 started
+    from ``u0`` at ``start``: an (m, *u0.shape) stack, one per end state.
 
-    ``start`` and ``end`` are closed-form states of one family
+    ``start`` and each end are closed-form states of one family
     (``evaluate_family``): round circles and Gaussian lines.  ``u0`` holds
     node values on their ``discretize`` grid in its trailing axes; leading
     axes are a batch.  Along such a flow L is diagonal in one fixed basis per
@@ -176,28 +177,35 @@ def modal_propagator(u0, start, end) -> np.ndarray:
     eigenvalue: k^2 (1/a(start) - 1/a(end)) on a circle and
     (j/2) (s - log(u(end) / u(start))) on a line.  The basis changes are the
     rfft and the inverse Hermite Vandermonde matrix, axis by axis, applied to
-    u - u[0] along the axis, so that constants pass exactly.  At zero lag the
-    propagator is the identity.
+    u - u[0] along the axis, so that constants pass exactly.  ``u0`` is
+    transformed once along its first axis; every end state then takes its
+    own gains and the way back, and the later axes act on each end state's
+    fields, each with the bits it has as the only end state.  At zero lag
+    the propagator is the identity.
     """
-    u = np.array(u0, dtype=float)
-    s = float(end.t) - float(start.t)
-    if s == 0.0:
-        return u
-    first = u.ndim - len(start.factors)
-    for axis, (fac0, fac1) in enumerate(zip(start.factors, end.factors), start=first):
-        n = u.shape[axis]
-        perm, inverse = axis_to_front(u.ndim, axis)
+    u0 = np.array(u0, dtype=float)
+    ends = list(ends)
+    lags = np.array([float(end.t) - float(start.t) for end in ends])
+    first = u0.ndim - len(start.factors)
+    u = u0[None]  # a stack of one, which the first axis's gains widen to one entry per end state
+    for axis, fac0 in enumerate(start.factors):
+        facs = [end.factors[axis] for end in ends]
+        n = u.shape[first + axis + 1]
+        perm, inverse = axis_to_front(u.ndim, first + axis + 1, 1)
         moved = u.transpose(perm)
-        diff = (moved - moved[:1]).reshape(n, -1)
+        diff = (moved - moved[:, :1]).reshape(len(moved), n, -1)
         if isinstance(fac0, CircleModel):
-            if callable(fac0.a) or callable(fac1.a):
+            if callable(fac0.a) or any(callable(fac1.a) for fac1 in facs):
                 raise UsageError("the modal propagator needs round circles")
-            k2 = np.arange(n // 2 + 1) ** 2.0
-            gain = np.exp(-k2 * (1.0 / fac0.a - 1.0 / fac1.a))
-            diff = np.fft.irfft(gain[:, None] * np.fft.rfft(diff, axis=0), n=n, axis=0)
+            rates = np.array([1.0 / fac0.a - 1.0 / fac1.a for fac1 in facs])
+            gains = np.exp(-np.arange(n // 2 + 1) ** 2.0 * rates[:, None])
+            diff = np.fft.irfft(gains[:, :, None] * np.fft.rfft(diff, axis=1), n=n, axis=1)
         else:
             ops = _hermite_ops(n)
-            gain = np.exp(-0.5 * np.arange(n) * (s - math.log(fac1.scale / fac0.scale)))
-            diff = ops["vand"] @ (gain[:, None] * (ops["vinv"] @ diff))
-        u = (moved[:1] + diff.reshape(moved.shape)).transpose(inverse)
-    return math.exp(s / 2.0) * u
+            rates = np.array([s - math.log(fac1.scale / fac0.scale) for s, fac1 in zip(lags.tolist(), facs)])
+            gains = np.exp(-0.5 * np.arange(n) * rates[:, None])
+            diff = ops["vand"] @ (gains[:, :, None] * (ops["vinv"] @ diff))
+        u = (moved[:, :1] + diff.reshape(len(diff), *moved.shape[1:])).transpose(inverse)
+    u = np.array([math.exp(s / 2.0) for s in lags.tolist()]).reshape(-1, *(1,) * u0.ndim) * u
+    u[lags == 0.0] = u0
+    return u

@@ -28,7 +28,10 @@ weights enter as ``axes.along`` views.  L has one formula,
 sum_i (1/a_i)(h_i - f'_i du_i) (``_drift``); the drift Laplacian, the
 pairings J and D with their rate, the Hessian energies, both Bochner
 sides and the splitting certificate are built from du and h, and only the
-mixed partials of a product take more derivatives.
+mixed partials of a product take more derivatives.  On a stack of outputs
+the pass and the pairings take an (s, k, *shape) stack of batches at once,
+each output's per-axis vectors meeting its own fields, each output in the
+bits of its one-output pass.
 """
 
 from __future__ import annotations
@@ -100,37 +103,55 @@ def drift_divergence(V, dm: DiscreteWeightedManifold) -> np.ndarray:
     return out
 
 
+def _batch_along(values, axis: int, ndim: int):
+    """``along`` for a batch of fields: a per-output vector of a stack, an
+    (s, n) row or an (s, 1) column, gains the batch axis behind its output
+    axis, so that it meets an (s, k, *shape) stack of batches; a vector that
+    the outputs share, or one output's, broadcasts as it is."""
+    return along(values[:, None] if np.ndim(values) == 2 else values, axis, ndim)
+
+
 def _derivatives(dm: DiscreteWeightedManifold, batch: np.ndarray) -> tuple[list, list]:
     """(du, h) of a (k, *shape) batch of fields: the partials du_i and the
     diagonal Hessian components h_i = d2_i u - Gamma_i du_i along each axis,
     one (k, *shape) array each.  Each derivative is applied once to the whole
-    batch: 2d applications whatever k is."""
-    du = [ax.d1(batch, i + 1) for i, ax in enumerate(dm.axes)]
-    h = [ax.d2(batch, i + 1) - along(ax.christoffel, i, dm.dimension) * du[i] for i, ax in enumerate(dm.axes)]
+    batch: 2d applications whatever k is.  On a stack of outputs the batch is
+    an (s, k, *shape) stack, each output's fields differentiated as alone
+    (``lead`` = 1)."""
+    lead, d = int(dm.stacked), dm.dimension
+    du = [ax.d1(batch, i + 1 + lead, lead) for i, ax in enumerate(dm.axes)]
+    h = [ax.d2(batch, i + 1 + lead, lead) - _batch_along(ax.christoffel, i, d) * du[i] for i, ax in enumerate(dm.axes)]
     return du, h
 
 
 def _drift(dm: DiscreteWeightedManifold, du: list, h: list) -> np.ndarray:
     """L u = sum_i (1/a_i)(h_i - f'_i du_i) of a batch from its ``_derivatives``."""
-    lu = 0.0
+    lu, d = 0.0, dm.dimension
     for i, ax in enumerate(dm.axes):
-        lu = lu + along(1.0 / ax.a, i, dm.dimension) * (h[i] - along(ax.fprime, i, dm.dimension) * du[i])
+        lu = lu + _batch_along(1.0 / ax.a, i, d) * (h[i] - _batch_along(ax.fprime, i, d) * du[i])
     return lu
 
 
-def _weighting(dm: DiscreteWeightedManifold, k: int):
-    """``weighted(x, *differentiated)`` for integrals of a (k, *shape) batch:
+def _weighting(dm: DiscreteWeightedManifold):
+    """``weighted(x, *differentiated)`` for integrals of a batch of fields:
     x times the quadrature weights and 1/a of each axis in ``differentiated``,
-    as (k, size) rows.  The per-axis vectors are shaped once per pass."""
-    weights = [along(ax.wdens, i, dm.dimension) for i, ax in enumerate(dm.axes)]
-    ainv = [along(1.0 / ax.a, i, dm.dimension) for i, ax in enumerate(dm.axes)]
+    with the grid flattened, (k, size) rows, or (s, k, size) on a stack.  The
+    per-axis vectors are shaped once per pass."""
+    d = dm.dimension
+    weights = [_batch_along(ax.wdens, i, d) for i, ax in enumerate(dm.axes)]
+    ainv = [_batch_along(1.0 / ax.a, i, d) for i, ax in enumerate(dm.axes)]
 
     def weighted(x, *differentiated):
         for w in weights + [ainv[i] for i in differentiated]:
             x = x * w
-        return x.reshape(k, -1)
+        return _rows(x, d)
 
     return weighted
+
+
+def _rows(x: np.ndarray, d: int) -> np.ndarray:
+    """A batch with its d grid axes flattened into one."""
+    return x.reshape(*x.shape[: x.ndim - d], -1)
 
 
 def _scalar_pairings(dm: DiscreteWeightedManifold, scalars: np.ndarray, du: list, h: list):
@@ -141,19 +162,21 @@ def _scalar_pairings(dm: DiscreteWeightedManifold, scalars: np.ndarray, du: list
     preserves e^{-f} dv: J + (G + G^T) with G_ij = int u_i (L u_j), L from
     ``_drift``.  The integrals are row products of the weighted batch with
     the batch.  J and D are symmetrized; they agree with ``dm.integrate`` to
-    round-off.
+    round-off.  On a stack of outputs the batch is an (s, k, *shape) stack
+    and each pairing an (s, k, k) stack: one batched row product per
+    integral, each output's the product it takes alone.
     """
-    k = len(scalars)
-    weighted = _weighting(dm, k)
+    d = dm.dimension
+    weighted = _weighting(dm)
 
     def gram(x, *differentiated):
-        g = weighted(x, *differentiated) @ x.reshape(k, -1).T
-        return (g + g.T) / 2.0
+        g = weighted(x, *differentiated) @ _rows(x, d).swapaxes(-1, -2)
+        return (g + g.swapaxes(-1, -2)) / 2.0
 
     J = gram(scalars)
     D = sum(gram(g, i) for i, g in enumerate(du))
-    G = weighted(scalars) @ _drift(dm, du, h).reshape(k, -1).T
-    return J, D, J + (G + G.T)
+    G = weighted(scalars) @ _rows(_drift(dm, du, h), d).swapaxes(-1, -2)
+    return J, D, J + (G + G.swapaxes(-1, -2))
 
 
 def _hessian_energies(dm: DiscreteWeightedManifold, du: list, h: list) -> np.ndarray:
@@ -161,13 +184,13 @@ def _hessian_energies(dm: DiscreteWeightedManifold, du: list, h: list) -> np.nda
     ``_derivatives`` (du, h): the squared diagonal components h_i and each
     mixed partial (d1 of du_i along each later axis, applied once to the
     batch), integrated as in ``_scalar_pairings``."""
-    k, d = len(du[0]), dm.dimension
-    weighted = _weighting(dm, k)
+    d = dm.dimension
+    weighted = _weighting(dm)
 
     def squares(x, *differentiated):
-        return np.einsum("ij,ij->i", weighted(x, *differentiated), x.reshape(k, -1))
+        return np.einsum("ij,ij->i", weighted(x, *differentiated), _rows(x, d))
 
-    hess = np.zeros(k)
+    hess = np.zeros(len(du[0]))
     for i in range(d):
         hess += squares(h[i], i, i)
         for j in range(i + 1, d):
@@ -206,7 +229,7 @@ def bochner_sides(u, dm: DiscreteWeightedManifold) -> tuple[float, float, float]
     """
     batch = _check_field(dm, u)[None]
     du, h = _derivatives(dm, batch)
-    weighted = _weighting(dm, 1)
+    weighted = _weighting(dm)
 
     def integral(x, y, *differentiated):
         return float(np.vdot(weighted(x, *differentiated), y))

@@ -2,7 +2,8 @@
 vector to broadcast along one axis, and ``axes.apply_along`` applies a
 per-axis operator along one axis.  The four sites that apply an operator
 (``apply_deriv``, the stages' operator on V, the Hermite change of basis of
-``flow._factor`` and ``QuadraticForms.apply_stiffness``) give the bits and
+``flow._factor``, one matrix per output of a stack, and
+``QuadraticForms.apply_stiffness``) give the bits and
 the memory layout of the same steps written out with explicit transposes."""
 
 import itertools
@@ -140,19 +141,21 @@ class TestSites:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_the_hermite_change_of_basis(self, n):
+        # three outputs at once, sharing V: one matrix per output and axis
         dm = df.discretize(df.evaluate_family(df.scaled_gaussian_family(1.0, n), 0.0), hermite_order=7)
         layout = _Layout.of(dm, 2)
         v = np.random.default_rng(n).standard_normal((2, *dm.shape))
-        integrals = [0.1 * (i + 1) for i in range(n)]
-        want, lag = v, 0.15
-        for axis, c in enumerate(integrals):
-            ops = _hermite_ops(7)
-            matrix = ops["vand"] @ (np.exp(lag - 0.5 * np.arange(7) * c)[:, None] * ops["vinv"])
-            perm, inverse = axis_to_front(want.ndim, axis + 1)
+        lags = np.array([0.3, 0.5, 0.7])
+        integrals = 0.1 * np.outer(np.arange(1, 4), np.arange(1, n + 1))
+        ops = _hermite_ops(7)
+        want, lag = v[None], lags[:, None] / 2.0
+        for axis, c in enumerate(integrals.T):
+            matrices = ops["vand"] @ (np.exp(lag - 0.5 * np.arange(7) * c[:, None])[:, :, None] * ops["vinv"])
+            perm, inverse = axis_to_front(want.ndim, axis + 2, 1)
             moved = want.transpose(perm)
-            want = (matrix @ moved.reshape(7, -1)).reshape(moved.shape).transpose(inverse)
+            want = (matrices @ moved.reshape(len(moved), 7, -1)).reshape(3, *moved.shape[1:]).transpose(inverse)
             lag = 0.0
-        got = _factor(layout, v, integrals, 0.3)
+        got = _factor(layout, v, integrals, lags)
         assert np.array_equal(got, want) and _layout(got) == _layout(want)
 
     @pytest.mark.parametrize("batch", [0, 3])

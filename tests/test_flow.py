@@ -929,12 +929,14 @@ class TestStepPairs:
             z = vectors[step]
             assert np.array_equal(layout.pack(traj.manifolds[m]), z[: layout.width])
             v = z[layout.start :].reshape(v0.shape)
-            assert np.array_equal(traj.scalar_values[m], _factor(layout, v, z[layout.width : layout.start], step * dt))
+            got = _factor(layout, v[None], z[None, layout.width : layout.start], [step * dt])[0]
+            assert np.array_equal(traj.scalar_values[m], got)
 
     def test_step_memory_stays_below_the_field_estimate(self):
         # the per-step term of _check_field_memory, 16 copies of the k + 1
-        # fields, bounds a step that carries V (a non-round circle) and the
-        # output that applies E; a step of round axes carries no scalars
+        # fields, bounds a step that carries V (a non-round circle) and one
+        # sub-stack of outputs that applies E; a step of round axes carries
+        # no scalars
         k = 3
         round_product = df.evaluate_family(
             df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle_family(4.0)]), 0.0
@@ -951,15 +953,17 @@ class TestStepPairs:
             assert layout.stepped == (state is wavy)
             rhs, settle = _flow_rhs(layout, 32), _settler(layout, 32)
             z = np.concatenate([layout.pack(dm), np.zeros(len(layout.diagonal))] + [scalars.ravel()] * layout.stepped)
-            v = z[layout.start :].reshape(scalars.shape) if layout.stepped else scalars
-            integrals = np.full(len(layout.diagonal), 0.3)
+            per_stack = _stack_length(dm.size, k)  # the outputs of one sub-stack of E
+            v = np.stack([scalars] * per_stack) if layout.stepped else scalars
+            integrals, lags = np.full((per_stack, len(layout.diagonal)), 0.3), np.full(per_stack, 0.1)
             k1 = rhs(0.0, z)
             _step(rhs, settle, 0.0, z, 1e-3, 1.0, k1)  # warm the FFT plans
-            _factor(layout, v, integrals, 0.1)
+            _factor(layout, v, integrals, lags)
             peaks = []
             tracemalloc.start()
             try:
-                for work in (lambda: _step(rhs, settle, 0.0, z, 1e-3, 1.0, k1), lambda: _factor(layout, v, integrals, 0.1)):
+                for work in (lambda: _step(rhs, settle, 0.0, z, 1e-3, 1.0, k1),
+                             lambda: _factor(layout, v, integrals, lags)):
                     tracemalloc.reset_peak()
                     before = tracemalloc.get_traced_memory()[0]
                     work()
@@ -1185,8 +1189,9 @@ _PRODUCT = df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle
 
 def _loop_record(monkeypatch, request, layout_of):
     """``_run_loop``'s outputs for ``request`` with ``flow._Layout.of`` set to
-    ``layout_of``, the integrals each output's ``_factor`` reads and every
-    step's error estimate, halved calls included, as ``float.hex``."""
+    ``layout_of``, the integrals that ``_factor`` reads for each output of
+    its sub-stacks and every step's error estimate, halved calls included,
+    as ``float.hex``."""
     dm = df.discretize(
         df.evaluate_family(request.family, request.family.t0),
         resolution=request.resolution, hermite_order=request.hermite_order,
@@ -1197,9 +1202,9 @@ def _loop_record(monkeypatch, request, layout_of):
     integrals, errors = [], []
     factor = df.flow._factor
 
-    def recorded(layout, v, c, s):
-        integrals.append([x.hex() for x in c])
-        return factor(layout, v, c, s)
+    def recorded(layout, v, c, lags):
+        integrals.extend([x.hex() for x in row] for row in c)
+        return factor(layout, v, c, lags)
 
     with monkeypatch.context() as patch:
         patch.setattr(df.flow._Layout, "of", classmethod(lambda cls, dm, count=0: layout_of(dm, count)))
@@ -1619,3 +1624,208 @@ class TestOneStackPerRun:
         assert layout.blocks == [0, 32, 64, 65, 66, 66 + points]
         compact = _Layout.of(_round_product(), 3)  # a Gaussian multiplier, a round circle's a and f, two integrals
         assert not compact.stepped and compact.blocks == [0, 1, 2, 3, 4]
+
+
+def _factor_alone(layout, v, integrals, s):
+    """u = E V of one output alone, one matrix per Hermite axis and one gain
+    row per circle: the one-output reference of the stacked ``_factor``."""
+    if s == 0.0:
+        return v.copy()
+    u, lag = v, s / 2.0
+    for axis, c in zip(layout.diagonal, integrals):
+        kind, _, n = layout.axes[axis]
+        if kind == "hermite":
+            ops = _hermite_ops(n)
+            matrix = ops["vand"] @ (np.exp(lag - 0.5 * np.arange(n) * c)[:, None] * ops["vinv"])
+            u = driftflow.axes.apply_along(matrix.__matmul__, u, axis + 1)
+        else:
+            coef = np.fft.rfft(u, axis=axis + 1)
+            coef *= along(np.exp(lag - np.arange(n // 2 + 1) ** 2.0 * c), axis, u.ndim - 1)
+            u = np.fft.irfft(coef, n=n, axis=axis + 1)
+        lag = 0.0
+    return math.exp(lag) * u if lag else u
+
+
+def _propagate_alone(u0, start, end):
+    """The modal propagator to one end state alone, axis by axis with
+    explicit transposes: the one-output reference of ``modal_propagator``."""
+    u = np.array(u0, dtype=float)
+    s = float(end.t) - float(start.t)
+    if s == 0.0:
+        return u
+    first = u.ndim - len(start.factors)
+    for axis, (fac0, fac1) in enumerate(zip(start.factors, end.factors), start=first):
+        n = u.shape[axis]
+        perm, inverse = driftflow.axes.axis_to_front(u.ndim, axis)
+        moved = u.transpose(perm)
+        diff = (moved - moved[:1]).reshape(n, -1)
+        if isinstance(fac0, CircleModel):
+            gain = np.exp(-np.arange(n // 2 + 1) ** 2.0 * (1.0 / fac0.a - 1.0 / fac1.a))
+            diff = np.fft.irfft(gain[:, None] * np.fft.rfft(diff, axis=0), n=n, axis=0)
+        else:
+            ops = _hermite_ops(n)
+            gain = np.exp(-0.5 * np.arange(n) * (s - math.log(fac1.scale / fac0.scale)))
+            diff = ops["vand"] @ (gain[:, None] * (ops["vinv"] @ diff))
+        u = (moved[:1] + diff.reshape(moved.shape)).transpose(inverse)
+    return math.exp(s / 2.0) * u
+
+
+class _WavyCircle:
+    """A lone non-round circle as a family: its scalars are stepped as V and
+    no axis is diagonal, so E is the growth e^{s/2} alone."""
+
+    t0 = 0.0
+
+    def evaluate(self, t):
+        return ContinuumState(t=t, factors=_VaryingFamily().evaluate(t).factors[:1])
+
+
+_SCALAR_RUNS = {
+    "gauss_x_circle": RunRequest(family=_PRODUCT, horizon=0.02, cadence=5, k=3, resolution=32, hermite_order=8),
+    "gauss_n2": RunRequest(family=df.scaled_gaussian_family(2.0, 2), horizon=0.02, cadence=5, k=3, hermite_order=8),
+    "stepped_v": RunRequest(family=_VaryingFamily(), horizon=4 * 2.0**-10, dt=2.0**-10, cadence=1, k=2,
+                            resolution=32, hermite_order=6, modes=8),
+    "stepped_v_alone": RunRequest(family=_WavyCircle(), horizon=4 * 2.0**-10, dt=2.0**-10, cadence=1, k=2,
+                                  resolution=32, modes=8),
+    "analytic": RunRequest(family=_PRODUCT, horizon=0.02, cadence=5, k=3, resolution=32, hermite_order=8,
+                           backend="analytic"),
+}
+
+
+def _stack_budget(monkeypatch, request, per_stack):
+    """Set STACK_BYTES so that a sub-stack of the scalar pass holds
+    ``per_stack`` outputs of the run ``request``."""
+    state = df.evaluate_family(request.family, request.family.t0)
+    points = df.discretize(state, resolution=request.resolution, hermite_order=request.hermite_order).size
+    monkeypatch.setattr(df.flow, "STACK_BYTES", per_stack * 8 * points * df.flow.FIELD_COPIES * request.k)
+    assert _stack_length(points, request.k) == per_stack
+
+
+def _recording(monkeypatch, module, name, calls):
+    """Wrap ``module.name`` so that each call appends (args, result) to ``calls``,
+    its array arguments copied as they were at the call."""
+    wrapped = getattr(module, name)
+
+    def recorded(*args):
+        held = [arg.copy() if isinstance(arg, np.ndarray) else arg for arg in args]
+        calls.append((held, wrapped(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, recorded)
+
+
+class TestStackedScalarPass:
+    """A run applies E, pairs its scalars and checks them against the
+    propagator on sub-stacks of consecutive outputs, each output in the bits
+    of its one-output computation, whatever sub-stack holds it."""
+
+    @pytest.mark.parametrize("per_stack", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(_SCALAR_RUNS))
+    def test_every_output_has_the_bits_of_its_one_output_computation(self, monkeypatch, name, per_stack):
+        request_ = _SCALAR_RUNS[name]
+        _stack_budget(monkeypatch, request_, per_stack)
+        factors, propagated = [], []
+        _recording(monkeypatch, df.flow, "_factor", factors)
+        _recording(monkeypatch, acceptance, "modal_propagator", propagated)
+        traj = df.run_flow(request_)
+        count, values = len(traj.times), traj.scalar_values
+        assert count == 5  # not a multiple of 2 or 3: the last sub-stack is not full
+        stacks = -(-count // per_stack)
+
+        # E: each output's u = E V is the one-output E of its V, integrals and lag
+        if request_.backend == "galerkin":
+            layout = _Layout.of(traj.manifolds[0], request_.k)
+            assert len(factors) == stacks and layout.stepped == name.startswith("stepped")
+            rows = [(v[j] if v.ndim == values.ndim else v, c[j], s[j])
+                    for (_, v, c, s), _ in factors for j in range(len(s))]
+            assert len(rows) == count
+            for m, (v, c, s) in enumerate(rows):
+                assert np.array_equal(values[m], _factor_alone(layout, v, c, s)), m
+        else:
+            assert factors == []
+            start = df.evaluate_family(request_.family, request_.family.t0)
+            for m, t in enumerate(traj.times):
+                want = _propagate_alone(values[0], start, df.evaluate_family(request_.family, t))
+                assert np.array_equal(values[m], want), m
+
+        # J, D and dJ: each output's are its one-output pairings on its own manifold
+        for m, dm in enumerate(traj.manifolds):
+            alone = _scalar_pairings(dm, values[m], *_derivatives(dm, values[m]))
+            for key, want in zip(("J", "D", "dJ"), alone):
+                assert traj.series[key][m].tobytes() == want.tobytes(), (key, m)
+
+        # the propagator check: each end state's exact batch is its one-output propagator
+        if not name.startswith("stepped"):
+            records = {c.name: c for c in check_functionals(traj)}
+            assert len(propagated) == stacks
+            ends = [end for (_, _, states), _ in propagated for end in states]
+            exact = [row for _, result in propagated for row in result]
+            assert [end.t for end in ends] == list(traj.times)
+            worst = 0.0
+            for m, (end, got) in enumerate(zip(ends, exact)):
+                want = _propagate_alone(values[0], ends[0], end)
+                assert np.array_equal(got, want), m
+                worst = max(worst, float(np.max(np.abs(values[m] - want)) / np.max(np.abs(want))))
+            assert records["scalar propagator"].value == worst
+
+    @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
+    @pytest.mark.parametrize("per_stack", [1, 2, 3])
+    def test_one_call_per_sub_stack(self, monkeypatch, backend, per_stack):
+        # the derivative kernel, the pairings, E (or the analytic backend's
+        # propagator) and the check's propagator each run once per sub-stack
+        # of consecutive outputs, never once per output
+        request_ = dataclasses.replace(_SCALAR_RUNS["gauss_x_circle"], backend=backend)
+        _stack_budget(monkeypatch, request_, per_stack)
+        calls = {name: [] for name in ("_derivatives", "_scalar_pairings", "_factor", "flow.modal_propagator",
+                                       "acceptance.modal_propagator")}
+        for name, seen in calls.items():
+            module, _, attr = name.rpartition(".")
+            _recording(monkeypatch, acceptance if module == "acceptance" else df.flow, attr, seen)
+        traj = df.run_flow(request_)
+        check_functionals(traj)
+        stacks = -(-len(traj.times) // per_stack)
+        expected = {
+            "_derivatives": stacks, "_scalar_pairings": stacks, "acceptance.modal_propagator": stacks,
+            "_factor": stacks if backend == "galerkin" else 0,
+            "flow.modal_propagator": stacks if backend == "analytic" else 0,
+        }
+        assert {name: len(seen) for name, seen in calls.items()} == expected
+        # consecutive outputs, a full sub-stack each but the last
+        count = len(traj.times)
+        sizes = [min(per_stack, count - lo) for lo in range(0, count, per_stack)]
+        for name in ("_derivatives", "_scalar_pairings"):
+            assert [args[0].t.tolist() for args, _ in calls[name]] == [
+                traj.times[lo : lo + per_stack].tolist() for lo in range(0, count, per_stack)
+            ]
+            assert [args[1].shape for args, _ in calls[name]] == [(n, request_.k, *traj.manifolds.shape) for n in sizes]
+
+    @pytest.mark.parametrize("wavy", [False, True], ids=["round_product", "stepped_v"])
+    def test_the_scalar_pass_stays_within_the_stack_budget(self, wavy):
+        # k = 3 on 16 x 256, six outputs, one per sub-stack: E, the pairings
+        # and the propagator check each hold at most STACK_BYTES above what
+        # they keep.  A round product's steps hold no field, so its whole
+        # loop is measured; a stepped V's E on one sub-stack.
+        k = 3
+        family = _VaryingFamily() if wavy else _PRODUCT
+        req = RunRequest(family=family, horizon=0.005, dt=1e-3, cadence=1, k=k, resolution=256, hermite_order=16,
+                         modes=8 if wavy else 32)
+        dm = df.discretize(df.evaluate_family(family, 0.0), resolution=req.resolution, hermite_order=req.hermite_order)
+        assert dm.size == 16 * 256 and _stack_length(dm.size, k) == 1
+        scalars0 = np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), k, 1e-8).eigenfunctions[1 : k + 1])
+        traj = df.run_flow(req)  # also warms the caches and FFT plans
+        assert len(traj.times) == 6
+        passes = {"pairings": lambda: df.flow._pairings(traj.manifolds, traj.scalar_values)}
+        if wavy:
+            passes["E"] = lambda: _factor(_Layout.of(dm, k), scalars0[None], np.full((1, 1), 0.3), [0.1])
+        else:
+            passes["E"] = lambda: _run_loop(req, dm, scalars0)
+            passes["propagator"] = lambda: check_functionals(traj)
+        for name, work in passes.items():
+            work()
+            tracemalloc.start()
+            try:
+                result = work()  # what the pass keeps stays traced
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result is not None and peak - kept < STACK_BYTES, name

@@ -197,19 +197,20 @@ class TestModalPropagator:
         family = _gauss_circle()
         vand, theta = self._modes()
         start = df.evaluate_family(family, 0.0)
-        for s in (0.1, 0.5, 1.3):
-            end = df.evaluate_family(family, s)
-            u_s = 1.0 + math.exp(s)
-            for k in range(4):
-                for j in range(4):
-                    for wave in (np.cos, np.sin):
-                        u0 = np.outer(vand[:, j], wave(k * theta))
-                        if not u0.any():  # sin 0
-                            continue
+        lags = (0.1, 0.5, 1.3)
+        ends = [df.evaluate_family(family, s) for s in lags]
+        for k in range(4):
+            for j in range(4):
+                for wave in (np.cos, np.sin):
+                    u0 = np.outer(vand[:, j], wave(k * theta))
+                    if not u0.any():  # sin 0
+                        continue
+                    stack = modal_propagator(u0, start, ends)  # one end state per lag
+                    assert stack.shape == (len(lags), *u0.shape)
+                    for s, got in zip(lags, stack):
                         circle = k * k * (1.0 - math.exp(-s)) / 4.0
-                        line = 0.5 * j * (s - math.log(u_s) + math.log(2.0))
+                        line = 0.5 * j * (s - math.log(1.0 + math.exp(s)) + math.log(2.0))
                         gain = math.exp(s / 2.0 - circle - line)
-                        got = modal_propagator(u0, start, end)
                         assert float(np.max(np.abs(got - gain * u0))) <= 1e-13 * float(np.max(np.abs(u0)))
 
     def test_the_three_quarter_modes_are_told_apart_by_axis(self):
@@ -219,7 +220,7 @@ class TestModalPropagator:
         start, end = df.evaluate_family(family, 0.0), df.evaluate_family(family, s)
         hermite = np.outer(vand[:, 1], np.ones(self.NODES))
         gains = [
-            modal_propagator(u, start, end)[2, 3] / u[2, 3]
+            modal_propagator(u, start, [end])[0, 2, 3] / u[2, 3]
             for u in (hermite, np.outer(vand[:, 0], np.cos(theta)), np.outer(vand[:, 0], np.sin(theta)))
         ]
         # lambda = 1/(2 u(t)) on the line, e^{-t}/4 on the circle
@@ -231,32 +232,33 @@ class TestModalPropagator:
     def test_constants_gain_exactly_e_to_the_half_lag(self):
         family = _gauss_circle()
         start = df.evaluate_family(family, 0.0)
-        for s in (0.0, 0.25, 2.0):
-            u0 = np.full((self.ORDER, self.NODES), -1.75)
-            got = modal_propagator(u0, start, df.evaluate_family(family, s))
+        lags = (0.0, 0.25, 2.0)
+        u0 = np.full((self.ORDER, self.NODES), -1.75)
+        stack = modal_propagator(u0, start, [df.evaluate_family(family, s) for s in lags])
+        for s, got in zip(lags, stack):
             np.testing.assert_array_equal(got, math.exp(s / 2.0) * u0)
 
     def test_composition(self):
         family = _gauss_circle()
         u0 = np.random.default_rng(3).standard_normal((2, self.ORDER, self.NODES))
         t0, t1, t2 = (df.evaluate_family(family, t) for t in (0.0, 0.15, 0.4))
-        direct = modal_propagator(u0, t0, t2)
-        composed = modal_propagator(modal_propagator(u0, t0, t1), t1, t2)
+        direct = modal_propagator(u0, t0, [t2])[0]
+        composed = modal_propagator(modal_propagator(u0, t0, [t1])[0], t1, [t2])[0]
         assert float(np.max(np.abs(composed - direct))) <= 1e-13 * float(np.max(np.abs(direct)))
 
     def test_batch_is_fieldwise_and_zero_lag_is_the_identity(self):
         family = df.scaled_gaussian_family(0.5, 3)  # a shrinking n = 3 Gaussian
         u0 = np.random.default_rng(4).standard_normal((2, 5, 5, 5))
         start, end = df.evaluate_family(family, 0.0), df.evaluate_family(family, 0.3)
-        batch = modal_propagator(u0, start, end)
+        (batch,) = modal_propagator(u0, start, [end])
         for field, out in zip(u0, batch):
-            np.testing.assert_allclose(modal_propagator(field, start, end), out, rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(modal_propagator(u0, start, start), u0)
+            np.testing.assert_allclose(modal_propagator(field, start, [end])[0], out, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(modal_propagator(u0, start, [start])[0], u0)
 
     def test_rejects_a_circle_that_is_not_round(self):
         wavy = [ContinuumState(t=t, factors=(CircleModel(a=lambda th: 2.0 + np.cos(th)),)) for t in (0.0, 1.0)]
         with pytest.raises(UsageError):
-            modal_propagator(np.ones(8), *wavy)
+            modal_propagator(np.ones(8), wavy[0], wavy[1:])
 
     @pytest.mark.parametrize("name", ["_flow_rhs", "_rk4", "_step"])
     def test_analytic_runs_never_step(self, name, monkeypatch):
