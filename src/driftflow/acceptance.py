@@ -150,19 +150,11 @@ def _sharp_curve(lam0: float, s: np.ndarray) -> np.ndarray:
     return lam0 / (2.0 * lam0 * (1.0 - es) + es)
 
 
-def _lambda_series(traj, j: int = 1) -> np.ndarray:
-    return np.array([sp.eigenvalues[j] for sp in traj.spectra])
-
-
 def check_bounds(traj: FlowTrajectory) -> list:
-    """Largest excess of lambda_j over its comparison bound, j = 1..k."""
-    excess = []
-    for j in range(1, traj.bounds.shape[1] + 1):
-        lam_j = _lambda_series(traj, j)
-        finite = np.isfinite(traj.bounds[:, j - 1])
-        if np.any(finite):
-            excess.append(np.max(lam_j[finite] - traj.bounds[finite, j - 1]))
-    worst = float(np.max(excess, initial=-math.inf))
+    """Largest excess of lambda_j over its comparison bound, j = 1..k, where
+    the bound is finite."""
+    finite = np.isfinite(traj.bounds)
+    worst = float(np.max(traj.eigenvalues[:, 1:][finite] - traj.bounds[finite], initial=-math.inf))
     return [Check("max bound excess", worst, VERIFY_TOLERANCES["bounds_slack"])]
 
 
@@ -276,7 +268,7 @@ def criterion_1_sharpness() -> CriterionResult:
                          backend=backend, track_scalars=False)
         traj = run_flow(req)
         s = traj.times - traj.times[0]
-        lam = _lambda_series(traj)
+        lam = traj.eigenvalues[:, 1]
         checks.append(Check(f"rel err {backend}", float(np.max(np.abs(lam / _sharp_curve(0.25, s) - 1.0))), tol))
     seconds = time.perf_counter() - start
     checks.append(Check("seconds", seconds, math.nextafter(5.0, -math.inf)))
@@ -286,7 +278,7 @@ def criterion_1_sharpness() -> CriterionResult:
 def criterion_2_eternal() -> CriterionResult:
     start = time.perf_counter()
     req = RunRequest(family=scaled_gaussian_family(2.0, 1), horizon=5.0, dt=1e-3, cadence=50, k=1, track_scalars=False)
-    lam = _lambda_series(run_flow(req))
+    lam = run_flow(req).eigenvalues[:, 1]
     # lambda_1 stays at least 1e-3 below 1/2 over the whole horizon of 5
     checks = [Check("max lambda_1 - 1/2", float(np.max(lam - 0.5)), -1e-3)]
     return CriterionResult(2, "eternal run stays strictly below 1/2", checks, time.perf_counter() - start)
@@ -311,7 +303,7 @@ def criterion_3_bound_compliance() -> CriterionResult:
         excess.append(check_bounds(traj)[0].value)
         if name == "circle_a1":
             s = traj.times - traj.times[0]
-            lam1 = _lambda_series(traj, 1)
+            lam1 = traj.eigenvalues[:, 1]
             interior = s > 0
             checks += [
                 Check("circle_a1 |lambda_1 - e^-t|", float(np.max(np.abs(lam1 - np.exp(-s)))), 1e-8),

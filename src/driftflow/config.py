@@ -139,7 +139,7 @@ class ScenarioConfig:
             )
         # The splitting certificate compares two outputs; a run with fewer is
         # refused here, before the run, rather than after it.
-        outputs = output_count(self.horizon, self.dt, self.cadence)
+        outputs = output_count(self.to_request())
         if self.check_splitting and outputs < 2:
             raise ConfigurationError(
                 f"check_splitting needs at least 2 outputs, but horizon {self.horizon}, "

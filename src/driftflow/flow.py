@@ -50,9 +50,11 @@ geometry (``_Layout.pack``) and builds all outputs once, as one stack
 checks read that stack.  The work on every output goes over its leading
 output axis in sub-stacks of consecutive outputs, each sized by
 ``_stack_length`` to STACK_BYTES and each writing into its part of a
-preallocated result: the spectra and the commutator (``_output_pass``), and
-the scalar pass, E, the pairings (``_pairings``) and the propagator of
-either the analytic backend or the check.  ``run_flow`` returns one frozen
+preallocated result: the spectra and the commutator (``_output_pass``), the
+volumes, and the scalar pass, E, the pairings (``_pairings``) and the
+propagator of either the analytic backend or the check.  A run keeps of its spectra only
+their (m, k + 1) eigenvalues and eigen-residuals; each sub-stack's
+eigenfunctions are dropped after its solve.  ``run_flow`` returns one frozen
 ``FlowTrajectory``, built once from finished values: its residual columns
 are computed before the record is.
 """
@@ -98,10 +100,11 @@ MAX_FIELD_BYTES = 1 << 30
 FIELD_COPIES = 16
 
 # Largest estimated temporary memory of one sub-stack of outputs in a run's
-# output pass (``_output_pass``) or scalar pass (E, the pairings and the
-# propagator check), at FIELD_COPIES copies of each output's fields: its
-# k + 1 eigenfunctions, its one commutator probe or its k scalars.  A grid
-# where one output takes more goes one output at a time.
+# output pass (``_output_pass``), its volumes or its scalar pass (E, the
+# pairings and the propagator check), at FIELD_COPIES copies of each output's
+# fields: its k + 1 eigenfunctions, its one commutator probe or field of ones,
+# or its k scalars.  A grid where one output takes more goes one output at a
+# time.
 STACK_BYTES = 1 << 20
 
 # ``_settle`` zeroes a circle mode below NOISE_FLOOR times its row's scale, and
@@ -259,7 +262,7 @@ def _flow_rhs(layout: _Layout, modes: int):
                 hess_f = d2 @ df - gamma * fprime
                 rows = dz[off : off + 2 * n].reshape(2, n)
                 rows[0] = a - 2.0 * hess_f
-                rows[1] = 0.5 - hess_f / a
+                rows[1] = _weight_rate(hess_f, a)
                 if project:
                     rows[:] = lowpass(rows, modes)
                 if integral is not None:
@@ -383,17 +386,6 @@ def _settle(layout: _Layout, z: np.ndarray, modes: int, floor: float, threshold:
 # --------------------------------------------------------------------------
 
 
-def step_count(horizon: float, dt: float) -> int:
-    """Steps of a run: horizon / dt rounded, none at horizon 0."""
-    return int(round(horizon / dt)) if horizon > 0 else 0
-
-
-def output_count(horizon: float, dt: float, cadence: int) -> int:
-    """Outputs of a run: step 0, every cadence-th step, and the last step."""
-    steps = step_count(horizon, dt)
-    return steps // cadence + 1 + (steps % cadence > 0)
-
-
 @dataclass(frozen=True)
 class RunRequest:
     """Everything needed to reproduce one flow run deterministically."""
@@ -423,24 +415,28 @@ class RunRequest:
 
     @property
     def steps(self) -> int:
-        return step_count(self.horizon, self.dt)
+        """Steps of the run: horizon / dt rounded, none at horizon 0."""
+        return int(round(self.horizon / self.dt)) if self.horizon > 0 else 0
 
 
 @dataclass(frozen=True)
 class FlowTrajectory:
     """Recorded outputs of one run plus everything needed to replay it.
 
-    Per output: its time, its sampled geometry, its spectrum, its weighted
-    volume, and with tracked scalars their values and pairings (``series``);
+    Per output, one row of each array: its time, its sampled geometry, its
+    k + 1 eigenvalues and their eigen-residuals, its weighted volume, and
+    with tracked scalars their values and pairings (``series``);
     ``residual_ij`` is NaN without them.  ``manifolds`` is the geometry of
     every output as one stack (``DiscreteWeightedManifold``): ``manifolds[m]``
-    is output m's manifold.  Built once by ``run_flow`` from finished values.
+    is output m's manifold, whose solve gives its eigenfunctions in the bits
+    of the run's, which keeps none.  Built once by ``run_flow``.
     """
 
     request: RunRequest
     times: np.ndarray
     manifolds: DiscreteWeightedManifold
-    spectra: list
+    eigenvalues: np.ndarray
+    eigen_residuals: np.ndarray
     volumes: np.ndarray
     scalar_values: np.ndarray | None
     series: dict
@@ -493,12 +489,18 @@ def _step(rhs, settle, t, z, h, adaptive_tol, k1, blocks=(0,), depth=0):
     return z1, k5, max(err_1, err_2)
 
 
+def output_count(request: RunRequest) -> int:
+    """Outputs of a run: step 0, every cadence-th step, and the last step,
+    counted without listing them (``_output_steps``)."""
+    return -(-request.steps // request.cadence) + 1
+
+
 def _output_steps(request: RunRequest) -> tuple[float, list]:
-    """The step size of a run and the steps after which it records an output:
-    step 0, every cadence-th step, and the last step."""
+    """The step size of a run and the steps after which it records an
+    output, one per ``output_count``: the last is the run's last step."""
     nsteps = request.steps
     dt = request.horizon / nsteps if nsteps else request.dt
-    return dt, sorted({*range(0, nsteps + 1, request.cadence), nsteps})
+    return dt, [min(m * request.cadence, nsteps) for m in range(output_count(request))]
 
 
 def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
@@ -558,14 +560,13 @@ def _closed_form_outputs(request: RunRequest, state0: DiscreteWeightedManifold, 
     family = request.family
     dt, recorded = _output_steps(request)
     layout = _Layout.of(state0)
-    start = evaluate_family(family, family.t0)
     states = [evaluate_family(family, family.t0 + step * dt) for step in recorded]
     outputs = layout.stack(np.array([layout.pack(state) for state in states]), np.array([state.t for state in states]))
     if scalars0 is None:
         return outputs, None
     values = np.empty((len(states), *scalars0.shape))
     for sub in _sub_stacks(len(states), layout.points, len(scalars0)):
-        values[sub] = modal_propagator(scalars0, start, states[sub])
+        values[sub] = modal_propagator(scalars0, states[0], states[sub])
     return outputs, values
 
 
@@ -573,27 +574,35 @@ def _check_field_memory(request: RunRequest, state) -> None:
     """Raise ConfigurationError if the run's grid-sized arrays would take more
     than MAX_FIELD_BYTES, before any of them is allocated.
 
-    Per grid point the estimate counts 8 bytes for each of FIELD_COPIES live
-    copies of the k + 1 fields a step or an output solve carries, plus
-    3k + 2 fields per output, of which a run keeps 2k + 1: the k + 1
-    eigenfunctions and the k scalars, written once into their result.  On
-    top come STACK_BYTES, the budget of one sub-stack of the output pass or
-    of the scalar pass.  tracemalloc, k = 3 on 16 x 256: a step that carries
-    V (a circle that is not round) peaks at 9.0 copies of the scalar batch;
-    a step of round axes holds no field (its state is a few numbers) and
-    peaks at 0.01 copies.  Above what they keep, per output of a sub-stack
-    and in copies of its k scalars, E holds 3.4 (a round product; 0.05 on a
+    The estimate counts 8 bytes for each entry of FIELD_COPIES live copies
+    of the k + 1 fields a step or an output solve carries, and STACK_BYTES,
+    the budget of one sub-stack of the output pass, its volumes or the
+    scalar pass.  Per output it counts what the run keeps: with tracked
+    scalars their k fields and their pairings J, D and dJ (k x k each), I
+    and E; in the stacked geometry six rows of each circle (a, f, wdens, f',
+    Gamma and Hess f) and the f row and the scale of each line; and its
+    time, volume, two residual columns, k + 1 eigenvalues and their
+    residuals, and k bounds; a finished run keeps no eigenfunction.
+    tracemalloc reads a whole run's peak at 0.52 to 0.85 of the estimate (an
+    n = 2 Gaussian, and a 12 x 64 product with and without scalars), and 7.5
+    field sizes kept per output on a 64-node circle with k = 2 (the term is
+    8.4: Hess f is not cached on the stack) and 3.5 on a 12 x 64 product
+    with k = 3 (3.6).  tracemalloc, k = 3 on 16 x 256: a step that carries V
+    (a circle that is not round) peaks at 9.0 copies of the scalar batch; a
+    step of round axes holds no field (its state is a few numbers) and peaks
+    at 0.01 copies.  Above what they keep, per output of a sub-stack and in
+    copies of its k scalars, E holds 3.4 (a round product; 0.05 on a
     Gaussian line beside a circle that is not round), the pairings 9.4 and
     the propagator check 7.1.  A sub-stack of the output pass holds about
     6.5 copies of each of its outputs' k + 1 fields above what it keeps, on
     768- to 4096-point grids at k = 1 and 3.
     """
-    points = math.prod(
-        request.resolution if isinstance(fac, CircleModel) else request.hermite_order for fac in state.factors
-    )
-    k = request.k
-    outputs = output_count(request.horizon, request.dt, request.cadence)
-    nbytes = 8 * points * (FIELD_COPIES * (k + 1) + outputs * (3 * k + 2)) + STACK_BYTES
+    circles = [isinstance(fac, CircleModel) for fac in state.factors]
+    sizes = [request.resolution if circle else request.hermite_order for circle in circles]
+    points, k, outputs = math.prod(sizes), request.k, output_count(request)
+    scalars = k * points + 3 * k * k + 2 * k if request.track_scalars else 0
+    rows = sum(6 * n if circle else n + 1 for circle, n in zip(circles, sizes))
+    nbytes = 8 * (FIELD_COPIES * (k + 1) * points + outputs * (scalars + rows + 3 * k + 6)) + STACK_BYTES
     if nbytes > MAX_FIELD_BYTES:
         raise ConfigurationError(
             f"a grid of {points} points with k = {k} and {outputs} outputs needs an estimated "
@@ -615,20 +624,25 @@ def _sub_stacks(count: int, points: int, fields: int, first: int = 0) -> list:
     return [slice(lo, lo + per_stack) for lo in range(first, count, per_stack)]
 
 
-def _output_pass(manifolds: DiscreteWeightedManifold, spectrum0, k: int, tol: float) -> tuple[list, np.ndarray]:
-    """The spectrum and the commutator residual of every output of the stack
-    ``manifolds``, on sub-stacks of consecutive outputs: outputs 1, 2, ...
-    solved by ``lowest_eigenpairs`` on sub-stacks sized for the k + 1
-    eigenfunctions of each, and every output's residual on sub-stacks sized
-    for its one probe field.  Output 0 reuses ``spectrum0``, whose second
-    eigenfunction is the commutator's probe, differentiated once per run."""
+def _output_pass(manifolds: DiscreteWeightedManifold, spectrum0, k: int, tol: float) -> tuple:
+    """The eigenvalues and eigen-residuals, (m, k + 1) each, and the
+    commutator residual of every output of the stack ``manifolds``, on
+    sub-stacks of consecutive outputs: outputs 1, 2, ... solved by
+    ``lowest_eigenpairs`` on sub-stacks sized for the k + 1 eigenfunctions
+    of each, whose fields are dropped once their rows are written, and every
+    output's residual on sub-stacks sized for its one probe field.  Output 0
+    reuses ``spectrum0``, whose second eigenfunction is the commutator's
+    probe, differentiated once per run."""
     points, count = manifolds.size, len(manifolds)
-    spectra = [spectrum0]
+    eigenvalues, residuals = np.empty((count, k + 1)), np.empty((count, k + 1))
+    eigenvalues[0], residuals[0] = spectrum0.eigenvalues, spectrum0.residuals
     for sub in _sub_stacks(count, points, k + 1, first=1):
-        spectra += lowest_eigenpairs(assemble_forms(manifolds[sub]), k, tol)
+        solved = lowest_eigenpairs(assemble_forms(manifolds[sub]), k, tol)
+        eigenvalues[sub], residuals[sub] = solved.eigenvalues, solved.residuals
+        del solved  # and its fields, before the next sub-stack's solve
     probe = _probe_partials(manifolds[0], spectrum0.eigenfunctions[1])
-    residuals = [_commutator_stack(probe, manifolds[sub]) for sub in _sub_stacks(count, points, 1)]
-    return spectra, np.concatenate(residuals)
+    commutator = [_commutator_stack(probe, manifolds[sub]) for sub in _sub_stacks(count, points, 1)]
+    return eigenvalues, residuals, np.concatenate(commutator)
 
 
 def _pairings(manifolds: DiscreteWeightedManifold, scalars: np.ndarray) -> tuple:
@@ -653,24 +667,26 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     equation and their mass/energy pairings are recorded per output.  A family
     extinct by the last output fails before anything is discretized.
     Output 0's solve seeds the scalars.  Every output's geometry is then
-    built once, as one stack, and the spectra and commutator residuals
-    (``_output_pass``) and the scalars' pairings (``_pairings``) are taken on
-    sub-stacks of it, each output in the bits of its one-output computation.
+    built once, as one stack, and the eigenvalues, eigen-residuals and
+    commutator residuals (``_output_pass``), the weighted volumes and the
+    scalars' pairings (``_pairings``) are taken on sub-stacks of it, each
+    output in the bits of its one-output computation.
     """
+    start = evaluate_family(request.family, request.family.t0)
+    _check_field_memory(request, start)  # before the recorded steps are listed
     dt, recorded = _output_steps(request)
     evaluate_family(request.family, request.family.t0 + recorded[-1] * dt)
-    start = evaluate_family(request.family, request.family.t0)
-    _check_field_memory(request, start)
     state0 = discretize(start, resolution=request.resolution, hermite_order=request.hermite_order)
     spectrum0 = lowest_eigenpairs(assemble_forms(state0), request.k, request.eig_tol)
-    scalars0 = np.stack(spectrum0.eigenfunctions[1 : request.k + 1]) if request.track_scalars else None
+    scalars0 = spectrum0.eigenfunctions[1:].copy() if request.track_scalars else None
 
     outputs = _closed_form_outputs if request.backend == "analytic" else _run_loop
     manifolds, scalar_values = outputs(request, state0, scalars0)
     times = manifolds.t
     # Output 0 holds the geometry of state0, so its solve is spectrum0.
-    spectra, residual_commutator = _output_pass(manifolds, spectrum0, request.k, request.eig_tol)
-    volumes = manifolds.weighted_volume()
+    eigenvalues, eigen_residuals, residual_commutator = _output_pass(manifolds, spectrum0, request.k, request.eig_tol)
+    # a sub-stack's volumes integrate one field of ones per output
+    volumes = np.concatenate([manifolds[sub].weighted_volume() for sub in _sub_stacks(len(times), state0.size, 1)])
 
     series = {}
     residual_ij = np.full(len(times), np.nan)
@@ -682,20 +698,20 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
         series = {"J": J, "D": D, "dJ": dJ, "I": I, "E": E}
         residual_ij = functional_residuals(series).pointwise_ij
 
-    lam0 = spectra[0].eigenvalues
     bounds = np.full((len(times), request.k), np.inf)
     for j in range(1, request.k + 1):
         for m, t in enumerate(times):
             try:
-                bounds[m, j - 1] = eigenvalue_bound(lam0[j], t - times[0])
+                bounds[m, j - 1] = eigenvalue_bound(eigenvalues[0, j], t - times[0])
             except HorizonError:
-                bounds[m, j - 1] = np.inf
+                break  # every later lag lies past the horizon too, and its bound stays inf
 
     return FlowTrajectory(
         request=request,
         times=times,
         manifolds=manifolds,
-        spectra=spectra,
+        eigenvalues=eigenvalues,
+        eigen_residuals=eigen_residuals,
         volumes=volumes,
         scalar_values=scalar_values,
         series=series,

@@ -55,7 +55,6 @@ class RunResult:
 
 def _write_trajectory_csv(path: str, traj: FlowTrajectory, k: int) -> None:
     n_out = len(traj.times)
-    lam = np.stack([sp.eigenvalues for sp in traj.spectra])
     cols = ["t"]
     cols += [f"lambda_{j}" for j in range(k + 1)]
     cols += [f"bound_{j}" for j in range(1, k + 1)]
@@ -67,7 +66,7 @@ def _write_trajectory_csv(path: str, traj: FlowTrajectory, k: int) -> None:
         fh.write(",".join(cols) + "\n")
         for m in range(n_out):
             row = [traj.times[m]]
-            row += list(lam[m])
+            row += list(traj.eigenvalues[m])
             row += list(traj.bounds[m])
             row.append(traj.volumes[m])
             if ns:
@@ -109,7 +108,7 @@ def _oracle_reports(traj: FlowTrajectory, k: int) -> list:
     reports = []
     seen = set()
     s_final = float(traj.times[-1] - traj.times[0])
-    for lam in traj.spectra[0].eigenvalues[1 : k + 1]:
+    for lam in traj.eigenvalues[0, 1 : k + 1]:
         lam = float(lam)
         if lam <= 0 or lam in seen:
             continue
@@ -169,7 +168,9 @@ def execute(config: ScenarioConfig, out_root: str | None = None) -> RunResult:
     os.makedirs(out_dir, exist_ok=True)
     _write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj, config.k)
     _write_bounds_csv(os.path.join(out_dir, "bounds.csv"), traj, config.k)
-    _write_json(os.path.join(out_dir, "spectra.json"), [sp.to_json_dict() for sp in traj.spectra])
+    rows = zip(traj.times.tolist(), traj.eigenvalues.tolist(), traj.eigen_residuals.tolist())
+    spectra = [{"t": t, "eigenvalues": lam, "residuals": res, "normalization": "weighted-L2"} for t, lam, res in rows]
+    _write_json(os.path.join(out_dir, "spectra.json"), spectra)
     if certificate is not None:
         _write_json(os.path.join(out_dir, "certificate.json"), certificate)
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)

@@ -18,7 +18,8 @@ broadcast product of eigenvectors, in the same floating-point operations as
 a per-pair build.  A stack of outputs on one grid (see ``geometry``) takes
 the same two calls: ``assemble_forms`` stacks its blocks and masses over the
 leading output axis, and ``lowest_eigenpairs`` solves them in one pass of
-numpy calls, one ``SpectralResult`` per output in the bits it has alone.
+numpy calls into one ``SpectralResult`` whose arrays carry that axis, each
+output's rows in the bits they have alone.
 
 Pointwise quantities of a (k, *shape) batch of fields come from one
 derivative pass (``_derivatives``): the partials du_i and the diagonal
@@ -314,25 +315,20 @@ def assemble_forms(dm: DiscreteWeightedManifold) -> QuadraticForms:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Lowest eigenpairs of the drift Laplacian on one state.
+    """Lowest eigenpairs of the drift Laplacian on one state, or on a stack
+    of outputs with a leading output axis on every array, as on the
+    manifold: ``t`` (s,), ``eigenvalues`` and ``residuals`` (s, k + 1),
+    ``eigenfunctions`` (s, k + 1, *shape).
 
     Eigenfunctions are node-value tensors, J-orthonormal, sorted ascending
     with multiplicity; ``residuals`` are norms of the generalized
     eigen-equation defect for each pair.
     """
 
-    t: float
+    t: float | np.ndarray
     eigenvalues: np.ndarray
-    eigenfunctions: list
+    eigenfunctions: np.ndarray
     residuals: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "residuals": [float(x) for x in self.residuals],
-            "normalization": "weighted-L2",
-        }
 
 
 @cache
@@ -385,9 +381,10 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10):
-    """k+1 smallest eigenpairs of the weak drift Laplacian: a
-    ``SpectralResult``, or on the forms of a stack of outputs a list of them,
-    one per output, each with the bits it has when solved alone.
+    """k+1 smallest eigenpairs of the weak drift Laplacian: one
+    ``SpectralResult``, whose arrays on the forms of a stack of outputs carry
+    the leading output axis, each output's rows in the bits it has when
+    solved alone.
 
     Product states are solved axis by axis (the operator decouples on the
     supported geometry) and combined by Minkowski sums; the result is checked
@@ -439,8 +436,6 @@ def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10):
     if failed.any():
         j = int(np.argmax(failed))
         raise SolverError(f"eigen-residual {worst[j]:.3e} exceeds tolerance {tol:.3e}", best_residual=float(worst[j]))
-    results = [
-        SpectralResult(t=t, eigenvalues=eigenvalues[j], eigenfunctions=list(fields[j]), residuals=residuals[j])
-        for j, t in enumerate(dm.t.tolist() if dm.stacked else [dm.t])
-    ]
-    return results if dm.stacked else results[0]
+    if dm.stacked:
+        return SpectralResult(t=dm.t, eigenvalues=eigenvalues, eigenfunctions=fields, residuals=residuals)
+    return SpectralResult(t=dm.t, eigenvalues=eigenvalues[0], eigenfunctions=fields[0], residuals=residuals[0])

@@ -13,7 +13,8 @@ which eigenvalues count as 1/2; ``acceptance.check_splitting`` turns a
 certificate, or the hypothesis that blocked one, into (value, tol) records
 at the tolerances of ``acceptance.VERIFY_TOLERANCES``.  ``detect_splitting``
 builds each frozen certificate once, from the worst of its residuals at the
-two outputs (``certificate_residuals``).
+two outputs (``certificate_residuals``).  A run keeps only its eigenvalues,
+so the certificate re-solves the one output at t0 for its direction fields.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .axes import along
 from .errors import UsageError
 from .flow import FlowTrajectory
 from .geometry import DiscreteWeightedManifold
-from .spectral import _derivatives, _hessian_energies, gradient_inner, partials
+from .spectral import _derivatives, _hessian_energies, assemble_forms, gradient_inner, lowest_eigenpairs, partials
 
 __all__ = [
     "SplittingCertificate",
@@ -215,19 +216,17 @@ def certificate_residuals(directions, dm: DiscreteWeightedManifold) -> dict:
 def detect_splitting(traj: FlowTrajectory, t0: float, t1: float, window: float):
     """Build a splitting certificate from the eigenvalue-1/2 cluster.
 
-    An eigenvalue within ``window`` of 1/2 counts as 1/2.  Requires recorded
-    spectra at both times; returns a SplittingHypothesisFailure naming the
-    violated hypothesis when the eigenvalue conditions do not hold.
+    An eigenvalue within ``window`` of 1/2 counts as 1/2.  Reads the
+    recorded eigenvalues at both times, and returns a
+    SplittingHypothesisFailure naming the violated hypothesis when the
+    eigenvalue conditions do not hold.  The direction fields are the
+    cluster's eigenfunctions at t0, from one solve of that output with the
+    run's k and ``eig_tol``: the bits of the run's own stacked solve.
     """
     if t1 <= t0:
         raise UsageError("need t0 < t1 inside the trajectory")
-    if not traj.spectra:
-        raise UsageError("trajectory carries no spectra")
-    i0 = traj.index_at(t0)
-    i1 = traj.index_at(t1)
-
-    lam0 = traj.spectra[i0].eigenvalues
-    lam1 = traj.spectra[i1].eigenvalues
+    i0, i1 = traj.index_at(t0), traj.index_at(t1)
+    lam0, lam1 = traj.eigenvalues[i0], traj.eigenvalues[i1]
     cluster = [i for i in range(1, len(lam0)) if abs(lam0[i] - 0.5) <= window]
     if not cluster:
         nearest = float(lam0[1]) if len(lam0) > 1 else math.nan
@@ -247,17 +246,13 @@ def detect_splitting(traj: FlowTrajectory, t0: float, t1: float, window: float):
             message=f"lambda_1(t1) = {lam1[1]:.6g} dropped below 1/2",
         )
 
-    window_dev = 0.0
-    for m in range(i0, i1 + 1):
-        lam = traj.spectra[m].eigenvalues
-        for i in cluster:
-            window_dev = max(window_dev, abs(float(lam[i]) - 0.5))
+    window_dev = float(np.max(np.abs(traj.eigenvalues[i0 : i1 + 1, cluster] - 0.5)))
 
     dm = traj.manifolds[i0]
     volume = dm.weighted_volume()
+    fields = lowest_eigenpairs(assemble_forms(dm), traj.request.k, traj.request.eig_tol).eigenfunctions
     directions = []
-    for i in cluster:
-        u = traj.spectra[i0].eigenfunctions[i]
+    for u in fields[cluster]:
         du = partials(dm, u)
         energy = dm.integrate(gradient_inner(dm, du, du))
         directions.append(u * math.sqrt(volume / energy))

@@ -16,6 +16,7 @@ import driftflow.splitting
 from driftflow import acceptance
 from driftflow.acceptance import check_commutator, check_functionals
 from driftflow.axes import _fourier_dense, _hermite_ops, along, circle_nodes, lowpass, mode_amplitudes
+from driftflow.config import ScenarioConfig
 from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
 from driftflow.flow import (
     STACK_BYTES, RunRequest, _factor, _flow_rhs, _Layout, _rk4, _run_loop, _scalar_pairings, _settle,
@@ -112,18 +113,24 @@ class TestOutputRecord:
             traj.residual_ij = np.zeros(len(traj.times))
 
 
+def _eigenfunctions(traj, m):
+    """Output m's eigenfunctions, re-solved from its manifold as the run solves it."""
+    request = traj.request
+    return df.lowest_eigenpairs(df.assemble_forms(traj.manifolds[m]), request.k, request.eig_tol).eigenfunctions
+
+
 class TestRunFlow:
     def test_zero_horizon(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.0, k=1, track_scalars=False)
         traj = df.run_flow(req)
         assert len(traj.times) == 1
-        assert traj.spectra[0].eigenvalues[1] == pytest.approx(1.0, abs=1e-11)
+        assert traj.eigenvalues[0, 1] == pytest.approx(1.0, abs=1e-11)
 
     def test_circle_eigenvalue_decay(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.5, dt=1e-3, cadence=25, k=1,
                          track_scalars=False)
         traj = df.run_flow(req)
-        lam = np.array([sp.eigenvalues[1] for sp in traj.spectra])
+        lam = traj.eigenvalues[:, 1]
         assert float(np.max(np.abs(lam - np.exp(-traj.times)))) < 1e-8
 
     def test_sharp_family_matches_formula(self):
@@ -131,7 +138,7 @@ class TestRunFlow:
                          cadence=70, k=1, track_scalars=False)
         traj = df.run_flow(req)
         s = traj.times
-        lam = np.array([sp.eigenvalues[1] for sp in traj.spectra])
+        lam = traj.eigenvalues[:, 1]
         formula = 0.25 / (0.5 * (1.0 - np.exp(s)) + np.exp(s))
         np.testing.assert_allclose(lam, formula, rtol=1e-8)
 
@@ -144,17 +151,11 @@ class TestRunFlow:
 
     @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
     @pytest.mark.parametrize("per_stack, stacks", [(None, 1), (2, 2), (3, 2), (1, 4)])
-    def test_one_stacked_solve_per_stack(self, backend, per_stack, stacks, monkeypatch):
+    def test_one_stacked_solve_per_stack(self, backend, per_stack, stacks, monkeypatch, recorded_solves):
         # output 0's solve seeds the scalars; the later outputs are solved in
         # stacks of consecutive outputs, one stacked solve per stack, all by
         # the public assemble_forms and lowest_eigenpairs
-        singles, stacked = [], []
-        solve, assemble = df.flow.lowest_eigenpairs, df.flow.assemble_forms
-        monkeypatch.setattr(
-            df.flow, "lowest_eigenpairs",
-            lambda forms, k, tol: (stacked if forms.manifold.stacked else singles).append(forms.manifold.t)
-            or solve(forms, k, tol),
-        )
+        assemble = df.flow.assemble_forms
         assembled = []
         monkeypatch.setattr(df.flow, "assemble_forms", lambda dm: assembled.append(dm) or assemble(dm))
         if per_stack:
@@ -162,15 +163,15 @@ class TestRunFlow:
         family = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(1.0)])
         req = RunRequest(family=family, horizon=0.02, dt=1e-3, cadence=5, resolution=32, modes=8, k=2, backend=backend)
         traj = df.run_flow(req)
-        assert len(traj.times) == 5 and singles == [0.0]
+        first, *stacked = recorded_solves
+        assert len(traj.times) == 5 and first.t == 0.0 and all(np.ndim(stack.t) == 1 for stack in stacked)
         assert len(stacked) == stacks and len(assembled) == stacks + 1
-        assert [t for stack in stacked for t in stack] == list(traj.times[1:])
+        assert [t for stack in stacked for t in stack.t] == list(traj.times[1:])
         # the reused initial solve is the one output 0's own manifold gives
-        again = solve(df.assemble_forms(traj.manifolds[0]), 2, 1e-10)
-        np.testing.assert_array_equal(traj.spectra[0].eigenvalues, again.eigenvalues)
-        np.testing.assert_array_equal(traj.spectra[0].residuals, again.residuals)
-        for u, v in zip(traj.spectra[0].eigenfunctions, again.eigenfunctions):
-            np.testing.assert_array_equal(u, v)
+        again = df.lowest_eigenpairs(df.assemble_forms(traj.manifolds[0]), 2, 1e-10)
+        np.testing.assert_array_equal(traj.eigenvalues[0], again.eigenvalues)
+        np.testing.assert_array_equal(traj.eigen_residuals[0], again.residuals)
+        np.testing.assert_array_equal(first.eigenfunctions, again.eigenfunctions)
 
     def test_bound_columns_respect_horizon(self):
         req = RunRequest(family=df.round_circle_family(0.25), horizon=0.5, dt=1e-3, cadence=50, k=1,
@@ -180,11 +181,53 @@ class TestRunFlow:
         assert math.isinf(traj.bounds[-1, 0])
         assert np.isfinite(traj.bounds[1, 0])
 
+    @pytest.mark.parametrize("track", [True, False])
+    def test_every_per_output_field_has_the_output_axis_first(self, track):
+        req = RunRequest(family=_PRODUCT, horizon=0.02, cadence=5, k=2, resolution=32, track_scalars=track)
+        traj = df.run_flow(req)
+        count = len(traj.times)
+        assert count == 5 and len(traj.manifolds) == count
+        per_output = {f.name: getattr(traj, f.name) for f in dataclasses.fields(traj)}
+        del per_output["request"], per_output["manifolds"]
+        per_output.update({f"series {name}": values for name, values in per_output.pop("series").items()})
+        if not track:
+            assert per_output.pop("scalar_values") is None and "series J" not in per_output
+        for name, values in per_output.items():
+            assert isinstance(values, np.ndarray) and values.shape[0] == count, name
+        assert traj.eigenvalues.shape == traj.eigen_residuals.shape == (count, 3)
+
+    @pytest.mark.parametrize(
+        "horizon, cadence, steps", [(0.0, 10, [0]), (0.005, 10, [0, 5]), (0.007, 3, [0, 3, 6, 7])],
+        ids=["horizon_0", "cadence_longer_than_the_run", "remainder_step"],
+    )
+    def test_output_count_is_the_length_of_the_recorded_steps(self, horizon, cadence, steps):
+        config = ScenarioConfig.from_dict(
+            {"family": "round_circle", "horizon": horizon, "cadence": cadence, "k": 1, "track_scalars": False}
+        )
+        request = config.to_request()
+        traj = df.run_flow(request)
+        assert df.flow.output_count(request) == len(traj.times) == len(steps)
+        assert df.flow._output_steps(request)[1] == steps
+        np.testing.assert_allclose(traj.times, 1e-3 * np.array(steps), rtol=0, atol=1e-15)
+
+    def test_too_many_outputs_are_refused_before_the_steps_are_listed(self):
+        # 1e8 steps at cadence 1: a list of the recorded steps alone would take gigabytes
+        req = RunRequest(family=df.scaled_gaussian_family(2.0, 1), horizon=100.0, dt=1e-6, cadence=1, k=1,
+                         track_scalars=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=" 100000001 outputs "):
+                df.run_flow(req)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_eigenvalue_quotients_satisfy_comparison_ode(self):
         req = RunRequest(family=df.round_circle_family(1.0), horizon=0.4, dt=1e-3, cadence=10, k=1,
                          track_scalars=False)
         traj = df.run_flow(req)
-        lam = np.array([sp.eigenvalues[1] for sp in traj.spectra])
+        lam = traj.eigenvalues[:, 1]
         # the paper's inequality lambda' <= (2 lambda - 1) lambda, on forward difference quotients
         excess = np.diff(lam) / traj.output_dt - (2.0 * lam[:-1] - 1.0) * lam[:-1]
         assert float(np.max(excess)) <= 1e-6
@@ -200,7 +243,7 @@ class TestShiftInvariance:
             [df.scaled_gaussian_family(2.0, 1, t0=t0), df.round_circle_family(4.0, t0=t0, f0=f0)]
         )
         traj = df.run_flow(RunRequest(family=family, horizon=0.5, dt=1e-3, cadence=50, k=4, backend=backend))
-        return np.stack([sp.eigenvalues for sp in traj.spectra]), traj.bounds, traj.series["E"]
+        return traj.eigenvalues, traj.bounds, traj.series["E"]
 
     @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
     def test_t0_and_f0_shifts(self, backend):
@@ -399,7 +442,7 @@ class TestCommutatorResidual:
         req = RunRequest(family=df.round_circle_family(1.0), horizon=horizon, dt=1e-3, cadence=2,
                          k=1, track_scalars=False)
         traj = df.run_flow(req)
-        probe = traj.spectra[0].eigenfunctions[1]
+        probe = _eigenfunctions(traj, 0)[1]
         got = [df.commutator_residual(probe, traj.manifolds, [m])[0] for m in range(len(traj.times))]
         assert np.array_equal(got, traj.residual_commutator)
         assert np.max(traj.residual_commutator) < 1e-12
@@ -553,7 +596,7 @@ class TestScalarPairings:
         req = RunRequest(family=fam, horizon=0.01, dt=1e-3, cadence=2, k=1, resolution=16, hermite_order=8,
                          track_scalars=False)
         traj = df.run_flow(req)
-        probe = traj.spectra[0].eigenfunctions[1]
+        probe = _eigenfunctions(traj, 0)[1]
         indices = range(1, len(traj.times) - 1)
         seen = _count_derivatives(monkeypatch)
         got = df.commutator_residual(probe, traj.manifolds, indices)
@@ -1057,8 +1100,7 @@ class TestIntegratingFactor:
         for m, (a, b) in enumerate(zip(with_scalars.manifolds, without.manifolds)):
             layout = _Layout.of(a)
             assert np.array_equal(layout.pack(a), layout.pack(b))
-            assert np.array_equal(with_scalars.spectra[m].eigenvalues, without.spectra[m].eigenvalues)
-        for name in ("times", "volumes", "bounds", "residual_commutator"):
+        for name in ("times", "eigenvalues", "eigen_residuals", "volumes", "bounds", "residual_commutator"):
             assert np.array_equal(getattr(with_scalars, name), getattr(without, name), equal_nan=True), name
 
 
@@ -1425,12 +1467,11 @@ class TestSafeguardsFire:
         assert 1e-11 < err <= 1e-9
 
 
-def _same_bits(got, want):
-    return (
-        got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-        and np.stack(got.eigenfunctions).tobytes() == np.stack(want.eigenfunctions).tobytes()
-        and got.residuals.tobytes() == want.residuals.tobytes()
-    )
+def _bits(result, m=None):
+    """The bytes of the eigenvalues, eigenfunctions and residuals of a
+    one-output solve, or of output m of a stacked one."""
+    arrays = (result.eigenvalues, result.eigenfunctions, result.residuals)
+    return tuple((arr if m is None else arr[m]).tobytes() for arr in arrays)
 
 
 def _full_rows(monkeypatch):
@@ -1456,17 +1497,22 @@ class TestStackedOutputPass:
         ],
         ids=["eternal_like", "round_product", "analytic", "non_round_circle", "full_row_circle", "several_stacks"],
     )
-    def test_every_output_has_the_bits_of_its_own_solve(self, monkeypatch, request_, patch, stacks):
+    def test_every_output_has_the_bits_of_its_own_solve(self, monkeypatch, recorded_solves, request_, patch, stacks):
         if patch:
             patch(monkeypatch)
         traj = df.run_flow(request_)
         points, count = traj.manifolds[0].size, len(traj.times)
         assert len(range(1, count, _stack_length(points, request_.k + 1))) == stacks
         assert (_stack_length(points, 1) < count) == (request_.resolution == 128)  # its commutator takes two stacks
-        probe = traj.spectra[0].eigenfunctions[1]
+        # output 0's one-output solve, then one stacked solve per stack of outputs 1, 2, ...
+        first, *stacked = recorded_solves
+        assert len(stacked) == stacks and all(stack.eigenfunctions.shape[0] == len(stack.t) for stack in stacked)
+        solved = [_bits(first)] + [_bits(stack, i) for stack in stacked for i in range(len(stack.t))]
+        probe = first.eigenfunctions[1]
         for m, dm in enumerate(traj.manifolds):
             alone = df.lowest_eigenpairs(df.assemble_forms(dm), request_.k, request_.eig_tol)
-            assert _same_bits(traj.spectra[m], alone)
+            assert solved[m] == _bits(alone)
+            assert (traj.eigenvalues[m].tobytes(), traj.eigen_residuals[m].tobytes()) == _bits(alone)[::2]
             assert df.commutator_residual(probe, traj.manifolds, [m])[0] == traj.residual_commutator[m]
         if patch:
             assert all(ax.kind == "circle" and ax.is_round for dm in traj.manifolds for ax in dm.axes)
@@ -1474,13 +1520,15 @@ class TestStackedOutputPass:
     def test_an_output_keeps_its_bits_in_any_stack(self):
         req = RunRequest(family=_PRODUCT, horizon=0.03, cadence=5, k=3, resolution=32, track_scalars=False)
         traj = df.run_flow(req)
-        probe = traj.spectra[0].eigenfunctions[1]
+        probe = _eigenfunctions(traj, 0)[1]
         whole = df.lowest_eigenpairs(df.assemble_forms(traj.manifolds), 3)
-        assert len(traj.manifolds) == 7
+        assert len(traj.manifolds) == 7 and np.array_equal(whole.t, traj.times)
+        assert whole.eigenvalues.shape == whole.residuals.shape == (7, 4)
+        assert isinstance(whole.eigenfunctions, np.ndarray) and whole.eigenfunctions.shape == (7, 4, 12, 32)
         for grouping in ([[m] for m in range(7)], [[6, 5, 4, 3, 2, 1, 0]], [[0, 3], [5, 1, 2], [4, 6]]):
             for group in grouping:
-                for m, got in zip(group, df.lowest_eigenpairs(df.assemble_forms(traj.manifolds[group]), 3)):
-                    assert _same_bits(got, whole[m])
+                got = df.lowest_eigenpairs(df.assemble_forms(traj.manifolds[group]), 3)
+                assert all(_bits(got, i) == _bits(whole, m) for i, m in enumerate(group))
                 got = df.commutator_residual(probe, traj.manifolds, group)
                 assert np.array_equal(got, traj.residual_commutator[group])
 
@@ -1505,21 +1553,83 @@ class TestStackedOutputPass:
         traj = df.run_flow(req)
         points, outputs = traj.manifolds[0].size, len(traj.times)
         assert outputs == 41 and 4 < _stack_length(points, req.k + 1) < _stack_length(points, 1) < outputs
-        df.flow._output_pass(traj.manifolds, traj.spectra[0], req.k, req.eig_tol)  # warm the caches
+        spectrum0 = df.lowest_eigenpairs(df.assemble_forms(traj.manifolds[0]), req.k, req.eig_tol)
+        df.flow._output_pass(traj.manifolds, spectrum0, req.k, req.eig_tol)  # warm the caches
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            spectra, _ = df.flow._output_pass(traj.manifolds, traj.spectra[0], req.k, req.eig_tol)
+            passed = df.flow._output_pass(traj.manifolds, spectrum0, req.k, req.eig_tol)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        monkeypatch.setattr(df.flow, "MAX_FIELD_BYTES", 0)
-        with pytest.raises(ConfigurationError) as err:
-            df.flow._check_field_memory(req, df.evaluate_family(req.family, 0.0))
-        estimate = int(re.search(r"estimated (\d+) bytes", str(err.value)).group(1))
-        assert peak - before < estimate
+        # the pass keeps its columns, less than one output's k + 1 fields: no eigenfunction
+        assert [arr.shape for arr in passed] == [(outputs, 2), (outputs, 2), (outputs,)]
+        assert kept - before < 8 * points * (req.k + 1)
+        assert peak - before < _estimate(monkeypatch, req)
         # a stack's temporaries, above what the pass keeps, fit the stack budget
         assert peak - kept < STACK_BYTES
+
+
+def _estimate(monkeypatch, request) -> int:
+    """The bytes of field memory that ``_check_field_memory`` estimates for a run."""
+    monkeypatch.setattr(df.flow, "MAX_FIELD_BYTES", 0)
+    with pytest.raises(ConfigurationError) as err:
+        df.flow._check_field_memory(request, df.evaluate_family(request.family, request.family.t0))
+    return int(re.search(r"estimated (\d+) bytes", str(err.value)).group(1))
+
+
+class TestRetainedMemory:
+    """A finished run keeps its trajectory and no eigenfunction: at most its
+    outputs times the per-output term of the field-memory estimate.  While
+    it runs, it holds at most the whole estimate."""
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            RunRequest(family=_PRODUCT, horizon=0.5, cadence=1, k=1, track_scalars=False),
+            RunRequest(family=df.scaled_gaussian_family(1.0, 2), horizon=0.3, cadence=1, k=1, hermite_order=32,
+                       track_scalars=False),
+            RunRequest(family=_PRODUCT, horizon=0.2, cadence=1, k=3),
+        ],
+        ids=["product", "gaussian_n2", "product_scalars"],
+    )
+    def test_a_run_peaks_below_its_estimate(self, monkeypatch, request_):
+        # without scalars the per-output term is geometry rows and columns,
+        # so one grid-sized field per output (a stack of ones for the
+        # volumes, say) would exceed it
+        df.run_flow(dataclasses.replace(request_, horizon=0.01))  # warm the caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = df.run_flow(request_)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) > 200
+        assert peak <= _estimate(monkeypatch, request_)
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            RunRequest(family=df.round_circle_family(1.0), horizon=0.3, cadence=1, k=2),
+            RunRequest(family=_PRODUCT, horizon=0.2, cadence=1, k=3),
+        ],
+        ids=["circle", "product"],
+    )
+    def test_a_run_keeps_at_most_its_per_output_estimate(self, monkeypatch, request_):
+        df.run_flow(request_)  # warm the caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = df.run_flow(request_)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        outputs = len(traj.times)
+        start_only = dataclasses.replace(request_, horizon=0.0)
+        per_output = _estimate(monkeypatch, request_) - _estimate(monkeypatch, start_only)
+        assert outputs > 200 and per_output % (outputs - 1) == 0
+        assert kept <= outputs * per_output // (outputs - 1)
 
 
 def _built_alone(layout, row, t):

@@ -66,6 +66,13 @@ REMOVED = (
     # The solve reads the per-order eigenvector table; the eigenvalues are j / (2 scale).
     "HermiteLineAxis.analytic_eigenvalues",
     "HermiteLineAxis.eigens",
+    # A run keeps its eigenvalues and eigen-residuals as (m, k + 1) arrays and no eigenfunction;
+    # spectra.json is written from those arrays.
+    "FlowTrajectory.spectra",
+    "SpectralResult.to_json_dict",
+    "_lambda_series",
+    # A run's step count is RunRequest.steps, which output_count and the recorded steps read.
+    "step_count",
 )
 
 # Instance attributes that nothing reads: an axis's quadrature density is ``wdens``.

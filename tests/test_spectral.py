@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import tracemalloc
 
@@ -10,9 +11,11 @@ from scipy.linalg import eigh
 import driftflow as df
 import driftflow.axes
 from driftflow.axes import _fourier_dense, _fourier_ops, _hermite_ops, _spectral, along, apply_deriv
+from driftflow.config import ScenarioConfig
 from driftflow.errors import AssemblyError, UsageError
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel, discretize
 from driftflow.oracles import dense_stiffness
+from driftflow.runner import execute
 from driftflow.spectral import _axis_eigens, _circle_modes, _derivatives, _scalar_pairings, drift_laplacian, partials
 
 TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
@@ -212,12 +215,19 @@ class TestLowestEigenpairs:
         with pytest.raises(UsageError):
             df.lowest_eigenpairs(forms, gauss.size)
 
-    def test_json_schema(self, circle64):
-        res = df.lowest_eigenpairs(df.assemble_forms(circle64), 2)
-        doc = res.to_json_dict()
-        assert set(doc) == {"t", "eigenvalues", "residuals", "normalization"}
-        assert doc["normalization"] == "weighted-L2"
-        assert len(doc["eigenvalues"]) == 3
+    def test_json_schema(self, circle64, tmp_path):
+        # a run writes spectra.json from its (m, k + 1) arrays, one row per output
+        config = ScenarioConfig.from_dict({"name": "c64", "family": "round_circle", "horizon": 0.02, "k": 2})
+        traj = execute(config, str(tmp_path)).trajectory
+        rows = json.loads((tmp_path / "c64" / "spectra.json").read_text(encoding="utf-8"))
+        assert len(rows) == len(traj.times) == 3
+        for row, t, lam, res in zip(rows, traj.times, traj.eigenvalues, traj.eigen_residuals):
+            assert set(row) == {"t", "eigenvalues", "residuals", "normalization"}
+            assert row["normalization"] == "weighted-L2"
+            assert len(row["eigenvalues"]) == 3
+            assert row["t"] == t and row["eigenvalues"] == lam.tolist() and row["residuals"] == res.tolist()
+        alone = df.lowest_eigenpairs(df.assemble_forms(circle64), 2)
+        assert rows[0]["eigenvalues"] == alone.eigenvalues.tolist() and rows[0]["residuals"] == alone.residuals.tolist()
 
 
 

@@ -9,6 +9,7 @@ from driftflow import acceptance
 from driftflow.axes import along
 from driftflow.errors import UsageError
 from driftflow.flow import RunRequest, _run_loop
+from driftflow.spectral import gradient_inner, partials
 
 WINDOW = acceptance.splitting_tolerances("galerkin")["eigenvalue"]
 
@@ -87,6 +88,26 @@ class TestDetection:
     def test_window_ordering_checked(self, product_traj):
         with pytest.raises(UsageError):
             df.detect_splitting(product_traj, product_traj.times[-1], product_traj.times[0], WINDOW)
+
+    @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
+    def test_a_later_window_has_the_bits_of_its_outputs_stacked_solve(self, recorded_solves, backend):
+        # a run keeps no eigenfunction; the certificate re-solves output i0
+        # alone, in the bits of the run's stacked solve of that output
+        fam = df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle_family(0.25)])
+        req = RunRequest(family=fam, horizon=0.2, dt=1e-3, cadence=20, k=3, backend=backend, track_scalars=False)
+        traj = df.run_flow(req)
+        i0 = 6
+        window = acceptance.splitting_tolerances(backend)["eigenvalue"]
+        cert = df.detect_splitting(traj, traj.times[i0], traj.times[-1], window)
+        assert cert and cert.k == 1
+        # output 0's solve, then the stacks of outputs 1, 2, ...; output i0 is not the first of its stack
+        rows = [(stack, i) for stack in recorded_solves[1:] for i in range(len(stack.t))]
+        stack, i = rows[i0 - 1]
+        assert stack.t[i] == traj.times[i0] and i > 0
+        dm, u = traj.manifolds[i0], stack.eigenfunctions[i, 1]  # lambda_1 = 1/2, the Gaussian coordinate
+        du = partials(dm, u)
+        want = u * math.sqrt(dm.weighted_volume() / dm.integrate(gradient_inner(dm, du, du)))
+        assert cert.directions[0].tobytes() == want.tobytes()
 
 
 class TestCertificateResiduals:
