@@ -14,18 +14,18 @@ where k5, the right-hand side at the kept state, is the next step's first
 stage ("first same as last"): four right-hand sides per step.  Taken per
 block relative to the block's size, the estimate of every kept step is at
 most ``adaptive_tol``; a step above it is redone as two half steps.
-A state of one number (one Gaussian line, no tracked scalars) is stepped as
-a Python float: ``_rk4`` and ``_step`` apply the same IEEE-754 operations to
-it as to a one-element array, so its bits are those of the array path,
-without numpy's per-call cost.
 A round circle (all a samples equal, all f samples equal) is two numbers in
 the state, its a and its f: on constant rows the stage formulas give exactly
 (a, 1/2), so it stays round, and its two numbers take the operations and
-bits of its 2n equal samples.  Only a circle that is not round keeps its
-rows; a stage projects them onto the kept modes only when the cutoff lies
-below the grid's Nyquist mode (at ``modes = resolution // 2`` the grid is
-the truncation), and ``_settle`` filters them after each step.  Exact
-analytic families make the truncation exact and serve as validation.
+bits of its 2n equal samples.  Without a full-row circle the state is
+Python floats, a float for one number and a list for more, chosen once per
+run: Python's + - * / and abs are numpy's elementwise IEEE-754 operations
+and each entry is its own error block, so the bits are the array's.
+Only a circle that is not round keeps its rows, as an array; a stage
+projects them onto the kept modes only when the cutoff lies below the
+grid's Nyquist mode (at ``modes = resolution // 2`` the grid is the
+truncation), and ``_settle`` filters them after each step.  Exact analytic
+families make the truncation exact and serve as validation.
 
 Tracked scalars follow the drift heat equation u_t = L u + u/2 (one-way
 coupling) through an integrating factor (Lawson 1967).  On a Gaussian line
@@ -38,11 +38,11 @@ u = E V on sub-stacks of consecutive outputs, one call each.  Only a circle
 that is not round keeps its full operator in the stages, acting on V, which
 each output then records too; without one, V is the initial batch, the
 stages never touch the scalars, and the geometry takes the steps of a run
-without them.  A Galerkin run builds one step plan, the
-per-axis operators of ``_flow_rhs``, before its first step and takes every
-step with ``_step``.  The analytic backend steps nothing: its outputs are the
-closed-form states, and its scalars those of ``oracles.modal_propagator``,
-exact on every supported family; a Galerkin run never calls it.
+without them.  A Galerkin run builds one step plan (``_flow_rhs`` or
+``_list_rhs``) before its first step and takes every step with ``_step``.
+The analytic backend steps nothing: its outputs are the closed-form states,
+and its scalars those of ``oracles.modal_propagator``, exact on every
+supported family; a Galerkin run never calls it.
 
 Either backend records each output as its row of the layout's packed
 geometry (``_Layout.pack``) and builds all outputs once, as one stack
@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -235,8 +236,7 @@ def _flow_rhs(layout: _Layout, modes: int):
     circle that is not round applies its full scalar operator
     (u'' - (Gamma + f') u') / a to V along its own axis (``apply_along``);
     derivatives act on V - V[0] along the axis, exactly zero on constants.
-    Without such a circle the scalars are not in the state, and the stages
-    never touch them.
+    A run without a full-row circle steps ``_list_rhs`` instead.
     """
     plan = []
     for axis, (kind, off, n) in enumerate(layout.axes):
@@ -331,9 +331,28 @@ def _multiplier_rhs(t, u):
     return u - 1.0
 
 
+def _list_rhs(layout: _Layout):
+    """``_flow_rhs`` of a layout without a full-row circle on a list of floats: its values, entry by entry."""
+    plan = [(kind == "round", off, layout.width + i if layout.diagonal else None)  # with scalars, all are diagonal
+            for i, (kind, off, _) in enumerate(layout.axes)]
+
+    def rhs(t, z):
+        dz = [0.5] * len(z)  # a round circle's f rate; every other entry is written below
+        for round_, off, integral in plan:
+            a = z[off]
+            if a <= 0.0:
+                raise FlowBreakdownError(0)
+            dz[off] = a if round_ else a - 1.0
+            if integral is not None:
+                dz[integral] = 1.0 / a
+        return dz
+
+    return rhs
+
+
 def _rk4(rhs, t: float, z: np.ndarray | float, dt: float, k1=None):
     """One classical RK4 step of z' = rhs(t, z) on an array or a float, ``k1``
-    optional: (state, k4)."""
+    optional: (state, k4).  ``_list_attempt`` takes it entry by entry."""
     if k1 is None:
         k1 = rhs(t, z)
     k2 = rhs(t + dt / 2, z + (dt / 2) * k1)
@@ -350,13 +369,10 @@ def _settle(layout: _Layout, z: np.ndarray, modes: int, floor: float, threshold:
     """Zero the circle modes above ``modes`` or below the relative noise
     floor, then raise StabilityError if a kept |c_k| / n (``mode_amplitudes``)
     exceeds ``threshold``, a circle's a row checked before its f row.  Per
-    full-row circle (``layout.circles``; a round circle is two numbers and
-    has no modes to filter): one rfft, one |c_k| pass, one max reduction and
-    one irfft.  A constant row, such as a constant f beside a varying a, has
-    nothing to zero or monitor and skips the round trip (see ``lowpass``),
-    which is not exact at Bluestein sizes."""
-    if not layout.circles:
-        return z
+    full-row circle (``layout.circles``; a round one has no modes): one rfft,
+    one |c_k| pass, one max reduction and one irfft.  A constant row, such as
+    a constant f beside a varying a, has nothing to zero or monitor and skips
+    the round trip (see ``lowpass``), which is not exact at Bluestein sizes."""
     z = z.copy()
     for off, n in layout.circles:
         rows = z[off : off + 2 * n].reshape(2, n)
@@ -455,37 +471,64 @@ class FlowTrajectory:
         return idx
 
 
-def _step(rhs, settle, t, z, h, adaptive_tol, k1, blocks=(0,), depth=0):
-    """(z1, k5, err): the kept step z1 = settle(RK4(z, h)) from the first stage
-    k1 = rhs(t, z), the next first stage k5 = rhs(t + h, z1), and the
-    third-order estimate err = h/6 |k4 - k5| that ``adaptive_tol`` bounds.
-
-    k4 and k5 share the time t + h, so ``rhs`` must be autonomous.  The norm
-    is max |k4 - k5| / max(1, max |z1|) over each block of z (``blocks`` are
-    their starts); the scales are at least 1, so they are read only when the
-    plain max exceeds ``adaptive_tol``.  A float state is one block, with
-    the same operations on floats.  A step still above it is redone as two
-    of h / 2; StabilityError after 12 halvings.
-    """
+def _array_attempt(settle, blocks, rhs, t, z, h, k1, adaptive_tol):
+    """``_step``'s attempt on an array, ``settle`` and ``blocks`` bound once per run: z1 = settle(RK4(z, h)) and
+    max |k4 - k5| / max(1, max |z1|) over each block (starting at ``blocks``), scaled only above ``adaptive_tol``."""
     z1, k4 = _rk4(rhs, t, z, h, k1)
     z1 = settle(z1)
     k5 = rhs(t + h, z1)
-    if isinstance(z1, float):  # one block of one number: the same operations on floats
-        err = h / 6.0 * abs(k4 - k5)
-        if err > adaptive_tol:
-            err = h / 6.0 * (abs(k4 - k5) / max(1.0, abs(z1)))
-    else:
-        diff = np.abs(np.subtract(k4, k5, out=k4), out=k4)  # k4 is spent
-        err = h / 6.0 * float(diff.max())
-        if err > adaptive_tol:
-            scale = np.fmax(1.0, np.maximum.reduceat(np.abs(z1), blocks))
-            err = h / 6.0 * float(np.max(np.maximum.reduceat(diff, blocks) / scale))
+    diff = np.abs(np.subtract(k4, k5, out=k4), out=k4)  # k4 is spent
+    err = h / 6.0 * float(diff.max())
+    if err > adaptive_tol:
+        scale = np.fmax(1.0, np.maximum.reduceat(np.abs(z1), blocks))
+        err = h / 6.0 * float(np.max(np.maximum.reduceat(diff, blocks) / scale))
+    return z1, k5, err
+
+
+def _float_attempt(rhs, t, z, h, k1, adaptive_tol):
+    """``_step``'s attempt on a float: the array's operations on one block."""
+    z1, k4 = _rk4(rhs, t, z, h, k1)
+    k5 = rhs(t + h, z1)
+    err = h / 6.0 * abs(k4 - k5)
+    if err > adaptive_tol:
+        err = h / 6.0 * (abs(k4 - k5) / max(1.0, abs(z1)))
+    return z1, k5, err
+
+
+def _list_attempt(rhs, t, z, h, k1, adaptive_tol):
+    """``_step``'s attempt on a list of floats: the array's operations entry by entry, each entry one block."""
+    half, sixth, third = h / 2, h / 6.0, 2.0 * h / 6.0
+    k2 = rhs(t + half, [x + half * k for x, k in zip(z, k1)])
+    k3 = rhs(t + half, [x + half * k for x, k in zip(z, k2)])
+    k4 = rhs(t + h, [x + h * k for x, k in zip(z, k3)])
+    z1 = [x + sixth * p + third * q + third * r + sixth * s for x, p, q, r, s in zip(z, k1, k2, k3, k4)]
+    k5 = rhs(t + h, z1)
+    diff = [abs(p - q) for p, q in zip(k4, k5)]
+    err = h / 6.0 * _peak(diff)
+    if err > adaptive_tol:
+        err = h / 6.0 * _peak([d / max(1.0, abs(x)) for d, x in zip(diff, z1)])
+    return z1, k5, err
+
+
+def _peak(values: list) -> float:
+    """max(values), NaN if one is, as ``np.max``: all are >= 0 or NaN, so only then is their sum NaN."""
+    return max(values) if (total := sum(values)) == total else total
+
+
+def _step(rhs, attempt, t, z, h, adaptive_tol, k1, depth=0):
+    """(z1, k5, err): the kept step z1 = RK4(z, h) from the first stage
+    k1 = rhs(t, z), the next first stage k5 = rhs(t + h, z1), and the
+    third-order estimate err = h/6 |k4 - k5| that ``adaptive_tol`` bounds, each
+    try by ``attempt`` on the array, float or list that ``_run_loop`` chose.
+    k4 and k5 share the time t + h, so ``rhs`` must be autonomous.  A step above
+    it is redone as two of h / 2; StabilityError after 12 halvings."""
+    z1, k5, err = attempt(rhs, t, z, h, k1, adaptive_tol)
     if err <= adaptive_tol:
         return z1, k5, err
     if depth >= 12:
         raise StabilityError(f"step error {err:.3e} persists after 12 halvings")
-    half, k_half, err_1 = _step(rhs, settle, t, z, h / 2, adaptive_tol, k1, blocks, depth + 1)
-    z1, k5, err_2 = _step(rhs, settle, t + h / 2, half, h / 2, adaptive_tol, k_half, blocks, depth + 1)
+    half, k_half, err_1 = _step(rhs, attempt, t, z, h / 2, adaptive_tol, k1, depth + 1)
+    z1, k5, err_2 = _step(rhs, attempt, t + h / 2, half, h / 2, adaptive_tol, k_half, depth + 1)
     return z1, k5, max(err_1, err_2)
 
 
@@ -516,27 +559,24 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
 
     scalars = None if scalars0 is None else np.asarray(scalars0, dtype=float)
     layout = _Layout.of(state0, 0 if scalars is None else len(scalars))
-    geometry = layout.pack(state0)
-    threshold = STABILITY_FACTOR * (1.0 + float(np.max(np.abs(geometry))))
-    parts = [geometry, np.zeros(len(layout.diagonal))]
-    if layout.stepped:
-        parts.append(scalars.ravel())
-    width, start, blocks, z = layout.width, layout.start, layout.blocks, np.concatenate(parts)
-    if z.size == 1:  # one Gaussian multiplier and no scalars: a float, without numpy's per-call cost
-        rhs, z = _multiplier_rhs, float(z[0])
-    else:
-        rhs = _flow_rhs(layout, request.modes)
+    parts = [layout.pack(state0), np.zeros(len(layout.diagonal))] + ([scalars.ravel()] if layout.stepped else [])
+    width, start, z = layout.width, layout.start, np.concatenate(parts)
+    if layout.circles:  # full rows: an array, settled after each step
+        threshold = STABILITY_FACTOR * (1.0 + float(np.max(np.abs(z[:width]))))
+        settle = partial(_settle, layout, modes=request.modes, floor=NOISE_FLOOR, threshold=threshold)
+        rhs, attempt = _flow_rhs(layout, request.modes), partial(_array_attempt, settle, layout.blocks)
+    elif z.size == 1:  # one Gaussian multiplier
+        rhs, attempt, z = _multiplier_rhs, _float_attempt, float(z[0])
+    else:  # a few numbers (V is not stepped without a full-row circle)
+        rhs, attempt, z = _list_rhs(layout), _list_attempt, z.tolist()
     k1 = rhs(t0, z)  # the first stage of the first step
-
-    def settle(z):
-        return _settle(layout, z, request.modes, NOISE_FLOOR, threshold)
 
     count = len(recorded)
     rows, integrals, done = np.empty((count, width)), np.empty((count, start - width)), 0
     values = None if scalars is None else np.empty((count, *scalars.shape))
     for m, step in enumerate(recorded):
         for s in range(done, step):
-            z, k1, _ = _step(rhs, settle, t0 + s * dt, z, dt, request.adaptive_tol, k1, blocks)
+            z, k1, _ = _step(rhs, attempt, t0 + s * dt, z, dt, request.adaptive_tol, k1)
         done = step
         rows[m] = np.atleast_1d(z)[:width]
         if values is not None:

@@ -838,6 +838,13 @@ class _VaryingFamily:
         return ContinuumState(t=t, factors=(circle, GaussianLineModel(1.7)))
 
 
+class _WavyCircleFamily(_VaryingFamily):
+    """The non-round circle of ``_VaryingFamily`` alone."""
+
+    def evaluate(self, t):
+        return ContinuumState(t=t, factors=super().evaluate(t).factors[:1])
+
+
 def _varying_product():
     return df.discretize(_VaryingFamily().evaluate(0.0), resolution=32, hermite_order=8)
 
@@ -875,6 +882,11 @@ def _unsettled(z):
     return z
 
 
+def _attempt(settle, blocks=(0,)):
+    """``_step``'s attempt on an array with ``settle`` and the error ``blocks``, bound as ``_run_loop`` binds them."""
+    return functools.partial(df.flow._array_attempt, settle, blocks)
+
+
 class _Counted:
     def __init__(self, rhs):
         self.rhs, self.calls = rhs, 0
@@ -907,22 +919,23 @@ class TestStepPlan:
     def test_four_evaluations_per_step(self):
         dm = _varying_product()
         layout = _Layout.of(dm)
-        rhs, settle = _Counted(_flow_rhs(layout, modes=8)), _settler(layout, 8)
+        rhs, attempt = _Counted(_flow_rhs(layout, modes=8)), _attempt(_settler(layout, 8))
         z = layout.pack(dm)
-        z, k1, _ = _step(rhs, settle, 0.0, z, 1e-3, 1.0, rhs(0.0, z))
+        z, k1, _ = _step(rhs, attempt, 0.0, z, 1e-3, 1.0, rhs(0.0, z))
         assert rhs.calls == 5  # the first stage, then four per step
-        z, k1, _ = _step(rhs, settle, 1e-3, z, 1e-3, 1.0, k1)
+        z, k1, _ = _step(rhs, attempt, 1e-3, z, 1e-3, 1.0, k1)
         assert rhs.calls == 9
         assert np.array_equal(k1, _flow_rhs(layout, modes=8)(2e-3, z))  # the last stage is the next first
 
     def test_nine_evaluations_for_a_two_step_run(self, monkeypatch):
-        counted = []
+        # the round product steps as a list of floats, through the list rhs
+        counted, list_rhs = [], df.flow._list_rhs
 
-        def counting_plan(layout, modes):
-            counted.append(_Counted(_flow_rhs(layout, modes)))
+        def counting_plan(layout):
+            counted.append(_Counted(list_rhs(layout)))
             return counted[-1]
 
-        monkeypatch.setattr(df.flow, "_flow_rhs", counting_plan)
+        monkeypatch.setattr(df.flow, "_list_rhs", counting_plan)
         fam = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)])
         df.run_flow(RunRequest(family=fam, horizon=0.002, dt=1e-3, cadence=1, k=1, resolution=16, modes=8))
         assert [rhs.calls for rhs in counted] == [9]
@@ -994,18 +1007,18 @@ class TestStepPairs:
             scalars = np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), k, 1e-8).eigenfunctions[1 : k + 1])
             layout = _Layout.of(dm, k)
             assert layout.stepped == (state is wavy)
-            rhs, settle = _flow_rhs(layout, 32), _settler(layout, 32)
+            rhs, attempt = _flow_rhs(layout, 32), _attempt(_settler(layout, 32))
             z = np.concatenate([layout.pack(dm), np.zeros(len(layout.diagonal))] + [scalars.ravel()] * layout.stepped)
             per_stack = _stack_length(dm.size, k)  # the outputs of one sub-stack of E
             v = np.stack([scalars] * per_stack) if layout.stepped else scalars
             integrals, lags = np.full((per_stack, len(layout.diagonal)), 0.3), np.full(per_stack, 0.1)
             k1 = rhs(0.0, z)
-            _step(rhs, settle, 0.0, z, 1e-3, 1.0, k1)  # warm the FFT plans
+            _step(rhs, attempt, 0.0, z, 1e-3, 1.0, k1)  # warm the FFT plans
             _factor(layout, v, integrals, lags)
             peaks = []
             tracemalloc.start()
             try:
-                for work in (lambda: _step(rhs, settle, 0.0, z, 1e-3, 1.0, k1),
+                for work in (lambda: _step(rhs, attempt, 0.0, z, 1e-3, 1.0, k1),
                              lambda: _factor(layout, v, integrals, lags)):
                     tracemalloc.reset_peak()
                     before = tracemalloc.get_traced_memory()[0]
@@ -1126,22 +1139,10 @@ def _counting_step(monkeypatch, errors=None):
     return seen
 
 
-def _array_multipliers(request):
+def _array_multipliers(monkeypatch, request):
     """The multiplier at each output of a geometry-only Gaussian run, stepped
-    as a one-element array through ``_step``: the loop of ``_run_loop`` with
-    the step plan of ``_flow_rhs``."""
-    t0 = request.family.t0
-    dm = df.discretize(df.evaluate_family(request.family, t0), hermite_order=request.hermite_order)
-    layout = _Layout.of(dm)
-    rhs, settle, z = _flow_rhs(layout, request.modes), _settler(layout, request.modes), layout.pack(dm)
-    dt, recorded = df.flow._output_steps(request)
-    k1, done, out = rhs(t0, z), 0, []
-    for step in recorded:
-        for s in range(done, step):
-            z, k1, _ = df.flow._step(rhs, settle, t0 + s * dt, z, dt, request.adaptive_tol, k1, [0])
-        done = step
-        out.append(float(z[0]))
-    return out
+    as a one-element array (``_array_record``)."""
+    return [float.fromhex(row[0]) for row in _array_record(monkeypatch, request)[0]]
 
 
 def _float_multipliers(request):
@@ -1169,7 +1170,7 @@ class TestOneNumberState:
     def test_float_steps_match_array_steps_bitwise(self, monkeypatch, request_):
         errors = []
         seen = _counting_step(monkeypatch, errors)
-        expected = _array_multipliers(request_)
+        expected = _array_multipliers(monkeypatch, request_)
         assert set(seen) == {np.ndarray}
         array_errors = errors.copy()
         seen.clear()
@@ -1193,7 +1194,7 @@ class TestOneNumberState:
         request = _gaussian_request(0.5, 1.0, cadence=100)
         seen = _counting_step(monkeypatch)
         with pytest.raises(FlowBreakdownError) as array_info:
-            _array_multipliers(request)
+            _array_multipliers(monkeypatch, request)
         array_calls = len(seen)
         seen.clear()
         with pytest.raises(FlowBreakdownError) as float_info:
@@ -1207,12 +1208,14 @@ class TestOneNumberState:
         "family, track_scalars, state_type",
         [
             (df.scaled_gaussian_family(2.0, 1), False, float),
-            (df.scaled_gaussian_family(2.0, 3), False, np.ndarray),
-            (df.scaled_gaussian_family(2.0, 1), True, np.ndarray),
-            (df.round_circle_family(2.0), False, np.ndarray),
-            (df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)]), False, np.ndarray),
+            (df.scaled_gaussian_family(2.0, 3), False, list),
+            (df.scaled_gaussian_family(2.0, 1), True, list),
+            (df.round_circle_family(2.0), False, list),
+            (df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)]), False, list),
+            (_WavyCircleFamily(), False, np.ndarray),
+            (_VaryingFamily(), True, np.ndarray),  # a Gaussian line beside a non-round circle, V stepped
         ],
-        ids=["one_line", "n3", "scalars", "circle", "product"],
+        ids=["one_line", "n3", "scalars", "circle", "product", "wavy_circle", "wavy_product_scalars"],
     )
     def test_float_form_exactly_for_one_number(self, monkeypatch, family, track_scalars, state_type):
         seen = _counting_step(monkeypatch)
@@ -1343,9 +1346,126 @@ class TestRoundCircleState:
         assert not layout.stepped and layout.diagonal == (0, 1) and layout.start == 5
         sizes = []
         step = df.flow._step
-        monkeypatch.setattr(df.flow, "_step", lambda *args: sizes.append(args[3].size) or step(*args))
+        monkeypatch.setattr(df.flow, "_step", lambda *args: sizes.append(len(args[3])) or step(*args))
         df.run_flow(_round_request(_PRODUCT, 0.003, k=3))
         assert sizes == [5] * 3  # the multiplier, a, f and two integrals
+
+
+def _array_record(monkeypatch, request):
+    """Each output's state entries, its geometry row and integrals as
+    ``float.hex``, every step's error estimate and the count of ``_step``
+    calls, halvings included, of a Galerkin run stepped as an array: the loop
+    of ``_run_loop`` with the step plan of ``_flow_rhs`` and the error blocks
+    of its layout."""
+    t0 = request.family.t0
+    dm = df.discretize(df.evaluate_family(request.family, t0), resolution=request.resolution,
+                       hermite_order=request.hermite_order)
+    layout = _Layout.of(dm, request.k if request.track_scalars else 0)
+    assert not layout.circles and not layout.stepped
+    rhs, attempt = _flow_rhs(layout, request.modes), _attempt(_settler(layout, request.modes), layout.blocks)
+    z = np.concatenate([layout.pack(dm), np.zeros(len(layout.diagonal))])
+    dt, recorded = df.flow._output_steps(request)
+    k1, done, rows, errors = rhs(t0, z), 0, [], []
+    with monkeypatch.context() as patch:
+        seen = _counting_step(patch, errors)
+        for step in recorded:
+            for s in range(done, step):
+                z, k1, _ = df.flow._step(rhs, attempt, t0 + s * dt, z, dt, request.adaptive_tol, k1)
+            done = step
+            rows.append([x.hex() for x in z.tolist()])
+    assert set(seen) == {np.ndarray}
+    return rows, errors, len(seen)
+
+
+def _list_record(monkeypatch, request):
+    """``_array_record`` of ``_run_loop`` itself, whose state is a list."""
+    outputs, integrals, errors, calls = _loop_record(monkeypatch, request, _compact_layout)
+    layout = _Layout.of(outputs[0][0])
+    rows = [[x.hex() for x in layout.pack(outputs[0][m]).tolist()] for m in range(len(outputs[0]))]
+    return [row + c for row, c in zip(rows, integrals or [[]] * len(rows))], errors, calls
+
+
+_SHRINKER = df.product_family([df.scaled_gaussian_family(0.6, 1, -0.3), df.round_circle_family(1.0, -0.3)])
+
+
+class TestListState:
+    """A state without a full-row circle, a few numbers, is stepped as a list
+    of Python floats, with the bits of the array path: ``_flow_rhs`` through
+    ``_step``, each entry its own error block."""
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            _round_request(df.round_circle_family(1.0), 0.05, track_scalars=False),
+            _round_request(df.round_circle_family(1.0), 0.05, k=2),
+            _round_request(_PRODUCT, 0.05, cadence=5, k=3),
+            _round_request(df.scaled_gaussian_family(1.5, 3), 0.05, cadence=5, k=3, hermite_order=8),
+            _round_request(df.scaled_gaussian_family(1.5, 4), 0.02, cadence=5, k=2, hermite_order=4),
+            _round_request(_PRODUCT, 0.2, dt=0.05, k=1, adaptive_tol=1e-12),
+            _round_request(df.round_circle_family(1e8), 0.2, dt=0.05, k=1, adaptive_tol=1e-14),
+            _round_request(_SHRINKER, 0.1, cadence=10, k=1),
+        ],
+        ids=["circle", "circle_k2", "product_k3", "n3", "n4", "halving", "relative", "t0_shift"],
+    )
+    def test_list_steps_match_array_steps_bitwise(self, monkeypatch, request_):
+        expected, array_errors, array_calls = _array_record(monkeypatch, request_)
+        got, errors, calls = _list_record(monkeypatch, request_)
+        assert len(got) == len(df.flow._output_steps(request_)[1])
+        assert got == expected  # every output's geometry row and integrals
+        assert errors == array_errors and calls == array_calls  # the same steps, halvings and estimates
+        if request_.dt == 0.05:
+            assert calls > request_.steps  # the step control halved
+
+    @pytest.mark.parametrize("line_first", [True, False])
+    def test_breakdown_at_the_same_step(self, monkeypatch, line_first):
+        # u0 = 0.5 dies at log 2: run_flow would refuse it, the loop breaks down
+        factors = [df.scaled_gaussian_family(0.5, 1), df.round_circle_family(1.0)]
+        request = _round_request(df.product_family(factors if line_first else factors[::-1]), 1.0, cadence=100, k=1)
+        outcomes = []
+        for record in (_array_record, _list_record):
+            with monkeypatch.context() as patch:
+                seen = _counting_step(patch)
+                with pytest.raises(FlowBreakdownError) as info:
+                    record(patch, request)
+            outcomes.append((len(seen), info.value.node_index))
+        assert outcomes[0] == outcomes[1] and outcomes[0][1] == 0
+        assert 0 < outcomes[0][0] < request.steps
+
+    def test_a_nan_entry_halves_as_on_an_array(self, monkeypatch):
+        # max skips a NaN that is not the first entry; np.max and the list
+        # norm propagate it, so the step halves 12 times and gives up
+        outcomes = []
+        for rhs, attempt, z in (
+            (lambda t, z: np.array([-z[0], math.nan]), _attempt(_unsettled, [0, 1]), np.ones(2)),
+            (lambda t, z: [-z[0], math.nan], df.flow._list_attempt, [1.0, 1.0]),
+        ):
+            with monkeypatch.context() as patch:
+                seen = _counting_step(patch)
+                with pytest.raises(StabilityError) as info:
+                    df.flow._step(rhs, attempt, 0.0, z, 0.01, 1e-9, rhs(0.0, z))
+            outcomes.append((str(info.value), len(seen), set(seen)))
+        assert outcomes == [
+            ("step error nan persists after 12 halvings", 13, {np.ndarray}),
+            ("step error nan persists after 12 halvings", 13, {list}),
+        ]
+
+    def test_each_entry_is_its_own_error_block(self, monkeypatch):
+        # the list norm reads no blocks: it holds only where every entry is one
+        families = [df.round_circle_family(1.0), _PRODUCT] + [df.scaled_gaussian_family(1.5, n) for n in (1, 2, 3, 4)]
+        for family in families:
+            dm = df.discretize(df.evaluate_family(family, 0.0), resolution=16, hermite_order=4)
+            for count in (0, 2):
+                layout = _Layout.of(dm, count)
+                assert not layout.circles and not layout.stepped
+                assert layout.blocks == list(range(layout.start))
+        # a circle that is not round, and one beside a Gaussian line with V stepped, stay arrays
+        for family, track in ((_WavyCircleFamily(), False), (_VaryingFamily(), True)):
+            assert _Layout.of(df.discretize(family.evaluate(0.0), resolution=16, hermite_order=6), 2).circles
+            with monkeypatch.context() as patch:
+                seen = _counting_step(patch)
+                traj = df.run_flow(RunRequest(family=family, horizon=0.002, dt=1e-3, cadence=1, k=2, resolution=16,
+                                              modes=8, hermite_order=6, track_scalars=track))
+            assert seen == [np.ndarray] * 2 and (traj.scalar_values is not None) == track
 
 
 def _stage_formulas(n, a, f):
@@ -1397,7 +1517,7 @@ class TestStageProjection:
 
         monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
         monkeypatch.setattr(np.fft, "irfft", counted("irfft", np.fft.irfft))
-        _step(rhs, _settler(layout, 32), 0.0, z, 1e-3, 1.0, rhs(0.0, z))
+        _step(rhs, _attempt(_settler(layout, 32)), 0.0, z, 1e-3, 1.0, rhs(0.0, z))
         assert calls == ["rfft", "irfft"]
 
 
@@ -1435,14 +1555,14 @@ class TestSafeguardsFire:
         z = np.ones(1)
         k1 = rhs(0.0, z)
         for i in range(2):
-            z, k1, err = _step(rhs, _unsettled, 0.05 * i, z, 0.05, 1e-9, k1)
+            z, k1, err = _step(rhs, _attempt(_unsettled), 0.05 * i, z, 0.05, 1e-9, k1)
             assert err <= 1e-9
         assert rhs.calls > 11
         assert abs(z[0] - math.exp(-5.0)) < 1e-9
 
     def test_single_step_halves_on_a_stiff_rhs(self):
         rhs = _Counted(lambda t, z: -50.0 * z)
-        z, _, _ = _step(rhs, _unsettled, 0.0, np.ones(1), 0.05, 1e-9, -50.0 * np.ones(1))
+        z, _, _ = _step(rhs, _attempt(_unsettled), 0.0, np.ones(1), 0.05, 1e-9, -50.0 * np.ones(1))
         assert rhs.calls > 11
         assert abs(z[0] - math.exp(-2.5)) < 1e-7
 
@@ -1450,11 +1570,11 @@ class TestSafeguardsFire:
         # k4 and k5 share their time, so a jump in t would not show in the
         # estimate; a rate that even a step of 0.05 / 2**12 cannot follow does
         with pytest.raises(StabilityError, match="persists after 12 halvings"):
-            _step(lambda t, z: -1e12 * z, _unsettled, 0.0, np.ones(1), 0.05, 1e-9, np.full(1, -1e12))
+            _step(lambda t, z: -1e12 * z, _attempt(_unsettled), 0.0, np.ones(1), 0.05, 1e-9, np.full(1, -1e12))
 
     @pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
     def test_estimate_bounds_the_true_local_error(self, h):
-        z, _, err = _step(lambda t, z: -5.0 * z, _unsettled, 0.0, np.ones(1), h, 1.0, np.full(1, -5.0))
+        z, _, err = _step(lambda t, z: -5.0 * z, _attempt(_unsettled), 0.0, np.ones(1), h, 1.0, np.full(1, -5.0))
         assert err >= abs(z[0] - math.exp(-5.0 * h))
 
     def test_block_scales_keep_a_large_block_from_halving(self):
@@ -1462,7 +1582,7 @@ class TestSafeguardsFire:
         # its estimate relative to max |u| does not
         rhs = _Counted(lambda t, z: -5.0 * z)
         z = np.array([1e8, 1.0])
-        z, _, err = _step(rhs, _unsettled, 0.0, z, 0.002, 1e-9, rhs(0.0, z), blocks=[0, 1])
+        z, _, err = _step(rhs, _attempt(_unsettled, [0, 1]), 0.0, z, 0.002, 1e-9, rhs(0.0, z))
         assert rhs.calls == 5
         assert 1e-11 < err <= 1e-9
 
