@@ -18,9 +18,11 @@ A round circle (all a samples equal, all f samples equal) is two numbers in
 the state, its a and its f: on constant rows the stage formulas give exactly
 (a, 1/2), so it stays round, and its two numbers take the operations and
 bits of its 2n equal samples.  Without a full-row circle the state is
-Python floats, a float for one number and a list for more, chosen once per
-run: Python's + - * / and abs are numpy's elementwise IEEE-754 operations
-and each entry is its own error block, so the bits are the array's.
+Python floats, a float for one number and a list for more: Python's
++ - * / and abs are numpy's elementwise IEEE-754 operations and each entry
+is its own error block, so the bits are the array's.  A run chooses its
+step kernel once (``_kernel``) and calls it once per output; the float and
+list kernels write the RK4 stages inline, with no call per step.
 Only a circle that is not round keeps its rows, as an array; a stage
 projects them onto the kept modes only when the cutoff lies below the
 grid's Nyquist mode (at ``modes = resolution // 2`` the grid is the
@@ -38,8 +40,8 @@ u = E V on sub-stacks of consecutive outputs, one call each.  Only a circle
 that is not round keeps its full operator in the stages, acting on V, which
 each output then records too; without one, V is the initial batch, the
 stages never touch the scalars, and the geometry takes the steps of a run
-without them.  A Galerkin run builds one step plan (``_flow_rhs`` or
-``_list_rhs``) before its first step and takes every step with ``_step``.
+without them.  A Galerkin run builds one step plan (``_flow_rhs``), the
+first stage of every kernel and every stage of the array kernel.
 The analytic backend steps nothing: its outputs are the closed-form states,
 and its scalars those of ``oracles.modal_propagator``, exact on every
 supported family; a Galerkin run never calls it.
@@ -236,7 +238,7 @@ def _flow_rhs(layout: _Layout, modes: int):
     circle that is not round applies its full scalar operator
     (u'' - (Gamma + f') u') / a to V along its own axis (``apply_along``);
     derivatives act on V - V[0] along the axis, exactly zero on constants.
-    A run without a full-row circle steps ``_list_rhs`` instead.
+    Without a full-row circle only the first stage is taken here.
     """
     plan = []
     for axis, (kind, off, n) in enumerate(layout.axes):
@@ -270,18 +272,16 @@ def _flow_rhs(layout: _Layout, modes: int):
                 if acts:
                     drift = (gamma + fprime)[:, None]
                     out += apply_along(lambda v: (d2 @ v - drift * (d1 @ v)) / a[:, None], batch, axis + 1, "C")
-            elif kind == "round":
+            else:  # a round circle's a or a Gaussian line's multiplier u
                 a = z[off]
                 if a <= 0.0:
                     raise FlowBreakdownError(0)
-                dz[off], dz[off + 1] = a, 0.5
+                if kind == "round":
+                    dz[off], dz[off + 1] = a, 0.5
+                else:
+                    dz[off] = a - 1.0
                 if integral is not None:
                     dz[integral] = 1.0 / a
-            else:
-                u = z[off]
-                dz[off] = _multiplier_rhs(t, u)
-                if integral is not None:
-                    dz[integral] = 1.0 / u
         return dz
 
     return rhs
@@ -323,36 +323,9 @@ def _factor(layout: _Layout, v: np.ndarray, integrals: np.ndarray, lags: np.ndar
     return u
 
 
-def _multiplier_rhs(t, u):
-    """u' = u - 1 of a Gaussian line's metric multiplier u, on a float or a
-    numpy scalar alike: the right-hand side of a one-number state."""
-    if u <= 0.0:
-        raise FlowBreakdownError(0)
-    return u - 1.0
-
-
-def _list_rhs(layout: _Layout):
-    """``_flow_rhs`` of a layout without a full-row circle on a list of floats: its values, entry by entry."""
-    plan = [(kind == "round", off, layout.width + i if layout.diagonal else None)  # with scalars, all are diagonal
-            for i, (kind, off, _) in enumerate(layout.axes)]
-
-    def rhs(t, z):
-        dz = [0.5] * len(z)  # a round circle's f rate; every other entry is written below
-        for round_, off, integral in plan:
-            a = z[off]
-            if a <= 0.0:
-                raise FlowBreakdownError(0)
-            dz[off] = a if round_ else a - 1.0
-            if integral is not None:
-                dz[integral] = 1.0 / a
-        return dz
-
-    return rhs
-
-
-def _rk4(rhs, t: float, z: np.ndarray | float, dt: float, k1=None):
-    """One classical RK4 step of z' = rhs(t, z) on an array or a float, ``k1``
-    optional: (state, k4).  ``_list_attempt`` takes it entry by entry."""
+def _rk4(rhs, t: float, z: np.ndarray, dt: float, k1=None):
+    """One classical RK4 step of z' = rhs(t, z) on an array, ``k1`` optional:
+    (state, k4).  ``_float_steps`` and ``_list_steps`` write its stages inline."""
     if k1 is None:
         k1 = rhs(t, z)
     k2 = rhs(t + dt / 2, z + (dt / 2) * k1)
@@ -485,51 +458,115 @@ def _array_attempt(settle, blocks, rhs, t, z, h, k1, adaptive_tol):
     return z1, k5, err
 
 
-def _float_attempt(rhs, t, z, h, k1, adaptive_tol):
-    """``_step``'s attempt on a float: the array's operations on one block."""
-    z1, k4 = _rk4(rhs, t, z, h, k1)
-    k5 = rhs(t + h, z1)
-    err = h / 6.0 * abs(k4 - k5)
-    if err > adaptive_tol:
-        err = h / 6.0 * (abs(k4 - k5) / max(1.0, abs(z1)))
-    return z1, k5, err
-
-
-def _list_attempt(rhs, t, z, h, k1, adaptive_tol):
-    """``_step``'s attempt on a list of floats: the array's operations entry by entry, each entry one block."""
-    half, sixth, third = h / 2, h / 6.0, 2.0 * h / 6.0
-    k2 = rhs(t + half, [x + half * k for x, k in zip(z, k1)])
-    k3 = rhs(t + half, [x + half * k for x, k in zip(z, k2)])
-    k4 = rhs(t + h, [x + h * k for x, k in zip(z, k3)])
-    z1 = [x + sixth * p + third * q + third * r + sixth * s for x, p, q, r, s in zip(z, k1, k2, k3, k4)]
-    k5 = rhs(t + h, z1)
-    diff = [abs(p - q) for p, q in zip(k4, k5)]
-    err = h / 6.0 * _peak(diff)
-    if err > adaptive_tol:
-        err = h / 6.0 * _peak([d / max(1.0, abs(x)) for d, x in zip(diff, z1)])
-    return z1, k5, err
-
-
 def _peak(values: list) -> float:
     """max(values), NaN if one is, as ``np.max``: all are >= 0 or NaN, so only then is their sum NaN."""
     return max(values) if (total := sum(values)) == total else total
 
 
+def _check_halvings(err: float, depth: int) -> None:
+    """StabilityError if a step whose estimate ``err`` is rejected has already been halved 12 times."""
+    if depth >= 12:
+        raise StabilityError(f"step error {err:.3e} persists after 12 halvings")
+
+
 def _step(rhs, attempt, t, z, h, adaptive_tol, k1, depth=0):
-    """(z1, k5, err): the kept step z1 = RK4(z, h) from the first stage
-    k1 = rhs(t, z), the next first stage k5 = rhs(t + h, z1), and the
-    third-order estimate err = h/6 |k4 - k5| that ``adaptive_tol`` bounds, each
-    try by ``attempt`` on the array, float or list that ``_run_loop`` chose.
-    k4 and k5 share the time t + h, so ``rhs`` must be autonomous.  A step above
-    it is redone as two of h / 2; StabilityError after 12 halvings."""
+    """(z1, k5, err) of an array state: the kept step z1 = RK4(z, h) from the
+    first stage k1 = rhs(t, z), the next first stage k5 = rhs(t + h, z1), and
+    the third-order estimate err = h/6 |k4 - k5| that ``adaptive_tol`` bounds,
+    each try by ``attempt``.  k4 and k5 share the time t + h, so ``rhs`` must
+    be autonomous.  A step above it is redone as two of h / 2; StabilityError
+    after 12 halvings."""
     z1, k5, err = attempt(rhs, t, z, h, k1, adaptive_tol)
     if err <= adaptive_tol:
         return z1, k5, err
-    if depth >= 12:
-        raise StabilityError(f"step error {err:.3e} persists after 12 halvings")
+    _check_halvings(err, depth)
     half, k_half, err_1 = _step(rhs, attempt, t, z, h / 2, adaptive_tol, k1, depth + 1)
     z1, k5, err_2 = _step(rhs, attempt, t + h / 2, half, h / 2, adaptive_tol, k_half, depth + 1)
     return z1, k5, max(err_1, err_2)
+
+
+def _array_steps(rhs, attempt, tol, t, z, h, count, k1):
+    """The array kernel: (z, k1, err) after ``count`` steps of h from time t,
+    each a ``_step``, err the worst of their estimates."""
+    worst = 0.0
+    for i in range(count):
+        z, k1, err = _step(rhs, attempt, t + i * h, z, h, tol, k1)
+        worst = max(worst, err)
+    return z, k1, worst
+
+
+def _float_steps(tol, t, z, h, count, k1, depth=0):
+    """``_array_steps`` of one Gaussian multiplier u' = u - 1 as a float,
+    each stage inline and FlowBreakdownError(0) at u <= 0; a rejected step
+    recurses as two of h / 2.  The rates are autonomous: t is not read."""
+    half, sixth, third = h / 2, h / 6.0, 2.0 * h / 6.0
+    worst = 0.0
+    for _ in range(count):
+        if (u := z + half * k1) <= 0.0:
+            raise FlowBreakdownError(0)
+        k2 = u - 1.0
+        if (u := z + half * k2) <= 0.0:
+            raise FlowBreakdownError(0)
+        k3 = u - 1.0
+        if (u := z + h * k3) <= 0.0:
+            raise FlowBreakdownError(0)
+        k4 = u - 1.0
+        if (z1 := z + sixth * k1 + third * k2 + third * k3 + sixth * k4) <= 0.0:
+            raise FlowBreakdownError(0)
+        k5 = z1 - 1.0
+        err = sixth * abs(k4 - k5)
+        if err > tol:
+            err = sixth * (abs(k4 - k5) / max(1.0, abs(z1)))
+        if not err <= tol:
+            _check_halvings(err, depth)
+            z1, k5, err = _float_steps(tol, t, z, half, 2, k1, depth=depth + 1)
+        z, k1 = z1, k5
+        if err > worst:
+            worst = err
+    return z, k1, worst
+
+
+def _list_steps(plan, tol, t, z, h, count, k1, depth=0):
+    """``_float_steps`` of a list, axis by axis: per axis of ``plan``, whether
+    it is a round circle (rate a, and 1/2 for its f) or a Gaussian line (rate
+    u - 1), the entries of its a or u, of its f and of its integral (rate 1 /
+    the stage's a or u), None where it has none.  Each entry is one error
+    block, and ``_peak`` keeps a NaN."""
+    half, sixth, third = h / 2, h / 6.0, 2.0 * h / 6.0
+    worst, n = 0.0, len(z)
+    for _ in range(count):
+        z1, k5, diff = [0.0] * n, [0.5] * n, [0.0] * n  # k5 of a round circle's f is 1/2, and its diff 0
+        for round_, i, f, c in plan:
+            v, p = z[i], k1[i]
+            if (x2 := v + half * p) <= 0.0:
+                raise FlowBreakdownError(0)
+            q = x2 if round_ else x2 - 1.0
+            if (x3 := v + half * q) <= 0.0:
+                raise FlowBreakdownError(0)
+            r = x3 if round_ else x3 - 1.0
+            if (x4 := v + h * r) <= 0.0:
+                raise FlowBreakdownError(0)
+            s = x4 if round_ else x4 - 1.0
+            if (x := v + sixth * p + third * q + third * r + sixth * s) <= 0.0:
+                raise FlowBreakdownError(0)
+            k = x if round_ else x - 1.0
+            z1[i], k5[i], diff[i] = x, k, abs(s - k)
+            if f is not None:
+                z1[f] = z[f] + sixth * k1[f] + third * 0.5 + third * 0.5 + sixth * 0.5
+            if c is not None:
+                s, k = 1.0 / x4, 1.0 / x
+                z1[c] = z[c] + sixth * k1[c] + third * (1.0 / x2) + third * (1.0 / x3) + sixth * s
+                k5[c], diff[c] = k, abs(s - k)
+        err = sixth * _peak(diff)
+        if err > tol:
+            err = sixth * _peak([d / max(1.0, abs(x)) for d, x in zip(diff, z1)])
+        if not err <= tol:
+            _check_halvings(err, depth)
+            z1, k5, err = _list_steps(plan, tol, t, z, half, 2, k1, depth=depth + 1)
+        z, k1 = z1, k5
+        if err > worst:
+            worst = err
+    return z, k1, worst
 
 
 def output_count(request: RunRequest) -> int:
@@ -546,10 +583,31 @@ def _output_steps(request: RunRequest) -> tuple[float, list]:
     return dt, [min(m * request.cadence, nsteps) for m in range(output_count(request))]
 
 
+def _kernel(request: RunRequest, layout: _Layout, z: np.ndarray) -> tuple:
+    """(advance, z, k1) of a run from its start ``z``: its step kernel
+    advance(t, z, h, count, k1) -> (z, k1, err), the start as that kernel's
+    array (a full-row circle, settled), float (one number) or list, and its
+    first stage.  V is not stepped without a full-row circle."""
+    rhs, tol = _flow_rhs(layout, request.modes), request.adaptive_tol
+    k1 = rhs(request.family.t0, z)
+    if layout.circles:
+        threshold = STABILITY_FACTOR * (1.0 + float(np.max(np.abs(z[: layout.width]))))
+        settle = partial(_settle, layout, modes=request.modes, floor=NOISE_FLOOR, threshold=threshold)
+        return partial(_array_steps, rhs, partial(_array_attempt, settle, layout.blocks), tol), z, k1
+    if z.size == 1:
+        return partial(_float_steps, tol), float(z[0]), float(k1[0])
+    plan = tuple(  # with scalars, every axis is diagonal, its integral in axis order
+        (kind == "round", off, off + 1 if kind == "round" else None, layout.width + axis if layout.diagonal else None)
+        for axis, (kind, off, _) in enumerate(layout.axes)
+    )
+    return partial(_list_steps, plan, tol), z.tolist(), k1.tolist()
+
+
 def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     """(outputs, scalars or None) of a Galerkin run: one deterministic
-    integration, every step a ``_step``, each output recorded as its geometry
-    row and the rows built once as one stack.  The scalars are u = E V: each
+    integration, one call of the run's kernel (``_kernel``) per output from
+    the one before, each output recorded as its geometry row and the rows
+    built once as one stack.  The scalars are u = E V: each
     output records its integrals and its lag, and V only when V is stepped
     (some circle is not round; otherwise V is ``scalars0``), into the
     result, which ``_factor`` then maps to E V on sub-stacks of consecutive
@@ -560,23 +618,14 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
     scalars = None if scalars0 is None else np.asarray(scalars0, dtype=float)
     layout = _Layout.of(state0, 0 if scalars is None else len(scalars))
     parts = [layout.pack(state0), np.zeros(len(layout.diagonal))] + ([scalars.ravel()] if layout.stepped else [])
-    width, start, z = layout.width, layout.start, np.concatenate(parts)
-    if layout.circles:  # full rows: an array, settled after each step
-        threshold = STABILITY_FACTOR * (1.0 + float(np.max(np.abs(z[:width]))))
-        settle = partial(_settle, layout, modes=request.modes, floor=NOISE_FLOOR, threshold=threshold)
-        rhs, attempt = _flow_rhs(layout, request.modes), partial(_array_attempt, settle, layout.blocks)
-    elif z.size == 1:  # one Gaussian multiplier
-        rhs, attempt, z = _multiplier_rhs, _float_attempt, float(z[0])
-    else:  # a few numbers (V is not stepped without a full-row circle)
-        rhs, attempt, z = _list_rhs(layout), _list_attempt, z.tolist()
-    k1 = rhs(t0, z)  # the first stage of the first step
+    width, start = layout.width, layout.start
+    advance, z, k1 = _kernel(request, layout, np.concatenate(parts))
 
     count = len(recorded)
     rows, integrals, done = np.empty((count, width)), np.empty((count, start - width)), 0
     values = None if scalars is None else np.empty((count, *scalars.shape))
     for m, step in enumerate(recorded):
-        for s in range(done, step):
-            z, k1, _ = _step(rhs, attempt, t0 + s * dt, z, dt, request.adaptive_tol, k1)
+        z, k1, _ = advance(t0 + done * dt, z, dt, step - done, k1)
         done = step
         rows[m] = np.atleast_1d(z)[:width]
         if values is not None:

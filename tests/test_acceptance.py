@@ -62,6 +62,13 @@ def test_c07_comparison_suite(report):
     _check(report, 7)
 
 
+def test_c07_values_keep_their_bits(report):
+    # C07 integrates its seeded ODEs in plain Python loops; a rewrite of them must not move their values
+    values = {check["name"]: float(check["value"]).hex() for check in report[7]["checks"]}
+    assert values["bound vs RK4"] == "0x1.4c00000000000p-48"
+    assert values["envelope excess"] == "-0x1.f37ef7b064000p-15"
+
+
 def test_c08_gram_schmidt_derivative(report):
     _check(report, 8)
 

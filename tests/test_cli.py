@@ -160,15 +160,16 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("horizon, cadence", [(0.3, 1), (0.301, 2)])
     def test_default_adaptive_tol_never_halves_and_the_floor_runs(self, tmp_path, monkeypatch, horizon, cadence):
-        # the shape of criterion 4, whose step estimate h^4 / 72 lies just above the schema floor 1e-14
+        # the shape of criterion 4, whose step estimate h^4 / 72 lies just above the schema floor 1e-14;
+        # the round circle steps as a list, and each halving recurses through the list kernel
         calls = []
-        step = flow._step
+        kernel = flow._list_steps
 
-        def counted(*args):
-            calls.append(args[4])
-            return step(*args)
+        def counted(*args, **kwargs):
+            calls.extend([args[-3]] * args[-2])  # h for each of the count steps of (t, z, h, count, k1)
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(flow, "_step", counted)
+        monkeypatch.setattr(flow, "_list_steps", counted)
         for tol in (1e-9, 1e-14):
             calls.clear()
             cfg = _write_config(
@@ -282,7 +283,8 @@ class TestRunCommand:
         # a horizon past the family's extinction at log 2 is a config error on
         # both backends, raised before the first step and before any output
         steps = []
-        monkeypatch.setattr(flow, "_step", lambda *args: steps.append(args))
+        for name in ("_step", "_float_steps"):
+            monkeypatch.setattr(flow, name, lambda *args, **kwargs: steps.append(args))
         monkeypatch.setattr(flow, "discretize", lambda *args, **kw: steps.append(args))
         for backend in ("galerkin", "analytic"):
             cfg = _write_config(tmp_path / "dying.json", name="dying", u0=0.5, horizon=1.0, backend=backend)

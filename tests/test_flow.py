@@ -19,7 +19,7 @@ from driftflow.axes import _fourier_dense, _hermite_ops, along, circle_nodes, lo
 from driftflow.config import ScenarioConfig
 from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
 from driftflow.flow import (
-    STACK_BYTES, RunRequest, _factor, _flow_rhs, _Layout, _rk4, _run_loop, _scalar_pairings, _settle,
+    STACK_BYTES, RunRequest, _factor, _flow_rhs, _kernel, _Layout, _rk4, _run_loop, _scalar_pairings, _settle,
     _stack_length, _step,
 )
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
@@ -76,7 +76,7 @@ class TestSingleStep:
             family=df.scaled_gaussian_family(0.5, 1), horizon=1.0, dt=1e-3, cadence=100, k=1,
             track_scalars=False,
         )
-        seen = _counting_step(monkeypatch)
+        seen = _counting_steps(monkeypatch)
         with pytest.raises(df.ExtinctionError, match=r"^family is extinct at t = 0\.69314718056$"):
             df.run_flow(req)
         assert seen == []
@@ -927,18 +927,29 @@ class TestStepPlan:
         assert rhs.calls == 9
         assert np.array_equal(k1, _flow_rhs(layout, modes=8)(2e-3, z))  # the last stage is the next first
 
-    def test_nine_evaluations_for_a_two_step_run(self, monkeypatch):
-        # the round product steps as a list of floats, through the list rhs
-        counted, list_rhs = [], df.flow._list_rhs
+    def test_one_plan_evaluation_for_a_two_step_run(self, monkeypatch):
+        # the round product steps as a list of floats in the list kernel: the
+        # step plan gives only the first stage, and each kernel call hands
+        # back its last stage, the rates at its state, as the next first
+        counted, plan, kernel, handed = [], df.flow._flow_rhs, df.flow._list_steps, []
 
-        def counting_plan(layout):
-            counted.append(_Counted(list_rhs(layout)))
+        def counting_plan(layout, modes):
+            counted.append(_Counted(plan(layout, modes)))
             return counted[-1]
 
-        monkeypatch.setattr(df.flow, "_list_rhs", counting_plan)
+        def kept(*args, **kwargs):
+            handed.append(kernel(*args, **kwargs))
+            return handed[-1]
+
+        monkeypatch.setattr(df.flow, "_flow_rhs", counting_plan)
+        monkeypatch.setattr(df.flow, "_list_steps", kept)
+        seen = _counting_steps(monkeypatch)
         fam = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)])
         df.run_flow(RunRequest(family=fam, horizon=0.002, dt=1e-3, cadence=1, k=1, resolution=16, modes=8))
-        assert [rhs.calls for rhs in counted] == [9]
+        assert [rhs.calls for rhs in counted] == [1] and seen == [list] * 2
+        layout = _Layout.of(df.discretize(df.evaluate_family(fam, 0.0), resolution=16), 1)
+        for z, k1, _ in handed:
+            assert k1 == plan(layout, 8)(0.0, np.array(z)).tolist()
 
     def test_step_plan_is_autonomous(self):
         # k4 and k5 of a step share the time t + h, so the estimate would miss a dependence on t
@@ -1059,7 +1070,7 @@ class TestIntegratingFactor:
         # halved 69,964 times; E takes it exactly.  Its two scalars decay by
         # e^-95 and more below their mean's round-off, so their Gram matrix is
         # rank deficient.
-        seen = _counting_step(monkeypatch)
+        seen = _counting_steps(monkeypatch)
         req = RunRequest(family=df.round_circle_family(1e-3), horizon=0.1, k=2)
         with pytest.raises(DegeneracyError):
             df.run_flow(req)
@@ -1122,27 +1133,36 @@ def _gaussian_request(u0, horizon, **kw):
     return RunRequest(family=df.scaled_gaussian_family(u0, 1, kw.pop("t0", 0.0)), horizon=horizon, **kw)
 
 
-def _counting_step(monkeypatch, errors=None):
-    """Replace ``flow._step`` by a wrapper that records the type of each
-    call's state, halved calls included, and the error estimates it returns
-    in ``errors``; positional, as ``_run_loop`` calls it."""
+def _counting_steps(monkeypatch, errors=None):
+    """Replace ``flow``'s step kernels by wrappers that record the state type
+    of every step they attempt, halved ones included, and in ``errors`` the
+    worst estimate of each segment that ``_run_loop`` hands a kernel, as
+    ``float.hex``.  The array kernel's attempts are its ``_step`` calls; a
+    float or list kernel call of ``count`` steps attempts all of them unless
+    one raises, and each halving recurses through the kernel as a call of two
+    steps, with ``depth`` by keyword."""
     seen, step = [], df.flow._step
 
-    def counted(*args):
+    def counted_step(*args):
         seen.append(type(args[3]))
-        kept = step(*args)
-        if errors is not None:
-            errors.append(float(kept[2]).hex())
-        return kept
+        return step(*args)
 
-    monkeypatch.setattr(df.flow, "_step", counted)
+    def segments(kernel, attempts):
+        def counted(*args, **kwargs):
+            z, count = args[-4], args[-2]  # of (t, z, h, count, k1)
+            if attempts:
+                seen.extend([type(z)] * count)
+            kept = kernel(*args, **kwargs)
+            if errors is not None and not kwargs:  # a segment of _run_loop, not a halving
+                errors.append(float(kept[2]).hex())
+            return kept
+
+        return counted
+
+    monkeypatch.setattr(df.flow, "_step", counted_step)
+    for name in ("_array_steps", "_float_steps", "_list_steps"):
+        monkeypatch.setattr(df.flow, name, segments(getattr(df.flow, name), name != "_array_steps"))
     return seen
-
-
-def _array_multipliers(monkeypatch, request):
-    """The multiplier at each output of a geometry-only Gaussian run, stepped
-    as a one-element array (``_array_record``)."""
-    return [float.fromhex(row[0]) for row in _array_record(monkeypatch, request)[0]]
 
 
 def _float_multipliers(request):
@@ -1168,22 +1188,19 @@ class TestOneNumberState:
         ids=["eternal", "halving", "relative", "halving_small", "t0_shift"],
     )
     def test_float_steps_match_array_steps_bitwise(self, monkeypatch, request_):
+        rows, array_errors, array_calls = _array_record(monkeypatch, request_)
         errors = []
-        seen = _counting_step(monkeypatch, errors)
-        expected = _array_multipliers(monkeypatch, request_)
-        assert set(seen) == {np.ndarray}
-        array_errors = errors.copy()
-        seen.clear()
-        errors.clear()
-        got = _float_multipliers(request_)
+        with monkeypatch.context() as patch:
+            seen = _counting_steps(patch, errors)
+            got = _float_multipliers(request_)
         assert set(seen) == {float}
-        assert errors == array_errors  # the same calls, halvings and estimates
-        assert [u.hex() for u in got] == [u.hex() for u in expected]
+        assert len(seen) == array_calls and errors == array_errors  # the same steps, halvings and estimates
+        assert [u.hex() for u in got] == [row[0] for row in rows]
         if request_.dt == 0.05:
             assert len(seen) > request_.steps  # the step control halved
 
     def test_halving_counts(self, monkeypatch):
-        seen = _counting_step(monkeypatch)
+        seen = _counting_steps(monkeypatch)
         _float_multipliers(_gaussian_request(3.0, 0.2, dt=0.05, cadence=1, adaptive_tol=1e-12))
         assert len(seen) == 124
         seen.clear()
@@ -1191,10 +1208,11 @@ class TestOneNumberState:
         assert len(seen) == 1270
 
     def test_breakdown_at_the_same_step(self, monkeypatch):
-        request = _gaussian_request(0.5, 1.0, cadence=100)
-        seen = _counting_step(monkeypatch)
+        # one step per segment, so that the kernel's attempts end at the one that breaks down
+        request = _gaussian_request(0.5, 1.0, cadence=1)
+        seen = _counting_steps(monkeypatch)
         with pytest.raises(FlowBreakdownError) as array_info:
-            _array_multipliers(monkeypatch, request)
+            _array_record(monkeypatch, request)
         array_calls = len(seen)
         seen.clear()
         with pytest.raises(FlowBreakdownError) as float_info:
@@ -1218,7 +1236,7 @@ class TestOneNumberState:
         ids=["one_line", "n3", "scalars", "circle", "product", "wavy_circle", "wavy_product_scalars"],
     )
     def test_float_form_exactly_for_one_number(self, monkeypatch, family, track_scalars, state_type):
-        seen = _counting_step(monkeypatch)
+        seen = _counting_steps(monkeypatch)
         df.run_flow(RunRequest(family=family, horizon=0.003, dt=1e-3, cadence=1, k=1, resolution=16, modes=8,
                                hermite_order=6, track_scalars=track_scalars))
         assert seen == [state_type] * 3
@@ -1235,8 +1253,8 @@ _PRODUCT = df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle
 def _loop_record(monkeypatch, request, layout_of):
     """``_run_loop``'s outputs for ``request`` with ``flow._Layout.of`` set to
     ``layout_of``, the integrals that ``_factor`` reads for each output of
-    its sub-stacks and every step's error estimate, halved calls included,
-    as ``float.hex``."""
+    its sub-stacks, the worst error estimate of each segment between outputs
+    as ``float.hex``, and the count of steps attempted, halvings included."""
     dm = df.discretize(
         df.evaluate_family(request.family, request.family.t0),
         resolution=request.resolution, hermite_order=request.hermite_order,
@@ -1254,7 +1272,7 @@ def _loop_record(monkeypatch, request, layout_of):
     with monkeypatch.context() as patch:
         patch.setattr(df.flow._Layout, "of", classmethod(lambda cls, dm, count=0: layout_of(dm, count)))
         patch.setattr(df.flow, "_factor", recorded)
-        seen = _counting_step(patch, errors)
+        seen = _counting_steps(patch, errors)
         outputs = _run_loop(request, dm, scalars0)
     return outputs, integrals, errors, len(seen)
 
@@ -1277,7 +1295,7 @@ class TestRoundCircleState:
     def test_compact_steps_match_full_rows_bitwise(self, monkeypatch, request_):
         full, full_integrals, full_errors, full_calls = _loop_record(monkeypatch, request_, _full_row_layout)
         got, integrals, errors, calls = _loop_record(monkeypatch, request_, _compact_layout)
-        assert calls == full_calls and errors == full_errors  # the same steps, halvings and estimates
+        assert calls == full_calls and errors == full_errors  # the same steps, halvings and worst estimates
         assert integrals == full_integrals and len(integrals) == len(got[0])
         assert len(got[0]) == len(full[0]) == len(df.flow._output_steps(request_)[1])
         (outputs, scalars), (full_outputs, full_scalars) = got, full
@@ -1324,39 +1342,47 @@ class TestRoundCircleState:
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
         monkeypatch.setattr(df.flow, "_fourier_dense", counted("_fourier_dense", df.flow._fourier_dense, True))
         monkeypatch.setattr(df.flow, "lowpass", counted("lowpass", df.flow.lowpass, True))
-        step = df.flow._step
 
-        def stepped(*args):
-            stepping[0] = True
-            try:
-                return step(*args)
-            finally:
-                stepping[0] = False
+        def stepped(kernel):
+            def wrapper(*args, **kwargs):
+                stepping[0] = True
+                try:
+                    return kernel(*args, **kwargs)
+                finally:
+                    stepping[0] = False
 
-        monkeypatch.setattr(df.flow, "_step", stepped)
+            return wrapper
+
+        for name in ("_step", "_array_steps", "_float_steps", "_list_steps"):
+            monkeypatch.setattr(df.flow, name, stepped(getattr(df.flow, name)))
+        seen = _counting_steps(monkeypatch)
         for family in (df.round_circle_family(1.0), _PRODUCT):
             traj = df.run_flow(_round_request(family, 0.01, cadence=5, k=2, modes=8))
             assert traj.scalar_values is not None and len(traj.times) == 3
-        assert calls == []
+        assert calls == [] and seen == [list] * 20
 
     def test_a_round_product_with_scalars_keeps_no_batch(self, monkeypatch):
         dm = df.discretize(df.evaluate_family(_PRODUCT, 0.0))
         layout = _Layout.of(dm, 3)
         assert [kind for kind, _, _ in layout.axes] == ["hermite", "round"]
         assert not layout.stepped and layout.diagonal == (0, 1) and layout.start == 5
-        sizes = []
-        step = df.flow._step
-        monkeypatch.setattr(df.flow, "_step", lambda *args: sizes.append(len(args[3])) or step(*args))
+        sizes, kernel = [], df.flow._list_steps
+
+        def sized(*args, **kwargs):
+            sizes.extend([len(args[-4])] * args[-2])  # of (t, z, h, count, k1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(df.flow, "_list_steps", sized)
         df.run_flow(_round_request(_PRODUCT, 0.003, k=3))
         assert sizes == [5] * 3  # the multiplier, a, f and two integrals
 
 
 def _array_record(monkeypatch, request):
     """Each output's state entries, its geometry row and integrals as
-    ``float.hex``, every step's error estimate and the count of ``_step``
-    calls, halvings included, of a Galerkin run stepped as an array: the loop
-    of ``_run_loop`` with the step plan of ``_flow_rhs`` and the error blocks
-    of its layout."""
+    ``float.hex``, the worst error estimate of each segment between outputs
+    and the count of ``_step`` calls, halvings included, of a Galerkin run
+    stepped as an array, one ``_step`` per step, with the step plan of
+    ``_flow_rhs`` and the error blocks of its layout."""
     t0 = request.family.t0
     dm = df.discretize(df.evaluate_family(request.family, t0), resolution=request.resolution,
                        hermite_order=request.hermite_order)
@@ -1367,10 +1393,13 @@ def _array_record(monkeypatch, request):
     dt, recorded = df.flow._output_steps(request)
     k1, done, rows, errors = rhs(t0, z), 0, [], []
     with monkeypatch.context() as patch:
-        seen = _counting_step(patch, errors)
+        seen = _counting_steps(patch)
         for step in recorded:
+            worst = 0.0
             for s in range(done, step):
-                z, k1, _ = df.flow._step(rhs, attempt, t0 + s * dt, z, dt, request.adaptive_tol, k1)
+                z, k1, err = df.flow._step(rhs, attempt, t0 + s * dt, z, dt, request.adaptive_tol, k1)
+                worst = max(worst, err)
+            errors.append(float(worst).hex())
             done = step
             rows.append([x.hex() for x in z.tolist()])
     assert set(seen) == {np.ndarray}
@@ -1390,8 +1419,8 @@ _SHRINKER = df.product_family([df.scaled_gaussian_family(0.6, 1, -0.3), df.round
 
 class TestListState:
     """A state without a full-row circle, a few numbers, is stepped as a list
-    of Python floats, with the bits of the array path: ``_flow_rhs`` through
-    ``_step``, each entry its own error block."""
+    of Python floats by the list kernel, with the bits of the array path:
+    ``_flow_rhs`` through ``_step``, each entry its own error block."""
 
     @pytest.mark.parametrize(
         "request_",
@@ -1412,19 +1441,21 @@ class TestListState:
         got, errors, calls = _list_record(monkeypatch, request_)
         assert len(got) == len(df.flow._output_steps(request_)[1])
         assert got == expected  # every output's geometry row and integrals
-        assert errors == array_errors and calls == array_calls  # the same steps, halvings and estimates
+        assert errors == array_errors and calls == array_calls  # the same steps, halvings and worst estimates
         if request_.dt == 0.05:
             assert calls > request_.steps  # the step control halved
 
     @pytest.mark.parametrize("line_first", [True, False])
     def test_breakdown_at_the_same_step(self, monkeypatch, line_first):
-        # u0 = 0.5 dies at log 2: run_flow would refuse it, the loop breaks down
+        # u0 = 0.5 dies at log 2: run_flow would refuse it, the loop breaks
+        # down; one step per segment, so that the kernel's attempts end at the
+        # one that breaks down
         factors = [df.scaled_gaussian_family(0.5, 1), df.round_circle_family(1.0)]
-        request = _round_request(df.product_family(factors if line_first else factors[::-1]), 1.0, cadence=100, k=1)
+        request = _round_request(df.product_family(factors if line_first else factors[::-1]), 1.0, cadence=1, k=1)
         outcomes = []
         for record in (_array_record, _list_record):
             with monkeypatch.context() as patch:
-                seen = _counting_step(patch)
+                seen = _counting_steps(patch)
                 with pytest.raises(FlowBreakdownError) as info:
                     record(patch, request)
             outcomes.append((len(seen), info.value.node_index))
@@ -1433,21 +1464,30 @@ class TestListState:
 
     def test_a_nan_entry_halves_as_on_an_array(self, monkeypatch):
         # max skips a NaN that is not the first entry; np.max and the list
-        # norm propagate it, so the step halves 12 times and gives up
+        # norm propagate it, so the step halves 12 times and gives up: an
+        # n = 2 Gaussian whose second multiplier is NaN, whose rate is too
+        request = _round_request(df.scaled_gaussian_family(1.0, 2), 0.01, dt=0.01, track_scalars=False)
+        layout = _Layout.of(df.discretize(df.evaluate_family(request.family, 0.0), hermite_order=12))
+        rhs, z = _flow_rhs(layout, 8), np.array([1.0, math.nan])
         outcomes = []
-        for rhs, attempt, z in (
-            (lambda t, z: np.array([-z[0], math.nan]), _attempt(_unsettled, [0, 1]), np.ones(2)),
-            (lambda t, z: [-z[0], math.nan], df.flow._list_attempt, [1.0, 1.0]),
-        ):
+        for kernel in ("_step", "_list_steps"):
+            depths, call = [], getattr(df.flow, kernel)
+
+            def counted(*args, **kwargs):  # _step passes its depth as its eighth argument, a kernel by keyword
+                depths.append(args[7] if len(args) > 7 else kwargs.get("depth", 0))
+                return call(*args, **kwargs)
+
             with monkeypatch.context() as patch:
-                seen = _counting_step(patch)
+                patch.setattr(df.flow, kernel, counted)
                 with pytest.raises(StabilityError) as info:
-                    df.flow._step(rhs, attempt, 0.0, z, 0.01, 1e-9, rhs(0.0, z))
-            outcomes.append((str(info.value), len(seen), set(seen)))
-        assert outcomes == [
-            ("step error nan persists after 12 halvings", 13, {np.ndarray}),
-            ("step error nan persists after 12 halvings", 13, {list}),
-        ]
+                    if kernel == "_step":
+                        df.flow._step(rhs, _attempt(_unsettled, layout.blocks), 0.0, z, 0.01, 1e-9, rhs(0.0, z))
+                    else:
+                        advance, y, k1 = _kernel(request, layout, z)
+                        assert y[0] == 1.0 and math.isnan(y[1]) and math.isnan(k1[1])
+                        advance(0.0, y, 0.01, 1, k1)
+            outcomes.append((str(info.value), depths))
+        assert outcomes == [("step error nan persists after 12 halvings", list(range(13)))] * 2
 
     def test_each_entry_is_its_own_error_block(self, monkeypatch):
         # the list norm reads no blocks: it holds only where every entry is one
@@ -1462,10 +1502,136 @@ class TestListState:
         for family, track in ((_WavyCircleFamily(), False), (_VaryingFamily(), True)):
             assert _Layout.of(df.discretize(family.evaluate(0.0), resolution=16, hermite_order=6), 2).circles
             with monkeypatch.context() as patch:
-                seen = _counting_step(patch)
+                seen = _counting_steps(patch)
                 traj = df.run_flow(RunRequest(family=family, horizon=0.002, dt=1e-3, cadence=1, k=2, resolution=16,
                                               modes=8, hermite_order=6, track_scalars=track))
             assert seen == [np.ndarray] * 2 and (traj.scalar_values is not None) == track
+
+
+def _hex(z):
+    """The entries of a float, list or array state as ``float.hex``."""
+    return [x.hex() for x in np.atleast_1d(z).tolist()]
+
+
+def _start(request):
+    """The layout and start vector of a Galerkin run, as ``_run_loop`` builds them."""
+    dm = df.discretize(df.evaluate_family(request.family, request.family.t0), resolution=request.resolution,
+                       hermite_order=request.hermite_order)
+    layout = _Layout.of(dm, request.k if request.track_scalars else 0)
+    parts = [layout.pack(dm), np.zeros(len(layout.diagonal))]
+    if layout.stepped:
+        parts.append(np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), request.k).eigenfunctions[1:]).ravel())
+    return layout, np.concatenate(parts)
+
+
+def _reference_steps(request, layout, z):
+    """The per-step reference of a run's kernel, from the start ``z`` of
+    ``_start``: one ``_step`` per step on the array, with the array attempt
+    settled as ``_kernel`` settles full rows, yielding after each step its
+    state, its first stage and its error estimate as ``float.hex``."""
+    rhs, t0 = _flow_rhs(layout, request.modes), request.family.t0
+    threshold = df.flow.STABILITY_FACTOR * (1.0 + float(np.max(np.abs(z[: layout.width]))))
+    attempt = _attempt(lambda v: _settle(layout, v, request.modes, df.flow.NOISE_FLOOR, threshold), layout.blocks)
+    dt, k1 = df.flow._output_steps(request)[0], rhs(t0, z)
+    for s in range(request.steps):
+        z, k1, err = df.flow._step(rhs, attempt, t0 + s * dt, z, dt, request.adaptive_tol, k1)
+        yield _hex(z), _hex(k1), float(err).hex()
+
+
+_KERNEL_CASES = {
+    "circle": _round_request(df.round_circle_family(1.0), 0.05, track_scalars=False),
+    "circle_k2": _round_request(df.round_circle_family(1.0), 0.05, k=2),
+    "product_k3": _round_request(_PRODUCT, 0.05, cadence=5, k=3),
+    "n3": _round_request(df.scaled_gaussian_family(1.5, 3), 0.05, cadence=5, k=3, hermite_order=8),
+    "n4": _round_request(df.scaled_gaussian_family(1.5, 4), 0.02, cadence=5, k=2, hermite_order=4),
+    "halving": _round_request(_PRODUCT, 0.2, dt=0.05, k=1, adaptive_tol=1e-12),
+    "relative": _round_request(df.round_circle_family(1e8), 0.2, dt=0.05, k=1, adaptive_tol=1e-14),
+    "halving_in_a_segment": _round_request(df.round_circle_family(1e8), 0.2, dt=0.05, cadence=3, k=1,
+                                           adaptive_tol=1e-14),
+    "t0_shift": _round_request(_SHRINKER, 0.1, cadence=10, k=1),
+    "horizon_0": _round_request(_PRODUCT, 0.0, k=1),
+    "eternal": _gaussian_request(2.0, 5.0, cadence=50),
+    "float_halving_in_a_segment": _gaussian_request(3.0, 0.2, dt=0.05, cadence=3, adaptive_tol=1e-12),
+    "float_t0_shift": _gaussian_request(2.0, 1.0, t0=-100.0),
+    "wavy_circle": RunRequest(family=_WavyCircleFamily(), horizon=0.005, dt=1e-3, cadence=2, k=1, resolution=16,
+                              modes=8, track_scalars=False),
+    "wavy_product_scalars": RunRequest(family=_VaryingFamily(), horizon=0.004, dt=1e-3, cadence=3, k=2,
+                                       resolution=16, modes=8, hermite_order=6),
+}
+
+
+class TestStepKernels:
+    """``_run_loop`` advances from one output to the next with one call of
+    the run's kernel (``_kernel``): each kernel keeps the bits of one
+    ``_step`` per step on the array, with the array attempt."""
+
+    @pytest.mark.parametrize("request_", list(_KERNEL_CASES.values()), ids=list(_KERNEL_CASES))
+    def test_kernel_matches_the_per_step_reference(self, monkeypatch, request_):
+        layout, z = _start(request_)
+        with monkeypatch.context() as patch:
+            seen = _counting_steps(patch)
+            expected = list(_reference_steps(request_, layout, z))
+        reference_calls = len(seen)
+        t0, (dt, recorded) = request_.family.t0, df.flow._output_steps(request_)
+        rhs = _flow_rhs(layout, request_.modes)
+        with monkeypatch.context() as patch:
+            seen = _counting_steps(patch)
+            advance, y, k1 = _kernel(request_, layout, z)
+            assert (_hex(y), _hex(k1)) == (_hex(z), _hex(rhs(t0, z)))
+            done = 0
+            for step in recorded:  # one call per output: the state and first stage at each
+                y, k1, err = advance(t0 + done * dt, y, dt, step - done, k1)
+                assert (_hex(y), _hex(k1)) == (expected[step - 1][:2] if step else (_hex(z), _hex(rhs(t0, z))))
+                worst = max([float.fromhex(e) for _, _, e in expected[done:step]], default=0.0)
+                assert err == worst  # the worst estimate of the segment
+                done = step
+        assert len(seen) == reference_calls  # the same steps and halvings
+        assert set(seen) <= {np.ndarray if layout.circles else float if z.size == 1 else list}
+        advance, y, k1 = _kernel(request_, layout, z)
+        for s, record in enumerate(expected):  # one call per step: each step's estimate
+            y, k1, err = advance(t0 + s * dt, y, dt, 1, k1)
+            assert (_hex(y), _hex(k1), float(err).hex()) == record
+        if request_.dt == 0.05:
+            assert reference_calls > request_.steps  # the step control halved
+
+    @pytest.mark.parametrize("line_first", [True, False])
+    def test_breakdown_in_the_middle_of_a_segment(self, line_first):
+        # u0 = 0.5 dies at log 2, within the segment of steps 600 to 700
+        factors = [df.scaled_gaussian_family(0.5, 1), df.round_circle_family(1.0)]
+        request = _round_request(df.product_family(factors if line_first else factors[::-1]), 1.0, cadence=100, k=1)
+        layout, z = _start(request)
+        expected = []
+        with pytest.raises(FlowBreakdownError) as reference_info:
+            for record in _reference_steps(request, layout, z):
+                expected.append(record)
+        broken, cadence, dt = len(expected), request.cadence, request.dt  # steps kept before the breakdown
+        assert 0 < broken < request.steps and broken % cadence != 0
+        advance, y, k1 = _kernel(request, layout, z)
+        for done in range(0, broken - broken % cadence, cadence):
+            y, k1, _ = advance(done * dt, y, dt, cadence, k1)
+            assert (_hex(y), _hex(k1)) == expected[done + cadence - 1][:2]
+        with pytest.raises(FlowBreakdownError) as info:
+            advance(broken * dt, y, dt, cadence, k1)
+        advance, y, k1 = _kernel(request, layout, z)
+        for s in range(broken):
+            y, k1, _ = advance(s * dt, y, dt, 1, k1)
+        with pytest.raises(FlowBreakdownError):
+            advance(broken * dt, y, dt, 1, k1)  # the same step breaks down
+        assert info.value.node_index == reference_info.value.node_index == 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_nan_entry_gives_up_after_twelve_halvings(self, n):
+        # the last entry is NaN, and so is its rate: the second of two on a list
+        request = _round_request(df.scaled_gaussian_family(1.0, n), 0.05, dt=0.01, cadence=5, track_scalars=False)
+        layout, z = _start(request)
+        z[-1] = math.nan
+        with pytest.raises(StabilityError) as reference_info:
+            list(_reference_steps(request, layout, z))
+        advance, y, k1 = _kernel(request, layout, z)
+        assert type(y) is (float if n == 1 else list)
+        with pytest.raises(StabilityError) as info:
+            advance(0.0, y, 0.01, 5, k1)
+        assert str(info.value) == str(reference_info.value) == "step error nan persists after 12 halvings"
 
 
 def _stage_formulas(n, a, f):

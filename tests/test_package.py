@@ -73,6 +73,11 @@ REMOVED = (
     "_lambda_series",
     # A run's step count is RunRequest.steps, which output_count and the recorded steps read.
     "step_count",
+    # Float and list states step their RK4 stages inline in flow's step kernels, with no attempt or rhs call.
+    "_float_attempt",
+    "_list_attempt",
+    "_list_rhs",
+    "_multiplier_rhs",
 )
 
 # Instance attributes that nothing reads: an axis's quadrature density is ``wdens``.
