@@ -21,8 +21,11 @@ bits of its 2n equal samples.  Without a full-row circle the state is
 Python floats, a float for one number and a list for more: Python's
 + - * / and abs are numpy's elementwise IEEE-754 operations and each entry
 is its own error block, so the bits are the array's.  A run chooses its
-step kernel once (``_kernel``) and calls it once per output; the float and
-list kernels write the RK4 stages inline, with no call per step.
+step kernel once (``_kernel``) and calls it once per output.  The array,
+float and list kernels have one shape: each steps, estimates and halves
+inline, and redoes a rejected step by calling itself on two steps of h / 2.
+The array kernel takes its stages from the step plan through ``_rk4``; the
+float and list kernels write the RK4 stages inline, with no call per step.
 Only a circle that is not round keeps its rows, as an array; a stage
 projects them onto the kept modes only when the cutoff lies below the
 grid's Nyquist mode (at ``modes = resolution // 2`` the grid is the
@@ -177,9 +180,9 @@ class _Layout:
 
     @property
     def blocks(self) -> list:
-        """The starts of the blocks of ``_step``'s error norm: each circle's a
-        and f (rows, or one number each if round), each Gaussian multiplier,
-        each integral, and each scalar of V."""
+        """The starts of the blocks of the array kernel's error norm: each
+        circle's a and f (rows, or one number each if round), each Gaussian
+        multiplier, each integral, and each scalar of V."""
         starts = []
         for kind, off, n in self.axes:
             starts += [off] if kind == "hermite" else [off, off + (n if kind == "circle" else 1)]
@@ -226,27 +229,28 @@ def _flow_rhs(layout: _Layout, modes: int):
     """Galerkin right-hand side of the geometry, the integrals and V.
 
     The step plan, built once: per axis its kind, its derivative pair, the
-    slot of its integral if it is diagonal, and for a full-row circle whether
-    the cutoff ``modes`` lies below the grid's Nyquist mode n // 2.  Only
-    then does a stage project the circle's rows (a - 2 Hess f, 1/2 - Hess f / a)
-    with ``lowpass``; at ``modes = n // 2`` the grid itself is the
-    truncation, and the rows are written as they are.  On a round circle
-    these formulas are exactly (a, 1/2), since constants have bitwise-zero
-    derivatives (a - 2 * 0 = a, 1/2 - 0 / a = 1/2), so the stage writes those
-    two numbers with no derivative product and no projection.  A diagonal
-    axis adds C_i' = 1/a of a round circle or 1/u of a Gaussian line.  A
-    circle that is not round applies its full scalar operator
+    slot of its integral if it is diagonal (a round circle or a Gaussian
+    line), and for a full-row circle whether the cutoff ``modes`` lies below
+    the grid's Nyquist mode n // 2.  Only then does a stage project the
+    circle's rows (a - 2 Hess f, 1/2 - Hess f / a) with ``lowpass``; at
+    ``modes = n // 2`` the grid itself is the truncation, and the rows are
+    written as they are.  On a round circle these formulas are exactly
+    (a, 1/2), since constants have bitwise-zero derivatives (a - 2 * 0 = a,
+    1/2 - 0 / a = 1/2), so the stage writes those two numbers with no
+    derivative product and no projection.  A diagonal axis adds C_i' = 1/a
+    of a round circle or 1/u of a Gaussian line.  When V is stepped, each
+    full-row circle applies its full scalar operator
     (u'' - (Gamma + f') u') / a to V along its own axis (``apply_along``);
     derivatives act on V - V[0] along the axis, exactly zero on constants.
-    Without a full-row circle only the first stage is taken here.
+    Every stage of the array kernel is taken here; of the float and list
+    kernels, only the first stage of a run.
     """
     plan = []
     for axis, (kind, off, n) in enumerate(layout.axes):
         ops = _fourier_dense(n) if kind == "circle" else dict.fromkeys(("d1", "d2"))
         project = kind == "circle" and modes < n // 2
         integral = layout.width + layout.diagonal.index(axis) if axis in layout.diagonal else None
-        acts = layout.stepped and integral is None
-        plan.append((kind, project, off, n, ops["d1"], ops["d2"], integral, acts))
+        plan.append((kind, project, off, n, ops["d1"], ops["d2"], integral))
     start, batch_shape = layout.start, (-1, *layout.shape)
 
     def rhs(t, z):
@@ -255,7 +259,7 @@ def _flow_rhs(layout: _Layout, modes: int):
             batch = z[start:].reshape(batch_shape)
             out = dz[start:].reshape(batch_shape)
             out[...] = 0.0
-        for axis, (kind, project, off, n, d1, d2, integral, acts) in enumerate(plan):
+        for axis, (kind, project, off, n, d1, d2, integral) in enumerate(plan):
             if kind == "circle":
                 a, f = _positive(z[off : off + n]), z[off + n : off + 2 * n]
                 df = f - f[0]
@@ -267,9 +271,7 @@ def _flow_rhs(layout: _Layout, modes: int):
                 rows[1] = _weight_rate(hess_f, a)
                 if project:
                     rows[:] = lowpass(rows, modes)
-                if integral is not None:
-                    dz[integral] = 1.0 / a[0]
-                if acts:
+                if layout.stepped:
                     drift = (gamma + fprime)[:, None]
                     out += apply_along(lambda v: (d2 @ v - drift * (d1 @ v)) / a[:, None], batch, axis + 1, "C")
             else:  # a round circle's a or a Gaussian line's multiplier u
@@ -325,7 +327,8 @@ def _factor(layout: _Layout, v: np.ndarray, integrals: np.ndarray, lags: np.ndar
 
 def _rk4(rhs, t: float, z: np.ndarray, dt: float, k1=None):
     """One classical RK4 step of z' = rhs(t, z) on an array, ``k1`` optional:
-    (state, k4).  ``_float_steps`` and ``_list_steps`` write its stages inline."""
+    (state, k4).  The array kernel's step; ``_float_steps`` and
+    ``_list_steps`` write its stages inline, in its order of operations."""
     if k1 is None:
         k1 = rhs(t, z)
     k2 = rhs(t + dt / 2, z + (dt / 2) * k1)
@@ -444,20 +447,6 @@ class FlowTrajectory:
         return idx
 
 
-def _array_attempt(settle, blocks, rhs, t, z, h, k1, adaptive_tol):
-    """``_step``'s attempt on an array, ``settle`` and ``blocks`` bound once per run: z1 = settle(RK4(z, h)) and
-    max |k4 - k5| / max(1, max |z1|) over each block (starting at ``blocks``), scaled only above ``adaptive_tol``."""
-    z1, k4 = _rk4(rhs, t, z, h, k1)
-    z1 = settle(z1)
-    k5 = rhs(t + h, z1)
-    diff = np.abs(np.subtract(k4, k5, out=k4), out=k4)  # k4 is spent
-    err = h / 6.0 * float(diff.max())
-    if err > adaptive_tol:
-        scale = np.fmax(1.0, np.maximum.reduceat(np.abs(z1), blocks))
-        err = h / 6.0 * float(np.max(np.maximum.reduceat(diff, blocks) / scale))
-    return z1, k5, err
-
-
 def _peak(values: list) -> float:
     """max(values), NaN if one is, as ``np.max``: all are >= 0 or NaN, so only then is their sum NaN."""
     return max(values) if (total := sum(values)) == total else total
@@ -469,29 +458,31 @@ def _check_halvings(err: float, depth: int) -> None:
         raise StabilityError(f"step error {err:.3e} persists after 12 halvings")
 
 
-def _step(rhs, attempt, t, z, h, adaptive_tol, k1, depth=0):
-    """(z1, k5, err) of an array state: the kept step z1 = RK4(z, h) from the
-    first stage k1 = rhs(t, z), the next first stage k5 = rhs(t + h, z1), and
-    the third-order estimate err = h/6 |k4 - k5| that ``adaptive_tol`` bounds,
-    each try by ``attempt``.  k4 and k5 share the time t + h, so ``rhs`` must
-    be autonomous.  A step above it is redone as two of h / 2; StabilityError
-    after 12 halvings."""
-    z1, k5, err = attempt(rhs, t, z, h, k1, adaptive_tol)
-    if err <= adaptive_tol:
-        return z1, k5, err
-    _check_halvings(err, depth)
-    half, k_half, err_1 = _step(rhs, attempt, t, z, h / 2, adaptive_tol, k1, depth + 1)
-    z1, k5, err_2 = _step(rhs, attempt, t + h / 2, half, h / 2, adaptive_tol, k_half, depth + 1)
-    return z1, k5, max(err_1, err_2)
-
-
-def _array_steps(rhs, attempt, tol, t, z, h, count, k1):
-    """The array kernel: (z, k1, err) after ``count`` steps of h from time t,
-    each a ``_step``, err the worst of their estimates."""
+def _array_steps(rhs, settle, blocks, tol, t, z, h, count, k1, depth=0):
+    """The array kernel: (z, k1, worst) after ``count`` steps of h from time
+    t and first stage k1 = rhs(t, z), worst the largest of their estimates.
+    Each step keeps z1 = settle(RK4(z, h)) and the next first stage k5 =
+    rhs(t + h, z1), and estimates err = h/6 max |k4 - k5|, above ``tol``
+    per block (starting at ``blocks``) relative to max(1, max |z1|) there.
+    k4 and k5 share the time t + h, so ``rhs`` must be autonomous.  A step
+    above ``tol`` recurses as two of h / 2; StabilityError after 12 halvings."""
     worst = 0.0
     for i in range(count):
-        z, k1, err = _step(rhs, attempt, t + i * h, z, h, tol, k1)
-        worst = max(worst, err)
+        ti = t + i * h
+        z1, k4 = _rk4(rhs, ti, z, h, k1)
+        z1 = settle(z1)
+        k5 = rhs(ti + h, z1)
+        diff = np.abs(np.subtract(k4, k5, out=k4), out=k4)  # k4 is spent
+        err = h / 6.0 * float(diff.max())
+        if err > tol:
+            scale = np.fmax(1.0, np.maximum.reduceat(np.abs(z1), blocks))
+            err = h / 6.0 * float(np.max(np.maximum.reduceat(diff, blocks) / scale))
+        if not err <= tol:
+            _check_halvings(err, depth)
+            z1, k5, err = _array_steps(rhs, settle, blocks, tol, ti, z, h / 2, 2, k1, depth=depth + 1)
+        z, k1 = z1, k5
+        if err > worst:
+            worst = err
     return z, k1, worst
 
 
@@ -585,15 +576,18 @@ def _output_steps(request: RunRequest) -> tuple[float, list]:
 
 def _kernel(request: RunRequest, layout: _Layout, z: np.ndarray) -> tuple:
     """(advance, z, k1) of a run from its start ``z``: its step kernel
-    advance(t, z, h, count, k1) -> (z, k1, err), the start as that kernel's
-    array (a full-row circle, settled), float (one number) or list, and its
-    first stage.  V is not stepped without a full-row circle."""
+    advance(t, z, h, count, k1) -> (z, k1, err) with the run's data bound,
+    the start in that kernel's form, and its first stage.  A state with a
+    full-row circle is an array (``_array_steps``, with the step plan,
+    ``_settle`` and the layout's error blocks), one number a float
+    (``_float_steps``) and any other state a list (``_list_steps``).  V is
+    not stepped without a full-row circle."""
     rhs, tol = _flow_rhs(layout, request.modes), request.adaptive_tol
     k1 = rhs(request.family.t0, z)
     if layout.circles:
         threshold = STABILITY_FACTOR * (1.0 + float(np.max(np.abs(z[: layout.width]))))
         settle = partial(_settle, layout, modes=request.modes, floor=NOISE_FLOOR, threshold=threshold)
-        return partial(_array_steps, rhs, partial(_array_attempt, settle, layout.blocks), tol), z, k1
+        return partial(_array_steps, rhs, settle, layout.blocks, tol), z, k1
     if z.size == 1:
         return partial(_float_steps, tol), float(z[0]), float(k1[0])
     plan = tuple(  # with scalars, every axis is diagonal, its integral in axis order
@@ -676,11 +670,11 @@ def _check_field_memory(request: RunRequest, state) -> None:
     n = 2 Gaussian, and a 12 x 64 product with and without scalars), and 7.5
     field sizes kept per output on a 64-node circle with k = 2 (the term is
     8.4: Hess f is not cached on the stack) and 3.5 on a 12 x 64 product
-    with k = 3 (3.6).  tracemalloc, k = 3 on 16 x 256: a step that carries V
-    (a circle that is not round) peaks at 9.0 copies of the scalar batch; a
-    step of round axes holds no field (its state is a few numbers) and peaks
-    at 0.01 copies.  Above what they keep, per output of a sub-stack and in
-    copies of its k scalars, E holds 3.4 (a round product; 0.05 on a
+    with k = 3 (3.6).  tracemalloc, k = 3 on 16 x 256: an array kernel step
+    that carries V (a circle that is not round) peaks at 9.0 copies of the
+    scalar batch; a list kernel step of round axes holds no field (its state
+    is a few numbers) and peaks at 0.004 copies.  Above what they keep, per
+    output of a sub-stack and in copies of its k scalars, E holds 3.4 (a round product; 0.05 on a
     Gaussian line beside a circle that is not round), the pairings 9.4 and
     the propagator check 7.1.  A sub-stack of the output pass holds about
     6.5 copies of each of its outputs' k + 1 fields above what it keeps, on

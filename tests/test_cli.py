@@ -283,7 +283,7 @@ class TestRunCommand:
         # a horizon past the family's extinction at log 2 is a config error on
         # both backends, raised before the first step and before any output
         steps = []
-        for name in ("_step", "_float_steps"):
+        for name in ("_array_steps", "_float_steps", "_list_steps"):
             monkeypatch.setattr(flow, name, lambda *args, **kwargs: steps.append(args))
         monkeypatch.setattr(flow, "discretize", lambda *args, **kw: steps.append(args))
         for backend in ("galerkin", "analytic"):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 import re
 import tracemalloc
@@ -19,8 +20,8 @@ from driftflow.axes import _fourier_dense, _hermite_ops, along, circle_nodes, lo
 from driftflow.config import ScenarioConfig
 from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
 from driftflow.flow import (
-    STACK_BYTES, RunRequest, _factor, _flow_rhs, _kernel, _Layout, _rk4, _run_loop, _scalar_pairings, _settle,
-    _stack_length, _step,
+    STACK_BYTES, RunRequest, _array_steps, _factor, _flow_rhs, _kernel, _Layout, _rk4, _run_loop, _scalar_pairings,
+    _settle, _stack_length,
 )
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
 from driftflow.spectral import (
@@ -839,10 +840,20 @@ class _VaryingFamily:
 
 
 class _WavyCircleFamily(_VaryingFamily):
-    """The non-round circle of ``_VaryingFamily`` alone."""
+    """The non-round circle of ``_VaryingFamily`` alone: with scalars, V is
+    stepped and no axis is diagonal, so E is the growth e^{s/2} alone."""
 
     def evaluate(self, t):
         return ContinuumState(t=t, factors=super().evaluate(t).factors[:1])
+
+
+class _LineTimesWavyCircleFamily(_VaryingFamily):
+    """A Gaussian line times a non-round circle, on a wider circle than
+    ``_VaryingFamily``'s."""
+
+    def evaluate(self, t):
+        circle = CircleModel(a=lambda th: 4.0 + 0.3 * np.cos(th), f=lambda th: 0.2 * np.sin(th))
+        return ContinuumState(t=t, factors=(GaussianLineModel(1.0), circle))
 
 
 def _varying_product():
@@ -860,18 +871,17 @@ _compact_layout = _Layout.of
 
 
 def _full_row_layout(dm, count=0):
-    """The layout of ``dm`` with each round circle stored as its 2n equal
-    samples (kind "circle") and still diagonal: stepped by the full stage
-    formulas and filtered by ``_settle``, as before round circles became two
-    numbers."""
-    compact = _compact_layout(dm, count)
+    """The geometry-only layout of ``dm`` with each round circle stored as
+    its 2n equal samples (kind "circle"): stepped by the full stage formulas
+    and filtered by ``_settle``, as before round circles became two numbers.
+    A full-row circle is never diagonal, so it has no integral."""
+    assert count == 0
     axes, offset = [], 0
-    for kind, _, n in compact.axes:
+    for kind, _, n in _compact_layout(dm).axes:
         kind = "circle" if kind == "round" else kind
         axes.append((kind, offset, n))
         offset += 2 * n if kind == "circle" else 1
-    circles = tuple((off, n) for kind, off, n in axes if kind == "circle")
-    return _Layout(tuple(axes), offset, dm.shape, circles, compact.diagonal, compact.stepped, compact.count)
+    return _Layout(tuple(axes), offset, dm.shape, tuple((off, n) for kind, off, n in axes if kind == "circle"))
 
 
 def _settler(layout, modes):
@@ -880,11 +890,6 @@ def _settler(layout, modes):
 
 def _unsettled(z):
     return z
-
-
-def _attempt(settle, blocks=(0,)):
-    """``_step``'s attempt on an array with ``settle`` and the error ``blocks``, bound as ``_run_loop`` binds them."""
-    return functools.partial(df.flow._array_attempt, settle, blocks)
 
 
 class _Counted:
@@ -919,11 +924,11 @@ class TestStepPlan:
     def test_four_evaluations_per_step(self):
         dm = _varying_product()
         layout = _Layout.of(dm)
-        rhs, attempt = _Counted(_flow_rhs(layout, modes=8)), _attempt(_settler(layout, 8))
+        rhs, settle = _Counted(_flow_rhs(layout, modes=8)), _settler(layout, 8)
         z = layout.pack(dm)
-        z, k1, _ = _step(rhs, attempt, 0.0, z, 1e-3, 1.0, rhs(0.0, z))
+        z, k1, _ = _array_steps(rhs, settle, layout.blocks, 1.0, 0.0, z, 1e-3, 1, rhs(0.0, z))
         assert rhs.calls == 5  # the first stage, then four per step
-        z, k1, _ = _step(rhs, attempt, 1e-3, z, 1e-3, 1.0, k1)
+        z, k1, _ = _array_steps(rhs, settle, layout.blocks, 1.0, 1e-3, z, 1e-3, 1, k1)
         assert rhs.calls == 9
         assert np.array_equal(k1, _flow_rhs(layout, modes=8)(2e-3, z))  # the last stage is the next first
 
@@ -1001,36 +1006,30 @@ class TestStepPairs:
 
     def test_step_memory_stays_below_the_field_estimate(self):
         # the per-step term of _check_field_memory, 16 copies of the k + 1
-        # fields, bounds a step that carries V (a non-round circle) and one
-        # sub-stack of outputs that applies E; a step of round axes carries
-        # no scalars
+        # fields, bounds a step of the kernel that _kernel picks and one
+        # sub-stack of outputs that applies E: the array kernel's step carries
+        # V (a non-round circle), the list kernel's step of round axes no field
         k = 3
-        round_product = df.evaluate_family(
-            df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle_family(4.0)]), 0.0
-        )
-        wavy = ContinuumState(
-            t=0.0,
-            factors=(GaussianLineModel(1.0), CircleModel(a=lambda th: 4.0 + 0.3 * np.cos(th), f=lambda th: 0.2 * np.sin(th))),
-        )
-        for state in (round_product, wavy):
-            dm = df.discretize(state, resolution=256, hermite_order=16)
+        for family in (_PRODUCT, _LineTimesWavyCircleFamily()):
+            request = RunRequest(family=family, horizon=1e-3, k=k, resolution=256, hermite_order=16, modes=32,
+                                 adaptive_tol=1.0)
+            dm = df.discretize(df.evaluate_family(family, 0.0), resolution=256, hermite_order=16)
             assert dm.shape == (16, 256)
             scalars = np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), k, 1e-8).eigenfunctions[1 : k + 1])
             layout = _Layout.of(dm, k)
-            assert layout.stepped == (state is wavy)
-            rhs, attempt = _flow_rhs(layout, 32), _attempt(_settler(layout, 32))
+            assert layout.stepped == (family is not _PRODUCT)
             z = np.concatenate([layout.pack(dm), np.zeros(len(layout.diagonal))] + [scalars.ravel()] * layout.stepped)
+            advance, y, k1 = _kernel(request, layout, z)
+            assert type(y) is (np.ndarray if layout.stepped else list)
             per_stack = _stack_length(dm.size, k)  # the outputs of one sub-stack of E
             v = np.stack([scalars] * per_stack) if layout.stepped else scalars
             integrals, lags = np.full((per_stack, len(layout.diagonal)), 0.3), np.full(per_stack, 0.1)
-            k1 = rhs(0.0, z)
-            _step(rhs, attempt, 0.0, z, 1e-3, 1.0, k1)  # warm the FFT plans
+            advance(0.0, y, 1e-3, 1, k1)  # warm the FFT plans
             _factor(layout, v, integrals, lags)
             peaks = []
             tracemalloc.start()
             try:
-                for work in (lambda: _step(rhs, attempt, 0.0, z, 1e-3, 1.0, k1),
-                             lambda: _factor(layout, v, integrals, lags)):
+                for work in (lambda: advance(0.0, y, 1e-3, 1, k1), lambda: _factor(layout, v, integrals, lags)):
                     tracemalloc.reset_peak()
                     before = tracemalloc.get_traced_memory()[0]
                     work()
@@ -1101,16 +1100,15 @@ class TestIntegratingFactor:
         # to the round circle's two numbers
         dm = df.weighted_circle(n, a=0.7, f=-3.1)
         for modes in sorted({n // 2, n // 4}):
-            layout, compact = _full_row_layout(dm, 2), _Layout.of(dm, 2)
-            assert layout.diagonal == compact.diagonal == (0,) and not layout.stepped and not compact.stepped
-            rhs, z = _flow_rhs(layout, modes), np.concatenate([layout.pack(dm), [0.0]])
+            layout, compact = _full_row_layout(dm), _Layout.of(dm, 2)
+            assert layout.circles == ((0, n),) and compact.diagonal == (0,) and not compact.stepped
+            rhs, z = _flow_rhs(layout, modes), layout.pack(dm)
             two, y = _flow_rhs(compact, modes), np.concatenate([compact.pack(dm), [0.0]])
             for step in range(5):
                 z = _settle(layout, _rk4(rhs, step * 1e-3, z, 1e-3)[0], modes, 1e-13, 1e6)
                 y = _settle(compact, _rk4(two, step * 1e-3, y, 1e-3)[0], modes, 1e-13, 1e6)
-                assert np.array_equal(z[:n], np.full(n, y[0])) and np.array_equal(z[n : 2 * n], np.full(n, y[1]))
-                assert z[-1] == y[-1]
-            assert z[-1] == pytest.approx((1.0 - math.exp(-5e-3)) / 0.7, rel=1e-13)  # C = int 1/a dt, a = 0.7 e^t
+                assert np.array_equal(z[:n], np.full(n, y[0])) and np.array_equal(z[n:], np.full(n, y[1]))
+            assert y[-1] == pytest.approx((1.0 - math.exp(-5e-3)) / 0.7, rel=1e-13)  # C = int 1/a dt, a = 0.7 e^t
 
     def test_geometry_is_bitwise_the_same_without_scalars(self):
         # the scalars left the geometry's error norm
@@ -1133,94 +1131,37 @@ def _gaussian_request(u0, horizon, **kw):
     return RunRequest(family=df.scaled_gaussian_family(u0, 1, kw.pop("t0", 0.0)), horizon=horizon, **kw)
 
 
-def _counting_steps(monkeypatch, errors=None):
+def _counting_steps(monkeypatch, errors=None, states=None):
     """Replace ``flow``'s step kernels by wrappers that record the state type
-    of every step they attempt, halved ones included, and in ``errors`` the
-    worst estimate of each segment that ``_run_loop`` hands a kernel, as
-    ``float.hex``.  The array kernel's attempts are its ``_step`` calls; a
-    float or list kernel call of ``count`` steps attempts all of them unless
-    one raises, and each halving recurses through the kernel as a call of two
-    steps, with ``depth`` by keyword."""
-    seen, step = [], df.flow._step
+    of every step they attempt, halved ones included: a kernel call of
+    ``count`` steps attempts all of them unless one raises, and each halving
+    recurses through the kernel as a call of two steps, with ``depth`` by
+    keyword.  Of each segment that ``_run_loop`` hands a kernel, ``errors``
+    gets the worst estimate and ``states`` the entries of the state, as
+    ``float.hex``."""
+    seen = []
 
-    def counted_step(*args):
-        seen.append(type(args[3]))
-        return step(*args)
-
-    def segments(kernel, attempts):
-        def counted(*args, **kwargs):
+    def counted(kernel):
+        def wrapper(*args, **kwargs):
             z, count = args[-4], args[-2]  # of (t, z, h, count, k1)
-            if attempts:
-                seen.extend([type(z)] * count)
+            seen.extend([type(z)] * count)
             kept = kernel(*args, **kwargs)
-            if errors is not None and not kwargs:  # a segment of _run_loop, not a halving
-                errors.append(float(kept[2]).hex())
+            if not kwargs:  # a segment of _run_loop, not a halving
+                for record, value in ((errors, float(kept[2]).hex()), (states, _hex(kept[0]))):
+                    if record is not None:
+                        record.append(value)
             return kept
 
-        return counted
+        return wrapper
 
-    monkeypatch.setattr(df.flow, "_step", counted_step)
     for name in ("_array_steps", "_float_steps", "_list_steps"):
-        monkeypatch.setattr(df.flow, name, segments(getattr(df.flow, name), name != "_array_steps"))
+        monkeypatch.setattr(df.flow, name, counted(getattr(df.flow, name)))
     return seen
-
-
-def _float_multipliers(request):
-    t0 = request.family.t0
-    dm = df.discretize(df.evaluate_family(request.family, t0), hermite_order=request.hermite_order)
-    outputs, _ = df.flow._run_loop(request, dm, None)
-    return [float(scale) for scale in outputs.axes[0].scale[:, 0]]
 
 
 class TestOneNumberState:
     """A geometry-only run of one Gaussian line steps its multiplier as a
     Python float, with the operations and bits of the one-element array."""
-
-    @pytest.mark.parametrize(
-        "request_",
-        [
-            _gaussian_request(2.0, 5.0, cadence=50),  # the eternal Gaussian
-            _gaussian_request(3.0, 0.2, dt=0.05, cadence=1, adaptive_tol=1e-12),  # halves
-            _gaussian_request(1e8, 0.5, dt=0.05, cadence=1, adaptive_tol=1e-14),  # relative norm
-            _gaussian_request(0.6, 0.5, dt=0.05, cadence=1, adaptive_tol=1e-12),  # halves below u = 1
-            _gaussian_request(2.0, 1.0, t0=-100.0),
-        ],
-        ids=["eternal", "halving", "relative", "halving_small", "t0_shift"],
-    )
-    def test_float_steps_match_array_steps_bitwise(self, monkeypatch, request_):
-        rows, array_errors, array_calls = _array_record(monkeypatch, request_)
-        errors = []
-        with monkeypatch.context() as patch:
-            seen = _counting_steps(patch, errors)
-            got = _float_multipliers(request_)
-        assert set(seen) == {float}
-        assert len(seen) == array_calls and errors == array_errors  # the same steps, halvings and estimates
-        assert [u.hex() for u in got] == [row[0] for row in rows]
-        if request_.dt == 0.05:
-            assert len(seen) > request_.steps  # the step control halved
-
-    def test_halving_counts(self, monkeypatch):
-        seen = _counting_steps(monkeypatch)
-        _float_multipliers(_gaussian_request(3.0, 0.2, dt=0.05, cadence=1, adaptive_tol=1e-12))
-        assert len(seen) == 124
-        seen.clear()
-        _float_multipliers(_gaussian_request(1e8, 0.5, dt=0.05, cadence=1, adaptive_tol=1e-14))
-        assert len(seen) == 1270
-
-    def test_breakdown_at_the_same_step(self, monkeypatch):
-        # one step per segment, so that the kernel's attempts end at the one that breaks down
-        request = _gaussian_request(0.5, 1.0, cadence=1)
-        seen = _counting_steps(monkeypatch)
-        with pytest.raises(FlowBreakdownError) as array_info:
-            _array_record(monkeypatch, request)
-        array_calls = len(seen)
-        seen.clear()
-        with pytest.raises(FlowBreakdownError) as float_info:
-            _float_multipliers(request)
-        assert set(seen) == {float}
-        assert len(seen) == array_calls
-        assert 0 < array_calls < request.steps
-        assert float_info.value.node_index == array_info.value.node_index == 0
 
     @pytest.mark.parametrize(
         "family, track_scalars, state_type",
@@ -1250,11 +1191,11 @@ def _round_request(family, horizon, **kw):
 _PRODUCT = df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle_family(4.0)])
 
 
-def _loop_record(monkeypatch, request, layout_of):
+def _loop_record(monkeypatch, request, layout_of=_compact_layout):
     """``_run_loop``'s outputs for ``request`` with ``flow._Layout.of`` set to
-    ``layout_of``, the integrals that ``_factor`` reads for each output of
-    its sub-stacks, the worst error estimate of each segment between outputs
-    as ``float.hex``, and the count of steps attempted, halvings included."""
+    ``layout_of``, and of each segment between outputs the entries of its
+    state and its worst estimate as ``float.hex``, and the count of steps
+    attempted, halvings included (``_counting_steps``)."""
     dm = df.discretize(
         df.evaluate_family(request.family, request.family.t0),
         resolution=request.resolution, hermite_order=request.hermite_order,
@@ -1262,19 +1203,12 @@ def _loop_record(monkeypatch, request, layout_of):
     scalars0 = None
     if request.track_scalars:
         scalars0 = np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), request.k).eigenfunctions[1 : request.k + 1])
-    integrals, errors = [], []
-    factor = df.flow._factor
-
-    def recorded(layout, v, c, lags):
-        integrals.extend([x.hex() for x in row] for row in c)
-        return factor(layout, v, c, lags)
-
+    states, errors = [], []
     with monkeypatch.context() as patch:
         patch.setattr(df.flow._Layout, "of", classmethod(lambda cls, dm, count=0: layout_of(dm, count)))
-        patch.setattr(df.flow, "_factor", recorded)
-        seen = _counting_steps(patch, errors)
+        seen = _counting_steps(patch, errors, states)
         outputs = _run_loop(request, dm, scalars0)
-    return outputs, integrals, errors, len(seen)
+    return outputs, states, errors, len(seen)
 
 
 class TestRoundCircleState:
@@ -1285,22 +1219,23 @@ class TestRoundCircleState:
         "request_",
         [
             _round_request(df.round_circle_family(1.0), 0.3),  # C04's circle
-            _round_request(_PRODUCT, 0.1, cadence=5, k=3),  # product_scalars
+            _round_request(_PRODUCT, 0.1, cadence=5),  # product_scalars' geometry
             _round_request(df.round_circle_family(0.25), 0.05, resolution=331, modes=165),  # a Bluestein size
-            _round_request(_PRODUCT, 0.3, cadence=2, k=3, modes=8),  # below n // 2, where full-row stages call lowpass
+            _round_request(_PRODUCT, 0.3, cadence=2, modes=8),  # below n // 2, where full-row stages call lowpass
             _round_request(df.round_circle_family(1.0), 0.05, dt=0.01, adaptive_tol=1e-14),  # halves
         ],
         ids=["c04", "product_scalars", "bluestein_331", "modes_8", "halving"],
     )
     def test_compact_steps_match_full_rows_bitwise(self, monkeypatch, request_):
-        full, full_integrals, full_errors, full_calls = _loop_record(monkeypatch, request_, _full_row_layout)
-        got, integrals, errors, calls = _loop_record(monkeypatch, request_, _compact_layout)
+        # geometry only: a full-row circle has no integral, and the kernel
+        # table checks the integrals of the compact state
+        request_ = dataclasses.replace(request_, track_scalars=False)
+        (full, _), _, full_errors, full_calls = _loop_record(monkeypatch, request_, _full_row_layout)
+        (got, _), _, errors, calls = _loop_record(monkeypatch, request_)
         assert calls == full_calls and errors == full_errors  # the same steps, halvings and worst estimates
-        assert integrals == full_integrals and len(integrals) == len(got[0])
-        assert len(got[0]) == len(full[0]) == len(df.flow._output_steps(request_)[1])
-        (outputs, scalars), (full_outputs, full_scalars) = got, full
-        assert np.array_equal(outputs.t, full_outputs.t) and np.array_equal(scalars, full_scalars)
-        for ax, ax_full in zip(outputs.axes, full_outputs.axes):
+        assert len(got) == len(full) == len(df.flow._output_steps(request_)[1])
+        assert np.array_equal(got.t, full.t)
+        for ax, ax_full in zip(got.axes, full.axes):
             assert np.array_equal(ax.a, ax_full.a) and np.array_equal(ax.f, ax_full.f)
         if request_.adaptive_tol == 1e-14:
             assert calls > request_.steps  # the step control halved
@@ -1353,7 +1288,7 @@ class TestRoundCircleState:
 
             return wrapper
 
-        for name in ("_step", "_array_steps", "_float_steps", "_list_steps"):
+        for name in ("_array_steps", "_float_steps", "_list_steps"):
             monkeypatch.setattr(df.flow, name, stepped(getattr(df.flow, name)))
         seen = _counting_steps(monkeypatch)
         for family in (df.round_circle_family(1.0), _PRODUCT):
@@ -1377,117 +1312,13 @@ class TestRoundCircleState:
         assert sizes == [5] * 3  # the multiplier, a, f and two integrals
 
 
-def _array_record(monkeypatch, request):
-    """Each output's state entries, its geometry row and integrals as
-    ``float.hex``, the worst error estimate of each segment between outputs
-    and the count of ``_step`` calls, halvings included, of a Galerkin run
-    stepped as an array, one ``_step`` per step, with the step plan of
-    ``_flow_rhs`` and the error blocks of its layout."""
-    t0 = request.family.t0
-    dm = df.discretize(df.evaluate_family(request.family, t0), resolution=request.resolution,
-                       hermite_order=request.hermite_order)
-    layout = _Layout.of(dm, request.k if request.track_scalars else 0)
-    assert not layout.circles and not layout.stepped
-    rhs, attempt = _flow_rhs(layout, request.modes), _attempt(_settler(layout, request.modes), layout.blocks)
-    z = np.concatenate([layout.pack(dm), np.zeros(len(layout.diagonal))])
-    dt, recorded = df.flow._output_steps(request)
-    k1, done, rows, errors = rhs(t0, z), 0, [], []
-    with monkeypatch.context() as patch:
-        seen = _counting_steps(patch)
-        for step in recorded:
-            worst = 0.0
-            for s in range(done, step):
-                z, k1, err = df.flow._step(rhs, attempt, t0 + s * dt, z, dt, request.adaptive_tol, k1)
-                worst = max(worst, err)
-            errors.append(float(worst).hex())
-            done = step
-            rows.append([x.hex() for x in z.tolist()])
-    assert set(seen) == {np.ndarray}
-    return rows, errors, len(seen)
-
-
-def _list_record(monkeypatch, request):
-    """``_array_record`` of ``_run_loop`` itself, whose state is a list."""
-    outputs, integrals, errors, calls = _loop_record(monkeypatch, request, _compact_layout)
-    layout = _Layout.of(outputs[0][0])
-    rows = [[x.hex() for x in layout.pack(outputs[0][m]).tolist()] for m in range(len(outputs[0]))]
-    return [row + c for row, c in zip(rows, integrals or [[]] * len(rows))], errors, calls
-
-
 _SHRINKER = df.product_family([df.scaled_gaussian_family(0.6, 1, -0.3), df.round_circle_family(1.0, -0.3)])
 
 
 class TestListState:
     """A state without a full-row circle, a few numbers, is stepped as a list
-    of Python floats by the list kernel, with the bits of the array path:
-    ``_flow_rhs`` through ``_step``, each entry its own error block."""
-
-    @pytest.mark.parametrize(
-        "request_",
-        [
-            _round_request(df.round_circle_family(1.0), 0.05, track_scalars=False),
-            _round_request(df.round_circle_family(1.0), 0.05, k=2),
-            _round_request(_PRODUCT, 0.05, cadence=5, k=3),
-            _round_request(df.scaled_gaussian_family(1.5, 3), 0.05, cadence=5, k=3, hermite_order=8),
-            _round_request(df.scaled_gaussian_family(1.5, 4), 0.02, cadence=5, k=2, hermite_order=4),
-            _round_request(_PRODUCT, 0.2, dt=0.05, k=1, adaptive_tol=1e-12),
-            _round_request(df.round_circle_family(1e8), 0.2, dt=0.05, k=1, adaptive_tol=1e-14),
-            _round_request(_SHRINKER, 0.1, cadence=10, k=1),
-        ],
-        ids=["circle", "circle_k2", "product_k3", "n3", "n4", "halving", "relative", "t0_shift"],
-    )
-    def test_list_steps_match_array_steps_bitwise(self, monkeypatch, request_):
-        expected, array_errors, array_calls = _array_record(monkeypatch, request_)
-        got, errors, calls = _list_record(monkeypatch, request_)
-        assert len(got) == len(df.flow._output_steps(request_)[1])
-        assert got == expected  # every output's geometry row and integrals
-        assert errors == array_errors and calls == array_calls  # the same steps, halvings and worst estimates
-        if request_.dt == 0.05:
-            assert calls > request_.steps  # the step control halved
-
-    @pytest.mark.parametrize("line_first", [True, False])
-    def test_breakdown_at_the_same_step(self, monkeypatch, line_first):
-        # u0 = 0.5 dies at log 2: run_flow would refuse it, the loop breaks
-        # down; one step per segment, so that the kernel's attempts end at the
-        # one that breaks down
-        factors = [df.scaled_gaussian_family(0.5, 1), df.round_circle_family(1.0)]
-        request = _round_request(df.product_family(factors if line_first else factors[::-1]), 1.0, cadence=1, k=1)
-        outcomes = []
-        for record in (_array_record, _list_record):
-            with monkeypatch.context() as patch:
-                seen = _counting_steps(patch)
-                with pytest.raises(FlowBreakdownError) as info:
-                    record(patch, request)
-            outcomes.append((len(seen), info.value.node_index))
-        assert outcomes[0] == outcomes[1] and outcomes[0][1] == 0
-        assert 0 < outcomes[0][0] < request.steps
-
-    def test_a_nan_entry_halves_as_on_an_array(self, monkeypatch):
-        # max skips a NaN that is not the first entry; np.max and the list
-        # norm propagate it, so the step halves 12 times and gives up: an
-        # n = 2 Gaussian whose second multiplier is NaN, whose rate is too
-        request = _round_request(df.scaled_gaussian_family(1.0, 2), 0.01, dt=0.01, track_scalars=False)
-        layout = _Layout.of(df.discretize(df.evaluate_family(request.family, 0.0), hermite_order=12))
-        rhs, z = _flow_rhs(layout, 8), np.array([1.0, math.nan])
-        outcomes = []
-        for kernel in ("_step", "_list_steps"):
-            depths, call = [], getattr(df.flow, kernel)
-
-            def counted(*args, **kwargs):  # _step passes its depth as its eighth argument, a kernel by keyword
-                depths.append(args[7] if len(args) > 7 else kwargs.get("depth", 0))
-                return call(*args, **kwargs)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(df.flow, kernel, counted)
-                with pytest.raises(StabilityError) as info:
-                    if kernel == "_step":
-                        df.flow._step(rhs, _attempt(_unsettled, layout.blocks), 0.0, z, 0.01, 1e-9, rhs(0.0, z))
-                    else:
-                        advance, y, k1 = _kernel(request, layout, z)
-                        assert y[0] == 1.0 and math.isnan(y[1]) and math.isnan(k1[1])
-                        advance(0.0, y, 0.01, 1, k1)
-            outcomes.append((str(info.value), depths))
-        assert outcomes == [("step error nan persists after 12 halvings", list(range(13)))] * 2
+    of Python floats by the list kernel, each entry its own error block; the
+    kernel table (``TestStepKernels``) checks its bits."""
 
     def test_each_entry_is_its_own_error_block(self, monkeypatch):
         # the list norm reads no blocks: it holds only where every entry is one
@@ -1524,54 +1355,99 @@ def _start(request):
     return layout, np.concatenate(parts)
 
 
-def _reference_steps(request, layout, z):
-    """The per-step reference of a run's kernel, from the start ``z`` of
-    ``_start``: one ``_step`` per step on the array, with the array attempt
-    settled as ``_kernel`` settles full rows, yielding after each step its
-    state, its first stage and its error estimate as ``float.hex``."""
-    rhs, t0 = _flow_rhs(layout, request.modes), request.family.t0
+def _reference_steps(request, layout, z, attempts):
+    """The per-step reference of a run's kernel from the start ``z`` of
+    ``_start``, written apart from the kernels: a plain loop of ``_rk4`` on
+    the array, ``_settle`` as ``_kernel`` settles full rows, the estimate
+    h/6 max |k4 - k5| and above the tolerance the largest over the error
+    blocks of their max |k4 - k5| / max(1, max |z1|), and a step above the
+    tolerance redone as two of h / 2, at most 12 times over.  Yields after
+    each step its state, its first stage and its estimate as ``float.hex``;
+    ``attempts`` gets the depth of each step tried, halvings included."""
+    rhs, t0, tol = _flow_rhs(layout, request.modes), request.family.t0, request.adaptive_tol
     threshold = df.flow.STABILITY_FACTOR * (1.0 + float(np.max(np.abs(z[: layout.width]))))
-    attempt = _attempt(lambda v: _settle(layout, v, request.modes, df.flow.NOISE_FLOOR, threshold), layout.blocks)
+    blocks = list(zip(layout.blocks, layout.blocks[1:] + [len(z)]))
+
+    def step(t, z, h, k1, depth):
+        attempts.append(depth)
+        z1, k4 = _rk4(rhs, t, z, h, k1)
+        z1 = _settle(layout, z1, request.modes, df.flow.NOISE_FLOOR, threshold)
+        k5 = rhs(t + h, z1)
+        diff = np.abs(k4 - k5)
+        err = h / 6.0 * float(np.max(diff))
+        if err > tol:
+            relative = [np.max(diff[lo:hi]) / max(1.0, np.max(np.abs(z1[lo:hi]))) for lo, hi in blocks]
+            err = h / 6.0 * float(np.max(relative))
+        if err <= tol:
+            return z1, k5, err
+        if depth == 12:
+            raise StabilityError(f"step error {err:.3e} persists after 12 halvings")
+        half, k_half, first = step(t, z, h / 2, k1, depth + 1)
+        z1, k5, second = step(t + h / 2, half, h / 2, k_half, depth + 1)
+        return z1, k5, max(first, second)
+
     dt, k1 = df.flow._output_steps(request)[0], rhs(t0, z)
     for s in range(request.steps):
-        z, k1, err = df.flow._step(rhs, attempt, t0 + s * dt, z, dt, request.adaptive_tol, k1)
+        z, k1, err = step(t0 + s * dt, z, dt, k1, 0)
         yield _hex(z), _hex(k1), float(err).hex()
 
 
+_WAVY_CIRCLE = {"family": _WavyCircleFamily(), "k": 1, "resolution": 16, "modes": 8, "track_scalars": False}
+_WAVY_PRODUCT = {"family": _VaryingFamily(), "k": 2, "resolution": 16, "modes": 8, "hermite_order": 6}
+
+# A run, and the steps it attempts, halvings included.
 _KERNEL_CASES = {
-    "circle": _round_request(df.round_circle_family(1.0), 0.05, track_scalars=False),
-    "circle_k2": _round_request(df.round_circle_family(1.0), 0.05, k=2),
-    "product_k3": _round_request(_PRODUCT, 0.05, cadence=5, k=3),
-    "n3": _round_request(df.scaled_gaussian_family(1.5, 3), 0.05, cadence=5, k=3, hermite_order=8),
-    "n4": _round_request(df.scaled_gaussian_family(1.5, 4), 0.02, cadence=5, k=2, hermite_order=4),
-    "halving": _round_request(_PRODUCT, 0.2, dt=0.05, k=1, adaptive_tol=1e-12),
-    "relative": _round_request(df.round_circle_family(1e8), 0.2, dt=0.05, k=1, adaptive_tol=1e-14),
-    "halving_in_a_segment": _round_request(df.round_circle_family(1e8), 0.2, dt=0.05, cadence=3, k=1,
-                                           adaptive_tol=1e-14),
-    "t0_shift": _round_request(_SHRINKER, 0.1, cadence=10, k=1),
-    "horizon_0": _round_request(_PRODUCT, 0.0, k=1),
-    "eternal": _gaussian_request(2.0, 5.0, cadence=50),
-    "float_halving_in_a_segment": _gaussian_request(3.0, 0.2, dt=0.05, cadence=3, adaptive_tol=1e-12),
-    "float_t0_shift": _gaussian_request(2.0, 1.0, t0=-100.0),
-    "wavy_circle": RunRequest(family=_WavyCircleFamily(), horizon=0.005, dt=1e-3, cadence=2, k=1, resolution=16,
-                              modes=8, track_scalars=False),
-    "wavy_product_scalars": RunRequest(family=_VaryingFamily(), horizon=0.004, dt=1e-3, cadence=3, k=2,
-                                       resolution=16, modes=8, hermite_order=6),
+    "circle": (_round_request(df.round_circle_family(1.0), 0.05, track_scalars=False), 50),
+    "circle_k2": (_round_request(df.round_circle_family(1.0), 0.05, k=2), 50),
+    "product_k3": (_round_request(_PRODUCT, 0.05, cadence=5, k=3), 50),
+    "n3": (_round_request(df.scaled_gaussian_family(1.5, 3), 0.05, cadence=5, k=3, hermite_order=8), 50),
+    "n4": (_round_request(df.scaled_gaussian_family(1.5, 4), 0.02, cadence=5, k=2, hermite_order=4), 20),
+    "halving": (_round_request(_PRODUCT, 0.2, dt=0.05, k=1, adaptive_tol=1e-12), 252),
+    "relative": (_round_request(df.round_circle_family(1e8), 0.2, dt=0.05, k=1, adaptive_tol=1e-14), 508),
+    "halving_in_a_segment": (
+        _round_request(df.round_circle_family(1e8), 0.2, dt=0.05, cadence=3, k=1, adaptive_tol=1e-14), 508
+    ),
+    "t0_shift": (_round_request(_SHRINKER, 0.1, cadence=10, k=1), 100),
+    "horizon_0": (_round_request(_PRODUCT, 0.0, k=1), 0),
+    "eternal": (_gaussian_request(2.0, 5.0, cadence=50), 5000),
+    "float_halving_in_a_segment": (_gaussian_request(3.0, 0.2, dt=0.05, cadence=3, adaptive_tol=1e-12), 124),
+    "float_halving_small": (_gaussian_request(0.6, 0.5, dt=0.05, cadence=1, adaptive_tol=1e-12), 310),
+    "float_relative": (_gaussian_request(1e8, 0.5, dt=0.05, cadence=1, adaptive_tol=1e-14), 1270),
+    "float_t0_shift": (_gaussian_request(2.0, 1.0, t0=-100.0), 1000),
+    "wavy_circle": (RunRequest(horizon=0.005, dt=1e-3, cadence=2, **_WAVY_CIRCLE), 5),
+    "wavy_circle_halving": (RunRequest(horizon=0.003, dt=1e-3, cadence=2, adaptive_tol=1e-13, **_WAVY_CIRCLE), 45),
+    "wavy_product_scalars": (RunRequest(horizon=0.004, dt=1e-3, cadence=3, **_WAVY_PRODUCT), 4),
+    "wavy_product_halving": (RunRequest(horizon=0.002, dt=1e-3, cadence=2, adaptive_tol=1e-12, **_WAVY_PRODUCT), 14),
+}
+
+# Two hand-built full-row rows of the kernel table, with the sha256 of
+# their states' entries at the outputs (geometry rows, integrals and V) as
+# ``float.hex``, one line per output, and each output's worst estimate, as
+# the array kernel gave them before it stepped inline: a change to the array
+# path keeps these bits.
+_PINNED_RUNS = {
+    "wavy_product_scalars": (
+        "e656dcb07bede6a7f9c405b54e34fef6eff2e034bf4a93126d9a34871c6555d9",
+        ["0x0.0p+0", "0x1.b4bcbe5b7a328p-35", "0x1.d183bf900aec3p-35"],
+    ),
+    "wavy_circle_halving": (
+        "2a21914ba711172440a18b9baa5e98e1206dc1f04218a7456b4ea30ba41b9087",
+        ["0x0.0p+0", "0x1.ba39bfd44f307p-47", "0x1.d706402bb0cf8p-47"],
+    ),
 }
 
 
 class TestStepKernels:
     """``_run_loop`` advances from one output to the next with one call of
-    the run's kernel (``_kernel``): each kernel keeps the bits of one
-    ``_step`` per step on the array, with the array attempt."""
+    the run's kernel (``_kernel``): the array, float and list kernels each
+    keep the bits of the per-step reference, its steps and its halvings."""
 
-    @pytest.mark.parametrize("request_", list(_KERNEL_CASES.values()), ids=list(_KERNEL_CASES))
-    def test_kernel_matches_the_per_step_reference(self, monkeypatch, request_):
+    @pytest.mark.parametrize("request_, attempts", list(_KERNEL_CASES.values()), ids=list(_KERNEL_CASES))
+    def test_kernel_matches_the_per_step_reference(self, monkeypatch, request_, attempts):
         layout, z = _start(request_)
-        with monkeypatch.context() as patch:
-            seen = _counting_steps(patch)
-            expected = list(_reference_steps(request_, layout, z))
-        reference_calls = len(seen)
+        tried = []
+        expected = list(_reference_steps(request_, layout, z, tried))
+        assert len(tried) == attempts
         t0, (dt, recorded) = request_.family.t0, df.flow._output_steps(request_)
         rhs = _flow_rhs(layout, request_.modes)
         with monkeypatch.context() as patch:
@@ -1585,53 +1461,88 @@ class TestStepKernels:
                 worst = max([float.fromhex(e) for _, _, e in expected[done:step]], default=0.0)
                 assert err == worst  # the worst estimate of the segment
                 done = step
-        assert len(seen) == reference_calls  # the same steps and halvings
+        assert len(seen) == attempts  # the same steps and halvings
         assert set(seen) <= {np.ndarray if layout.circles else float if z.size == 1 else list}
         advance, y, k1 = _kernel(request_, layout, z)
         for s, record in enumerate(expected):  # one call per step: each step's estimate
             y, k1, err = advance(t0 + s * dt, y, dt, 1, k1)
             assert (_hex(y), _hex(k1), float(err).hex()) == record
-        if request_.dt == 0.05:
-            assert reference_calls > request_.steps  # the step control halved
+        if request_.dt == 0.05 or request_.adaptive_tol < 1e-9 and request_.dt == 1e-3:
+            assert attempts > request_.steps  # the step control halved
 
-    @pytest.mark.parametrize("line_first", [True, False])
+    @pytest.mark.parametrize("name", [name for name in _KERNEL_CASES if not name.startswith("wavy")])
+    def test_float_and_list_kernels_keep_the_array_kernels_bits(self, monkeypatch, name):
+        # the same numbers stepped as an array, with the layout's error blocks
+        request_, attempts = _KERNEL_CASES[name]
+        layout, z = _start(request_)
+        assert not layout.circles
+        rhs, t0, (dt, recorded) = _flow_rhs(layout, request_.modes), request_.family.t0, df.flow._output_steps(request_)
+        runs = []
+        for as_array in (False, True):
+            with monkeypatch.context() as patch:
+                seen, record, done = _counting_steps(patch), [], 0  # the kernels are bound after they are counted
+                advance, y, k1 = _kernel(request_, layout, z)
+                if as_array:
+                    advance, y, k1 = functools.partial(df.flow._array_steps, rhs, _settler(layout, request_.modes),
+                                                       layout.blocks, request_.adaptive_tol), z, rhs(t0, z)
+                for step in recorded:
+                    y, k1, err = advance(t0 + done * dt, y, dt, step - done, k1)
+                    record.append((_hex(y), _hex(k1), float(err).hex()))
+                    done = step
+            runs.append((record, len(seen)))
+        assert runs[0] == runs[1] and runs[1][1] == attempts
+
+    @pytest.mark.parametrize("name", list(_PINNED_RUNS))
+    def test_the_array_kernel_keeps_its_bits(self, monkeypatch, name):
+        (request_, attempts), (digest, errors) = _KERNEL_CASES[name], _PINNED_RUNS[name]
+        (outputs, _), states, got, calls = _loop_record(monkeypatch, request_)
+        assert type(outputs.axes[0]) is driftflow.axes.CircleAxis and outputs.axes[0].a.shape[1] == 16  # full rows
+        assert hashlib.sha256("\n".join(" ".join(state) for state in states).encode()).hexdigest() == digest
+        assert got == errors and calls == attempts
+
+    @pytest.mark.parametrize("line_first", [True, False, None])  # None: the line alone, a float
     def test_breakdown_in_the_middle_of_a_segment(self, line_first):
         # u0 = 0.5 dies at log 2, within the segment of steps 600 to 700
         factors = [df.scaled_gaussian_family(0.5, 1), df.round_circle_family(1.0)]
-        request = _round_request(df.product_family(factors if line_first else factors[::-1]), 1.0, cadence=100, k=1)
-        layout, z = _start(request)
+        request_ = (_gaussian_request(0.5, 1.0, cadence=100) if line_first is None else
+                    _round_request(df.product_family(factors if line_first else factors[::-1]), 1.0, cadence=100, k=1))
+        layout, z = _start(request_)
         expected = []
         with pytest.raises(FlowBreakdownError) as reference_info:
-            for record in _reference_steps(request, layout, z):
+            for record in _reference_steps(request_, layout, z, []):
                 expected.append(record)
-        broken, cadence, dt = len(expected), request.cadence, request.dt  # steps kept before the breakdown
-        assert 0 < broken < request.steps and broken % cadence != 0
-        advance, y, k1 = _kernel(request, layout, z)
+        broken, cadence, dt = len(expected), request_.cadence, request_.dt  # steps kept before the breakdown
+        assert 0 < broken < request_.steps and broken % cadence != 0
+        advance, y, k1 = _kernel(request_, layout, z)
         for done in range(0, broken - broken % cadence, cadence):
             y, k1, _ = advance(done * dt, y, dt, cadence, k1)
             assert (_hex(y), _hex(k1)) == expected[done + cadence - 1][:2]
         with pytest.raises(FlowBreakdownError) as info:
             advance(broken * dt, y, dt, cadence, k1)
-        advance, y, k1 = _kernel(request, layout, z)
+        advance, y, k1 = _kernel(request_, layout, z)
         for s in range(broken):
             y, k1, _ = advance(s * dt, y, dt, 1, k1)
         with pytest.raises(FlowBreakdownError):
             advance(broken * dt, y, dt, 1, k1)  # the same step breaks down
         assert info.value.node_index == reference_info.value.node_index == 0
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_a_nan_entry_gives_up_after_twelve_halvings(self, n):
-        # the last entry is NaN, and so is its rate: the second of two on a list
-        request = _round_request(df.scaled_gaussian_family(1.0, n), 0.05, dt=0.01, cadence=5, track_scalars=False)
-        layout, z = _start(request)
+    @pytest.mark.parametrize("n", [1, 2, None])  # n Gaussian lines, or None: the wavy circle
+    def test_a_nan_entry_gives_up_after_twelve_halvings(self, monkeypatch, n):
+        # the last entry is NaN, and so is its rate: the second of two on a
+        # list, and the circle's last f sample on an array, which NaN spreads over
+        request_ = (RunRequest(horizon=0.05, dt=0.01, cadence=5, **_WAVY_CIRCLE) if n is None else
+                    _round_request(df.scaled_gaussian_family(1.0, n), 0.05, dt=0.01, cadence=5, track_scalars=False))
+        layout, z = _start(request_)
         z[-1] = math.nan
         with pytest.raises(StabilityError) as reference_info:
-            list(_reference_steps(request, layout, z))
-        advance, y, k1 = _kernel(request, layout, z)
-        assert type(y) is (float if n == 1 else list)
+            list(_reference_steps(request_, layout, z, []))
+        seen = _counting_steps(monkeypatch)
+        advance, y, k1 = _kernel(request_, layout, z)
+        assert type(y) is {1: float, 2: list, None: np.ndarray}[n]
         with pytest.raises(StabilityError) as info:
             advance(0.0, y, 0.01, 5, k1)
         assert str(info.value) == str(reference_info.value) == "step error nan persists after 12 halvings"
+        assert len(seen) == 5 + 2 * 12  # the five steps asked, then two per halving
 
 
 def _stage_formulas(n, a, f):
@@ -1683,7 +1594,7 @@ class TestStageProjection:
 
         monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
         monkeypatch.setattr(np.fft, "irfft", counted("irfft", np.fft.irfft))
-        _step(rhs, _attempt(_settler(layout, 32)), 0.0, z, 1e-3, 1.0, rhs(0.0, z))
+        _array_steps(rhs, _settler(layout, 32), layout.blocks, 1.0, 0.0, z, 1e-3, 1, rhs(0.0, z))
         assert calls == ["rfft", "irfft"]
 
 
@@ -1719,16 +1630,14 @@ class TestSafeguardsFire:
         # two successive steps, each halved
         rhs = _Counted(lambda t, z: -50.0 * z)
         z = np.ones(1)
-        k1 = rhs(0.0, z)
-        for i in range(2):
-            z, k1, err = _step(rhs, _attempt(_unsettled), 0.05 * i, z, 0.05, 1e-9, k1)
-            assert err <= 1e-9
+        z, _, err = _array_steps(rhs, _unsettled, [0], 1e-9, 0.0, z, 0.05, 2, rhs(0.0, z))
+        assert err <= 1e-9  # the worst of the two
         assert rhs.calls > 11
         assert abs(z[0] - math.exp(-5.0)) < 1e-9
 
     def test_single_step_halves_on_a_stiff_rhs(self):
         rhs = _Counted(lambda t, z: -50.0 * z)
-        z, _, _ = _step(rhs, _attempt(_unsettled), 0.0, np.ones(1), 0.05, 1e-9, -50.0 * np.ones(1))
+        z, _, _ = _array_steps(rhs, _unsettled, [0], 1e-9, 0.0, np.ones(1), 0.05, 1, -50.0 * np.ones(1))
         assert rhs.calls > 11
         assert abs(z[0] - math.exp(-2.5)) < 1e-7
 
@@ -1736,11 +1645,11 @@ class TestSafeguardsFire:
         # k4 and k5 share their time, so a jump in t would not show in the
         # estimate; a rate that even a step of 0.05 / 2**12 cannot follow does
         with pytest.raises(StabilityError, match="persists after 12 halvings"):
-            _step(lambda t, z: -1e12 * z, _attempt(_unsettled), 0.0, np.ones(1), 0.05, 1e-9, np.full(1, -1e12))
+            _array_steps(lambda t, z: -1e12 * z, _unsettled, [0], 1e-9, 0.0, np.ones(1), 0.05, 1, np.full(1, -1e12))
 
     @pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
     def test_estimate_bounds_the_true_local_error(self, h):
-        z, _, err = _step(lambda t, z: -5.0 * z, _attempt(_unsettled), 0.0, np.ones(1), h, 1.0, np.full(1, -5.0))
+        z, _, err = _array_steps(lambda t, z: -5.0 * z, _unsettled, [0], 1.0, 0.0, np.ones(1), h, 1, np.full(1, -5.0))
         assert err >= abs(z[0] - math.exp(-5.0 * h))
 
     def test_block_scales_keep_a_large_block_from_halving(self):
@@ -1748,9 +1657,21 @@ class TestSafeguardsFire:
         # its estimate relative to max |u| does not
         rhs = _Counted(lambda t, z: -5.0 * z)
         z = np.array([1e8, 1.0])
-        z, _, err = _step(rhs, _attempt(_unsettled, [0, 1]), 0.0, z, 0.002, 1e-9, rhs(0.0, z))
+        z, _, err = _array_steps(rhs, _unsettled, [0, 1], 1e-9, 0.0, z, 0.002, 1, rhs(0.0, z))
         assert rhs.calls == 5
         assert 1e-11 < err <= 1e-9
+
+    def test_a_block_below_one_keeps_its_absolute_estimate(self):
+        # max(1, max |z1|) scales a block: a fast block of size 1/2 beside a
+        # large slow one is not scaled up to its relative estimate, twice
+        # its absolute one, which would halve
+        rates = np.array([-5.0, -20.0])
+        _, _, unit = _array_steps(lambda t, z: rates[1:] * z, _unsettled, [0], 1.0, 0.0, np.ones(1), 0.01, 1, rates[1:])
+        rhs = _Counted(lambda t, z: rates * z)
+        z = np.array([1e8, 0.5])
+        _, _, err = _array_steps(rhs, _unsettled, [0, 1], 0.75 * unit, 0.0, z, 0.01, 1, rhs(0.0, z))
+        assert rhs.calls == 5
+        assert err == pytest.approx(0.5 * unit, rel=1e-12)
 
 
 def _bits(result, m=None):
@@ -1778,7 +1699,8 @@ class TestStackedOutputPass:
             (RunRequest(family=_PRODUCT, horizon=0.05, cadence=5, k=3, resolution=32, backend="analytic"), None, 2),
             (RunRequest(family=_VaryingFamily(), horizon=0.01, k=2, resolution=32, hermite_order=6, modes=8,
                         track_scalars=False), None, 1),
-            (RunRequest(family=df.round_circle_family(1.0), horizon=0.05, cadence=1, k=2), _full_rows, 2),
+            (RunRequest(family=df.round_circle_family(1.0), horizon=0.05, cadence=1, k=2, track_scalars=False),
+             _full_rows, 2),
             (RunRequest(family=_PRODUCT, horizon=0.04, cadence=5, k=1, resolution=128, track_scalars=False), None, 4),
         ],
         ids=["eternal_like", "round_product", "analytic", "non_round_circle", "full_row_circle", "several_stacks"],
@@ -2066,22 +1988,12 @@ def _propagate_alone(u0, start, end):
     return math.exp(s / 2.0) * u
 
 
-class _WavyCircle:
-    """A lone non-round circle as a family: its scalars are stepped as V and
-    no axis is diagonal, so E is the growth e^{s/2} alone."""
-
-    t0 = 0.0
-
-    def evaluate(self, t):
-        return ContinuumState(t=t, factors=_VaryingFamily().evaluate(t).factors[:1])
-
-
 _SCALAR_RUNS = {
     "gauss_x_circle": RunRequest(family=_PRODUCT, horizon=0.02, cadence=5, k=3, resolution=32, hermite_order=8),
     "gauss_n2": RunRequest(family=df.scaled_gaussian_family(2.0, 2), horizon=0.02, cadence=5, k=3, hermite_order=8),
     "stepped_v": RunRequest(family=_VaryingFamily(), horizon=4 * 2.0**-10, dt=2.0**-10, cadence=1, k=2,
                             resolution=32, hermite_order=6, modes=8),
-    "stepped_v_alone": RunRequest(family=_WavyCircle(), horizon=4 * 2.0**-10, dt=2.0**-10, cadence=1, k=2,
+    "stepped_v_alone": RunRequest(family=_WavyCircleFamily(), horizon=4 * 2.0**-10, dt=2.0**-10, cadence=1, k=2,
                                   resolution=32, modes=8),
     "analytic": RunRequest(family=_PRODUCT, horizon=0.02, cadence=5, k=3, resolution=32, hermite_order=8,
                            backend="analytic"),

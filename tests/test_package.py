@@ -78,6 +78,9 @@ REMOVED = (
     "_list_attempt",
     "_list_rhs",
     "_multiplier_rhs",
+    # The array kernel steps, estimates and halves inline, as the float and list kernels do.
+    "_step",
+    "_array_attempt",
 )
 
 # Instance attributes that nothing reads: an axis's quadrature density is ``wdens``.
