@@ -60,12 +60,8 @@ def _classify(exc: Exception) -> tuple[str, int]:
 def _cmd_run(args) -> int:
     from .runner import execute
 
-    try:
-        config = load_config(args.config)
-        result = execute(config, out_root=args.out)
-    except DriftflowError as exc:
-        kind, code = _classify(exc)
-        return _fail(kind, str(exc), code)
+    config = load_config(args.config)
+    result = execute(config, out_root=args.out)
     failed = result.failed
     print(f"{config.name}: wrote {len(result.files)} files to {result.out_dir}")
     for name, checks in result.verifications.items():
@@ -122,17 +118,13 @@ def _usable_cpus() -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        if args.jobs < 1:
-            raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
-        base = load_config(args.config)
-        grid = _parse_grid(args.grid)
-        unknown = set(grid) - set(base.canonical_dict())
-        if unknown:
-            raise ConfigurationError(f"grid keys not in config schema: {', '.join(sorted(unknown))}")
-    except DriftflowError as exc:
-        kind, code = _classify(exc)
-        return _fail(kind, str(exc), code)
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
+    base = load_config(args.config)
+    grid = _parse_grid(args.grid)
+    unknown = set(grid) - set(base.canonical_dict())
+    if unknown:
+        raise ConfigurationError(f"grid keys not in config schema: {', '.join(sorted(unknown))}")
 
     keys = sorted(grid)
     combos = []
@@ -277,7 +269,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DriftflowError as exc:  # safety net for anything not handled locally
+    except DriftflowError as exc:  # the one error path of every command
         kind, code = _classify(exc)
         return _fail(kind, str(exc), code)
     except Exception as exc:  # anything else still gets one line, not a traceback

@@ -191,20 +191,9 @@ class ScenarioConfig:
         return product_family([self._factor(kind, **params) for kind, params in self._factors()])
 
     def to_request(self) -> RunRequest:
-        return RunRequest(
-            family=self.build_family(),
-            horizon=self.horizon,
-            dt=self.dt,
-            cadence=self.cadence,
-            resolution=self.resolution,
-            hermite_order=self.hermite_order,
-            modes=self.modes,
-            k=self.k,
-            backend=self.backend,
-            eig_tol=self.eig_tol,
-            adaptive_tol=self.adaptive_tol,
-            track_scalars=self.track_scalars,
-        )
+        """The run of this config: each ``RunRequest`` key but the family read by its name."""
+        keys = {f.name: getattr(self, f.name) for f in fields(RunRequest) if f.name != "family"}
+        return RunRequest(family=self.build_family(), **keys)
 
     def canonical_dict(self) -> dict:
         return asdict(self)

@@ -39,7 +39,7 @@ axis's basis (j/2 on the Hermite functions, k^2 on the Fourier modes) and
 c_i = 1/u or 1/a read from the Galerkin geometry.  The integrals C_i of
 c_i dt join the geometry in the RK4 state; each output records its C_i and
 its lag s, and once the steps are done E = exp(s/2 - sum_i D_i C_i) gives
-u = E V on sub-stacks of consecutive outputs, one call each.  Only a circle
+u = E V on each sub-stack of ``run_flow``'s loop, one call each.  Only a circle
 that is not round keeps its full operator in the stages, acting on V, which
 each output then records too; without one, V is the initial batch, the
 stages never touch the scalars, and the geometry takes the steps of a run
@@ -52,14 +52,16 @@ supported family; a Galerkin run never calls it.
 Either backend records each output as its row of the layout's packed
 geometry (``_Layout.pack``) and builds all outputs once, as one stack
 (``_Layout.stack``); the spectra, the commutator, the volumes and the
-checks read that stack.  The work on every output goes over its leading
-output axis in sub-stacks of consecutive outputs, each sized by
-``_stack_length`` to STACK_BYTES and each writing into its part of a
-preallocated result: the spectra and the commutator (``_output_pass``), the
-volumes, and the scalar pass, E, the pairings (``_pairings``) and the
-propagator of either the analytic backend or the check.  A run keeps of its spectra only
-their (m, k + 1) eigenvalues and eigen-residuals; each sub-stack's
-eigenfunctions are dropped after its solve.  ``run_flow`` returns one frozen
+checks read that stack.  ``run_flow`` then takes one loop over the stack's
+sub-stacks of consecutive outputs, each sized by ``_stack_length`` to
+STACK_BYTES for the k + 1 eigenfunctions of its solve.  Per sub-stack it
+writes into its part of each preallocated result: the eigenvalues and
+eigen-residuals (output 0 solved like the rest), the commutator residuals
+and the weighted volumes, and with tracked scalars the backend fills its
+part of the one scalar array (E V, or the analytic propagator) and the
+loop pairs it.  A run keeps of its spectra only their (m, k + 1)
+eigenvalues and eigen-residuals; each sub-stack's eigenfunctions are
+dropped after its solve.  ``run_flow`` returns one frozen
 ``FlowTrajectory``, built once from finished values: its residual columns
 are computed before the record is.
 """
@@ -67,7 +69,7 @@ are computed before the record is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -101,17 +103,19 @@ MAX_STEP = 0.05
 # Largest estimated field memory a run may use, checked before discretizing.
 MAX_FIELD_BYTES = 1 << 30
 
-# Live copies of the k + 1 fields that one step, or one output of the output
-# pass, is estimated to hold per grid point (``_check_field_memory``).
+# Live copies of the k + 1 fields that one step, or one output of a
+# sub-stack, is estimated to hold per grid point (``_check_field_memory``).
 FIELD_COPIES = 16
 
-# Largest estimated temporary memory of one sub-stack of outputs in a run's
-# output pass (``_output_pass``), its volumes or its scalar pass (E, the
-# pairings and the propagator check), at FIELD_COPIES copies of each output's
-# fields: its k + 1 eigenfunctions, its one commutator probe or field of ones,
-# or its k scalars.  A grid where one output takes more goes one output at a
-# time.
-STACK_BYTES = 1 << 20
+# Largest estimated temporary memory of one sub-stack of consecutive outputs
+# in ``run_flow``'s loop, at FIELD_COPIES copies of each output's k + 1
+# fields: the eigenfunctions of its solve, which also bound its commutator
+# probe, its field of ones for the volumes and its k scalars (E, the
+# pairings); the propagator check sizes its sub-stacks of k scalars to the
+# same budget.  A grid where one output takes more goes one output at a time.
+# 2 MiB, not 1: at 1 MiB a 12 x 64 product with k = 3 goes two outputs per
+# sub-stack, and the fixed cost of each sub-stack slows its run by about 17 %.
+STACK_BYTES = 2 << 20
 
 # ``_settle`` zeroes a circle mode below NOISE_FLOOR times its row's scale, and
 # a run stops when a kept mode exceeds STABILITY_FACTOR (1 + max |geometry|)
@@ -144,17 +148,31 @@ class _Layout:
     diagonal axis, in the order of ``diagonal``, and when some circle is not
     round (``stepped``) by the raveled (count, *shape) batch V.  A diagonal
     axis is a Gaussian line or a round circle; its scalar operator is
-    c_i(t) D_i with D_i fixed and diagonal in the axis's basis.  A run
-    records each output as its geometry row, the first ``width`` entries.
+    c_i(t) D_i with D_i fixed and diagonal in the axis's basis.  Everything
+    but ``axes`` and ``count`` follows from them, so no layout names a
+    full-row circle diagonal.  A run records each output as its geometry
+    row, the first ``width`` entries.
     """
 
     axes: tuple
-    width: int
-    shape: tuple
-    circles: tuple
-    diagonal: tuple = ()
-    stepped: bool = False
     count: int = 0
+    width: int = field(init=False)
+    shape: tuple = field(init=False)
+    circles: tuple = field(init=False)
+    diagonal: tuple = field(init=False)
+    stepped: bool = field(init=False)
+
+    def __post_init__(self):
+        circles = tuple((off, n) for kind, off, n in self.axes if kind == "circle")
+        derived = {
+            "width": sum(_span(kind, n) for kind, _, n in self.axes),
+            "shape": tuple(n for _, _, n in self.axes),
+            "circles": circles,
+            "diagonal": tuple(i for i, (kind, _, _) in enumerate(self.axes) if kind != "circle") if self.count else (),
+            "stepped": self.count > 0 and bool(circles),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def of(cls, dm: DiscreteWeightedManifold, count: int = 0) -> "_Layout":
@@ -162,11 +180,8 @@ class _Layout:
         for ax in dm.axes:
             kind = "round" if ax.kind == "circle" and ax.is_round else ax.kind
             axes.append((kind, offset, ax.size))
-            offset += {"circle": 2 * ax.size, "round": 2, "hermite": 1}[kind]
-        circles = tuple((off, n) for kind, off, n in axes if kind == "circle")
-        diagonal = tuple(i for i, (kind, _, _) in enumerate(axes) if kind != "circle") if count else ()
-        stepped = count > 0 and bool(circles)
-        return cls(tuple(axes), offset, dm.shape, circles, diagonal, stepped, count)
+            offset += _span(kind, ax.size)
+        return cls(tuple(axes), count)
 
     @property
     def start(self) -> int:
@@ -217,6 +232,11 @@ class _Layout:
                 else CircleAxis(np.repeat(a, n // row, axis=1), np.repeat(f, n // row, axis=1))
             )
         return DiscreteWeightedManifold(axes, t=times)
+
+
+def _span(kind: str, size: int) -> int:
+    """The entries of one axis's geometry in the state."""
+    return {"circle": 2 * size, "round": 2, "hermite": 1}[kind]
 
 
 def _positive(a: np.ndarray) -> np.ndarray:
@@ -598,14 +618,15 @@ def _kernel(request: RunRequest, layout: _Layout, z: np.ndarray) -> tuple:
 
 
 def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
-    """(outputs, scalars or None) of a Galerkin run: one deterministic
+    """(outputs, values, fill) of a Galerkin run: one deterministic
     integration, one call of the run's kernel (``_kernel``) per output from
     the one before, each output recorded as its geometry row and the rows
-    built once as one stack.  The scalars are u = E V: each
-    output records its integrals and its lag, and V only when V is stepped
-    (some circle is not round; otherwise V is ``scalars0``), into the
-    result, which ``_factor`` then maps to E V on sub-stacks of consecutive
-    outputs sized for their scalars, in place."""
+    built once as one stack.  The scalars are u = E V: each output records
+    its integrals and its lag, and V only when V is stepped (some circle is
+    not round; otherwise V is ``scalars0``), into ``values``, the one (m,
+    count, *shape) array of the run's scalars, and fill(sub) maps the
+    sub-stack ``sub`` of consecutive outputs to E V there (``_factor``).
+    Without scalars, ``values`` and ``fill`` are None."""
     t0 = request.family.t0
     dt, recorded = _output_steps(request)
 
@@ -626,31 +647,36 @@ def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
             integrals[m] = z[width:start]
             if layout.stepped:
                 values[m] = z[start:].reshape(scalars.shape)
-    times = np.array([t0 + step * dt for step in recorded])
-    if values is not None:
-        lags = np.array([step * dt for step in recorded])
-        for sub in _sub_stacks(count, layout.points, len(scalars)):
-            values[sub] = _factor(layout, values[sub] if layout.stepped else scalars, integrals[sub], lags[sub])
-    return layout.stack(rows, times), values
+    outputs = layout.stack(rows, np.array([t0 + step * dt for step in recorded]))
+    if values is None:
+        return outputs, None, None
+    lags = np.array([step * dt for step in recorded])
+
+    def fill(sub: slice) -> None:
+        values[sub] = _factor(layout, values[sub] if layout.stepped else scalars, integrals[sub], lags[sub])
+
+    return outputs, values, fill
 
 
 def _closed_form_outputs(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
-    """(outputs, scalars or None) of an analytic run: the family's closed
-    form at each output, packed as its geometry row, the rows built once as
-    one stack, and the scalars carried from output 0 by the exact
-    ``modal_propagator``, one call per sub-stack of consecutive outputs sized
-    for their scalars.  Nothing is stepped."""
+    """(outputs, values, fill) of an analytic run: the family's closed form
+    at each output, packed as its geometry row, and the rows built once as
+    one stack.  fill(sub) carries the scalars from output 0 to the
+    sub-stack ``sub`` of ``values`` by the exact ``modal_propagator``.
+    Nothing is stepped."""
     family = request.family
     dt, recorded = _output_steps(request)
     layout = _Layout.of(state0)
     states = [evaluate_family(family, family.t0 + step * dt) for step in recorded]
     outputs = layout.stack(np.array([layout.pack(state) for state in states]), np.array([state.t for state in states]))
     if scalars0 is None:
-        return outputs, None
+        return outputs, None, None
     values = np.empty((len(states), *scalars0.shape))
-    for sub in _sub_stacks(len(states), layout.points, len(scalars0)):
+
+    def fill(sub: slice) -> None:
         values[sub] = modal_propagator(scalars0, states[0], states[sub])
-    return outputs, values
+
+    return outputs, values, fill
 
 
 def _check_field_memory(request: RunRequest, state) -> None:
@@ -659,26 +685,26 @@ def _check_field_memory(request: RunRequest, state) -> None:
 
     The estimate counts 8 bytes for each entry of FIELD_COPIES live copies
     of the k + 1 fields a step or an output solve carries, and STACK_BYTES,
-    the budget of one sub-stack of the output pass, its volumes or the
-    scalar pass.  Per output it counts what the run keeps: with tracked
-    scalars their k fields and their pairings J, D and dJ (k x k each), I
-    and E; in the stacked geometry six rows of each circle (a, f, wdens, f',
-    Gamma and Hess f) and the f row and the scale of each line; and its
-    time, volume, two residual columns, k + 1 eigenvalues and their
-    residuals, and k bounds; a finished run keeps no eigenfunction.
-    tracemalloc reads a whole run's peak at 0.52 to 0.85 of the estimate (an
-    n = 2 Gaussian, and a 12 x 64 product with and without scalars), and 7.5
-    field sizes kept per output on a 64-node circle with k = 2 (the term is
-    8.4: Hess f is not cached on the stack) and 3.5 on a 12 x 64 product
-    with k = 3 (3.6).  tracemalloc, k = 3 on 16 x 256: an array kernel step
-    that carries V (a circle that is not round) peaks at 9.0 copies of the
-    scalar batch; a list kernel step of round axes holds no field (its state
-    is a few numbers) and peaks at 0.004 copies.  Above what they keep, per
-    output of a sub-stack and in copies of its k scalars, E holds 3.4 (a round product; 0.05 on a
-    Gaussian line beside a circle that is not round), the pairings 9.4 and
-    the propagator check 7.1.  A sub-stack of the output pass holds about
-    6.5 copies of each of its outputs' k + 1 fields above what it keeps, on
-    768- to 4096-point grids at k = 1 and 3.
+    the budget of one sub-stack of ``run_flow``'s loop.  Per output it
+    counts what the run keeps: with tracked scalars their k fields and
+    their pairings J, D and dJ (k x k each), I and E; in the stacked
+    geometry six rows of each circle (a, f, wdens, f', Gamma and Hess f) and
+    the f row and the scale of each line; and its time, volume, two
+    residual columns, k + 1 eigenvalues and their residuals, and k bounds;
+    a finished run keeps no eigenfunction.  tracemalloc reads a whole run's
+    peak at 0.47 to 0.77 of the estimate (an n = 2 Gaussian, and a 12 x 64
+    product with and without scalars), and 7.5 field sizes kept per output
+    on a 64-node circle with k = 2 (the term is 8.4: Hess f is not cached
+    on the stack) and 3.5 on a 12 x 64 product with k = 3 (3.6).
+    tracemalloc, k = 3 on 16 x 256: an array kernel step that carries V (a
+    circle that is not round) peaks at 9.0 copies of the scalar batch; a
+    list kernel step of round axes holds no field (its state is a few
+    numbers) and peaks at 0.004 copies.  Above what it keeps, one sub-stack
+    of the loop holds 6.8 to 7.4 copies of each of its outputs' k + 1
+    fields, its solve's, on 768- to 4096-point grids at k = 1 and 3; its
+    commutator holds up to 3.7 of them, its volumes 0.6, E 3.1 and its
+    pairings 7.1.  Per output and in copies of its k scalars, a sub-stack
+    of the propagator check holds 6.2.
     """
     circles = [isinstance(fac, CircleModel) for fac in state.factors]
     sizes = [request.resolution if circle else request.hermite_order for circle in circles]
@@ -695,50 +721,16 @@ def _check_field_memory(request: RunRequest, state) -> None:
 
 
 def _stack_length(points: int, fields: int) -> int:
-    """Outputs per stack of the output pass: as many as STACK_BYTES holds at
-    FIELD_COPIES copies of each output's ``fields`` fields, and at least one."""
+    """Outputs per sub-stack: as many as STACK_BYTES holds at FIELD_COPIES
+    copies of each output's ``fields`` fields, and at least one."""
     return max(1, STACK_BYTES // (8 * points * FIELD_COPIES * fields))
 
 
-def _sub_stacks(count: int, points: int, fields: int, first: int = 0) -> list:
-    """Slices of consecutive outputs ``first``, ``first`` + 1, ... of a run's
-    ``count``, each holding ``_stack_length(points, fields)`` of them."""
+def _sub_stacks(count: int, points: int, fields: int) -> list:
+    """Slices of a run's ``count`` consecutive outputs, each holding
+    ``_stack_length(points, fields)`` of them."""
     per_stack = _stack_length(points, fields)
-    return [slice(lo, lo + per_stack) for lo in range(first, count, per_stack)]
-
-
-def _output_pass(manifolds: DiscreteWeightedManifold, spectrum0, k: int, tol: float) -> tuple:
-    """The eigenvalues and eigen-residuals, (m, k + 1) each, and the
-    commutator residual of every output of the stack ``manifolds``, on
-    sub-stacks of consecutive outputs: outputs 1, 2, ... solved by
-    ``lowest_eigenpairs`` on sub-stacks sized for the k + 1 eigenfunctions
-    of each, whose fields are dropped once their rows are written, and every
-    output's residual on sub-stacks sized for its one probe field.  Output 0
-    reuses ``spectrum0``, whose second eigenfunction is the commutator's
-    probe, differentiated once per run."""
-    points, count = manifolds.size, len(manifolds)
-    eigenvalues, residuals = np.empty((count, k + 1)), np.empty((count, k + 1))
-    eigenvalues[0], residuals[0] = spectrum0.eigenvalues, spectrum0.residuals
-    for sub in _sub_stacks(count, points, k + 1, first=1):
-        solved = lowest_eigenpairs(assemble_forms(manifolds[sub]), k, tol)
-        eigenvalues[sub], residuals[sub] = solved.eigenvalues, solved.residuals
-        del solved  # and its fields, before the next sub-stack's solve
-    probe = _probe_partials(manifolds[0], spectrum0.eigenfunctions[1])
-    commutator = [_commutator_stack(probe, manifolds[sub]) for sub in _sub_stacks(count, points, 1)]
-    return eigenvalues, residuals, np.concatenate(commutator)
-
-
-def _pairings(manifolds: DiscreteWeightedManifold, scalars: np.ndarray) -> tuple:
-    """(J, D, dJ) of every output's scalars, each an (m, k, k) stack, on
-    sub-stacks of consecutive outputs sized for their k scalars: one
-    derivative pass and one batched row product per integral each
-    (``_scalar_pairings`` over the leading output axis)."""
-    count, k = scalars.shape[:2]
-    J, D, dJ = (np.empty((count, k, k)) for _ in range(3))
-    for sub in _sub_stacks(count, manifolds.size, k):
-        stack, batch = manifolds[sub], scalars[sub]
-        J[sub], D[sub], dJ[sub] = _scalar_pairings(stack, batch, *_derivatives(stack, batch))
-    return J, D, dJ
+    return [slice(lo, lo + per_stack) for lo in range(0, count, per_stack)]
 
 
 def run_flow(request: RunRequest) -> FlowTrajectory:
@@ -750,10 +742,12 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     equation and their mass/energy pairings are recorded per output.  A family
     extinct by the last output fails before anything is discretized.
     Output 0's solve seeds the scalars.  Every output's geometry is then
-    built once, as one stack, and the eigenvalues, eigen-residuals and
-    commutator residuals (``_output_pass``), the weighted volumes and the
-    scalars' pairings (``_pairings``) are taken on sub-stacks of it, each
-    output in the bits of its one-output computation.
+    built once, as one stack, and one loop over its sub-stacks of
+    consecutive outputs, each sized for the k + 1 eigenfunctions of its
+    solve, writes each sub-stack's eigenvalues, eigen-residuals, commutator
+    residuals and weighted volumes, and with tracked scalars fills its part
+    of the backend's scalar array and pairs it: each output in the bits of
+    its one-output computation.
     """
     start = evaluate_family(request.family, request.family.t0)
     _check_field_memory(request, start)  # before the recorded steps are listed
@@ -763,26 +757,37 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     spectrum0 = lowest_eigenpairs(assemble_forms(state0), request.k, request.eig_tol)
     scalars0 = spectrum0.eigenfunctions[1:].copy() if request.track_scalars else None
 
-    outputs = _closed_form_outputs if request.backend == "analytic" else _run_loop
-    manifolds, scalar_values = outputs(request, state0, scalars0)
-    times = manifolds.t
-    # Output 0 holds the geometry of state0, so its solve is spectrum0.
-    eigenvalues, eigen_residuals, residual_commutator = _output_pass(manifolds, spectrum0, request.k, request.eig_tol)
-    # a sub-stack's volumes integrate one field of ones per output
-    volumes = np.concatenate([manifolds[sub].weighted_volume() for sub in _sub_stacks(len(times), state0.size, 1)])
+    backend = _closed_form_outputs if request.backend == "analytic" else _run_loop
+    manifolds, scalar_values, fill = backend(request, state0, scalars0)
+    times, count, k = manifolds.t, len(manifolds), request.k
+    eigenvalues, eigen_residuals = np.empty((count, k + 1)), np.empty((count, k + 1))
+    residual_commutator, volumes = np.empty(count), np.empty(count)
+    if fill:
+        J, D, dJ = (np.empty((count, k, k)) for _ in range(3))
+    probe = _probe_partials(manifolds[0], spectrum0.eigenfunctions[1])  # differentiated once per run
+    for sub in _sub_stacks(count, manifolds.size, k + 1):
+        stack = manifolds[sub]
+        solved = lowest_eigenpairs(assemble_forms(stack), k, request.eig_tol)
+        eigenvalues[sub], eigen_residuals[sub] = solved.eigenvalues, solved.residuals
+        del solved  # and its eigenfunctions, before the sub-stack's other passes
+        residual_commutator[sub] = _commutator_stack(probe, stack)
+        volumes[sub] = stack.weighted_volume()
+        if fill:
+            fill(sub)
+            batch = scalar_values[sub]  # the stored C-ordered values, which the pairings' bits are of
+            J[sub], D[sub], dJ[sub] = _scalar_pairings(stack, batch, *_derivatives(stack, batch))
 
     series = {}
-    residual_ij = np.full(len(times), np.nan)
-    if scalar_values is not None:
-        J, D, dJ = _pairings(manifolds, scalar_values)
+    residual_ij = np.full(count, np.nan)
+    if fill:
         _cholesky_factors(J)  # DegeneracyError if the scalars are dependent at some output
         I = np.einsum("mii->mi", J).copy()
         E = np.einsum("mii->mi", D).copy()
         series = {"J": J, "D": D, "dJ": dJ, "I": I, "E": E}
         residual_ij = functional_residuals(series).pointwise_ij
 
-    bounds = np.full((len(times), request.k), np.inf)
-    for j in range(1, request.k + 1):
+    bounds = np.full((count, k), np.inf)
+    for j in range(1, k + 1):
         for m, t in enumerate(times):
             try:
                 bounds[m, j - 1] = eigenvalue_bound(eigenvalues[0, j], t - times[0])

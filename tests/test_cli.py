@@ -104,6 +104,22 @@ class TestConfigSchema:
         family = cfg.build_family()
         assert len(family.factors) == 2
 
+    def test_run_keys_share_their_defaults(self):
+        # every run key with a default has the same default in the config,
+        # so a config that leaves it out runs as the request would
+        config = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
+        keys = [f for f in dataclasses.fields(flow.RunRequest) if f.default is not dataclasses.MISSING]
+        assert len(keys) == 10  # all but the family and the horizon
+        for f in keys:
+            assert f.name in config and config[f.name] == f.default and type(config[f.name]) is type(f.default), f.name
+
+    def test_to_request_passes_every_run_key(self):
+        values = {"horizon": 0.25, "dt": 2e-3, "cadence": 3, "resolution": 48, "hermite_order": 9, "modes": 7,
+                  "k": 3, "backend": "analytic", "eig_tol": 1e-9, "adaptive_tol": 1e-8, "track_scalars": False}
+        request = ScenarioConfig.from_dict(values).to_request()
+        assert {key: getattr(request, key) for key in values} == values
+        assert request.family.t0 == 0.0
+
     def test_hash_stability(self, tmp_path):
         c1 = ScenarioConfig.from_dict({"name": "a", "horizon": 0.25})
         c2 = ScenarioConfig.from_dict({"horizon": 0.25, "name": "a"})

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import os
 import re
 import tracemalloc
 import types
@@ -24,6 +25,7 @@ from driftflow.flow import (
     _settle, _stack_length,
 )
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
+from driftflow.runner import execute
 from driftflow.spectral import (
     _derivatives, _hessian_energies, gradient_inner, hessian_norm_sq, partials, soliton_defect_profiles,
 )
@@ -151,11 +153,11 @@ class TestRunFlow:
             assert drift < 1e-6
 
     @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
-    @pytest.mark.parametrize("per_stack, stacks", [(None, 1), (2, 2), (3, 2), (1, 4)])
+    @pytest.mark.parametrize("per_stack, stacks", [(None, 1), (2, 3), (3, 2), (1, 5)])
     def test_one_stacked_solve_per_stack(self, backend, per_stack, stacks, monkeypatch, recorded_solves):
-        # output 0's solve seeds the scalars; the later outputs are solved in
-        # stacks of consecutive outputs, one stacked solve per stack, all by
-        # the public assemble_forms and lowest_eigenpairs
+        # output 0's solve seeds the scalars; then every output, 0 included,
+        # is solved in stacks of consecutive outputs, one stacked solve per
+        # stack, all by the public assemble_forms and lowest_eigenpairs
         assemble = df.flow.assemble_forms
         assembled = []
         monkeypatch.setattr(df.flow, "assemble_forms", lambda dm: assembled.append(dm) or assemble(dm))
@@ -167,12 +169,10 @@ class TestRunFlow:
         first, *stacked = recorded_solves
         assert len(traj.times) == 5 and first.t == 0.0 and all(np.ndim(stack.t) == 1 for stack in stacked)
         assert len(stacked) == stacks and len(assembled) == stacks + 1
-        assert [t for stack in stacked for t in stack.t] == list(traj.times[1:])
-        # the reused initial solve is the one output 0's own manifold gives
-        again = df.lowest_eigenpairs(df.assemble_forms(traj.manifolds[0]), 2, 1e-10)
-        np.testing.assert_array_equal(traj.eigenvalues[0], again.eigenvalues)
-        np.testing.assert_array_equal(traj.eigen_residuals[0], again.residuals)
-        np.testing.assert_array_equal(first.eigenfunctions, again.eigenfunctions)
+        assert [t for stack in stacked for t in stack.t] == list(traj.times)
+        # output 0's stacked solve has the bits of the solve that seeded the run
+        assert _bits(stacked[0], 0) == _bits(first)
+        assert (traj.eigenvalues[0].tobytes(), traj.eigen_residuals[0].tobytes()) == _bits(first)[::2]
 
     def test_bound_columns_respect_horizon(self):
         req = RunRequest(family=df.round_circle_family(0.25), horizon=0.5, dt=1e-3, cadence=50, k=1,
@@ -262,10 +262,19 @@ def static_traj():
     return df.run_flow(req)
 
 
+def _filled(request, dm, scalars0):
+    """``_run_loop``'s stack of outputs and its scalars u = E V, filled on
+    the sub-stacks of ``run_flow``'s loop."""
+    outputs, values, fill = _run_loop(request, dm, scalars0)
+    for sub in df.flow._sub_stacks(len(outputs), outputs.size, len(scalars0) + 1):
+        fill(sub)
+    return outputs, values
+
+
 def _evolved(traj, u0):
     """(manifold, u) per output of the scalar u0 carried by u_t = L u + u/2
     through the run's own Galerkin integration (``_run_loop``)."""
-    outputs, scalars = _run_loop(traj.request, traj.manifolds[0], u0[None])
+    outputs, scalars = _filled(traj.request, traj.manifolds[0], u0[None])
     return [(dm, s[0]) for dm, s in zip(outputs, scalars)]
 
 
@@ -881,7 +890,7 @@ def _full_row_layout(dm, count=0):
         kind = "circle" if kind == "round" else kind
         axes.append((kind, offset, n))
         offset += 2 * n if kind == "circle" else 1
-    return _Layout(tuple(axes), offset, dm.shape, tuple((off, n) for kind, off, n in axes if kind == "circle"))
+    return _Layout(tuple(axes))
 
 
 def _settler(layout, modes):
@@ -1192,7 +1201,7 @@ _PRODUCT = df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle
 
 
 def _loop_record(monkeypatch, request, layout_of=_compact_layout):
-    """``_run_loop``'s outputs for ``request`` with ``flow._Layout.of`` set to
+    """``_run_loop``'s stack of outputs for ``request`` with ``flow._Layout.of`` set to
     ``layout_of``, and of each segment between outputs the entries of its
     state and its worst estimate as ``float.hex``, and the count of steps
     attempted, halvings included (``_counting_steps``)."""
@@ -1207,7 +1216,7 @@ def _loop_record(monkeypatch, request, layout_of=_compact_layout):
     with monkeypatch.context() as patch:
         patch.setattr(df.flow._Layout, "of", classmethod(lambda cls, dm, count=0: layout_of(dm, count)))
         seen = _counting_steps(patch, errors, states)
-        outputs = _run_loop(request, dm, scalars0)
+        outputs = _run_loop(request, dm, scalars0)[0]
     return outputs, states, errors, len(seen)
 
 
@@ -1230,8 +1239,8 @@ class TestRoundCircleState:
         # geometry only: a full-row circle has no integral, and the kernel
         # table checks the integrals of the compact state
         request_ = dataclasses.replace(request_, track_scalars=False)
-        (full, _), _, full_errors, full_calls = _loop_record(monkeypatch, request_, _full_row_layout)
-        (got, _), _, errors, calls = _loop_record(monkeypatch, request_)
+        full, _, full_errors, full_calls = _loop_record(monkeypatch, request_, _full_row_layout)
+        got, _, errors, calls = _loop_record(monkeypatch, request_)
         assert calls == full_calls and errors == full_errors  # the same steps, halvings and worst estimates
         assert len(got) == len(full) == len(df.flow._output_steps(request_)[1])
         assert np.array_equal(got.t, full.t)
@@ -1420,6 +1429,50 @@ _KERNEL_CASES = {
     "wavy_product_halving": (RunRequest(horizon=0.002, dt=1e-3, cadence=2, adaptive_tol=1e-12, **_WAVY_PRODUCT), 14),
 }
 
+_FULL_ROW_LAYOUTS = {"full_row_circle": df.round_circle_family(1.0), "full_row_product": _PRODUCT}
+
+
+def _layout_case(name):
+    """(layout, start vector, modes) of a layout the flow tests step: a run
+    of the kernel table, or the full-row layout of a round circle or of a
+    Gaussian x round circle product."""
+    if name in _KERNEL_CASES:
+        request_ = _KERNEL_CASES[name][0]
+        return (*_start(request_), request_.modes)
+    dm = _manifold(_FULL_ROW_LAYOUTS[name], resolution=32)
+    layout = _full_row_layout(dm)
+    return layout, layout.pack(dm), 8
+
+
+class TestFlowRhsWritesEverySlot:
+    """``_flow_rhs`` starts its result from ``np.empty_like``, so each stage
+    must write every slot of the state: geometry, integrals and V."""
+
+    @pytest.mark.parametrize("name", [*_KERNEL_CASES, *_FULL_ROW_LAYOUTS])
+    def test_no_slot_keeps_the_buffer(self, monkeypatch, name):
+        layout, z, modes = _layout_case(name)
+        empty_like = np.empty_like
+
+        def nan_like(*args, **kwargs):
+            out = empty_like(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty_like", nan_like)
+        assert np.isnan(np.empty_like(z)).all()
+        dz = _flow_rhs(layout, modes)(0.0, z)
+        assert dz.shape == z.shape and not np.isnan(dz).any()
+
+    def test_no_layout_names_a_full_row_circle_diagonal(self):
+        # everything but the axes and the scalar count follows from them
+        layout = _Layout((("circle", 0, 8), ("hermite", 16, 6), ("round", 17, 8)), 2)
+        assert (layout.width, layout.shape, layout.circles) == (19, (8, 6, 8), ((0, 8),))
+        assert layout.diagonal == (1, 2) and layout.stepped and layout.start == 21
+        assert _Layout((("round", 0, 8),), 2).diagonal == (0,) and not _Layout((("round", 0, 8),), 2).stepped
+        assert _Layout((("round", 0, 8),)).diagonal == ()
+
+
 # Two hand-built full-row rows of the kernel table, with the sha256 of
 # their states' entries at the outputs (geometry rows, integrals and V) as
 # ``float.hex``, one line per output, and each output's worst estimate, as
@@ -1495,7 +1548,7 @@ class TestStepKernels:
     @pytest.mark.parametrize("name", list(_PINNED_RUNS))
     def test_the_array_kernel_keeps_its_bits(self, monkeypatch, name):
         (request_, attempts), (digest, errors) = _KERNEL_CASES[name], _PINNED_RUNS[name]
-        (outputs, _), states, got, calls = _loop_record(monkeypatch, request_)
+        outputs, states, got, calls = _loop_record(monkeypatch, request_)
         assert type(outputs.axes[0]) is driftflow.axes.CircleAxis and outputs.axes[0].a.shape[1] == 16  # full rows
         assert hashlib.sha256("\n".join(" ".join(state) for state in states).encode()).hexdigest() == digest
         assert got == errors and calls == attempts
@@ -1687,8 +1740,8 @@ def _full_rows(monkeypatch):
 
 class TestStackedOutputPass:
     """A run solves its outputs' spectra and commutator residuals in stacks
-    over a leading output axis (``_output_pass``), each output in the bits
-    of its own one-output solve."""
+    over a leading output axis (one loop of ``run_flow``), each output in the
+    bits of its own one-output solve."""
 
     @pytest.mark.parametrize(
         "request_, patch, stacks",
@@ -1699,9 +1752,9 @@ class TestStackedOutputPass:
             (RunRequest(family=_PRODUCT, horizon=0.05, cadence=5, k=3, resolution=32, backend="analytic"), None, 2),
             (RunRequest(family=_VaryingFamily(), horizon=0.01, k=2, resolution=32, hermite_order=6, modes=8,
                         track_scalars=False), None, 1),
-            (RunRequest(family=df.round_circle_family(1.0), horizon=0.05, cadence=1, k=2, track_scalars=False),
+            (RunRequest(family=df.round_circle_family(1.0), horizon=0.1, cadence=1, k=2, track_scalars=False),
              _full_rows, 2),
-            (RunRequest(family=_PRODUCT, horizon=0.04, cadence=5, k=1, resolution=128, track_scalars=False), None, 4),
+            (RunRequest(family=_PRODUCT, horizon=0.08, cadence=5, k=1, resolution=128, track_scalars=False), None, 4),
         ],
         ids=["eternal_like", "round_product", "analytic", "non_round_circle", "full_row_circle", "several_stacks"],
     )
@@ -1710,12 +1763,12 @@ class TestStackedOutputPass:
             patch(monkeypatch)
         traj = df.run_flow(request_)
         points, count = traj.manifolds[0].size, len(traj.times)
-        assert len(range(1, count, _stack_length(points, request_.k + 1))) == stacks
-        assert (_stack_length(points, 1) < count) == (request_.resolution == 128)  # its commutator takes two stacks
-        # output 0's one-output solve, then one stacked solve per stack of outputs 1, 2, ...
+        assert len(range(0, count, _stack_length(points, request_.k + 1))) == stacks
+        # the solve that seeds the run, then one stacked solve per stack of outputs 0, 1, ...
         first, *stacked = recorded_solves
         assert len(stacked) == stacks and all(stack.eigenfunctions.shape[0] == len(stack.t) for stack in stacked)
-        solved = [_bits(first)] + [_bits(stack, i) for stack in stacked for i in range(len(stack.t))]
+        solved = [_bits(stack, i) for stack in stacked for i in range(len(stack.t))]
+        assert solved[0] == _bits(first)
         probe = first.eigenfunctions[1]
         for m, dm in enumerate(traj.manifolds):
             alone = df.lowest_eigenpairs(df.assemble_forms(dm), request_.k, request_.eig_tol)
@@ -1752,29 +1805,28 @@ class TestStackedOutputPass:
 
     def test_stack_lengths(self):
         # the eternal Gaussian's 101 outputs take one stack; a 16 x 256 grid
-        # goes one output at a time, within the per-output field estimate
+        # goes two outputs at a time at k = 1 and one from k = 2, within the
+        # per-output field estimate
         assert _stack_length(12, 2) >= 101
-        assert all(_stack_length(16 * 256, k + 1) == 1 for k in range(1, 17))
+        assert _stack_length(16 * 256, 2) == 2 and all(_stack_length(16 * 256, k + 1) == 1 for k in range(2, 17))
 
-    def test_output_pass_stays_within_the_field_estimate(self, monkeypatch):
-        req = RunRequest(family=_PRODUCT, horizon=0.2, cadence=5, k=1, resolution=32, track_scalars=False)
-        traj = df.run_flow(req)
-        points, outputs = traj.manifolds[0].size, len(traj.times)
-        assert outputs == 41 and 4 < _stack_length(points, req.k + 1) < _stack_length(points, 1) < outputs
-        spectrum0 = df.lowest_eigenpairs(df.assemble_forms(traj.manifolds[0]), req.k, req.eig_tol)
-        df.flow._output_pass(traj.manifolds, spectrum0, req.k, req.eig_tol)  # warm the caches
+    def test_the_loop_stays_within_the_field_estimate(self, monkeypatch):
+        req = RunRequest(family=_PRODUCT, horizon=0.5, cadence=5, k=1, resolution=32, track_scalars=False)
+        df.run_flow(dataclasses.replace(req, horizon=0.01))  # warm the caches
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            passed = df.flow._output_pass(traj.manifolds, spectrum0, req.k, req.eig_tol)
+            traj = df.run_flow(req)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the pass keeps its columns, less than one output's k + 1 fields: no eigenfunction
-        assert [arr.shape for arr in passed] == [(outputs, 2), (outputs, 2), (outputs,)]
-        assert kept - before < 8 * points * (req.k + 1)
+        points, outputs = traj.manifolds.size, len(traj.times)
+        assert outputs == 101 and len(range(0, outputs, _stack_length(points, req.k + 1))) == 5
+        # the run keeps its columns and geometry rows, less than one output's k + 1 fields each: no eigenfunction
+        assert kept - before < outputs * 8 * points * (req.k + 1)
         assert peak - before < _estimate(monkeypatch, req)
-        # a stack's temporaries, above what the pass keeps, fit the stack budget
+        # the temporaries of its steps, its seeding solve and each sub-stack's
+        # solve, commutator and volumes, above what it keeps, fit the stack budget
         assert peak - kept < STACK_BYTES
 
 
@@ -2001,12 +2053,18 @@ _SCALAR_RUNS = {
 
 
 def _stack_budget(monkeypatch, request, per_stack):
-    """Set STACK_BYTES so that a sub-stack of the scalar pass holds
-    ``per_stack`` outputs of the run ``request``."""
+    """Set STACK_BYTES so that a sub-stack of ``run_flow``'s loop, sized for
+    k + 1 fields per output, holds ``per_stack`` outputs of the run
+    ``request``."""
     state = df.evaluate_family(request.family, request.family.t0)
     points = df.discretize(state, resolution=request.resolution, hermite_order=request.hermite_order).size
-    monkeypatch.setattr(df.flow, "STACK_BYTES", per_stack * 8 * points * df.flow.FIELD_COPIES * request.k)
-    assert _stack_length(points, request.k) == per_stack
+    monkeypatch.setattr(df.flow, "STACK_BYTES", per_stack * 8 * points * df.flow.FIELD_COPIES * (request.k + 1))
+    assert _stack_length(points, request.k + 1) == per_stack
+
+
+def _check_stacks(traj) -> int:
+    """The sub-stacks of the propagator check, sized for each output's k scalars."""
+    return len(df.flow._sub_stacks(len(traj.times), traj.manifolds.size, traj.request.k))
 
 
 def _recording(monkeypatch, module, name, calls):
@@ -2065,7 +2123,7 @@ class TestStackedScalarPass:
         # the propagator check: each end state's exact batch is its one-output propagator
         if not name.startswith("stepped"):
             records = {c.name: c for c in check_functionals(traj)}
-            assert len(propagated) == stacks
+            assert len(propagated) == _check_stacks(traj)
             ends = [end for (_, _, states), _ in propagated for end in states]
             exact = [row for _, result in propagated for row in result]
             assert [end.t for end in ends] == list(traj.times)
@@ -2079,13 +2137,14 @@ class TestStackedScalarPass:
     @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
     @pytest.mark.parametrize("per_stack", [1, 2, 3])
     def test_one_call_per_sub_stack(self, monkeypatch, backend, per_stack):
-        # the derivative kernel, the pairings, E (or the analytic backend's
-        # propagator) and the check's propagator each run once per sub-stack
-        # of consecutive outputs, never once per output
+        # the solve, the commutator, the derivative kernel, the pairings, E
+        # (or the analytic backend's propagator) and the check's propagator
+        # each run once per sub-stack of consecutive outputs, never once per
+        # output; one more solve seeds the scalars
         request_ = dataclasses.replace(_SCALAR_RUNS["gauss_x_circle"], backend=backend)
         _stack_budget(monkeypatch, request_, per_stack)
-        calls = {name: [] for name in ("_derivatives", "_scalar_pairings", "_factor", "flow.modal_propagator",
-                                       "acceptance.modal_propagator")}
+        calls = {name: [] for name in ("lowest_eigenpairs", "_commutator_stack", "_derivatives", "_scalar_pairings",
+                                       "_factor", "flow.modal_propagator", "acceptance.modal_propagator")}
         for name, seen in calls.items():
             module, _, attr = name.rpartition(".")
             _recording(monkeypatch, acceptance if module == "acceptance" else df.flow, attr, seen)
@@ -2093,7 +2152,8 @@ class TestStackedScalarPass:
         check_functionals(traj)
         stacks = -(-len(traj.times) // per_stack)
         expected = {
-            "_derivatives": stacks, "_scalar_pairings": stacks, "acceptance.modal_propagator": stacks,
+            "lowest_eigenpairs": stacks + 1, "_commutator_stack": stacks,
+            "_derivatives": stacks, "_scalar_pairings": stacks, "acceptance.modal_propagator": _check_stacks(traj),
             "_factor": stacks if backend == "galerkin" else 0,
             "flow.modal_propagator": stacks if backend == "analytic" else 0,
         }
@@ -2101,6 +2161,9 @@ class TestStackedScalarPass:
         # consecutive outputs, a full sub-stack each but the last
         count = len(traj.times)
         sizes = [min(per_stack, count - lo) for lo in range(0, count, per_stack)]
+        assert [stack.t.tolist() for (_, stack), _ in calls["_commutator_stack"]] == [
+            traj.times[lo : lo + per_stack].tolist() for lo in range(0, count, per_stack)
+        ]
         for name in ("_derivatives", "_scalar_pairings"):
             assert [args[0].t.tolist() for args, _ in calls[name]] == [
                 traj.times[lo : lo + per_stack].tolist() for lo in range(0, count, per_stack)
@@ -2112,7 +2175,8 @@ class TestStackedScalarPass:
         # k = 3 on 16 x 256, six outputs, one per sub-stack: E, the pairings
         # and the propagator check each hold at most STACK_BYTES above what
         # they keep.  A round product's steps hold no field, so its whole
-        # loop is measured; a stepped V's E on one sub-stack.
+        # loop and E of every sub-stack are measured; a stepped V's E on one
+        # sub-stack.
         k = 3
         family = _VaryingFamily() if wavy else _PRODUCT
         req = RunRequest(family=family, horizon=0.005, dt=1e-3, cadence=1, k=k, resolution=256, hermite_order=16,
@@ -2122,11 +2186,12 @@ class TestStackedScalarPass:
         scalars0 = np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), k, 1e-8).eigenfunctions[1 : k + 1])
         traj = df.run_flow(req)  # also warms the caches and FFT plans
         assert len(traj.times) == 6
-        passes = {"pairings": lambda: df.flow._pairings(traj.manifolds, traj.scalar_values)}
+        subs = df.flow._sub_stacks(len(traj.times), dm.size, k + 1)
+        passes = {"pairings": lambda: [_scalar_pass(traj.manifolds[sub], traj.scalar_values[sub]) for sub in subs]}
         if wavy:
             passes["E"] = lambda: _factor(_Layout.of(dm, k), scalars0[None], np.full((1, 1), 0.3), [0.1])
         else:
-            passes["E"] = lambda: _run_loop(req, dm, scalars0)
+            passes["E"] = lambda: _filled(req, dm, scalars0)
             passes["propagator"] = lambda: check_functionals(traj)
         for name, work in passes.items():
             work()
@@ -2137,3 +2202,56 @@ class TestStackedScalarPass:
             finally:
                 tracemalloc.stop()
             assert result is not None and peak - kept < STACK_BYTES, name
+
+
+_PARTITION_CONFIG = {
+    "name": "partition", "family": "product", "factors": "scaled_gaussian:u0=1,n=1;round_circle:a0=4", "horizon": 0.02,
+    "cadence": 1, "k": 3, "resolution": 32, "modes": 16, "hermite_order": 8, "check_functionals": True,
+    "check_commutator": True,
+}
+
+
+def _trajectory_bytes(traj) -> dict:
+    """The bytes of every array of a trajectory: its columns, its series and
+    its scalars, and each output's geometry rows."""
+    arrays = {}
+    for f in dataclasses.fields(traj):
+        value = getattr(traj, f.name)
+        if isinstance(value, np.ndarray):
+            arrays[f.name] = value.tobytes()
+        elif isinstance(value, dict):
+            arrays.update({f"{f.name}.{key}": arr.tobytes() for key, arr in value.items()})
+    layout = _Layout.of(traj.manifolds[0])
+    arrays["manifolds"] = b"".join(layout.pack(dm).tobytes() for dm in traj.manifolds)
+    return arrays
+
+
+class TestPartitionInvariance:
+    """A run's results do not depend on how its outputs fall into sub-stacks:
+    one output per sub-stack and the whole run in one give the same bits."""
+
+    @pytest.mark.parametrize("name", ["galerkin", "analytic", "stepped_v"])
+    def test_one_output_per_sub_stack_and_one_sub_stack_agree(self, monkeypatch, tmp_path, name):
+        config = None
+        if name == "stepped_v":
+            request_ = dataclasses.replace(_SCALAR_RUNS["stepped_v"], horizon=12 * 2.0**-10)
+        else:
+            config = ScenarioConfig.from_dict({**_PARTITION_CONFIG, "backend": name})
+            request_ = config.to_request()
+        count, k = df.flow.output_count(request_), request_.k
+        points = _manifold(request_.family, resolution=request_.resolution, hermite_order=request_.hermite_order).size
+        budgets = {"one": 0, "whole": count * 8 * points * df.flow.FIELD_COPIES * (k + 1)}
+        runs = {}
+        for budget, stack_bytes in budgets.items():
+            monkeypatch.setattr(df.flow, "STACK_BYTES", stack_bytes)
+            assert len(df.flow._sub_stacks(count, points, k + 1)) == (count if budget == "one" else 1)
+            traj = df.run_flow(request_)
+            assert traj.scalar_values is not None and len(traj.times) == count > 10
+            files = {}
+            if config is not None:
+                out_dir = execute(config, out_root=str(tmp_path / budget)).out_dir
+                for file in ("trajectory.csv", "spectra.json", "bounds.csv"):
+                    with open(os.path.join(out_dir, file), "rb") as fh:
+                        files[file] = fh.read()
+            runs[budget] = (_trajectory_bytes(traj), files)
+        assert runs["one"] == runs["whole"]

@@ -81,6 +81,9 @@ REMOVED = (
     # The array kernel steps, estimates and halves inline, as the float and list kernels do.
     "_step",
     "_array_attempt",
+    # One loop of run_flow over sub-stacks of outputs solves, checks, fills and pairs each sub-stack.
+    "_output_pass",
+    "_pairings",
 )
 
 # Instance attributes that nothing reads: an axis's quadrature density is ``wdens``.

@@ -100,9 +100,9 @@ class TestDetection:
         window = acceptance.splitting_tolerances(backend)["eigenvalue"]
         cert = df.detect_splitting(traj, traj.times[i0], traj.times[-1], window)
         assert cert and cert.k == 1
-        # output 0's solve, then the stacks of outputs 1, 2, ...; output i0 is not the first of its stack
+        # the solve that seeds the run, then the stacks of outputs 0, 1, ...; output i0 is not the first of its stack
         rows = [(stack, i) for stack in recorded_solves[1:] for i in range(len(stack.t))]
-        stack, i = rows[i0 - 1]
+        stack, i = rows[i0]
         assert stack.t[i] == traj.times[i0] and i > 0
         dm, u = traj.manifolds[i0], stack.eigenfunctions[i, 1]  # lambda_1 = 1/2, the Gaussian coordinate
         du = partials(dm, u)
@@ -145,7 +145,8 @@ class TestStationarityOfDirections:
     def test_direction_field_barely_moves(self, product_cert, product_traj):
         u0 = product_cert.directions[0]
         # u0 carried by u_t = L u + u/2 through the run's own Galerkin integration
-        outputs, scalars = _run_loop(product_traj.request, product_traj.manifolds[0], u0[None])
+        outputs, scalars, fill = _run_loop(product_traj.request, product_traj.manifolds[0], u0[None])
+        fill(slice(None))
         dm_last, u_last = outputs[-1], scalars[-1]
         diff = u_last[0] - u0
         change = math.sqrt(dm_last.integrate(diff * diff))
