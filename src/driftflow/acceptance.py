@@ -15,8 +15,10 @@ certificate's for both backends included.  The run checks ``check_bounds``,
 under ``verifications`` in its manifest.  The ten criteria behind
 ``driftflow verify`` call the same checks or read the same table, re-derive
 their expected values from closed forms or from the brute-force oracles, and
-build their PASS/FAIL line from their records.  ``run_all`` prints one line
-per criterion.
+return their records.  Each is declared once by ``_criterion``, which
+registers it in ``CRITERIA``, times it, adds the strict ``seconds`` record
+of the criteria with a time limit, and builds its ``CriterionResult``, whose
+PASS/FAIL line ``run_all`` prints.
 """
 
 from __future__ import annotations
@@ -178,7 +180,9 @@ def check_functionals(traj: FlowTrajectory) -> list:
     deviations = np.empty(len(values))
     for sub in _sub_stacks(len(values), traj.manifolds.size, values.shape[1]):
         exact = modal_propagator(values[0], states[0], states[sub])
-        deviations[sub] = _row_max(np.abs(values[sub] - exact)) / _row_max(np.abs(exact))
+        # an output whose propagated scalars are all zero reads inf (or NaN) and fails, with no warning on stderr
+        with np.errstate(divide="ignore", invalid="ignore"):
+            deviations[sub] = _row_max(np.abs(values[sub] - exact)) / _row_max(np.abs(exact))
     return [
         Check("rel J'", rep.max_rel_J, VERIFY_TOLERANCES["functionals_rel"]),
         Check("rel I'", rep.max_rel_I, VERIFY_TOLERANCES["functionals_rel"]),
@@ -260,8 +264,34 @@ def check_splitting(outcome, backend: str) -> list:
     ]
 
 
-def criterion_1_sharpness() -> CriterionResult:
-    start = time.perf_counter()
+# The criteria behind ``driftflow verify``, in id order: each ``_criterion`` appends one.
+# A list of zero-argument callables, whose entries a caller may replace in place.
+CRITERIA = []
+
+
+def _criterion(cid: int, name: str, seconds: float | None = None):
+    """Register criterion ``cid``, whose body returns its checks, and bind its
+    name to the call that times the body and builds its ``CriterionResult``.
+    With a time limit ``seconds``, the strict record ``seconds < limit`` of
+    the body's own time comes last."""
+
+    def register(body):
+        def criterion() -> CriterionResult:
+            start = time.perf_counter()
+            checks = body()
+            elapsed = time.perf_counter() - start
+            if seconds is not None:
+                checks.append(Check("seconds", elapsed, math.nextafter(seconds, -math.inf)))
+            return CriterionResult(cid, name, checks, elapsed)
+
+        CRITERIA.append(criterion)
+        return criterion
+
+    return register
+
+
+@_criterion(1, "sharp eigenvalue curve of the rescaled Gaussian", seconds=5.0)
+def criterion_1_sharpness() -> list:
     checks = []
     for backend, tol in (("analytic", 1e-8), ("galerkin", 1e-6)):
         req = RunRequest(family=scaled_gaussian_family(2.0, 1), horizon=LOG2, dt=1e-3, cadence=10, k=1,
@@ -270,22 +300,19 @@ def criterion_1_sharpness() -> CriterionResult:
         s = traj.times - traj.times[0]
         lam = traj.eigenvalues[:, 1]
         checks.append(Check(f"rel err {backend}", float(np.max(np.abs(lam / _sharp_curve(0.25, s) - 1.0))), tol))
-    seconds = time.perf_counter() - start
-    checks.append(Check("seconds", seconds, math.nextafter(5.0, -math.inf)))
-    return CriterionResult(1, "sharp eigenvalue curve of the rescaled Gaussian", checks, seconds)
+    return checks
 
 
-def criterion_2_eternal() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(2, "eternal run stays strictly below 1/2")
+def criterion_2_eternal() -> list:
     req = RunRequest(family=scaled_gaussian_family(2.0, 1), horizon=5.0, dt=1e-3, cadence=50, k=1, track_scalars=False)
     lam = run_flow(req).eigenvalues[:, 1]
     # lambda_1 stays at least 1e-3 below 1/2 over the whole horizon of 5
-    checks = [Check("max lambda_1 - 1/2", float(np.max(lam - 0.5)), -1e-3)]
-    return CriterionResult(2, "eternal run stays strictly below 1/2", checks, time.perf_counter() - start)
+    return [Check("max lambda_1 - 1/2", float(np.max(lam - 0.5)), -1e-3)]
 
 
-def criterion_3_bound_compliance() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(3, "eigenvalue bound compliance on all scenarios", seconds=30.0)
+def criterion_3_bound_compliance() -> list:
     scenarios = [
         ("gauss_u0.5", scaled_gaussian_family(0.5, 1), 0.6, 2),
         ("gauss_u1", scaled_gaussian_family(1.0, 1), 1.0, 2),
@@ -314,24 +341,17 @@ def criterion_3_bound_compliance() -> CriterionResult:
                     math.nextafter(0.0, -math.inf),
                 ),
             ]
-    seconds = time.perf_counter() - start
-    checks = [
-        Check("max bound excess", float(np.max(excess)), VERIFY_TOLERANCES["bounds_slack"]),
-        *checks,
-        Check("seconds", seconds, math.nextafter(30.0, -math.inf)),
-    ]
-    return CriterionResult(3, "eigenvalue bound compliance on all scenarios", checks, seconds)
+    return [Check("max bound excess", float(np.max(excess)), VERIFY_TOLERANCES["bounds_slack"]), *checks]
 
 
-def criterion_4_evolution_identities() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(4, "evolution identities on a circle run")
+def criterion_4_evolution_identities() -> list:
     req = RunRequest(family=round_circle_family(1.0), horizon=0.3, dt=1e-3, cadence=1, k=2)
-    checks = check_functionals(run_flow(req))
-    return CriterionResult(4, "evolution identities on a circle run", checks, time.perf_counter() - start)
+    return check_functionals(run_flow(req))
 
 
-def criterion_5_bochner() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(5, "drift Bochner identity on random weighted circles", seconds=5.0)
+def criterion_5_bochner() -> list:
     n = 256
     theta = 2.0 * math.pi * np.arange(n) / n
     rng = np.random.default_rng(0)
@@ -347,16 +367,11 @@ def criterion_5_bochner() -> CriterionResult:
             u += (2 * rng.random() - 1) * np.sin(kk * theta)
         dm = weighted_circle(n, a=1.0, f=lambda th, f=f: np.interp(th, theta, f, period=2 * math.pi))
         residuals.append(_bochner_residual(u, dm))
-    seconds = time.perf_counter() - start
-    checks = [
-        Check("worst rel residual of 20 seeded fields", float(np.max(residuals)), VERIFY_TOLERANCES["bochner_rel"]),
-        Check("seconds", seconds, math.nextafter(5.0, -math.inf)),
-    ]
-    return CriterionResult(5, "drift Bochner identity on random weighted circles", checks, seconds)
+    return [Check("worst rel residual of 20 seeded fields", float(np.max(residuals)), VERIFY_TOLERANCES["bochner_rel"])]
 
 
-def criterion_6_commutator() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(6, "commutator of d/dt with the drift Laplacian")
+def criterion_6_commutator() -> list:
     req_s = RunRequest(
         family=scaled_gaussian_family(1.0, 1), horizon=0.1, dt=1e-3, cadence=1, k=1, track_scalars=False
     )
@@ -368,12 +383,11 @@ def criterion_6_commutator() -> CriterionResult:
     traj_c = run_flow(req_c)
     u = np.cos(traj_c.manifolds[0].axes[0].nodes)
     res_circle = float(np.max(commutator_residual(u, traj_c.manifolds, range(len(traj_c.times)))))
-    checks = [Check("static", res_static, 1e-12), Check("circle", res_circle, VERIFY_TOLERANCES["commutator_rel"])]
-    return CriterionResult(6, "commutator of d/dt with the drift Laplacian", checks, time.perf_counter() - start)
+    return [Check("static", res_static, 1e-12), Check("circle", res_circle, VERIFY_TOLERANCES["commutator_rel"])]
 
 
-def criterion_7_comparison_suite() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(7, "comparison suite for differential inequalities")
+def criterion_7_comparison_suite() -> list:
     worst_agree = 0.0
     cases = []
     for lam0 in (0.05, 0.25, 0.49, 0.5):
@@ -430,7 +444,7 @@ def criterion_7_comparison_suite() -> CriterionResult:
                 break  # envelope is vacuous once h leaves the nonnegative regime
             if step % 10 == 9:
                 worst_env = max(worst_env, h - logistic_envelope(h0, t))
-    checks = [
+    return [
         Check("bound vs RK4", worst_agree, 1e-10),
         Check("semigroup", worst_semi, 1e-12),
         Check("|blowup_horizon(1) - log 2|", abs(blowup_horizon(1.0) - LOG2), 1e-12),
@@ -441,7 +455,6 @@ def criterion_7_comparison_suite() -> CriterionResult:
         ),
         Check("envelope excess", worst_env, 1e-9),
     ]
-    return CriterionResult(7, "comparison suite for differential inequalities", checks, time.perf_counter() - start)
 
 
 def _diagonal_rate(traj: FlowTrajectory) -> float:
@@ -450,20 +463,19 @@ def _diagonal_rate(traj: FlowTrajectory) -> float:
     return float(-0.5 * dJ11 * J11**-1.5)
 
 
-def criterion_8_gram_derivative() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(8, "Gram-Schmidt diagonal drift rate")
+def criterion_8_gram_derivative() -> list:
     req = RunRequest(family=scaled_gaussian_family(2.0, 1), horizon=5e-3, dt=1e-3, cadence=1, k=1)
     deriv = _diagonal_rate(run_flow(req))
 
     req_s = RunRequest(family=scaled_gaussian_family(1.0, 1), horizon=5e-3, dt=1e-3, cadence=1, k=1)
     deriv_s = _diagonal_rate(run_flow(req_s))
 
-    checks = [Check("|a11'(0) + 1/4|", abs(deriv - (-0.25)), 1e-4), Check("static |a11'(0)|", abs(deriv_s), 1e-10)]
-    return CriterionResult(8, "Gram-Schmidt diagonal drift rate", checks, time.perf_counter() - start)
+    return [Check("|a11'(0) + 1/4|", abs(deriv - (-0.25)), 1e-4), Check("static |a11'(0)|", abs(deriv_s), 1e-10)]
 
 
-def criterion_9_splitting() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(9, "splitting certificate and negative controls")
+def criterion_9_splitting() -> list:
     window = splitting_tolerances("galerkin")["eigenvalue"]
     fam = product_family([scaled_gaussian_family(1.0, 1), round_circle_family(0.25)])
     req = RunRequest(family=fam, horizon=0.2, dt=1e-3, cadence=20, k=3, track_scalars=False)
@@ -478,11 +490,11 @@ def criterion_9_splitting() -> CriterionResult:
         t = run_flow(RunRequest(family=family, horizon=0.1, dt=1e-3, cadence=10, k=2, track_scalars=False))
         outcome = detect_splitting(t, t.times[0], t.times[-1], window)
         checks.append(Check(f"{name} certificates", float(isinstance(outcome, SplittingCertificate)), 0.0))
-    return CriterionResult(9, "splitting certificate and negative controls", checks, time.perf_counter() - start)
+    return checks
 
 
-def criterion_10_spectral_correctness() -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(10, "spectra on analytic backends")
+def criterion_10_spectral_correctness() -> list:
     gauss_devs = []
     for a in (0.25, 0.5, 1.0, 2.0, 4.0):
         dm = gaussian_line(a, order=8)
@@ -498,25 +510,10 @@ def criterion_10_spectral_correctness() -> CriterionResult:
         worst_circle = max(worst_circle, float(np.max(np.abs(res.eigenvalues - expected))))
         dense = dense_spectrum(forms)[:7]
         worst_circle = max(worst_circle, float(np.max(np.abs(res.eigenvalues - dense))))
-    checks = [
+    return [
         Check("gaussian |lambda_j - j/(2a)|", float(np.max(gauss_devs)), 0.0),
         Check("circle worst dev", worst_circle, 1e-10),
     ]
-    return CriterionResult(10, "spectra on analytic backends", checks, time.perf_counter() - start)
-
-
-CRITERIA = [
-    criterion_1_sharpness,
-    criterion_2_eternal,
-    criterion_3_bound_compliance,
-    criterion_4_evolution_identities,
-    criterion_5_bochner,
-    criterion_6_commutator,
-    criterion_7_comparison_suite,
-    criterion_8_gram_derivative,
-    criterion_9_splitting,
-    criterion_10_spectral_correctness,
-]
 
 
 def run_all(verbose: bool = True) -> list[CriterionResult]:

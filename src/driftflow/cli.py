@@ -118,6 +118,8 @@ def _usable_cpus() -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .runner import _write_json
+
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     base = load_config(args.config)
@@ -148,14 +150,8 @@ def _cmd_sweep(args) -> int:
 
     out_root = args.out or base.out_dir or os.environ.get("DRIFTFLOW_OUT", "runs")
     os.makedirs(out_root, exist_ok=True)
-    with open(os.path.join(out_root, "sweep_manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            [{"name": n, "status": s, "where": w} for n, s, w in outcomes],
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    manifest = [{"name": n, "status": s, "where": w} for n, s, w in outcomes]
+    _write_json(os.path.join(out_root, "sweep_manifest.json"), manifest)
 
     bad = [o for o in outcomes if o[1] != "ok"]
     for name, status, where in outcomes:
@@ -175,13 +171,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .acceptance import failed, run_all
+    from .runner import _write_json
 
     results = run_all(verbose=True)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "acceptance_report.json"), "w", encoding="utf-8", newline="\n") as fh:
-            json.dump([r.to_json_dict() for r in results], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(args.out, "acceptance_report.json"), [r.to_json_dict() for r in results])
     bad = failed({f"C{r.cid}": r.checks for r in results})
     if bad:
         return _fail("verification", f"{len(bad)} acceptance criteria failed: {', '.join(bad)}", EXIT_VERIFICATION)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,14 +53,7 @@ class OracleReport:
     rel_deviation: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "oracle": self.oracle,
-            "inputs_digest": self.inputs_digest,
-            "reference": self.reference,
-            "target": self.target,
-            "abs_deviation": self.abs_deviation,
-            "rel_deviation": self.rel_deviation,
-        }
+        return asdict(self)
 
     @classmethod
     def compare(cls, oracle: str, inputs, reference, target) -> "OracleReport":

@@ -9,7 +9,9 @@ check's (name, value, tol, margin, passed) records under ``verifications``,
 and one oracle report per distinct starting eigenvalue.  Files are written
 only after every check has run.  CSV numeric content is formatted
 with 17 significant digits and newline endings, so re-running an identical
-config reproduces the bytes.
+config reproduces the bytes.  Both CSVs go through ``_write_csv``, and every
+JSON file, the CLI's ``sweep_manifest.json`` and ``acceptance_report.json``
+included, through ``_write_json``.
 """
 
 from __future__ import annotations
@@ -53,35 +55,12 @@ class RunResult:
         return failed(self.verifications)
 
 
-def _write_trajectory_csv(path: str, traj: FlowTrajectory, k: int) -> None:
-    n_out = len(traj.times)
-    cols = ["t"]
-    cols += [f"lambda_{j}" for j in range(k + 1)]
-    cols += [f"bound_{j}" for j in range(1, k + 1)]
-    cols += ["volume"]
-    ns = traj.scalar_values.shape[1] if traj.scalar_values is not None else 0
-    cols += [f"E_{i}" for i in range(1, ns + 1)]
-    cols += ["residual_IJ", "residual_commutator"]
+def _write_csv(path: str, header: list, *columns) -> None:
+    """The header line, then one line per row of the columns side by side."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for m in range(n_out):
-            row = [traj.times[m]]
-            row += list(traj.eigenvalues[m])
-            row += list(traj.bounds[m])
-            row.append(traj.volumes[m])
-            if ns:
-                row += list(traj.series["E"][m])
-            row.append(traj.residual_ij[m])
-            row.append(traj.residual_commutator[m])
+        fh.write(",".join(header) + "\n")
+        for row in np.column_stack(columns).tolist():
             fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _write_bounds_csv(path: str, traj: FlowTrajectory, k: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("s," + ",".join(f"bound_{j}" for j in range(1, k + 1)) + "\n")
-        s_values = traj.times - traj.times[0]
-        for m, s in enumerate(s_values):
-            fh.write(",".join(_fmt(x) for x in [s, *traj.bounds[m]]) + "\n")
 
 
 def _write_json(path: str, payload) -> None:
@@ -166,8 +145,13 @@ def execute(config: ScenarioConfig, out_root: str | None = None) -> RunResult:
     }
 
     os.makedirs(out_dir, exist_ok=True)
-    _write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj, config.k)
-    _write_bounds_csv(os.path.join(out_dir, "bounds.csv"), traj, config.k)
+    bounds = [f"bound_{j}" for j in range(1, config.k + 1)]
+    energies = traj.series.get("E", np.empty((len(traj.times), 0)))
+    header = ["t", *(f"lambda_{j}" for j in range(config.k + 1)), *bounds, "volume",
+              *(f"E_{i}" for i in range(1, energies.shape[1] + 1)), "residual_IJ", "residual_commutator"]
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), header, traj.times, traj.eigenvalues, traj.bounds,
+               traj.volumes, energies, traj.residual_ij, traj.residual_commutator)
+    _write_csv(os.path.join(out_dir, "bounds.csv"), ["s", *bounds], traj.times - traj.times[0], traj.bounds)
     rows = zip(traj.times.tolist(), traj.eigenvalues.tolist(), traj.eigen_residuals.tolist())
     spectra = [{"t": t, "eigenvalues": lam, "residuals": res, "normalization": "weighted-L2"} for t, lam, res in rows]
     _write_json(os.path.join(out_dir, "spectra.json"), spectra)

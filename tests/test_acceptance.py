@@ -82,8 +82,24 @@ def test_c10_spectral_correctness(report):
 
 
 def test_every_criterion_is_covered(report):
-    assert len(acceptance.CRITERIA) == 10
-    assert sorted(report) == list(range(1, 11))
+    # CRITERIA holds criterion_1_sharpness ... criterion_10_spectral_correctness, once each, in id order
+    names = [name for name in vars(acceptance) if name.startswith("criterion_")]
+    names.sort(key=lambda name: int(name.split("_")[1]))
+    assert [int(name.split("_")[1]) for name in names] == list(range(1, 11))
+    assert acceptance.CRITERIA == [getattr(acceptance, name) for name in names]
+    assert list(report) == list(range(1, 11))  # and verify reports them in that order
+
+
+def test_only_timed_criteria_end_with_their_seconds_record(report):
+    limits = {1: 5.0, 3: 30.0, 5: 5.0}
+    for cid, entry in report.items():
+        timed = [record for record in entry["checks"] if record["name"] == "seconds"]
+        if cid not in limits:
+            assert timed == [], cid
+            continue
+        assert timed == entry["checks"][-1:], cid
+        assert timed[0]["value"] == entry["seconds"]
+        assert timed[0]["tol"] == math.nextafter(limits[cid], -math.inf)
 
 
 def test_report_records_follow_the_one_rule(report):

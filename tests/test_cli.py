@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from driftflow import acceptance, cli, flow
+from driftflow import acceptance, cli, config, flow
 from driftflow.cli import main
 from driftflow.config import ScenarioConfig, load_config
 from driftflow.errors import ConfigurationError, DegeneracyError, SolverError, StabilityError
@@ -532,6 +532,95 @@ class TestRunCommand:
         [record] = manifest["verifications"]["functionals"]
         assert record["name"] == "volume drift" and record["passed"] is True
         assert record["value"] <= record["tol"] == acceptance.VERIFY_TOLERANCES["volume_drift_rel"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_scalars_propagated_to_zero_fail_in_one_line(self, tmp_path, capsys):
+        # the exact propagated scalars of this stiff weighted circle are all zero at an output, so the
+        # propagator record reads inf and fails, with no numpy divide warning as a second stderr line
+        cfg = _write_config(tmp_path / "stiff.json", name="stiff", family="round_circle", a0=4e-4, f0=39.0, k=1,
+                            horizon=0.05, track_scalars=True, check_functionals=True)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--strict"]) == 5
+        assert capsys.readouterr().err == "error: verification: checks failed: functionals\n"
+        manifest = json.loads((tmp_path / "out" / "stiff" / "manifest.json").read_text())
+        [record] = [r for r in manifest["verifications"]["functionals"] if r["name"] == "scalar propagator"]
+        assert record["value"] == math.inf and record["passed"] is False
+
+    @pytest.mark.parametrize(
+        "overrides, columns",
+        [
+            (dict(k=3, track_scalars=True), "lambda_0,lambda_1,lambda_2,lambda_3,bound_1,bound_2,bound_3,volume,"
+                                            "E_1,E_2,E_3"),
+            (dict(k=3, track_scalars=False), "lambda_0,lambda_1,lambda_2,lambda_3,bound_1,bound_2,bound_3,volume"),
+            (dict(k=1, track_scalars=True), "lambda_0,lambda_1,bound_1,volume,E_1"),
+        ],
+        ids=["k3-scalars", "k3-no-scalars", "k1"],
+    )
+    def test_csv_headers_and_row_widths(self, tmp_path, overrides, columns):
+        cfg = _write_config(tmp_path / "layout.json", name="layout", u0=1.0, horizon=0.05, **overrides)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--strict"]) == 0
+        run_dir = tmp_path / "out" / "layout"
+        outputs = json.loads((run_dir / "manifest.json").read_text())["outputs"]
+        bounds = ",".join(f"bound_{j}" for j in range(1, overrides["k"] + 1))
+        expected = {
+            "trajectory.csv": f"t,{columns},residual_IJ,residual_commutator",
+            "bounds.csv": f"s,{bounds}",
+        }
+        for name, header in expected.items():
+            lines = (run_dir / name).read_text().splitlines()
+            assert lines[0] == header and len(lines) == outputs + 1, name
+            assert {line.count(",") for line in lines} == {header.count(",")}, name
+
+
+# The schema smoke draw's caps, within config._BOUNDS, that keep its 20 runs under a second.
+_SMOKE_CAPS = {"resolution": (8, 128), "hermite_order": (3, 24), "n": (1, 2), "k": (1, 3), "horizon": (0.0, 0.1)}
+
+
+def _smoke_value(rng, key):
+    """A value of ``key`` within its bounds and cap: integers uniformly, ranges of
+    more than two decades of positive numbers log-uniformly, others uniformly."""
+    lo, hi = config._BOUNDS[key]
+    cap_lo, cap_hi = _SMOKE_CAPS.get(key, (lo, hi))
+    lo, hi = max(lo, cap_lo), min(hi, cap_hi)
+    if isinstance(lo, int) and isinstance(hi, int):
+        return int(rng.integers(lo, hi + 1))
+    if lo > 0 and hi > 100 * lo:
+        return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+    return float(rng.uniform(lo, hi))
+
+
+def _smoke_config(rng, name):
+    """One drawn config: every bounded key, both factor kinds, both backends and every check."""
+    raw = {key: _smoke_value(rng, key) for key in config._BOUNDS}
+    raw["modes"] = int(rng.integers(1, raw["resolution"] // 2 + 1))  # a larger cutoff is a config error
+    raw["name"] = name
+    raw["family"] = str(rng.choice(["scaled_gaussian", "round_circle", "product"]))
+    gaussian = f"scaled_gaussian:u0={_smoke_value(rng, 'u0')!r},n={_smoke_value(rng, 'n')}"
+    circle = f"round_circle:a0={_smoke_value(rng, 'a0')!r},f0={_smoke_value(rng, 'f0')!r}"
+    raw["factors"] = f"{gaussian};{circle}" if rng.random() < 0.5 else f"{circle};{gaussian}"
+    raw["backend"] = str(rng.choice(["galerkin", "analytic"]))
+    for flag in ("track_scalars", "check_functionals", "check_commutator", "check_bochner", "check_splitting"):
+        raw[flag] = bool(rng.random() < 0.5)
+    return raw
+
+
+@pytest.mark.filterwarnings("error")  # outside pytest a warning would be a second line on stderr
+def test_drawn_configs_exit_with_a_known_code_and_one_error_line(tmp_path, capsys):
+    kinds = {2: "config", 3: "stability", 4: "solver", 5: "verification"}
+    rng = np.random.default_rng(20261020)
+    codes = []
+    for i in range(20):
+        raw = _smoke_config(rng, f"draw{i}")
+        path = tmp_path / f"draw{i}.json"
+        path.write_text(json.dumps(raw))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--strict"])
+        err = capsys.readouterr().err
+        assert code in (0, *kinds), raw
+        if code:
+            assert err.startswith(f"error: {kinds[code]}: ") and err.count("\n") == 1 and err.endswith("\n"), raw
+        else:
+            assert err == "", raw
+        codes.append(code)
+    assert 0 in codes  # the draw reaches runs that pass, not only refusals
 
 
 class TestSweepAndReport:

@@ -84,6 +84,9 @@ REMOVED = (
     # One loop of run_flow over sub-stacks of outputs solves, checks, fills and pairs each sub-stack.
     "_output_pass",
     "_pairings",
+    # A run writes both its CSVs through runner._write_csv, from the header and the columns.
+    "_write_trajectory_csv",
+    "_write_bounds_csv",
 )
 
 # Instance attributes that nothing reads: an axis's quadrature density is ``wdens``.
