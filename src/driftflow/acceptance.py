@@ -12,7 +12,8 @@ and ``verify`` all decide with it.
 certificate's for both backends included.  The run checks ``check_bounds``,
 ``check_functionals``, ``check_commutator``, ``check_bochner`` and
 ``check_splitting`` return lists of records, which ``driftflow run`` writes
-under ``verifications`` in its manifest.  The ten criteria behind
+under ``verifications`` in its manifest, an infinite or NaN number as the
+string ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``.  The ten criteria behind
 ``driftflow verify`` call the same checks or read the same table, re-derive
 their expected values from closed forms or from the brute-force oracles, and
 return their records.  Each is declared once by ``_criterion``, which
@@ -112,8 +113,16 @@ class Check:
         return f"{self.name} {self.value:.3e} {'<=' if self.passed else 'NOT <='} {self.tol:.3e}"
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "value": float(self.value), "tol": float(self.tol), "margin": float(self.margin),
-                "passed": self.passed}
+        """The record as JSON; a non-finite number is the string ``float`` reads back, as JSON has no token for it."""
+        return {"name": self.name, "value": _json_float(self.value), "tol": _json_float(self.tol),
+                "margin": _json_float(self.margin), "passed": self.passed}
+
+
+def _json_float(x: float):
+    x = float(x)
+    if math.isfinite(x):
+        return x
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
 
 
 def failed(groups: dict) -> list:

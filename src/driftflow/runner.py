@@ -6,12 +6,18 @@ results.  Every run writes a trajectory CSV, a bound-overlay CSV, a spectra
 JSON, an optional splitting certificate, and a manifest that references
 every emitted file and records the config hash, the tolerance table, each
 check's (name, value, tol, margin, passed) records under ``verifications``,
-and one oracle report per distinct starting eigenvalue.  Files are written
-only after every check has run.  CSV numeric content is formatted
-with 17 significant digits and newline endings, so re-running an identical
-config reproduces the bytes.  Both CSVs go through ``_write_csv``, and every
-JSON file, the CLI's ``sweep_manifest.json`` and ``acceptance_report.json``
-included, through ``_write_json``.
+and one oracle report per distinct starting eigenvalue; a non-finite
+value, tol or margin is written as the string "Infinity", "-Infinity" or
+"NaN", and every JSON text is dumped with ``allow_nan=False``, so no file
+holds a bare token.  Files are written only after every check has run, and
+only once every JSON text can be built.  Each artifact's text is built
+whole before its file is opened and written in one call by ``_write_text``,
+the one place a file is opened for writing (the CLI's
+``sweep_manifest.json`` and ``acceptance_report.json`` included): the CSVs
+and ``spectra.json`` by one ``%`` operation per block of ``_ROWS`` rows,
+the other JSON files by one ``json.dumps``.  CSV values are ``%.17g`` and
+``spectra.json`` is laid out as ``indent=2, sort_keys=True``, with newline
+endings, so re-running an identical config reproduces the bytes.
 """
 
 from __future__ import annotations
@@ -37,10 +43,6 @@ from .splitting import detect_splitting
 __all__ = ["execute", "RunResult"]
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 @dataclass(frozen=True)
 class RunResult:
     config: ScenarioConfig
@@ -55,18 +57,58 @@ class RunResult:
         return failed(self.verifications)
 
 
-def _write_csv(path: str, header: list, *columns) -> None:
-    """The header line, then one line per row of the columns side by side."""
+# Rows filled per % operation.  A long run's text is built in blocks of this many rows, so that the
+# Python floats of only one block are alive at a time: one % over every row of a long run would
+# hold all of them, and the template and the text besides.
+_ROWS = 1024
+
+
+def _write_text(path: str, *pieces: str) -> None:
+    """The one place an artifact file is opened: its text, built whole beforehand, in one call."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in np.column_stack(columns).tolist():
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(pieces)
+
+
+def _rows(table: np.ndarray, row: str, sep: str = "") -> list:
+    """Each row of ``table`` filled into the %-template ``row``, joined by ``sep``; one piece per _ROWS rows."""
+    pieces = []
+    for start in range(0, len(table), _ROWS):
+        block = table[start : start + _ROWS]
+        pieces.append((sep if start else "") + sep.join([row] * len(block)) % tuple(block.ravel().tolist()))
+    return pieces
+
+
+def _write_csv(path: str, header: list, *columns) -> None:
+    """The header line, then one line per row of the columns side by side, each value as %.17g."""
+    table = np.column_stack(columns)
+    _write_text(path, ",".join(header) + "\n", *_rows(table, ",".join(["%.17g"] * table.shape[1]) + "\n"))
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, _json_text(payload))
+
+
+def _spectra(times: np.ndarray, eigenvalues: np.ndarray, residuals: np.ndarray) -> list:
+    """The pieces of ``_json_text`` of one {"t", "eigenvalues", "residuals", "normalization"} object per output.
+
+    Each output fills a template laid out as ``indent=2, sort_keys=True``
+    lays it out, with ``%r``: ``float.__repr__``, json's own float token.  A
+    non-finite value raises ``ValueError``, as ``allow_nan=False`` does.
+    """
+    table = np.column_stack([eigenvalues, residuals, times])
+    if not np.isfinite(table).all():
+        raise ValueError("spectra hold a non-finite value, which JSON cannot represent")
+
+    def numbers(width: int) -> str:
+        return "[\n      " + ",\n      ".join(["%r"] * width) + "\n    ]"
+
+    entry = ('  {\n    "eigenvalues": ' + numbers(eigenvalues.shape[1]) + ',\n    "normalization": "weighted-L2",'
+             '\n    "residuals": ' + numbers(residuals.shape[1]) + ',\n    "t": %r\n  }')
+    return ["[\n", *_rows(table, entry, ",\n"), "\n]\n"]
 
 
 def _splitting(config: ScenarioConfig, traj: FlowTrajectory) -> tuple[dict, list]:
@@ -144,19 +186,24 @@ def execute(config: ScenarioConfig, out_root: str | None = None) -> RunResult:
         "outputs": len(traj.times),
     }
 
-    os.makedirs(out_dir, exist_ok=True)
     bounds = [f"bound_{j}" for j in range(1, config.k + 1)]
     energies = traj.series.get("E", np.empty((len(traj.times), 0)))
     header = ["t", *(f"lambda_{j}" for j in range(config.k + 1)), *bounds, "volume",
               *(f"E_{i}" for i in range(1, energies.shape[1] + 1)), "residual_IJ", "residual_commutator"]
+    # Every JSON text is built before the first file is written, so a non-finite value leaves no run directory
+    # behind.  The spectra's pieces are dropped once written, so that no two large texts are alive at once.
+    texts = {"manifest.json": _json_text(manifest)}
+    if certificate is not None:
+        texts["certificate.json"] = _json_text(certificate)
+    spectra = _spectra(traj.times, traj.eigenvalues, traj.eigen_residuals)
+
+    os.makedirs(out_dir, exist_ok=True)
+    _write_text(os.path.join(out_dir, "spectra.json"), *spectra)
+    del spectra
     _write_csv(os.path.join(out_dir, "trajectory.csv"), header, traj.times, traj.eigenvalues, traj.bounds,
                traj.volumes, energies, traj.residual_ij, traj.residual_commutator)
     _write_csv(os.path.join(out_dir, "bounds.csv"), ["s", *bounds], traj.times - traj.times[0], traj.bounds)
-    rows = zip(traj.times.tolist(), traj.eigenvalues.tolist(), traj.eigen_residuals.tolist())
-    spectra = [{"t": t, "eigenvalues": lam, "residuals": res, "normalization": "weighted-L2"} for t, lam, res in rows]
-    _write_json(os.path.join(out_dir, "spectra.json"), spectra)
-    if certificate is not None:
-        _write_json(os.path.join(out_dir, "certificate.json"), certificate)
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    for name, text in texts.items():
+        _write_text(os.path.join(out_dir, name), text)
 
     return RunResult(config=config, trajectory=traj, out_dir=out_dir, files=files, verifications=verifications)

@@ -543,7 +543,7 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: verification: checks failed: functionals\n"
         manifest = json.loads((tmp_path / "out" / "stiff" / "manifest.json").read_text())
         [record] = [r for r in manifest["verifications"]["functionals"] if r["name"] == "scalar propagator"]
-        assert record["value"] == math.inf and record["passed"] is False
+        assert float(record["value"]) == math.inf and record["passed"] is False
 
     @pytest.mark.parametrize(
         "overrides, columns",
@@ -772,6 +772,21 @@ class TestSweepAndReport:
         capsys.readouterr()
         assert main(["report", "--dir", str(out)]) == 0
         return {line.split()[0]: line.split()[-1] for line in capsys.readouterr().out.splitlines()[1:]}
+
+    def test_non_finite_records_are_strict_json_and_report_failed(self, tmp_path, capsys):
+        # the propagator record of this stiff circle reads inf: its value and margin are strings, not bare tokens
+        cfg = _write_config(tmp_path / "stiff.json", name="stiff", family="round_circle", a0=4e-4, f0=39.0, k=1,
+                            horizon=0.05, track_scalars=True, check_functionals=True)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+        def bare(token):
+            raise ValueError(f"bare {token} in manifest.json")
+
+        manifest = json.loads((out / "stiff" / "manifest.json").read_text(), parse_constant=bare)
+        [record] = [r for r in manifest["verifications"]["functionals"] if r["name"] == "scalar propagator"]
+        assert (record["value"], record["margin"], record["passed"]) == ("Infinity", "-Infinity", False)
+        assert self._report_status(out, capsys) == {"stiff": "FAILED"}
 
     def test_report_skips_a_manifest_that_is_not_an_object(self, tmp_path, capsys):
         for name, doc in (("good", {"name": "good", "verifications": {}}), ("list", [1, 2])):

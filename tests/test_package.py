@@ -87,6 +87,8 @@ REMOVED = (
     # A run writes both its CSVs through runner._write_csv, from the header and the columns.
     "_write_trajectory_csv",
     "_write_bounds_csv",
+    # A CSV's values are formatted by one % operation per block of rows, with no per-value call.
+    "_fmt",
 )
 
 # Instance attributes that nothing reads: an axis's quadrature density is ``wdens``.
@@ -146,14 +148,14 @@ def test_removed_axis_attributes_are_not_set():
     assert [(type(ax).__name__, a) for ax in axes for a in REMOVED_AXIS_ATTRIBUTES if hasattr(ax, a)] == []
 
 
-def _calls_by_function(attr: str) -> set:
-    """(module, enclosing class.function) of every use of the attribute ``attr`` in the package."""
+def _uses_by_function(matches) -> set:
+    """(module, enclosing class.function) of every AST node of the package for which ``matches`` holds."""
     found = set()
 
     def visit(node, module, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Attribute) and node.attr == attr:
+        if matches(node):
             found.add((module, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
@@ -161,6 +163,11 @@ def _calls_by_function(attr: str) -> set:
     for module in MODULES:
         visit(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")), module, "")
     return found
+
+
+def _calls_by_function(attr: str) -> set:
+    """(module, enclosing class.function) of every use of the attribute ``attr`` in the package."""
+    return _uses_by_function(lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
 
 
 def test_only_axes_and_the_oracles_transpose_an_axis_to_the_front():
@@ -173,3 +180,16 @@ def test_only_axes_and_the_oracles_transpose_an_axis_to_the_front():
 def test_broadcast_to_only_samples_a_constant_circle_model():
     # per-axis vectors broadcast through axes.along, a view with no grid-sized shape
     assert _calls_by_function("broadcast_to") == {("geometry", "CircleModel.a_at"), ("geometry", "CircleModel.f_at")}
+
+
+def _writes(node) -> bool:
+    """An ``open`` in a mode other than "r", or a ``dump``, ``write_text`` or ``write_bytes``."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        return any(not (isinstance(mode, ast.Constant) and mode.value == "r") for mode in modes)
+    return isinstance(node, ast.Attribute) and node.attr in ("dump", "write_text", "write_bytes")
+
+
+def test_only_runner_write_text_opens_a_file_for_writing():
+    # every artifact, the CLI's sweep manifest and acceptance report included, is written by runner._write_text
+    assert _uses_by_function(_writes) == {("runner", "_write_text")}
