@@ -168,17 +168,48 @@ class FourierStiffness:
     constants are subtracted first, so their image is exactly zero.  Built
     from a stack of weights (s, n), it applies each to its own operand of a
     stack (s, n, m) along the second axis, as a stack of matrices would.
+
+    Whether every weight row is constant, as on a round circle, is decided
+    once, here.  Such rows are the Fourier symbol w k^2 (``modal``): one
+    forward and one inverse FFT per line, with k^2 the exact integer squares.
+    Any other weight takes ``staggered``: the factorization itself, four FFTs
+    per line.  The dense oracle builds every block through ``staggered``, so
+    it stays independent of ``modal``.
     """
 
     def __init__(self, weight: np.ndarray):
         self.weight = weight
-        self.symbol = _fourier_ops(weight.shape[-1])["ik_stag"]
+        ops = _fourier_ops(weight.shape[-1])
+        self.symbol = ops["ik_stag"]
+        self.round = bool((weight == weight[..., :1]).all())
+        if self.round:
+            self.row = weight[..., :1]
+            self.k2 = -ops["k2"]
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        return self.modal(u) if self.round else self.staggered(u)
+
+    def _centred(self, u) -> tuple[np.ndarray, int]:
+        """``u`` less its first slice along the grid axis, so a constant
+        reaches the transforms as exact zeros, and the stack depth."""
         u = np.asarray(u, dtype=float)
         lead = self.weight.ndim - 1
-        first = u[(slice(None),) * lead + (slice(1),)]
-        flux = along(self.weight, 0, u.ndim - lead) * _spectral(self.symbol, u - first, lead)
+        return u - u[(slice(None),) * lead + (slice(1),)], lead
+
+    def modal(self, u: np.ndarray) -> np.ndarray:
+        """w k^2 applied in Fourier modes; only for constant weight rows."""
+        v, lead = self._centred(u)
+        coef = np.fft.rfft(v, axis=lead)
+        coef *= along(self.k2, 0, v.ndim - lead)
+        # The inverse transform and the weight write into the centred copy;
+        # a single operand meeting a stack of weights needs a new array.
+        out = np.fft.irfft(coef, n=v.shape[lead], axis=lead, out=v)
+        return np.multiply(along(self.row, 0, v.ndim - lead), out, out=out if len(out) >= len(self.row) else None)
+
+    def staggered(self, u: np.ndarray) -> np.ndarray:
+        """D_s^T diag(w) D_s applied factor by factor, for any weight."""
+        v, lead = self._centred(u)
+        flux = along(self.weight, 0, v.ndim - lead) * _spectral(self.symbol, v, lead)
         return _spectral(self.symbol.conj(), flux, lead)
 
 

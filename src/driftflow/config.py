@@ -30,8 +30,9 @@ _BOUNDS = {
     "dt": (1e-6, MAX_STEP),
     "cadence": (1, 100000),
     # The eigen-residual check's own round-off grows as resolution^2: on
-    # round circles it stays within half the default eig_tol 1e-10 up to 1024
-    # nodes and reaches the tolerance near 1500.
+    # round circles at k = 16 it reads 1.13e-11 at 1024 nodes, 3.71e-11 at
+    # 1500, 7.40e-11 at 2048 and 1.71e-10 at 4096, so it reaches the default
+    # eig_tol 1e-10 between 2048 and 4096 nodes.
     "resolution": (8, 1024),
     "hermite_order": (3, 64),
     "modes": (1, 2048),

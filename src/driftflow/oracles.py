@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .axes import _hermite_ops, axis_to_front
+from .axes import FourierStiffness, _hermite_ops, axis_to_front
 from .errors import HorizonError, OracleError, UsageError
 from .geometry import CircleModel
 
@@ -79,14 +79,17 @@ class OracleReport:
 def dense_stiffness(forms) -> np.ndarray:
     """The stiffness of factored forms as one dense Kronecker-sum matrix.
 
-    Each block is made dense by applying it to the identity.
+    Each block is made dense by applying it to the identity; a circle's
+    through ``FourierStiffness.staggered`` whatever its weight, so the
+    oracle never takes the modal path that the fast solves use.
     """
     size = forms.dimension
     stiff = np.zeros((size, size))
     for i, block in enumerate(forms.blocks):
+        apply = block.staggered if isinstance(block, FourierStiffness) else block.__matmul__
         factor = np.ones((1, 1))
         for j, mass in enumerate(forms.axis_masses):
-            factor = np.kron(factor, block @ np.eye(mass.size) if j == i else np.diag(mass))
+            factor = np.kron(factor, apply(np.eye(mass.size)) if j == i else np.diag(mass))
         stiff += factor
     return stiff
 

@@ -5,7 +5,7 @@ import pytest
 
 import driftflow as df
 import driftflow.flow
-from driftflow.axes import _hermite_ops, circle_nodes
+from driftflow.axes import FourierStiffness, _hermite_ops, circle_nodes
 from driftflow.errors import HorizonError, OracleError, UsageError
 from driftflow.flow import RunRequest
 from driftflow.geometry import CircleModel, ContinuumState
@@ -22,6 +22,18 @@ class TestDenseSpectrum:
         expected = [0.0, 1.0, 1.0, 4.0, 4.0, 9.0, 9.0]
         np.testing.assert_allclose(vals[:7], expected, atol=1e-10)
         assert len(vals) == 64
+
+    def test_never_takes_the_modal_stiffness(self, monkeypatch):
+        # the dense oracle checks the fast path's solves, so it must not share their round-row symbol
+        def raising(self, u):
+            raise AssertionError("the dense oracle took the modal path")
+
+        forms = df.assemble_forms(df.weighted_circle(64, a=2.0))
+        monkeypatch.setattr(FourierStiffness, "modal", raising)
+        with pytest.raises(AssertionError, match="modal"):
+            forms.blocks[0] @ np.eye(64)
+        vals = df.dense_spectrum(forms)
+        np.testing.assert_allclose(vals[:7], np.array([0.0, 1.0, 1.0, 4.0, 4.0, 9.0, 9.0]) / 2.0, atol=1e-10)
 
     def test_dimension_one_system(self):
         forms = QuadraticForms(manifold=None, blocks=(np.zeros((1, 1)),), axis_masses=(np.array([2.0]),))

@@ -10,7 +10,7 @@ from scipy.linalg import eigh
 
 import driftflow as df
 import driftflow.axes
-from driftflow.axes import _fourier_dense, _fourier_ops, _hermite_ops, _spectral, along, apply_deriv
+from driftflow.axes import FourierStiffness, _fourier_dense, _fourier_ops, _hermite_ops, _spectral, along, apply_deriv
 from driftflow.config import ScenarioConfig
 from driftflow.errors import AssemblyError, UsageError
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel, discretize
@@ -41,6 +41,11 @@ def _pairings(forms, fields):
     """(K, M): the stiffness and mass pairings of every two of a (k, *shape) batch."""
     flat = fields.reshape(len(fields), -1)
     return flat @ forms.apply_stiffness(fields).reshape(len(fields), -1).T, (flat * forms.mass_diag) @ flat.T
+
+
+def _wavy_circle(resolution=64):
+    circle = CircleModel(a=lambda th: 1.5 + 0.3 * np.cos(th), f=lambda th: 0.4 * np.sin(2 * th) + 0.7)
+    return df.discretize(ContinuumState(t=0.0, factors=(circle,)), resolution=resolution)
 
 
 class TestForms:
@@ -80,8 +85,7 @@ class TestForms:
         elif grid == "gauss12^3":
             dm = df.discretize(df.evaluate_family(df.scaled_gaussian_family(0.75, 3), 0.0), hermite_order=12)
         else:
-            circle = CircleModel(a=lambda th: 1.5 + 0.3 * np.cos(th), f=lambda th: 0.4 * np.sin(2 * th) + 0.7)
-            dm = df.discretize(ContinuumState(t=0.0, factors=(circle,)), resolution=64)
+            dm = _wavy_circle()
         forms = df.assemble_forms(dm)
         u = np.random.default_rng(5).standard_normal((2, *dm.shape))
         dense = dense_stiffness(forms)
@@ -118,7 +122,63 @@ class TestForms:
             df.weighted_circle(32, a=lambda th: np.cos(th))  # changes sign
 
 
+class TestFourierStiffness:
+    """Constant weight rows are applied as the symbol w k^2 (``modal``),
+    any other weight by the staggered factorization; both give the same
+    operator, and ``@`` picks between them once, from the weight."""
+
+    @staticmethod
+    def _operands(n, rows):
+        """(weight, operand) pairs of round rows: one row with a field and a
+        batch (lead 0), and (m, n) stacks with their own batches or one batch
+        for every output (lead 1)."""
+        rng = np.random.default_rng(n)
+        one = np.full(n, rng.uniform(0.2, 3.0))
+        stack = np.repeat(rng.uniform(0.2, 3.0, (rows, 1)), n, axis=1)
+        return [(one, rng.standard_normal(n)), (one, rng.standard_normal((n, 5))),
+                (stack, rng.standard_normal((rows, n, 4))), (stack, rng.standard_normal((1, n, 3)))]
+
+    @pytest.mark.parametrize("n", [8, 31, 64, 331, 1024, 2048])
+    def test_round_rows_take_the_symbol_and_agree_with_the_factorization(self, n):
+        for weight, u in self._operands(n, 3):
+            stiff = FourierStiffness(weight)
+            assert stiff.round
+            got, ref = stiff @ u, stiff.staggered(u)
+            assert np.array_equal(got, stiff.modal(u)) and got.shape == ref.shape
+            assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("n", [8, 31, 331])
+    def test_both_paths_map_a_constant_to_exact_zeros(self, n):
+        wavy = _wavy_circle(n).axes[0].stiffness()
+        for weight, u in self._operands(n, 2) + [(wavy.weight, np.ones(n))]:
+            stiff, const = FourierStiffness(weight), np.full_like(u, 2.7)
+            if stiff.round:
+                assert not np.any(stiff.modal(const))
+            assert not np.any(stiff.staggered(const)) and not np.any(stiff @ const)
+
+    def test_a_wavy_weight_keeps_the_staggered_bits(self):
+        stiff = _wavy_circle().axes[0].stiffness()
+        assert not stiff.round
+        u = np.random.default_rng(7).standard_normal((64, 3))
+        # the factorization D_s^T diag(w) D_s written out, four transforms per line
+        sym = _fourier_ops(64)["ik_stag"]
+        want = _spectral(sym.conj(), stiff.weight[:, None] * _spectral(sym, u - u[:1]))
+        assert np.array_equal(stiff @ u, stiff.staggered(u)) and np.array_equal(stiff @ u, want)
+
+    def test_a_stack_with_one_wavy_row_is_staggered_throughout(self):
+        wavy = _wavy_circle().axes[0].stiffness().weight
+        weight = np.stack([np.full(64, 1.5), wavy])
+        stiff = FourierStiffness(weight)
+        u = np.random.default_rng(8).standard_normal((2, 64, 3))
+        assert not stiff.round and np.array_equal(stiff @ u, stiff.staggered(u))
+
+
 class TestLowestEigenpairs:
+    def test_round_circle_of_2048_nodes_solves_within_the_default_tolerance(self):
+        res = df.lowest_eigenpairs(df.assemble_forms(df.weighted_circle(2048, a=1.0)), 16)
+        assert float(res.residuals.max()) <= 1e-10
+        np.testing.assert_allclose(res.eigenvalues, ((np.arange(17) + 1) // 2) ** 2, atol=1e-9)
+
     def test_round_circle_double_eigenvalue(self, circle64):
         res = df.lowest_eigenpairs(df.assemble_forms(circle64), 2)
         np.testing.assert_allclose(res.eigenvalues, [0.0, 1.0, 1.0], atol=1e-11)
