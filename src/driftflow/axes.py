@@ -169,25 +169,25 @@ class FourierStiffness:
     from a stack of weights (s, n), it applies each to its own operand of a
     stack (s, n, m) along the second axis, as a stack of matrices would.
 
-    Whether every weight row is constant, as on a round circle, is decided
-    once, here.  Such rows are the Fourier symbol w k^2 (``modal``): one
-    forward and one inverse FFT per line, with k^2 the exact integer squares.
-    Any other weight takes ``staggered``: the factorization itself, four FFTs
-    per line.  The dense oracle builds every block through ``staggered``, so
-    it stays independent of ``modal``.
+    A round circle's block (``CircleAxis.stiffness``, from ``is_round``) has
+    constant weight rows, and ``@`` applies it as the Fourier symbol w k^2
+    (``modal``): one forward and one inverse FFT per line, with k^2 the exact
+    integer squares.  Any other block takes ``staggered``: the factorization
+    itself, four FFTs per line.  The dense oracle builds every block through
+    ``staggered``, so it stays independent of ``modal``.
     """
 
-    def __init__(self, weight: np.ndarray):
+    def __init__(self, weight: np.ndarray, is_round: bool = False):
         self.weight = weight
+        self.is_round = is_round
         ops = _fourier_ops(weight.shape[-1])
         self.symbol = ops["ik_stag"]
-        self.round = bool((weight == weight[..., :1]).all())
-        if self.round:
+        if is_round:
             self.row = weight[..., :1]
             self.k2 = -ops["k2"]
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        return self.modal(u) if self.round else self.staggered(u)
+        return self.modal(u) if self.is_round else self.staggered(u)
 
     def _centred(self, u) -> tuple[np.ndarray, int]:
         """``u`` less its first slice along the grid axis, so a constant
@@ -201,10 +201,7 @@ class FourierStiffness:
         v, lead = self._centred(u)
         coef = np.fft.rfft(v, axis=lead)
         coef *= along(self.k2, 0, v.ndim - lead)
-        # The inverse transform and the weight write into the centred copy;
-        # a single operand meeting a stack of weights needs a new array.
-        out = np.fft.irfft(coef, n=v.shape[lead], axis=lead, out=v)
-        return np.multiply(along(self.row, 0, v.ndim - lead), out, out=out if len(out) >= len(self.row) else None)
+        return along(self.row, 0, v.ndim - lead) * np.fft.irfft(coef, n=v.shape[lead], axis=lead)
 
     def staggered(self, u: np.ndarray) -> np.ndarray:
         """D_s^T diag(w) D_s applied factor by factor, for any weight."""
@@ -308,7 +305,7 @@ class CircleAxis:
         a_stag, f_stag = (self.a, self.f) if self.is_round else (self._stag(self.a), self._stag(self.f))
         if np.min(a_stag) <= 0.0:
             raise AssemblyError("circle metric coefficient non-positive between nodes")
-        return FourierStiffness(self.weights * np.exp(-f_stag) / np.sqrt(a_stag))
+        return FourierStiffness(self.weights * np.exp(-f_stag) / np.sqrt(a_stag), self.is_round)
 
 
 # --------------------------------------------------------------------------

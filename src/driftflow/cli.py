@@ -10,7 +10,6 @@ else.  Every failure prints one machine-parsable line
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import os
@@ -229,10 +228,7 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line's parser, built once per process: every ``main``
-    call parses into a fresh namespace, and nothing here mutates it."""
     parser = argparse.ArgumentParser(
         prog="driftflow",
         description="Modified Ricci flow / drift Laplacian numerical laboratory",

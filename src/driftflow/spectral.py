@@ -367,7 +367,7 @@ def _axis_eigens(ax, block, count: int):
     from scipy.linalg import eigh  # only here: the other paths need no scipy
     vals, vecs = np.empty((len(masses), count)), np.empty((len(masses), ax.size, count))
     for m, (weight, mass) in enumerate(zip(block.weight.reshape(-1, ax.size), masses)):
-        dense = FourierStiffness(weight).staggered(np.eye(ax.size))
+        dense = FourierStiffness(weight) @ np.eye(ax.size)
         vals[m], vecs[m] = eigh(dense, np.diag(mass), subset_by_index=[0, count - 1])
         # The stiffness maps constants to exactly zero, so the first pair is known.
         vals[m, 0], vecs[m, :, 0] = 0.0, 1.0 / math.sqrt(mass.sum())

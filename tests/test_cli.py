@@ -165,17 +165,6 @@ class TestRunCommand:
         (check,) = manifest["verifications"]["bochner"]
         assert check["passed"] and check["value"] < 1e-11
 
-    def test_main_parses_with_one_parser_and_strict_stays_with_its_call(self, tmp_path, monkeypatch):
-        # the splitting negative control fails verification: --strict exits 5 without it, 0 with it
-        cfg = _write_config(tmp_path / "nosplit.json", name="nosplit", u0=2.0, horizon=0.05, check_splitting=True)
-        parser, calls = cli.build_parser(), []
-        parse = parser.parse_args
-        monkeypatch.setattr(parser, "parse_args", lambda argv=None: calls.append(argv) or parse(argv))
-        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
-        assert main(argv + ["--strict"]) == 5
-        assert main(argv) == 0
-        assert cli.build_parser() is parser and calls == [argv + ["--strict"], argv]
-
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path / "sharp.json")
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

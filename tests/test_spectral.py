@@ -10,7 +10,7 @@ from scipy.linalg import eigh
 
 import driftflow as df
 import driftflow.axes
-from driftflow.axes import FourierStiffness, _fourier_dense, _fourier_ops, _hermite_ops, _spectral, along, apply_deriv
+from driftflow.axes import CircleAxis, _fourier_dense, _fourier_ops, _hermite_ops, _spectral, along, apply_deriv
 from driftflow.config import ScenarioConfig
 from driftflow.errors import AssemblyError, UsageError
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel, discretize
@@ -123,54 +123,52 @@ class TestForms:
 
 
 class TestFourierStiffness:
-    """Constant weight rows are applied as the symbol w k^2 (``modal``),
-    any other weight by the staggered factorization; both give the same
-    operator, and ``@`` picks between them once, from the weight."""
+    """A round circle's block applies the symbol w k^2 (``modal``), any other
+    circle's the staggered factorization; both give the same operator, and
+    the axis's ``is_round`` picks between them."""
 
     @staticmethod
     def _operands(n, rows):
-        """(weight, operand) pairs of round rows: one row with a field and a
-        batch (lead 0), and (m, n) stacks with their own batches or one batch
-        for every output (lead 1)."""
+        """(block, operand) pairs of round circles: one circle with a field
+        and a batch (lead 0), and a stack of outputs with their own batches
+        or one batch for every output (lead 1)."""
         rng = np.random.default_rng(n)
-        one = np.full(n, rng.uniform(0.2, 3.0))
-        stack = np.repeat(rng.uniform(0.2, 3.0, (rows, 1)), n, axis=1)
+        one = CircleAxis(np.full(n, rng.uniform(0.2, 3.0)), np.full(n, rng.uniform(-1.0, 1.0))).stiffness()
+        a, f = (np.repeat(rng.uniform(lo, 3.0, (rows, 1)), n, axis=1) for lo in (0.2, -1.0))
+        stack = CircleAxis(a, f).stiffness()
         return [(one, rng.standard_normal(n)), (one, rng.standard_normal((n, 5))),
                 (stack, rng.standard_normal((rows, n, 4))), (stack, rng.standard_normal((1, n, 3)))]
 
     @pytest.mark.parametrize("n", [8, 31, 64, 331, 1024, 2048])
-    def test_round_rows_take_the_symbol_and_agree_with_the_factorization(self, n):
-        for weight, u in self._operands(n, 3):
-            stiff = FourierStiffness(weight)
-            assert stiff.round
+    def test_round_circles_take_the_symbol_and_agree_with_the_factorization(self, n):
+        for stiff, u in self._operands(n, 3):
+            assert stiff.is_round
             got, ref = stiff @ u, stiff.staggered(u)
             assert np.array_equal(got, stiff.modal(u)) and got.shape == ref.shape
             assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("n", [8, 31, 331])
     def test_both_paths_map_a_constant_to_exact_zeros(self, n):
-        wavy = _wavy_circle(n).axes[0].stiffness()
-        for weight, u in self._operands(n, 2) + [(wavy.weight, np.ones(n))]:
-            stiff, const = FourierStiffness(weight), np.full_like(u, 2.7)
-            if stiff.round:
+        for stiff, u in self._operands(n, 2) + [(_wavy_circle(n).axes[0].stiffness(), np.ones(n))]:
+            const = np.full_like(u, 2.7)
+            if stiff.is_round:
                 assert not np.any(stiff.modal(const))
             assert not np.any(stiff.staggered(const)) and not np.any(stiff @ const)
 
-    def test_a_wavy_weight_keeps_the_staggered_bits(self):
+    def test_a_wavy_circle_keeps_the_staggered_bits(self):
         stiff = _wavy_circle().axes[0].stiffness()
-        assert not stiff.round
+        assert not stiff.is_round
         u = np.random.default_rng(7).standard_normal((64, 3))
         # the factorization D_s^T diag(w) D_s written out, four transforms per line
         sym = _fourier_ops(64)["ik_stag"]
         want = _spectral(sym.conj(), stiff.weight[:, None] * _spectral(sym, u - u[:1]))
         assert np.array_equal(stiff @ u, stiff.staggered(u)) and np.array_equal(stiff @ u, want)
 
-    def test_a_stack_with_one_wavy_row_is_staggered_throughout(self):
-        wavy = _wavy_circle().axes[0].stiffness().weight
-        weight = np.stack([np.full(64, 1.5), wavy])
-        stiff = FourierStiffness(weight)
+    def test_a_stack_with_one_wavy_output_is_staggered_throughout(self):
+        wavy = _wavy_circle().axes[0]
+        stiff = CircleAxis(np.stack([np.full(64, 1.5), wavy.a]), np.stack([np.full(64, 0.7), wavy.f])).stiffness()
         u = np.random.default_rng(8).standard_normal((2, 64, 3))
-        assert not stiff.round and np.array_equal(stiff @ u, stiff.staggered(u))
+        assert not stiff.is_round and np.array_equal(stiff @ u, stiff.staggered(u))
 
 
 class TestLowestEigenpairs:
