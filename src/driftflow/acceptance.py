@@ -88,8 +88,17 @@ VERIFY_TOLERANCES = {
     "splitting_factor_equations_galerkin": 1e-6,
 }
 
-_SPLITTING_FIELDS = (
-    "eigenvalue", "hessian_energy", "gradient", "weight_decomposition", "metric_block", "factor_equations",
+# Each record of a splitting certificate after "1 - k": its name, the certificate
+# residual it reads (the largest entry of a list) and its tolerance's field.
+_SPLITTING_CHECKS = (
+    ("eigenvalue window", "eigenvalue_window_deviation", "eigenvalue"),
+    ("hessian energy", "hessian_energies", "hessian_energy"),
+    ("gradient gram", "gradient_gram_deviation", "gradient"),
+    ("gradient norm", "gradient_norm_deviation", "gradient"),
+    ("weight decomposition", "weight_decomposition", "weight_decomposition"),
+    ("metric block", "metric_block", "metric_block"),
+    ("factor equation 1", "factor_equation_1", "factor_equations"),
+    ("factor equation 2", "factor_equation_2", "factor_equations"),
 )
 
 
@@ -243,33 +252,22 @@ def _bochner_residual(u, dm) -> float:
 
 
 def splitting_tolerances(backend: str) -> dict:
-    """The splitting certificate's tolerances on one backend, by residual."""
-    return {field: VERIFY_TOLERANCES[f"splitting_{field}_{backend}"] for field in _SPLITTING_FIELDS}
+    """The splitting certificate's tolerances on one backend, by field."""
+    return {field: VERIFY_TOLERANCES[f"splitting_{field}_{backend}"] for _, _, field in _SPLITTING_CHECKS}
 
 
 def check_splitting(outcome, backend: str) -> list:
     """Records of a splitting certificate at the backend's tolerances.
 
-    A hypothesis failure is one failing record of the violated hypothesis,
-    at the window that ``detect_splitting`` used.
+    A hypothesis failure is its one failing record, at the window that
+    ``detect_splitting`` used.
     """
     if isinstance(outcome, SplittingHypothesisFailure):
-        if outcome.violated == "lambda_1(t1) >= 1/2":
-            # detect_splitting fails when lambda_1(t1) < 1/2 - window
-            return [Check("1/2 - window - lambda_1(t1)", (0.5 - outcome.window) - outcome.lambda_1_t1, 0.0)]
-        return [Check("|lambda_1(t0) - 1/2|", abs(outcome.lambda_cluster_t0 - 0.5), outcome.window)]
+        return [Check(*outcome.record)]
     tol = splitting_tolerances(backend)
-    residuals = outcome.factor_eq_residuals
-    return [
-        Check("1 - k", 1.0 - outcome.k, 0.0),
-        Check("eigenvalue window", outcome.eigenvalue_window_deviation, tol["eigenvalue"]),
-        Check("hessian energy", float(np.max(outcome.hessian_energies, initial=0.0)), tol["hessian_energy"]),
-        Check("gradient gram", outcome.gradient_gram_deviation, tol["gradient"]),
-        Check("gradient norm", outcome.gradient_norm_deviation, tol["gradient"]),
-        Check("weight decomposition", outcome.weight_residual, tol["weight_decomposition"]),
-        Check("metric block", outcome.metric_residual, tol["metric_block"]),
-        Check("factor equation 1", residuals["check1"], tol["factor_equations"]),
-        Check("factor equation 2", residuals["check2"], tol["factor_equations"]),
+    return [Check("1 - k", 1.0 - outcome.k, 0.0)] + [
+        Check(name, float(np.max(outcome.residuals[key], initial=0.0)), tol[field])
+        for name, key, field in _SPLITTING_CHECKS
     ]
 
 

@@ -19,7 +19,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigurationError
-from .flow import MAX_STEP, RunRequest, output_count
+from .flow import MAX_STEP, RunRequest, output_count, output_index
 from .geometry import product_family, round_circle_family, scaled_gaussian_family
 
 __all__ = ["ScenarioConfig", "load_config"]
@@ -138,17 +138,30 @@ class ScenarioConfig:
                 f"scenario name {self.name!r} must be one plain path component: nonempty, not '.' or '..', "
                 "without a path separator or a NUL"
             )
-        # The splitting certificate compares two outputs; a run with fewer is
-        # refused here, before the run, rather than after it.
-        outputs = output_count(self.to_request())
-        if self.check_splitting and outputs < 2:
+        request = self.to_request()  # for every config, so one whose request cannot be built fails here
+        # The splitting certificate compares the outputs nearest the window's
+        # two ends; a run without two such outputs is refused here, before
+        # the run, rather than after it.
+        if not self.check_splitting:
+            return
+        outputs = output_count(request)
+        if outputs < 2:
             raise ConfigurationError(
                 f"check_splitting needs at least 2 outputs, but horizon {self.horizon}, "
                 f"dt {self.dt} and cadence {self.cadence} give {outputs}"
             )
-        if self.check_splitting and self.splitting_t1 is not None and self.splitting_t0 is not None:
-            if not (self.splitting_t0 < self.splitting_t1):
-                raise ConfigurationError("splitting window requires splitting_t0 < splitting_t1")
+        t0, t1 = self.splitting_window()
+        i0, i1 = output_index(request, t0), output_index(request, t1)
+        if i1 <= i0:
+            raise ConfigurationError(
+                f"splitting_t0 = {t0} and splitting_t1 = {t1} read outputs {i0} and {i1} of 0..{outputs - 1}; "
+                "the certificate needs the first before the second"
+            )
+
+    def splitting_window(self) -> tuple:
+        """The ends (t0, t1) of the splitting window, by default the run's start and end."""
+        return (self.t0 if self.splitting_t0 is None else self.splitting_t0,
+                self.t0 + self.horizon if self.splitting_t1 is None else self.splitting_t1)
 
     def _factors(self) -> list:
         """(kind, parameters) per entry of the ``factors`` string, each value

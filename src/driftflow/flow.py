@@ -456,16 +456,6 @@ class FlowTrajectory:
     residual_ij: np.ndarray
     residual_commutator: np.ndarray
 
-    @property
-    def output_dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
-    def index_at(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 0.5 * max(self.output_dt, 1e-12):
-            raise UsageError(f"no recorded output near t = {t}")
-        return idx
-
 
 def _peak(values: list) -> float:
     """max(values), NaN if one is, as ``np.max``: all are >= 0 or NaN, so only then is their sum NaN."""
@@ -586,12 +576,32 @@ def output_count(request: RunRequest) -> int:
     return -(-request.steps // request.cadence) + 1
 
 
-def _output_steps(request: RunRequest) -> tuple[float, list]:
-    """The step size of a run and the steps after which it records an
-    output, one per ``output_count``: the last is the run's last step."""
+def _output_steps(request: RunRequest, outputs: range | None = None) -> tuple[float, list]:
+    """The step size of a run and the steps after which it records its
+    outputs ``outputs``, by default all ``output_count`` of them, the last
+    after the run's last step; output m is at time t0 + step dt."""
     nsteps = request.steps
     dt = request.horizon / nsteps if nsteps else request.dt
-    return dt, [min(m * request.cadence, nsteps) for m in range(output_count(request))]
+    return dt, [min(m * request.cadence, nsteps) for m in outputs or range(output_count(request))]
+
+
+def output_index(request: RunRequest, t: float) -> int:
+    """The index of the run's output nearest ``t``, the earlier of two as near;
+    UsageError if it is more than half the first output interval away.  It
+    lists only the outputs next to t, so a run of any length costs the same."""
+
+    def times(outputs: range) -> np.ndarray:
+        dt, steps = _output_steps(request, outputs)
+        return request.family.t0 + np.array(steps) * dt
+
+    first, second = times(range(2))
+    spacing, last = second - first, output_count(request) - 1
+    guess = int(min(max((t - first) / spacing, 0.0), last)) if spacing > 0 else 0
+    near = range(max(guess - 1, 0), min(guess + 2, last + 1))
+    gaps = np.abs(times(near) - t)
+    if gaps.min() > 0.5 * max(spacing, 1e-12):
+        raise UsageError(f"no recorded output near t = {t}")
+    return near[int(np.argmin(gaps))]
 
 
 def _kernel(request: RunRequest, layout: _Layout, z: np.ndarray) -> tuple:

@@ -113,10 +113,8 @@ def _spectra(times: np.ndarray, eigenvalues: np.ndarray, residuals: np.ndarray) 
 
 def _splitting(config: ScenarioConfig, traj: FlowTrajectory) -> tuple[dict, list]:
     """The certificate payload and the records of the splitting check."""
-    t0 = config.splitting_t0 if config.splitting_t0 is not None else traj.times[0]
-    t1 = config.splitting_t1 if config.splitting_t1 is not None else traj.times[-1]
     tolerances = splitting_tolerances(config.backend)
-    outcome = detect_splitting(traj, t0, t1, tolerances["eigenvalue"])
+    outcome = detect_splitting(traj, *config.splitting_window(), tolerances["eigenvalue"])
     checks = check_splitting(outcome, config.backend)
     payload = dict(outcome.to_json_dict(), valid=not failed({"splitting": checks}), tolerances=tolerances)
     return payload, checks

@@ -13,8 +13,9 @@ which eigenvalues count as 1/2; ``acceptance.check_splitting`` turns a
 certificate, or the hypothesis that blocked one, into (value, tol) records
 at the tolerances of ``acceptance.VERIFY_TOLERANCES``.  ``detect_splitting``
 builds each frozen certificate once, from the worst of its residuals at the
-two outputs (``certificate_residuals``).  A run keeps only its eigenvalues,
-so the certificate re-solves the one output at t0 for its direction fields.
+two outputs (``certificate_residuals``), each under its one name, its key in
+``certificate.json``.  A run keeps only its eigenvalues, so the certificate
+re-solves the one output at t0 for its direction fields.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .axes import along
 from .errors import UsageError
-from .flow import FlowTrajectory
+from .flow import FlowTrajectory, output_index
 from .geometry import DiscreteWeightedManifold
 from .spectral import _derivatives, _hessian_energies, assemble_forms, gradient_inner, lowest_eigenpairs, partials
 
@@ -40,68 +41,43 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplittingHypothesisFailure:
-    """Names the hypothesis that blocked certificate construction."""
+    """Names the hypothesis that blocked certificate construction, with the
+    failing record (name, value, tol) of that hypothesis."""
 
     violated: str
     lambda_cluster_t0: float
     lambda_1_t1: float
-    window: float
     message: str
+    record: tuple
 
     def __bool__(self) -> bool:
         return False
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": 0,
-            "hypothesis_failure": {
-                "violated": self.violated,
-                "lambda_cluster_t0": self.lambda_cluster_t0,
-                "lambda_1_t1": self.lambda_1_t1,
-                "message": self.message,
-            },
-        }
+        failure = {key: getattr(self, key) for key in ("violated", "lambda_cluster_t0", "lambda_1_t1", "message")}
+        return {"k": 0, "hypothesis_failure": failure}
 
 
 @dataclass(frozen=True)
 class SplittingCertificate:
-    """Evidence that the state splits off k flat Gaussian-weighted directions."""
+    """Evidence that the state splits off k flat Gaussian-weighted directions.
+
+    ``residuals`` maps each residual's ``certificate.json`` name to its worst
+    value over the two outputs, the Hessian energies as a list, one per direction.
+    """
 
     k: int
     directions: list
-    hessian_energies: np.ndarray
-    gradient_gram_mean: float
-    gradient_gram_deviation: float
-    gradient_norm_deviation: float
-    weight_residual: float
-    metric_residual: float
-    factor_eq_residuals: dict
-    eigenvalue_window_deviation: float
     lambda_cluster_t0: float
     lambda_1_t1: float
+    residuals: dict
 
     def __bool__(self) -> bool:
         return True
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "hypotheses": {
-                "lambda_cluster_t0": self.lambda_cluster_t0,
-                "lambda_1_t1": self.lambda_1_t1,
-            },
-            "residuals": {
-                "hessian_energies": [float(x) for x in self.hessian_energies],
-                "gradient_gram_mean": self.gradient_gram_mean,
-                "gradient_gram_deviation": self.gradient_gram_deviation,
-                "gradient_norm_deviation": self.gradient_norm_deviation,
-                "weight_decomposition": self.weight_residual,
-                "metric_block": self.metric_residual,
-                "factor_equation_1": self.factor_eq_residuals["check1"],
-                "factor_equation_2": self.factor_eq_residuals["check2"],
-                "eigenvalue_window_deviation": self.eigenvalue_window_deviation,
-            },
-        }
+        hypotheses = {"lambda_cluster_t0": self.lambda_cluster_t0, "lambda_1_t1": self.lambda_1_t1}
+        return {"k": self.k, "hypotheses": hypotheses, "residuals": self.residuals}
 
 
 def _split_axes(dm, grads):
@@ -136,16 +112,9 @@ def certificate_residuals(directions, dm: DiscreteWeightedManifold) -> dict:
     """
     k = len(directions)
     if k == 0:
-        return {
-            "hessian_energies": np.zeros(0),
-            "gradient_norm_deviation": 0.0,
-            "gradient_gram_mean": 0.0,
-            "gradient_gram_deviation": 0.0,
-            "weight_residual": 0.0,
-            "metric_residual": 0.0,
-            "check1": 0.0,
-            "check2": 0.0,
-        }
+        names = ("gradient_gram_mean", "gradient_gram_deviation", "gradient_norm_deviation", "weight_decomposition",
+                 "metric_block", "factor_equation_1", "factor_equation_2")
+        return {"hessian_energies": np.zeros(0), **dict.fromkeys(names, 0.0)}
     dirs = np.asarray(directions, dtype=float)
     du, h = _derivatives(dm, dirs)
     hess_energies = _hessian_energies(dm, du, h)
@@ -203,13 +172,13 @@ def certificate_residuals(directions, dm: DiscreteWeightedManifold) -> dict:
 
     return {
         "hessian_energies": hess_energies,
-        "gradient_norm_deviation": norm_dev,
         "gradient_gram_mean": gram_mean,
         "gradient_gram_deviation": gram_dev,
-        "weight_residual": weight_residual,
-        "metric_residual": metric_residual,
-        "check1": check1,
-        "check2": check2,
+        "gradient_norm_deviation": norm_dev,
+        "weight_decomposition": weight_residual,
+        "metric_block": metric_residual,
+        "factor_equation_1": check1,
+        "factor_equation_2": check2,
     }
 
 
@@ -217,36 +186,36 @@ def detect_splitting(traj: FlowTrajectory, t0: float, t1: float, window: float):
     """Build a splitting certificate from the eigenvalue-1/2 cluster.
 
     An eigenvalue within ``window`` of 1/2 counts as 1/2.  Reads the
-    recorded eigenvalues at both times, and returns a
+    recorded eigenvalues at the outputs nearest t0 and t1 (UsageError
+    unless t1's comes after t0's), and returns a
     SplittingHypothesisFailure naming the violated hypothesis when the
     eigenvalue conditions do not hold.  The direction fields are the
     cluster's eigenfunctions at t0, from one solve of that output with the
     run's k and ``eig_tol``: the bits of the run's own stacked solve.
     """
-    if t1 <= t0:
-        raise UsageError("need t0 < t1 inside the trajectory")
-    i0, i1 = traj.index_at(t0), traj.index_at(t1)
+    i0, i1 = output_index(traj.request, t0), output_index(traj.request, t1)
+    if i1 <= i0:
+        raise UsageError(f"need t0 < t1 at two outputs: t0 = {t0} and t1 = {t1} read outputs {i0} and {i1}")
     lam0, lam1 = traj.eigenvalues[i0], traj.eigenvalues[i1]
+    lambda_1_t1 = float(lam1[1])
     cluster = [i for i in range(1, len(lam0)) if abs(lam0[i] - 0.5) <= window]
     if not cluster:
         nearest = float(lam0[1]) if len(lam0) > 1 else math.nan
         return SplittingHypothesisFailure(
             violated="lambda_k(t0) = 1/2",
             lambda_cluster_t0=nearest,
-            lambda_1_t1=float(lam1[1]),
-            window=window,
+            lambda_1_t1=lambda_1_t1,
             message=f"no eigenvalue within {window:g} of 1/2 at t0 (lambda_1 = {nearest:.6g})",
+            record=("|lambda_1(t0) - 1/2|", abs(nearest - 0.5), window),
         )
-    if lam1[1] < 0.5 - window:
+    if lambda_1_t1 < 0.5 - window:
         return SplittingHypothesisFailure(
             violated="lambda_1(t1) >= 1/2",
             lambda_cluster_t0=float(lam0[cluster[-1]]),
-            lambda_1_t1=float(lam1[1]),
-            window=window,
-            message=f"lambda_1(t1) = {lam1[1]:.6g} dropped below 1/2",
+            lambda_1_t1=lambda_1_t1,
+            message=f"lambda_1(t1) = {lambda_1_t1:.6g} dropped below 1/2",
+            record=("1/2 - window - lambda_1(t1)", (0.5 - window) - lambda_1_t1, 0.0),
         )
-
-    window_dev = float(np.max(np.abs(traj.eigenvalues[i0 : i1 + 1, cluster] - 0.5)))
 
     dm = traj.manifolds[i0]
     volume = dm.weighted_volume()
@@ -257,21 +226,13 @@ def detect_splitting(traj: FlowTrajectory, t0: float, t1: float, window: float):
         energy = dm.integrate(gradient_inner(dm, du, du))
         directions.append(u * math.sqrt(volume / energy))
 
-    worst = {}
-    for m in (i0, i1):
-        for key, val in certificate_residuals(directions, traj.manifolds[m]).items():
-            cur = worst.get(key)
-            if key == "hessian_energies":
-                worst[key] = val if cur is None else np.maximum(cur, val)
-            else:
-                worst[key] = val if cur is None else max(cur, val)
-    factor_eq_residuals = {"check1": worst.pop("check1"), "check2": worst.pop("check2")}
+    at_t0, at_t1 = (certificate_residuals(directions, traj.manifolds[m]) for m in (i0, i1))
+    residuals = {key: np.maximum(val, at_t1[key]).tolist() for key, val in at_t0.items()}
+    residuals["eigenvalue_window_deviation"] = float(np.max(np.abs(traj.eigenvalues[i0 : i1 + 1, cluster] - 0.5)))
     return SplittingCertificate(
         k=len(cluster),
         directions=directions,
-        factor_eq_residuals=factor_eq_residuals,
-        eigenvalue_window_deviation=window_dev,
         lambda_cluster_t0=float(lam0[cluster[-1]]),
-        lambda_1_t1=float(lam1[1]),
-        **worst,
+        lambda_1_t1=lambda_1_t1,
+        residuals=residuals,
     )

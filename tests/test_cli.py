@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,12 +87,27 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("key", ["splitting_t0", "splitting_t1"])
     def test_splitting_window_must_lie_in_the_run(self, key):
-        base = {"t0": 1.0, "horizon": 0.5, "check_splitting": True}
+        # checked without check_splitting too; with it, an end alone at the run's
+        # other end is a window of one output (test_a_splitting_window_of_one_output_...)
+        base = {"t0": 1.0, "horizon": 0.5}
         for val in (1.0, 1.5):  # the run's two ends are inside
             assert getattr(ScenarioConfig.from_dict({**base, key: val}), key) == val
         for val in (0.99, 1.51, 7.0):
             with pytest.raises(ConfigurationError, match=rf"^config key {key} = {val} outside \[1\.0, 1\.5\]$"):
                 ScenarioConfig.from_dict({**base, key: val})
+
+    def test_a_long_run_checks_its_splitting_window_without_listing_its_outputs(self):
+        # 10^8 + 1 outputs: the window check reads only the outputs next to its ends
+        raw = {"horizon": 100.0, "dt": 1e-6, "cadence": 1, "check_splitting": True}
+        tracemalloc.start()
+        try:
+            assert ScenarioConfig.from_dict({**raw, "splitting_t0": 99.9999991}).splitting_t0 == 99.9999991
+            with pytest.raises(ConfigurationError, match="read outputs 100000000 and 100000000 of 0..100000000"):
+                ScenarioConfig.from_dict({**raw, "splitting_t0": 99.9999999})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_product_factor_string(self, tmp_path):
         cfg = ScenarioConfig.from_dict(
@@ -508,6 +524,49 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == "error: config: config key splitting_t0 = 0.5 outside [0.0, 0.02]\n"
         assert not (out / "late").exists() and runs == []
+
+    # outputs every 0.02 up to 0.2 of a product that splits off its Gaussian direction
+    SPLITTING_PRODUCT = dict(family="product", factors="scaled_gaussian:u0=1,n=1;round_circle:a0=0.25", horizon=0.2,
+                             cadence=20, k=3, track_scalars=False, check_splitting=True)
+
+    @pytest.mark.parametrize("t0", [0.195, 0.2])
+    def test_a_splitting_window_of_one_output_leaves_no_artifacts(self, tmp_path, capsys, monkeypatch, t0):
+        # both ends read the output at t = 0.2: refused when the config loads
+        import driftflow.runner
+
+        runs = []
+        monkeypatch.setattr(driftflow.runner, "run_flow", lambda request: runs.append(request))
+        cfg = _write_config(tmp_path / "one.json", name="one", splitting_t0=t0, **self.SPLITTING_PRODUCT)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: splitting_t0 = {t0} and splitting_t1 = 0.2 read ")
+        assert err.count("\n") == 1
+        assert not (out / "one").exists() and runs == []
+
+    def test_splitting_records_read_the_certificate(self, tmp_path):
+        cfg = _write_config(tmp_path / "agree.json", name="agree", **self.SPLITTING_PRODUCT)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--strict"]) == 0
+        cert = json.loads((out / "agree" / "certificate.json").read_text())
+        records = json.loads((out / "agree" / "manifest.json").read_text())["verifications"]["splitting"]
+        # each record after "1 - k": the certificate residual it reads, and its tolerance there
+        reads = {
+            "eigenvalue window": ("eigenvalue_window_deviation", "eigenvalue"),
+            "hessian energy": ("hessian_energies", "hessian_energy"),
+            "gradient gram": ("gradient_gram_deviation", "gradient"),
+            "gradient norm": ("gradient_norm_deviation", "gradient"),
+            "weight decomposition": ("weight_decomposition", "weight_decomposition"),
+            "metric block": ("metric_block", "metric_block"),
+            "factor equation 1": ("factor_equation_1", "factor_equations"),
+            "factor equation 2": ("factor_equation_2", "factor_equations"),
+        }
+        assert cert["valid"] is True and [r["name"] for r in records] == ["1 - k", *reads]
+        assert records[0]["value"] == 1 - cert["k"]
+        for record in records[1:]:
+            residual, tol = reads[record["name"]]
+            assert record["value"] == max(np.atleast_1d(cert["residuals"][residual]))
+            assert record["tol"] == cert["tolerances"][tol]
 
     def test_product_run_checks_bochner_and_reports_each_lambda_once(self, tmp_path):
         # lambda_1 = lambda_2 = 1/4 on this product: one oracle report for both

@@ -230,7 +230,7 @@ class TestRunFlow:
         traj = df.run_flow(req)
         lam = traj.eigenvalues[:, 1]
         # the paper's inequality lambda' <= (2 lambda - 1) lambda, on forward difference quotients
-        excess = np.diff(lam) / traj.output_dt - (2.0 * lam[:-1] - 1.0) * lam[:-1]
+        excess = np.diff(lam) / np.diff(traj.times) - (2.0 * lam[:-1] - 1.0) * lam[:-1]
         assert float(np.max(excess)) <= 1e-6
 
 

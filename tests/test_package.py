@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
@@ -89,6 +90,21 @@ REMOVED = (
     "_write_bounds_csv",
     # A CSV's values are formatted by one % operation per block of rows, with no per-value call.
     "_fmt",
+    # A splitting certificate holds its residuals in one mapping, under their certificate.json
+    # names; a hypothesis failure carries its failing record, window included.
+    "SplittingCertificate.hessian_energies",
+    "SplittingCertificate.gradient_gram_mean",
+    "SplittingCertificate.gradient_gram_deviation",
+    "SplittingCertificate.gradient_norm_deviation",
+    "SplittingCertificate.weight_residual",
+    "SplittingCertificate.metric_residual",
+    "SplittingCertificate.factor_eq_residuals",
+    "SplittingCertificate.eigenvalue_window_deviation",
+    "SplittingHypothesisFailure.window",
+    # The output nearest a time is flow.output_index, which the config's window check also reads.
+    "FlowTrajectory.index_at",
+    "FlowTrajectory.output_dt",
+    "_SPLITTING_FIELDS",
 )
 
 # Instance attributes that nothing reads: an axis's quadrature density is ``wdens``.
@@ -193,3 +209,14 @@ def _writes(node) -> bool:
 def test_only_runner_write_text_opens_a_file_for_writing():
     # every artifact, the CLI's sweep manifest and acceptance report included, is written by runner._write_text
     assert _uses_by_function(_writes) == {("runner", "_write_text")}
+
+
+def test_dependency_floors_are_the_ci_pins():
+    # CI installs one version of each dependency; a lower floor would admit versions no check runs
+    root = pathlib.Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    for name in ("numpy", "scipy"):
+        [floor] = re.findall(rf'"{name}>=([0-9.]+)"', pyproject)
+        [pin] = re.findall(rf"\b{name}==([0-9.]+)", workflow)
+        assert floor == pin, name

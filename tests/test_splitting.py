@@ -8,7 +8,7 @@ import driftflow as df
 from driftflow import acceptance
 from driftflow.axes import along
 from driftflow.errors import UsageError
-from driftflow.flow import RunRequest, _run_loop
+from driftflow.flow import RunRequest, _run_loop, output_index
 from driftflow.spectral import gradient_inner, partials
 
 WINDOW = acceptance.splitting_tolerances("galerkin")["eigenvalue"]
@@ -33,13 +33,14 @@ class TestDetection:
         assert not acceptance.failed({"splitting": acceptance.check_splitting(product_cert, "galerkin")})
 
     def test_residuals_are_tiny_on_exact_product(self, product_cert):
-        assert float(np.max(product_cert.hessian_energies)) < 1e-9
-        assert product_cert.gradient_norm_deviation < 1e-9
-        assert product_cert.gradient_gram_deviation < 1e-9
-        assert product_cert.weight_residual < 1e-9
-        assert product_cert.metric_residual < 1e-9
-        assert product_cert.factor_eq_residuals["check1"] < 1e-9
-        assert product_cert.factor_eq_residuals["check2"] < 1e-9
+        res = product_cert.residuals
+        assert float(np.max(res["hessian_energies"])) < 1e-9
+        assert res["gradient_norm_deviation"] < 1e-9
+        assert res["gradient_gram_deviation"] < 1e-9
+        assert res["weight_decomposition"] < 1e-9
+        assert res["metric_block"] < 1e-9
+        assert res["factor_equation_1"] < 1e-9
+        assert res["factor_equation_2"] < 1e-9
 
     def test_direction_is_the_gaussian_coordinate(self, product_cert, product_traj):
         dm = product_traj.manifolds[0]
@@ -83,11 +84,32 @@ class TestDetection:
 
     def test_certificate_is_frozen(self, product_cert):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            product_cert.weight_residual = 0.0
+            product_cert.residuals = {}
 
     def test_window_ordering_checked(self, product_traj):
         with pytest.raises(UsageError):
             df.detect_splitting(product_traj, product_traj.times[-1], product_traj.times[0], WINDOW)
+
+    def test_window_of_one_output_refused(self, product_traj):
+        # outputs every 0.01: t0 = 0.098 and t1 = 0.1 both read the last output
+        with pytest.raises(UsageError, match="read outputs 10 and 10"):
+            df.detect_splitting(product_traj, 0.098, 0.1, WINDOW)
+
+    @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
+    def test_output_index_is_the_nearest_recorded_output(self, backend):
+        # off cadence, so the last output interval is shorter than the others
+        fam = df.product_family([df.scaled_gaussian_family(1.0, 2, 0.3), df.round_circle_family(0.25, 0.3)])
+        req = RunRequest(family=fam, horizon=0.301, dt=1e-3, cadence=20, k=2, backend=backend, track_scalars=False)
+        times = df.run_flow(req).times
+        ts = [*np.linspace(0.29, 0.61, 321), *times, *(times[1:] + times[:-1]) / 2]
+        for t in ts:
+            # the rule on the recorded times: the first nearest, within half the first interval
+            want = int(np.argmin(np.abs(times - t)))
+            if abs(times[want] - t) > 0.5 * (times[1] - times[0]):
+                with pytest.raises(UsageError):
+                    output_index(req, t)
+            else:
+                assert output_index(req, t) == want, t
 
     @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
     def test_a_later_window_has_the_bits_of_its_outputs_stacked_solve(self, recorded_solves, backend):
@@ -114,7 +136,7 @@ class TestCertificateResiduals:
     def test_recompute_matches_stored(self, product_cert, product_traj):
         res = df.certificate_residuals(product_cert.directions, product_traj.manifolds[0])
         assert float(np.max(res["hessian_energies"])) < 1e-9
-        assert res["weight_residual"] < 1e-9
+        assert res["weight_decomposition"] < 1e-9
 
     def test_bad_direction_has_large_hessian_energy(self, product_traj):
         dm = product_traj.manifolds[0]
@@ -128,8 +150,8 @@ class TestCertificateResiduals:
 
     def test_no_directions_are_trivially_valid(self, product_traj):
         res = df.certificate_residuals([], product_traj.manifolds[0])
-        assert res["weight_residual"] == 0.0
-        assert res["check1"] == 0.0
+        assert res["weight_decomposition"] == 0.0
+        assert res["factor_equation_1"] == 0.0
 
 
 class TestToleranceMonotonicity:
@@ -154,11 +176,15 @@ class TestStationarityOfDirections:
 
 
 class TestSerialization:
-    def test_json_payload(self, product_cert):
+    def test_json_payload(self, product_cert, product_traj):
         doc = product_cert.to_json_dict()
         assert doc["k"] == 1
         assert set(doc["hypotheses"]) == {"lambda_cluster_t0", "lambda_1_t1"}
-        assert "weight_decomposition" in doc["residuals"]
+        # one name per residual: the certificate's own, those of certificate_residuals
+        assert doc["residuals"] == product_cert.residuals
+        names = set(df.certificate_residuals([], product_traj.manifolds[0]))
+        assert set(doc["residuals"]) == names | {"eigenvalue_window_deviation"}
+        assert isinstance(doc["residuals"]["hessian_energies"], list)
         # the verdict and the tolerances come from acceptance; certificate.json
         # carries them too (tests/test_cli.py::test_splitting_scenario)
         assert "valid" not in doc and "tolerances" not in doc
