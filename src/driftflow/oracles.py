@@ -9,6 +9,9 @@ heat equation of the tracked scalars in closed form, mode by mode in each
 axis's eigenbasis, with the eigenvalue integrals of the closed-form
 geometry, where the integrator integrates them along its own Galerkin
 geometry.  The analytic backend records its scalars from the propagator.
+The pointwise gradient inner product takes two fields' coordinate partials
+one pair at a time, where the splitting certificate builds the gradient
+Gram of a whole batch from one derivative pass.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .axes import FourierStiffness, _hermite_ops, axis_to_front
+from .axes import FourierStiffness, _hermite_ops, along, axis_to_front
 from .errors import HorizonError, OracleError, UsageError
 from .geometry import CircleModel
 
@@ -28,6 +31,7 @@ __all__ = [
     "OracleReport",
     "dense_spectrum",
     "dense_stiffness",
+    "gradient_inner",
     "integrate_equality_ode",
     "equality_ode_extrapolated",
     "modal_propagator",
@@ -105,6 +109,14 @@ def dense_spectrum(forms) -> np.ndarray:
     from scipy.linalg import eigh  # imported on use, off the CLI's import path
     vals = eigh(dense_stiffness(forms), np.diag(mass), eigvals_only=True)
     return vals
+
+
+def gradient_inner(dm, du: list, dv: list) -> np.ndarray:
+    """Pointwise <grad u, grad v> from coordinate partials (diagonal metric)."""
+    out = np.zeros(dm.shape)
+    for i, ax in enumerate(dm.axes):
+        out += along(1.0 / ax.a, i, dm.dimension) * du[i] * dv[i]
+    return out
 
 
 def integrate_equality_ode(F0: float, s: float, dt: float = 1e-4) -> float:

@@ -56,7 +56,6 @@ __all__ = [
     "bochner_sides",
     "drift_divergence",
     "partials",
-    "gradient_inner",
     "drift_laplacian",
     "soliton_defect_profiles",
 ]
@@ -72,14 +71,6 @@ def partials(dm: DiscreteWeightedManifold, u) -> list[np.ndarray]:
     """Coordinate partial derivatives of ``u`` along every axis."""
     u = _check_field(dm, u)
     return [ax.d1(u, i) for i, ax in enumerate(dm.axes)]
-
-
-def gradient_inner(dm: DiscreteWeightedManifold, du: list, dv: list) -> np.ndarray:
-    """Pointwise <grad u, grad v> from coordinate partials (diagonal metric)."""
-    out = np.zeros(dm.shape)
-    for i, ax in enumerate(dm.axes):
-        out += along(1.0 / ax.a, i, dm.dimension) * du[i] * dv[i]
-    return out
 
 
 def drift_laplacian(dm: DiscreteWeightedManifold, u) -> np.ndarray:

@@ -16,12 +16,18 @@ builds each frozen certificate once, from the worst of its residuals at the
 two outputs (``certificate_residuals``), each under its one name, its key in
 ``certificate.json``.  A run keeps only its eigenvalues, so the certificate
 re-solves the one output at t0 for its direction fields.
+
+Every gradient quantity comes from the batched derivative pass of
+``spectral._derivatives``: the normalization of the direction fields, and
+in ``certificate_residuals`` the Hessian energies, the pointwise gradient
+Gram of each pair (one pair's field held at a time), the split axes, f_N,
+the metric block and the factor equations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -29,7 +35,7 @@ from .axes import along
 from .errors import UsageError
 from .flow import FlowTrajectory, output_index
 from .geometry import DiscreteWeightedManifold
-from .spectral import _derivatives, _hessian_energies, assemble_forms, gradient_inner, lowest_eigenpairs, partials
+from .spectral import _derivatives, _hessian_energies, assemble_forms, lowest_eigenpairs
 
 __all__ = [
     "SplittingCertificate",
@@ -64,10 +70,11 @@ class SplittingCertificate:
 
     ``residuals`` maps each residual's ``certificate.json`` name to its worst
     value over the two outputs, the Hessian energies as a list, one per direction.
+    ``directions`` holds the k unit-gradient direction fields, (k, *shape).
     """
 
     k: int
-    directions: list
+    directions: np.ndarray
     lambda_cluster_t0: float
     lambda_1_t1: float
     residuals: dict
@@ -80,24 +87,18 @@ class SplittingCertificate:
         return {"k": self.k, "hypotheses": hypotheses, "residuals": self.residuals}
 
 
-def _split_axes(dm, grads):
-    """Axes along which some direction field actually varies."""
-    strengths = np.zeros(dm.dimension)
-    for i in range(dm.dimension):
-        for du in grads:
-            strengths[i] = max(strengths[i], float(np.max(np.abs(du[i]))))
-    scale = max(float(np.max(strengths)), 1e-300)
-    return [i for i in range(dm.dimension) if strengths[i] > 1e-3 * scale]
+def _gradient_gram(dm, du, pairs):
+    """Pointwise <grad u_i, grad u_j> of a batch with partials ``du``, one
+    grid field per pair (i, j), summed over the axes in axis order; a
+    generator, so that one pair's field is held at a time."""
+    ainv = [along(1.0 / ax.a, m, dm.dimension) for m, ax in enumerate(dm.axes)]
+    for i, j in pairs:
+        yield sum(w * g[i] * g[j] for w, g in zip(ainv, du))
 
 
-def _axis_average(dm, field, axes_to_avg):
-    """Weighted average of a field over the given axes, each kept as a
-    length-1 axis that broadcasts against the grid."""
-    out = field
-    for i in axes_to_avg:
-        w = dm.axes[i].wdens
-        out = np.sum(out * along(w / np.sum(w), i, dm.dimension), axis=i, keepdims=True)
-    return out
+def _worst(fields) -> float:
+    """The largest |x| over the entries of some arrays; a NaN anywhere is the worst."""
+    return float(np.max([np.max(np.abs(x)) for x in fields]))
 
 
 def certificate_residuals(directions, dm: DiscreteWeightedManifold) -> dict:
@@ -107,78 +108,56 @@ def certificate_residuals(directions, dm: DiscreteWeightedManifold) -> dict:
     orthogonality tests on the gradients, the weight decomposition, the
     metric block structure, and the reduced factor equations for the
     non-split part.  The direction fields take one derivative pass as a
-    batch (``spectral._derivatives``), and q = (1/4) sum u_i^2 another; the
-    Hessian energies, the gradients, Hess q and Delta q are built from them.
+    batch (``spectral._derivatives``), and q = (1/4) sum u_i^2 another;
+    every residual is built from the partials and Hessian components of
+    these two passes, and only the mixed partials take more derivatives.
     """
-    k = len(directions)
+    dirs = np.asarray(directions, dtype=float)
+    k, d = len(dirs), dm.dimension
     if k == 0:
         names = ("gradient_gram_mean", "gradient_gram_deviation", "gradient_norm_deviation", "weight_decomposition",
                  "metric_block", "factor_equation_1", "factor_equation_2")
         return {"hessian_energies": np.zeros(0), **dict.fromkeys(names, 0.0)}
-    dirs = np.asarray(directions, dtype=float)
     du, h = _derivatives(dm, dirs)
     hess_energies = _hessian_energies(dm, du, h)
-    grads = list(zip(*du))  # per direction, its partial along each axis
 
-    # Pointwise gradient inner products: parallel orthonormal gradients make
-    # these constant delta_ij fields.
-    norm_dev = 0.0
-    gram_dev = 0.0
-    gram_sum = 0.0
-    for i in range(k):
-        for j in range(i, k):
-            pij = gradient_inner(dm, grads[i], grads[j])
-            target = 1.0 if i == j else 0.0
-            dev = float(np.max(np.abs(pij - target)))
-            if i == j:
-                norm_dev = max(norm_dev, dev)
-            else:
-                gram_dev = max(gram_dev, dev)
-            gram_sum += dm.integrate(pij) / dm.weighted_volume()
-    gram_mean = gram_sum / (k * (k + 1) / 2)
-    gram_dev = max(gram_dev, norm_dev)
+    # The gradient Gram of the pairs i <= j: parallel orthonormal gradients
+    # make each pair's field the constant delta_ij.
+    pairs = list(zip(*np.triu_indices(k)))
+    volume = dm.weighted_volume()
+    devs, means = np.empty(len(pairs)), []
+    for n, ((i, j), p) in enumerate(zip(pairs, _gradient_gram(dm, du, pairs))):
+        devs[n] = np.max(np.abs(p - float(i == j)))
+        means.append(dm.integrate(p) / volume)
 
-    split = _split_axes(dm, grads)
+    # The split axes are those along which some direction field varies; the
+    # weight less q averages over them to f_N, a function on the complement.
+    strengths = [float(np.max(np.abs(g))) for g in du]
+    split = [i for i, s in enumerate(strengths) if s > 1e-3 * max(*strengths, 1e-300)]
     quarter_sq = 0.25 * sum(u * u for u in dirs)
-
     fbar = dm.f_field() - quarter_sq
-    f_n = _axis_average(dm, fbar, split)
-    weight_residual = float(np.max(np.abs(fbar - f_n)))
-
-    metric_residual = 0.0
-    for i, ax in enumerate(dm.axes):
-        a = along(ax.a, i, dm.dimension)
-        speed = sum(du[i] * du[i] for du in grads) / a
-        target = 1.0 if i in split else 0.0
-        metric_residual = max(metric_residual, float(np.max(np.abs(speed - target))))
+    f_n = fbar
+    for i in split:
+        w = dm.axes[i].wdens
+        f_n = np.sum(f_n * along(w / np.sum(w), i, d), axis=i, keepdims=True)
+    a = [along(ax.a, i, d) for i, ax in enumerate(dm.axes)]
 
     # Reduced factor equations: the split block of g - 2 Hess_f must be
     # static, the complement must see Hess_f through fbar only, and the
     # weight equation loses exactly k/2 through Delta(quarter_sq).
     dq, hq = _derivatives(dm, quarter_sq[None])
-    check1 = 0.0
-    lap_q = 0.0
-    for i, ax in enumerate(dm.axes):
-        a = along(ax.a, i, dm.dimension)
-        if i in split:
-            check1 = max(check1, float(np.max(np.abs(a - 2.0 * along(ax.hess_f, i, dm.dimension)))))
-        else:
-            check1 = max(check1, float(np.max(np.abs(2.0 * hq[i]))))
-        for j in range(i + 1, dm.dimension):
-            cross = dm.axes[j].d1(dq[i], j + 1)
-            check1 = max(check1, float(np.max(np.abs(2.0 * cross))))
-        lap_q = lap_q + hq[i] / a
-    check2 = float(np.max(np.abs(lap_q - k / 2.0)))
+    blocks = (a[i] - 2.0 * along(ax.hess_f, i, d) if i in split else 2.0 * hq[i] for i, ax in enumerate(dm.axes))
+    mixed = (2.0 * dm.axes[j].d1(dq[i], j + 1) for i in range(d) for j in range(i + 1, d))
 
     return {
         "hessian_energies": hess_energies,
-        "gradient_gram_mean": gram_mean,
-        "gradient_gram_deviation": gram_dev,
-        "gradient_norm_deviation": norm_dev,
-        "weight_decomposition": weight_residual,
-        "metric_block": metric_residual,
-        "factor_equation_1": check1,
-        "factor_equation_2": check2,
+        "gradient_gram_mean": sum(means) / len(means),
+        "gradient_gram_deviation": float(np.max(devs)),
+        "gradient_norm_deviation": float(np.max(devs[[i == j for i, j in pairs]])),
+        "weight_decomposition": _worst([fbar - f_n]),
+        "metric_block": _worst(sum(x * x for x in g) / a[i] - float(i in split) for i, g in enumerate(du)),
+        "factor_equation_1": _worst(chain(blocks, mixed)),
+        "factor_equation_2": _worst([sum(hq[i] / a[i] for i in range(d)) - k / 2.0]),
     }
 
 
@@ -191,7 +170,9 @@ def detect_splitting(traj: FlowTrajectory, t0: float, t1: float, window: float):
     SplittingHypothesisFailure naming the violated hypothesis when the
     eigenvalue conditions do not hold.  The direction fields are the
     cluster's eigenfunctions at t0, from one solve of that output with the
-    run's k and ``eig_tol``: the bits of the run's own stacked solve.
+    run's k and ``eig_tol``: the bits of the run's own stacked solve.  With
+    no eigenvalue in the window, the failing record reads the first lambda_j,
+    j = 1..k, nearest 1/2.
     """
     i0, i1 = output_index(traj.request, t0), output_index(traj.request, t1)
     if i1 <= i0:
@@ -200,13 +181,14 @@ def detect_splitting(traj: FlowTrajectory, t0: float, t1: float, window: float):
     lambda_1_t1 = float(lam1[1])
     cluster = [i for i in range(1, len(lam0)) if abs(lam0[i] - 0.5) <= window]
     if not cluster:
-        nearest = float(lam0[1]) if len(lam0) > 1 else math.nan
+        j = 1 + int(np.argmin(np.abs(lam0[1:] - 0.5)))  # the first nearest lambda_j, j = 1..k
+        nearest = float(lam0[j])
         return SplittingHypothesisFailure(
             violated="lambda_k(t0) = 1/2",
             lambda_cluster_t0=nearest,
             lambda_1_t1=lambda_1_t1,
-            message=f"no eigenvalue within {window:g} of 1/2 at t0 (lambda_1 = {nearest:.6g})",
-            record=("|lambda_1(t0) - 1/2|", abs(nearest - 0.5), window),
+            message=f"no eigenvalue within {window:g} of 1/2 at t0 (the nearest is lambda_{j} = {nearest:.6g})",
+            record=(f"|lambda_{j}(t0) - 1/2|", abs(nearest - 0.5), window),
         )
     if lambda_1_t1 < 0.5 - window:
         return SplittingHypothesisFailure(
@@ -218,13 +200,11 @@ def detect_splitting(traj: FlowTrajectory, t0: float, t1: float, window: float):
         )
 
     dm = traj.manifolds[i0]
-    volume = dm.weighted_volume()
-    fields = lowest_eigenpairs(assemble_forms(dm), traj.request.k, traj.request.eig_tol).eigenfunctions
-    directions = []
-    for u in fields[cluster]:
-        du = partials(dm, u)
-        energy = dm.integrate(gradient_inner(dm, du, du))
-        directions.append(u * math.sqrt(volume / energy))
+    fields = lowest_eigenpairs(assemble_forms(dm), traj.request.k, traj.request.eig_tol).eigenfunctions[cluster]
+    # each field scaled so that |grad u|^2, the diagonal of its gradient Gram, averages to 1
+    diagonal = [(c, c) for c in range(len(cluster))]
+    energies = [dm.integrate(p) for p in _gradient_gram(dm, _derivatives(dm, fields)[0], diagonal)]
+    directions = fields * along(np.sqrt(dm.weighted_volume() / np.array(energies)), 0, dm.dimension + 1)
 
     at_t0, at_t1 = (certificate_residuals(directions, traj.manifolds[m]) for m in (i0, i1))
     residuals = {key: np.maximum(val, at_t1[key]).tolist() for key, val in at_t0.items()}

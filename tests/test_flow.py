@@ -25,10 +25,9 @@ from driftflow.flow import (
     _settle, _stack_length,
 )
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
+from driftflow.oracles import gradient_inner
 from driftflow.runner import execute
-from driftflow.spectral import (
-    _derivatives, _hessian_energies, gradient_inner, hessian_norm_sq, partials, soliton_defect_profiles,
-)
+from driftflow.spectral import _derivatives, _hessian_energies, hessian_norm_sq, partials, soliton_defect_profiles
 
 LOG2 = math.log(2.0)
 

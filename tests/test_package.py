@@ -105,6 +105,9 @@ REMOVED = (
     "FlowTrajectory.index_at",
     "FlowTrajectory.output_dt",
     "_SPLITTING_FIELDS",
+    # The certificate takes its split axes and f_N inline from its one derivative pass.
+    "_split_axes",
+    "_axis_average",
 )
 
 # Instance attributes that nothing reads: an axis's quadrature density is ``wdens``.
@@ -157,6 +160,13 @@ def test_removed_names_are_not_importable(name):
         exec(f"from driftflow import {name}", {})
     for module in MODULES:
         assert not hasattr(importlib.import_module(f"driftflow.{module}"), name), module
+
+
+def test_the_certificate_takes_its_gradients_from_one_derivative_pass():
+    # the per-pair gradient inner product is the oracles' reference, which no other module calls
+    tree = ast.parse((PACKAGE / "splitting.py").read_text(encoding="utf-8"))
+    assert {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} & {"partials", "gradient_inner"} == set()
+    assert [m for m in MODULES if hasattr(importlib.import_module(f"driftflow.{m}"), "gradient_inner")] == ["oracles"]
 
 
 def test_removed_axis_attributes_are_not_set():
