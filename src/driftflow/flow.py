@@ -54,14 +54,15 @@ geometry (``_Layout.pack``) and builds all outputs once, as one stack
 (``_Layout.stack``); the spectra, the commutator, the volumes and the
 checks read that stack.  ``run_flow`` then takes one loop over the stack's
 sub-stacks of consecutive outputs, each sized by ``_stack_length`` to
-STACK_BYTES for the k + 1 eigenfunctions of its solve.  Per sub-stack it
+STACK_BYTES for k + 1 fields per output.  Per sub-stack it
 writes into its part of each preallocated result: the eigenvalues and
 eigen-residuals (output 0 solved like the rest), the commutator residuals
 and the weighted volumes, and with tracked scalars the backend fills its
 part of the one scalar array (E V, or the analytic propagator) and the
 loop pairs it.  A run keeps of its spectra only their (m, k + 1)
-eigenvalues and eigen-residuals; each sub-stack's eigenfunctions are
-dropped after its solve.  ``run_flow`` returns one frozen
+eigenvalues and eigen-residuals; a sub-stack's solve
+(``spectral._eigensolve``) checks each pair on its per-axis columns and
+builds no eigenfunction.  ``run_flow`` returns one frozen
 ``FlowTrajectory``, built once from finished values: its residual columns
 are computed before the record is.
 """
@@ -86,7 +87,7 @@ from .errors import (
 )
 from .geometry import CircleModel, ContinuumState, DiscreteWeightedManifold, discretize, evaluate_family
 from .oracles import modal_propagator
-from .spectral import _derivatives, _scalar_pairings, assemble_forms, lowest_eigenpairs, partials
+from .spectral import _derivatives, _eigensolve, _scalar_pairings, assemble_forms, lowest_eigenpairs, partials
 
 __all__ = [
     "FlowTrajectory",
@@ -109,9 +110,9 @@ FIELD_COPIES = 16
 
 # Largest estimated temporary memory of one sub-stack of consecutive outputs
 # in ``run_flow``'s loop, at FIELD_COPIES copies of each output's k + 1
-# fields: the eigenfunctions of its solve, which also bound its commutator
-# probe, its field of ones for the volumes and its k scalars (E, the
-# pairings); the propagator check sizes its sub-stacks of k scalars to the
+# fields, which bound its commutator probe, its field of ones for the
+# volumes and its k scalars (E, the pairings); its solve holds less than one
+# such batch.  The propagator check sizes its sub-stacks of k scalars to the
 # same budget.  A grid where one output takes more goes one output at a time.
 # 2 MiB, not 1: at 1 MiB a 12 x 64 product with k = 3 goes two outputs per
 # sub-stack, and the fixed cost of each sub-stack slows its run by about 17 %.
@@ -440,8 +441,9 @@ class FlowTrajectory:
     with tracked scalars their values and pairings (``series``);
     ``residual_ij`` is NaN without them.  ``manifolds`` is the geometry of
     every output as one stack (``DiscreteWeightedManifold``): ``manifolds[m]``
-    is output m's manifold, whose solve gives its eigenfunctions in the bits
-    of the run's, which keeps none.  Built once by ``run_flow``.
+    is output m's manifold, whose solve gives its eigenvalues and residuals
+    in the bits of the run's, and its eigenfunctions, which the run never
+    builds past output 0.  Built once by ``run_flow``.
     """
 
     request: RunRequest
@@ -694,7 +696,7 @@ def _check_field_memory(request: RunRequest, state) -> None:
     than MAX_FIELD_BYTES, before any of them is allocated.
 
     The estimate counts 8 bytes for each entry of FIELD_COPIES live copies
-    of the k + 1 fields a step or an output solve carries, and STACK_BYTES,
+    of the k + 1 fields a step or an output carries, and STACK_BYTES,
     the budget of one sub-stack of ``run_flow``'s loop.  Per output it
     counts what the run keeps: with tracked scalars their k fields and
     their pairings J, D and dJ (k x k each), I and E; in the stacked
@@ -709,12 +711,13 @@ def _check_field_memory(request: RunRequest, state) -> None:
     tracemalloc, k = 3 on 16 x 256: an array kernel step that carries V (a
     circle that is not round) peaks at 9.0 copies of the scalar batch; a
     list kernel step of round axes holds no field (its state is a few
-    numbers) and peaks at 0.004 copies.  Above what it keeps, one sub-stack
-    of the loop holds 6.8 to 7.4 copies of each of its outputs' k + 1
-    fields, its solve's, on 768- to 4096-point grids at k = 1 and 3; its
-    commutator holds up to 3.7 of them, its volumes 0.6, E 3.1 and its
-    pairings 7.1.  Per output and in copies of its k scalars, a sub-stack
-    of the propagator check holds 6.2.
+    numbers) and peaks at 0.004 copies.  Above what it keeps, in copies of
+    each of its outputs' k + 1 fields, one sub-stack of the loop holds on
+    12 x 64 and 16 x 256 products at k = 1 and 3: in its solve 0.5 to 0.9
+    (forms included; the solve builds no eigenfunction), in its commutator
+    up to 3.7, its volumes 0.5, E 3.1 and its pairings 7.1 (8.5 on an
+    n = 3 Gaussian of order 16 at k = 3).  Per output and in copies of its
+    k scalars, a sub-stack of the propagator check holds 6.2.
     """
     circles = [isinstance(fac, CircleModel) for fac in state.factors]
     sizes = [request.resolution if circle else request.hermite_order for circle in circles]
@@ -753,11 +756,11 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     extinct by the last output fails before anything is discretized.
     Output 0's solve seeds the scalars.  Every output's geometry is then
     built once, as one stack, and one loop over its sub-stacks of
-    consecutive outputs, each sized for the k + 1 eigenfunctions of its
-    solve, writes each sub-stack's eigenvalues, eigen-residuals, commutator
-    residuals and weighted volumes, and with tracked scalars fills its part
-    of the backend's scalar array and pairs it: each output in the bits of
-    its one-output computation.
+    consecutive outputs, each sized for k + 1 fields per output, writes
+    each sub-stack's eigenvalues, eigen-residuals (from per-axis columns,
+    with no eigenfunction), commutator residuals and weighted volumes, and
+    with tracked scalars fills its part of the backend's scalar array and
+    pairs it: each output in the bits of its one-output computation.
     """
     start = evaluate_family(request.family, request.family.t0)
     _check_field_memory(request, start)  # before the recorded steps are listed
@@ -777,9 +780,7 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     probe = _probe_partials(manifolds[0], spectrum0.eigenfunctions[1])  # differentiated once per run
     for sub in _sub_stacks(count, manifolds.size, k + 1):
         stack = manifolds[sub]
-        solved = lowest_eigenpairs(assemble_forms(stack), k, request.eig_tol)
-        eigenvalues[sub], eigen_residuals[sub] = solved.eigenvalues, solved.residuals
-        del solved  # and its eigenfunctions, before the sub-stack's other passes
+        eigenvalues[sub], eigen_residuals[sub], _ = _eigensolve(assemble_forms(stack), k, request.eig_tol)
         residual_commutator[sub] = _commutator_stack(probe, stack)
         volumes[sub] = stack.weighted_volume()
         if fill:

@@ -1,14 +1,16 @@
 """Independent brute-force references used by tests and acceptance runs.
 
 These deliberately avoid the fast paths of the main engines: the dense solve
-forms the Kronecker-sum stiffness matrix, which the fast path only applies
-factor by factor, and diagonalizes the full pair; the equality-case ODE is
-integrated step by step instead of using the closed form it validates, and
-extrapolated from two step counts; the modal propagator solves the drift
-heat equation of the tracked scalars in closed form, mode by mode in each
-axis's eigenbasis, with the eigenvalue integrals of the closed-form
-geometry, where the integrator integrates them along its own Galerkin
-geometry.  The analytic backend records its scalars from the propagator.
+forms the Kronecker-sum stiffness matrix, which the fast path keeps in
+factors, and diagonalizes the full pair; the grid residual applies the
+stiffness to built eigenfunctions on the whole grid, where the solve takes
+each pair's residual from per-axis inner products of its columns; the
+equality-case ODE is integrated step by step instead of using the closed
+form it validates, and extrapolated from two step counts; the modal
+propagator solves the drift heat equation of the tracked scalars in closed
+form, mode by mode in each axis's eigenbasis, with the eigenvalue
+integrals of the closed-form geometry, where the integrator integrates
+them along its own Galerkin geometry.  The analytic backend records its scalars from the propagator.
 The pointwise gradient inner product takes two fields' coordinate partials
 one pair at a time, where the splitting certificate builds the gradient
 Gram of a whole batch from one derivative pass.
@@ -20,18 +22,21 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import reduce
 
 import numpy as np
 
-from .axes import FourierStiffness, _hermite_ops, along, axis_to_front
+from .axes import FourierStiffness, _hermite_ops, along, apply_along, axis_to_front
 from .errors import HorizonError, OracleError, UsageError
 from .geometry import CircleModel
 
 __all__ = [
     "OracleReport",
+    "apply_stiffness",
     "dense_spectrum",
     "dense_stiffness",
     "gradient_inner",
+    "grid_eigen_residuals",
     "integrate_equality_ode",
     "equality_ode_extrapolated",
     "modal_propagator",
@@ -96,6 +101,44 @@ def dense_stiffness(forms) -> np.ndarray:
             factor = np.kron(factor, apply(np.eye(mass.size)) if j == i else np.diag(mass))
         stiff += factor
     return stiff
+
+
+def apply_stiffness(forms, u) -> np.ndarray:
+    """K u on the grid, for one field of the forms' shape or a batch of
+    them, (..., *shape): each axis's block applied along its axis to u
+    weighted by the other axes' masses.  On the forms of a stack u is an
+    (s, ..., *shape) stack: each output's fields are weighted by its own
+    masses (a mass the outputs share is one row) and mapped by its own
+    blocks."""
+    u = np.asarray(u, dtype=float)
+    d = len(forms.blocks)
+    if u.shape[u.ndim - d :] != forms.shape:
+        raise UsageError(f"field shape {u.shape} does not end in grid {forms.shape}")
+    lead = int(forms.manifold is not None and forms.manifold.stacked)
+    batch = (1,) * (u.ndim - d - lead)
+    masses = [along(m.reshape(m.shape[0], *batch, -1) if m.ndim > 1 else m, j, d)
+              for j, m in enumerate(forms.axis_masses)]
+    out = 0.0
+    for i, block in enumerate(forms.blocks):
+        weighted = reduce(np.multiply, [m for j, m in enumerate(masses) if j != i], u)
+        out = out + apply_along(block.__matmul__, weighted, i - d, lead=lead)
+    return out
+
+
+def grid_eigen_residuals(forms, eigenvalues, fields) -> np.ndarray:
+    """||Ku - lambda Mu|| / (||Ku|| + (1 + |lambda|) ||Mu||) of each pair of
+    (k + 1,) eigenvalues and (k + 1, *shape) fields, or of a stack of them,
+    taken on the grid with ``apply_stiffness`` and the full mass diagonal:
+    the reference for the per-axis residuals of ``lowest_eigenpairs``."""
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    ku = apply_stiffness(forms, fields).reshape(*eigenvalues.shape, -1)
+    mass = reduce(np.multiply, [along(m, i, len(forms.shape)) for i, m in enumerate(forms.axis_masses)])
+    mu = mass.reshape(-1, 1, math.prod(forms.shape)) * np.reshape(fields, ku.shape)
+    if eigenvalues.ndim == 1:
+        mu = mu[0]
+    res = ku - eigenvalues[..., None] * mu
+    scale = np.linalg.norm(ku, axis=-1) + (1.0 + np.abs(eigenvalues)) * np.linalg.norm(mu, axis=-1)
+    return np.linalg.norm(res, axis=-1) / scale
 
 
 def dense_spectrum(forms) -> np.ndarray:

@@ -7,19 +7,25 @@ The operator L = Delta - grad_f is represented weakly by the pair of forms
 
 so that D u = lambda J u is the weak form of -L u = lambda u.  The mass is
 diagonal.  On product grids the stiffness is a Kronecker sum of per-axis
-blocks, each weighted by the other axes' masses; it is kept in factors and
-applied axis by axis with ``axes.apply_along`` (Lynch, Rice & Thomas 1964),
-never formed as one matrix.
+blocks, each weighted by the other axes' masses; it is kept in factors
+(Lynch, Rice & Thomas 1964) and never formed as one matrix, nor applied on
+the grid: ``oracles.apply_stiffness`` does that for the tests.
 Eigenpairs are solved per axis: Hermite axes and constant-coefficient
 circles in closed form (Fourier modes), other circles by dense ``eigh``.
 The closed-form tables depend only on the grid and are cached read-only per
-grid; products combine the axes with one outer sum of eigenvalues and one
-broadcast product of eigenvectors, in the same floating-point operations as
-a per-pair build.  A stack of outputs on one grid (see ``geometry``) takes
-the same two calls: ``assemble_forms`` stacks its blocks and masses over the
-leading output axis, and ``lowest_eigenpairs`` solves them in one pass of
-numpy calls into one ``SpectralResult`` whose arrays carry that axis, each
-output's rows in the bits they have alone.
+grid; products combine the axes with one outer sum of eigenvalues.  Every
+eigenfunction is a product of per-axis columns, so each pair's
+eigen-residual is taken on its columns (``_eigensolve``): the block of each
+axis applied to that axis's columns, and the norms on the grid combined
+from per-axis inner products.  ``lowest_eigenpairs`` then builds the
+eigenfunctions with one broadcast product of the columns, in the same
+floating-point operations as a per-pair build; ``run_flow``'s loop calls
+``_eigensolve`` alone and never builds them.  A stack of outputs on one
+grid (see ``geometry``) takes the same two calls: ``assemble_forms`` stacks
+its blocks and masses over the leading output axis, and
+``lowest_eigenpairs`` solves them in one pass of numpy calls into one
+``SpectralResult`` whose arrays carry that axis, each output's rows in the
+bits they have alone.
 
 Pointwise quantities of a (k, *shape) batch of fields come from one
 derivative pass (``_derivatives``): the partials du_i and the diagonal
@@ -247,8 +253,9 @@ class QuadraticForms:
     With per-axis stiffness blocks S_i and per-axis mass diagonals m_i, the
     mass is the diagonal m_0 x ... x m_{d-1} and the stiffness is
     sum_i M_0 x ... x S_i x ... x M_{d-1}, M_j = diag(m_j).
-    The stiffness is applied axis by axis as ``S_i @ X``, never formed; S_i is
-    a dense matrix on Gaussian axes and a ``FourierStiffness`` on circles.
+    A block is applied along its axis as ``S_i @ X``; the stiffness is never
+    formed.  S_i is a ``HermiteStiffness`` on Gaussian axes and a
+    ``FourierStiffness`` on circles; each maps a constant to exact zeros.
     """
 
     manifold: DiscreteWeightedManifold | None
@@ -267,25 +274,6 @@ class QuadraticForms:
     def mass_diag(self) -> np.ndarray:
         # The Kronecker product of the axis masses, one multiply per entry as in np.kron.
         return reduce(np.multiply.outer, self.axis_masses).ravel()
-
-    def apply_stiffness(self, u) -> np.ndarray:
-        """K u for one field of ``shape`` or a batch of them, (..., *shape).
-        On the forms of a stack u is an (s, ..., *shape) stack: each output's
-        fields are weighted by its own masses (a mass the outputs share is one
-        row) and mapped by its own blocks."""
-        u = np.asarray(u, dtype=float)
-        d = len(self.blocks)
-        if u.shape[u.ndim - d :] != self.shape:
-            raise UsageError(f"field shape {u.shape} does not end in grid {self.shape}")
-        lead = int(self.manifold is not None and self.manifold.stacked)
-        batch = (1,) * (u.ndim - d - lead)
-        masses = [along(m.reshape(m.shape[0], *batch, -1) if m.ndim > 1 else m, j, d)
-                  for j, m in enumerate(self.axis_masses)]
-        out = 0.0
-        for i, block in enumerate(self.blocks):
-            weighted = reduce(np.multiply, [m for j, m in enumerate(masses) if j != i], u)
-            out = out + apply_along(block.__matmul__, weighted, i - d, lead=lead)
-        return out
 
 
 def assemble_forms(dm: DiscreteWeightedManifold) -> QuadraticForms:
@@ -312,8 +300,11 @@ class SpectralResult:
     ``eigenfunctions`` (s, k + 1, *shape).
 
     Eigenfunctions are node-value tensors, J-orthonormal, sorted ascending
-    with multiplicity; ``residuals`` are norms of the generalized
-    eigen-equation defect for each pair.
+    with multiplicity; ``residuals`` are the relative norms
+    ||Ku - lambda Mu|| / (||Ku|| + (1 + |lambda|) ||Mu||) of each pair's
+    eigen-equation defect, taken on the pair's per-axis factors
+    (``_eigensolve``): on one axis in the bits of the same norms on the
+    grid, on a product the same norms rounded another way.
     """
 
     t: float | np.ndarray
@@ -365,33 +356,67 @@ def _axis_eigens(ax, block, count: int):
     return vals, vecs
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, along the last axis: ``np.linalg.norm(x,
-    axis=-1)`` for real x, by the same formula."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+def _axis_vectors(block, mass, mu: np.ndarray, cols: np.ndarray, lead: int) -> tuple:
+    """a = M c, r = S c - mu a and b = S c for the (m, k + 1, n) columns c of
+    one axis, mu their axis eigenvalues.  The block is applied to the
+    columns along their last axis (``lead`` = 1 on a stack), as to a batch
+    of fields on the axis's grid."""
+    b = apply_along(block.__matmul__, cols if lead else cols[0], -1, lead=lead).reshape(cols.shape)
+    a = _batch_along(mass, 0, 1) * cols
+    return a, b - mu[..., None] * a, b
 
 
-def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10):
-    """k+1 smallest eigenpairs of the weak drift Laplacian: one
-    ``SpectralResult``, whose arrays on the forms of a stack of outputs carry
-    the leading output axis, each output's rows in the bits it has when
-    solved alone.
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.add.reduce(x * y, axis=-1)
 
-    Product states are solved axis by axis (the operator decouples on the
-    supported geometry) and combined by Minkowski sums; the result is checked
-    against the forms and rejected if any residual exceeds ``tol``.  The
-    constant eigenfunction carries lambda_0 = 0; all later eigenfunctions
-    are J-orthogonal to it, which realizes the mean-zero constraint.  Each
-    output's residual ||Ku - lambda Mu|| / (||Ku|| + (1 + |lambda|) ||Mu||)
-    is taken against its own blocks; SolverError names the first output, in
-    stack order, whose worst residual exceeds ``tol``.
+
+def _kron_sum_sq(a: tuple, sq: list, v: tuple) -> np.ndarray:
+    """|sum_i a_0 x ... x v_i x ... x a_{d-1}|^2 of each pair, from its
+    per-axis vectors a_i and v_i and sq_i = |a_i|^2: sum_i |v_i|^2
+    prod_{j != i} sq_j + sum_{i != l} <a_i, v_i> <a_l, v_l> prod_{j not in
+    {i, l}} sq_j, never negative, and NaN stays NaN.  On one axis it is
+    |v_0|^2 itself."""
+    d = len(a)
+    if d == 1:
+        return _inner(v[0], v[0])
+    others = lambda *skip: reduce(np.multiply, [sq[j] for j in range(d) if j not in skip], 1.0)
+    cross = [_inner(x, y) for x, y in zip(a, v)]
+    total = 0.0
+    for i in range(d):
+        total = total + _inner(v[i], v[i]) * others(i)
+        for l in range(d):
+            if l != i:
+                total = total + cross[i] * cross[l] * others(i, l)
+    return np.maximum(total, 0.0)
+
+
+def _eigensolve(forms: QuadraticForms, k: int, tol: float) -> tuple:
+    """The solve behind ``lowest_eigenpairs``, with no grid-sized array:
+    eigenvalues and residuals, (m, k + 1) each, and per axis the (m, k + 1,
+    n_i) columns whose products are the pairs' eigenfunctions.
+
+    Each residual ||Ku - lambda Mu|| / (||Ku|| + (1 + |lambda|) ||Mu||)
+    is taken on the factors of u = c_0 x ... x c_{d-1} (Lynch, Rice &
+    Thomas 1964): Mu is the product of the a_i = M_i c_i, and Ku and
+    Ku - lambda Mu are sums over the axes of such products with one factor
+    replaced, by b_i = S_i c_i or by r_i = b_i - mu_i a_i, so their norms
+    follow from inner products of per-axis vectors (``_axis_vectors``,
+    ``_kron_sum_sq``), O(sum_i n_i) work per pair instead of O(prod_i n_i).
+    The defect is that of the exact sum of the axis eigenvalues mu_i,
+    which lambda, their float sum, rounds by at most 1 ulp of lambda per
+    addition, and its norms are rounded another way than on the grid
+    (``oracles.grid_eigen_residuals``); the tests hold the two within a
+    factor of 2, or both below 1e-14.  On one axis the residual is the
+    grid's, in its bits, the eigenfunction's sign flip or not.
+    SolverError names the first output, in stack order, whose worst
+    residual exceeds ``tol`` or is NaN.
     """
     dm = forms.manifold
     if k < 1:
         raise UsageError("eigenpair count k must be at least 1")
     if k + 1 > dm.size:
         raise UsageError(f"requested {k + 1} pairs from a dimension-{dm.size} problem")
-    m, d = len(dm) if dm.stacked else 1, dm.dimension
+    m, d, lead = len(dm) if dm.stacked else 1, dm.dimension, int(dm.stacked)
 
     per_axis = [_axis_eigens(ax, block, k + 1) for ax, block in zip(dm.axes, forms.blocks)]
 
@@ -401,32 +426,56 @@ def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10):
     sums = reduce(np.add, [along(vals, i, d) for i, (vals, _) in enumerate(per_axis)])
     flat_sums = sums.reshape(m, -1)
     order = flat_sums.argsort(axis=1, kind="stable")[:, : k + 1]
-    rows = np.arange(m)[:, None]
-    eigenvalues = flat_sums[rows, order]
+    eigenvalues = flat_sums[np.arange(m)[:, None], order]
 
-    # Each eigenfunction is the product of one column per axis, multiplied
-    # in axis order and then by the normalization, all k+1 of every output
-    # in one broadcast (vectors that every output shares are one row); the
-    # product starts from an exact 1.0, so it is a new array even on one axis.
-    columns = enumerate(zip(per_axis, np.unravel_index(order, sums.shape[1:])))
-    fields = reduce(
-        np.multiply, [along(vecs[np.arange(len(vecs))[:, None], :, idx], i, d) for i, ((_, vecs), idx) in columns], 1.0
-    )
-    flat = fields.reshape(m, k + 1, -1)
-    flip = flat[rows, np.arange(k + 1), np.abs(flat).argmax(axis=2)] < 0
-    fields[flip] = -fields[flip]
-
-    ku = forms.apply_stiffness(fields if dm.stacked else fields[0]).reshape(m, k + 1, -1)
-    mass_diag = reduce(np.multiply, [along(mass, i, d) for i, mass in enumerate(forms.axis_masses)])
-    mu = mass_diag.reshape(-1, 1, dm.size) * flat
-    res = ku - eigenvalues[..., None] * mu
-    scale = _row_norms(ku) + (1.0 + np.abs(eigenvalues)) * _row_norms(mu)
-    residuals = _row_norms(res) / scale
+    # Each pair's column and eigenvalue on each axis, every output's in one
+    # gather (from the one row of an axis that every output shares).
+    columns, vectors = [], []
+    index = np.unravel_index(order, sums.shape[1:])
+    for (vals, vecs), block, mass, idx in zip(per_axis, forms.blocks, forms.axis_masses, index):
+        columns.append(vecs[np.arange(len(vecs))[:, None], :, idx])
+        mu = vals[np.arange(len(vals))[:, None], idx]
+        vectors.append(_axis_vectors(block, mass, mu, columns[-1], lead))
+    a, r, b = zip(*vectors)
+    sq = [_inner(x, x) for x in a]
+    scale = np.sqrt(_kron_sum_sq(a, sq, b)) + (1.0 + np.abs(eigenvalues)) * np.sqrt(reduce(np.multiply, sq))
+    residuals = np.sqrt(_kron_sum_sq(a, sq, r)) / scale
     worst = residuals.max(axis=1)
-    failed = worst > tol
+    failed = ~(worst <= tol)
     if failed.any():
         j = int(np.argmax(failed))
         raise SolverError(f"eigen-residual {worst[j]:.3e} exceeds tolerance {tol:.3e}", best_residual=float(worst[j]))
+    return eigenvalues, residuals, columns
+
+
+def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10):
+    """k+1 smallest eigenpairs of the weak drift Laplacian: one
+    ``SpectralResult``, whose arrays on the forms of a stack of outputs carry
+    the leading output axis, each output's rows in the bits it has when
+    solved alone.
+
+    Product states are solved axis by axis (the operator decouples on the
+    supported geometry) and combined by Minkowski sums; each pair is checked
+    against the forms on its per-axis factors (``_eigensolve``), and the
+    solve is rejected if any residual exceeds ``tol`` or is NaN.  The constant
+    eigenfunction carries lambda_0 = 0; all later eigenfunctions are
+    J-orthogonal to it, which realizes the mean-zero constraint.
+    Eigenfunctions are then built on the grid, each the product of its
+    per-axis columns, signed so that its first entry of largest magnitude
+    is not negative.
+    """
+    dm = forms.manifold
+    eigenvalues, residuals, columns = _eigensolve(forms, k, tol)
+    m, d = len(eigenvalues), dm.dimension
+    rows = np.arange(m)[:, None]
+
+    # Each eigenfunction is the product of its columns, multiplied in axis
+    # order, all k+1 of every output in one broadcast; the product starts
+    # from an exact 1.0, so it is a new array even on one axis.
+    fields = reduce(np.multiply, [along(cols, i, d) for i, cols in enumerate(columns)], 1.0)
+    flat = fields.reshape(m, k + 1, -1)
+    flip = flat[rows, np.arange(k + 1), np.abs(flat).argmax(axis=2)] < 0
+    fields[flip] = -fields[flip]
     if dm.stacked:
         return SpectralResult(t=dm.t, eigenvalues=eigenvalues, eigenfunctions=fields, residuals=residuals)
     return SpectralResult(t=dm.t, eigenvalues=eigenvalues[0], eigenfunctions=fields[0], residuals=residuals[0])

@@ -2,8 +2,8 @@
 vector to broadcast along one axis, and ``axes.apply_along`` applies a
 per-axis operator along one axis.  The four sites that apply an operator
 (``apply_deriv``, the stages' operator on V, the Hermite change of basis of
-``flow._factor``, one matrix per output of a stack, and
-``QuadraticForms.apply_stiffness``) give the bits and
+``flow._factor``, one matrix per output of a stack, and the grid
+stiffness reference ``oracles.apply_stiffness``) give the bits and
 the memory layout of the same steps written out with explicit transposes."""
 
 import itertools
@@ -15,6 +15,7 @@ import driftflow as df
 from driftflow.axes import _fourier_dense, _hermite_ops, along, apply_along, apply_deriv, axis_to_front
 from driftflow.flow import _factor, _flow_rhs, _Layout
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
+from driftflow.oracles import apply_stiffness
 
 SHAPES = [(16,), (16, 6), (6, 16, 5)]
 
@@ -174,5 +175,5 @@ class TestSites:
                 perm, inverse = axis_to_front(weighted.ndim, i - d)
                 moved = weighted.transpose(perm)
                 want = want + (block @ moved.reshape(len(moved), -1)).reshape(moved.shape).transpose(inverse)
-            got = forms.apply_stiffness(u)
+            got = apply_stiffness(forms, u)
             assert np.array_equal(got, want) and _layout(got) == _layout(want)

@@ -1796,11 +1796,33 @@ class TestStackedOutputPass:
         # the same SolverError as solving one output at a time: the first
         # output, in stack order, whose worst residual exceeds the tolerance
         stack = df.DiscreteWeightedManifold([driftflow.axes.HermiteLineAxis(12, [[1.0], [1e-7], [1e-8]])], t=[0.0] * 3)
+        worst = df.lowest_eigenpairs(df.assemble_forms(stack), 1, math.inf).residuals.max(axis=1)
+        tol = 1e-15  # between output 0's round-off and that of the two narrow lines
+        assert worst[0] < tol < min(worst[1:])
         with pytest.raises(df.SolverError) as alone:
-            df.lowest_eigenpairs(df.assemble_forms(stack[1]), 1)
+            df.lowest_eigenpairs(df.assemble_forms(stack[1]), 1, tol)
         with pytest.raises(df.SolverError) as stacked:
-            df.lowest_eigenpairs(df.assemble_forms(stack), 1)
+            df.lowest_eigenpairs(df.assemble_forms(stack), 1, tol)
         assert str(stacked.value) == str(alone.value) and stacked.value.best_residual == alone.value.best_residual
+
+    def test_a_sub_stack_solve_holds_no_eigenfunction(self):
+        # the loop's solve checks each pair on its per-axis columns: on a
+        # 16 x 256 product at k = 3 it peaks below one batch of the k + 1
+        # fields that its output's eigenfunctions would fill
+        req = RunRequest(family=_PRODUCT, horizon=0.005, dt=1e-3, cadence=1, k=3, resolution=256, hermite_order=16,
+                         track_scalars=False)
+        traj = df.run_flow(req)  # also warms the caches and FFT plans
+        [sub, *_] = df.flow._sub_stacks(len(traj.times), traj.manifolds.size, req.k + 1)
+        stack = traj.manifolds[sub]
+        forms = df.assemble_forms(stack)
+        tracemalloc.start()
+        try:
+            solved = df.flow._eigensolve(forms, req.k, req.eig_tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack.size == 16 * 256 and len(stack) == 1 and solved[0].shape == (1, req.k + 1)
+        assert peak < 8 * (req.k + 1) * stack.size
 
     def test_stack_lengths(self):
         # the eternal Gaussian's 101 outputs take one stack; a 16 x 256 grid
@@ -2139,11 +2161,13 @@ class TestStackedScalarPass:
         # the solve, the commutator, the derivative kernel, the pairings, E
         # (or the analytic backend's propagator) and the check's propagator
         # each run once per sub-stack of consecutive outputs, never once per
-        # output; one more solve seeds the scalars
+        # output; one more solve, the only one that builds eigenfunctions,
+        # seeds the scalars
         request_ = dataclasses.replace(_SCALAR_RUNS["gauss_x_circle"], backend=backend)
         _stack_budget(monkeypatch, request_, per_stack)
-        calls = {name: [] for name in ("lowest_eigenpairs", "_commutator_stack", "_derivatives", "_scalar_pairings",
-                                       "_factor", "flow.modal_propagator", "acceptance.modal_propagator")}
+        calls = {name: [] for name in ("lowest_eigenpairs", "_eigensolve", "_commutator_stack", "_derivatives",
+                                       "_scalar_pairings", "_factor", "flow.modal_propagator",
+                                       "acceptance.modal_propagator")}
         for name, seen in calls.items():
             module, _, attr = name.rpartition(".")
             _recording(monkeypatch, acceptance if module == "acceptance" else df.flow, attr, seen)
@@ -2151,7 +2175,7 @@ class TestStackedScalarPass:
         check_functionals(traj)
         stacks = -(-len(traj.times) // per_stack)
         expected = {
-            "lowest_eigenpairs": stacks + 1, "_commutator_stack": stacks,
+            "lowest_eigenpairs": 1, "_eigensolve": stacks, "_commutator_stack": stacks,
             "_derivatives": stacks, "_scalar_pairings": stacks, "acceptance.modal_propagator": _check_stacks(traj),
             "_factor": stacks if backend == "galerkin" else 0,
             "flow.modal_propagator": stacks if backend == "analytic" else 0,

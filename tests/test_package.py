@@ -108,6 +108,10 @@ REMOVED = (
     # The certificate takes its split axes and f_N inline from its one derivative pass.
     "_split_axes",
     "_axis_average",
+    # A solve checks each pair on its per-axis columns; the stiffness applied on the grid and
+    # the grid residual's row norms are the oracles' reference (oracles.apply_stiffness).
+    "QuadraticForms.apply_stiffness",
+    "_row_norms",
 )
 
 # Instance attributes that nothing reads: an axis's quadrature density is ``wdens``.

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -10,11 +11,12 @@ from scipy.linalg import eigh
 
 import driftflow as df
 import driftflow.axes
+import driftflow.spectral
 from driftflow.axes import CircleAxis, _fourier_dense, _fourier_ops, _hermite_ops, _spectral, along, apply_deriv
 from driftflow.config import ScenarioConfig
 from driftflow.errors import AssemblyError, UsageError
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel, discretize
-from driftflow.oracles import dense_stiffness
+from driftflow.oracles import apply_stiffness, dense_stiffness, grid_eigen_residuals
 from driftflow.runner import execute
 from driftflow.spectral import _axis_eigens, _circle_modes, _derivatives, _scalar_pairings, drift_laplacian, partials
 
@@ -40,7 +42,7 @@ def _scalar_pass(dm, batch):
 def _pairings(forms, fields):
     """(K, M): the stiffness and mass pairings of every two of a (k, *shape) batch."""
     flat = fields.reshape(len(fields), -1)
-    return flat @ forms.apply_stiffness(fields).reshape(len(fields), -1).T, (flat * forms.mass_diag) @ flat.T
+    return flat @ apply_stiffness(forms, fields).reshape(len(fields), -1).T, (flat * forms.mass_diag) @ flat.T
 
 
 def _wavy_circle(resolution=64):
@@ -52,7 +54,7 @@ class TestForms:
     def test_constant_in_stiffness_kernel(self, circle64):
         forms = df.assemble_forms(circle64)
         ones = np.ones(circle64.shape)
-        assert float(np.max(np.abs(forms.apply_stiffness(ones)))) < 1e-12
+        assert float(np.max(np.abs(apply_stiffness(forms, ones)))) < 1e-12
         assert float(np.sum(forms.mass_diag)) == pytest.approx(2.0 * math.pi, rel=1e-13)
 
     def test_gaussian_coordinate_moments(self, gauss):
@@ -89,7 +91,7 @@ class TestForms:
         forms = df.assemble_forms(dm)
         u = np.random.default_rng(5).standard_normal((2, *dm.shape))
         dense = dense_stiffness(forms)
-        for got, field in zip(forms.apply_stiffness(u), u):
+        for got, field in zip(apply_stiffness(forms, u), u):
             ref = (dense @ field.ravel()).reshape(dm.shape)
             assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
         assert _pairings(forms, u)[0][0, 1] == pytest.approx(float(u[0].ravel() @ dense @ u[1].ravel()), rel=1e-13)
@@ -325,7 +327,7 @@ def _reference_eigenpairs(forms, k):
             field = field * along(vecs[:, tuples[idx, i]], i, dm.dimension)
         fields[row] = -field if field.flat[np.argmax(np.abs(field))] < 0 else field
     mass_diag = functools.reduce(np.kron, forms.axis_masses)
-    ku = forms.apply_stiffness(fields).reshape(k + 1, -1)
+    ku = apply_stiffness(forms, fields).reshape(k + 1, -1)
     mu = mass_diag * fields.reshape(k + 1, -1)
     res = ku - eigenvalues[:, None] * mu
     scale = np.linalg.norm(ku, axis=1) + (1.0 + np.abs(eigenvalues)) * np.linalg.norm(mu, axis=1)
@@ -365,7 +367,10 @@ class TestCachedSpectralTables:
         vals, fields, residuals, mass_diag = _reference_eigenpairs(forms, k)
         assert res.eigenvalues.tobytes() == vals.tobytes()
         assert np.stack(res.eigenfunctions).tobytes() == fields.tobytes()
-        assert res.residuals.tobytes() == residuals.tobytes()
+        if dm.dimension == 1:  # on one axis the factored residual is the grid's, in its bits
+            assert res.residuals.tobytes() == residuals.tobytes()
+        else:  # the same norms, rounded on the factors
+            assert _residuals_agree(res.residuals, residuals)
         assert forms.mass_diag.tobytes() == mass_diag.tobytes()
 
     @pytest.mark.parametrize("value", [2.5, 0.0, -0.0, -1.25, 1e-8])
@@ -427,6 +432,100 @@ class TestCachedSpectralTables:
         for (_, vecs), dm in zip(pairs, (small, large)):
             gram = vecs.T @ (dm.axes[0].wdens[:, None] * vecs)
             assert float(np.max(np.abs(gram - np.eye(5)))) < 1e-13
+
+
+def _residuals_agree(got, want) -> bool:
+    """Two roundings of the same eigen-residual norms: within a factor of 2,
+    or both below 1e-14."""
+    got, want = np.asarray(got), np.asarray(want)
+    return bool(np.all(((got <= 2.0 * want) & (want <= 2.0 * got)) | ((got < 1e-14) & (want < 1e-14))))
+
+
+def _drawn_stack(kind, rng, outputs):
+    """``outputs`` drawn outputs of one grid as a stack: n = 2 or n = 3
+    Gaussian lines, a Gaussian line times a round circle, or one times a
+    non-round circle built by hand."""
+    order = int(rng.integers(6, 13))
+    scales = np.exp(rng.uniform(-1.5, 1.5, (outputs, 1)))
+    if kind.startswith("gaussian n="):
+        axes = [driftflow.axes.HermiteLineAxis(order, scales * rng.uniform(0.8, 1.25)) for _ in range(int(kind[-1]))]
+    else:
+        n = int(rng.integers(8, 65))
+        theta = driftflow.axes.circle_nodes(n)
+        a = np.exp(rng.uniform(-1.0, 1.5, (outputs, 1))) * np.ones(n)
+        f = rng.uniform(-1.0, 1.0, (outputs, 1)) * np.ones(n)
+        if kind == "gaussian x non-round circle":
+            a = a * (1.0 + 0.3 * np.cos(theta + rng.uniform(0, 2 * np.pi, (outputs, 1))))
+            f = f + 0.4 * np.sin(2 * theta)
+        axes = [driftflow.axes.HermiteLineAxis(order, scales), CircleAxis(a, f)]
+    return df.DiscreteWeightedManifold(axes, t=np.zeros(outputs))
+
+
+_DRAWN = ["gaussian n=2", "gaussian n=3", "gaussian x round circle", "gaussian x non-round circle"]
+
+
+class TestFactoredResiduals:
+    """``lowest_eigenpairs`` checks each pair on its per-axis factors; the
+    grid reference (``oracles.grid_eigen_residuals``) applies the stiffness
+    to the built eigenfunctions."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", _DRAWN)
+    def test_a_drawn_product_agrees_with_the_grid(self, kind, seed):
+        rng = np.random.default_rng([seed, _DRAWN.index(kind)])
+        stack = _drawn_stack(kind, rng, 3)
+        k = int(rng.integers(3, 9))
+        solved = df.lowest_eigenpairs(df.assemble_forms(stack), k)
+        assert _residuals_agree(solved.residuals, grid_eigen_residuals(df.assemble_forms(stack), solved.eigenvalues,
+                                                                      solved.eigenfunctions))
+        for m in range(len(stack)):
+            forms = df.assemble_forms(stack[m])
+            alone = df.lowest_eigenpairs(forms, k)
+            vals, fields, _, _ = _reference_eigenpairs(forms, k)
+            assert alone.eigenvalues.tobytes() == vals.tobytes() == solved.eigenvalues[m].tobytes()
+            assert alone.eigenfunctions.tobytes() == fields.tobytes() == solved.eigenfunctions[m].tobytes()
+            assert alone.residuals.tobytes() == solved.residuals[m].tobytes()
+            assert _residuals_agree(alone.residuals, grid_eigen_residuals(forms, vals, fields))
+
+    @pytest.mark.parametrize("control", ["shifted lambda", "perturbed column", "scaled block"])
+    @pytest.mark.parametrize("kind", _DRAWN)
+    @pytest.mark.parametrize("outputs", [1, 3])
+    def test_a_wrong_pair_is_still_rejected(self, monkeypatch, kind, control, outputs):
+        rng = np.random.default_rng([7, _DRAWN.index(kind)])
+        stack = _drawn_stack(kind, rng, outputs)
+        dm = stack if outputs > 1 else stack[0]
+        forms = df.assemble_forms(dm)
+        if control == "scaled block":  # the first line's closed-form pairs then miss its block
+            scaled = driftflow.axes.HermiteStiffness(1.5 * forms.blocks[0].matrix)
+            forms = dataclasses.replace(forms, blocks=(scaled, *forms.blocks[1:]))
+        else:
+            solve = driftflow.spectral._axis_eigens
+
+            def wrong(ax, block, count):
+                vals, vecs = solve(ax, block, count)
+                if ax is not dm.axes[0]:
+                    return vals, vecs
+                if control == "shifted lambda":
+                    return vals + 1e-6, vecs
+                vecs = vecs.copy()
+                vecs[:, :, 1] += 1e-6 * np.linspace(-1.0, 1.0, ax.size) ** 2
+                return vals, vecs
+
+            monkeypatch.setattr(driftflow.spectral, "_axis_eigens", wrong)
+        wrong_pairs = df.lowest_eigenpairs(forms, 4, math.inf)
+        reference = grid_eigen_residuals(forms, wrong_pairs.eigenvalues, wrong_pairs.eigenfunctions)
+        assert _residuals_agree(wrong_pairs.residuals, reference)
+        with pytest.raises(df.SolverError) as err:
+            df.lowest_eigenpairs(forms, 4)
+        want = float(np.max(reference if outputs == 1 else reference[0]))
+        assert want > 1e-10 and want / 2.0 <= err.value.best_residual <= 2.0 * want
+
+    def test_a_nan_residual_fails(self):
+        forms = df.assemble_forms(_drawn_stack("gaussian n=2", np.random.default_rng(0), 1)[0])
+        nan = driftflow.axes.HermiteStiffness(np.nan * forms.blocks[1].matrix)
+        with pytest.raises(df.SolverError, match="nan"):
+            df.lowest_eigenpairs(dataclasses.replace(forms, blocks=(forms.blocks[0], nan)), 2)
+
 
 class TestFieldOperations:
     def test_energy_profile_examples(self):
