@@ -46,7 +46,7 @@ from .geometry import (
     weighted_circle,
 )
 from .oracles import dense_spectrum, equality_ode_extrapolated, modal_propagator
-from .spectral import assemble_forms, bochner_sides, lowest_eigenpairs
+from .spectral import _bochner_terms, assemble_forms, lowest_eigenpairs
 from .splitting import SplittingCertificate, SplittingHypothesisFailure, detect_splitting
 
 __all__ = [
@@ -184,23 +184,27 @@ def check_functionals(traj: FlowTrajectory) -> list:
     E' <= 0 between outputs, the scalars' zero means relative
     to their Cauchy-Schwarz bound |int u| <= sqrt(I volume), and their
     distance from the exact ``modal_propagator`` at every output, relative
-    to the propagated batch, one propagator call per sub-stack of
-    consecutive outputs sized for their scalars."""
+    to the propagated batch.  Both are taken on the grid: per sub-stack of
+    consecutive outputs, sized for their scalars, the fields are built from
+    the run's per-axis columns (``FlowTrajectory.scalar_fields``) and the
+    propagator is called once, from output 0's fields."""
     vol_drift = float(np.max(np.abs(traj.volumes / traj.volumes[0] - 1.0)))
     volume = Check("volume drift", vol_drift, VERIFY_TOLERANCES["volume_drift_rel"])
     if not traj.series:
         return [volume]
     rep = functional_residuals(traj.series)
-    integrals = np.stack([traj.manifolds.integrate(u) for u in traj.scalar_values.swapaxes(0, 1)], axis=1)
-    means = float(np.max(np.abs(integrals) / np.sqrt(traj.series["I"] * traj.volumes[:, None])))
-    family, values = traj.request.family, traj.scalar_values
-    states = [evaluate_family(family, t) for t in traj.times]
-    deviations = np.empty(len(values))
-    for sub in _sub_stacks(len(values), traj.manifolds.size, values.shape[1]):
-        exact = modal_propagator(values[0], states[0], states[sub])
+    count, k = len(traj.times), traj.request.k
+    states = [evaluate_family(traj.request.family, t) for t in traj.times]
+    start = traj.scalar_fields(0)
+    integrals, deviations = np.empty((count, k)), np.empty(count)
+    for sub in _sub_stacks(count, traj.manifolds.size, k):
+        values, stack = traj.scalar_fields(sub), traj.manifolds[sub]
+        integrals[sub] = np.stack([stack.integrate(u) for u in values.swapaxes(0, 1)], axis=1)
+        exact = modal_propagator(start, states[0], states[sub])
         # an output whose propagated scalars are all zero reads inf (or NaN) and fails, with no warning on stderr
         with np.errstate(divide="ignore", invalid="ignore"):
-            deviations[sub] = _row_max(np.abs(values[sub] - exact)) / _row_max(np.abs(exact))
+            deviations[sub] = _row_max(np.abs(values - exact)) / _row_max(np.abs(exact))
+    means = float(np.max(np.abs(integrals) / np.sqrt(traj.series["I"] * traj.volumes[:, None])))
     return [
         Check("rel J'", rep.max_rel_J, VERIFY_TOLERANCES["functionals_rel"]),
         Check("rel I'", rep.max_rel_I, VERIFY_TOLERANCES["functionals_rel"]),
@@ -243,12 +247,19 @@ def check_bochner(dm, seed: int) -> list:
 
 
 def _bochner_residual(u, dm) -> float:
-    """|lhs - rhs| of the drift Bochner identity for ``u`` over its scale
-    max(|lhs|, |rhs|, D/2), D the Dirichlet energy of ``u``: where phi
-    vanishes, both sides are zero and D/2 keeps round-off from being divided
-    by itself.  The floor 1e-300 only keeps a constant field at 0."""
-    lhs, rhs, dirichlet = bochner_sides(u, dm)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 0.5 * dirichlet, 1e-300)
+    """|lhs - rhs| of the drift Bochner identity for ``u`` over its scale,
+    the largest magnitude among the terms it sums: |lhs|, |rhs| and the
+    three terms of rhs, the Hessian energy H, D/2 (D the Dirichlet energy
+    of ``u``) and the L-image mass.  rhs = H + D/2 - int (L u)^2 keeps the
+    round-off of its largest term, so that term is the scale: on a circle
+    of length scale sqrt(a), H and the L-image mass grow like a^{-3/2} and
+    the two sides like a^{-1/2}, and |lhs - rhs| over the sides alone read
+    about 1e-16 H / (D/2), which grows like 1/a.  Where phi vanishes, both
+    sides are zero and D/2 keeps round-off from being divided by itself.
+    The floor 1e-300 only keeps a constant field at 0."""
+    lhs, hessian, half_dirichlet, image = _bochner_terms(u, dm)
+    rhs = hessian + half_dirichlet - image
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), hessian, half_dirichlet, image, 1e-300)
 
 
 def splitting_tolerances(backend: str) -> dict:

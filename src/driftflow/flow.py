@@ -36,18 +36,23 @@ Tracked scalars follow the drift heat equation u_t = L u + u/2 (one-way
 coupling) through an integrating factor (Lawson 1967).  On a Gaussian line
 or a round circle L acts as c_i(t) D_i, with D_i fixed and diagonal in the
 axis's basis (j/2 on the Hermite functions, k^2 on the Fourier modes) and
-c_i = 1/u or 1/a read from the Galerkin geometry.  The integrals C_i of
-c_i dt join the geometry in the RK4 state; each output records its C_i and
-its lag s, and once the steps are done E = exp(s/2 - sum_i D_i C_i) gives
-u = E V on each sub-stack of ``run_flow``'s loop, one call each.  Only a circle
-that is not round keeps its full operator in the stages, acting on V, which
-each output then records too; without one, V is the initial batch, the
+c_i = 1/u or 1/a read from the Galerkin geometry.  L is a Kronecker sum,
+so a scalar that starts as a product of per-axis columns, as output 0's
+eigenfunctions do, stays one: a run carries each as its (k, n_i) columns
+per axis and builds no grid field of them.  The integrals C_i of c_i dt
+join the geometry in the RK4 state; each output records its C_i and its
+lag s, and once the steps are done E = exp(s/2 - sum_i D_i C_i) gives
+u = E V on each sub-stack of ``run_flow``'s loop, one call each.  Only a
+circle that is not round keeps its full operator in the stages, acting on
+its columns V, which each output then records too; without one, the
 stages never touch the scalars, and the geometry takes the steps of a run
 without them.  A Galerkin run builds one step plan (``_flow_rhs``), the
 first stage of every kernel and every stage of the array kernel.
-The analytic backend steps nothing: its outputs are the closed-form states,
-and its scalars those of ``oracles.modal_propagator``, exact on every
-supported family; a Galerkin run never calls it.
+The analytic backend steps nothing: its outputs are the closed-form
+states, and its scalars are carried by the same E with each C_i in closed
+form, exact on every supported family.  No run calls
+``oracles.modal_propagator``, which ``acceptance.check_functionals`` puts
+them against.
 
 Either backend records each output as its row of the layout's packed
 geometry (``_Layout.pack``) and builds all outputs once, as one stack
@@ -58,9 +63,8 @@ STACK_BYTES for k + 1 fields per output.  Per sub-stack it
 writes into its part of each preallocated result: the eigenvalues and
 eigen-residuals (output 0 solved like the rest), the commutator residuals
 and the weighted volumes, and with tracked scalars the backend fills its
-part of the one scalar array (E V, or the analytic propagator) and the
-loop pairs it.  A run keeps of its spectra only their (m, k + 1)
-eigenvalues and eigen-residuals; a sub-stack's solve
+part of the scalar columns (E V) and the loop pairs them.  A run keeps of
+its spectra only their (m, k + 1) eigenvalues and eigen-residuals; a sub-stack's solve
 (``spectral._eigensolve``) checks each pair on its per-axis columns and
 builds no eigenfunction.  ``run_flow`` returns one frozen
 ``FlowTrajectory``, built once from finished values: its residual columns
@@ -86,8 +90,7 @@ from .errors import (
     UsageError,
 )
 from .geometry import CircleModel, ContinuumState, DiscreteWeightedManifold, discretize, evaluate_family
-from .oracles import modal_propagator
-from .spectral import _derivatives, _eigensolve, _scalar_pairings, assemble_forms, lowest_eigenpairs, partials
+from .spectral import _eigensolve, _factored_pairings, _product_fields, assemble_forms, lowest_eigenpairs, partials
 
 __all__ = [
     "FlowTrajectory",
@@ -144,15 +147,16 @@ class _Layout:
     Any other circle (``"circle"``) stores its ``size`` samples of a and then
     of f, and a Gaussian line its metric multiplier; ``width`` entries in all.
     ``circles`` are the (offset, size) of the full-row circles, the only rows
-    ``_settle`` filters.  With ``count`` tracked scalars, u = E V
-    (``_factor``), the geometry is followed by one integral C_i of c_i dt per
-    diagonal axis, in the order of ``diagonal``, and when some circle is not
-    round (``stepped``) by the raveled (count, *shape) batch V.  A diagonal
-    axis is a Gaussian line or a round circle; its scalar operator is
-    c_i(t) D_i with D_i fixed and diagonal in the axis's basis.  Everything
-    but ``axes`` and ``count`` follows from them, so no layout names a
-    full-row circle diagonal.  A run records each output as its geometry
-    row, the first ``width`` entries.
+    ``_settle`` filters.  With ``count`` tracked scalars, u = E V on each
+    axis's columns (``_factor``), the geometry is followed by one integral
+    C_i of c_i dt per diagonal axis, in the order of ``diagonal``, and then
+    by the raveled (count, n) columns V of each full-row circle
+    (``stepped``), which its full scalar operator steps.  A diagonal axis is
+    a Gaussian line or a round circle; its scalar operator is c_i(t) D_i
+    with D_i fixed and diagonal in the axis's basis, so its V never changes.
+    Everything but ``axes`` and ``count`` follows from them, so no layout
+    names a full-row circle diagonal.  A run records each output as its geometry row, the first
+    ``width`` entries.
     """
 
     axes: tuple
@@ -161,7 +165,7 @@ class _Layout:
     shape: tuple = field(init=False)
     circles: tuple = field(init=False)
     diagonal: tuple = field(init=False)
-    stepped: bool = field(init=False)
+    stepped: tuple = field(init=False)
 
     def __post_init__(self):
         circles = tuple((off, n) for kind, off, n in self.axes if kind == "circle")
@@ -170,7 +174,7 @@ class _Layout:
             "shape": tuple(n for _, _, n in self.axes),
             "circles": circles,
             "diagonal": tuple(i for i, (kind, _, _) in enumerate(self.axes) if kind != "circle") if self.count else (),
-            "stepped": self.count > 0 and bool(circles),
+            "stepped": tuple(i for i, (kind, _, _) in enumerate(self.axes) if kind == "circle") if self.count else (),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -190,21 +194,27 @@ class _Layout:
         return self.width + len(self.diagonal)
 
     @property
-    def points(self) -> int:
-        """The grid points of one field."""
-        return math.prod(self.shape)
+    def columns(self) -> list:
+        """(axis, lo, hi) of the V of each stepped circle: its (count, n)
+        columns, raveled into z[lo:hi], one block after another."""
+        spans, lo = [], self.start
+        for axis in self.stepped:
+            spans.append((axis, lo, lo + self.count * self.shape[axis]))
+            lo = spans[-1][2]
+        return spans
 
     @property
     def blocks(self) -> list:
         """The starts of the blocks of the array kernel's error norm: each
         circle's a and f (rows, or one number each if round), each Gaussian
-        multiplier, each integral, and each scalar of V."""
+        multiplier, each integral, and each scalar's column of each stepped
+        circle's V."""
         starts = []
         for kind, off, n in self.axes:
             starts += [off] if kind == "hermite" else [off, off + (n if kind == "circle" else 1)]
         starts += range(self.width, self.start)
-        if self.stepped:
-            starts += range(self.start, self.start + self.count * self.points, self.points)
+        for axis, lo, hi in self.columns:
+            starts += range(lo, hi, self.shape[axis])
         return starts
 
     def pack(self, state) -> np.ndarray:
@@ -259,28 +269,24 @@ def _flow_rhs(layout: _Layout, modes: int):
     (a, 1/2), since constants have bitwise-zero derivatives (a - 2 * 0 = a,
     1/2 - 0 / a = 1/2), so the stage writes those two numbers with no
     derivative product and no projection.  A diagonal axis adds C_i' = 1/a
-    of a round circle or 1/u of a Gaussian line.  When V is stepped, each
+    of a round circle or 1/u of a Gaussian line.  With scalars, each
     full-row circle applies its full scalar operator
-    (u'' - (Gamma + f') u') / a to V along its own axis (``apply_along``);
+    (v'' - (Gamma + f') v') / a to the (count, n) columns of its V
+    (``apply_along``), the other axes' parts of L acting through E;
     derivatives act on V - V[0] along the axis, exactly zero on constants.
     Every stage of the array kernel is taken here; of the float and list
     kernels, only the first stage of a run.
     """
-    plan = []
+    plan, columns = [], {axis: (lo, hi) for axis, lo, hi in layout.columns}
     for axis, (kind, off, n) in enumerate(layout.axes):
         ops = _fourier_dense(n) if kind == "circle" else dict.fromkeys(("d1", "d2"))
         project = kind == "circle" and modes < n // 2
         integral = layout.width + layout.diagonal.index(axis) if axis in layout.diagonal else None
-        plan.append((kind, project, off, n, ops["d1"], ops["d2"], integral))
-    start, batch_shape = layout.start, (-1, *layout.shape)
+        plan.append((kind, project, off, n, ops["d1"], ops["d2"], integral, columns.get(axis)))
 
     def rhs(t, z):
         dz = np.empty_like(z)
-        if layout.stepped:
-            batch = z[start:].reshape(batch_shape)
-            out = dz[start:].reshape(batch_shape)
-            out[...] = 0.0
-        for axis, (kind, project, off, n, d1, d2, integral) in enumerate(plan):
+        for kind, project, off, n, d1, d2, integral, v in plan:
             if kind == "circle":
                 a, f = _positive(z[off : off + n]), z[off + n : off + 2 * n]
                 df = f - f[0]
@@ -292,9 +298,12 @@ def _flow_rhs(layout: _Layout, modes: int):
                 rows[1] = _weight_rate(hess_f, a)
                 if project:
                     rows[:] = lowpass(rows, modes)
-                if layout.stepped:
+                if v is not None:
+                    out = dz[v[0] : v[1]].reshape(-1, n)
+                    out[...] = 0.0
                     drift = (gamma + fprime)[:, None]
-                    out += apply_along(lambda v: (d2 @ v - drift * (d1 @ v)) / a[:, None], batch, axis + 1, "C")
+                    out += apply_along(lambda x: (d2 @ x - drift * (d1 @ x)) / a[:, None],
+                                       z[v[0] : v[1]].reshape(-1, n), 1, "C")
             else:  # a round circle's a or a Gaussian line's multiplier u
                 a = z[off]
                 if a <= 0.0:
@@ -310,40 +319,40 @@ def _flow_rhs(layout: _Layout, modes: int):
     return rhs
 
 
-def _factor(layout: _Layout, v: np.ndarray, integrals: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """u = E V at each output of a sub-stack, E = exp(s/2 - sum_i D_i C_i) on
-    the diagonal axes at the output's lag s: an (m, count, *shape) stack.
+def _factor(layout: _Layout, columns: list, integrals: np.ndarray, lags: np.ndarray) -> list:
+    """u = E V at each output of a sub-stack, per axis the (m, count, n)
+    columns of its scalars, E = exp(s/2 - sum_i D_i C_i) at the output's
+    lag s acting on each diagonal axis's columns alone.
 
-    ``v`` is the (m, count, *shape) stack of the outputs' V, or, when V is
-    not stepped, the one (count, *shape) batch that every output shares;
-    ``integrals`` are each output's C_i of c_i dt since the start, (m,
-    diagonal), and ``lags`` its s.  Along a round circle D_i is k^2 on the
-    rfft modes, Nyquist included; along a Gaussian line j/2 on the
-    orthonormal Hermite functions, whose change of basis and back,
-    ``vand`` diag(gain) ``vinv``, is one n x n matrix per output.  The growth
-    s/2 rides in the first axis's gains.  The whole field is transformed,
-    constants included, each output's fields as for that output alone
-    (``apply_along`` with ``lead`` = 1; a shared V is a stack of one that the
-    first axis's gains widen).  At zero lag E is the identity.
+    ``columns`` holds per axis the (count, n) V that every output shares on
+    a diagonal axis, or the (m, count, n) stack of the outputs' V on a
+    stepped circle, which E leaves as it is; ``integrals`` are each
+    output's C_i of c_i dt since the start, (m, diagonal), and ``lags`` its
+    s.  Along a round circle D_i is k^2 on the rfft modes, Nyquist
+    included; along a Gaussian line j/2 on the orthonormal Hermite
+    functions, whose change of basis and back, ``vand`` diag(gain)
+    ``vinv``, is one n x n matrix per output.  The growth s/2 rides in the
+    first diagonal axis's gains, or else scales the first axis.  Each
+    output's columns are transformed as for that output alone
+    (``apply_along`` with ``lead`` = 1).  At zero lag E is the identity.
     """
-    lags, d = np.asarray(lags, dtype=float), len(layout.shape)
-    stacked = v.ndim == d + 2
-    if not layout.diagonal:  # only full-row circles: the growth alone
-        return np.array([math.exp(lag / 2.0) for lag in lags.tolist()]).reshape(-1, *(1,) * (d + 1)) * v
-    u, lag = v if stacked else v[None], lags[:, None] / 2.0
+    lags = np.asarray(lags, dtype=float)
+    out, lag = list(columns), lags[:, None] / 2.0
     for axis, c in zip(layout.diagonal, integrals.T):
         kind, _, n = layout.axes[axis]
+        v = columns[axis][None]
         spectrum = 0.5 * np.arange(n) if kind == "hermite" else np.arange(n // 2 + 1) ** 2.0  # D_i per mode
         gains = np.exp(lag - spectrum * c[:, None])
         if kind == "hermite":
             ops = _hermite_ops(n)
-            u = apply_along((ops["vand"] @ (gains[:, :, None] * ops["vinv"])).__matmul__, u, axis + 2, lead=1)
+            u = apply_along((ops["vand"] @ (gains[:, :, None] * ops["vinv"])).__matmul__, v, 2, lead=1)
         else:
-            coef = np.fft.rfft(u, axis=axis + 2) * along(gains[:, None], axis, d)
-            u = np.fft.irfft(coef, n=n, axis=axis + 2)
-        lag = 0.0
-    u[lags == 0.0] = v[lags == 0.0] if stacked else v
-    return u
+            u = np.fft.irfft(np.fft.rfft(v, axis=2) * gains[:, None], n=n, axis=2)
+        u[lags == 0.0] = v[0]
+        out[axis], lag = u, 0.0
+    if not layout.diagonal:  # only full-row circles: the growth alone
+        out[0] = np.array([math.exp(s / 2.0) for s in lags.tolist()]).reshape(-1, 1, 1) * out[0]
+    return out
 
 
 def _rk4(rhs, t: float, z: np.ndarray, dt: float, k1=None):
@@ -438,12 +447,16 @@ class FlowTrajectory:
 
     Per output, one row of each array: its time, its sampled geometry, its
     k + 1 eigenvalues and their eigen-residuals, its weighted volume, and
-    with tracked scalars their values and pairings (``series``);
-    ``residual_ij`` is NaN without them.  ``manifolds`` is the geometry of
-    every output as one stack (``DiscreteWeightedManifold``): ``manifolds[m]``
-    is output m's manifold, whose solve gives its eigenvalues and residuals
-    in the bits of the run's, and its eigenfunctions, which the run never
-    builds past output 0.  Built once by ``run_flow``.
+    with tracked scalars their pairings (``series``); ``residual_ij`` is NaN
+    without them.  Each tracked scalar is a product of per-axis columns, and
+    ``scalar_factors`` holds them, one (m, k, n_i) array per axis (None
+    without scalars): O(k sum_i n_i) numbers per output, where the fields
+    take k prod_i n_i.  ``scalar_fields`` builds the fields of one output or
+    one sub-stack.  ``manifolds`` is the geometry of every output as one
+    stack (``DiscreteWeightedManifold``): ``manifolds[m]`` is output m's
+    manifold, whose solve gives its eigenvalues and residuals in the bits
+    of the run's, and its eigenfunctions, which the run never builds past
+    output 0.  Built once by ``run_flow``.
     """
 
     request: RunRequest
@@ -452,11 +465,18 @@ class FlowTrajectory:
     eigenvalues: np.ndarray
     eigen_residuals: np.ndarray
     volumes: np.ndarray
-    scalar_values: np.ndarray | None
+    scalar_factors: tuple | None
     series: dict
     bounds: np.ndarray
     residual_ij: np.ndarray
     residual_commutator: np.ndarray
+
+    def scalar_fields(self, index) -> np.ndarray:
+        """The tracked scalars on the grid at output ``index``, (k, *shape), or
+        at the outputs of a slice, (s, k, *shape): each the product of its
+        columns (``spectral._product_fields``).  Output 0's are its
+        eigenfunctions 1..k in their bits."""
+        return _product_fields([cols[index] for cols in self.scalar_factors])
 
 
 def _peak(values: list) -> float:
@@ -629,105 +649,130 @@ def _kernel(request: RunRequest, layout: _Layout, z: np.ndarray) -> tuple:
     return partial(_list_steps, plan, tol), z.tolist(), k1.tolist()
 
 
-def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
-    """(outputs, values, fill) of a Galerkin run: one deterministic
+def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, columns0):
+    """(outputs, factors, fill) of a Galerkin run: one deterministic
     integration, one call of the run's kernel (``_kernel``) per output from
     the one before, each output recorded as its geometry row and the rows
-    built once as one stack.  The scalars are u = E V: each output records
-    its integrals and its lag, and V only when V is stepped (some circle is
-    not round; otherwise V is ``scalars0``), into ``values``, the one (m,
-    count, *shape) array of the run's scalars, and fill(sub) maps the
-    sub-stack ``sub`` of consecutive outputs to E V there (``_factor``).
-    Without scalars, ``values`` and ``fill`` are None."""
+    built once as one stack.  The scalars start from ``columns0``, a (count,
+    n) array per axis: each output records its integrals and its lag, and
+    the V of each stepped circle into ``factors``, the run's (m, count, n)
+    arrays, one per axis, which ``_filler`` sets to E V.  Without scalars,
+    ``factors`` and ``fill`` are None."""
     t0 = request.family.t0
     dt, recorded = _output_steps(request)
 
-    scalars = None if scalars0 is None else np.asarray(scalars0, dtype=float)
-    layout = _Layout.of(state0, 0 if scalars is None else len(scalars))
-    parts = [layout.pack(state0), np.zeros(len(layout.diagonal))] + ([scalars.ravel()] if layout.stepped else [])
+    count = 0 if columns0 is None else len(columns0[0])
+    layout = _Layout.of(state0, count)
+    parts = [layout.pack(state0), np.zeros(len(layout.diagonal))] + [np.ravel(columns0[i]) for i in layout.stepped]
     width, start = layout.width, layout.start
     advance, z, k1 = _kernel(request, layout, np.concatenate(parts))
 
-    count = len(recorded)
-    rows, integrals, done = np.empty((count, width)), np.empty((count, start - width)), 0
-    values = None if scalars is None else np.empty((count, *scalars.shape))
+    rows, integrals, done = np.empty((len(recorded), width)), np.empty((len(recorded), start - width)), 0
+    factors = None if columns0 is None else [np.empty((len(recorded), count, n)) for n in layout.shape]
     for m, step in enumerate(recorded):
         z, k1, _ = advance(t0 + done * dt, z, dt, step - done, k1)
         done = step
         rows[m] = np.atleast_1d(z)[:width]
-        if values is not None:
+        if factors is not None:
             integrals[m] = z[width:start]
-            if layout.stepped:
-                values[m] = z[start:].reshape(scalars.shape)
+            for axis, lo, hi in layout.columns:
+                factors[axis][m] = z[lo:hi].reshape(count, -1)
     outputs = layout.stack(rows, np.array([t0 + step * dt for step in recorded]))
-    if values is None:
+    if factors is None:
         return outputs, None, None
-    lags = np.array([step * dt for step in recorded])
+    return outputs, factors, _filler(layout, columns0, factors, integrals, np.array([step * dt for step in recorded]))
+
+
+def _filler(layout: _Layout, columns0: list, factors: list, integrals: np.ndarray, lags: np.ndarray):
+    """fill(sub): the sub-stack ``sub`` of consecutive outputs of ``factors``
+    set to E V (``_factor``) at their ``integrals`` and ``lags``, V from
+    ``columns0`` or, on a stepped circle, as recorded."""
 
     def fill(sub: slice) -> None:
-        values[sub] = _factor(layout, values[sub] if layout.stepped else scalars, integrals[sub], lags[sub])
+        columns = [factors[axis][sub] if axis in layout.stepped else cols for axis, cols in enumerate(columns0)]
+        for stored, cols in zip(factors, _factor(layout, columns, integrals[sub], lags[sub])):
+            stored[sub] = cols
 
-    return outputs, values, fill
+    return fill
 
 
-def _closed_form_outputs(request: RunRequest, state0: DiscreteWeightedManifold, scalars0):
-    """(outputs, values, fill) of an analytic run: the family's closed form
+def _closed_form_outputs(request: RunRequest, state0: DiscreteWeightedManifold, columns0):
+    """(outputs, factors, fill) of an analytic run: the family's closed form
     at each output, packed as its geometry row, and the rows built once as
-    one stack.  fill(sub) carries the scalars from output 0 to the
-    sub-stack ``sub`` of ``values`` by the exact ``modal_propagator``.
-    Nothing is stepped."""
+    one stack.  fill(sub) carries the columns from output 0 by E, each C_i
+    in closed form: 1/a(t0) - 1/a(t) on a round circle, s - log(u(t) /
+    u(t0)) on a Gaussian line.  Nothing is stepped."""
     family = request.family
     dt, recorded = _output_steps(request)
-    layout = _Layout.of(state0)
+    layout = _Layout.of(state0, 0 if columns0 is None else len(columns0[0]))
     states = [evaluate_family(family, family.t0 + step * dt) for step in recorded]
     outputs = layout.stack(np.array([layout.pack(state) for state in states]), np.array([state.t for state in states]))
-    if scalars0 is None:
+    if columns0 is None:
         return outputs, None, None
-    values = np.empty((len(states), *scalars0.shape))
+    if any(callable(fac.a) for state in states for fac in state.factors if isinstance(fac, CircleModel)):
+        raise UsageError("the analytic backend's scalars need round circles")
+    lags = [state.t - states[0].t for state in states]
+    integrals = np.array([
+        [1.0 / start.a - 1.0 / end.a if isinstance(start, CircleModel) else s - math.log(end.scale / start.scale)
+         for start, end in zip(states[0].factors, state.factors)]
+        for state, s in zip(states, lags)
+    ])
+    factors = [np.empty((len(states), len(cols), cols.shape[-1])) for cols in columns0]
+    return outputs, factors, _filler(layout, columns0, factors, integrals, np.array(lags))
 
-    def fill(sub: slice) -> None:
-        values[sub] = modal_propagator(scalars0, states[0], states[sub])
 
-    return outputs, values, fill
+def _grid_sizes(request: RunRequest, state) -> list:
+    """The node count of each circle and the order of each line of a run's grid."""
+    return [request.resolution if isinstance(fac, CircleModel) else request.hermite_order for fac in state.factors]
+
+
+def _field_bytes(request: RunRequest, state) -> int:
+    """The estimated field memory of a run, in bytes (``_check_field_memory``)."""
+    sizes, k = _grid_sizes(request, state), request.k
+    scalars = k * sum(sizes) + 3 * k * k + 2 * k if request.track_scalars else 0
+    rows = sum(6 * n if isinstance(fac, CircleModel) else n + 1 for fac, n in zip(state.factors, sizes))
+    per_output = scalars + rows + 3 * k + 6
+    return 8 * (FIELD_COPIES * (k + 1) * math.prod(sizes) + output_count(request) * per_output) + STACK_BYTES
 
 
 def _check_field_memory(request: RunRequest, state) -> None:
-    """Raise ConfigurationError if the run's grid-sized arrays would take more
-    than MAX_FIELD_BYTES, before any of them is allocated.
+    """Raise ConfigurationError if the run's arrays would take more than
+    MAX_FIELD_BYTES, before any of them is allocated.
 
-    The estimate counts 8 bytes for each entry of FIELD_COPIES live copies
-    of the k + 1 fields a step or an output carries, and STACK_BYTES,
-    the budget of one sub-stack of ``run_flow``'s loop.  Per output it
-    counts what the run keeps: with tracked scalars their k fields and
-    their pairings J, D and dJ (k x k each), I and E; in the stacked
-    geometry six rows of each circle (a, f, wdens, f', Gamma and Hess f) and
-    the f row and the scale of each line; and its time, volume, two
-    residual columns, k + 1 eigenvalues and their residuals, and k bounds;
-    a finished run keeps no eigenfunction.  tracemalloc reads a whole run's
-    peak at 0.47 to 0.77 of the estimate (an n = 2 Gaussian, and a 12 x 64
-    product with and without scalars), and 7.5 field sizes kept per output
-    on a 64-node circle with k = 2 (the term is 8.4: Hess f is not cached
-    on the stack) and 3.5 on a 12 x 64 product with k = 3 (3.6).
-    tracemalloc, k = 3 on 16 x 256: an array kernel step that carries V (a
-    circle that is not round) peaks at 9.0 copies of the scalar batch; a
-    list kernel step of round axes holds no field (its state is a few
-    numbers) and peaks at 0.004 copies.  Above what it keeps, in copies of
-    each of its outputs' k + 1 fields, one sub-stack of the loop holds on
-    12 x 64 and 16 x 256 products at k = 1 and 3: in its solve 0.5 to 0.9
-    (forms included; the solve builds no eigenfunction), in its commutator
-    up to 3.7, its volumes 0.5, E 3.1 and its pairings 7.1 (8.5 on an
-    n = 3 Gaussian of order 16 at k = 3).  Per output and in copies of its
-    k scalars, a sub-stack of the propagator check holds 6.2.
+    The estimate (``_field_bytes``) counts 8 bytes for each entry of
+    FIELD_COPIES live copies of the k + 1 fields a step or an output
+    carries, and STACK_BYTES, the budget of one sub-stack of ``run_flow``'s
+    loop.  Per output it counts what the run keeps: with tracked scalars
+    their per-axis columns, k sum_i n_i numbers, and their pairings J, D and
+    dJ (k x k each), I and E; in the stacked geometry six rows of each
+    circle (a, f, wdens, f', Gamma and Hess f) and the f row and the scale
+    of each line; and its time, volume, two residual columns, k + 1
+    eigenvalues and their residuals, and k bounds; a finished run keeps no
+    eigenfunction and no grid field.  tracemalloc reads a whole run's peak
+    at 0.29 to 0.49 of the estimate (an n = 2 Gaussian, and a 12 x 64
+    product with and without scalars).  Per output a run keeps 7.5 field
+    sizes on a 64-node circle with k = 2, where the columns are the fields
+    (the term is 8.4: Hess f is not cached on the stack), and 0.81 on a
+    12 x 64 product with k = 3 (0.88), whose 3 fields would take 3.
+    tracemalloc, k = 3 on 16 x 256: an array kernel step that carries a
+    circle's V (the circle is not round) peaks at 0.87 copies of the
+    scalars' grid fields (14 copies of V); a list kernel step of round axes
+    holds no field (its state is a few numbers) and peaks at 0.003 copies.
+    Above what it keeps, in copies of each of its outputs' k + 1 fields,
+    one sub-stack of the loop holds on 12 x 64 and 16 x 256 products at
+    k = 1 and 3: in its solve 0.4 to 0.7 (forms included; the solve builds
+    no eigenfunction), in its commutator up to 3.6, its volumes 0.5, E 0.3
+    and its pairings 0.5 (0.04 each on an n = 3 Gaussian of order 16 at
+    k = 3); in copies of its outputs' columns, E holds 2.3 to 5.2 and the
+    pairings 6.2 to 7.3.  In copies of its outputs' k scalar fields, a
+    sub-stack of the propagator check holds 7.1 to 14.7, the fields it
+    builds from the columns included.
     """
-    circles = [isinstance(fac, CircleModel) for fac in state.factors]
-    sizes = [request.resolution if circle else request.hermite_order for circle in circles]
-    points, k, outputs = math.prod(sizes), request.k, output_count(request)
-    scalars = k * points + 3 * k * k + 2 * k if request.track_scalars else 0
-    rows = sum(6 * n if circle else n + 1 for circle, n in zip(circles, sizes))
-    nbytes = 8 * (FIELD_COPIES * (k + 1) * points + outputs * (scalars + rows + 3 * k + 6)) + STACK_BYTES
+    nbytes = _field_bytes(request, state)
     if nbytes > MAX_FIELD_BYTES:
+        points, outputs = math.prod(_grid_sizes(request, state)), output_count(request)
         raise ConfigurationError(
-            f"a grid of {points} points with k = {k} and {outputs} outputs needs an estimated "
+            f"a grid of {points} points with k = {request.k} and {outputs} outputs needs an estimated "
             f"{nbytes} bytes ({nbytes / 2**30:.1f} GiB) of field memory, above the limit of "
             f"{MAX_FIELD_BYTES} bytes; lower hermite_order, resolution, n, k or the output count"
         )
@@ -759,8 +804,9 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     consecutive outputs, each sized for k + 1 fields per output, writes
     each sub-stack's eigenvalues, eigen-residuals (from per-axis columns,
     with no eigenfunction), commutator residuals and weighted volumes, and
-    with tracked scalars fills its part of the backend's scalar array and
-    pairs it: each output in the bits of its one-output computation.
+    with tracked scalars fills its part of the scalar columns and pairs
+    them (``_factored_pairings``): each output in the bits of its one-output
+    computation.
     """
     start = evaluate_family(request.family, request.family.t0)
     _check_field_memory(request, start)  # before the recorded steps are listed
@@ -768,10 +814,11 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     evaluate_family(request.family, request.family.t0 + recorded[-1] * dt)
     state0 = discretize(start, resolution=request.resolution, hermite_order=request.hermite_order)
     spectrum0 = lowest_eigenpairs(assemble_forms(state0), request.k, request.eig_tol)
-    scalars0 = spectrum0.eigenfunctions[1:].copy() if request.track_scalars else None
+    # the signed columns of eigenfunctions 1..k, which build them in their bits
+    columns0 = [np.ascontiguousarray(cols[1:]) for cols in spectrum0.columns] if request.track_scalars else None
 
     backend = _closed_form_outputs if request.backend == "analytic" else _run_loop
-    manifolds, scalar_values, fill = backend(request, state0, scalars0)
+    manifolds, factors, fill = backend(request, state0, columns0)
     times, count, k = manifolds.t, len(manifolds), request.k
     eigenvalues, eigen_residuals = np.empty((count, k + 1)), np.empty((count, k + 1))
     residual_commutator, volumes = np.empty(count), np.empty(count)
@@ -785,8 +832,7 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
         volumes[sub] = stack.weighted_volume()
         if fill:
             fill(sub)
-            batch = scalar_values[sub]  # the stored C-ordered values, which the pairings' bits are of
-            J[sub], D[sub], dJ[sub] = _scalar_pairings(stack, batch, *_derivatives(stack, batch))
+            J[sub], D[sub], dJ[sub] = _factored_pairings(stack, [cols[sub] for cols in factors])
 
     series = {}
     residual_ij = np.full(count, np.nan)
@@ -812,7 +858,7 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
         eigenvalues=eigenvalues,
         eigen_residuals=eigen_residuals,
         volumes=volumes,
-        scalar_values=scalar_values,
+        scalar_factors=None if factors is None else tuple(factors),
         series=series,
         bounds=bounds,
         residual_ij=residual_ij,

@@ -10,10 +10,13 @@ form it validates, and extrapolated from two step counts; the modal
 propagator solves the drift heat equation of the tracked scalars in closed
 form, mode by mode in each axis's eigenbasis, with the eigenvalue
 integrals of the closed-form geometry, where the integrator integrates
-them along its own Galerkin geometry.  The analytic backend records its scalars from the propagator.
-The pointwise gradient inner product takes two fields' coordinate partials
-one pair at a time, where the splitting certificate builds the gradient
-Gram of a whole batch from one derivative pass.
+them along its own Galerkin geometry and both backends carry each scalar
+as per-axis columns.  The grid pairings differentiate and pair a run's
+scalars as fields on the whole grid, where a run pairs them from per-axis
+Grams of their columns.  The pointwise gradient inner product takes two
+fields' coordinate partials one pair at a time, where the splitting
+certificate builds the gradient Gram of a whole batch from one derivative
+pass.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from .axes import FourierStiffness, _hermite_ops, along, apply_along, axis_to_front
 from .errors import HorizonError, OracleError, UsageError
 from .geometry import CircleModel
+from .spectral import _derivatives, _drift, _rows, _weighting
 
 __all__ = [
     "OracleReport",
@@ -37,6 +41,7 @@ __all__ = [
     "dense_stiffness",
     "gradient_inner",
     "grid_eigen_residuals",
+    "grid_scalar_pairings",
     "integrate_equality_ode",
     "equality_ode_extrapolated",
     "modal_propagator",
@@ -139,6 +144,32 @@ def grid_eigen_residuals(forms, eigenvalues, fields) -> np.ndarray:
     res = ku - eigenvalues[..., None] * mu
     scale = np.linalg.norm(ku, axis=-1) + (1.0 + np.abs(eigenvalues)) * np.linalg.norm(mu, axis=-1)
     return np.linalg.norm(res, axis=-1) / scale
+
+
+def grid_scalar_pairings(dm, fields) -> tuple:
+    """(J, D, dJ) of a (k, *shape) batch of fields on the grid, or of an (s,
+    k, *shape) stack of batches on a stack of outputs: the reference for
+    the per-axis pairings of a run's scalars (``spectral._factored_pairings``).
+
+    J and D pair every two fields in mass and stiffness; dJ is the rate of
+    J when the fields solve u_t = L u + u/2 along a flow that preserves
+    e^{-f} dv, J + (G + G^T) with G_ij = int u_i (L u_j).  The fields are
+    differentiated on the whole grid (``spectral._derivatives``), L u is
+    taken from those partials (``spectral._drift``), and each integral is a
+    row product of the weighted fields with the fields, J and D symmetrized.
+    """
+    d = dm.dimension
+    du, h = _derivatives(dm, fields)
+    weighted = _weighting(dm)
+
+    def gram(x, *differentiated):
+        g = weighted(x, *differentiated) @ _rows(x, d).swapaxes(-1, -2)
+        return (g + g.swapaxes(-1, -2)) / 2.0
+
+    J = gram(fields)
+    D = sum(gram(g, i) for i, g in enumerate(du))
+    G = weighted(fields) @ _rows(_drift(dm, du, h), d).swapaxes(-1, -2)
+    return J, D, J + (G + G.swapaxes(-1, -2))
 
 
 def dense_spectrum(forms) -> np.ndarray:

@@ -33,12 +33,17 @@ Hessian components h_i = d2_i u - Gamma_i du_i, each derivative applied
 once to the whole batch; per-axis vectors such as 1/a_i, Gamma_i and the
 weights enter as ``axes.along`` views.  L has one formula,
 sum_i (1/a_i)(h_i - f'_i du_i) (``_drift``); the drift Laplacian, the
-pairings J and D with their rate, the Hessian energies, both Bochner
-sides and the splitting certificate are built from du and h, and only the
-mixed partials of a product take more derivatives.  On a stack of outputs
-the pass and the pairings take an (s, k, *shape) stack of batches at once,
-each output's per-axis vectors meeting its own fields, each output in the
-bits of its one-output pass.
+Hessian energies, both Bochner sides and the splitting certificate are
+built from du and h, and only the mixed partials of a product take more
+derivatives.  The tracked scalars of a run are products of per-axis
+columns, like the eigenfunctions they start from, so their pairings J and
+D and the rate of J are taken on the columns (``_factored_pairings``):
+per-axis k x k Grams, combined as the Kronecker structure of L and of the
+measure dictates, with no grid field; ``oracles.grid_scalar_pairings``
+takes them from the fields on the grid for the tests.  On a stack of
+outputs the pass and the pairings take a stack of batches at once, each
+output's per-axis vectors meeting its own fields, each output in the bits
+of its one-output pass.
 """
 
 from __future__ import annotations
@@ -152,36 +157,59 @@ def _rows(x: np.ndarray, d: int) -> np.ndarray:
     return x.reshape(*x.shape[: x.ndim - d], -1)
 
 
-def _scalar_pairings(dm: DiscreteWeightedManifold, scalars: np.ndarray, du: list, h: list):
-    """(J, D, dJ) of a (k, *shape) batch of fields with ``_derivatives`` (du, h).
+def _sym(g: np.ndarray) -> np.ndarray:
+    """The symmetric part of a stack of Gram matrices, (g + g^T) / 2."""
+    return (g + g.swapaxes(-1, -2)) / 2.0
 
-    J and D are the mass and stiffness pairings of every two fields.  dJ is
-    the rate of J when the fields solve u_t = L u + u/2 along a flow that
-    preserves e^{-f} dv: J + (G + G^T) with G_ij = int u_i (L u_j), L from
-    ``_drift``.  The integrals are row products of the weighted batch with
-    the batch.  J and D are symmetrized; they agree with ``dm.integrate`` to
-    round-off.  On a stack of outputs the batch is an (s, k, *shape) stack
-    and each pairing an (s, k, k) stack: one batched row product per
-    integral, each output's the product it takes alone.
+
+def _axis_grams(ax, cols: np.ndarray, lead: int) -> tuple:
+    """(M, S, G) of one axis's (k, n) columns c, or of an (s, k, n) stack of
+    them (``lead`` = 1): M = <c, w c>, S = <c', (w / a) c'> and G = <c, w L_i c>,
+    k x k each, with w the axis's quadrature density and L_i c =
+    (1/a)(c'' - Gamma c' - f' c') its part of the drift Laplacian.  Each
+    derivative is applied once to the columns; the integrals are row
+    products of the weighted columns with the columns, M and S symmetrized."""
+    du = ax.d1(cols, 1 + lead, lead)
+    h = ax.d2(cols, 1 + lead, lead) - _batch_along(ax.christoffel, 0, 1) * du
+    weight, ainv = _batch_along(ax.wdens, 0, 1), _batch_along(1.0 / ax.a, 0, 1)
+    weighted = cols * weight
+    image = 0.0 + ainv * (h - _batch_along(ax.fprime, 0, 1) * du)  # summed from 0.0, as ``_drift``
+    S = _sym((du * weight * ainv) @ du.swapaxes(-1, -2))
+    return _sym(weighted @ cols.swapaxes(-1, -2)), S, weighted @ image.swapaxes(-1, -2)
+
+
+def _factored_pairings(dm: DiscreteWeightedManifold, columns) -> tuple:
+    """(J, D, dJ) of k scalars held as per-axis columns, u_j = prod_i
+    c_{j,i}: per axis an (s, k, n_i) stack of columns on a stack of outputs
+    (a (k, n_i) array on one output), each output's own.
+
+    J and D are the mass and stiffness pairings of every two scalars.  dJ
+    is the rate of J when the scalars solve u_t = L u + u/2 along a flow
+    that preserves e^{-f} dv: J + (G + G^T) with G_ij = int u_i (L u_j).
+    The drift Laplacian is the Kronecker sum of its axis parts L_i and the
+    measure a product, so each pairing follows from the per-axis k x k
+    Grams M_i, S_i and G_i (``_axis_grams``): J = prod_i M_i, D = sum_i S_i
+    prod_{l != i} M_l and G = sum_i G_i prod_{l != i} M_l, elementwise, in
+    O(k^2 sum_i n_i) work.  On one axis the columns are the fields, and the
+    pairings are those of the fields on the grid
+    (``oracles.grid_scalar_pairings``), in their bits.  Each output of a
+    stack is paired as it is alone.
     """
-    d = dm.dimension
-    weighted = _weighting(dm)
+    lead = int(dm.stacked)
+    M, S, G = zip(*(_axis_grams(ax, cols, lead) for ax, cols in zip(dm.axes, columns)))
 
-    def gram(x, *differentiated):
-        g = weighted(x, *differentiated) @ _rows(x, d).swapaxes(-1, -2)
-        return (g + g.swapaxes(-1, -2)) / 2.0
+    def crossed(parts):
+        return reduce(np.add, [reduce(np.multiply, M[:i] + M[i + 1 :], part) for i, part in enumerate(parts)])
 
-    J = gram(scalars)
-    D = sum(gram(g, i) for i, g in enumerate(du))
-    G = weighted(scalars) @ _rows(_drift(dm, du, h), d).swapaxes(-1, -2)
-    return J, D, J + (G + G.swapaxes(-1, -2))
+    J, G = reduce(np.multiply, M), crossed(G)
+    return J, crossed(S), J + (G + G.swapaxes(-1, -2))
 
 
 def _hessian_energies(dm: DiscreteWeightedManifold, du: list, h: list) -> np.ndarray:
     """The Hessian energy (``hessian_norm_sq``) of each field of a batch with
     ``_derivatives`` (du, h): the squared diagonal components h_i and each
     mixed partial (d1 of du_i along each later axis, applied once to the
-    batch), integrated as in ``_scalar_pairings``."""
+    batch), integrated as row products of the weighted batch (``_weighting``)."""
     d = dm.dimension
     weighted = _weighting(dm)
 
@@ -217,7 +245,7 @@ def soliton_defect_profiles(dm: DiscreteWeightedManifold) -> list:
 
 def bochner_sides(u, dm: DiscreteWeightedManifold) -> tuple[float, float, float]:
     """Both sides of the integrated drift Bochner identity, and the Dirichlet
-    energy D of ``u``, from one derivative pass.
+    energy D of ``u``, from one derivative pass (``_bochner_terms``).
 
     Left: the soliton defect paired with grad u against e^{-f} dv.  Right:
     Hessian energy plus half the Dirichlet energy minus the L-image mass.
@@ -225,6 +253,14 @@ def bochner_sides(u, dm: DiscreteWeightedManifold) -> tuple[float, float, float]
     grad u) = D/2 - lhs, so D/2 is its scale where phi vanishes and both
     sides are zero.
     """
+    lhs, hessian, half_dirichlet, image = _bochner_terms(u, dm)
+    return lhs, hessian + half_dirichlet - image, 2.0 * half_dirichlet
+
+
+def _bochner_terms(u, dm: DiscreteWeightedManifold) -> tuple[float, float, float, float]:
+    """(lhs, H, D/2, int (L u)^2) of ``u``: the left side of the drift
+    Bochner identity and the three terms its right side sums, H + D/2 minus
+    the L-image mass, from one derivative pass."""
     batch = _check_field(dm, u)[None]
     du, h = _derivatives(dm, batch)
     weighted = _weighting(dm)
@@ -237,8 +273,7 @@ def bochner_sides(u, dm: DiscreteWeightedManifold) -> tuple[float, float, float]
                            for i, ax in enumerate(dm.axes)))
     dirichlet = sum(integral(g, g, i) for i, g in enumerate(du))
     lu = _drift(dm, du, h)
-    rhs = float(_hessian_energies(dm, du, h)[0]) + 0.5 * dirichlet - integral(lu, lu)
-    return lhs, rhs, dirichlet
+    return lhs, float(_hessian_energies(dm, du, h)[0]), 0.5 * dirichlet, integral(lu, lu)
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +335,10 @@ class SpectralResult:
     ``eigenfunctions`` (s, k + 1, *shape).
 
     Eigenfunctions are node-value tensors, J-orthonormal, sorted ascending
-    with multiplicity; ``residuals`` are the relative norms
+    with multiplicity, and ``columns`` their per-axis factors, one (s, k + 1,
+    n_i) array per axis ((k + 1, n_i) on one state) whose product, taken in
+    axis order from 1.0, is each eigenfunction in its bits, its sign on the
+    first axis's column; ``residuals`` are the relative norms
     ||Ku - lambda Mu|| / (||Ku|| + (1 + |lambda|) ||Mu||) of each pair's
     eigen-equation defect, taken on the pair's per-axis factors
     (``_eigensolve``): on one axis in the bits of the same norms on the
@@ -311,6 +349,7 @@ class SpectralResult:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     residuals: np.ndarray
+    columns: tuple
 
 
 @cache
@@ -462,20 +501,31 @@ def lowest_eigenpairs(forms: QuadraticForms, k: int, tol: float = 1e-10):
     J-orthogonal to it, which realizes the mean-zero constraint.
     Eigenfunctions are then built on the grid, each the product of its
     per-axis columns, signed so that its first entry of largest magnitude
-    is not negative.
+    is not negative; the sign is also applied to its first axis's column,
+    so the signed columns build the signed eigenfunctions.
     """
     dm = forms.manifold
     eigenvalues, residuals, columns = _eigensolve(forms, k, tol)
-    m, d = len(eigenvalues), dm.dimension
+    m = len(eigenvalues)
     rows = np.arange(m)[:, None]
 
-    # Each eigenfunction is the product of its columns, multiplied in axis
-    # order, all k+1 of every output in one broadcast; the product starts
-    # from an exact 1.0, so it is a new array even on one axis.
-    fields = reduce(np.multiply, [along(cols, i, d) for i, cols in enumerate(columns)], 1.0)
+    fields = _product_fields(columns)
     flat = fields.reshape(m, k + 1, -1)
     flip = flat[rows, np.arange(k + 1), np.abs(flat).argmax(axis=2)] < 0
     fields[flip] = -fields[flip]
+    columns[0][flip] = -columns[0][flip]  # negation is exact, so the signed columns build the signed fields
     if dm.stacked:
-        return SpectralResult(t=dm.t, eigenvalues=eigenvalues, eigenfunctions=fields, residuals=residuals)
-    return SpectralResult(t=dm.t, eigenvalues=eigenvalues[0], eigenfunctions=fields[0], residuals=residuals[0])
+        return SpectralResult(t=dm.t, eigenvalues=eigenvalues, eigenfunctions=fields, residuals=residuals,
+                              columns=tuple(columns))
+    return SpectralResult(t=dm.t, eigenvalues=eigenvalues[0], eigenfunctions=fields[0], residuals=residuals[0],
+                          columns=tuple(cols[0] for cols in columns))
+
+
+def _product_fields(columns) -> np.ndarray:
+    """The grid fields whose per-axis factors are ``columns``: per axis an
+    (..., n_i) array, leading axes shared (say, outputs and scalars).  Each
+    field is the product of its columns, multiplied in axis order from an
+    exact 1.0, all in one broadcast, so the result is a new array even on
+    one axis, and on one axis it equals the columns."""
+    d = len(columns)
+    return reduce(np.multiply, [along(cols, i, d) for i, cols in enumerate(columns)], 1.0)

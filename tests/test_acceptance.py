@@ -166,20 +166,20 @@ def test_analytic_scalars_of_a_fast_circle_stay_bounded():
         "check_functionals": True,
     })
     traj = run_flow(config.to_request())
-    peak = np.max(np.abs(traj.scalar_values), axis=(1, 2))
+    peak = np.max(np.abs(traj.scalar_fields(slice(None))), axis=(1, 2))
     assert np.all(peak <= peak[0])
     checks = {c.name: c for c in acceptance.check_functionals(traj)}
     assert checks["E' violation"].passed and checks["scalar mean"].passed
 
 
 def _drop_half_dirichlet(monkeypatch):
-    sides = acceptance.bochner_sides
+    terms = acceptance._bochner_terms
 
     def broken(u, dm):
-        lhs, rhs, dirichlet = sides(u, dm)
-        return lhs, rhs - 0.5 * dirichlet, dirichlet
+        lhs, hessian, _, image = terms(u, dm)
+        return lhs, hessian, 0.0, image
 
-    monkeypatch.setattr(acceptance, "bochner_sides", broken)
+    monkeypatch.setattr(acceptance, "_bochner_terms", broken)
 
 
 def _flip_phi(monkeypatch):
@@ -191,10 +191,53 @@ def _flip_hess_f_in_phi(monkeypatch):
     monkeypatch.setattr(spectral, "soliton_defect_profiles", lambda dm: [0.5 * ax.a + ax.hess_f for ax in dm.axes])
 
 
+def _bochner_mutation(monkeypatch, mutate):
+    """``acceptance._bochner_terms`` with its (lhs, H, D/2, L-image mass) mapped by ``mutate``."""
+    terms = acceptance._bochner_terms
+    monkeypatch.setattr(acceptance, "_bochner_terms", lambda u, dm: mutate(*terms(u, dm)))
+
+
+def _scaled_rhs(lhs, hessian, half, image):
+    """rhs = H + D/2 - L-image mass scaled by 1 + 1e-6, each of its terms."""
+    return lhs, hessian * (1.0 + 1e-6), half * (1.0 + 1e-6), image * (1.0 + 1e-6)
+
+
 class TestBochnerResidual:
-    """check_bochner and C05 share one residual, |lhs - rhs| over
-    max(|lhs|, |rhs|, D/2).  On the static shrinker phi = 0, both sides are
-    zero and the old scale max(|lhs|, |rhs|) read round-off over itself, 1.0."""
+    """check_bochner and C05 share one residual, |lhs - rhs| over the
+    largest of |lhs|, |rhs|, H, D/2 and the L-image mass.  On the static
+    shrinker phi = 0, both sides are zero and the old scale max(|lhs|,
+    |rhs|) read round-off over itself, 1.0.  On a small round circle H and
+    the L-image mass, which rhs sums and cancels, grow like a^{-3/2} and the
+    sides like a^{-1/2}, so a scale without them read the terms' round-off
+    as a defect growing like 1/a (5.2e-7 at a = 1e-8)."""
+
+    @pytest.mark.parametrize("a", [1.0, 1e-4, 1e-8])
+    def test_a_small_round_circle_passes_and_a_broken_identity_fails(self, monkeypatch, a):
+        dm = weighted_circle(64, a=a)
+        theta = dm.axes[0].nodes
+        u = np.cos(theta) + 0.3 * np.sin(2 * theta) - 0.2 * np.cos(5 * theta)
+        lhs, hessian, half, image = acceptance._bochner_terms(u, dm)
+        assert hessian / half == pytest.approx(23.25 / a, rel=1e-3)  # H / (D/2) = 23.25 / a on this field
+        assert acceptance._bochner_residual(u, dm) < 1e-15
+        for mutate in (lambda lhs, hessian, half, image: (lhs, hessian, half, 0.0),  # the L-image term dropped
+                       lambda lhs, hessian, half, image: (lhs, hessian * (1.0 + 1e-6), half, image)):
+            with monkeypatch.context() as patch:
+                _bochner_mutation(patch, mutate)
+                assert acceptance._bochner_residual(u, dm) > 1e-7
+        # rhs scaled as a whole by 1 + 1e-6 is a defect of 1e-6 |rhs|, and rhs is
+        # about D/2 = 0.043 a H here: at a = 1 it fails, but below a of about
+        # 2e-4 it falls under the tolerance, and at a = 1e-8 it is the size of
+        # the round-off of H itself, which no scale can tell from a defect
+        with monkeypatch.context() as patch:
+            _bochner_mutation(patch, _scaled_rhs)
+            value = acceptance._bochner_residual(u, dm)
+        if a >= 1e-4:
+            assert value == pytest.approx(1e-6 * abs(hessian + half - image) / hessian, rel=1e-3)
+        assert (value > acceptance.VERIFY_TOLERANCES["bochner_rel"]) == (a == 1.0)
+
+    def test_a_round_circle_of_a0_1_3e_8_passes(self):
+        (check,) = acceptance.check_bochner(weighted_circle(64, a=1.3e-8), 0)
+        assert check.passed and check.value < 1e-14
 
     @pytest.mark.parametrize("order", [8, 12, 16, 24])
     def test_the_shrinker_passes(self, order):
@@ -255,8 +298,8 @@ class TestFunctionalsOnTheShrinker:
     @pytest.mark.parametrize("brk", [_scale_d, _drop_g_transpose])
     @pytest.mark.parametrize("overrides", SHRINKERS)
     def test_a_broken_identity_fails_on_the_shrinker(self, monkeypatch, brk, overrides):
-        pairings = flow._scalar_pairings
-        monkeypatch.setattr(flow, "_scalar_pairings", lambda *args: brk(*pairings(*args)))
+        pairings = flow._factored_pairings
+        monkeypatch.setattr(flow, "_factored_pairings", lambda *args: brk(*pairings(*args)))
         checks = {c.name: c for c in acceptance.check_functionals(_shrinker_run(**overrides))}
         assert not checks["rel J'"].passed and not checks["rel I'"].passed
         assert checks["rel J'"].value > 0.1

@@ -1,10 +1,11 @@
 """Per-axis data meets a field in one place: ``axes.along`` shapes a per-axis
 vector to broadcast along one axis, and ``axes.apply_along`` applies a
 per-axis operator along one axis.  The four sites that apply an operator
-(``apply_deriv``, the stages' operator on V, the Hermite change of basis of
-``flow._factor``, one matrix per output of a stack, and the grid
-stiffness reference ``oracles.apply_stiffness``) give the bits and
-the memory layout of the same steps written out with explicit transposes."""
+(``apply_deriv``, the stages' operator on a circle's columns V, the Hermite
+change of basis of ``flow._factor``, one matrix per output of a stack and
+axis, and the grid stiffness reference ``oracles.apply_stiffness``) give
+the bits and the memory layout of the same steps written out with explicit
+transposes."""
 
 import itertools
 
@@ -123,41 +124,42 @@ class TestSites:
     def test_the_stages_operator_on_v(self, k):
         for dm in _wavy_circle_product():
             layout = _Layout.of(dm, k)
-            (axis,) = [i for i, (kind, _, _) in enumerate(layout.axes) if kind == "circle"]
-            batch = np.random.default_rng(k).standard_normal((k, *dm.shape))
+            (axis,) = layout.stepped  # the circle's (k, n) columns of V
+            batch = np.random.default_rng(k).standard_normal((k, dm.shape[axis]))
             z = np.concatenate([layout.pack(dm), np.zeros(len(layout.diagonal)), batch.ravel()])
             got = _flow_rhs(layout, 4)(0.0, z)[layout.start :].reshape(batch.shape)
             ax, d1, d2 = dm.axes[axis], _fourier_dense(dm.shape[axis])["d1"], _fourier_dense(dm.shape[axis])["d2"]
             a, fprime = ax.a, d1 @ (ax.f - ax.f[0])
             gamma = d1 @ (a - a[0]) / (2.0 * a)
-            perm, inverse = axis_to_front(batch.ndim, axis + 1)
+            perm, inverse = axis_to_front(batch.ndim, 1)
             moved = batch.transpose(perm)
             diff = np.subtract(moved, moved[:1], order="C").reshape(len(moved), -1)
             term = (d2 @ diff - (gamma + fprime)[:, None] * (d1 @ diff)) / a[:, None]
             want = term.reshape(moved.shape).transpose(inverse)
             assert np.array_equal(got, want)
             drift = (gamma + fprime)[:, None]
-            kernel = apply_along(lambda v: (d2 @ v - drift * (d1 @ v)) / a[:, None], batch, axis + 1, "C")
+            kernel = apply_along(lambda v: (d2 @ v - drift * (d1 @ v)) / a[:, None], batch, 1, "C")
             assert np.array_equal(kernel, want) and _layout(kernel) == _layout(want)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_the_hermite_change_of_basis(self, n):
-        # three outputs at once, sharing V: one matrix per output and axis
+        # three outputs at once, sharing each axis's (k, n) columns V: one
+        # matrix per output and axis, the growth in the first axis's gains
         dm = df.discretize(df.evaluate_family(df.scaled_gaussian_family(1.0, n), 0.0), hermite_order=7)
         layout = _Layout.of(dm, 2)
-        v = np.random.default_rng(n).standard_normal((2, *dm.shape))
+        v = list(np.random.default_rng(n).standard_normal((n, 2, 7)))
         lags = np.array([0.3, 0.5, 0.7])
         integrals = 0.1 * np.outer(np.arange(1, 4), np.arange(1, n + 1))
         ops = _hermite_ops(7)
-        want, lag = v[None], lags[:, None] / 2.0
+        lag = lags[:, None] / 2.0
+        got = _factor(layout, v, integrals, lags)
         for axis, c in enumerate(integrals.T):
             matrices = ops["vand"] @ (np.exp(lag - 0.5 * np.arange(7) * c[:, None])[:, :, None] * ops["vinv"])
-            perm, inverse = axis_to_front(want.ndim, axis + 2, 1)
-            moved = want.transpose(perm)
-            want = (matrices @ moved.reshape(len(moved), 7, -1)).reshape(3, *moved.shape[1:]).transpose(inverse)
+            perm, inverse = axis_to_front(3, 2, 1)
+            moved = v[axis][None].transpose(perm)
+            want = (matrices @ moved.reshape(1, 7, -1)).reshape(3, *moved.shape[1:]).transpose(inverse)
+            assert np.array_equal(got[axis], want) and _layout(got[axis]) == _layout(want)
             lag = 0.0
-        got = _factor(layout, v, integrals, lags)
-        assert np.array_equal(got, want) and _layout(got) == _layout(want)
 
     @pytest.mark.parametrize("batch", [0, 3])
     def test_apply_stiffness(self, batch):

@@ -707,6 +707,8 @@ def test_an_unknown_failing_record_is_unclassified(tmp_path):
 
 @pytest.mark.filterwarnings("error")  # outside pytest a warning would be a second line on stderr
 def test_drawn_configs_exit_with_a_known_code_and_one_error_line(tmp_path, capsys):
+    # and a run that exits 0 peaks, checks and artifacts included, within the
+    # field memory that _check_field_memory estimates for it
     kinds = {2: "config", 3: "stability", 4: "solver", 5: "verification"}
     rng = np.random.default_rng(20261020)
     codes = []
@@ -714,13 +716,20 @@ def test_drawn_configs_exit_with_a_known_code_and_one_error_line(tmp_path, capsy
         raw = _smoke_config(rng, f"draw{i}")
         path = tmp_path / f"draw{i}.json"
         path.write_text(json.dumps(raw))
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--strict"])
+        tracemalloc.start()
+        try:
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--strict"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         err = capsys.readouterr().err
         assert code in (0, *kinds), raw
         if code:
             assert err.startswith(f"error: {kinds[code]}: ") and err.count("\n") == 1 and err.endswith("\n"), raw
         else:
             assert err == "", raw
+            request = ScenarioConfig.from_dict(raw).to_request()
+            assert peak <= flow._field_bytes(request, flow.evaluate_family(request.family, request.family.t0)), raw
         if code == 5:
             assert _unclassified_failures(tmp_path / "out" / raw["name"]) == [], raw
         codes.append(code)

@@ -1,9 +1,11 @@
 import dataclasses
 import functools
 import hashlib
+import inspect
 import math
 import os
 import re
+import textwrap
 import tracemalloc
 import types
 
@@ -21,13 +23,15 @@ from driftflow.axes import _fourier_dense, _hermite_ops, along, circle_nodes, lo
 from driftflow.config import ScenarioConfig
 from driftflow.errors import ConfigurationError, DegeneracyError, FlowBreakdownError, StabilityError, UsageError
 from driftflow.flow import (
-    STACK_BYTES, RunRequest, _array_steps, _factor, _flow_rhs, _kernel, _Layout, _rk4, _run_loop, _scalar_pairings,
+    STACK_BYTES, RunRequest, _array_steps, _factor, _factored_pairings, _flow_rhs, _kernel, _Layout, _rk4, _run_loop,
     _settle, _stack_length,
 )
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel
-from driftflow.oracles import gradient_inner
+from driftflow.oracles import gradient_inner, grid_scalar_pairings
 from driftflow.runner import execute
-from driftflow.spectral import _derivatives, _hessian_energies, hessian_norm_sq, partials, soliton_defect_profiles
+from driftflow.spectral import (
+    _derivatives, _hessian_energies, _product_fields, hessian_norm_sq, partials, soliton_defect_profiles,
+)
 
 LOG2 = math.log(2.0)
 
@@ -190,8 +194,11 @@ class TestRunFlow:
         per_output = {f.name: getattr(traj, f.name) for f in dataclasses.fields(traj)}
         del per_output["request"], per_output["manifolds"]
         per_output.update({f"series {name}": values for name, values in per_output.pop("series").items()})
-        if not track:
-            assert per_output.pop("scalar_values") is None and "series J" not in per_output
+        factors = per_output.pop("scalar_factors")
+        if track:
+            assert len(factors) == 2 and all(cols.shape == (count, 2, n) for cols, n in zip(factors, (12, 32)))
+        else:
+            assert factors is None and "series J" not in per_output
         for name, values in per_output.items():
             assert isinstance(values, np.ndarray) and values.shape[0] == count, name
         assert traj.eigenvalues.shape == traj.eigen_residuals.shape == (count, 3)
@@ -261,19 +268,20 @@ def static_traj():
     return df.run_flow(req)
 
 
-def _filled(request, dm, scalars0):
-    """``_run_loop``'s stack of outputs and its scalars u = E V, filled on
-    the sub-stacks of ``run_flow``'s loop."""
-    outputs, values, fill = _run_loop(request, dm, scalars0)
-    for sub in df.flow._sub_stacks(len(outputs), outputs.size, len(scalars0) + 1):
+def _filled(request, dm, columns0):
+    """``_run_loop``'s stack of outputs and its per-axis scalar columns u =
+    E V, filled on the sub-stacks of ``run_flow``'s loop."""
+    outputs, factors, fill = _run_loop(request, dm, columns0)
+    for sub in df.flow._sub_stacks(len(outputs), outputs.size, len(columns0[0]) + 1):
         fill(sub)
-    return outputs, values
+    return outputs, factors
 
 
 def _evolved(traj, u0):
-    """(manifold, u) per output of the scalar u0 carried by u_t = L u + u/2
-    through the run's own Galerkin integration (``_run_loop``)."""
-    outputs, scalars = _filled(traj.request, traj.manifolds[0], u0[None])
+    """(manifold, u) per output of the one-axis scalar u0, its own column,
+    carried by u_t = L u + u/2 through the run's own Galerkin integration
+    (``_run_loop``)."""
+    outputs, (scalars,) = _filled(traj.request, traj.manifolds[0], [u0[None]])
     return [(dm, s[0]) for dm, s in zip(outputs, scalars)]
 
 
@@ -340,14 +348,9 @@ class TestFunctionalResiduals:
             df.functional_residuals(traj.series)
 
 
-def _scalar_pass(dm, batch):
-    """(J, D, dJ) of a (k, *shape) batch, from one derivative pass, as a run pairs its scalars."""
-    return _scalar_pairings(dm, batch, *_derivatives(dm, batch))
-
-
 def _gram(dm, fields):
-    """Weighted-L2 Gram matrix of ``fields``, as a run pairs its scalars."""
-    return _scalar_pass(dm, np.stack(fields))[0]
+    """Weighted-L2 Gram matrix of ``fields`` on the grid."""
+    return grid_scalar_pairings(dm, np.stack(fields))[0]
 
 
 class TestGramSchmidtFrame:
@@ -535,7 +538,7 @@ def _count_derivatives(monkeypatch):
 
 
 class TestScalarPairings:
-    """One output's J, D and dJ in one pass over the batch; the Hessian
+    """One output's grid J, D and dJ in one pass over the batch; the Hessian
     energies in another, only where they are read."""
 
     @pytest.mark.parametrize("make", [_round_product, _wavy_product])
@@ -543,7 +546,7 @@ class TestScalarPairings:
         dm = make()
         fields = _smooth_fields(dm, 3)
         du, h = _derivatives(dm, fields)
-        J, D, _ = _scalar_pairings(dm, fields, du, h)
+        J, D, _ = grid_scalar_pairings(dm, fields)
         hess = _hessian_energies(dm, du, h)
         parts = [partials(dm, u) for u in fields]
         J_ref = np.array([[dm.integrate(u * v) for v in fields] for u in fields])
@@ -561,20 +564,19 @@ class TestScalarPairings:
     @pytest.mark.parametrize("k", [1, 3])
     def test_one_derivative_pass_whatever_k(self, monkeypatch, make, d, k):
         # one pass takes d1 and d2 along each axis, each once on the batch;
-        # the pairings take nothing more, the Hessian energies each mixed
-        # partial once, and every other consumer builds on the same pass
+        # the Hessian energies take each mixed partial once, and every other
+        # consumer builds on the same pass
         dm = make()
         fields = _smooth_fields(dm, k)
         one_pass = 2 * d + d * (d - 1) // 2
         seen = _count_derivatives(monkeypatch)
         du, h = _derivatives(dm, fields)
         assert len(seen) == 2 * d
-        _scalar_pairings(dm, fields, du, h)
-        assert len(seen) == 2 * d
         _hessian_energies(dm, du, h)
         assert len(seen) == one_pass
         assert all(arr.shape == fields.shape for arr in seen)
         for count, call in (
+            (2 * d, lambda: grid_scalar_pairings(dm, fields)),
             (2 * d, lambda: df.drift_laplacian(dm, fields[0])),
             (one_pass, lambda: hessian_norm_sq(fields[0], dm)),
             (one_pass, lambda: df.bochner_sides(fields[0], dm)),
@@ -595,8 +597,8 @@ class TestScalarPairings:
             images.append(drift(*args))
             return images[-1]
 
-        monkeypatch.setattr(driftflow.spectral, "_drift", recorded)
-        _scalar_pass(dm, u)
+        monkeypatch.setattr(driftflow.oracles, "_drift", recorded)
+        grid_scalar_pairings(dm, u)
         (lu,) = images
         assert np.array_equal(lu[0], df.drift_laplacian(dm, u[0]))
 
@@ -616,22 +618,23 @@ class TestScalarPairings:
         assert len(seen) == 2 * d + d  # then the divergence's d1 per axis, once for the stack of outputs
         assert all(arr.shape == (len(indices), *probe.shape) for arr in seen[2 * d :])
 
-    def test_one_output_stays_within_the_field_budget(self):
-        # the per-output term of _check_field_memory, 16 live copies of the
-        # k + 1 fields, bounds one output's pass at k = 3 on 16 x 256
+    def test_one_output_pairs_its_columns_in_column_memory(self):
+        # a run pairs its scalars from their per-axis columns: at k = 3 on
+        # 16 x 256 one output's pass holds at most 12 copies of its columns,
+        # where one copy of its k grid fields is 15 copies
         k = 3
         for dm in (_round_product(256, 16), _wavy_product(256, 16)):
             assert dm.size == 16 * 256
-            fields = _smooth_fields(dm, k)
-            _scalar_pass(dm, fields)  # build the derivative matrices
+            columns = [np.random.default_rng(i).standard_normal((k, n)) for i, n in enumerate(dm.shape)]
+            _factored_pairings(dm, columns)  # build the derivative matrices
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                _scalar_pass(dm, fields)
+                _factored_pairings(dm, columns)
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * dm.size * 16 * (k + 1)
+            assert peak < 12 * 8 * k * sum(dm.shape) < 8 * k * dm.size
 
 
 def _moved(dm, phi, eps):
@@ -681,7 +684,7 @@ class TestExactRates:
     def test_pairing_rates_are_J_minus_2D(self, make):
         # integration by parts: G + G^T = -2D up to round-off
         dm = make()
-        J, D, dJ = _scalar_pass(dm, _smooth_fields(dm, 3))
+        J, D, dJ = grid_scalar_pairings(dm, _smooth_fields(dm, 3))
         assert np.array_equal(dJ, dJ.T)
         assert np.max(np.abs(dJ - (J - 2.0 * D))) < 1e-12 * np.max(np.abs(J - 2.0 * D))
 
@@ -792,8 +795,9 @@ class TestScalarOrthogonalityAlongFlow:
 
 class TestFlatState:
     def test_batched_scalar_rhs_matches_drift_laplacian(self):
-        # u = E V: the stages apply the non-round circle's operator to V, and
-        # E the Gaussian line's c D, c = 1/u read from the stage; the two are L
+        # u = V_c x V_x on a non-round circle x Gaussian line: the stages apply
+        # the circle's operator to its columns V_c, and E the line's c D to
+        # V_x, c = 1/u read from the stage; the two are L
         state = ContinuumState(
             t=0.0,
             factors=(
@@ -802,26 +806,26 @@ class TestFlatState:
             ),
         )
         dm = df.discretize(state, resolution=32, hermite_order=8)
-        theta = along(dm.axes[0].nodes, 0, 2)
-        x = along(dm.axes[1].nodes, 1, 2)
-        fields = np.stack([np.cos(theta) * x, np.sin(2 * theta) + x**3, np.cos(3 * theta) * (x * x - 2.0)])
-        layout = _Layout.of(dm, len(fields))
-        assert layout.diagonal == (1,) and layout.stepped
+        theta, x = dm.axes[0].nodes, dm.axes[1].nodes
+        circle = np.stack([np.cos(theta), np.sin(2 * theta) + 0.5, np.cos(3 * theta)])
+        line = np.stack([x, x**3, x * x - 2.0])
+        layout = _Layout.of(dm, len(circle))
+        assert layout.diagonal == (1,) and layout.stepped == (0,) and layout.columns == [(0, 66, 66 + 3 * 32)]
         rhs = _flow_rhs(layout, modes=8)
 
-        def stage(batch):
-            dz = rhs(0.0, np.concatenate([layout.pack(dm), [0.0], batch.ravel()]))
-            return dz[layout.width], dz[layout.start :].reshape(batch.shape)
+        def stage(columns):
+            dz = rhs(0.0, np.concatenate([layout.pack(dm), [0.0], columns.ravel()]))
+            return dz[layout.width], dz[layout.start :].reshape(columns.shape)
 
         ops = _hermite_ops(8)
-        line = ops["vand"] @ (-0.5 * np.arange(8)[:, None] * ops["vinv"])  # -D in the nodes
-        c, circle_part = stage(fields)
+        minus_d = ops["vand"] @ (-0.5 * np.arange(8)[:, None] * ops["vinv"])  # -D in the nodes
+        c, circle_part = stage(circle)
         assert c == 1.0 / 1.7
-        for got, u in zip(circle_part, fields):
-            want = df.drift_laplacian(dm, u)
-            total = got + c * (u @ line.T)
+        for got, vc, vx in zip(circle_part, circle, line):
+            want = df.drift_laplacian(dm, np.outer(vc, vx))
+            total = np.outer(got, vx) + c * np.outer(vc, minus_d @ vx)
             assert float(np.max(np.abs(total - want))) <= 1e-13 * float(np.max(np.abs(want)))
-        constants = np.stack([np.full(dm.shape, 1.0), np.full(dm.shape, -2.5)])
+        constants = np.stack([np.full(32, 1.0), np.full(32, -2.5), np.full(32, 0.3)])
         assert np.array_equal(stage(constants)[1], np.zeros_like(constants))
 
     def test_single_step_matches_one_step_run(self):
@@ -968,8 +972,8 @@ class TestStepPlan:
         # k4 and k5 of a step share the time t + h, so the estimate would miss a dependence on t
         dm = _varying_product()
         layout = _Layout.of(dm, 2)
-        fields = np.random.default_rng(3).standard_normal((2, *dm.shape))
-        z = np.concatenate([layout.pack(dm), [0.3], fields.ravel()])
+        columns = np.random.default_rng(3).standard_normal((2, dm.shape[0]))
+        z = np.concatenate([layout.pack(dm), [0.3], columns.ravel()])
         rhs = _flow_rhs(layout, modes=8)
         assert np.array_equal(rhs(0.0, z), rhs(0.73, z))
 
@@ -997,10 +1001,11 @@ class TestStepPairs:
         )
         traj = df.run_flow(req)
         dm0 = traj.manifolds[0]
-        v0 = traj.scalar_values[0]
-        layout = _Layout.of(dm0, len(v0))
+        circle0, line0 = (cols[0] for cols in traj.scalar_factors)  # output 0's columns, the start
+        layout = _Layout.of(dm0, len(circle0))
+        assert layout.stepped == (0,) and layout.diagonal == (1,)
         rhs = _flow_rhs(layout, 8)
-        vectors = [np.concatenate([layout.pack(dm0), [0.0], v0.ravel()])]
+        vectors = [np.concatenate([layout.pack(dm0), [0.0], circle0.ravel()])]
         for i in range(steps):
             vectors.append(_settle(layout, _rk4(rhs, i * dt, vectors[-1], dt)[0], 8, 1e-13, 1e6))
         out_steps = sorted({steps, *range(0, steps + 1, cadence)})
@@ -1008,29 +1013,31 @@ class TestStepPairs:
         for m, step in enumerate(out_steps):
             z = vectors[step]
             assert np.array_equal(layout.pack(traj.manifolds[m]), z[: layout.width])
-            v = z[layout.start :].reshape(v0.shape)
-            got = _factor(layout, v[None], z[None, layout.width : layout.start], [step * dt])[0]
-            assert np.array_equal(traj.scalar_values[m], got)
+            v = z[layout.start :].reshape(circle0.shape)
+            got = _factor(layout, [v[None], line0], z[None, layout.width : layout.start], [step * dt])
+            for cols, want in zip(traj.scalar_factors, got):
+                assert np.array_equal(cols[m], want[0])
 
     def test_step_memory_stays_below_the_field_estimate(self):
         # the per-step term of _check_field_memory, 16 copies of the k + 1
         # fields, bounds a step of the kernel that _kernel picks and one
         # sub-stack of outputs that applies E: the array kernel's step carries
-        # V (a non-round circle), the list kernel's step of round axes no field
+        # the non-round circle's columns V, the list kernel's step of round
+        # axes no field; E acts on columns and holds less than one field
         k = 3
         for family in (_PRODUCT, _LineTimesWavyCircleFamily()):
             request = RunRequest(family=family, horizon=1e-3, k=k, resolution=256, hermite_order=16, modes=32,
                                  adaptive_tol=1.0)
             dm = df.discretize(df.evaluate_family(family, 0.0), resolution=256, hermite_order=16)
             assert dm.shape == (16, 256)
-            scalars = np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), k, 1e-8).eigenfunctions[1 : k + 1])
+            columns = [cols[1:] for cols in df.lowest_eigenpairs(df.assemble_forms(dm), k, 1e-8).columns]
             layout = _Layout.of(dm, k)
-            assert layout.stepped == (family is not _PRODUCT)
-            z = np.concatenate([layout.pack(dm), np.zeros(len(layout.diagonal))] + [scalars.ravel()] * layout.stepped)
+            assert layout.stepped == (() if family is _PRODUCT else (1,))
+            z = np.concatenate([layout.pack(dm), np.zeros(len(layout.diagonal))] + [columns[i].ravel() for i in layout.stepped])
             advance, y, k1 = _kernel(request, layout, z)
             assert type(y) is (np.ndarray if layout.stepped else list)
             per_stack = _stack_length(dm.size, k)  # the outputs of one sub-stack of E
-            v = np.stack([scalars] * per_stack) if layout.stepped else scalars
+            v = [np.stack([cols] * per_stack) if axis in layout.stepped else cols for axis, cols in enumerate(columns)]
             integrals, lags = np.full((per_stack, len(layout.diagonal)), 0.3), np.full(per_stack, 0.1)
             advance(0.0, y, 1e-3, 1, k1)  # warm the FFT plans
             _factor(layout, v, integrals, lags)
@@ -1045,8 +1052,9 @@ class TestStepPairs:
             finally:
                 tracemalloc.stop()
             assert max(peaks) < 8 * dm.size * 16 * (k + 1)
+            assert peaks[1] < 8 * dm.size  # E on columns: less than one field
             if not layout.stepped:
-                assert peaks[0] < 8 * scalars.size  # less than one copy of the batch
+                assert peaks[0] < 8 * k * dm.size  # less than one copy of the batch
 
 
 class TestIntegratingFactor:
@@ -1064,13 +1072,14 @@ class TestIntegratingFactor:
             dm = df.discretize(df.evaluate_family(fam, t), resolution=16, hermite_order=8)
             return np.stack([df.drift_laplacian(dm, x) + 0.5 * x for x in u])
 
-        u, h, plain = traj.scalar_values[0], 1e-3, [traj.scalar_values[0]]
+        u, h, plain = traj.scalar_fields(0), 1e-3, [traj.scalar_fields(0)]
         for step in range(20):
             u = _rk4(rhs, step * h, u, h)[0]
             if step % 5 == 4:
                 plain.append(u)
         plain = np.stack(plain)
-        assert float(np.max(np.abs(traj.scalar_values - plain))) <= 1e-12 * float(np.max(np.abs(plain)))
+        fields = traj.scalar_fields(slice(None))
+        assert float(np.max(np.abs(fields - plain))) <= 1e-12 * float(np.max(np.abs(plain)))
 
     def test_fast_circle_takes_one_step_per_step(self, monkeypatch):
         # a0 = 1e-3: dt k^2 / a reaches 1024 on the top mode, which RK4 stages
@@ -1089,17 +1098,26 @@ class TestIntegratingFactor:
         assert records["scalar propagator"].passed
         assert records["scalar propagator"].value < 1e-12
 
-    def test_galerkin_scalars_never_call_the_propagator(self, monkeypatch):
+    @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
+    def test_no_backend_calls_the_propagator(self, monkeypatch, backend):
+        # both carry the columns by E, the analytic backend with closed-form
+        # integrals, so the propagator check compares two computations
         def refuse(*args):
-            raise AssertionError("the step called the modal propagator")
+            raise AssertionError("the run called the modal propagator")
 
-        monkeypatch.setattr(df.flow, "modal_propagator", refuse)
         monkeypatch.setattr(driftflow.oracles, "modal_propagator", refuse)
+        monkeypatch.setattr(acceptance, "modal_propagator", refuse)
         fam = df.product_family([df.scaled_gaussian_family(2.0, 1), df.round_circle_family(3.0)])
-        req = RunRequest(family=fam, horizon=0.01, dt=1e-3, cadence=5, k=2, resolution=16, modes=8)
-        assert df.run_flow(req).scalar_values.shape == (3, 2, 12, 16)
-        with pytest.raises(AssertionError, match="modal propagator"):
-            df.run_flow(RunRequest(family=fam, horizon=0.01, k=2, resolution=16, modes=8, backend="analytic"))
+        req = RunRequest(family=fam, horizon=0.01, dt=1e-3, cadence=5, k=2, resolution=16, modes=8, backend=backend)
+        assert [cols.shape for cols in df.run_flow(req).scalar_factors] == [(3, 2, 12), (3, 2, 16)]
+
+    def test_analytic_scalars_need_round_circles(self):
+        # E carries a circle's columns by its Fourier modes, which only a round circle keeps
+        req = RunRequest(family=_VaryingFamily(), horizon=0.01, k=2, resolution=16, hermite_order=6, modes=8,
+                         backend="analytic")
+        with pytest.raises(UsageError, match="the analytic backend's scalars need round circles"):
+            df.run_flow(req)
+        assert df.run_flow(dataclasses.replace(req, track_scalars=False)).scalar_factors is None
 
     @pytest.mark.parametrize("n", [16, 31, 48, 64, 100, 128])
     def test_round_circle_stays_exactly_round(self, n):
@@ -1126,7 +1144,7 @@ class TestIntegratingFactor:
             for track in (True, False)
         ]
         with_scalars, without = runs
-        assert with_scalars.scalar_values is not None and without.scalar_values is None
+        assert with_scalars.scalar_factors is not None and without.scalar_factors is None
         for m, (a, b) in enumerate(zip(with_scalars.manifolds, without.manifolds)):
             layout = _Layout.of(a)
             assert np.array_equal(layout.pack(a), layout.pack(b))
@@ -1208,14 +1226,14 @@ def _loop_record(monkeypatch, request, layout_of=_compact_layout):
         df.evaluate_family(request.family, request.family.t0),
         resolution=request.resolution, hermite_order=request.hermite_order,
     )
-    scalars0 = None
+    columns0 = None
     if request.track_scalars:
-        scalars0 = np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), request.k).eigenfunctions[1 : request.k + 1])
+        columns0 = [cols[1:] for cols in df.lowest_eigenpairs(df.assemble_forms(dm), request.k).columns]
     states, errors = [], []
     with monkeypatch.context() as patch:
         patch.setattr(df.flow._Layout, "of", classmethod(lambda cls, dm, count=0: layout_of(dm, count)))
         seen = _counting_steps(patch, errors, states)
-        outputs = _run_loop(request, dm, scalars0)[0]
+        outputs = _run_loop(request, dm, columns0)[0]
     return outputs, states, errors, len(seen)
 
 
@@ -1301,7 +1319,7 @@ class TestRoundCircleState:
         seen = _counting_steps(monkeypatch)
         for family in (df.round_circle_family(1.0), _PRODUCT):
             traj = df.run_flow(_round_request(family, 0.01, cadence=5, k=2, modes=8))
-            assert traj.scalar_values is not None and len(traj.times) == 3
+            assert traj.scalar_factors is not None and len(traj.times) == 3
         assert calls == [] and seen == [list] * 20
 
     def test_a_round_product_with_scalars_keeps_no_batch(self, monkeypatch):
@@ -1344,7 +1362,7 @@ class TestListState:
                 seen = _counting_steps(patch)
                 traj = df.run_flow(RunRequest(family=family, horizon=0.002, dt=1e-3, cadence=1, k=2, resolution=16,
                                               modes=8, hermite_order=6, track_scalars=track))
-            assert seen == [np.ndarray] * 2 and (traj.scalar_values is not None) == track
+            assert seen == [np.ndarray] * 2 and (traj.scalar_factors is not None) == track
 
 
 def _hex(z):
@@ -1359,7 +1377,8 @@ def _start(request):
     layout = _Layout.of(dm, request.k if request.track_scalars else 0)
     parts = [layout.pack(dm), np.zeros(len(layout.diagonal))]
     if layout.stepped:
-        parts.append(np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), request.k).eigenfunctions[1:]).ravel())
+        columns = df.lowest_eigenpairs(df.assemble_forms(dm), request.k).columns
+        parts += [columns[axis][1:].ravel() for axis in layout.stepped]
     return layout, np.concatenate(parts)
 
 
@@ -1478,8 +1497,11 @@ class TestFlowRhsWritesEverySlot:
 # the array kernel gave them before it stepped inline: a change to the array
 # path keeps these bits.
 _PINNED_RUNS = {
+    # the state's V is the circle's (k, n) columns, so its digest is not that
+    # of the (k, *shape) grid batch it replaced; its geometry, its error
+    # estimates and its steps are
     "wavy_product_scalars": (
-        "e656dcb07bede6a7f9c405b54e34fef6eff2e034bf4a93126d9a34871c6555d9",
+        "13aafebc1f7fa913daa2f881e6142543ce90fd51505a6d577ae4c905e20f8aa5",
         ["0x0.0p+0", "0x1.b4bcbe5b7a328p-35", "0x1.d183bf900aec3p-35"],
     ),
     "wavy_circle_halving": (
@@ -1852,11 +1874,15 @@ class TestStackedOutputPass:
 
 
 def _estimate(monkeypatch, request) -> int:
-    """The bytes of field memory that ``_check_field_memory`` estimates for a run."""
+    """The bytes of field memory that ``_check_field_memory`` estimates for a
+    run, read from its refusal at a limit of zero."""
     monkeypatch.setattr(df.flow, "MAX_FIELD_BYTES", 0)
+    state = df.evaluate_family(request.family, request.family.t0)
     with pytest.raises(ConfigurationError) as err:
-        df.flow._check_field_memory(request, df.evaluate_family(request.family, request.family.t0))
-    return int(re.search(r"estimated (\d+) bytes", str(err.value)).group(1))
+        df.flow._check_field_memory(request, state)
+    estimate = int(re.search(r"estimated (\d+) bytes", str(err.value)).group(1))
+    assert estimate == df.flow._field_bytes(request, state)
+    return estimate
 
 
 class TestRetainedMemory:
@@ -1911,6 +1937,49 @@ class TestRetainedMemory:
         per_output = _estimate(monkeypatch, request_) - _estimate(monkeypatch, start_only)
         assert outputs > 200 and per_output % (outputs - 1) == 0
         assert kept <= outputs * per_output // (outputs - 1)
+
+    def test_a_run_keeps_no_grid_field_of_its_scalars(self):
+        # per output, k = 3 tracked scalars on a 12 x 64 product add their
+        # columns, k (12 + 64) numbers, and their pairings J, D, dJ, I and E,
+        # within 5 %: a tenth of their k grid fields, and no grid-sized array
+        request_ = RunRequest(family=_PRODUCT, horizon=0.2, cadence=1, k=3)
+        kept, runs = {}, {}
+        for track in (True, False):
+            run = dataclasses.replace(request_, track_scalars=track)
+            df.run_flow(run)  # warm the caches
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                runs[track] = df.run_flow(run)
+                kept[track] = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        traj = runs[True]
+        k, count, (n0, n1) = 3, 201, traj.manifolds.shape
+        arrays = [v for v in vars(traj).values() if isinstance(v, np.ndarray)]
+        arrays += list(traj.series.values()) + list(traj.scalar_factors)
+        assert max(a.size for a in arrays) == count * k * n1  # the circle's columns
+        columns_and_pairings = 8 * count * (k * (n0 + n1) + 3 * k * k + 2 * k)
+        assert columns_and_pairings <= kept[True] - kept[False] < 1.05 * columns_and_pairings
+
+    def test_kept_scalars_count_their_columns(self, monkeypatch):
+        # per output the estimate counts the k sum_i n_i numbers of the
+        # scalars' columns, not the k prod_i n_i of their grid fields: at
+        # k = 8 on 64 x 1024, 301 outputs, which a count of grid fields put
+        # at 1.26 GiB, above the limit, need 0.11 GiB, and the refusal moves
+        # out to the 8219th output
+        k, sizes = 8, (64, 1024)
+        request_ = RunRequest(family=_PRODUCT, horizon=0.3, cadence=1, k=k, resolution=1024, hermite_order=64)
+        with monkeypatch.context() as patch:
+            estimate = _estimate(patch, request_)
+            without = _estimate(patch, dataclasses.replace(request_, track_scalars=False))
+        assert estimate - without == 301 * 8 * (k * sum(sizes) + 3 * k * k + 2 * k)
+        grid_count = estimate + 301 * 8 * k * (math.prod(sizes) - sum(sizes))
+        assert estimate < df.flow.MAX_FIELD_BYTES < grid_count
+        state = df.evaluate_family(_PRODUCT, 0.0)
+        df.flow._check_field_memory(dataclasses.replace(request_, horizon=8.217), state)  # 8218 outputs
+        with pytest.raises(ConfigurationError, match=" 8219 outputs "):
+            df.flow._check_field_memory(dataclasses.replace(request_, horizon=8.218), state)
 
 
 def _built_alone(layout, row, t):
@@ -2010,19 +2079,38 @@ class TestOneStackPerRun:
     def test_the_layout_places_the_error_blocks(self):
         dm = _varying_product()
         layout = _Layout.of(dm, 2)
-        points = math.prod(dm.shape)
-        assert layout.stepped and layout.width == 2 * 32 + 1 and layout.start == 66
-        assert layout.blocks == [0, 32, 64, 65, 66, 66 + points]
+        assert layout.stepped == (0,) and layout.width == 2 * 32 + 1 and layout.start == 66
+        assert layout.blocks == [0, 32, 64, 65, 66, 66 + 32]  # one block per scalar's column of the circle's V
         compact = _Layout.of(_round_product(), 3)  # a Gaussian multiplier, a round circle's a and f, two integrals
         assert not compact.stepped and compact.blocks == [0, 1, 2, 3, 4]
 
 
-def _factor_alone(layout, v, integrals, s):
-    """u = E V of one output alone, one matrix per Hermite axis and one gain
-    row per circle: the one-output reference of the stacked ``_factor``."""
+def _factor_alone(layout, columns, integrals, s):
+    """u = E V of one output alone, axis by axis on its (k, n) columns, one
+    matrix per Hermite axis and one gain row per circle: the one-output
+    reference of the stacked ``_factor``."""
     if s == 0.0:
-        return v.copy()
-    u, lag = v, s / 2.0
+        return [cols.copy() for cols in columns]
+    out, lag = list(columns), s / 2.0
+    for axis, c in zip(layout.diagonal, integrals):
+        kind, _, n = layout.axes[axis]
+        if kind == "hermite":
+            ops = _hermite_ops(n)
+            matrix = ops["vand"] @ (np.exp(lag - 0.5 * np.arange(n) * c)[:, None] * ops["vinv"])
+            out[axis] = driftflow.axes.apply_along(matrix.__matmul__, columns[axis], 1)
+        else:
+            coef = np.fft.rfft(columns[axis], axis=1) * np.exp(lag - np.arange(n // 2 + 1) ** 2.0 * c)
+            out[axis] = np.fft.irfft(coef, n=n, axis=1)
+        lag = 0.0
+    if lag:
+        out[0] = math.exp(lag) * out[0]
+    return out
+
+
+def _grid_factor(layout, fields, integrals, s):
+    """E applied to one output's (k, *shape) fields on the whole grid, axis
+    by axis along the grid's axes: the grid reference of ``_factor``."""
+    u, lag = fields, s / 2.0
     for axis, c in zip(layout.diagonal, integrals):
         kind, _, n = layout.axes[axis]
         if kind == "hermite":
@@ -2034,7 +2122,7 @@ def _factor_alone(layout, v, integrals, s):
             coef *= along(np.exp(lag - np.arange(n // 2 + 1) ** 2.0 * c), axis, u.ndim - 1)
             u = np.fft.irfft(coef, n=n, axis=axis + 1)
         lag = 0.0
-    return math.exp(lag) * u if lag else u
+    return math.exp(lag) * u
 
 
 def _propagate_alone(u0, start, end):
@@ -2090,15 +2178,28 @@ def _check_stacks(traj) -> int:
 
 def _recording(monkeypatch, module, name, calls):
     """Wrap ``module.name`` so that each call appends (args, result) to ``calls``,
-    its array arguments copied as they were at the call."""
+    its array arguments, and the arrays of its list arguments, copied as
+    they were at the call."""
     wrapped = getattr(module, name)
 
+    def held(arg):
+        if isinstance(arg, list):
+            return [held(x) for x in arg]
+        return arg.copy() if isinstance(arg, np.ndarray) else arg
+
     def recorded(*args):
-        held = [arg.copy() if isinstance(arg, np.ndarray) else arg for arg in args]
-        calls.append((held, wrapped(*args)))
+        calls.append(([held(arg) for arg in args], wrapped(*args)))
         return calls[-1][1]
 
     monkeypatch.setattr(module, name, recorded)
+
+
+def _factor_rows(layout, calls) -> list:
+    """(columns, integrals, lag) of each output, in output order, from the
+    recorded ``_factor`` calls of a run: a stepped circle's V its own, a
+    diagonal axis's columns the shared ones."""
+    return [([v[j] if axis in layout.stepped else v for axis, v in enumerate(columns)], c[j], s[j])
+            for (_, columns, c, s), _ in calls for j in range(len(s))]
 
 
 class TestStackedScalarPass:
@@ -2115,29 +2216,29 @@ class TestStackedScalarPass:
         _recording(monkeypatch, df.flow, "_factor", factors)
         _recording(monkeypatch, acceptance, "modal_propagator", propagated)
         traj = df.run_flow(request_)
-        count, values = len(traj.times), traj.scalar_values
+        count, columns = len(traj.times), traj.scalar_factors
         assert count == 5  # not a multiple of 2 or 3: the last sub-stack is not full
         stacks = -(-count // per_stack)
 
-        # E: each output's u = E V is the one-output E of its V, integrals and lag
-        if request_.backend == "galerkin":
-            layout = _Layout.of(traj.manifolds[0], request_.k)
-            assert len(factors) == stacks and layout.stepped == name.startswith("stepped")
-            rows = [(v[j] if v.ndim == values.ndim else v, c[j], s[j])
-                    for (_, v, c, s), _ in factors for j in range(len(s))]
-            assert len(rows) == count
-            for m, (v, c, s) in enumerate(rows):
-                assert np.array_equal(values[m], _factor_alone(layout, v, c, s)), m
-        else:
-            assert factors == []
+        # E: each output's columns are the one-output E of its V, integrals and lag
+        layout = _Layout.of(traj.manifolds[0], request_.k)
+        assert len(factors) == stacks and bool(layout.stepped) == name.startswith("stepped")
+        rows = _factor_rows(layout, factors)
+        assert len(rows) == count
+        for m, (v, c, s) in enumerate(rows):
+            for got, want in zip(columns, _factor_alone(layout, v, c, s)):
+                assert np.array_equal(got[m], want), m
+        if request_.backend == "analytic":  # the closed-form integrals and lags
             start = df.evaluate_family(request_.family, request_.family.t0)
-            for m, t in enumerate(traj.times):
-                want = _propagate_alone(values[0], start, df.evaluate_family(request_.family, t))
-                assert np.array_equal(values[m], want), m
+            for m, (_, c, s) in enumerate(rows):
+                end = df.evaluate_family(request_.family, traj.times[m])
+                assert s == end.t - start.t
+                assert c.tolist() == [s - math.log(end.factors[0].scale / start.factors[0].scale),
+                                      1.0 / start.factors[1].a - 1.0 / end.factors[1].a]
 
         # J, D and dJ: each output's are its one-output pairings on its own manifold
         for m, dm in enumerate(traj.manifolds):
-            alone = _scalar_pairings(dm, values[m], *_derivatives(dm, values[m]))
+            alone = _factored_pairings(dm, [cols[m] for cols in columns])
             for key, want in zip(("J", "D", "dJ"), alone):
                 assert traj.series[key][m].tobytes() == want.tobytes(), (key, m)
 
@@ -2148,73 +2249,75 @@ class TestStackedScalarPass:
             ends = [end for (_, _, states), _ in propagated for end in states]
             exact = [row for _, result in propagated for row in result]
             assert [end.t for end in ends] == list(traj.times)
-            worst = 0.0
+            worst, start = 0.0, traj.scalar_fields(0)
             for m, (end, got) in enumerate(zip(ends, exact)):
-                want = _propagate_alone(values[0], ends[0], end)
+                want = _propagate_alone(start, ends[0], end)
                 assert np.array_equal(got, want), m
-                worst = max(worst, float(np.max(np.abs(values[m] - want)) / np.max(np.abs(want))))
+                fields = traj.scalar_fields(m)
+                worst = max(worst, float(np.max(np.abs(fields - want)) / np.max(np.abs(want))))
             assert records["scalar propagator"].value == worst
 
     @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
     @pytest.mark.parametrize("per_stack", [1, 2, 3])
     def test_one_call_per_sub_stack(self, monkeypatch, backend, per_stack):
-        # the solve, the commutator, the derivative kernel, the pairings, E
-        # (or the analytic backend's propagator) and the check's propagator
-        # each run once per sub-stack of consecutive outputs, never once per
-        # output; one more solve, the only one that builds eigenfunctions,
-        # seeds the scalars
+        # the solve, the commutator, the pairings, E and the check's
+        # propagator each run once per sub-stack of consecutive outputs,
+        # never once per output; one more solve, the only one that builds
+        # eigenfunctions, seeds the scalars, and the run never differentiates
+        # a grid field of its scalars
         request_ = dataclasses.replace(_SCALAR_RUNS["gauss_x_circle"], backend=backend)
         _stack_budget(monkeypatch, request_, per_stack)
-        calls = {name: [] for name in ("lowest_eigenpairs", "_eigensolve", "_commutator_stack", "_derivatives",
-                                       "_scalar_pairings", "_factor", "flow.modal_propagator",
-                                       "acceptance.modal_propagator")}
+        calls = {name: [] for name in ("lowest_eigenpairs", "_eigensolve", "_commutator_stack", "_factored_pairings",
+                                       "_factor", "acceptance.modal_propagator")}
         for name, seen in calls.items():
             module, _, attr = name.rpartition(".")
             _recording(monkeypatch, acceptance if module == "acceptance" else df.flow, attr, seen)
+        derivatives = []
+        _recording(monkeypatch, driftflow.spectral, "_derivatives", derivatives)
         traj = df.run_flow(request_)
         check_functionals(traj)
         stacks = -(-len(traj.times) // per_stack)
         expected = {
-            "lowest_eigenpairs": 1, "_eigensolve": stacks, "_commutator_stack": stacks,
-            "_derivatives": stacks, "_scalar_pairings": stacks, "acceptance.modal_propagator": _check_stacks(traj),
-            "_factor": stacks if backend == "galerkin" else 0,
-            "flow.modal_propagator": stacks if backend == "analytic" else 0,
+            "lowest_eigenpairs": 1, "_eigensolve": stacks, "_commutator_stack": stacks, "_factored_pairings": stacks,
+            "_factor": stacks, "acceptance.modal_propagator": _check_stacks(traj),
         }
-        assert {name: len(seen) for name, seen in calls.items()} == expected
+        assert {name: len(seen) for name, seen in calls.items()} == expected and derivatives == []
         # consecutive outputs, a full sub-stack each but the last
         count = len(traj.times)
         sizes = [min(per_stack, count - lo) for lo in range(0, count, per_stack)]
-        assert [stack.t.tolist() for (_, stack), _ in calls["_commutator_stack"]] == [
-            traj.times[lo : lo + per_stack].tolist() for lo in range(0, count, per_stack)
-        ]
-        for name in ("_derivatives", "_scalar_pairings"):
-            assert [args[0].t.tolist() for args, _ in calls[name]] == [
+        for name in ("_commutator_stack", "_factored_pairings"):
+            assert [args[1 if name == "_commutator_stack" else 0].t.tolist() for args, _ in calls[name]] == [
                 traj.times[lo : lo + per_stack].tolist() for lo in range(0, count, per_stack)
             ]
-            assert [args[1].shape for args, _ in calls[name]] == [(n, request_.k, *traj.manifolds.shape) for n in sizes]
+        shapes = [[cols.shape for cols in args[1]] for args, _ in calls["_factored_pairings"]]
+        assert shapes == [[(n, request_.k, size) for size in traj.manifolds.shape] for n in sizes]
 
     @pytest.mark.parametrize("wavy", [False, True], ids=["round_product", "stepped_v"])
-    def test_the_scalar_pass_stays_within_the_stack_budget(self, wavy):
-        # k = 3 on 16 x 256, six outputs, one per sub-stack: E, the pairings
-        # and the propagator check each hold at most STACK_BYTES above what
-        # they keep.  A round product's steps hold no field, so its whole
-        # loop and E of every sub-stack are measured; a stepped V's E on one
-        # sub-stack.
+    def test_the_scalar_pass_holds_no_grid_field_per_output(self, wavy):
+        # k = 3 on 16 x 256, six outputs, one per sub-stack: E and the
+        # pairings act on columns and hold at most 12 copies of one output's
+        # columns above what they keep, a round product's whole loop
+        # included, where one copy of its k grid fields is 15 copies; the
+        # propagator check, which builds the fields of one sub-stack at a
+        # time, holds at most STACK_BYTES
         k = 3
         family = _VaryingFamily() if wavy else _PRODUCT
         req = RunRequest(family=family, horizon=0.005, dt=1e-3, cadence=1, k=k, resolution=256, hermite_order=16,
                          modes=8 if wavy else 32)
         dm = df.discretize(df.evaluate_family(family, 0.0), resolution=req.resolution, hermite_order=req.hermite_order)
         assert dm.size == 16 * 256 and _stack_length(dm.size, k) == 1
-        scalars0 = np.stack(df.lowest_eigenpairs(df.assemble_forms(dm), k, 1e-8).eigenfunctions[1 : k + 1])
+        columns0 = [cols[1 : k + 1] for cols in df.lowest_eigenpairs(df.assemble_forms(dm), k, 1e-8).columns]
         traj = df.run_flow(req)  # also warms the caches and FFT plans
         assert len(traj.times) == 6
         subs = df.flow._sub_stacks(len(traj.times), dm.size, k + 1)
-        passes = {"pairings": lambda: [_scalar_pass(traj.manifolds[sub], traj.scalar_values[sub]) for sub in subs]}
-        if wavy:
-            passes["E"] = lambda: _factor(_Layout.of(dm, k), scalars0[None], np.full((1, 1), 0.3), [0.1])
-        else:
-            passes["E"] = lambda: _filled(req, dm, scalars0)
+        passes = {
+            "pairings": lambda: [_factored_pairings(traj.manifolds[sub], [c[sub] for c in traj.scalar_factors])
+                                 for sub in subs],
+            "E": lambda: _factor(_Layout.of(dm, k), [c[None] if wavy and axis == 0 else c
+                                                     for axis, c in enumerate(columns0)], np.full((1, 1), 0.3), [0.1]),
+        }
+        if not wavy:
+            passes["filled"] = lambda: _filled(req, dm, columns0)
             passes["propagator"] = lambda: check_functionals(traj)
         for name, work in passes.items():
             work()
@@ -2224,7 +2327,145 @@ class TestStackedScalarPass:
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert result is not None and peak - kept < STACK_BYTES, name
+            budget = STACK_BYTES if name == "propagator" else 12 * 8 * k * sum(dm.shape)
+            assert result is not None and peak - kept < budget, name
+
+
+_GAUSS_N2_X_CIRCLE = df.product_family([df.scaled_gaussian_family(1.0, 2), df.round_circle_family(4.0)])
+_GAUSS_N3_X_CIRCLE = df.product_family([df.scaled_gaussian_family(1.0, 3), df.round_circle_family(4.0)])
+
+# Runs on 1 to 4 axes whose scalars are paired on their columns: round and
+# stepped circles, Gaussian lines, and both backends.
+_FACTORED_RUNS = {
+    "circle": RunRequest(family=df.round_circle_family(1.0), horizon=0.02, cadence=5, k=2, resolution=32),
+    "line": RunRequest(family=df.scaled_gaussian_family(2.0, 1), horizon=0.02, cadence=5, k=2, hermite_order=8),
+    "stepped_circle": _SCALAR_RUNS["stepped_v_alone"],
+    "gauss_x_circle": _SCALAR_RUNS["gauss_x_circle"],
+    "stepped_v": _SCALAR_RUNS["stepped_v"],
+    "analytic": _SCALAR_RUNS["analytic"],
+    "gauss_n2_x_circle": RunRequest(family=_GAUSS_N2_X_CIRCLE, horizon=0.02, cadence=5, k=3, resolution=16,
+                                    hermite_order=6),
+    "gauss_n3_x_circle": RunRequest(family=_GAUSS_N3_X_CIRCLE, horizon=0.02, cadence=10, k=3, resolution=16,
+                                    hermite_order=5),
+}
+
+
+def _dropped_cross_term():
+    """``spectral._factored_pairings`` with the last axis's M left out of
+    the first term of D and G: on two axes the cross term S_0 M_1 of D
+    becomes S_0."""
+    source = textwrap.dedent(inspect.getsource(driftflow.spectral._factored_pairings))
+    mutated = source.replace("M[:i] + M[i + 1 :], part)", "M[:i] + M[i + 1 :][: len(M) - 2 if i == 0 else None], part)")
+    assert mutated != source
+    namespace = dict(vars(driftflow.spectral))
+    exec(mutated, namespace)
+    return namespace["_factored_pairings"]
+
+
+def _pairing_gap(dm, columns, pairings=_factored_pairings) -> float:
+    """The largest difference between (J, D, dJ) of the scalars whose
+    columns are ``columns`` on the one-output manifold ``dm``, paired by
+    ``pairings`` on the columns and on the grid fields they build
+    (``oracles.grid_scalar_pairings``), relative to the largest entry; on
+    one axis 0.0 when they agree in their bits, and inf otherwise."""
+    worst = 0.0
+    for a, b in zip(pairings(dm, columns), grid_scalar_pairings(dm, _product_fields(columns))):
+        if dm.dimension == 1:
+            worst = max(worst, 0.0 if a.tobytes() == b.tobytes() else math.inf)
+        else:
+            worst = max(worst, float(np.max(np.abs(a - b)) / np.max(np.abs(b))))
+    return worst
+
+
+def _random_columns(dm, k=3, seed=5) -> list:
+    """k scalars of seeded random per-axis columns on ``dm``: unlike the
+    eigenfunctions, no two share a column or are orthogonal on an axis."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((k, n)) for n in dm.shape]
+
+
+class TestFactoredScalarPass:
+    """A run carries each scalar as per-axis columns and pairs them from
+    per-axis Grams.  Against the grid reference, on 1 to 4 axes, its
+    pairings, E and the fields its columns build agree to 1e-13 of the
+    largest entry, and on one axis in their bits."""
+
+    @pytest.fixture(scope="class", params=list(_FACTORED_RUNS))
+    def run(self, request):
+        return request.param, df.run_flow(_FACTORED_RUNS[request.param])
+
+    def test_the_pairings_match_the_grid(self, run):
+        name, traj = run
+        assert len(traj.scalar_factors) == traj.manifolds.dimension
+        for m, dm in enumerate(traj.manifolds):
+            columns = [cols[m] for cols in traj.scalar_factors]
+            series = tuple(traj.series[key][m] for key in ("J", "D", "dJ"))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(series, _factored_pairings(dm, columns))), m
+            assert _pairing_gap(dm, columns) <= 1e-13, m
+            assert _pairing_gap(dm, _random_columns(dm)) <= 1e-13, m
+
+    def test_output_0_builds_its_eigenfunctions(self, run):
+        name, traj = run
+        request_ = traj.request
+        spectrum0 = df.lowest_eigenpairs(df.assemble_forms(traj.manifolds[0]), request_.k, request_.eig_tol)
+        assert traj.scalar_fields(0).tobytes() == spectrum0.eigenfunctions[1:].tobytes()
+
+    def test_dropping_a_cross_term_fails(self, run):
+        # on random columns: on eigenfunctions that share a column or are
+        # orthogonal on an axis, M_l is 1 or 0 where S_i is not 0
+        name, traj = run
+        if traj.manifolds.dimension > 1:
+            for dm in (traj.manifolds[0], traj.manifolds[-1]):
+                assert _pairing_gap(dm, _random_columns(dm), _dropped_cross_term()) > 1e-3
+
+    def test_the_built_fields_match_e_on_the_grid(self, monkeypatch, run):
+        # each output's fields are E applied on the grid to the fields of its
+        # V, at its integrals and lag; an analytic run's also match the
+        # modal propagator
+        name, _ = run
+        request_ = _FACTORED_RUNS[name]
+        calls = []
+        _recording(monkeypatch, df.flow, "_factor", calls)
+        traj = df.run_flow(request_)
+        layout = _Layout.of(traj.manifolds[0], request_.k)
+        rows = _factor_rows(layout, calls)
+        one_axis = traj.manifolds.dimension == 1
+        for m, (v, c, s) in enumerate(rows):
+            got = traj.scalar_fields(m)
+            want = _product_fields(v) if s == 0.0 else _grid_factor(layout, _product_fields(v), c, s)
+            if one_axis:
+                assert got.tobytes() == want.tobytes(), m
+            else:
+                assert float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(np.abs(want))), m
+        if request_.backend == "analytic":
+            states = [df.evaluate_family(request_.family, t) for t in traj.times]
+            exact = df.modal_propagator(traj.scalar_fields(0), states[0], states)
+            fields = traj.scalar_fields(slice(None))
+            assert float(np.max(np.abs(fields - exact))) <= 1e-13 * float(np.max(np.abs(exact)))
+
+    @pytest.mark.parametrize("name", ["circle", "line", "gauss_x_circle", "stepped_v", "gauss_n2_x_circle",
+                                      "gauss_n3_x_circle"])
+    def test_e_matches_the_grid(self, name):
+        # random columns on each layout, three outputs at once, each output's
+        # E on its columns against E on its fields along the grid's axes
+        request_ = _FACTORED_RUNS[name]
+        dm = df.discretize(df.evaluate_family(request_.family, 0.0), resolution=request_.resolution,
+                           hermite_order=request_.hermite_order)
+        layout = _Layout.of(dm, 2)
+        rng = np.random.default_rng(len(name))
+        columns = [rng.standard_normal((3, 2, n) if axis in layout.stepped else (2, n))
+                   for axis, n in enumerate(dm.shape)]
+        integrals = 0.1 * rng.random((3, len(layout.diagonal)))
+        lags = np.array([0.05, 0.1, 0.2])
+        got = _factor(layout, columns, integrals, lags)
+        for j in range(3):
+            v = [cols[j] if axis in layout.stepped else cols for axis, cols in enumerate(columns)]
+            want = _grid_factor(layout, _product_fields(v), integrals[j], lags[j])
+            fields = _product_fields([cols[j] for cols in got])
+            if dm.dimension == 1:
+                assert fields.tobytes() == want.tobytes(), j
+            else:
+                assert float(np.max(np.abs(fields - want))) <= 1e-13 * float(np.max(np.abs(want))), j
 
 
 _PARTITION_CONFIG = {
@@ -2236,12 +2477,14 @@ _PARTITION_CONFIG = {
 
 def _trajectory_bytes(traj) -> dict:
     """The bytes of every array of a trajectory: its columns, its series and
-    its scalars, and each output's geometry rows."""
+    its scalars' per-axis columns, and each output's geometry rows."""
     arrays = {}
     for f in dataclasses.fields(traj):
         value = getattr(traj, f.name)
         if isinstance(value, np.ndarray):
             arrays[f.name] = value.tobytes()
+        elif isinstance(value, tuple):
+            arrays.update({f"{f.name}.{axis}": cols.tobytes() for axis, cols in enumerate(value)})
         elif isinstance(value, dict):
             arrays.update({f"{f.name}.{key}": arr.tobytes() for key, arr in value.items()})
     layout = _Layout.of(traj.manifolds[0])
@@ -2269,7 +2512,7 @@ class TestPartitionInvariance:
             monkeypatch.setattr(df.flow, "STACK_BYTES", stack_bytes)
             assert len(df.flow._sub_stacks(count, points, k + 1)) == (count if budget == "one" else 1)
             traj = df.run_flow(request_)
-            assert traj.scalar_values is not None and len(traj.times) == count > 10
+            assert traj.scalar_factors is not None and len(traj.times) == count > 10
             files = {}
             if config is not None:
                 out_dir = execute(config, out_root=str(tmp_path / budget)).out_dir

@@ -280,4 +280,4 @@ class TestModalPropagator:
         req = RunRequest(family=_gauss_circle(), horizon=0.05, dt=1e-3, cadence=10, k=4, backend="analytic")
         monkeypatch.setattr(driftflow.flow, name, unreachable)
         traj = df.run_flow(req)
-        assert traj.scalar_values.shape[:2] == (len(traj.times), 4)
+        assert all(cols.shape[:2] == (len(traj.times), 4) for cols in traj.scalar_factors)

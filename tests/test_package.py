@@ -112,6 +112,10 @@ REMOVED = (
     # the grid residual's row norms are the oracles' reference (oracles.apply_stiffness).
     "QuadraticForms.apply_stiffness",
     "_row_norms",
+    # A run carries its scalars as per-axis columns and pairs them from per-axis Grams; the
+    # grid pairings are the oracles' reference (oracles.grid_scalar_pairings).
+    "FlowTrajectory.scalar_values",
+    "_scalar_pairings",
 )
 
 # Instance attributes that nothing reads: an axis's quadrature density is ``wdens``.

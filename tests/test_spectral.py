@@ -16,9 +16,9 @@ from driftflow.axes import CircleAxis, _fourier_dense, _fourier_ops, _hermite_op
 from driftflow.config import ScenarioConfig
 from driftflow.errors import AssemblyError, UsageError
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel, discretize
-from driftflow.oracles import apply_stiffness, dense_stiffness, grid_eigen_residuals
+from driftflow.oracles import apply_stiffness, dense_stiffness, grid_eigen_residuals, grid_scalar_pairings
 from driftflow.runner import execute
-from driftflow.spectral import _axis_eigens, _circle_modes, _derivatives, _scalar_pairings, drift_laplacian, partials
+from driftflow.spectral import _axis_eigens, _circle_modes, drift_laplacian, partials
 
 TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 FOUR_SQRT_PI = 4.0 * math.sqrt(math.pi)
@@ -32,11 +32,6 @@ def circle64():
 @pytest.fixture(scope="module")
 def gauss():
     return df.gaussian_line(1.0, order=12)
-
-
-def _scalar_pass(dm, batch):
-    """(J, D, dJ) of a (k, *shape) batch, from one derivative pass, as a run pairs its scalars."""
-    return _scalar_pairings(dm, batch, *_derivatives(dm, batch))
 
 
 def _pairings(forms, fields):
@@ -59,14 +54,14 @@ class TestForms:
 
     def test_gaussian_coordinate_moments(self, gauss):
         x = gauss.axes[0].nodes.copy()
-        J, D, _ = _scalar_pass(gauss, x[None])
+        J, D, _ = grid_scalar_pairings(gauss, x[None])
         assert J[0, 0] == pytest.approx(FOUR_SQRT_PI, rel=1e-13)
         assert D[0, 0] == pytest.approx(TWO_SQRT_PI, rel=1e-13)
         assert D[0, 0] / J[0, 0] == pytest.approx(0.5, rel=1e-13)
 
     def test_circle_cosine_rayleigh(self, circle64):
         u = np.cos(circle64.axes[0].nodes)
-        J, D, _ = _scalar_pass(circle64, u[None])
+        J, D, _ = grid_scalar_pairings(circle64, u[None])
         assert D[0, 0] == pytest.approx(math.pi, rel=1e-12)
         assert J[0, 0] == pytest.approx(math.pi, rel=1e-12)
 
@@ -244,7 +239,7 @@ class TestLowestEigenpairs:
 
     def test_rayleigh_identity_per_pair(self, circle64):
         res = df.lowest_eigenpairs(df.assemble_forms(circle64), 3)
-        J, D, _ = _scalar_pass(circle64, np.stack(res.eigenfunctions[1:]))
+        J, D, _ = grid_scalar_pairings(circle64, np.stack(res.eigenfunctions[1:]))
         np.testing.assert_allclose(np.diag(D) / np.diag(J), res.eigenvalues[1:], rtol=0, atol=1e-10)
 
     def test_agrees_with_dense_oracle(self):
@@ -531,7 +526,7 @@ class TestFieldOperations:
     def test_energy_profile_examples(self):
         dm4 = df.weighted_circle(64, a=4.0)
         u = np.cos(dm4.axes[0].nodes)
-        J, D, _ = _scalar_pass(dm4, u[None])
+        J, D, _ = grid_scalar_pairings(dm4, u[None])
         assert D[0, 0] / J[0, 0] == pytest.approx(0.25, rel=1e-12)
 
     def test_hessian_examples(self, circle64, gauss):

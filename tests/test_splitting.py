@@ -186,11 +186,16 @@ class TestToleranceMonotonicity:
 class TestStationarityOfDirections:
     def test_direction_field_barely_moves(self, product_cert, product_traj):
         u0 = product_cert.directions[0]
-        # u0 carried by u_t = L u + u/2 through the run's own Galerkin integration
-        outputs, scalars, fill = _run_loop(product_traj.request, product_traj.manifolds[0], u0[None])
+        # u0 = x (x) 1, a product of its row and column through its largest
+        # entry, carried by u_t = L u + u/2 through the run's own Galerkin
+        # integration, which carries such per-axis columns
+        i, j = np.unravel_index(np.argmax(np.abs(u0)), u0.shape)
+        columns0 = [u0[:, j][None], (u0[i] / u0[i, j])[None]]
+        assert np.max(np.abs(np.outer(*columns0) - u0)) < 1e-15 * np.max(np.abs(u0))
+        outputs, factors, fill = _run_loop(product_traj.request, product_traj.manifolds[0], columns0)
         fill(slice(None))
-        dm_last, u_last = outputs[-1], scalars[-1]
-        diff = u_last[0] - u0
+        dm_last = outputs[-1]
+        diff = np.outer(factors[0][-1, 0], factors[1][-1, 0]) - u0
         change = math.sqrt(dm_last.integrate(diff * diff))
         assert change < 1e-8
 
