@@ -36,7 +36,15 @@ from .comparison import (
     eigenvalue_bound,
     logistic_envelope,
 )
-from .flow import FlowTrajectory, RunRequest, _sub_stacks, commutator_residual, functional_residuals, run_flow
+from .flow import (
+    FIELD_COPIES,
+    FlowTrajectory,
+    RunRequest,
+    _sub_stacks,
+    commutator_residual,
+    functional_residuals,
+    run_flow,
+)
 from .geometry import (
     evaluate_family,
     gaussian_line,
@@ -197,7 +205,7 @@ def check_functionals(traj: FlowTrajectory) -> list:
     states = [evaluate_family(traj.request.family, t) for t in traj.times]
     start = traj.scalar_fields(0)
     integrals, deviations = np.empty((count, k)), np.empty(count)
-    for sub in _sub_stacks(count, traj.manifolds.size, k):
+    for sub in _sub_stacks(count, traj.manifolds.size, FIELD_COPIES * k):
         values, stack = traj.scalar_fields(sub), traj.manifolds[sub]
         integrals[sub] = np.stack([stack.integrate(u) for u in values.swapaxes(0, 1)], axis=1)
         exact = modal_propagator(start, states[0], states[sub])

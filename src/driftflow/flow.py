@@ -59,7 +59,9 @@ geometry (``_Layout.pack``) and builds all outputs once, as one stack
 (``_Layout.stack``); the spectra, the commutator, the volumes and the
 checks read that stack.  ``run_flow`` then takes one loop over the stack's
 sub-stacks of consecutive outputs, each sized by ``_stack_length`` to
-STACK_BYTES for k + 1 fields per output.  Per sub-stack it
+STACK_BYTES for the grid arrays that one output of it holds
+(``_loop_arrays``): OUTPUT_ARRAYS on a product, whatever k, and more on one
+axis, where the columns are grid arrays.  Per sub-stack it
 writes into its part of each preallocated result: the eigenvalues and
 eigen-residuals (output 0 solved like the rest), the commutator residuals
 and the weighted volumes, and with tracked scalars the backend fills its
@@ -107,18 +109,34 @@ MAX_STEP = 0.05
 # Largest estimated field memory a run may use, checked before discretizing.
 MAX_FIELD_BYTES = 1 << 30
 
-# Live copies of the k + 1 fields that one step, or one output of a
-# sub-stack, is estimated to hold per grid point (``_check_field_memory``).
+# Live copies of the k + 1 fields that one step is estimated to hold per
+# grid point, and of the k scalar fields that one output of a sub-stack of
+# the propagator check holds (``_check_field_memory``).
 FIELD_COPIES = 16
 
-# Largest estimated temporary memory of one sub-stack of consecutive outputs
-# in ``run_flow``'s loop, at FIELD_COPIES copies of each output's k + 1
-# fields, which bound its commutator probe, its field of ones for the
-# volumes and its k scalars (E, the pairings); its solve holds less than one
-# such batch.  The propagator check sizes its sub-stacks of k scalars to the
-# same budget.  A grid where one output takes more goes one output at a time.
-# 2 MiB, not 1: at 1 MiB a 12 x 64 product with k = 3 goes two outputs per
-# sub-stack, and the fixed cost of each sub-stack slows its run by about 17 %.
+# Grid arrays that one output of a sub-stack of ``run_flow``'s loop holds
+# above what the run keeps: the commutator's rates, W, the divergence, the
+# residual and their squares, and the field of ones for the volumes.
+# tracemalloc reads 6.3 to 7.6 per output on 12 x 64, 16 x 256 and
+# 16 x 1024 products at k = 1, 3 and 8, with or without scalars.
+OUTPUT_ARRAYS = 10
+
+# Copies of each output's per-axis work that the loop's solve and pairings
+# hold (``_loop_arrays``): of the k + 1 columns of each axis, and of a
+# Gaussian line's n x n stiffness block.  On a product they take less than
+# OUTPUT_ARRAYS grid arrays; on one axis the columns are grid arrays.  Per
+# output tracemalloc reads 8.0 (k + 1) n numbers on circles of 64 to 1024
+# nodes at k = 1 and 8, and on Gaussian lines of order 12 to 64 at most
+# 2.0 n^2 more.
+COLUMN_COPIES = 8
+BLOCK_COPIES = 3
+
+# Largest estimated temporary memory of one sub-stack of consecutive outputs,
+# in ``run_flow``'s loop and in the propagator check.  A grid where one
+# output takes more goes one output at a time.  On a horizon-2, cadence-1
+# 12 x 64 product with k = 3 (2001 outputs) ``run_flow`` took 390 ms at 5
+# outputs per sub-stack, 168 ms at 34 (this budget), 138 ms at 128 and
+# 184 ms at all 2001 in one.
 STACK_BYTES = 2 << 20
 
 # ``_settle`` zeroes a circle mode below NOISE_FLOOR times its row's scale, and
@@ -740,17 +758,18 @@ def _check_field_memory(request: RunRequest, state) -> None:
     MAX_FIELD_BYTES, before any of them is allocated.
 
     The estimate (``_field_bytes``) counts 8 bytes for each entry of
-    FIELD_COPIES live copies of the k + 1 fields a step or an output
-    carries, and STACK_BYTES, the budget of one sub-stack of ``run_flow``'s
-    loop.  Per output it counts what the run keeps: with tracked scalars
-    their per-axis columns, k sum_i n_i numbers, and their pairings J, D and
-    dJ (k x k each), I and E; in the stacked geometry six rows of each
+    FIELD_COPIES live copies of the k + 1 fields a step carries, and
+    STACK_BYTES, the budget of one sub-stack of ``run_flow``'s loop or of
+    the propagator check.  Per output it counts what the run keeps: with
+    tracked scalars their per-axis columns, k sum_i n_i numbers, and their
+    pairings J, D and dJ (k x k each), I and E; in the stacked geometry six rows of each
     circle (a, f, wdens, f', Gamma and Hess f) and the f row and the scale
     of each line; and its time, volume, two residual columns, k + 1
     eigenvalues and their residuals, and k bounds; a finished run keeps no
     eigenfunction and no grid field.  tracemalloc reads a whole run's peak
-    at 0.29 to 0.49 of the estimate (an n = 2 Gaussian, and a 12 x 64
-    product with and without scalars).  Per output a run keeps 7.5 field
+    at 0.63 to 0.73 of the estimate (an n = 2 Gaussian, and a 12 x 64
+    product with and without scalars), its sub-stacks filling most of
+    STACK_BYTES.  Per output a run keeps 7.5 field
     sizes on a 64-node circle with k = 2, where the columns are the fields
     (the term is 8.4: Hess f is not cached on the stack), and 0.81 on a
     12 x 64 product with k = 3 (0.88), whose 3 fields would take 3.
@@ -758,13 +777,14 @@ def _check_field_memory(request: RunRequest, state) -> None:
     circle's V (the circle is not round) peaks at 0.87 copies of the
     scalars' grid fields (14 copies of V); a list kernel step of round axes
     holds no field (its state is a few numbers) and peaks at 0.003 copies.
-    Above what it keeps, in copies of each of its outputs' k + 1 fields,
-    one sub-stack of the loop holds on 12 x 64 and 16 x 256 products at
-    k = 1 and 3: in its solve 0.4 to 0.7 (forms included; the solve builds
-    no eigenfunction), in its commutator up to 3.6, its volumes 0.5, E 0.3
-    and its pairings 0.5 (0.04 each on an n = 3 Gaussian of order 16 at
-    k = 3); in copies of its outputs' columns, E holds 2.3 to 5.2 and the
-    pairings 6.2 to 7.3.  In copies of its outputs' k scalar fields, a
+    Above what it keeps, in grid arrays per output, one sub-stack of the
+    loop holds on 12 x 64 and 16 x 256 products at k = 1, 3 and 8: in its
+    solve 0.9 to 5.1 (forms included; the solve builds no eigenfunction),
+    in its commutator 6.1 to 6.5, its volumes 1.0, E 0.2 to 2.2 and its
+    pairings 0.4 to 4.5.  The parts take turns, so the loop as a whole
+    holds 6.3 to 7.6 (OUTPUT_ARRAYS is 10), the commutator's the largest
+    part.  On one axis the solve's and the pairings' columns are the most
+    (COLUMN_COPIES).  In copies of its outputs' k scalar fields, a
     sub-stack of the propagator check holds 7.1 to 14.7, the fields it
     builds from the columns included.
     """
@@ -778,16 +798,25 @@ def _check_field_memory(request: RunRequest, state) -> None:
         )
 
 
-def _stack_length(points: int, fields: int) -> int:
-    """Outputs per sub-stack: as many as STACK_BYTES holds at FIELD_COPIES
-    copies of each output's ``fields`` fields, and at least one."""
-    return max(1, STACK_BYTES // (8 * points * FIELD_COPIES * fields))
+def _loop_arrays(dm: DiscreteWeightedManifold, k: int) -> float:
+    """Grid arrays per output of a sub-stack of ``run_flow``'s loop on the
+    grid of ``dm``: OUTPUT_ARRAYS, or its per-axis work where that is more
+    (one axis, few points, a large k)."""
+    work = sum(COLUMN_COPIES * (k + 1) * ax.size + (BLOCK_COPIES * ax.size**2 if ax.kind == "hermite" else 0)
+               for ax in dm.axes)
+    return max(OUTPUT_ARRAYS, work / dm.size)
 
 
-def _sub_stacks(count: int, points: int, fields: int) -> list:
+def _stack_length(points: int, arrays: float) -> int:
+    """Outputs per sub-stack: as many as STACK_BYTES holds at ``arrays``
+    grid arrays of ``points`` entries per output, and at least one."""
+    return max(1, int(STACK_BYTES // (8 * points * arrays)))
+
+
+def _sub_stacks(count: int, points: int, arrays: float) -> list:
     """Slices of a run's ``count`` consecutive outputs, each holding
-    ``_stack_length(points, fields)`` of them."""
-    per_stack = _stack_length(points, fields)
+    ``_stack_length(points, arrays)`` of them."""
+    per_stack = _stack_length(points, arrays)
     return [slice(lo, lo + per_stack) for lo in range(0, count, per_stack)]
 
 
@@ -801,7 +830,8 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     extinct by the last output fails before anything is discretized.
     Output 0's solve seeds the scalars.  Every output's geometry is then
     built once, as one stack, and one loop over its sub-stacks of
-    consecutive outputs, each sized for k + 1 fields per output, writes
+    consecutive outputs, each sized for the grid arrays that one output of
+    it holds (``_loop_arrays``), writes
     each sub-stack's eigenvalues, eigen-residuals (from per-axis columns,
     with no eigenfunction), commutator residuals and weighted volumes, and
     with tracked scalars fills its part of the scalar columns and pairs
@@ -825,7 +855,7 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     if fill:
         J, D, dJ = (np.empty((count, k, k)) for _ in range(3))
     probe = _probe_partials(manifolds[0], spectrum0.eigenfunctions[1])  # differentiated once per run
-    for sub in _sub_stacks(count, manifolds.size, k + 1):
+    for sub in _sub_stacks(count, manifolds.size, _loop_arrays(manifolds, k)):
         stack = manifolds[sub]
         eigenvalues[sub], eigen_residuals[sub], _ = _eigensolve(assemble_forms(stack), k, request.eig_tol)
         residual_commutator[sub] = _commutator_stack(probe, stack)
