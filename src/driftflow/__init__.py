@@ -56,7 +56,6 @@ from .spectral import (
     QuadraticForms,
     SpectralResult,
     assemble_forms,
-    bochner_sides,
     drift_divergence,
     drift_laplacian,
     hessian_norm_sq,

@@ -37,10 +37,8 @@ from .comparison import (
     logistic_envelope,
 )
 from .flow import (
-    FIELD_COPIES,
     FlowTrajectory,
     RunRequest,
-    _sub_stacks,
     commutator_residual,
     functional_residuals,
     run_flow,
@@ -193,9 +191,9 @@ def check_functionals(traj: FlowTrajectory) -> list:
     to their Cauchy-Schwarz bound |int u| <= sqrt(I volume), and their
     distance from the exact ``modal_propagator`` at every output, relative
     to the propagated batch.  Both are taken on the grid: per sub-stack of
-    consecutive outputs, sized for their scalars, the fields are built from
-    the run's per-axis columns (``FlowTrajectory.scalar_fields``) and the
-    propagator is called once, from output 0's fields."""
+    consecutive outputs (``FlowTrajectory.scalar_stacks``), whose fields
+    are built from the run's per-axis columns, the propagator is called
+    once, from output 0's fields."""
     vol_drift = float(np.max(np.abs(traj.volumes / traj.volumes[0] - 1.0)))
     volume = Check("volume drift", vol_drift, VERIFY_TOLERANCES["volume_drift_rel"])
     if not traj.series:
@@ -205,8 +203,7 @@ def check_functionals(traj: FlowTrajectory) -> list:
     states = [evaluate_family(traj.request.family, t) for t in traj.times]
     start = traj.scalar_fields(0)
     integrals, deviations = np.empty((count, k)), np.empty(count)
-    for sub in _sub_stacks(count, traj.manifolds.size, FIELD_COPIES * k):
-        values, stack = traj.scalar_fields(sub), traj.manifolds[sub]
+    for sub, values, stack in traj.scalar_stacks():
         integrals[sub] = np.stack([stack.integrate(u) for u in values.swapaxes(0, 1)], axis=1)
         exact = modal_propagator(start, states[0], states[sub])
         # an output whose propagated scalars are all zero reads inf (or NaN) and fails, with no warning on stderr

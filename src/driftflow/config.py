@@ -128,10 +128,6 @@ class ScenarioConfig:
                 continue
             if not (lo <= val <= hi):
                 raise ConfigurationError(f"config key {key} = {val} outside [{lo}, {hi}]")
-        if self.modes > self.resolution // 2:
-            raise ConfigurationError(
-                f"mode cutoff {self.modes} exceeds resolution/2 = {self.resolution // 2}"
-            )
         # The name is the run's directory under the output root, so it must stay inside it.
         if self.name in ("", ".", "..") or os.path.basename(self.name) != self.name or "\0" in self.name:
             raise ConfigurationError(

@@ -54,18 +54,21 @@ form, exact on every supported family.  No run calls
 ``oracles.modal_propagator``, which ``acceptance.check_functionals`` puts
 them against.
 
-Either backend records each output as its row of the layout's packed
-geometry (``_Layout.pack``) and builds all outputs once, as one stack
-(``_Layout.stack``); the spectra, the commutator, the volumes and the
-checks read that stack.  ``run_flow`` then takes one loop over the stack's
-sub-stacks of consecutive outputs, each sized by ``_stack_length`` to
-STACK_BYTES for the grid arrays that one output of it holds
-(``_loop_arrays``): OUTPUT_ARRAYS on a product, whatever k, and more on one
-axis, where the columns are grid arrays.  Per sub-stack it
+Each backend returns only what differs between the two, as arrays: per
+output its row of the layout's packed geometry (``_Layout.pack``), with
+tracked scalars its integrals and its lag, and the V that each stepped
+circle records.  ``run_flow`` does the rest once: it builds the run's
+layout and all outputs as one stack (``_Layout.stack``), which the
+spectra, the commutator, the volumes and the checks read.  It then takes
+one loop over the stack's sub-stacks of consecutive outputs, each sized
+by ``_stack_length`` to STACK_BYTES for the grid arrays that one output of
+it holds (``_loop_arrays``): OUTPUT_ARRAYS on a product, whatever k, and
+more on one axis, where the columns are grid arrays.  Per sub-stack it
 writes into its part of each preallocated result: the eigenvalues and
 eigen-residuals (output 0 solved like the rest), the commutator residuals
-and the weighted volumes, and with tracked scalars the backend fills its
-part of the scalar columns (E V) and the loop pairs them.  A run keeps of
+and the weighted volumes, and with tracked scalars it sets its part of
+the scalar columns to E V (``_factor``; a stepped circle's V is written
+over in place) and pairs them.  A run keeps of
 its spectra only their (m, k + 1) eigenvalues and eigen-residuals; a sub-stack's solve
 (``spectral._eigensolve``) checks each pair on its per-axis columns and
 builds no eigenfunction.  ``run_flow`` returns one frozen
@@ -109,9 +112,12 @@ MAX_STEP = 0.05
 # Largest estimated field memory a run may use, checked before discretizing.
 MAX_FIELD_BYTES = 1 << 30
 
-# Live copies of the k + 1 fields that one step is estimated to hold per
-# grid point, and of the k scalar fields that one output of a sub-stack of
-# the propagator check holds (``_check_field_memory``).
+# Copies of k + 1 grid fields that ``_check_field_memory`` charges once per
+# run.  No step holds a grid field, so they bound the fields a run builds
+# on the grid: output 0's solve and the commutator's probe, the splitting
+# certificate's and the Bochner check's fields, and a sub-stack of the
+# propagator check, sized for FIELD_COPIES copies of each output's k scalar
+# fields (``FlowTrajectory.scalar_stacks``).
 FIELD_COPIES = 16
 
 # Grid arrays that one output of a sub-stack of ``run_flow``'s loop holds
@@ -496,6 +502,14 @@ class FlowTrajectory:
         eigenfunctions 1..k in their bits."""
         return _product_fields([cols[index] for cols in self.scalar_factors])
 
+    def scalar_stacks(self):
+        """(sub, fields, stack) of each sub-stack of consecutive outputs of
+        the propagator check, sized for FIELD_COPIES copies of each output's
+        k scalar fields: its slice, its outputs' fields (``scalar_fields``)
+        and its manifolds."""
+        for sub in _sub_stacks(len(self.times), self.manifolds.size, FIELD_COPIES * self.request.k):
+            yield sub, self.scalar_fields(sub), self.manifolds[sub]
+
 
 def _peak(values: list) -> float:
     """max(values), NaN if one is, as ``np.max``: all are >= 0 or NaN, so only then is their sum NaN."""
@@ -667,66 +681,41 @@ def _kernel(request: RunRequest, layout: _Layout, z: np.ndarray) -> tuple:
     return partial(_list_steps, plan, tol), z.tolist(), k1.tolist()
 
 
-def _run_loop(request: RunRequest, state0: DiscreteWeightedManifold, columns0):
-    """(outputs, factors, fill) of a Galerkin run: one deterministic
-    integration, one call of the run's kernel (``_kernel``) per output from
-    the one before, each output recorded as its geometry row and the rows
-    built once as one stack.  The scalars start from ``columns0``, a (count,
-    n) array per axis: each output records its integrals and its lag, and
-    the V of each stepped circle into ``factors``, the run's (m, count, n)
-    arrays, one per axis, which ``_filler`` sets to E V.  Without scalars,
-    ``factors`` and ``fill`` are None."""
-    t0 = request.family.t0
-    dt, recorded = _output_steps(request)
-
-    count = 0 if columns0 is None else len(columns0[0])
-    layout = _Layout.of(state0, count)
+def _run_loop(request: RunRequest, layout: _Layout, state0: DiscreteWeightedManifold, columns0, dt: float,
+              steps: list) -> tuple:
+    """(rows, integrals, lags, stepped) of a Galerkin run: one deterministic
+    integration from ``state0``, one call of the run's kernel (``_kernel``)
+    per output from the one before, the output after step ``steps[m]``
+    recorded as its geometry row, its integrals and its lag.  The scalars
+    start from ``columns0``, a (count, n) array per axis, and ``stepped``
+    maps the axis of each stepped circle to the (m, count, n) V its outputs
+    record; without scalars it is empty."""
+    t0, width, start = request.family.t0, layout.width, layout.start
     parts = [layout.pack(state0), np.zeros(len(layout.diagonal))] + [np.ravel(columns0[i]) for i in layout.stepped]
-    width, start = layout.width, layout.start
     advance, z, k1 = _kernel(request, layout, np.concatenate(parts))
-
-    rows, integrals, done = np.empty((len(recorded), width)), np.empty((len(recorded), start - width)), 0
-    factors = None if columns0 is None else [np.empty((len(recorded), count, n)) for n in layout.shape]
-    for m, step in enumerate(recorded):
+    rows, integrals, done = np.empty((len(steps), width)), np.empty((len(steps), start - width)), 0
+    stepped = {axis: np.empty((len(steps), layout.count, layout.shape[axis])) for axis in layout.stepped}
+    for m, step in enumerate(steps):
         z, k1, _ = advance(t0 + done * dt, z, dt, step - done, k1)
         done = step
-        rows[m] = np.atleast_1d(z)[:width]
-        if factors is not None:
-            integrals[m] = z[width:start]
-            for axis, lo, hi in layout.columns:
-                factors[axis][m] = z[lo:hi].reshape(count, -1)
-    outputs = layout.stack(rows, np.array([t0 + step * dt for step in recorded]))
-    if factors is None:
-        return outputs, None, None
-    return outputs, factors, _filler(layout, columns0, factors, integrals, np.array([step * dt for step in recorded]))
+        row = np.atleast_1d(z)
+        rows[m], integrals[m] = row[:width], row[width:start]
+        for axis, lo, hi in layout.columns:
+            stepped[axis][m] = row[lo:hi].reshape(layout.count, -1)
+    return rows, integrals, np.array([step * dt for step in steps]), stepped
 
 
-def _filler(layout: _Layout, columns0: list, factors: list, integrals: np.ndarray, lags: np.ndarray):
-    """fill(sub): the sub-stack ``sub`` of consecutive outputs of ``factors``
-    set to E V (``_factor``) at their ``integrals`` and ``lags``, V from
-    ``columns0`` or, on a stepped circle, as recorded."""
-
-    def fill(sub: slice) -> None:
-        columns = [factors[axis][sub] if axis in layout.stepped else cols for axis, cols in enumerate(columns0)]
-        for stored, cols in zip(factors, _factor(layout, columns, integrals[sub], lags[sub])):
-            stored[sub] = cols
-
-    return fill
-
-
-def _closed_form_outputs(request: RunRequest, state0: DiscreteWeightedManifold, columns0):
-    """(outputs, factors, fill) of an analytic run: the family's closed form
-    at each output, packed as its geometry row, and the rows built once as
-    one stack.  fill(sub) carries the columns from output 0 by E, each C_i
-    in closed form: 1/a(t0) - 1/a(t) on a round circle, s - log(u(t) /
-    u(t0)) on a Gaussian line.  Nothing is stepped."""
+def _closed_form_outputs(request: RunRequest, layout: _Layout, dt: float, steps: list) -> tuple:
+    """(rows, integrals, lags, stepped) of an analytic run: the family's
+    closed form after each of ``steps``, packed as its geometry row.  With
+    scalars, each output's lag and its C_i in closed form: 1/a(t0) - 1/a(t)
+    on a round circle, s - log(u(t) / u(t0)) on a Gaussian line; without
+    them, None.  Nothing is stepped, so ``stepped`` is empty."""
     family = request.family
-    dt, recorded = _output_steps(request)
-    layout = _Layout.of(state0, 0 if columns0 is None else len(columns0[0]))
-    states = [evaluate_family(family, family.t0 + step * dt) for step in recorded]
-    outputs = layout.stack(np.array([layout.pack(state) for state in states]), np.array([state.t for state in states]))
-    if columns0 is None:
-        return outputs, None, None
+    states = [evaluate_family(family, family.t0 + step * dt) for step in steps]
+    rows = np.array([layout.pack(state) for state in states])
+    if not layout.count:
+        return rows, None, None, {}
     if any(callable(fac.a) for state in states for fac in state.factors if isinstance(fac, CircleModel)):
         raise UsageError("the analytic backend's scalars need round circles")
     lags = [state.t - states[0].t for state in states]
@@ -735,8 +724,7 @@ def _closed_form_outputs(request: RunRequest, state0: DiscreteWeightedManifold, 
          for start, end in zip(states[0].factors, state.factors)]
         for state, s in zip(states, lags)
     ])
-    factors = [np.empty((len(states), len(cols), cols.shape[-1])) for cols in columns0]
-    return outputs, factors, _filler(layout, columns0, factors, integrals, np.array(lags))
+    return rows, integrals, np.array(lags), {}
 
 
 def _grid_sizes(request: RunRequest, state) -> list:
@@ -758,9 +746,9 @@ def _check_field_memory(request: RunRequest, state) -> None:
     MAX_FIELD_BYTES, before any of them is allocated.
 
     The estimate (``_field_bytes``) counts 8 bytes for each entry of
-    FIELD_COPIES live copies of the k + 1 fields a step carries, and
-    STACK_BYTES, the budget of one sub-stack of ``run_flow``'s loop or of
-    the propagator check.  Per output it counts what the run keeps: with
+    FIELD_COPIES copies of k + 1 grid fields, and STACK_BYTES, the budget
+    of one sub-stack of ``run_flow``'s loop or of the propagator check.
+    Per output it counts what the run keeps: with
     tracked scalars their per-axis columns, k sum_i n_i numbers, and their
     pairings J, D and dJ (k x k each), I and E; in the stacked geometry six rows of each
     circle (a, f, wdens, f', Gamma and Hess f) and the f row and the scale
@@ -770,9 +758,8 @@ def _check_field_memory(request: RunRequest, state) -> None:
     at 0.63 to 0.73 of the estimate (an n = 2 Gaussian, and a 12 x 64
     product with and without scalars), its sub-stacks filling most of
     STACK_BYTES.  Per output a run keeps 7.5 field
-    sizes on a 64-node circle with k = 2, where the columns are the fields
-    (the term is 8.4: Hess f is not cached on the stack), and 0.81 on a
-    12 x 64 product with k = 3 (0.88), whose 3 fields would take 3.
+    sizes on a 64-node circle with k = 2, where the columns are the fields,
+    and 0.81 on a 12 x 64 product with k = 3, whose 3 fields would take 3.
     tracemalloc, k = 3 on 16 x 256: an array kernel step that carries a
     circle's V (the circle is not round) peaks at 0.87 copies of the
     scalars' grid fields (14 copies of V); a list kernel step of round axes
@@ -828,15 +815,17 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     u_1..u_k (weighted-L2 normalized, mean zero) evolve by the drift heat
     equation and their mass/energy pairings are recorded per output.  A family
     extinct by the last output fails before anything is discretized.
-    Output 0's solve seeds the scalars.  Every output's geometry is then
-    built once, as one stack, and one loop over its sub-stacks of
-    consecutive outputs, each sized for the grid arrays that one output of
-    it holds (``_loop_arrays``), writes
-    each sub-stack's eigenvalues, eigen-residuals (from per-axis columns,
-    with no eigenfunction), commutator residuals and weighted volumes, and
-    with tracked scalars fills its part of the scalar columns and pairs
-    them (``_factored_pairings``): each output in the bits of its one-output
-    computation.
+    Output 0's solve seeds the scalars.  The backend (``_run_loop`` or
+    ``_closed_form_outputs``) returns each output's geometry row, and with
+    scalars its integrals, its lag and a stepped circle's V.  Every
+    output's geometry is then built once, as one stack, and one loop over
+    its sub-stacks of consecutive outputs, each sized for the grid arrays
+    that one output of it holds (``_loop_arrays``), writes each sub-stack's
+    eigenvalues, eigen-residuals (from per-axis columns, with no
+    eigenfunction), commutator residuals and weighted volumes, and with
+    tracked scalars sets its part of the scalar columns to E V
+    (``_factor``) and pairs them (``_factored_pairings``): each output in
+    the bits of its one-output computation.
     """
     start = evaluate_family(request.family, request.family.t0)
     _check_field_memory(request, start)  # before the recorded steps are listed
@@ -847,12 +836,19 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
     # the signed columns of eigenfunctions 1..k, which build them in their bits
     columns0 = [np.ascontiguousarray(cols[1:]) for cols in spectrum0.columns] if request.track_scalars else None
 
-    backend = _closed_form_outputs if request.backend == "analytic" else _run_loop
-    manifolds, factors, fill = backend(request, state0, columns0)
-    times, count, k = manifolds.t, len(manifolds), request.k
+    count, k = len(recorded), request.k
+    layout = _Layout.of(state0, 0 if columns0 is None else k)
+    if request.backend == "analytic":
+        rows, integrals, lags, stepped = _closed_form_outputs(request, layout, dt, recorded)
+    else:
+        rows, integrals, lags, stepped = _run_loop(request, layout, state0, columns0, dt, recorded)
+    manifolds = layout.stack(rows, np.array([request.family.t0 + step * dt for step in recorded]))
+    times = manifolds.t
     eigenvalues, eigen_residuals = np.empty((count, k + 1)), np.empty((count, k + 1))
     residual_commutator, volumes = np.empty(count), np.empty(count)
-    if fill:
+    factors = None
+    if columns0 is not None:  # E V of every output, written in place over a stepped circle's V
+        factors = [stepped[axis] if axis in stepped else np.empty((count, k, n)) for axis, n in enumerate(layout.shape)]
         J, D, dJ = (np.empty((count, k, k)) for _ in range(3))
     probe = _probe_partials(manifolds[0], spectrum0.eigenfunctions[1])  # differentiated once per run
     for sub in _sub_stacks(count, manifolds.size, _loop_arrays(manifolds, k)):
@@ -860,13 +856,16 @@ def run_flow(request: RunRequest) -> FlowTrajectory:
         eigenvalues[sub], eigen_residuals[sub], _ = _eigensolve(assemble_forms(stack), k, request.eig_tol)
         residual_commutator[sub] = _commutator_stack(probe, stack)
         volumes[sub] = stack.weighted_volume()
-        if fill:
-            fill(sub)
+        if factors is not None:
+            columns = [factors[axis][sub] if axis in stepped else cols for axis, cols in enumerate(columns0)]
+            for stored, cols in zip(factors, _factor(layout, columns, integrals[sub], lags[sub])):
+                stored[sub] = cols
+            # the stored C-ordered columns, not _factor's: their memory order rounds D differently
             J[sub], D[sub], dJ[sub] = _factored_pairings(stack, [cols[sub] for cols in factors])
 
     series = {}
     residual_ij = np.full(count, np.nan)
-    if fill:
+    if factors is not None:
         _cholesky_factors(J)  # DegeneracyError if the scalars are dependent at some output
         I = np.einsum("mii->mi", J).copy()
         E = np.einsum("mii->mi", D).copy()

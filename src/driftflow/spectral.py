@@ -64,7 +64,6 @@ __all__ = [
     "assemble_forms",
     "lowest_eigenpairs",
     "hessian_norm_sq",
-    "bochner_sides",
     "drift_divergence",
     "partials",
     "drift_laplacian",
@@ -243,24 +242,12 @@ def soliton_defect_profiles(dm: DiscreteWeightedManifold) -> list:
     return [0.5 * ax.a - ax.hess_f for ax in dm.axes]
 
 
-def bochner_sides(u, dm: DiscreteWeightedManifold) -> tuple[float, float, float]:
-    """Both sides of the integrated drift Bochner identity, and the Dirichlet
-    energy D of ``u``, from one derivative pass (``_bochner_terms``).
-
-    Left: the soliton defect paired with grad u against e^{-f} dv.  Right:
-    Hessian energy plus half the Dirichlet energy minus the L-image mass.
-    The two agree for smooth fields.  The identity reads int Ric_f(grad u,
-    grad u) = D/2 - lhs, so D/2 is its scale where phi vanishes and both
-    sides are zero.
-    """
-    lhs, hessian, half_dirichlet, image = _bochner_terms(u, dm)
-    return lhs, hessian + half_dirichlet - image, 2.0 * half_dirichlet
-
-
 def _bochner_terms(u, dm: DiscreteWeightedManifold) -> tuple[float, float, float, float]:
     """(lhs, H, D/2, int (L u)^2) of ``u``: the left side of the drift
-    Bochner identity and the three terms its right side sums, H + D/2 minus
-    the L-image mass, from one derivative pass."""
+    Bochner identity, the soliton defect paired with grad u against
+    e^{-f} dv, and the three terms its right side sums, H + D/2 minus the
+    L-image mass (H the Hessian energy, D the Dirichlet energy), from one
+    derivative pass.  The two sides agree for smooth fields."""
     batch = _check_field(dm, u)[None]
     du, h = _derivatives(dm, batch)
     weighted = _weighting(dm)

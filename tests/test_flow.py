@@ -88,7 +88,7 @@ class TestSingleStep:
         assert seen == []
         dm = df.discretize(df.evaluate_family(req.family, 0.0), hermite_order=req.hermite_order)
         with pytest.raises(df.FlowBreakdownError):
-            df.flow._run_loop(req, dm, None)
+            _run_loop(req, _Layout.of(dm), dm, None, *df.flow._output_steps(req))
         assert 0 < len(seen) < req.steps
 
 
@@ -269,12 +269,14 @@ def static_traj():
 
 
 def _filled(request, dm, columns0):
-    """``_run_loop``'s stack of outputs and its per-axis scalar columns u =
-    E V, filled on the sub-stacks of ``run_flow``'s loop."""
-    outputs, factors, fill = _run_loop(request, dm, columns0)
-    for sub in df.flow._sub_stacks(len(outputs), outputs.size, _loop_arrays(outputs, len(columns0[0]))):
-        fill(sub)
-    return outputs, factors
+    """``_run_loop``'s stack of outputs from the scalars ``columns0`` and
+    their per-axis columns u = E V at every output (``_factor``), V as
+    ``run_flow`` takes it: ``columns0``, or a stepped circle's record."""
+    layout = _Layout.of(dm, len(columns0[0]))
+    dt, steps = df.flow._output_steps(request)
+    rows, integrals, lags, stepped = _run_loop(request, layout, dm, columns0, dt, steps)
+    columns = [stepped.get(axis, cols) for axis, cols in enumerate(columns0)]
+    return layout.stack(rows, request.family.t0 + np.array(steps) * dt), _factor(layout, columns, integrals, lags)
 
 
 def _evolved(traj, u0):
@@ -579,7 +581,7 @@ class TestScalarPairings:
             (2 * d, lambda: grid_scalar_pairings(dm, fields)),
             (2 * d, lambda: df.drift_laplacian(dm, fields[0])),
             (one_pass, lambda: hessian_norm_sq(fields[0], dm)),
-            (one_pass, lambda: df.bochner_sides(fields[0], dm)),
+            (one_pass, lambda: driftflow.spectral._bochner_terms(fields[0], dm)),
             # one pass on the directions and one on q = (1/4) sum u_i^2
             (2 * one_pass, lambda: driftflow.splitting.certificate_residuals(list(fields), dm)),
         ):
@@ -1219,10 +1221,10 @@ _PRODUCT = df.product_family([df.scaled_gaussian_family(1.0, 1), df.round_circle
 
 
 def _loop_record(monkeypatch, request, layout_of=_compact_layout):
-    """``_run_loop``'s stack of outputs for ``request`` with ``flow._Layout.of`` set to
-    ``layout_of``, and of each segment between outputs the entries of its
-    state and its worst estimate as ``float.hex``, and the count of steps
-    attempted, halvings included (``_counting_steps``)."""
+    """``_run_loop``'s stack of outputs for ``request`` on the layout that
+    ``layout_of`` gives, and of each segment between outputs the entries of
+    its state and its worst estimate as ``float.hex``, and the count of
+    steps attempted, halvings included (``_counting_steps``)."""
     dm = df.discretize(
         df.evaluate_family(request.family, request.family.t0),
         resolution=request.resolution, hermite_order=request.hermite_order,
@@ -1230,12 +1232,12 @@ def _loop_record(monkeypatch, request, layout_of=_compact_layout):
     columns0 = None
     if request.track_scalars:
         columns0 = [cols[1:] for cols in df.lowest_eigenpairs(df.assemble_forms(dm), request.k).columns]
+    layout, (dt, steps) = layout_of(dm, 0 if columns0 is None else request.k), df.flow._output_steps(request)
     states, errors = [], []
     with monkeypatch.context() as patch:
-        patch.setattr(df.flow._Layout, "of", classmethod(lambda cls, dm, count=0: layout_of(dm, count)))
         seen = _counting_steps(patch, errors, states)
-        outputs = _run_loop(request, dm, columns0)[0]
-    return outputs, states, errors, len(seen)
+        rows = _run_loop(request, layout, dm, columns0, dt, steps)[0]
+    return layout.stack(rows, request.family.t0 + np.array(steps) * dt), states, errors, len(seen)
 
 
 class TestRoundCircleState:
@@ -1654,6 +1656,23 @@ class TestStageProjection:
         a, f = z[:n], z[n:]
         rows = _flow_rhs(layout, n // 2)(0.0, z).reshape(2, n)
         assert np.array_equal(rows, _stage_formulas(n, a, f))
+
+    @pytest.mark.parametrize("track_scalars", [False, True])
+    def test_a_cutoff_at_or_past_nyquist_keeps_every_mode(self, track_scalars):
+        # at modes = n // 2 the grid is the truncation: no stage projects and
+        # _settle zeroes nothing above the cutoff, so a larger cutoff is the same run
+        runs = [df.run_flow(RunRequest(horizon=0.006, dt=1e-3, cadence=2, **{**_WAVY_PRODUCT, "modes": modes},
+                                       track_scalars=track_scalars))
+                for modes in (8, 16)]
+        assert runs[0].manifolds.axes[0].kind == "circle" and not runs[0].manifolds.axes[0].is_round
+        for name in ("times", "eigenvalues", "eigen_residuals", "volumes", "residual_commutator", "residual_ij"):
+            assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
+        for ax, same in zip(runs[0].manifolds.axes, runs[1].manifolds.axes):
+            assert ax.a.tobytes() == same.a.tobytes() and ax.f.tobytes() == same.f.tobytes()
+        for name, value in runs[0].series.items():
+            assert value.tobytes() == runs[1].series[name].tobytes(), name
+        for cols, same in zip(runs[0].scalar_factors or (), runs[1].scalar_factors or ()):
+            assert cols.tobytes() == same.tobytes()
 
     def test_two_ffts_per_kept_step(self, monkeypatch):
         layout, z = _circle_z(64, _wavy_a, _wavy_f)
@@ -2387,6 +2406,23 @@ class TestStackedScalarPass:
             ]
         shapes = [[cols.shape for cols in args[1]] for args, _ in calls["_factored_pairings"]]
         assert shapes == [[(n, request_.k, size) for size in traj.manifolds.shape] for n in sizes]
+
+    @pytest.mark.parametrize("backend", ["galerkin", "analytic"])
+    @pytest.mark.parametrize("track_scalars", [True, False])
+    def test_one_layout_and_one_stack_per_run(self, monkeypatch, backend, track_scalars):
+        # the backends return arrays: run_flow builds the run's one layout and
+        # its one stack of outputs, and sets the scalars to E V once per
+        # sub-stack of its loop, never without scalars
+        request_ = dataclasses.replace(_SCALAR_RUNS["gauss_x_circle"], backend=backend, track_scalars=track_scalars)
+        _stack_budget(monkeypatch, request_, 2)
+        layouts, stacks, factors = [], [], []
+        layout_of, stack = _Layout.of, _Layout.stack
+        monkeypatch.setattr(_Layout, "of", classmethod(lambda cls, *args: layouts.append(args) or layout_of(*args)))
+        monkeypatch.setattr(_Layout, "stack", lambda self, *args: stacks.append(args) or stack(self, *args))
+        _recording(monkeypatch, df.flow, "_factor", factors)
+        traj = df.run_flow(request_)
+        assert len(traj.times) == 5 and len(layouts) == len(stacks) == 1
+        assert len(factors) == (3 if track_scalars else 0)
 
     @pytest.mark.parametrize("wavy", [False, True], ids=["round_product", "stepped_v"])
     def test_the_scalar_pass_holds_no_grid_field_per_output(self, wavy):

@@ -18,7 +18,7 @@ from driftflow.errors import AssemblyError, UsageError
 from driftflow.geometry import CircleModel, ContinuumState, GaussianLineModel, discretize
 from driftflow.oracles import apply_stiffness, dense_stiffness, grid_eigen_residuals, grid_scalar_pairings
 from driftflow.runner import execute
-from driftflow.spectral import _axis_eigens, _circle_modes, drift_laplacian, partials
+from driftflow.spectral import _axis_eigens, _bochner_terms, _circle_modes, drift_laplacian, partials
 
 TWO_SQRT_PI = 2.0 * math.sqrt(math.pi)
 FOUR_SQRT_PI = 4.0 * math.sqrt(math.pi)
@@ -537,14 +537,14 @@ class TestFieldOperations:
         assert df.hessian_norm_sq(u, circle64) == pytest.approx(math.pi, rel=1e-11)
 
     def test_bochner_trivial_and_symbolic(self, circle64):
-        lhs, rhs, dirichlet = df.bochner_sides(np.ones(circle64.shape), circle64)
-        assert abs(lhs - rhs) < 1e-14 and dirichlet == 0.0
+        lhs, hessian, half_dirichlet, image = _bochner_terms(np.ones(circle64.shape), circle64)
+        assert abs(lhs - (hessian + half_dirichlet - image)) < 1e-14 and half_dirichlet == 0.0
         u = np.cos(circle64.axes[0].nodes)
         # phi = g/2 here, so both sides equal half the Dirichlet energy
-        lhs, rhs, dirichlet = df.bochner_sides(u, circle64)
+        lhs, hessian, half_dirichlet, image = _bochner_terms(u, circle64)
         assert lhs == pytest.approx(0.5 * math.pi, rel=1e-11)
-        assert dirichlet == pytest.approx(math.pi, rel=1e-11)
-        assert abs(lhs - rhs) < 1e-11
+        assert 2.0 * half_dirichlet == pytest.approx(math.pi, rel=1e-11)
+        assert abs(lhs - (hessian + half_dirichlet - image)) < 1e-11
 
     def test_bochner_random_fields(self):
         n = 256
@@ -560,7 +560,8 @@ class TestFieldOperations:
             (2 * rng.random() - 1) * np.cos(k * theta) + (2 * rng.random() - 1) * np.sin(k * theta)
             for k in range(1, 6)
         )
-        lhs, rhs, _ = df.bochner_sides(u, dm)
+        lhs, hessian, half_dirichlet, image = _bochner_terms(u, dm)
+        rhs = hessian + half_dirichlet - image
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-8
 
     def test_bochner_residual_decays_spectrally(self):
@@ -568,7 +569,8 @@ class TestFieldOperations:
         for n in (16, 32):
             dm = df.weighted_circle(n, f=lambda th: 2.0 * np.cos(th))
             u = np.cos(3 * dm.axes[0].nodes)
-            lhs, rhs, _ = df.bochner_sides(u, dm)
+            lhs, hessian, half_dirichlet, image = _bochner_terms(u, dm)
+            rhs = hessian + half_dirichlet - image
             rels[n] = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
         assert rels[16] < 1e-3
         assert rels[32] < 1e-12

@@ -10,7 +10,7 @@ import driftflow as df
 from driftflow import acceptance
 from driftflow.axes import along
 from driftflow.errors import UsageError
-from driftflow.flow import RunRequest, _run_loop, output_index
+from driftflow.flow import RunRequest, _factor, _Layout, _output_steps, _run_loop, output_index
 from driftflow.oracles import gradient_inner
 from driftflow.spectral import partials
 
@@ -192,9 +192,11 @@ class TestStationarityOfDirections:
         i, j = np.unravel_index(np.argmax(np.abs(u0)), u0.shape)
         columns0 = [u0[:, j][None], (u0[i] / u0[i, j])[None]]
         assert np.max(np.abs(np.outer(*columns0) - u0)) < 1e-15 * np.max(np.abs(u0))
-        outputs, factors, fill = _run_loop(product_traj.request, product_traj.manifolds[0], columns0)
-        fill(slice(None))
-        dm_last = outputs[-1]
+        request, dm0 = product_traj.request, product_traj.manifolds[0]
+        layout = _Layout.of(dm0, 1)  # both axes diagonal: E carries the columns, and nothing is stepped
+        rows, integrals, lags, _ = _run_loop(request, layout, dm0, columns0, *_output_steps(request))
+        factors = _factor(layout, columns0, integrals, lags)
+        dm_last = layout.stack(rows, product_traj.times)[-1]
         diff = np.outer(factors[0][-1, 0], factors[1][-1, 0]) - u0
         change = math.sqrt(dm_last.integrate(diff * diff))
         assert change < 1e-8
